@@ -714,15 +714,6 @@ let time_io catalog run =
   let wall = Unix.gettimeofday () -. t0 in
   (result, wall, Pager.diff_since pager before)
 
-(* Minimal JSON emitters — the values are all numbers and fixed strings. *)
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields) ^ "}"
-
-let json_arr items = "[" ^ String.concat "," items ^ "]"
-let json_str s = Printf.sprintf "%S" s
-let json_f x = Printf.sprintf "%.6f" x
-let json_i i = string_of_int i
-
 (* Warm-up + median-of-k timing.  Every sample runs on a {e fresh} catalog
    (cold pager, fresh temps — [run_program] registers temps under fixed
    names, so reps must not share state); the parse and the NEST-G rewrite
@@ -766,15 +757,15 @@ let run_strategy ~warmup ~reps ~buffer_pages ~page_bytes ~n_parts
   median_sample (List.init reps (fun _ -> once ()))
 
 let strategy_json ~name ~engine { s_rows; s_wall; s_io = io } =
-  json_obj
+  Json.Obj
     [
-      ("name", json_str name);
-      ("engine", json_str engine);
-      ("wall_s", json_f s_wall);
-      ("logical_reads", json_i io.Pager.logical_reads);
-      ("physical_reads", json_i io.Pager.physical_reads);
-      ("physical_writes", json_i io.Pager.physical_writes);
-      ("rows", json_i s_rows);
+      ("name", Json.Str name);
+      ("engine", Json.Str engine);
+      ("wall_s", Json.Float s_wall);
+      ("logical_reads", Json.Int io.Pager.logical_reads);
+      ("physical_reads", Json.Int io.Pager.physical_reads);
+      ("physical_writes", Json.Int io.Pager.physical_writes);
+      ("rows", Json.Int s_rows);
     ]
 
 (* The grid: 100 parts, SUPPLY scaling 500 -> 10000 rows.  Each transformed
@@ -824,19 +815,19 @@ let json_grid ~scales ~warmup ~reps () =
             supply_rows,
             hybrid_speedup,
             vec_speedup,
-            json_obj
+            Json.Obj
               [
-                ("query", json_str kind);
-                ("n_parts", json_i n_parts);
-                ("supply_rows", json_i supply_rows);
-                ("buffer_pages", json_i buffer_pages);
-                ("page_bytes", json_i page_bytes);
-                ("timing", json_obj
-                   [ ("warmup", json_i warmup); ("reps", json_i reps);
-                     ("stat", json_str "median") ]);
-                ("strategies", json_arr strategies);
-                ("hybrid_speedup_vs_paper", json_f hybrid_speedup);
-                ("vectorized_speedup_vs_tuple", json_f vec_speedup);
+                ("query", Json.Str kind);
+                ("n_parts", Json.Int n_parts);
+                ("supply_rows", Json.Int supply_rows);
+                ("buffer_pages", Json.Int buffer_pages);
+                ("page_bytes", Json.Int page_bytes);
+                ("timing", Json.Obj
+                   [ ("warmup", Json.Int warmup); ("reps", Json.Int reps);
+                     ("stat", Json.Str "median") ]);
+                ("strategies", Json.List strategies);
+                ("hybrid_speedup_vs_paper", Json.Float hybrid_speedup);
+                ("vectorized_speedup_vs_tuple", Json.Float vec_speedup);
               ] ))
         scales)
     sweep_queries
@@ -867,17 +858,20 @@ let json_pager_scaling () =
     List.fold_left Float.max 0. ns /. List.fold_left Float.min infinity ns
   in
   ( flatness,
-    json_obj
+    Json.Obj
       [
-        ("touches", json_i touches);
+        ("touches", Json.Int touches);
         ( "points",
-          json_arr
+          Json.List
             (List.map
                (fun (b, ns) ->
-                 json_obj
-                   [ ("buffer_pages", json_i b); ("ns_per_touch", json_f ns) ])
+                 Json.Obj
+                   [
+                     ("buffer_pages", Json.Int b);
+                     ("ns_per_touch", Json.Float ns);
+                   ])
                points) );
-        ("flatness_max_over_min", json_f flatness);
+        ("flatness_max_over_min", Json.Float flatness);
       ] )
 
 (* Per-operator breakdowns: one instrumented hybrid-mode run per query kind
@@ -906,19 +900,19 @@ let json_operator_breakdowns ~supply_per_part () =
             Planner.explain_plans ~mode:Planner.Hybrid ~analyze:true ~engine
               catalog program
           in
-          json_obj
+          Json.Obj
             [
-              ("query", json_str kind);
-              ("engine", json_str (Exec.Plan.engine_name engine));
-              ("n_parts", json_i n_parts);
-              ("supply_rows", json_i (n_parts * supply_per_part));
+              ("query", Json.Str kind);
+              ("engine", Json.Str (Exec.Plan.engine_name engine));
+              ("n_parts", Json.Int n_parts);
+              ("supply_rows", Json.Int (n_parts * supply_per_part));
               ( "segments",
-                json_arr
+                Json.List
                   (List.map
                      (fun (s : Planner.explained) ->
-                       json_obj
+                       Json.Obj
                          [
-                           ("label", json_str s.Planner.seg_label);
+                           ("label", Json.Str s.Planner.seg_label);
                            ("plan", s.Planner.seg_json);
                          ])
                      segs) );
@@ -1027,15 +1021,15 @@ let json_batched_comparison ~scales ~warmup ~reps () =
             | None -> []
           in
           let cell =
-            json_obj
+            Json.Obj
               [
-                ("query", json_str kind);
-                ("n_parts", json_i n_parts);
-                ("supply_rows", json_i n_supply);
-                ("key_range", json_i key_range);
-                ("rewrite_refused", if refused then "true" else "false");
-                ("strategies", json_arr strategies);
-                ("batched_speedup_vs_nested", json_f speedup);
+                ("query", Json.Str kind);
+                ("n_parts", Json.Int n_parts);
+                ("supply_rows", Json.Int n_supply);
+                ("key_range", Json.Int key_range);
+                ("rewrite_refused", Json.Bool refused);
+                ("strategies", Json.List strategies);
+                ("batched_speedup_vs_nested", Json.Float speedup);
               ]
           in
           let beats = (not refused) || batched.s_wall < nested.s_wall in
@@ -1118,18 +1112,18 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
       match est_nested with Some c -> c < floor | None -> false
     in
     let cell_json =
-      json_obj
+      Json.Obj
         [
-          ("query", json_str kind);
-          ("outer_rows", json_i n_parts);
-          ("supply_rows", json_i supply_rows);
-          ("key_range", json_i key_range);
+          ("query", Json.Str kind);
+          ("outer_rows", Json.Int n_parts);
+          ("supply_rows", Json.Int supply_rows);
+          ("key_range", Json.Int key_range);
           ( "est_nested_cost",
-            match est_nested with Some c -> json_f c | None -> "null" );
-          ("transformed_floor", json_f floor);
-          ("picked", json_str (if picks_nested then "nested" else "transformed"));
+            match est_nested with Some c -> Json.Float c | None -> Json.Null );
+          ("transformed_floor", Json.Float floor);
+          ("picked", Json.Str (if picks_nested then "nested" else "transformed"));
           ( "strategies",
-            json_arr
+            Json.List
               [
                 strategy_json ~name:"indexed_nested" ~engine:"tuple" indexed;
                 strategy_json ~name:"unindexed_nested" ~engine:"tuple"
@@ -1153,49 +1147,57 @@ let json_index_crossover ~outer_sizes ~warmup ~reps () =
     (fun query -> List.map (cell query) outer_sizes)
     crossover_queries
 
-(* Structural v5 schema check on the serialized document: every required
-   key must appear.  Substring-based — the emitter writes fixed key
-   strings, so this is exact enough to catch a key rename or a dropped
-   section without pulling in a JSON parser. *)
-let validate_v5 doc =
+(* Structural v5 schema check on the serialized document: it must parse,
+   and each required member path (dot-separated; "*" fans out over a
+   list) must reach at least one value — equal to the expected one where
+   given.  Catches a key rename or a dropped section.  Returns the failed
+   requirements. *)
+let validate_v5 text =
   let required =
     [
-      "\"schema_version\":5";
-      "\"index_crossover\":";
-      "\"est_nested_cost\":";
-      "\"transformed_floor\":";
-      "\"picked\":\"nested\"";
-      "\"crossover_outer_rows\":";
-      "\"name\":\"indexed_nested\"";
-      "\"batched_comparison\":";
-      "\"name\":\"batched\"";
-      "\"batched_speedup_vs_nested\":";
-      "\"rewrite_refused\":true";
-      "\"key_range\":";
-      "\"queries\":";
-      "\"strategies\":";
-      "\"engine\":\"tuple\"";
-      "\"engine\":\"vectorized\"";
-      "\"timing\":";
-      "\"stat\":\"median\"";
-      "\"vectorized_speedup_vs_tuple\":";
-      "\"vectorized_speedup_10k\":";
-      "\"speedup_scale_supply_rows\":";
-      "\"hybrid_speedup_10k\":";
-      "\"pager_scaling\":";
-      "\"operator_breakdowns\":";
-      "\"rows_per_call\":";
-      "\"batches\":";
+      ("schema_version", Some (Json.Int 5));
+      ("index_crossover.cells.*.est_nested_cost", None);
+      ("index_crossover.cells.*.transformed_floor", None);
+      ("index_crossover.cells.*.picked", Some (Json.Str "nested"));
+      ( "index_crossover.cells.*.strategies.*.name",
+        Some (Json.Str "indexed_nested") );
+      ("index_crossover.crossover_outer_rows", None);
+      ("batched_comparison.*.strategies.*.name", Some (Json.Str "batched"));
+      ("batched_comparison.*.batched_speedup_vs_nested", None);
+      ("batched_comparison.*.rewrite_refused", Some (Json.Bool true));
+      ("batched_comparison.*.key_range", None);
+      ("queries.*.strategies.*.engine", Some (Json.Str "tuple"));
+      ("queries.*.strategies.*.engine", Some (Json.Str "vectorized"));
+      ("queries.*.timing.stat", Some (Json.Str "median"));
+      ("queries.*.vectorized_speedup_vs_tuple", None);
+      ("vectorized_speedup_10k", None);
+      ("speedup_scale_supply_rows", None);
+      ("hybrid_speedup_10k", None);
+      ("pager_scaling", None);
+      ("operator_breakdowns.*.segments.*.plan.actual.rows_per_call", None);
+      ("operator_breakdowns.*.segments.*.plan.actual.batches", None);
     ]
   in
-  let contains needle =
-    let nl = String.length needle and hl = String.length doc in
-    let rec go i =
-      i + nl <= hl && (String.sub doc i nl = needle || go (i + 1))
-    in
-    go 0
+  let rec at j = function
+    | [] -> [ j ]
+    | "*" :: rest -> (
+        match j with
+        | Json.List items -> List.concat_map (fun i -> at i rest) items
+        | _ -> [])
+    | key :: rest ->
+        Option.fold ~none:[] ~some:(fun v -> at v rest) (Json.member key j)
   in
-  List.filter (fun k -> not (contains k)) required
+  let missing doc (path, expected) =
+    let found = at doc (String.split_on_char '.' path) in
+    match expected with
+    | None when found = [] -> Some path
+    | Some v when not (List.mem v found) ->
+        Some (path ^ " = " ^ Json.to_string v)
+    | _ -> None
+  in
+  match Json.parse text with
+  | Error e -> [ e ]
+  | Ok doc -> List.filter_map (missing doc) required
 
 let json_bench ~smoke () =
   (* Smoke: one small scale, fewer reps — a CI-speed structural run of the
@@ -1237,12 +1239,12 @@ let json_bench ~smoke () =
     List.filter_map
       (fun (kind, supply_rows, hybrid_speedup, vec_speedup, _) ->
         if supply_rows = top_scale then
-          Some (kind, json_f (f hybrid_speedup vec_speedup))
+          Some (kind, Json.Float (f hybrid_speedup vec_speedup))
         else None)
       grid
   in
   let doc =
-    json_obj
+    Json.Obj
       [
         (* v5: adds "index_crossover" — indexed vs unindexed nested
            iteration vs the hybrid rewrite with a B-tree on SUPPLY.PNUM,
@@ -1257,41 +1259,42 @@ let json_bench ~smoke () =
            per-cell "vectorized_speedup_vs_tuple", headline
            "vectorized_speedup_10k", operator_breakdowns one entry per
            (query, engine). *)
-        ("schema_version", json_i 5);
-        ("speedup_scale_supply_rows", json_i top_scale);
-        ("queries", json_arr (List.map (fun (_, _, _, _, j) -> j) grid));
+        ("schema_version", Json.Int 5);
+        ("speedup_scale_supply_rows", Json.Int top_scale);
+        ("queries", Json.List (List.map (fun (_, _, _, _, j) -> j) grid));
         ( "batched_comparison",
-          json_arr (List.map (fun (_, _, _, _, _, j) -> j) skew) );
+          Json.List (List.map (fun (_, _, _, _, _, j) -> j) skew) );
         ( "index_crossover",
-          json_obj
+          Json.Obj
             [
               ( "cells",
-                json_arr
+                Json.List
                   (List.map (fun (_, _, _, _, _, _, _, _, j) -> j) crossover)
               );
               ( "crossover_outer_rows",
-                json_obj
+                Json.Obj
                   (List.map
                      (fun (kind, _) ->
                        ( kind,
                          match crossover_point kind with
-                         | Some n -> json_i n
-                         | None -> "null" ))
+                         | Some n -> Json.Int n
+                         | None -> Json.Null ))
                      crossover_queries) );
             ] );
         ("pager_scaling", pager_json);
-        ("hybrid_speedup_10k", json_obj (at_top (fun h _ -> h)));
-        ("vectorized_speedup_10k", json_obj (at_top (fun _ v -> v)));
+        ("hybrid_speedup_10k", Json.Obj (at_top (fun h _ -> h)));
+        ("vectorized_speedup_10k", Json.Obj (at_top (fun _ v -> v)));
         ( "operator_breakdowns",
-          json_arr
+          Json.List
             (json_operator_breakdowns
                ~supply_per_part:(if smoke then 5 else 25)
                ()) );
       ]
   in
   let path = if smoke then "BENCH_perf.smoke.json" else "BENCH_perf.json" in
+  let text = Json.to_string doc in
   let oc = open_out path in
-  output_string oc doc;
+  output_string oc text;
   output_char oc '\n';
   close_out oc;
   List.iter
@@ -1381,7 +1384,7 @@ let json_bench ~smoke () =
        gone@.";
     exit 1
   end;
-  match validate_v5 doc with
+  match validate_v5 text with
   | [] -> Fmt.pr "schema v5 check: ok@."
   | missing ->
       Fmt.epr "schema v5 check FAILED; missing keys:@.";

@@ -121,7 +121,7 @@ let engine =
   let doc =
     "Execution engine for plan-based paths: tuple (Volcano iterators, the \
      default and oracle reference) or vectorized (column-major batches of \
-     up to 1024 rows).  Same plans, same results."
+     up to 240 rows).  Same plans, same results."
   in
   Arg.(value & opt string "tuple" & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
 
@@ -303,7 +303,8 @@ let lint_cmd load_dir fixture tables buffer_pages page_bytes indexes json severi
   let fixture = Option.value (fixture_pragma src) ~default:fixture in
   let db = setup_db load_dir fixture tables buffer_pages page_bytes indexes in
   let diags = Core.lint_query db (strip_sql_comments src) in
-  if json then print_endline (Analysis.Diagnostics.json_report diags)
+  if json then
+    print_endline (Json.to_string (Analysis.Diagnostics.json_report diags))
   else if diags = [] then Fmt.pr "no diagnostics@."
   else Fmt.pr "%s" (Analysis.Diagnostics.list_to_string diags);
   if gate diags then exit 1
@@ -337,23 +338,6 @@ let print_check_report i (r : Core.check_report) =
       |> List.iter (fun line -> Fmt.pr "    %s@." line)
   | None -> ()
 
-let check_report_json (r : Core.check_report) =
-  let module P = Server.Protocol in
-  let diags_json =
-    match P.parse (Analysis.Diagnostics.list_to_json r.Core.ck_diags) with
-    | Ok j -> j
-    | Error _ -> P.Str (Analysis.Diagnostics.list_to_json r.Core.ck_diags)
-  in
-  P.Obj
-    (("sql", P.Str r.Core.ck_sql)
-    :: ("diagnostics", diags_json)
-    :: List.filter_map Fun.id
-         [
-           Option.map (fun m -> ("refused", P.Str m)) r.Core.ck_refused;
-           Option.map (fun c -> ("certificate", P.Str c)) r.Core.ck_certificate;
-           Option.map (fun t -> ("repro", P.Str t)) r.Core.ck_repro;
-         ])
-
 let check_cmd load_dir fixture tables buffer_pages page_bytes indexes json severity
     bound file =
   let gate = severity_gate severity in
@@ -369,16 +353,8 @@ let check_cmd load_dir fixture tables buffer_pages page_bytes indexes json sever
         strip_sql_comments src )
   in
   let reports = ok_or_die (Core.check_source ~bound db sql) in
-  (if json then
-     let module P = Server.Protocol in
-     print_endline
-       (P.to_string
-          (P.Obj
-             [
-               ("version", P.Int Analysis.Diagnostics.json_version);
-               ("queries", P.List (List.map check_report_json reports));
-             ]))
-   else List.iteri print_check_report reports);
+  if json then print_endline (Json.to_string (Core.check_json reports))
+  else List.iteri print_check_report reports;
   if gate (List.concat_map (fun r -> r.Core.ck_diags) reports) then exit 1
 
 (* ---------------- fuzz -------------------------------------------------- *)
@@ -658,48 +634,46 @@ let serve_cmd load_dir fixture tables buffer_pages page_bytes indexes socket hos
 (* One response line, pretty-printed unless --raw: result rows as an
    aligned table plus a one-line summary, EXPLAIN text verbatim. *)
 let print_response ~raw line =
-  let module P = Server.Protocol in
   let fail () =
     Fmt.pr "%s@." line;
     false
   in
-  match P.parse line with
+  match Json.parse line with
   | Error _ -> fail ()
   | Ok j -> (
-      let ok = P.member "ok" j = Some (P.Bool true) in
+      let ok = Json.member "ok" j = Some (Json.Bool true) in
       (if raw then Fmt.pr "%s@." line
        else
-         match (P.member "columns" j, P.member "rows" j) with
-         | Some (P.List cols), Some (P.List rows) ->
+         match (Json.member "columns" j, Json.member "rows" j) with
+         | Some (Json.List cols), Some (Json.List rows) ->
              let cell = function
-               | P.Null -> "NULL"
-               | P.Str s -> s
-               | v -> P.to_string v
+               | Json.Null -> "NULL"
+               | Json.Str s -> s
+               | v -> Json.to_string v
              in
              Fmt.pr "%s@." (String.concat " | " (List.map cell cols));
              List.iter
                (function
-                 | P.List cells ->
+                 | Json.List cells ->
                      Fmt.pr "%s@." (String.concat " | " (List.map cell cells))
-                 | v -> Fmt.pr "%s@." (P.to_string v))
+                 | v -> Fmt.pr "%s@." (Json.to_string v))
                rows;
              let field name =
-               match P.member name j with
-               | Some (P.Str s) -> s
-               | Some v -> P.to_string v
+               match Json.member name j with
+               | Some (Json.Str s) -> s
+               | Some v -> Json.to_string v
                | None -> "?"
              in
              Fmt.pr "(%s rows, cache %s, strategy %s, %s ms)@."
                (field "row_count") (field "cache") (field "strategy")
                (field "wall_ms")
          | _ -> (
-             match P.member "text" j with
-             | Some (P.Str text) when ok -> Fmt.pr "%s@." text
+             match Json.member "text" j with
+             | Some (Json.Str text) when ok -> Fmt.pr "%s@." text
              | _ -> Fmt.pr "%s@." line));
       ok)
 
 let client_cmd socket host port mode engine strategy raw exprs jsons =
-  let module P = Server.Protocol in
   let sockaddr = sockaddr_of_flags socket host port in
   (* validate the knob flags before connecting; they apply to every -e *)
   let knob_fields =
@@ -707,22 +681,24 @@ let client_cmd socket host port mode engine strategy raw exprs jsons =
       [
         Option.map
           (fun m ->
-            ("mode", P.Str (Optimizer.Planner.mode_name (mode_of_flag m))))
+            ("mode", Json.Str (Optimizer.Planner.mode_name (mode_of_flag m))))
           mode;
         Option.map
           (fun e ->
-            ("engine", P.Str (Exec.Plan.engine_name (engine_of_flag e))))
+            ("engine", Json.Str (Exec.Plan.engine_name (engine_of_flag e))))
           engine;
         Option.map
           (fun (s : string) ->
-            ("strategy", P.Str (Core.strategy_name (strategy_of_flag s))))
+            ("strategy", Json.Str (Core.strategy_name (strategy_of_flag s))))
           strategy;
       ]
   in
   let requests =
     List.map
       (fun sql ->
-        P.to_string (P.Obj (("op", P.Str "query") :: ("sql", P.Str sql) :: knob_fields)))
+        Json.to_string
+          (Json.Obj
+             (("op", Json.Str "query") :: ("sql", Json.Str sql) :: knob_fields)))
       exprs
     @ jsons
   in

@@ -173,28 +173,3 @@ let pp ppf t =
     t.edges
 
 let to_string t = Fmt.str "%a" pp t
-
-let use_json u =
-  let op =
-    match u.op with
-    | None -> "null"
-    | Some op -> Printf.sprintf {|"%s"|} (Ast.cmp_name op)
-  in
-  Printf.sprintf {|{"column":"%s","op":%s}|} u.column op
-
-let node_json n =
-  Printf.sprintf
-    {|{"id":%d,"depth":%d,"context":"%s","span":"%s","aliases":[%s]}|}
-    n.id n.depth n.context
-    (Ast.span_to_string n.span)
-    (String.concat "," (List.map (Printf.sprintf {|"%s"|}) n.aliases))
-
-let edge_json e =
-  Printf.sprintf {|{"inner":%d,"outer":%d,"alias":"%s","uses":[%s]}|} e.inner
-    e.outer e.alias
-    (String.concat "," (List.map use_json e.uses))
-
-let to_json t =
-  Printf.sprintf {|{"blocks":[%s],"correlations":[%s]}|}
-    (String.concat "," (List.map node_json t.nodes))
-    (String.concat "," (List.map edge_json t.edges))

@@ -40,5 +40,3 @@ val is_correlated_block : t -> int -> bool
 val pp : t Fmt.t
 
 val to_string : t -> string
-
-val to_json : t -> string

@@ -159,45 +159,38 @@ let to_string d = Fmt.str "%a" pp d
 
 let list_to_string diags = Fmt.str "%a" pp_list diags
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let span_json (s : Ast.span) =
-  Printf.sprintf
-    {|{"line":%d,"col":%d,"end_line":%d,"end_col":%d}|}
-    s.Ast.sp_start.line s.Ast.sp_start.col s.Ast.sp_end.line s.Ast.sp_end.col
-
 let to_json (d : t) =
-  let hint =
-    match d.hint with
-    | None -> ""
-    | Some h -> Printf.sprintf {|,"hint":"%s"|} (json_escape h)
-  in
-  Printf.sprintf
-    {|{"code":"%s","title":"%s","severity":"%s","span":%s,"message":"%s"%s}|}
-    d.code d.title (severity_name d.severity) (span_json d.span)
-    (json_escape d.message) hint
+  let sp = d.span in
+  Json.Obj
+    ([
+       ("code", Json.Str d.code);
+       ("title", Json.Str d.title);
+       ("severity", Json.Str (severity_name d.severity));
+       ( "span",
+         Json.Obj
+           [
+             ("line", Json.Int sp.Ast.sp_start.line);
+             ("col", Json.Int sp.Ast.sp_start.col);
+             ("end_line", Json.Int sp.Ast.sp_end.line);
+             ("end_col", Json.Int sp.Ast.sp_end.col);
+           ] );
+       ("message", Json.Str d.message);
+     ]
+    @ match d.hint with None -> [] | Some h -> [ ("hint", Json.Str h) ])
 
-let list_to_json diags =
-  "[" ^ String.concat "," (List.map to_json (sort diags)) ^ "]"
+let list_to_json diags = Json.List (List.map to_json (sort diags))
 
-(* The stable CI surface (`nestsql lint --json`): a versioned envelope so
-   consumers can detect schema changes.  Version history in docs/LINT.md;
-   bump [json_version] on any incompatible change to [to_json]. *)
+(* The stable CI surface (`nestsql lint --json`, the server's lint
+   response): a versioned envelope so consumers can detect schema changes.
+   Version history in docs/LINT.md; bump [json_version] on any
+   incompatible change to [to_json]. *)
 let json_version = 1
 
-let json_report diags =
-  Printf.sprintf {|{"version":%d,"errors":%b,"diagnostics":%s}|} json_version
-    (has_errors diags) (list_to_json diags)
+let report_fields diags =
+  [
+    ("version", Json.Int json_version);
+    ("errors", Json.Bool (has_errors diags));
+    ("diagnostics", list_to_json diags);
+  ]
+
+let json_report diags = Json.Obj (report_fields diags)

@@ -43,15 +43,20 @@ val to_string : t -> string
 
 val list_to_string : t list -> string
 
-val to_json : t -> string
+val to_json : t -> Json.t
 
-val list_to_json : t list -> string
+val list_to_json : t list -> Json.t
+(** The diagnostics, sorted, as a JSON array. *)
 
 val json_version : int
 (** Schema version of {!json_report} (and the [version] field of the
     server's lint responses).  Bumped on any incompatible change; history
     in docs/LINT.md. *)
 
-val json_report : t list -> string
+val report_fields : t list -> (string * Json.t) list
+(** The envelope fields [version], [errors] and [diagnostics], for
+    responses that embed them next to fields of their own. *)
+
+val json_report : t list -> Json.t
 (** The versioned envelope `nestsql lint --json` prints:
     [{"version":N,"errors":B,"diagnostics":[...]}]. *)

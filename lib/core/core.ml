@@ -196,10 +196,6 @@ let lint_query db text : Analysis.Diagnostics.t list =
   in
   Analysis.Diagnostics.sort (base @ verify_diags)
 
-(* The correlation graph of an analyzed query (REPL/debugging surface). *)
-let correlation_graph db text =
-  Result.map Analysis.Correlation_graph.build (parse db text)
-
 (* ------------------------------------------------------------------ *)
 (* Semantic checking (plan validation + bounded equivalence)           *)
 (* ------------------------------------------------------------------ *)
@@ -286,6 +282,26 @@ let check_source ?bound db text : (check_report list, string) result =
                  | Error _ -> assert false)
                analyzed))
 
+(* The `nestsql check --json` document: the schema version plus one object
+   per checked query. *)
+let check_json reports =
+  let query r =
+    Json.Obj
+      (("sql", Json.Str r.ck_sql)
+      :: ("diagnostics", Analysis.Diagnostics.list_to_json r.ck_diags)
+      :: List.filter_map Fun.id
+           [
+             Option.map (fun m -> ("refused", Json.Str m)) r.ck_refused;
+             Option.map (fun c -> ("certificate", Json.Str c)) r.ck_certificate;
+             Option.map (fun t -> ("repro", Json.Str t)) r.ck_repro;
+           ])
+  in
+  Json.Obj
+    [
+      ("version", Json.Int Analysis.Diagnostics.json_version);
+      ("queries", Json.List (List.map query reports));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -329,7 +345,6 @@ let via_name = function
 
 type execution = {
   result : Relation.t;
-  used_transformation : bool;
   via : via;
   program : Optimizer.Program.t option;
   batches : Optimizer.Batched_nest.batch list;
@@ -390,7 +405,6 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace
     Ok
       {
         result;
-        used_transformation = false;
         via = Via_nested;
         program = None;
         batches = [];
@@ -410,7 +424,6 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace
         Ok
           {
             result = relation;
-            used_transformation = false;
             via = Via_batched;
             program = None;
             batches;
@@ -442,7 +455,6 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace
             Ok
               {
                 result;
-                used_transformation = true;
                 via = Via_transformed;
                 program = Some program;
                 batches = [];

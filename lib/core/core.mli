@@ -84,10 +84,6 @@ val query_tree : db -> string -> (Optimizer.Query_tree.t, string) result
     program (NQ900–NQ906).  See docs/LINT.md. *)
 val lint_query : db -> string -> Analysis.Diagnostics.t list
 
-(** The scope/correlation graph of an analyzed query. *)
-val correlation_graph :
-  db -> string -> (Analysis.Correlation_graph.t, string) result
-
 type check_report = {
   ck_sql : string;  (** canonical rendering of the checked query *)
   ck_refused : string option;
@@ -113,6 +109,11 @@ val check_query : ?bound:int -> db -> Sql.Ast.query -> check_report
 (** Parse, analyze and {!check_query} one or more ';'-separated queries. *)
 val check_source :
   ?bound:int -> db -> string -> (check_report list, string) result
+
+(** The [nestsql check --json] document:
+    [{"version":N,"queries":[{"sql","diagnostics","refused"?,
+    "certificate"?,"repro"?}]}]. *)
+val check_json : check_report list -> Json.t
 
 type strategy =
   | Nested_iteration  (** the System R method, over paged storage *)
@@ -146,7 +147,6 @@ val via_name : via -> string
 
 type execution = {
   result : Relation.t;
-  used_transformation : bool;
   via : via;
   program : Optimizer.Program.t option;
   batches : Optimizer.Batched_nest.batch list;

@@ -36,56 +36,76 @@ let metrics s node =
     (fun (n, m) -> if n == node then Some m else None)
     s.entries
 
-let json_escape = Printf.sprintf "%S"
+let ms seconds = Json.Float (seconds *. 1e3)
 
-let emit s line = match s.trace with Some out -> out line | None -> ()
+(* One trace line: [{"ev":EV,"id":ID,...fields}]. *)
+let emit s ev id fields =
+  match s.trace with
+  | Some out ->
+      out
+        (Json.to_string
+           (Json.Obj (("ev", Json.Str ev) :: ("id", Json.Int id) :: fields)))
+  | None -> ()
 
-let observer (s : session) : Plan.observer =
- fun node build ->
+(* The engine-independent half of both observers: register [node]'s
+   metrics, time its [build], emit its "open" line, and return the built
+   operator with a wrapper for its pull function.  The wrapper times each
+   pull, attributes its page traffic, and emits "close" at the first
+   exhausted pull; [produced] accounts for one non-empty pull and says
+   whether it deserves a "batch" line. *)
+let instrument s node build ~produced =
   let m = Metrics.create () in
   s.entries <- (node, m) :: s.entries;
   let id = s.fresh_id in
   s.fresh_id <- id + 1;
   let before = Pager.snapshot s.pager in
   let t0 = Unix.gettimeofday () in
-  let it = build () in
+  let op = build () in
   m.Metrics.build_s <- Unix.gettimeofday () -. t0;
   Metrics.add_io m (Pager.diff_since s.pager before);
-  emit s
-    (Printf.sprintf "{\"ev\":\"open\",\"id\":%d,\"op\":%s,\"build_ms\":%.3f}"
-       id
-       (json_escape (Plan.label node))
-       (m.Metrics.build_s *. 1e3));
+  emit s "open" id
+    [ ("op", Json.Str (Plan.label node)); ("build_ms", ms m.Metrics.build_s) ];
+  let counts () =
+    [
+      ("rows", Json.Int m.Metrics.rows);
+      ("next_calls", Json.Int m.Metrics.next_calls);
+    ]
+  in
   let closed = ref false in
-  let next () =
+  let pull next () =
     let before = Pager.snapshot s.pager in
     let t0 = Unix.gettimeofday () in
-    let r = it.Iterator.next () in
+    let r = next () in
     m.Metrics.next_s <- m.Metrics.next_s +. (Unix.gettimeofday () -. t0);
     Metrics.add_io m (Pager.diff_since s.pager before);
     m.Metrics.next_calls <- m.Metrics.next_calls + 1;
     (match r with
-    | Some _ ->
-        m.Metrics.rows <- m.Metrics.rows + 1;
-        if m.Metrics.next_calls mod trace_batch = 0 then
-          emit s
-            (Printf.sprintf
-               "{\"ev\":\"batch\",\"id\":%d,\"rows\":%d,\"next_calls\":%d}" id
-               m.Metrics.rows m.Metrics.next_calls)
+    | Some x -> if produced m x then emit s "batch" id (counts ())
     | None ->
         if not !closed then begin
           closed := true;
-          emit s
-            (Printf.sprintf
-               "{\"ev\":\"close\",\"id\":%d,\"rows\":%d,\"next_calls\":%d,\"ms\":%.3f,\"logical_reads\":%d,\"physical_reads\":%d,\"physical_writes\":%d}"
-               id m.Metrics.rows m.Metrics.next_calls
-               (Metrics.total_s m *. 1e3)
-               m.Metrics.logical_reads m.Metrics.physical_reads
-               m.Metrics.physical_writes)
+          emit s "close" id
+            (counts ()
+            @ [
+                ("ms", ms (Metrics.total_s m));
+                ("logical_reads", Json.Int m.Metrics.logical_reads);
+                ("physical_reads", Json.Int m.Metrics.physical_reads);
+                ("physical_writes", Json.Int m.Metrics.physical_writes);
+              ])
         end);
     r
   in
-  { it with Iterator.next }
+  (op, pull)
+
+(* Tuple-engine observer: a "batch" line every [trace_batch] [next] calls. *)
+let observer (s : session) : Plan.observer =
+ fun node build ->
+  let it, pull =
+    instrument s node build ~produced:(fun m _ ->
+        m.Metrics.rows <- m.Metrics.rows + 1;
+        m.Metrics.next_calls mod trace_batch = 0)
+  in
+  { it with Iterator.next = pull it.Iterator.next }
 
 (* Vectorized-engine observer: the same protocol over [next_batch].  One
    timer pair and one pager snapshot per *batch*, not per row — the
@@ -93,50 +113,13 @@ let observer (s : session) : Plan.observer =
    vectorized loops ([rows] still counts individual selected rows). *)
 let observer_vec (s : session) : Plan.vec_observer =
  fun node build ->
-  let m = Metrics.create () in
-  s.entries <- (node, m) :: s.entries;
-  let id = s.fresh_id in
-  s.fresh_id <- id + 1;
-  let before = Pager.snapshot s.pager in
-  let t0 = Unix.gettimeofday () in
-  let v = build () in
-  m.Metrics.build_s <- Unix.gettimeofday () -. t0;
-  Metrics.add_io m (Pager.diff_since s.pager before);
-  emit s
-    (Printf.sprintf "{\"ev\":\"open\",\"id\":%d,\"op\":%s,\"build_ms\":%.3f}"
-       id
-       (json_escape (Plan.label node))
-       (m.Metrics.build_s *. 1e3));
-  let closed = ref false in
-  let next_batch () =
-    let before = Pager.snapshot s.pager in
-    let t0 = Unix.gettimeofday () in
-    let r = v.Vec.next_batch () in
-    m.Metrics.next_s <- m.Metrics.next_s +. (Unix.gettimeofday () -. t0);
-    Metrics.add_io m (Pager.diff_since s.pager before);
-    m.Metrics.next_calls <- m.Metrics.next_calls + 1;
-    (match r with
-    | Some b ->
+  let v, pull =
+    instrument s node build ~produced:(fun m b ->
         m.Metrics.rows <- m.Metrics.rows + Batch.live b;
         m.Metrics.batches <- m.Metrics.batches + 1;
-        emit s
-          (Printf.sprintf
-             "{\"ev\":\"batch\",\"id\":%d,\"rows\":%d,\"next_calls\":%d}" id
-             m.Metrics.rows m.Metrics.next_calls)
-    | None ->
-        if not !closed then begin
-          closed := true;
-          emit s
-            (Printf.sprintf
-               "{\"ev\":\"close\",\"id\":%d,\"rows\":%d,\"next_calls\":%d,\"ms\":%.3f,\"logical_reads\":%d,\"physical_reads\":%d,\"physical_writes\":%d}"
-               id m.Metrics.rows m.Metrics.next_calls
-               (Metrics.total_s m *. 1e3)
-               m.Metrics.logical_reads m.Metrics.physical_reads
-               m.Metrics.physical_writes)
-        end);
-    r
+        true)
   in
-  { v with Vec.next_batch }
+  { v with Vec.next_batch = pull v.Vec.next_batch }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -186,41 +169,45 @@ let render ?(estimate = no_est) ?metrics ?(indent = 0) node =
   Buffer.contents buf
 
 let render_json ?(estimate = no_est) ?metrics node =
-  let buf = Buffer.create 512 in
   let rec go node =
-    Buffer.add_string buf "{\"op\":";
-    Buffer.add_string buf (json_escape (Plan.label node));
-    (match estimate node with
-    | None -> ()
-    | Some e ->
-        Buffer.add_string buf
-          (Printf.sprintf ",\"est_cost\":%.3f,\"est_rows\":%.1f" e.est_cost
-             e.est_rows));
-    (match metrics with
-    | None -> ()
-    | Some lookup -> (
-        match lookup node with
-        | None -> ()
-        | Some m ->
-            let l, pr, pw =
-              Metrics.self_io m ~children:(child_metrics lookup node)
-            in
-            Buffer.add_string buf
-              (Printf.sprintf
-                 ",\"actual\":{\"rows\":%d,\"next_calls\":%d,\"rows_per_call\":%.2f,\"batches\":%d,\"build_ms\":%.3f,\"total_ms\":%.3f,\"logical_reads\":%d,\"physical_reads\":%d,\"physical_writes\":%d,\"self_logical_reads\":%d,\"self_physical_reads\":%d,\"self_physical_writes\":%d}"
-                 m.Metrics.rows m.Metrics.next_calls (Metrics.rows_per_call m)
-                 m.Metrics.batches
-                 (m.Metrics.build_s *. 1e3)
-                 (Metrics.total_s m *. 1e3)
-                 m.Metrics.logical_reads m.Metrics.physical_reads
-                 m.Metrics.physical_writes l pr pw)));
-    Buffer.add_string buf ",\"children\":[";
-    List.iteri
-      (fun i c ->
-        if i > 0 then Buffer.add_char buf ',';
-        go c)
-      (Plan.children node);
-    Buffer.add_string buf "]}"
+    let est =
+      match estimate node with
+      | None -> []
+      | Some e ->
+          [
+            ("est_cost", Json.Float e.est_cost);
+            ("est_rows", Json.Float e.est_rows);
+          ]
+    in
+    let actual =
+      match Option.map (fun lookup -> (lookup, lookup node)) metrics with
+      | None | Some (_, None) -> []
+      | Some (lookup, Some m) ->
+          let l, pr, pw =
+            Metrics.self_io m ~children:(child_metrics lookup node)
+          in
+          [
+            ( "actual",
+              Json.Obj
+                [
+                  ("rows", Json.Int m.Metrics.rows);
+                  ("next_calls", Json.Int m.Metrics.next_calls);
+                  ("rows_per_call", Json.Float (Metrics.rows_per_call m));
+                  ("batches", Json.Int m.Metrics.batches);
+                  ("build_ms", ms m.Metrics.build_s);
+                  ("total_ms", ms (Metrics.total_s m));
+                  ("logical_reads", Json.Int m.Metrics.logical_reads);
+                  ("physical_reads", Json.Int m.Metrics.physical_reads);
+                  ("physical_writes", Json.Int m.Metrics.physical_writes);
+                  ("self_logical_reads", Json.Int l);
+                  ("self_physical_reads", Json.Int pr);
+                  ("self_physical_writes", Json.Int pw);
+                ] );
+          ]
+    in
+    Json.Obj
+      ((("op", Json.Str (Plan.label node)) :: est)
+      @ actual
+      @ [ ("children", Json.List (List.map go (Plan.children node))) ])
   in
-  go node;
-  Buffer.contents buf
+  go node

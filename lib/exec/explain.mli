@@ -53,4 +53,4 @@ val render_json :
   ?estimate:(Plan.node -> est option) ->
   ?metrics:(Plan.node -> Metrics.t option) ->
   Plan.node ->
-  string
+  Json.t

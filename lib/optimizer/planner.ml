@@ -786,7 +786,7 @@ type explained = {
   seg_label : string;
   seg_plan : Exec.Plan.node;
   seg_text : string;
-  seg_json : string;
+  seg_json : Json.t;
 }
 
 (* EXPLAIN [ANALYZE]: one annotated segment per pipeline step.
@@ -800,7 +800,10 @@ let explain_plans ?(force = Auto) ?(mode = Paper1987) ?(analyze = false)
     explained list =
   let trace_segment label =
     match trace with
-    | Some out -> out (Printf.sprintf {|{"ev":"segment","name":%S}|} label)
+    | Some out ->
+        out
+          (Json.to_string
+             (Json.Obj [ ("ev", Json.Str "segment"); ("name", Json.Str label) ]))
     | None -> ()
   in
   let segment label def ~register =

@@ -126,7 +126,7 @@ type explained = {
   seg_label : string;  (** ["temp NAME"] or ["main"] *)
   seg_plan : Exec.Plan.node;
   seg_text : string;  (** annotated operator tree, indent 1 *)
-  seg_json : string;  (** the same tree as one JSON object *)
+  seg_json : Json.t;  (** the same tree as one JSON object *)
 }
 (** One pipeline segment of an EXPLAIN \[ANALYZE\], annotated with
     {!Estimate} numbers and — under [~analyze:true] — runtime metrics. *)

@@ -1,17 +1,15 @@
 (* The line-oriented JSON protocol of [nestsql serve] (docs/SERVER.md).
 
-   One JSON object per line in each direction.  The JSON machinery is
-   hand-rolled because the repository carries no JSON dependency: a small
-   value type, a strict recursive-descent parser and a single-line printer
-   cover everything the protocol needs. *)
+   One JSON object per line in each direction, printed and parsed by the
+   shared [Json] library. *)
 
 module Value = Relalg.Value
 
 (* ------------------------------------------------------------------ *)
-(* JSON values                                                         *)
+(* JSON values (the shared [Json] library, re-exported)                *)
 (* ------------------------------------------------------------------ *)
 
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -20,243 +18,9 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-(* ---------------- printing ---------------- *)
-
-let buf_escaped b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let to_string j =
-  let b = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string b "null"
-    | Bool true -> Buffer.add_string b "true"
-    | Bool false -> Buffer.add_string b "false"
-    | Int i -> Buffer.add_string b (string_of_int i)
-    | Float f ->
-        (* JSON has no NaN/Infinity; clamp to null like most printers. *)
-        if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
-          Buffer.add_string b "null"
-        else if Float.is_integer f && Float.abs f < 1e15 then
-          Buffer.add_string b (Printf.sprintf "%.1f" f)
-        else Buffer.add_string b (Printf.sprintf "%.12g" f)
-    | Str s -> buf_escaped b s
-    | List items ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char b ',';
-            go item)
-          items;
-        Buffer.add_char b ']'
-    | Obj fields ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            buf_escaped b k;
-            Buffer.add_char b ':';
-            go v)
-          fields;
-        Buffer.add_char b '}'
-  in
-  go j;
-  Buffer.contents b
-
-(* ---------------- parsing ---------------- *)
-
-exception Bad of string
-
-let parse (s : string) : (json, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (pos := !pos + l; value)
-    else fail ("bad literal (expected " ^ word ^ ")")
-  in
-  (* \uXXXX escapes: decode to UTF-8, combining surrogate pairs. *)
-  let add_utf8 b code =
-    if code < 0x80 then Buffer.add_char b (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else if code < 0x10000 then begin
-      Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else begin
-      Buffer.add_char b (Char.chr (0xF0 lor (code lsr 18)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end
-  in
-  let hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let h = String.sub s !pos 4 in
-    pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some v -> v
-    | None -> fail "bad \\u escape"
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then begin
-        (if !pos >= n then fail "unterminated escape";
-         let e = s.[!pos] in
-         advance ();
-         match e with
-         | '"' -> Buffer.add_char b '"'
-         | '\\' -> Buffer.add_char b '\\'
-         | '/' -> Buffer.add_char b '/'
-         | 'b' -> Buffer.add_char b '\b'
-         | 'f' -> Buffer.add_char b '\012'
-         | 'n' -> Buffer.add_char b '\n'
-         | 'r' -> Buffer.add_char b '\r'
-         | 't' -> Buffer.add_char b '\t'
-         | 'u' ->
-             let code = hex4 () in
-             if code >= 0xD800 && code <= 0xDBFF then
-               (* high surrogate: require the paired low surrogate *)
-               if
-                 !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-               then begin
-                 pos := !pos + 2;
-                 let low = hex4 () in
-                 if low >= 0xDC00 && low <= 0xDFFF then
-                   add_utf8 b
-                     (0x10000
-                     + ((code - 0xD800) lsl 10)
-                     + (low - 0xDC00))
-                 else fail "unpaired surrogate"
-               end
-               else fail "unpaired surrogate"
-             else add_utf8 b code
-         | _ -> fail "unknown escape");
-        go ()
-      end
-      else if Char.code c < 0x20 then fail "raw control character in string"
-      else begin
-        Buffer.add_char b c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do advance () done;
-    let text = String.sub s start (!pos - start) in
-    let is_float =
-      String.exists (fun c -> c = '.' || c = 'e' || c = 'E') text
-    in
-    if is_float then
-      match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> fail "bad number"
-    else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> (
-          match float_of_string_opt text with
-          | Some f -> Float f (* out of int range *)
-          | None -> fail "bad number")
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); fields ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          fields []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); List [])
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (v :: acc)
-            | Some ']' -> advance (); List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing characters after value";
-    v
-  with
-  | v -> Ok v
-  | exception Bad msg -> Error ("bad JSON: " ^ msg)
-
-let member name = function
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
+let parse = Json.parse
+let to_string = Json.to_string
+let member = Json.member
 
 (* ------------------------------------------------------------------ *)
 (* Value coercions                                                     *)

@@ -7,14 +7,15 @@
     [{"ok": false, "error": "..."}].  The grammar, field tables and a
     worked transcript live in [docs/SERVER.md].
 
-    The module is self-contained on purpose: it owns a minimal JSON value
-    type with a parser and printer (the repository deliberately has no JSON
-    dependency), the request ASTs, and the [Value.t] <-> JSON coercions the
-    [load] verb and result rendering need. *)
+    JSON values are the shared {!Json.t}, re-exported here (constructors,
+    [parse], [to_string], [member]) so protocol clients need only this
+    module; the module itself owns the request ASTs and the
+    [Value.t] <-> JSON coercions the [load] verb and result rendering
+    need. *)
 
 (** {1 JSON} *)
 
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -23,16 +24,13 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-(** Strict single-value parse (trailing garbage is an error).  Accepts the
-    JSON subset the protocol emits: no comments, [\uXXXX] escapes decoded
-    to UTF-8 (surrogate pairs included). *)
+(** {!Json.parse}. *)
 val parse : string -> (json, string) result
 
-(** Compact single-line rendering; control characters in strings are
-    escaped, so the output never contains a raw newline. *)
+(** {!Json.to_string}. *)
 val to_string : json -> string
 
-(** [member name j] — field of an [Obj], else [None]. *)
+(** {!Json.member}. *)
 val member : string -> json -> json option
 
 (** {1 Value coercions} *)

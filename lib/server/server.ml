@@ -281,21 +281,12 @@ let do_lint t ~check sql =
           ( List.concat_map (fun r -> r.Core.ck_diags) reports,
             List.filter_map (fun r -> r.Core.ck_certificate) reports )
   in
-  let diags = Analysis.Diagnostics.sort (lint_diags @ check_diags) in
-  let diags_json =
-    (* Diagnostics render themselves to JSON text; round-trip through the
-       protocol parser to embed them structurally. *)
-    match P.parse (Analysis.Diagnostics.list_to_json diags) with
-    | Ok j -> j
-    | Error _ -> P.Str (Analysis.Diagnostics.list_to_json diags)
-  in
   P.ok_response
-    (("version", P.Int 1)
-    :: ("diagnostics", diags_json)
-    :: ("errors", P.Bool (Analysis.Diagnostics.has_errors diags))
-    :: (if check then
-          [ ("certificates", P.List (List.map (fun c -> P.Str c) certificates)) ]
-        else []))
+    (Analysis.Diagnostics.report_fields (lint_diags @ check_diags)
+    @
+    if check then
+      [ ("certificates", P.List (List.map (fun c -> P.Str c) certificates)) ]
+    else [])
 
 let do_load t ~table ~columns ~rows =
   (* The old heap's indexes die with the drop; remember which columns were

@@ -28,11 +28,6 @@ let span line col =
 
 (* --- diagnostics: versioned JSON envelope and ordering ----------------- *)
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 let test_json_report_envelope () =
   let diags =
     [
@@ -40,23 +35,29 @@ let test_json_report_envelope () =
       D.make "NQ121" (span 1 1) "verified up to 2 rows";
     ]
   in
-  let json = D.json_report diags in
+  (* the envelope survives the strict parser, not just the printer *)
+  let report diags =
+    match Json.parse (Json.to_string (D.json_report diags)) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let json = report diags in
   Alcotest.(check bool)
     "version field" true
-    (contains ~needle:(Printf.sprintf {|"version":%d|} D.json_version) json);
+    (Json.member "version" json = Some (Json.Int D.json_version));
   Alcotest.(check bool)
     "errors field" true
-    (contains ~needle:{|"errors":true|} json);
+    (Json.member "errors" json = Some (Json.Bool true));
   (* the diagnostics array is sorted: NQ121 at 1:1 before NQ110 at 2:1 *)
-  Alcotest.(check bool)
-    "sorted payload" true
-    (contains
-       ~needle:
-         {|"diagnostics":[{"code":"NQ121"|}
-       json);
+  (match Json.member "diagnostics" json with
+  | Some (Json.List [ first; _ ]) ->
+      Alcotest.(check bool)
+        "sorted payload" true
+        (Json.member "code" first = Some (Json.Str "NQ121"))
+  | _ -> Alcotest.fail "diagnostics is not a two-element list");
   Alcotest.(check bool)
     "empty list has no errors" true
-    (contains ~needle:{|"errors":false|} (D.json_report []))
+    (Json.member "errors" (report []) = Some (Json.Bool false))
 
 let test_diagnostic_sort_order () =
   let d1 = D.make "NQ111" (span 3 1) "later position" in

@@ -459,7 +459,7 @@ let test_core_run_surfaces_batches () =
   | Ok e ->
       Alcotest.(check bool) "via batched" true (e.Core.via = Core.Via_batched);
       Alcotest.(check bool) "no transformation used" false
-        e.Core.used_transformation;
+        (e.Core.via = Core.Via_transformed);
       (match e.Core.batches with
       | [ b ] ->
           Alcotest.(check bool) "outer rows counted" true

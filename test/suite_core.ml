@@ -50,9 +50,9 @@ let test_run_strategies_agree () =
          F.query_q2)
   in
   Alcotest.(check bool) "nested is not transformed" false
-    nested.Core.used_transformation;
+    (nested.Core.via = Core.Via_transformed);
   Alcotest.(check bool) "transformed is" true
-    transformed.Core.used_transformation;
+    (transformed.Core.via = Core.Via_transformed);
   Alcotest.(check bool) "program attached" true
     (transformed.Core.program <> None);
   Alcotest.(check bool) "results equal" true
@@ -75,7 +75,7 @@ let test_auto_falls_back () =
                     FROM SUPPLY WHERE QUAN > 4)")
   in
   Alcotest.(check bool) "fell back to nested iteration" false
-    e.Core.used_transformation;
+    (e.Core.via = Core.Via_transformed);
   Alcotest.(check int) "correct answer" 2 (Relation.cardinality e.Core.result)
 
 let test_compare_strategies () =

@@ -1,9 +1,8 @@
-(* The server layer: protocol JSON round trips and request parsing, the
-   shared LRU plan cache (hit/miss/eviction/invalidation accounting), the
-   cached-plan ≡ fresh-plan correctness property under the oracle
-   comparator, end-to-end sessions through [Server.handle_line] (no
-   sockets), a real concurrent Unix-socket run, and the CLI's strict
-   --engine/--mode validation. *)
+(* The server layer: protocol request parsing, the shared LRU plan cache
+   (hit/miss/eviction/invalidation accounting), the cached-plan ≡
+   fresh-plan correctness property under the oracle comparator, end-to-end
+   sessions through [Server.handle_line] (no sockets), a real concurrent
+   Unix-socket run, and the CLI's strict --engine/--mode validation. *)
 
 module P = Server.Protocol
 module Cache = Server.Plan_cache
@@ -38,67 +37,8 @@ let int_member name j =
                (match other with Some v -> P.to_string v | None -> "nothing")
 
 (* ------------------------------------------------------------------ *)
-(* Protocol: JSON round trips and request parsing                      *)
+(* Protocol: request parsing (JSON itself is tested in Suite_json)     *)
 (* ------------------------------------------------------------------ *)
-
-(* Floats are excluded from the generator (their printing is not
-   digit-exact); they get golden tests below. *)
-let json_gen =
-  let open QCheck2.Gen in
-  sized
-  @@ fix (fun self n ->
-         let leaf =
-           oneof
-             [
-               return P.Null;
-               map (fun b -> P.Bool b) bool;
-               map (fun i -> P.Int i) int;
-               map (fun s -> P.Str s) (small_string ~gen:printable);
-             ]
-         in
-         if n = 0 then leaf
-         else
-           oneof
-             [
-               leaf;
-               map (fun l -> P.List l) (list_size (int_bound 4) (self (n / 2)));
-               map
-                 (fun l -> P.Obj l)
-                 (list_size (int_bound 4)
-                    (pair (small_string ~gen:printable) (self (n / 2))));
-             ])
-
-let test_json_roundtrip =
-  QCheck2.Test.make ~name:"protocol: to_string |> parse round-trips"
-    ~count:500 json_gen (fun j ->
-      match P.parse (P.to_string j) with
-      | Ok j' -> j = j'
-      | Error e -> QCheck2.Test.fail_reportf "re-parse failed: %s" e)
-
-let test_json_goldens () =
-  let check name expect line =
-    Alcotest.(check bool) name true (parse_exn line = expect)
-  in
-  check "escapes" (P.Str "A\"\\\n\tB") {|"A\"\\\n\tB"|};
-  check "surrogate pair"
-    (P.Str "\xf0\x9f\x90\xab")
-    {|"🐫"|};
-  check "nested"
-    (P.Obj [ ("a", P.List [ P.Int 1; P.Float 2.5; P.Null ]) ])
-    {| {"a": [1, 2.5, null]} |};
-  check "negative + exponent"
-    (P.List [ P.Int (-3); P.Float 1e3 ])
-    {|[-3, 1.0e3]|};
-  (match P.parse "{\"a\": 1} trailing" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing garbage accepted");
-  (match P.parse "{\"a\": tru}" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad literal accepted");
-  (* float printing stays JSON-legal and close *)
-  match parse_exn (P.to_string (P.Float 0.1)) with
-  | P.Float f -> Alcotest.(check bool) "0.1 close" true (Float.abs (f -. 0.1) < 1e-9)
-  | _ -> Alcotest.fail "float did not round-trip as float"
 
 let test_request_parsing () =
   (match P.request_of_line {|{"op": "query", "sql": "SELECT 1", "engine": "vectorized", "mode": "hybrid"}|} with
@@ -214,7 +154,7 @@ let test_cached_equals_fresh =
               let agree a b =
                 match (a, b) with
                 | Ok (ea : Core.execution), Ok (eb : Core.execution) ->
-                    ea.Core.used_transformation = eb.Core.used_transformation
+                    (ea.Core.via = Core.Via_transformed) = (eb.Core.via = Core.Via_transformed)
                     && Oracle.Matrix.results_agree ~q:p.Core.query
                          ~reference:ea.Core.result ~got:eb.Core.result
                 | Error a, Error b -> a = b
@@ -541,8 +481,6 @@ let suites =
   [
     ( "server.protocol",
       [
-        QCheck_alcotest.to_alcotest test_json_roundtrip;
-        Alcotest.test_case "JSON goldens" `Quick test_json_goldens;
         Alcotest.test_case "request parsing" `Quick test_request_parsing;
       ] );
     ( "server.plan_cache",

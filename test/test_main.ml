@@ -7,4 +7,5 @@ let () =
     @ Suite_workload.suites @ Suite_core.suites @ Suite_tree_trace.suites @ Suite_exhaustive.suites @ Suite_edge_cases.suites @ Suite_multilevel.suites
     @ Suite_operators.suites @ Suite_explain.suites @ Suite_lint.suites
     @ Suite_oracle.suites @ Suite_vectorized.suites @ Suite_batched.suites
-    @ Suite_server.suites @ Suite_analysis.suites @ Suite_index.suites)
+    @ Suite_server.suites @ Suite_analysis.suites @ Suite_index.suites
+    @ Suite_json.suites)
