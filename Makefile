@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke bench bench-json bench-smoke doc clean
+.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke bench bench-json bench-smoke nestbench-smoke doc clean
 
 all:
 	dune build
@@ -74,6 +74,13 @@ bench-json:
 # strategies still run end to end.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
+
+# Workload benchmark smoke (nestbench/README.md): every workload at 1/10
+# data for half a second, each statement's result checked against the
+# reference evaluator (Exec.Nested_iter) and the output schema against
+# BENCHMARK.json.  About ten seconds; measures nothing.
+nestbench-smoke:
+	python3 nestbench/run.py --smoke
 
 # API docs (requires odoc; CI installs it).
 doc:

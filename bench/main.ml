@@ -133,7 +133,7 @@ let run_kim_ja catalog q =
 
 let run_ja2 catalog q =
   let pred = List.hd q.Sql.Ast.where in
-  let { Nest_ja2.temps; rewritten } =
+  let { Nest_ja2.temps; rewritten; _ } =
     Nest_ja2.transform q pred ~fresh:(fresh_counter "JA2T") ()
   in
   List.iter (Planner.materialize_temp catalog) temps;
@@ -488,7 +488,7 @@ let projection () =
         let catalog = F.parts_supply_catalog F.Duplicates in
         let q = F.parse_analyzed catalog F.query_q2 in
         let pred = List.hd q.Sql.Ast.where in
-        let { Nest_ja2.temps; rewritten } =
+        let { Nest_ja2.temps; rewritten; _ } =
           Nest_ja2.transform q pred
             ~fresh:(fresh_counter "PT")
             ~project_outer ()

@@ -51,7 +51,7 @@ let scenario ~title ~variant ~query =
   Catalog.drop catalog "TEMPK";
 
   (* 3. NEST-JA2 *)
-  let { Optimizer.Nest_ja2.temps; rewritten } =
+  let { Optimizer.Nest_ja2.temps; rewritten; _ } =
     Optimizer.Nest_ja2.transform q pred ~fresh:(fresh_counter "TEMP") ()
   in
   List.iter (Optimizer.Planner.materialize_temp catalog) temps;
@@ -78,7 +78,7 @@ let () =
   let catalog = F.parts_supply_catalog F.Count_bug in
   let q = F.parse_analyzed catalog F.query_q2_count_star in
   let reference = Exec.Nested_iter.run catalog q in
-  let { Optimizer.Nest_ja2.temps; rewritten } =
+  let { Optimizer.Nest_ja2.temps; rewritten; _ } =
     Optimizer.Nest_ja2.transform q (List.hd q.Sql.Ast.where)
       ~fresh:(fresh_counter "TEMP") ()
   in

@@ -45,9 +45,12 @@ val execute_create_index : db -> string -> (string, string) result
 
 (** The §7 crossover decision Auto makes before transforming: [Some
     (nested_cost, transformed_floor)] when estimated indexed nested
-    iteration strictly undercuts the page-count lower bound of any
-    transformed program ({!Optimizer.Estimate.transformed_floor});
-    [None] when no index probe applies or the floor wins. *)
+    iteration strictly undercuts the page-count lower bound of the
+    transformed programs that scan every relation they reference
+    ({!Optimizer.Estimate.transformed_floor}); [None] when no index probe
+    applies or the floor wins.  Programs that probe B-trees (a keyed
+    NEST-JA2 TEMP2, NEST-N-J's index joins) are not bounded by the floor,
+    so the pick is not guaranteed to be the cheaper side. *)
 val indexed_nested_choice : db -> Sql.Ast.query -> (float * float) option
 
 (** Parse and analyze (name resolution, literal coercion, validation). *)
@@ -179,7 +182,10 @@ val prepare_query : ?rewrite_not_in:bool -> db -> Sql.Ast.query -> prepared
 (** Execute a prepared statement: exactly {!run} minus the per-statement
     work.  [run p] and [run_prepared (prepare p)] are result-identical —
     the plan-cache test suite holds this across strategies, modes and
-    engines under the oracle comparator. *)
+    engines under the oracle comparator.  When the statement ends, the
+    pager files its operators created and left unregistered (sort runs,
+    materialized nested-loop inners) are deleted, as by
+    {!explain_query}. *)
 val run_prepared :
   ?strategy:strategy ->
   ?check:bool ->

@@ -355,13 +355,15 @@ let rec referenced_rels (q : query) : string list =
         match subquery_of p with Some sub -> referenced_rels sub | None -> [])
       q.where
 
-(* Every transformed program reads each referenced base relation in full
-   at least once — the temp tables of NEST-JA2/NEST-G are built from
-   complete scans — so the summed page counts are a lower bound on any
-   transformed plan's I/O.  Comparing indexed nested iteration against
-   this floor (rather than against one concrete plan) means the nested
-   path is only ever taken when it beats *every* transformation, so the
-   ladder cannot regress. *)
+(* The summed page counts of every referenced base relation: a lower bound
+   on the I/O of a transformed program that scans each relation in full at
+   least once, as the paper's NEST-JA2/NEST-G temps do.  It is *not* a
+   bound on every transformed program: a keyed NEST-JA2 TEMP2
+   ([keyed_temp2]) and NEST-N-J's index nested-loop joins probe a B-tree
+   instead of scanning, and can read less.  So picking indexed nested
+   iteration when it undercuts this floor is safe only against the
+   scanning programs; soundness against the probing ones, and of the
+   opposite pick, is still open (ROADMAP, Auto soundness). *)
 let transformed_floor catalog (q : query) : float =
   List.fold_left
     (fun acc rel ->
@@ -449,3 +451,58 @@ let indexed_nested_cost catalog (q : query) : float option =
   else
     let c, any_probe = cost ~outer_aliases:[] ~evals:1. q in
     if any_probe then Some c else None
+
+(* ------------------------------------------------------------------ *)
+(* NEST-JA2's keyed TEMP2                                              *)
+(* ------------------------------------------------------------------ *)
+
+type keyed_temp2 = { kt_keys : float; kt_height : int; kt_pages : float }
+
+(* The paper's TEMP2 reads the whole inner relation; the keyed TEMP2 pays
+   at least one root-to-leaf descent per TEMP1 key (matches cost data-page
+   fetches on top).  So keys × height is a lower bound on probing, and
+   when it is not below the inner relation's page count the keyed form
+   cannot win — the same kind of bound as [transformed_floor], here used
+   to rule the keyed form out rather than to prove it cheaper.  The key
+   count is the product of the non-NULL distinct counts of TEMP1's
+   columns, capped by the outer cardinality: NULL keys never probe, and
+   TEMP1's DISTINCT (plus the outer restrictions) can only shrink it. *)
+let keyed_temp2 catalog (kp : Nest_ja2.key_probe) : keyed_temp2 option =
+  match
+    (Catalog.lookup catalog kp.inner_rel, Catalog.lookup catalog kp.outer_rel)
+  with
+  | Some inner_schema, Some outer_schema -> (
+      match Schema.find_opt inner_schema kp.inner_col with
+      | None | (exception Schema.Ambiguous _) -> None
+      | Some key_col -> (
+          match Catalog.index_on catalog kp.inner_rel ~key_col with
+          | None -> None
+          | Some idx ->
+              let outer_rows =
+                float_of_int (Catalog.tuples catalog kp.outer_rel)
+              in
+              let distinct c =
+                match Schema.find_opt outer_schema c with
+                | Some i ->
+                    float_of_int
+                      (Stats.column (Catalog.stats catalog kp.outer_rel) i)
+                        .Stats.distinct
+                | None | (exception Schema.Ambiguous _) -> outer_rows
+              in
+              let keys =
+                Float.min outer_rows
+                  (List.fold_left (fun acc c -> acc *. distinct c) 1.
+                     kp.outer_cols)
+              in
+              let height = Storage.Btree.height idx in
+              let pages = float_of_int (Catalog.pages catalog kp.inner_rel) in
+              if keys *. float_of_int height < pages then
+                Some { kt_keys = keys; kt_height = height; kt_pages = pages }
+              else None))
+  | _ -> None
+
+let describe_keyed_temp2 k =
+  Printf.sprintf "%.0f keys × height %d = %.0f < %.0f pages" k.kt_keys
+    k.kt_height
+    (k.kt_keys *. float_of_int k.kt_height)
+    k.kt_pages

@@ -42,10 +42,11 @@ val batched_fallback : Storage.Catalog.t -> Sql.Ast.query -> fallback option
     evaluations over nested iteration. *)
 val prefer_batched : Storage.Catalog.t -> Sql.Ast.query -> bool
 
-(** A lower bound on any transformed program's page I/O for [q]: the
-    summed page counts of every base relation it references (temp tables
-    are built from complete scans, so each is read in full at least
-    once).  Unknown relations contribute nothing. *)
+(** The summed page counts of every base relation [q] references: a lower
+    bound on the page I/O of a transformed program that reads each of them
+    in full at least once, as the paper's temps do.  Programs that probe a
+    B-tree instead (a keyed NEST-JA2 TEMP2, NEST-N-J's index nested-loop
+    joins) are not bounded by it.  Unknown relations contribute nothing. *)
 val transformed_floor : Storage.Catalog.t -> Sql.Ast.query -> float
 
 (** Estimated page I/O of evaluating [q] by nested iteration with the
@@ -58,3 +59,20 @@ val transformed_floor : Storage.Catalog.t -> Sql.Ast.query -> float
     decision for untransformed indexed iteration. *)
 val indexed_nested_cost :
   Storage.Catalog.t -> Sql.Ast.query -> float option
+
+type keyed_temp2 = {
+  kt_keys : float;  (** TEMP1 keys: non-NULL distinct outer values *)
+  kt_height : int;  (** height of the inner relation's B-tree *)
+  kt_pages : float;  (** pages of the inner relation *)
+}
+
+(** NEST-JA2's keyed-TEMP2 decision for {!Nest_ja2.transform}'s
+    [probe_keys]: [Some] iff [inner_col] of [inner_rel] has a B-tree and
+    keys × height (one descent per key, a lower bound on probing) is below
+    the inner relation's pages (what the paper's TEMP2 scans).  The key
+    count is the product of the non-NULL distinct counts of [outer_cols],
+    capped by the outer cardinality. *)
+val keyed_temp2 : Storage.Catalog.t -> Nest_ja2.key_probe -> keyed_temp2 option
+
+(** ["128 keys × height 4 = 512 < 1000 pages"]. *)
+val describe_keyed_temp2 : keyed_temp2 -> string

@@ -80,8 +80,8 @@ let describe_from (q : query) =
   String.concat ", " (List.map (fun f -> from_alias f) q.from)
 
 let rec transform_block ~fresh ~(scope : scope) ~rewrite_not_in ~semantics
-    ~nullable ~(on_step : string -> unit) (acc : Program.temp list ref)
-    (q : query) : query =
+    ~nullable ~probe_keys ~(on_step : string -> unit) ~notes
+    (acc : Program.temp list ref) (q : query) : query =
   let local_scope = scope_of_query q @ scope in
   (* §8 rewrites at this level. *)
   let q =
@@ -128,7 +128,7 @@ let rec transform_block ~fresh ~(scope : scope) ~rewrite_not_in ~semantics
       (* Recurse first (postorder): the inner block becomes canonical. *)
       let inner' =
         transform_block ~fresh ~scope:local_scope ~rewrite_not_in ~semantics
-          ~nullable ~on_step acc inner
+          ~nullable ~probe_keys ~on_step ~notes acc inner
       in
       let pred' =
         match pred with
@@ -222,8 +222,8 @@ let rec transform_block ~fresh ~(scope : scope) ~rewrite_not_in ~semantics
             }
         | Some Classify.Type_ja ->
             let rel_of_alias alias = List.assoc_opt alias scope in
-            let { Nest_ja2.temps; rewritten } =
-              Nest_ja2.transform q pred' ~fresh ~rel_of_alias ()
+            let { Nest_ja2.temps; rewritten; probe_note } =
+              Nest_ja2.transform q pred' ~fresh ~rel_of_alias ~probe_keys ()
             in
             acc := !acc @ temps;
             on_step
@@ -233,24 +233,31 @@ let rec transform_block ~fresh ~(scope : scope) ~rewrite_not_in ~semantics
                  (describe_from inner')
                  (String.concat ", "
                     (List.map (fun t -> t.Program.name) temps)));
+            Option.iter
+              (fun note ->
+                on_step note;
+                notes := !notes @ [ note ])
+              probe_note;
             rewritten
       in
       transform_block ~fresh ~scope ~rewrite_not_in ~semantics ~nullable
-        ~on_step acc q
+        ~probe_keys ~on_step ~notes acc q
 
 (* [transform ~fresh q] reduces a nested query of arbitrary depth to a
    canonical program.  [nullable] feeds the soundness guards of the §8
    COUNT forms and the NOT IN extension (default: everything may be NULL,
-   so those rewrites refuse).  @raise Unsupported / Ja_shape.Not_ja /
-   Nest_n_j.Not_applicable / Extensions.Unsupported on shapes outside the
-   paper's algorithms. *)
+   so those rewrites refuse).  [probe_keys] is NEST-JA2's keyed-TEMP2
+   decision (default: never, the paper's program).  @raise Unsupported /
+   Ja_shape.Not_ja / Nest_n_j.Not_applicable / Extensions.Unsupported on
+   shapes outside the paper's algorithms. *)
 let transform ?(rewrite_not_in = false) ?(semantics = Safe)
     ?(nullable = Extensions.default_nullable)
+    ?(probe_keys = fun (_ : Nest_ja2.key_probe) -> None)
     ?(on_step = fun (_ : string) -> ()) ~(fresh : unit -> string) (q : query)
     : Program.t =
-  let acc = ref [] in
+  let acc = ref [] and notes = ref [] in
   let main =
     transform_block ~fresh ~scope:[] ~rewrite_not_in ~semantics ~nullable
-      ~on_step acc q
+      ~probe_keys ~on_step ~notes acc q
   in
-  { Program.temps = !acc; main }
+  { Program.temps = !acc; main; notes = !notes }

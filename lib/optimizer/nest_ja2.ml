@@ -15,6 +15,13 @@
             inner block's local predicates.
         GROUP BY the TEMP1 columns; SELECT the TEMP1 columns and the
         aggregate.
+        Beyond the paper, TEMP2 may instead be built from TEMP1's keys — an
+        inner join of TEMP1 with the inner relation under the (all-[=])
+        correlation predicates, which the planner lowers to an index
+        nested-loop join when the inner relation has a B-tree on a
+        correlated column.  TEMP1 is DISTINCT, so no inner row matches two
+        TEMP1 rows and TEMP2 gains no duplicates; inner rows matching no key
+        would have found no partner in TEMP3's outer join anyway.
      3. Rewrite the original query: the nested predicate becomes a scalar
         comparison against the temp's aggregate column, and the correlation
         predicates become *equality* joins between the outer relation and
@@ -22,7 +29,18 @@
 
 open Sql.Ast
 
-type result = { temps : Program.temp list; rewritten : query }
+type key_probe = {
+  outer_rel : string;
+  outer_cols : string list;
+  inner_rel : string;
+  inner_col : string;
+}
+
+type result = {
+  temps : Program.temp list;
+  rewritten : query;
+  probe_note : string option;
+}
 
 (* Predicates of the outer block that restrict only [alias] (no subqueries,
    no other tables): usable to restrict TEMP1 per step 1. *)
@@ -51,9 +69,15 @@ let simple_preds_on (q : query) ~alias ~except =
    raw outer relation instead — the intermediate (still broken) §5.4 variant
    whose COUNT is inflated by duplicate outer join-column values.  Kept only
    to reproduce the paper's §5.4 table; defaults to [true]. *)
+(* [probe_keys] asks whether TEMP2 should be built from TEMP1's keys by
+   probing a correlated inner column; [Some why] says yes, with the reason
+   reported in [probe_note].  It is consulted only for a COUNT block over
+   one inner relation whose correlations are all [=], under
+   [project_outer] (TEMP1's DISTINCT is what keeps the keyed TEMP2
+   duplicate-free).  Absent, TEMP2 is the paper's. *)
 let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
-    ?(rel_of_alias = fun (_ : string) -> None) ?(project_outer = true) () :
-    result =
+    ?(rel_of_alias = fun (_ : string) -> None) ?(project_outer = true)
+    ?(probe_keys = fun (_ : key_probe) -> None) () : result =
   let shape = Ja_shape.extract pred in
   let outer_alias = shape.outer_alias in
   let locally_bound, outer_rel =
@@ -94,6 +118,27 @@ let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
   let temp1_col c = { table = Some temp1_name; column = c } in
   (* ---- step 2: the aggregate temp ---- *)
   let is_count = match shape.agg with Count_star | Count _ -> true | _ -> false in
+  let probe =
+    match shape.sub.from with
+    | [ inner ]
+      when is_count && project_outer
+           && List.for_all
+                (fun (c : Ja_shape.correlation) -> c.op = Eq)
+                shape.correlations ->
+        List.find_map
+          (fun (c : Ja_shape.correlation) ->
+            Option.map
+              (fun why -> (inner.rel, c.inner.column, why))
+              (probe_keys
+                 {
+                   outer_rel;
+                   outer_cols;
+                   inner_rel = inner.rel;
+                   inner_col = c.inner.column;
+                 }))
+          shape.correlations
+    | _ -> None
+  in
   let temps, agg_def_from, agg_def_where, agg_item =
     if is_count then begin
       (* TEMP2: restriction and projection of the inner side. *)
@@ -112,12 +157,22 @@ let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
              shape.correlations
           @ count_arg_cols)
       in
+      let temp2_from, temp2_keys =
+        match probe with
+        | None -> (shape.sub.from, [])
+        | Some _ ->
+            ( from temp1_name :: shape.sub.from,
+              List.map
+                (fun (c : Ja_shape.correlation) ->
+                  Cmp (Col c.inner, Eq, Col (temp1_col c.outer.column)))
+                shape.correlations )
+      in
       let temp2_def =
         {
           distinct = false;
           select = List.map (fun c -> Sel_col c) temp2_cols;
-          from = shape.sub.from;
-          where = shape.local_preds;
+          from = temp2_from;
+          where = shape.local_preds @ temp2_keys;
           group_by = [];
           order_by = [];
           span = no_span;
@@ -202,10 +257,19 @@ let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
       q.where
   in
   let rewritten = { q with from = q.from @ [ from temp3_name ]; where } in
+  let probe_note =
+    match (probe, temps) with
+    | Some (rel, col, why), [ temp2 ] ->
+        Some
+          (Printf.sprintf "NEST-JA2: %s probes %s.%s with %s's keys (%s)"
+             temp2.Program.name rel col temp1_name why)
+    | _ -> None
+  in
   {
     temps =
       [ { Program.name = temp1_name; def = temp1_def } ]
       @ temps
       @ [ { Program.name = temp3_name; def = temp3_def } ];
     rewritten;
+    probe_note;
   }

@@ -9,7 +9,24 @@
     outer columns; step 3 rewrites the query with equality joins against
     the temp. *)
 
-type result = { temps : Program.temp list; rewritten : Sql.Ast.query }
+(** A candidate for building TEMP2 from TEMP1's keys: TEMP1 projects
+    [outer_cols] of [outer_rel], and each key would probe [inner_col] of
+    the inner relation [inner_rel]. *)
+type key_probe = {
+  outer_rel : string;
+  outer_cols : string list;
+  inner_rel : string;
+  inner_col : string;
+}
+
+(** [probe_note] is the one-line report of a keyed TEMP2 (["NEST-JA2:
+    TEMP#2 probes SUPPLY.PNUM with TEMP#1's keys (...)"]), [None] for the
+    paper's TEMP2. *)
+type result = {
+  temps : Program.temp list;
+  rewritten : Sql.Ast.query;
+  probe_note : string option;
+}
 
 (** [transform q pred ~fresh ()] rewrites the type-JA predicate [pred] of
     [q]; [fresh] allocates temp names (TEMP1 [, TEMP2], TEMP3 in order).
@@ -21,6 +38,13 @@ type result = { temps : Program.temp list; rewritten : Sql.Ast.query }
     [project_outer:false] skips step 1's DISTINCT — the still-broken §5.4
     intermediate variant, kept for the paper's duplicates table.
 
+    [probe_keys] (default: never) decides, per [=] correlation, whether
+    the COUNT branch builds TEMP2 as [TEMP1 ⋈ inner] on the correlation
+    columns instead of restricting the whole inner relation; [Some why]
+    accepts, and [why] ends up in [probe_note].  It is asked only when
+    every correlation is [=], the inner FROM is one relation and
+    [project_outer] holds.
+
     @raise Ja_shape.Not_ja when [pred] is not type-JA shaped. *)
 val transform :
   Sql.Ast.query ->
@@ -28,5 +52,6 @@ val transform :
   fresh:(unit -> string) ->
   ?rel_of_alias:(string -> string option) ->
   ?project_outer:bool ->
+  ?probe_keys:(key_probe -> string option) ->
   unit ->
   result

@@ -13,9 +13,9 @@ open Sql.Ast
 
 type temp = { name : string; def : query }
 
-type t = { temps : temp list; main : query }
+type t = { temps : temp list; main : query; notes : string list }
 
-let flat q = { temps = []; main = q }
+let flat q = { temps = []; main = q; notes = [] }
 
 let add_temp t temp = { t with temps = t.temps @ [ temp ] }
 

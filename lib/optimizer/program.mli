@@ -5,7 +5,9 @@
 
 type temp = { name : string; def : Sql.Ast.query }
 
-type t = { temps : temp list; main : Sql.Ast.query }
+(** [notes]: one line per cost-based choice the transformation made (a
+    keyed NEST-JA2 TEMP2); EXPLAIN prints them above the plans. *)
+type t = { temps : temp list; main : Sql.Ast.query; notes : string list }
 
 (** A program with no temps. *)
 val flat : Sql.Ast.query -> t

@@ -302,6 +302,7 @@ let pages t = Pager.page_count t.pager t.file
 let leaf_page_count t = t.leaf_pages
 let entry_count t = t.entries
 let height t = t.height
+let file_id t = t.file
 let key_col t = t.key_col
 let build_io t = t.build_io
 let delete t = Pager.delete_file t.pager t.file

@@ -39,6 +39,9 @@ val height : t -> int
 
 val key_col : t -> int
 
+(** The pager file holding the tree's pages. *)
+val file_id : t -> Pager.file_id
+
 (** Page traffic charged while building this tree. *)
 val build_io : t -> Pager.stats
 

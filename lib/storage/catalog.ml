@@ -102,6 +102,23 @@ let drop t name =
       if e.indexes <> [] then t.index_epoch <- t.index_epoch + 1;
       t.entries <- List.remove_assoc name t.entries
 
+(* Operators leave scratch files behind — an external sort's output run,
+   a nested-loop join's materialized inner — that nothing deletes; a
+   statement sweeps them at its end.  Registered relations and their
+   B-trees are kept. *)
+let release_since t mark =
+  let owned =
+    List.concat_map
+      (fun (_, e) ->
+        Heap_file.file_id e.heap
+        :: List.map (fun (_, idx) -> Btree.file_id idx) e.indexes)
+      t.entries
+  in
+  List.iter
+    (fun file ->
+      if not (List.mem file owned) then Pager.delete_file t.pager file)
+    (Pager.files_since t.pager mark)
+
 let table_names t = List.rev_map fst t.entries
 
 (* Schema lookup for the analyzer. *)

@@ -52,6 +52,11 @@ val tuples : t -> string -> int
 (** No-op for unknown names. *)
 val drop : t -> string -> unit
 
+(** Delete every pager file created since [mark] that is neither a
+    registered relation nor one of their B-trees: the scratch files a
+    statement's operators left behind. *)
+val release_since : t -> Pager.mark -> unit
+
 val table_names : t -> string list
 
 (** Analyzer-compatible schema lookup. *)

@@ -110,6 +110,18 @@ let create_file t =
   Hashtbl.replace t.file_pages id (ref 0);
   id
 
+type mark = file_id
+
+let mark t = t.next_file
+
+let files_since t mark =
+  Hashtbl.fold
+    (fun file _ acc -> if file >= mark then file :: acc else acc)
+    t.file_pages []
+
+let file_count t = Hashtbl.length t.file_pages
+let disk_pages t = Hashtbl.length t.disk
+
 let page_count t file =
   match Hashtbl.find_opt t.file_pages file with
   | Some r -> !r

@@ -39,6 +39,19 @@ val pp_stats : stats Fmt.t
 val without_accounting : t -> (unit -> 'a) -> 'a
 
 val create_file : t -> file_id
+
+(** A point in the sequence of file creations. *)
+type mark
+
+val mark : t -> mark
+
+(** The live (not yet deleted) files created since [mark]. *)
+val files_since : t -> mark -> file_id list
+
+(** Live files, and pages stored on the simulated disk. *)
+val file_count : t -> int
+
+val disk_pages : t -> int
 val page_count : t -> file_id -> int
 
 (** @raise Invalid_argument on an out-of-range page. *)

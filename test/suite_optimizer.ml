@@ -188,7 +188,7 @@ let test_kim_ja_neq_bug () =
 let nest_ja2_run catalog text =
   let q = parse catalog text in
   let pred = match q.Sql.Ast.where with [ p ] -> p | _ -> Alcotest.fail "shape" in
-  let { Nest_ja2.temps; rewritten } =
+  let { Nest_ja2.temps; rewritten; _ } =
     Nest_ja2.transform q pred ~fresh:(fresh_counter ()) ()
   in
   List.iter (Planner.materialize_temp catalog) temps;
@@ -246,7 +246,7 @@ let test_ja2_unprojected_variant_still_wrong () =
   let catalog = F.parts_supply_catalog F.Duplicates in
   let q = parse catalog F.query_q2 in
   let pred = match q.Sql.Ast.where with [ p ] -> p | _ -> Alcotest.fail "shape" in
-  let { Nest_ja2.temps; rewritten } =
+  let { Nest_ja2.temps; rewritten; _ } =
     Nest_ja2.transform q pred ~fresh:(fresh_counter ()) ~project_outer:false ()
   in
   List.iter (Planner.materialize_temp catalog) temps;
@@ -283,7 +283,7 @@ let test_ja2_outer_simple_predicates_restrict_temp1 () =
     | [ _; p ] -> p
     | _ -> Alcotest.fail "shape"
   in
-  let { Nest_ja2.temps; rewritten } =
+  let { Nest_ja2.temps; rewritten; _ } =
     Nest_ja2.transform q pred ~fresh:(fresh_counter ()) ()
   in
   List.iter (Planner.materialize_temp catalog) temps;
