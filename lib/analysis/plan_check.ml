@@ -45,15 +45,9 @@ let env_of_catalog catalog =
     lookup = Catalog.lookup catalog;
     base_nullable =
       (fun ~rel col ->
-        match Catalog.lookup catalog rel with
-        | None -> true
-        | Some schema -> (
-            match Schema.find_opt schema col with
-            | Some i ->
-                (Storage.Stats.column (Catalog.stats catalog rel) i)
-                  .Storage.Stats.nulls > 0
-            | None -> true
-            | exception Schema.Ambiguous _ -> true));
+        match Catalog.column_stats catalog rel col with
+        | Some (_, cs) -> cs.Storage.Stats.nulls > 0
+        | None -> true);
     sorted_on =
       (fun name ->
         match Catalog.sorted_on catalog name with
@@ -61,13 +55,9 @@ let env_of_catalog catalog =
         | exception Catalog.Unknown_table _ -> None);
     has_index =
       (fun name ~column ->
-        match Catalog.lookup catalog name with
-        | None -> false
-        | Some schema -> (
-            match Schema.find_opt schema column with
-            | Some key_col -> Catalog.index_on catalog name ~key_col <> None
-            | None -> false
-            | exception Schema.Ambiguous _ -> false));
+        match Catalog.column_stats catalog name column with
+        | Some (key_col, _) -> Catalog.index_on catalog name ~key_col <> None
+        | None -> false);
   }
 
 (* ---------------- resolution over typed schemas ----------------------- *)

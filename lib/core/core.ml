@@ -62,20 +62,18 @@ let execute_create_index db text : (string, string) result =
   | None ->
       Error "syntax: CREATE INDEX [name] ON table (column)"
   | Some (table, column) -> (
-      match Catalog.lookup db.catalog table with
-      | None -> Error (Fmt.str "unknown table %s" table)
-      | Some schema -> (
-          match Schema.find_opt schema column with
-          | None -> Error (Fmt.str "no column %s in %s" column table)
-          | exception Schema.Ambiguous _ ->
-              Error (Fmt.str "ambiguous column %s in %s" column table)
-          | Some _ ->
-              if List.mem column (Catalog.indexed_columns db.catalog table)
-              then Ok (Fmt.str "index on %s(%s) already exists" table column)
-              else begin
-                Catalog.create_index db.catalog table ~column;
-                Ok (Fmt.str "created index on %s(%s)" table column)
-              end))
+      if not (Catalog.mem db.catalog table) then
+        Error (Fmt.str "unknown table %s" table)
+      else
+        match Catalog.column_stats db.catalog table column with
+        | None -> Error (Fmt.str "no column %s in %s" column table)
+        | Some _ ->
+            if List.mem column (Catalog.indexed_columns db.catalog table) then
+              Ok (Fmt.str "index on %s(%s) already exists" table column)
+            else begin
+              Catalog.create_index db.catalog table ~column;
+              Ok (Fmt.str "created index on %s(%s)" table column)
+            end)
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline stages                                                     *)
@@ -95,15 +93,9 @@ let classify db text =
    the NOT IN extension; anything unresolvable stays conservatively
    nullable. *)
 let column_nullable db ~rel col =
-  match Catalog.lookup db.catalog rel with
+  match Catalog.column_stats db.catalog rel col with
+  | Some (_, cs) -> cs.Storage.Stats.nulls > 0
   | None -> true
-  | Some schema -> (
-      match Schema.find_opt schema col with
-      | Some i ->
-          (Storage.Stats.column (Catalog.stats db.catalog rel) i)
-            .Storage.Stats.nulls > 0
-      | None -> true
-      | exception Schema.Ambiguous _ -> true)
 
 (* NEST-JA2's keyed-TEMP2 decision against this catalog: probe the inner
    B-tree with TEMP1's keys when one descent per key undercuts the inner
@@ -155,15 +147,9 @@ let classify_oracle sub =
   Optimizer.Classify.name (Optimizer.Classify.classify_block sub)
 
 let column_stats db rel col =
-  match Catalog.lookup db.catalog rel with
-  | None -> None
-  | Some schema -> (
-      match Schema.find_opt schema col with
-      | Some i ->
-          let cs = Storage.Stats.column (Catalog.stats db.catalog rel) i in
-          Some (cs.Storage.Stats.distinct, Catalog.tuples db.catalog rel)
-      | None -> None
-      | exception Schema.Ambiguous _ -> None)
+  Option.map
+    (fun (_, cs) -> (cs.Storage.Stats.distinct, Catalog.tuples db.catalog rel))
+    (Catalog.column_stats db.catalog rel col)
 
 (* Lint one or more ';'-separated queries: parse/analysis diagnostics
    (NQ100/NQ101), the static checks (NQ001-NQ008), and — when a query is
@@ -184,22 +170,13 @@ let lint_query db text : Analysis.Diagnostics.t list =
       | queries ->
           List.concat_map
             (fun q ->
-              match Sql.Analyzer.analyze ~lookup q with
-              | Error _ -> []
-              | Ok analyzed -> (
-                  let fresh () = Catalog.fresh_temp_name db.catalog in
-                  match
-                    Optimizer.Nest_g.transform ~rewrite_not_in:false
-                      ~nullable:(column_nullable db)
-                      ~probe_keys:(probe_keys db) ~fresh analyzed
-                  with
-                  | program ->
-                      Optimizer.Planner.verify_program db.catalog program
-                  | exception Optimizer.Nest_g.Unsupported _
-                  | exception Optimizer.Ja_shape.Not_ja _
-                  | exception Optimizer.Nest_n_j.Not_applicable _
-                  | exception Optimizer.Extensions.Unsupported _ ->
-                      []))
+              match
+                Result.bind (Sql.Analyzer.analyze ~lookup q)
+                  (transform_query db)
+              with
+              | Ok program ->
+                  Optimizer.Planner.verify_program db.catalog program
+              | Error _ -> [])
             queries
   in
   Analysis.Diagnostics.sort (base @ verify_diags)
@@ -222,6 +199,16 @@ type check_report = {
   ck_repro : string option;  (* witness database as a replayable .sql *)
 }
 
+(* The bounded counterexample search for [program] as a rewrite of [q]. *)
+let equivalence ~bound db (q : Sql.Ast.query) (program : Optimizer.Program.t) =
+  Analysis.Equiv_check.check ~bound ~nullable:(column_nullable db)
+    ~lookup:(Catalog.lookup db.catalog)
+    ~temps:
+      (List.map
+         (fun { Optimizer.Program.name; def } -> (name, def))
+         program.Optimizer.Program.temps)
+    ~main:program.Optimizer.Program.main q
+
 let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
   let ck_sql = Sql.Pp.query_to_string q in
   match transform_query db q with
@@ -236,17 +223,7 @@ let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
       }
   | Ok program ->
       let plan_diags = Optimizer.Planner.check_program db.catalog program in
-      let temps =
-        List.map
-          (fun { Optimizer.Program.name; def } -> (name, def))
-          program.Optimizer.Program.temps
-      in
-      let verdict =
-        Analysis.Equiv_check.check ~bound
-          ~nullable:(column_nullable db)
-          ~lookup:(Catalog.lookup db.catalog)
-          ~temps ~main:program.Optimizer.Program.main q
-      in
+      let verdict = equivalence ~bound db q program in
       let repro =
         match verdict with
         | Analysis.Equiv_check.Not_equivalent w ->
@@ -548,17 +525,6 @@ let query db text : (Relation.t, string) result =
    outer block and every WHERE subquery (recursively): the evidence EXPLAIN
    prints when Auto picks un-transformed indexed nested iteration. *)
 let probe_report db (q : Sql.Ast.query) : string list =
-  let subquery_of (p : Sql.Ast.predicate) =
-    match p with
-    | Sql.Ast.Cmp_subq (_, _, s)
-    | Sql.Ast.In_subq (_, s)
-    | Sql.Ast.Not_in_subq (_, s)
-    | Sql.Ast.Exists s
-    | Sql.Ast.Not_exists s
-    | Sql.Ast.Quant (_, _, _, s) ->
-        Some s
-    | Sql.Ast.Cmp _ | Sql.Ast.Cmp_outer _ -> None
-  in
   let rec go ~outer_aliases (q : Sql.Ast.query) =
     let here =
       List.map
@@ -569,13 +535,7 @@ let probe_report db (q : Sql.Ast.query) : string list =
     let aliases =
       outer_aliases @ List.map Sql.Ast.from_alias q.Sql.Ast.from
     in
-    here
-    @ List.concat_map
-        (fun p ->
-          match subquery_of p with
-          | Some sub -> go ~outer_aliases:aliases sub
-          | None -> [])
-        q.Sql.Ast.where
+    here @ List.concat_map (go ~outer_aliases:aliases) (Sql.Ast.subqueries q)
   in
   go ~outer_aliases:[] q
 
@@ -639,17 +599,7 @@ let explain_query ?strategy ?mode ?(analyze = false) ?engine ?trace db text :
                      certificate: the counterexample search at k=2 over the
                      abstract {const₁, const₂, NULL} domain, summarized in
                      one line (see docs/LINT.md). *)
-                  let temps =
-                    List.map
-                      (fun { Optimizer.Program.name; def } -> (name, def))
-                      program.Optimizer.Program.temps
-                  in
-                  let verdict =
-                    Analysis.Equiv_check.check
-                      ~nullable:(column_nullable db)
-                      ~lookup:(Catalog.lookup db.catalog)
-                      ~temps ~main:program.Optimizer.Program.main q
-                  in
+                  let verdict = equivalence ~bound:2 db q program in
                   (* Cost-based choices inside the rewrite (a keyed NEST-JA2
                      TEMP2) head the plans, as Auto's crossover note does. *)
                   let body =

@@ -160,8 +160,8 @@ type execution = {
 type prepared = {
   normalized : string;
       (** canonical rendering of the analyzed AST ([Sql.Pp]); two statements
-          differing only in whitespace/case normalize identically, which is
-          what the server's plan cache keys on *)
+          differing only in whitespace/case normalize identically; the
+          server's plan cache keys on it *)
   query : Sql.Ast.query;  (** the analyzed AST *)
   rewrite_not_in : bool;  (** the flag the transformation was prepared with *)
   program : (Optimizer.Program.t, string) result Lazy.t;

@@ -76,14 +76,11 @@ let frame_probes catalog ~outer_aliases (q : query) :
             in
             if c.table <> Some alias || not rhs_ok then None
             else
-              match Catalog.lookup catalog f.rel with
-              | None -> None
-              | Some schema -> (
-                  match Schema.find_opt schema c.column with
-                  | Some key_col
-                    when Catalog.index_on catalog f.rel ~key_col <> None ->
-                      Some { p_column = c.column; p_rhs = rhs }
-                  | _ | (exception Schema.Ambiguous _) -> None)
+              match Catalog.column_stats catalog f.rel c.column with
+              | Some (key_col, _)
+                when Catalog.index_on catalog f.rel ~key_col <> None ->
+                  Some { p_column = c.column; p_rhs = rhs }
+              | _ -> None
           in
           let probe =
             List.find_map
@@ -126,11 +123,9 @@ let rec eval_query (catalog : Catalog.t) (memo : memo) (env : Env.t)
           match List.assoc_opt alias probe_of with
           | None -> None
           | Some pr -> (
-              match
-                Schema.find_opt (Heap_file.schema heap) pr.p_column
-              with
-              | None | (exception Schema.Ambiguous _) -> None
-              | Some key_col ->
+              match Catalog.column_stats catalog f.rel pr.p_column with
+              | None -> None
+              | Some (key_col, _) ->
                   Option.map
                     (fun idx -> (idx, pr.p_rhs))
                     (Catalog.index_on catalog f.rel ~key_col))

@@ -56,15 +56,12 @@ type result = { relation : Relation.t; batches : batch list }
    cannot reach (a free ref in SELECT / GROUP BY / an aggregate argument
    cannot be replaced by a literal in this AST). *)
 let correlation_keys (sub : query) : col_ref list =
-  List.map
-    (fun ((c : col_ref), pos) ->
-      match pos with
-      | `Predicate -> c
-      | `Other ->
-          errf "correlated column %s.%s outside a WHERE predicate"
-            (Option.value c.table ~default:"?")
-            c.column)
-    (free_col_refs sub)
+  match Sql.Ast.correlation_keys sub with
+  | Ok keys -> keys
+  | Error c ->
+      errf "correlated column %s.%s outside a WHERE predicate"
+        (Option.value c.table ~default:"?")
+        c.column
 
 (* Substitute the free occurrences of the batch keys by their bound
    values, scope-aware: a block that re-binds an alias shadows it. *)

@@ -6,9 +6,12 @@
     ceilinged logs ([Ceil]), the paper's §7.4 "about 475" uses real-valued
     logs ([Exact], the default).
 
-    These closed forms rank strategies inside {!Planner.lower}; the same
-    arithmetic is re-derived per plan operator by {!Estimate} so EXPLAIN
-    can print the numbers the ranking used. *)
+    These closed forms rank strategies inside {!Planner.lower}, and
+    {!Estimate.analyze} re-derives them per plan operator for EXPLAIN.  The
+    statistics and B-tree formulas both use live in {!Estimate}; EXPLAIN
+    still departs from the ranking on two inputs, a filtered nested-loop
+    inner's rescan pages and a left-outer join's row floor (see
+    {!Estimate}). *)
 
 type rounding = Exact | Ceil
 

@@ -1,12 +1,20 @@
-(* Plan-tree cost/cardinality estimation for EXPLAIN annotation.
+(* The page-I/O cost vocabulary and the estimators built from it.
 
-   The planner costs alternatives *while lowering* a query and throws the
-   numbers away; EXPLAIN wants them attached to the finished plan.  This
-   module re-derives them bottom-up over a physical plan with the same
-   ingredients — catalog statistics (Selinger defaults, per-column distinct
-   counts) and the paper's page-I/O arithmetic with Kim's ceilinged logs —
-   so the annotations agree with the planner's ranking without the executor
-   depending on the optimizer.
+   The first section holds every catalog-statistics and B-tree formula of
+   the model: filter and equi-join selectivity (Selinger defaults,
+   per-column distinct counts), page estimates, and the cost of an index
+   probe or range scan.  The planner ranks alternatives with them while it
+   lowers a query; [analyze] re-derives them bottom-up over a finished
+   physical plan for EXPLAIN (so the executor does not depend on the
+   optimizer); Auto's pricers and NEST-JA2's keyed-TEMP2 rule below price
+   whole strategies with them.
+
+   The formulas are shared; two inputs are not.  For a filtered
+   nested-loop inner, the planner prices each rescan at the base
+   relation's pages, while [analyze] prices it at the filter output's
+   pages, which is what [Plan.nested_loop_join] materializes and rescans.
+   For a left-outer join, [analyze] floors the rows at the outer
+   cardinality and the planner does not.
 
    Cost is cumulative: the estimated page I/Os to produce the operator's
    full output once, children included (sorts pay materialize + merge
@@ -18,48 +26,119 @@ module Schema = Relalg.Schema
 module Catalog = Storage.Catalog
 module Stats = Storage.Stats
 module Pager = Storage.Pager
+module Btree = Storage.Btree
 open Sql.Ast
 
-type t = { rows : float; pages : float; cost : float }
+(* ------------------------------------------------------------------ *)
+(* The cost vocabulary                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A stored relation is named by the FROM item that reads it: a column
+   reference qualified by another alias is not one of its columns. *)
+let column_stats catalog (f : from_item) (c : col_ref) =
+  match c.table with
+  | Some t when not (String.equal t (from_alias f)) -> None
+  | _ -> Catalog.column_stats catalog f.rel c.column
 
 let est_pages catalog ~rows schema =
   let width = float_of_int (Schema.tuple_width_estimate schema) in
   let page = float_of_int (Pager.page_bytes (Catalog.pager catalog)) in
   Float.max 1. (ceil (rows *. width /. page))
 
-(* The stored relation a node reads directly, for statistics lookup. *)
+(* Fraction of [f]'s rows with [c op v]; the range default when [c] has no
+   statistics. *)
+let literal_selectivity catalog f c op v =
+  match column_stats catalog f c with
+  | Some (_, cs) -> Stats.literal_selectivity cs op v
+  | None -> Stats.default_range_selectivity
+
+(* Combined selectivity of pushed-down filters over [f]: literal
+   comparisons use per-column statistics, everything else (and every
+   filter over a non-stored input, [None]) the range default. *)
+let filter_selectivity catalog (f : from_item option) preds =
+  List.fold_left
+    (fun s p ->
+      s
+      *.
+      match (f, p) with
+      | Some f, Cmp (Col c, op, Lit v) -> literal_selectivity catalog f c op v
+      | Some f, Cmp (Lit v, op, Col c) ->
+          literal_selectivity catalog f c (flip_cmp op) v
+      | _ -> Stats.default_range_selectivity)
+    1. preds
+
+(* Selinger's join cardinality: the cross product scaled by 1/max(distinct)
+   per equality on a column of the right side [f] (the equality default
+   without statistics); a join with no equality takes the range default. *)
+let join_rows catalog (f : from_item option) ~left_rows ~right_rows
+    (right_cols : col_ref list) =
+  let sel =
+    if right_cols = [] then Stats.default_range_selectivity
+    else
+      List.fold_left
+        (fun s rc ->
+          s
+          *.
+          match Option.bind f (fun f -> column_stats catalog f rc) with
+          | Some (_, cs) -> Stats.join_selectivity cs cs
+          | None -> Stats.default_eq_selectivity)
+        1. right_cols
+  in
+  Float.max 1. (left_rows *. right_rows *. sel)
+
+(* The B-tree on the column [c] names in [f], with that column's
+   statistics. *)
+let index_on catalog f c =
+  Option.bind (column_stats catalog f c) (fun (key_col, cs) ->
+      Option.map (fun idx -> (idx, cs)) (Catalog.index_on catalog f.rel ~key_col))
+
+let descent idx = float_of_int (Btree.height idx)
+
+type probe = { probe_cost : float; probe_matches : float }
+
+(* One equality probe of the B-tree on [c]: a root-to-leaf descent plus a
+   data-page fetch per match, tuples/distinct of them (the probe-side
+   pessimism of §4: matches rarely share pages).  [None] without a
+   B-tree. *)
+let index_probe catalog f c =
+  Option.map
+    (fun (idx, (cs : Stats.column_stats)) ->
+      let matches =
+        if cs.distinct > 0 then
+          float_of_int (Catalog.tuples catalog f.rel)
+          /. float_of_int cs.distinct
+        else 1.
+      in
+      { probe_cost = descent idx +. matches; probe_matches = matches })
+    (index_on catalog f c)
+
+(* A range probe selecting [sel] of [tuples] rows, [matches] of them: one
+   descent, the qualifying slice of the leaf level, and a data-page fetch
+   per match.  A plan whose B-tree is gone is priced as a tree of height 1
+   with 100 keys per leaf. *)
+let index_range_cost ~tuples idx ~sel ~matches =
+  let descent, leaves =
+    match idx with
+    | Some idx -> (descent idx, float_of_int (Btree.leaf_page_count idx))
+    | None -> (1., Float.max 1. (tuples /. 100.))
+  in
+  descent +. ceil (sel *. leaves) +. matches
+
+(* ------------------------------------------------------------------ *)
+(* Plan-tree estimation (EXPLAIN)                                      *)
+(* ------------------------------------------------------------------ *)
+
+type t = { rows : float; pages : float; cost : float }
+
+(* The stored relation a node reads directly, as the FROM item that names
+   its columns. *)
 let rec base_rel = function
-  | Exec.Plan.Scan name -> Some name
-  | Exec.Plan.Rename (_, input) -> base_rel input
+  | Exec.Plan.Scan name -> Some (from name)
+  | Exec.Plan.Rename (alias, input) ->
+      Option.map
+        (fun (f : from_item) -> { f with alias = Some alias })
+        (base_rel input)
   | _ -> None
-
-(* Selectivity of one pushed-down predicate against base-table statistics
-   (the planner's arithmetic: literal comparisons use per-column stats,
-   everything else the classic defaults). *)
-let filter_selectivity catalog ~rel schema (p : predicate) =
-  let default = Stats.default_range_selectivity in
-  match (p, rel) with
-  | (Cmp (Col c, op, Lit v) | Cmp (Lit v, op, Col c)), Some rel -> (
-      match Schema.find_opt schema ?rel:c.table c.column with
-      | Some i ->
-          let cs = Stats.column (Catalog.stats catalog rel) i in
-          Stats.literal_selectivity cs
-            (match p with Cmp (Lit _, _, Col _) -> flip_cmp op | _ -> op)
-            v
-      | None -> default
-      | exception Schema.Ambiguous _ -> default)
-  | _ -> default
-
-let join_eq_selectivity catalog ~rel rschema (rc : col_ref) =
-  match rel with
-  | None -> Stats.default_eq_selectivity
-  | Some rel -> (
-      match Schema.find_opt rschema ?rel:rc.table rc.column with
-      | Some i ->
-          let cs = Stats.column (Catalog.stats catalog rel) i in
-          Stats.join_selectivity cs cs
-      | None -> Stats.default_eq_selectivity
-      | exception Schema.Ambiguous _ -> Stats.default_eq_selectivity)
 
 let analyze catalog (root : Exec.Plan.node) : (Exec.Plan.node * t) list =
   let acc = ref [] in
@@ -80,19 +159,10 @@ let analyze catalog (root : Exec.Plan.node) : (Exec.Plan.node * t) list =
           }
       | Exec.Plan.Index_scan { table; column; lo; hi; _ } ->
           let tuples = float_of_int (Catalog.tuples catalog table) in
-          let key_col =
-            Schema.find_opt (Catalog.schema catalog table) column
-          in
-          let col_stats =
-            Option.map (fun i -> Stats.column (Catalog.stats catalog table) i)
-              key_col
-          in
+          let f = from table and c = { table = None; column } in
           let bound_sel op = function
             | None -> 1.
-            | Some (v, _) -> (
-                match col_stats with
-                | Some cs -> Stats.literal_selectivity cs op v
-                | None -> Stats.default_range_selectivity)
+            | Some (v, _) -> literal_selectivity catalog f c op v
           in
           let sel =
             match (lo, hi) with
@@ -104,34 +174,18 @@ let analyze catalog (root : Exec.Plan.node) : (Exec.Plan.node * t) list =
                   (bound_sel Ge lo +. bound_sel Le hi -. 1.)
           in
           let rows = Float.max 1. (tuples *. sel) in
-          let descent, leaf_pages =
-            match
-              Option.bind key_col (fun key_col ->
-                  Catalog.index_on catalog table ~key_col)
-            with
-            | Some idx ->
-                ( float_of_int (Storage.Btree.height idx),
-                  float_of_int (Storage.Btree.leaf_page_count idx) )
-            | None -> (1., Float.max 1. (tuples /. 100.))
-          in
-          (* one descent, the qualifying slice of the leaf level, and a
-             data-page fetch per match (the probe-side pessimism of §4:
-             matches rarely share pages) *)
           {
             rows;
             pages = derived_pages node rows;
-            cost = descent +. ceil (sel *. leaf_pages) +. rows;
+            cost =
+              index_range_cost ~tuples
+                (Option.map fst (index_on catalog f c))
+                ~sel ~matches:rows;
           }
       | Exec.Plan.Rename (_, input) -> go input
       | Exec.Plan.Filter (preds, input) ->
           let i = go input in
-          let rel = base_rel input in
-          let schema = Exec.Plan.output_schema catalog input in
-          let sel =
-            List.fold_left
-              (fun s p -> s *. filter_selectivity catalog ~rel schema p)
-              1. preds
-          in
+          let sel = filter_selectivity catalog (base_rel input) preds in
           let rows = Float.max 1. (i.rows *. sel) in
           { rows; pages = derived_pages node rows; cost = i.cost }
       | Exec.Plan.Project (_, input) ->
@@ -156,16 +210,10 @@ let analyze catalog (root : Exec.Plan.node) : (Exec.Plan.node * t) list =
             List.filter (fun (_, op, _) -> op = Eq || op = Eq_null) cond
           in
           let rrel = base_rel right in
-          let rschema = Exec.Plan.output_schema catalog right in
-          let sel =
-            if eq = [] then Stats.default_range_selectivity
-            else
-              List.fold_left
-                (fun s (_, _, rc) ->
-                  s *. join_eq_selectivity catalog ~rel:rrel rschema rc)
-                1. eq
+          let rows =
+            join_rows catalog rrel ~left_rows:l.rows ~right_rows:r.rows
+              (List.map (fun (_, _, rc) -> rc) eq)
           in
-          let rows = Float.max 1. (l.rows *. r.rows *. sel) in
           let rows =
             match kind with
             | Exec.Plan.Left_outer -> Float.max rows l.rows
@@ -184,26 +232,10 @@ let analyze catalog (root : Exec.Plan.node) : (Exec.Plan.node * t) list =
             | Exec.Plan.Index_nl ->
                 let probe_cost =
                   match (rrel, eq) with
-                  | Some rel, (_, _, rc) :: _ -> (
-                      match Schema.find_opt rschema ?rel:rc.table rc.column with
-                      | Some key_col -> (
-                          match Catalog.index_on catalog rel ~key_col with
-                          | Some idx ->
-                              let cs =
-                                Stats.column (Catalog.stats catalog rel) key_col
-                              in
-                              let matches =
-                                if cs.Stats.distinct > 0 then
-                                  float_of_int (Catalog.tuples catalog rel)
-                                  /. float_of_int cs.Stats.distinct
-                                else 1.
-                              in
-                              (* root-to-leaf descent plus a data-page
-                                 fetch per match *)
-                              float_of_int (Storage.Btree.height idx)
-                              +. matches
-                          | None -> 1.)
-                      | None | (exception Schema.Ambiguous _) -> 1.)
+                  | Some f, (_, _, rc) :: _ -> (
+                      match index_probe catalog f rc with
+                      | Some p -> p.probe_cost
+                      | None -> 1.)
                   | _ -> 1.
                 in
                 l.cost +. (l.rows *. probe_cost)
@@ -267,46 +299,25 @@ let batched_fallback catalog (q : Sql.Ast.query) : fallback option =
       1. q.from
   in
   let distinct_of (c : col_ref) =
-    match Option.bind c.table (fun t -> List.assoc_opt t alias_rel) with
-    | None -> outer_rows (* correlation on a mid-level alias: no estimate *)
-    | Some rel -> (
-        match Catalog.lookup catalog rel with
-        | None -> outer_rows
-        | Some schema -> (
-            match Schema.find_opt schema c.column with
-            | None | (exception Schema.Ambiguous _) -> outer_rows
-            | Some i ->
-                let cs = Stats.column (Catalog.stats catalog rel) i in
-                float_of_int
-                  (max 1 cs.Stats.distinct
-                  + if cs.Stats.nulls > 0 then 1 else 0)))
+    match
+      Option.bind
+        (Option.bind c.table (fun t -> List.assoc_opt t alias_rel))
+        (fun rel -> Catalog.column_stats catalog rel c.column)
+    with
+    | Some (_, cs) ->
+        float_of_int
+          (max 1 cs.Stats.distinct + if cs.Stats.nulls > 0 then 1 else 0)
+    | None -> outer_rows (* e.g. a correlation on a mid-level alias *)
   in
+  (* an uncorrelated subquery runs once either way; an unbatchable one
+     would make batching refuse *)
   let correlated_keys =
     List.filter_map
-      (fun p ->
-        match p with
-        | Cmp_subq (_, _, sub)
-        | In_subq (_, sub)
-        | Not_in_subq (_, sub)
-        | Exists sub
-        | Not_exists sub
-        | Quant (_, _, _, sub) -> (
-            match
-              List.filter_map
-                (fun (c, pos) ->
-                  match pos with `Predicate -> Some c | `Other -> None)
-                (free_col_refs sub)
-            with
-            | [] -> None (* uncorrelated: one evaluation either way *)
-            | keys
-              when List.exists
-                     (fun (_, pos) -> pos = `Other)
-                     (free_col_refs sub) ->
-                ignore keys;
-                None (* unbatchable shape: batching would refuse *)
-            | keys -> Some keys)
-        | Cmp _ | Cmp_outer _ -> None)
-      q.where
+      (fun sub ->
+        match correlation_keys sub with
+        | Ok (_ :: _ as keys) -> Some keys
+        | Ok [] | Error _ -> None)
+      (subqueries q)
   in
   match correlated_keys with
   | [] -> None
@@ -338,22 +349,9 @@ let prefer_batched catalog q =
 (* Indexed nested iteration vs transformation (the §7 crossover)       *)
 (* ------------------------------------------------------------------ *)
 
-let subquery_of = function
-  | Cmp_subq (_, _, sub)
-  | In_subq (_, sub)
-  | Not_in_subq (_, sub)
-  | Exists sub
-  | Not_exists sub
-  | Quant (_, _, _, sub) ->
-      Some sub
-  | Cmp _ | Cmp_outer _ -> None
-
 let rec referenced_rels (q : query) : string list =
   List.map (fun (f : from_item) -> f.rel) q.from
-  @ List.concat_map
-      (fun p ->
-        match subquery_of p with Some sub -> referenced_rels sub | None -> [])
-      q.where
+  @ List.concat_map referenced_rels (subqueries q)
 
 (* The summed page counts of every referenced base relation: a lower bound
    on the I/O of a transformed program that scans each relation in full at
@@ -375,16 +373,13 @@ let transformed_floor catalog (q : query) : float =
     0.
     (List.sort_uniq String.compare (referenced_rels q))
 
-let has_subquery (q : query) =
-  List.exists (fun p -> Option.is_some (subquery_of p)) q.where
-
 (* Estimated page I/O of evaluating [q] by nested iteration with the
    current index inventory ([Sysr_iteration]'s probes): each frame costs a
-   full rescan per enumeration unless probed (descent + a data-page fetch
-   per match), each correlated subquery re-runs per innermost assignment,
-   each uncorrelated one runs once and is probed from its materialized
-   list.  [None] when no probe applies anywhere or [q] has no subquery —
-   then the comparison with transformation is not this module's call. *)
+   full rescan per enumeration unless probed ([index_probe]), each
+   correlated subquery re-runs per innermost assignment, each uncorrelated
+   one runs once and is probed from its materialized list.  [None] when no
+   probe applies anywhere or [q] has no subquery — then the comparison
+   with transformation is not this module's call. *)
 let indexed_nested_cost catalog (q : query) : float option =
   let rec cost ~outer_aliases ~evals (q : query) : float * bool =
     let probes = Exec.Sysr_iteration.probes catalog ~outer_aliases q in
@@ -392,37 +387,20 @@ let indexed_nested_cost catalog (q : query) : float option =
       List.fold_left
         (fun (cost_acc, rows_so_far, any) (f : from_item) ->
           let alias = from_alias f in
-          let tuples = float_of_int (max 1 (Catalog.tuples catalog f.rel)) in
-          let pages = float_of_int (max 1 (Catalog.pages catalog f.rel)) in
-          match List.find_opt (fun (a, _, _) -> String.equal a alias) probes with
-          | Some (_, column, _) ->
-              let matches, descent =
-                match Catalog.lookup catalog f.rel with
-                | None -> (1., 1.)
-                | Some schema -> (
-                    match Schema.find_opt schema column with
-                    | None | (exception Schema.Ambiguous _) -> (1., 1.)
-                    | Some key_col ->
-                        let cs =
-                          Stats.column (Catalog.stats catalog f.rel) key_col
-                        in
-                        let m =
-                          if cs.Stats.distinct > 0 then
-                            tuples /. float_of_int cs.Stats.distinct
-                          else 1.
-                        in
-                        let h =
-                          match Catalog.index_on catalog f.rel ~key_col with
-                          | Some idx ->
-                              float_of_int (Storage.Btree.height idx)
-                          | None -> 1.
-                        in
-                        (m, h))
-              in
-              ( cost_acc +. (evals *. rows_so_far *. (descent +. matches)),
-                rows_so_far *. Float.max 1. matches,
+          let probe =
+            Option.bind
+              (List.find_opt (fun (a, _, _) -> String.equal a alias) probes)
+              (fun (_, column, _) ->
+                index_probe catalog f { table = None; column })
+          in
+          match probe with
+          | Some p ->
+              ( cost_acc +. (evals *. rows_so_far *. p.probe_cost),
+                rows_so_far *. Float.max 1. p.probe_matches,
                 true )
           | None ->
+              let tuples = float_of_int (max 1 (Catalog.tuples catalog f.rel)) in
+              let pages = float_of_int (max 1 (Catalog.pages catalog f.rel)) in
               ( cost_acc +. (evals *. rows_so_far *. pages),
                 rows_so_far *. tuples,
                 any ))
@@ -430,24 +408,20 @@ let indexed_nested_cost catalog (q : query) : float option =
     in
     let aliases = outer_aliases @ List.map from_alias q.from in
     List.fold_left
-      (fun (c, anyp) p ->
-        match subquery_of p with
-        | None -> (c, anyp)
-        | Some sub ->
-            if is_correlated sub then
-              let sc, sp =
-                cost ~outer_aliases:aliases ~evals:(evals *. fanout) sub
-              in
-              (c +. sc, anyp || sp)
-            else
-              (* one evaluation, then each innermost assignment re-reads
-                 the materialized value list (approximated at one page) *)
-              let sc, sp = cost ~outer_aliases:[] ~evals:1. sub in
-              (c +. sc +. (evals *. fanout), anyp || sp))
-      (frame_cost, any_probe)
-      q.where
+      (fun (c, anyp) sub ->
+        if is_correlated sub then
+          let sc, sp =
+            cost ~outer_aliases:aliases ~evals:(evals *. fanout) sub
+          in
+          (c +. sc, anyp || sp)
+        else
+          (* one evaluation, then each innermost assignment re-reads the
+             materialized value list (approximated at one page) *)
+          let sc, sp = cost ~outer_aliases:[] ~evals:1. sub in
+          (c +. sc +. (evals *. fanout), anyp || sp))
+      (frame_cost, any_probe) (subqueries q)
   in
-  if not (has_subquery q) then None
+  if subqueries q = [] then None
   else
     let c, any_probe = cost ~outer_aliases:[] ~evals:1. q in
     if any_probe then Some c else None
@@ -469,36 +443,24 @@ type keyed_temp2 = { kt_keys : float; kt_height : int; kt_pages : float }
    TEMP1's DISTINCT (plus the outer restrictions) can only shrink it. *)
 let keyed_temp2 catalog (kp : Nest_ja2.key_probe) : keyed_temp2 option =
   match
-    (Catalog.lookup catalog kp.inner_rel, Catalog.lookup catalog kp.outer_rel)
+    index_on catalog (from kp.inner_rel) { table = None; column = kp.inner_col }
   with
-  | Some inner_schema, Some outer_schema -> (
-      match Schema.find_opt inner_schema kp.inner_col with
-      | None | (exception Schema.Ambiguous _) -> None
-      | Some key_col -> (
-          match Catalog.index_on catalog kp.inner_rel ~key_col with
-          | None -> None
-          | Some idx ->
-              let outer_rows =
-                float_of_int (Catalog.tuples catalog kp.outer_rel)
-              in
-              let distinct c =
-                match Schema.find_opt outer_schema c with
-                | Some i ->
-                    float_of_int
-                      (Stats.column (Catalog.stats catalog kp.outer_rel) i)
-                        .Stats.distinct
-                | None | (exception Schema.Ambiguous _) -> outer_rows
-              in
-              let keys =
-                Float.min outer_rows
-                  (List.fold_left (fun acc c -> acc *. distinct c) 1.
-                     kp.outer_cols)
-              in
-              let height = Storage.Btree.height idx in
-              let pages = float_of_int (Catalog.pages catalog kp.inner_rel) in
-              if keys *. float_of_int height < pages then
-                Some { kt_keys = keys; kt_height = height; kt_pages = pages }
-              else None))
+  | Some (idx, _) when Catalog.mem catalog kp.outer_rel ->
+      let outer_rows = float_of_int (Catalog.tuples catalog kp.outer_rel) in
+      let distinct c =
+        match Catalog.column_stats catalog kp.outer_rel c with
+        | Some (_, cs) -> float_of_int cs.Stats.distinct
+        | None -> outer_rows
+      in
+      let keys =
+        Float.min outer_rows
+          (List.fold_left (fun acc c -> acc *. distinct c) 1. kp.outer_cols)
+      in
+      let height = Btree.height idx in
+      let pages = float_of_int (Catalog.pages catalog kp.inner_rel) in
+      if keys *. float_of_int height < pages then
+        Some { kt_keys = keys; kt_height = height; kt_pages = pages }
+      else None
   | _ -> None
 
 let describe_keyed_temp2 k =

@@ -44,33 +44,6 @@ let mode_of_string s =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Cardinality / page estimation (Selinger-style defaults)             *)
-(* ------------------------------------------------------------------ *)
-
-let default_filter_selectivity = Storage.Stats.default_range_selectivity
-
-(* Selectivity of a pushed-down filter against base-table statistics. *)
-let filter_selectivity_of catalog ~rel schema (p : predicate) : float =
-  let col_stats (c : col_ref) =
-    match Schema.find_opt schema ?rel:c.table c.column with
-    | Some i -> Some (Storage.Stats.column (Catalog.stats catalog rel) i)
-    | None -> None
-    | exception Schema.Ambiguous _ -> None
-  in
-  match p with
-  | Cmp (Col c, op, Lit v) | Cmp (Lit v, op, Col c) -> (
-      match col_stats c with
-      | Some cs -> Storage.Stats.literal_selectivity cs (
-          match p with Cmp (Lit _, _, Col _) -> flip_cmp op | _ -> op) v
-      | None -> default_filter_selectivity)
-  | _ -> default_filter_selectivity
-
-let est_pages_of_rows catalog ~rows schema =
-  let width = float_of_int (Schema.tuple_width_estimate schema) in
-  let page = float_of_int (Storage.Pager.page_bytes (Catalog.pager catalog)) in
-  Float.max 1. (ceil (rows *. width /. page))
-
-(* ------------------------------------------------------------------ *)
 (* Lowering state                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -102,29 +75,26 @@ let sort_cost ~b p = Cost.sort_cost ~rounding:Ceil ~b p
 (* ------------------------------------------------------------------ *)
 
 (* A pushed-down filter a B-tree can answer: a literal comparison on an
-   indexed column of [rel].  Returns the probe bounds.  [Ne] needs both
+   indexed column of [f].  Returns the probe bounds.  [Ne] needs both
    complements and [Eq_null] would have to match the NULL keys the tree
    does not store, so neither is indexable; a strict comparison against a
    NULL literal probes with a NULL bound, which correctly matches
    nothing. *)
-let indexable_filter catalog ~rel schema (p : predicate) =
+let indexable_filter catalog (f : from_item) (p : predicate) =
   let consider (c : col_ref) op v =
-    match Schema.find_opt schema ?rel:c.table c.column with
-    | None | (exception Schema.Ambiguous _) -> None
-    | Some key_col -> (
-        match Catalog.index_on catalog rel ~key_col with
-        | None -> None
-        | Some idx ->
-            let bounds =
-              match op with
-              | Eq -> Some (Some (v, true), Some (v, true))
-              | Lt -> Some (None, Some (v, false))
-              | Le -> Some (None, Some (v, true))
-              | Gt -> Some (Some (v, false), None)
-              | Ge -> Some (Some (v, true), None)
-              | Ne | Eq_null -> None
-            in
-            Option.map (fun (lo, hi) -> (c.column, idx, lo, hi)) bounds)
+    match Estimate.index_on catalog f c with
+    | None -> None
+    | Some (idx, _) ->
+        let bounds =
+          match op with
+          | Eq -> Some (Some (v, true), Some (v, true))
+          | Lt -> Some (None, Some (v, false))
+          | Le -> Some (None, Some (v, true))
+          | Gt -> Some (Some (v, false), None)
+          | Ge -> Some (Some (v, true), None)
+          | Ne | Eq_null -> None
+        in
+        Option.map (fun (lo, hi) -> (c.column, idx, lo, hi)) bounds
   in
   match p with
   | Cmp (Col c, op, Lit v) -> consider c op v
@@ -144,10 +114,18 @@ let base_state catalog (f : from_item) (filters : predicate list) : state =
   let schema = Exec.Plan.output_schema catalog scan in
   let rows = float_of_int (Catalog.tuples catalog f.rel) in
   let pages = float_of_int (Catalog.pages catalog f.rel) in
+  let selectivity = Estimate.filter_selectivity catalog (Some f) in
+  let filtered =
+    ( (if filters = [] then scan else Exec.Plan.Filter (filters, scan)),
+      (if filters = [] then rows
+       else Float.max 1. (rows *. selectivity filters)),
+      pages,
+      None )
+  in
   let indexed =
     List.find_map
       (fun p ->
-        match indexable_filter catalog ~rel:f.rel schema p with
+        match indexable_filter catalog f p with
         | Some probe -> Some (p, probe)
         | None -> None)
       filters
@@ -155,16 +133,13 @@ let base_state catalog (f : from_item) (filters : predicate list) : state =
   let node, rows, est_pages, index_order =
     match indexed with
     | Some (p, (column, idx, lo, hi)) ->
-        let sel = filter_selectivity_of catalog ~rel:f.rel schema p in
+        let sel = selectivity [ p ] in
         let matched = Float.max 1. (rows *. sel) in
-        let probe_cost =
-          (* descent, the qualifying slice of the leaf level, one data-page
-             fetch per match (§4 pessimism: matches rarely share pages) *)
-          float_of_int (Storage.Btree.height idx)
-          +. ceil (sel *. float_of_int (Storage.Btree.leaf_page_count idx))
-          +. matched
-        in
-        if probe_cost < pages then begin
+        if
+          Estimate.index_range_cost ~tuples:rows (Some idx) ~sel
+            ~matches:matched
+          < pages
+        then begin
           let probe =
             Exec.Plan.Index_scan { table = f.rel; alias; column; lo; hi }
           in
@@ -172,41 +147,13 @@ let base_state catalog (f : from_item) (filters : predicate list) : state =
           let node =
             if rest = [] then probe else Exec.Plan.Filter (rest, probe)
           in
-          let sel_rest =
-            List.fold_left
-              (fun acc p ->
-                acc *. filter_selectivity_of catalog ~rel:f.rel schema p)
-              1. rest
-          in
           ( node,
-            Float.max 1. (matched *. sel_rest),
-            est_pages_of_rows catalog ~rows:matched schema,
+            Float.max 1. (matched *. selectivity rest),
+            Estimate.est_pages catalog ~rows:matched schema,
             Some [ { table = Some alias; column } ] )
         end
-        else
-          ( Exec.Plan.Filter (filters, scan),
-            Float.max 1.
-              (rows
-              *. List.fold_left
-                   (fun acc p ->
-                     acc *. filter_selectivity_of catalog ~rel:f.rel schema p)
-                   1. filters),
-            pages,
-            None )
-    | None -> (
-        match filters with
-        | [] -> (scan, rows, pages, None)
-        | fs ->
-            let selectivity =
-              List.fold_left
-                (fun acc p ->
-                  acc *. filter_selectivity_of catalog ~rel:f.rel schema p)
-                1. fs
-            in
-            ( Exec.Plan.Filter (fs, scan),
-              Float.max 1. (rows *. selectivity),
-              pages,
-              None ))
+        else filtered
+    | None -> filtered
   in
   let sorted =
     match index_order with
@@ -306,36 +253,10 @@ let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
         (fun (lc, op, rc) ->
           if op <> Eq then None
           else
-            match Schema.find_opt right.schema ?rel:rc.table rc.column with
-            | Some key_col -> (
-                match Catalog.index_on catalog right_f.rel ~key_col with
-                | Some idx ->
-                    let probes = left.est_rows in
-                    (* Each probe: binary search of the index pages plus one
-                       (potentially random) data-page fetch per matching
-                       row. *)
-                    let matches_per_probe =
-                      let cs =
-                        Storage.Stats.column
-                          (Catalog.stats catalog right_f.rel)
-                          key_col
-                      in
-                      if cs.Storage.Stats.distinct > 0 then
-                        float_of_int (Catalog.tuples catalog right_f.rel)
-                        /. float_of_int cs.Storage.Stats.distinct
-                      else 1.
-                    in
-                    let probe_cost =
-                      (* root-to-leaf descent plus a data-page fetch per
-                         match *)
-                      float_of_int (Storage.Btree.height idx)
-                      +. matches_per_probe
-                    in
-                    Some
-                      ( (lc, op, rc),
-                        left.est_pages +. (probes *. probe_cost) )
-                | None -> None)
-            | None | (exception Relalg.Schema.Ambiguous _) -> None)
+            Option.map
+              (fun (p : Estimate.probe) ->
+                ((lc, op, rc), left.est_pages +. (left.est_rows *. p.probe_cost)))
+              (Estimate.index_probe catalog right_f rc))
         oriented
   in
   let method_ =
@@ -375,27 +296,9 @@ let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
   in
   let use_merge = method_ = `Merge in
   let kind = if outer_join then Exec.Plan.Left_outer else Exec.Plan.Inner in
-  (* Selinger-style join cardinality: cross product scaled by 1/max(distinct)
-     per equality condition when the right side is a base table with
-     statistics; non-equality joins use the classic default. *)
   let est_rows =
-    let cross = left.est_rows *. right.est_rows in
-    if eq_conds = [] then
-      Float.max 1. (cross *. default_filter_selectivity)
-    else
-      let selectivity =
-        List.fold_left
-          (fun acc (_, _, (rc : col_ref)) ->
-            match Schema.find_opt right.schema ?rel:rc.table rc.column with
-            | Some i ->
-                let cs = Storage.Stats.column (Catalog.stats catalog right_f.rel) i in
-                acc *. Storage.Stats.join_selectivity cs cs
-            | None -> acc *. Storage.Stats.default_eq_selectivity
-            | exception Schema.Ambiguous _ ->
-                acc *. Storage.Stats.default_eq_selectivity)
-          1. eq_conds
-      in
-      Float.max 1. (cross *. selectivity)
+    Estimate.join_rows catalog (Some right_f) ~left_rows:left.est_rows
+      ~right_rows:right.est_rows right_key
   in
   let schema = Schema.append left.schema right.schema in
   let node, sorted =
@@ -474,7 +377,7 @@ let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
     schema;
     sorted;
     est_rows;
-    est_pages = est_pages_of_rows catalog ~rows:est_rows schema;
+    est_pages = Estimate.est_pages catalog ~rows:est_rows schema;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -563,7 +466,7 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
       let est_groups = Float.max 1. (state.est_rows /. 3.) in
       let use_hash =
         mode = Hybrid && q.group_by <> [] && (not sorted_ok)
-        && est_pages_of_rows catalog ~rows:est_groups state.schema
+        && Estimate.est_pages catalog ~rows:est_groups state.schema
            <= float_of_int (b - 1)
         && Cost.hash_agg_blended ~pi:state.est_pages ~ni:state.est_rows
            <= Cost.sort_agg_blended ~rounding:Cost.Ceil ~b ~pi:state.est_pages
@@ -588,7 +491,7 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
         sorted =
           (if q.group_by = [] || use_hash then None else Some q.group_by);
         est_rows = est_groups;
-        est_pages = est_pages_of_rows catalog ~rows:state.est_rows schema;
+        est_pages = Estimate.est_pages catalog ~rows:state.est_rows schema;
       }
     end
     else state
@@ -614,7 +517,7 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
     &&
     let b = Storage.Pager.buffer_pages (Catalog.pager catalog) in
     let out_schema = Exec.Plan.output_schema catalog node in
-    est_pages_of_rows catalog ~rows:state.est_rows out_schema
+    Estimate.est_pages catalog ~rows:state.est_rows out_schema
     <= float_of_int (b - 1)
   in
   let node =

@@ -17,8 +17,6 @@ type t = { temps : temp list; main : query; notes : string list }
 
 let flat q = { temps = []; main = q; notes = [] }
 
-let add_temp t temp = { t with temps = t.temps @ [ temp ] }
-
 (* Output column name of a select item; must agree with
    [Sql.Analyzer.output_schema] so that references built by the
    transformation resolve against the registered temp's schema. *)

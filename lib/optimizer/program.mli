@@ -12,8 +12,6 @@ type t = { temps : temp list; main : Sql.Ast.query; notes : string list }
 (** A program with no temps. *)
 val flat : Sql.Ast.query -> t
 
-val add_temp : t -> temp -> t
-
 (** Output column name of a select item; agrees with
     [Sql.Analyzer.output_schema] so generated references resolve.
     @raise Invalid_argument on [SELECT *]. *)

@@ -6,13 +6,12 @@
    dummy value.  All operations take the internal mutex; the critical
    sections are pointer surgery only, never parsing or execution. *)
 
+(* Exactly what a [Core.prepared] depends on: the statement, the NEST-G
+   option that changes its rewrite, and the index inventory the keyed
+   TEMP2 rule read.  Strategy, mode and engine are applied at execute
+   time, so one entry serves all of them. *)
 type key = {
   normalized : string;
-  strategy : Core.strategy;
-      (* the resolved execution strategy: a --strategy change must never
-         hit an entry prepared under another strategy *)
-  mode : Optimizer.Planner.mode;
-  engine : Exec.Plan.engine;
   rewrite_not_in : bool;
   index_epoch : int;
       (* the catalog's index inventory version at preparation: a plan

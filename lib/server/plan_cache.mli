@@ -1,9 +1,10 @@
 (** The shared LRU plan cache of [nestsql serve].
 
-    Maps a {!key} — the normalized statement text plus every planner knob
-    that can change what executing the statement does — to a
-    [Core.prepared], so each distinct statement is parsed, analyzed,
-    classified and transformed once and executed many times.  O(1)
+    Maps a {!key} — exactly what a [Core.prepared] depends on — to that
+    prepared statement, so each distinct statement is parsed, analyzed,
+    classified and transformed once and executed many times, under any
+    strategy, mode and engine: those are applied at execute time and are
+    not part of the key.  O(1)
     lookup/insert via a hashtable over an intrusive recency list (the same
     shape as the pager's LRU), guarded by an internal mutex so sessions on
     different connections share it safely.
@@ -18,12 +19,7 @@
 
 type key = {
   normalized : string;  (** [Core.prepared.normalized] — the AST rendering *)
-  strategy : Core.strategy;
-      (** the resolved execution strategy: a [--strategy] change must
-          never hit an entry prepared under another strategy *)
-  mode : Optimizer.Planner.mode;
-  engine : Exec.Plan.engine;
-  rewrite_not_in : bool;
+  rewrite_not_in : bool;  (** changes the NEST-G rewrite *)
   index_epoch : int;
       (** {!Storage.Catalog.index_epoch} at preparation time: a plan
           chosen against one index inventory must never be reused after

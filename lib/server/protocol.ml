@@ -67,9 +67,6 @@ type knobs = {
   rewrite_not_in : bool option;
 }
 
-let no_knobs =
-  { strategy = None; mode = None; engine = None; rewrite_not_in = None }
-
 type request =
   | Query of { sql : string; knobs : knobs }
   | Prepare of { name : string; sql : string; knobs : knobs }

@@ -55,10 +55,9 @@ type knobs = {
   engine : Exec.Plan.engine option;
   rewrite_not_in : bool option;
 }
-(** Per-request planner knobs; [None] means the server default.  Together
-    with the normalized statement text they form the plan-cache key. *)
-
-val no_knobs : knobs
+(** Per-request planner knobs; [None] means the server default.  Of these
+    only [rewrite_not_in] is part of the plan-cache key: strategy, mode and
+    engine are applied when a cached statement executes. *)
 
 type request =
   | Query of { sql : string; knobs : knobs }

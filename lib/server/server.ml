@@ -92,12 +92,9 @@ let resolve (k : P.knobs) =
     Option.value k.rewrite_not_in ~default:false )
 
 let cache_key t ~knobs normalized =
-  let strategy, mode, engine, rewrite_not_in = resolve knobs in
+  let _, _, _, rewrite_not_in = resolve knobs in
   {
     Plan_cache.normalized;
-    strategy;
-    mode;
-    engine;
     rewrite_not_in;
     (* stamping the key with the catalog's index inventory version makes
        index changes (CREATE INDEX, load) logically invalidate every
@@ -307,15 +304,11 @@ let do_load t ~table ~columns ~rows =
       let rebuilt =
         List.filter
           (fun column ->
-            match Catalog.lookup catalog table with
-            | None -> false
-            | Some schema -> (
-                match Core.Schema.find_opt schema column with
-                | Some _ ->
-                    Core.create_index t.db table ~column;
-                    true
-                | None -> false
-                | exception Core.Schema.Ambiguous _ -> false))
+            match Catalog.column_stats catalog table column with
+            | Some _ ->
+                Core.create_index t.db table ~column;
+                true
+            | None -> false)
           indexed
       in
       let invalidated = Plan_cache.invalidate t.plan_cache in

@@ -66,9 +66,16 @@ let heap t name = (entry t name).heap
 let schema t name = Heap_file.schema (entry t name).heap
 let relation t name = Heap_file.to_relation (entry t name).heap
 let sorted_on t name = (entry t name).sorted_on
-let set_sorted_on t name key = (entry t name).sorted_on <- Some key
 
 let stats t name = (entry t name).stats
+
+let column_stats t name column =
+  match List.assoc_opt name t.entries with
+  | None -> None
+  | Some e -> (
+      match Schema.find_opt (Heap_file.schema e.heap) column with
+      | Some i -> Some (i, Stats.column e.stats i)
+      | None | (exception Schema.Ambiguous _) -> None)
 
 let create_index t name ~column =
   let e = entry t name in
@@ -86,9 +93,6 @@ let indexed_columns t name =
   List.rev_map
     (fun (key_col, _) -> (Schema.column schema key_col).Schema.name)
     e.indexes
-
-let has_indexes t =
-  List.exists (fun (_, e) -> e.indexes <> []) t.entries
 
 let pages t name = Heap_file.page_count (entry t name).heap
 let tuples t name = Heap_file.tuple_count (entry t name).heap

@@ -23,10 +23,15 @@ val heap : t -> string -> Heap_file.t
 val schema : t -> string -> Relalg.Schema.t
 val relation : t -> string -> Relalg.Relation.t
 val sorted_on : t -> string -> int list option
-val set_sorted_on : t -> string -> int list -> unit
 
 (** Per-column statistics, collected at registration. *)
 val stats : t -> string -> Stats.t
+
+(** Position and statistics of column [column] of relation [name], resolved
+    by name in its stored schema: the one statistics lookup behind every
+    cost formula and nullability guard.  [None] for an unknown relation or
+    an absent or ambiguous column (never raises). *)
+val column_stats : t -> string -> string -> (int * Stats.column_stats) option
 
 (** Bulk-load a B-tree on [column] (idempotent); build page traffic is
     charged to the pager counters.
@@ -38,9 +43,6 @@ val index_on : t -> string -> key_col:int -> Btree.t option
 
 (** Names of the columns of [name] that carry an index. *)
 val indexed_columns : t -> string -> string list
-
-(** Whether any table carries an index (gates index-aware planning). *)
-val has_indexes : t -> bool
 
 (** Bumped whenever the index inventory changes (create or drop of an
     indexed table); plan caches key on it. *)

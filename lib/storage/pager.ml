@@ -71,7 +71,6 @@ let create ?(buffer_pages = 8) ?(page_bytes = 4096) () =
 let buffer_pages t = t.buffer_pages
 let page_bytes t = t.page_bytes
 let stats t = t.stats
-let resident_pages t = t.n_frames
 
 let reset_stats t =
   t.stats.logical_reads <- 0;

@@ -21,9 +21,6 @@ val create : ?buffer_pages:int -> ?page_bytes:int -> unit -> t
 val buffer_pages : t -> int
 val page_bytes : t -> int
 
-(** Frames currently held in the pool (≤ [buffer_pages]). *)
-val resident_pages : t -> int
-
 val stats : t -> stats
 val reset_stats : t -> unit
 
