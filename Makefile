@@ -65,11 +65,13 @@ bench-json:
 	dune exec bench/main.exe -- --json
 
 # CI-speed structural run of the same code path: one small scale, fewer
-# reps, writes BENCH_perf.smoke.json and exits non-zero if the v5 schema
+# reps, writes BENCH_perf.smoke.json and exits non-zero if the v6 schema
 # validation fails, batched fails to beat nested iteration on the
 # rewrite-refused skewed type-JA cell, indexed nested iteration fails to
-# beat the unindexed enumeration on physical I/O in the crossover sweep,
-# or no crossover cell picks the untransformed indexed strategy.  Not a
+# beat the unindexed enumeration on page I/O in the crossover sweep,
+# Auto's pick at any crossover cell measures more than 10% above the
+# cheapest candidate (either direction), or the sweep lacks a cell where
+# Auto picks the untransformed indexed strategy or the transformed one.  Not a
 # perf artifact — it proves the bench harness, both engines and all
 # strategies still run end to end.
 bench-smoke:

@@ -1037,17 +1037,19 @@ let json_batched_comparison ~scales ~warmup ~reps () =
         skew_queries)
     scales
 
-(* The §7 crossover: a 10k-row SUPPLY with a B-tree on PNUM, outer size
-   swept.  Small outers probe a handful of keys — un-transformed indexed
-   nested iteration undercuts any transformed program (which must scan
-   all of SUPPLY into a temp); large outers amortize the scan and the
-   transformation wins.  Each cell records the cost model's estimates
-   (indexed_nested_cost vs transformed_floor — what Core.Auto decides
-   with) next to measured I/O for all three executions, and the section
-   reports the first outer size at which the estimate flips to
-   transformed.  Asserted per cell: indexed nested iteration beats the
-   {e unindexed} enumeration on total page I/O (the probe must pay off),
-   and whenever the estimate picks nested, measured I/O must agree. *)
+(* The §7 crossover: a 10k-row SUPPLY with a B-tree on PNUM against outer
+   blocks of growing size.  Small outers probe a handful of keys —
+   un-transformed indexed nested iteration undercuts any transformed
+   program — and large ones amortize the transformed program's reads.
+   Each cell records the estimates Core's Auto decides with (every priced
+   candidate: indexed nested iteration, the transformed program, batched
+   execution), Auto's pick, and measured I/O for indexed and unindexed
+   nested iteration, the transformed program Auto would run (through
+   Core, keyed TEMP2 included) and Auto itself.  Asserted per cell:
+   indexed nested iteration beats the {e unindexed} enumeration on total
+   page I/O (the probe must pay off), and whatever Auto picks measures at
+   most 10% above the cheapest candidate — soundness in both directions,
+   the tolerance nestbench's [auto_wrong_picks] uses. *)
 let crossover_queries =
   [
     ( "type-J",
@@ -1058,107 +1060,182 @@ let crossover_queries =
        WHERE SUPPLY.PNUM = PARTS.PNUM)" );
   ]
 
-let json_index_crossover ~outer_sizes ~warmup ~reps () =
-  (* Sparse keys: SUPPLY's PNUM spread over [key_range] values, so each
-     outer probe fetches ~supply_rows/key_range matches — the selective
-     regime where an index pays.  (scaled_catalog's dense keys would make
-     every enumeration fetch all 10k rows regardless of outer size.)  The
-     pool is smaller than SUPPLY's file, so the unindexed enumeration's
-     rescans thrash and show up as physical I/O. *)
-  let supply_rows = 10_000 and key_range = 1_000 in
-  let cell (kind, text) n_parts =
-    let fresh ~indexed () =
-      let rng = Random.State.make [| 42 |] in
-      let catalog =
-        G.catalog_of ~buffer_pages:256 ~page_bytes:256
-          [
-            ("PARTS", G.parts rng ~n:n_parts ~key_range);
-            ("SUPPLY", G.supply rng ~n:supply_rows ~key_range);
-          ]
-      in
-      if indexed then Catalog.create_index catalog "SUPPLY" ~column:"PNUM";
-      catalog
-    in
-    let time ~indexed run_of =
+(* The outer blocks of the sweep.  [Random n]: n PARTS rows with keys drawn
+   from SUPPLY's 1000 — sparse keys, so each probe fetches ~10 matches,
+   the selective regime where an index pays.  [Repeated]: nestbench's
+   crossover data — 256 rows cycling over keys 1-128 against nestbench's
+   SUPPLY (10% NULLs in every column; the non-NULL keys cycle row by row,
+   so the rows of neighbouring keys share pages), each key probed twice.
+   [Distinct]: 1024 rows, keys 1-1024 once each, where the transformed
+   program must win. *)
+type crossover_outer = Random of int | Repeated | Distinct
+
+let outer_name = function
+  | Random _ -> "random"
+  | Repeated -> "repeated"
+  | Distinct -> "distinct"
+
+let supply_rows = 10_000
+let key_range = 1_000
+
+(* [rel] with its first column (PNUM) NULL in the first [nulls] rows and
+   cycling through 1..keys in the others. *)
+let cycle_keys ~nulls ~keys rel =
+  Relation.make (Relation.schema rel)
+    (List.mapi
+       (fun i row ->
+         let key =
+           if i < nulls then Value.Null else Value.Int (((i - nulls) mod keys) + 1)
+         in
+         Relalg.Row.of_list (key :: List.tl (Relalg.Row.to_list row)))
+       (Relation.rows rel))
+
+let crossover_tables outer =
+  let rng = Random.State.make [| 42 |] in
+  let parts n ~keys = G.parts rng ~n ~key_range:keys in
+  let supply null_pct = G.supply ~null_pct rng ~n:supply_rows ~key_range in
+  let parts, supply =
+    match outer with
+    | Random n ->
+        let parts = parts n ~keys:key_range in
+        (parts, supply 0)
+    | Repeated ->
+        ( cycle_keys ~nulls:0 ~keys:128 (parts 256 ~keys:128),
+          cycle_keys ~nulls:(supply_rows / 10) ~keys:key_range (supply 10) )
+    | Distinct ->
+        (cycle_keys ~nulls:0 ~keys:1024 (parts 1024 ~keys:1024), supply 0)
+  in
+  [ ("PARTS", parts); ("SUPPLY", supply) ]
+
+(* A fresh database over the outer's tables — the pool is smaller than
+   SUPPLY's file, so the unindexed enumeration's rescans show up as
+   physical I/O. *)
+let crossover_db ~indexed outer =
+  let db = Core.create_db ~buffer_pages:256 ~page_bytes:256 () in
+  List.iter
+    (fun (name, rel) ->
+      Core.define_table db name
+        (List.map
+           (fun (c : Relalg.Schema.column) -> (c.name, c.ty))
+           (Relalg.Schema.columns (Relation.schema rel)))
+        (List.map Relalg.Row.to_list (Relation.rows rel)))
+    (crossover_tables outer);
+  if indexed then Core.create_index db "SUPPLY" ~column:"PNUM";
+  db
+
+type crossover_cell = {
+  x_kind : string;
+  x_outer : crossover_outer;
+  x_rows : int;  (* outer rows *)
+  x_via : Core.via;  (* Auto's pick *)
+  x_indexed : sample;
+  x_unindexed : sample;
+  x_transformed : sample;
+  x_auto : sample;
+  x_probe_pays : bool;
+  x_sound : bool;
+  x_json : Json.t;
+}
+
+let json_index_crossover ~outers ~warmup ~reps () =
+  let cell (kind, text) outer =
+    let measure ~indexed strategy =
       let once () =
-        let catalog = fresh ~indexed () in
-        let q = F.parse_analyzed catalog text in
-        let result, wall, io = time_io catalog (run_of catalog q) in
-        { s_rows = Relation.cardinality result; s_wall = wall; s_io = io }
+        let db = crossover_db ~indexed outer in
+        let e, wall, io =
+          time_io (Core.catalog db) (fun () ->
+              match Core.run ~strategy db text with
+              | Ok e -> e
+              | Error msg -> failwith msg)
+        in
+        ( { s_rows = Relation.cardinality e.Core.result; s_wall = wall; s_io = io },
+          e.Core.via )
       in
       for _ = 1 to warmup do
         ignore (once ())
       done;
-      median_sample (List.init reps (fun _ -> once ()))
+      let runs = List.init reps (fun _ -> once ()) in
+      (median_sample (List.map fst runs), snd (List.hd runs))
     in
-    let nested catalog q () = Exec.Sysr_iteration.run catalog q in
-    let transformed catalog q =
-      let program =
-        Nest_g.transform
-          ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-          q
-      in
-      fun () -> Planner.run_program ~mode:Planner.Hybrid catalog program
+    let indexed, _ = measure ~indexed:true Core.Nested_iteration in
+    let unindexed, _ = measure ~indexed:false Core.Nested_iteration in
+    let transformed, _ =
+      measure ~indexed:true (Core.Transformed Planner.Auto)
     in
-    let indexed = time ~indexed:true nested in
-    let unindexed = time ~indexed:false nested in
-    let rewritten = time ~indexed:true transformed in
-    (* the estimates Core.Auto decides with, on the indexed catalog *)
-    let est_catalog = fresh ~indexed:true () in
-    let q = F.parse_analyzed est_catalog text in
-    let est_nested = Estimate.indexed_nested_cost est_catalog q in
-    let floor = Estimate.transformed_floor est_catalog q in
-    let picks_nested =
-      match est_nested with Some c -> c < floor | None -> false
+    let auto, via = measure ~indexed:true Core.Auto in
+    (* the estimates Core's Auto decides with, on the indexed database *)
+    let db = crossover_db ~indexed:true outer in
+    let q = Result.get_ok (Core.parse db text) in
+    let est = Core.auto_candidates db q in
+    let rows = Catalog.tuples (Core.catalog db) "PARTS" in
+    let io s = Pager.total_io s.s_io in
+    let cheapest = min (io indexed) (io transformed) in
+    let estimate f =
+      match Option.bind est f with Some c -> Json.Float c | None -> Json.Null
     in
-    let cell_json =
+    let x_json =
       Json.Obj
         [
           ("query", Json.Str kind);
-          ("outer_rows", Json.Int n_parts);
+          ("outer", Json.Str (outer_name outer));
+          ("outer_rows", Json.Int rows);
           ("supply_rows", Json.Int supply_rows);
           ("key_range", Json.Int key_range);
-          ( "est_nested_cost",
-            match est_nested with Some c -> Json.Float c | None -> Json.Null );
-          ("transformed_floor", Json.Float floor);
-          ("picked", Json.Str (if picks_nested then "nested" else "transformed"));
+          ( "estimates",
+            Json.Obj
+              [
+                ("nested", estimate (fun c -> Some c.Core.est_nested));
+                ("transformed", estimate (fun c -> c.Core.est_transformed));
+                ("batched", estimate (fun c -> c.Core.est_batched));
+              ] );
+          ("picked", Json.Str (Core.via_name via));
           ( "strategies",
             Json.List
               [
                 strategy_json ~name:"indexed_nested" ~engine:"tuple" indexed;
                 strategy_json ~name:"unindexed_nested" ~engine:"tuple"
                   unindexed;
-                strategy_json ~name:"transformed_hybrid" ~engine:"tuple"
-                  rewritten;
+                strategy_json ~name:"transformed" ~engine:"tuple" transformed;
+                strategy_json ~name:"auto" ~engine:"tuple" auto;
               ] );
         ]
     in
-    let probe_pays =
-      Pager.total_io indexed.s_io < Pager.total_io unindexed.s_io
-    in
-    let decision_sound =
-      (not picks_nested)
-      || Pager.total_io indexed.s_io <= Pager.total_io rewritten.s_io
-    in
-    (kind, n_parts, picks_nested, indexed, unindexed, rewritten, probe_pays,
-     decision_sound, cell_json)
+    {
+      x_kind = kind;
+      x_outer = outer;
+      x_rows = rows;
+      x_via = via;
+      x_indexed = indexed;
+      x_unindexed = unindexed;
+      x_transformed = transformed;
+      x_auto = auto;
+      x_probe_pays = io indexed < io unindexed;
+      x_sound = float_of_int (io auto) <= 1.1 *. float_of_int cheapest;
+      x_json;
+    }
   in
   List.concat_map
-    (fun query -> List.map (cell query) outer_sizes)
+    (fun query -> List.map (cell query) outers)
     crossover_queries
 
-(* Structural v5 schema check on the serialized document: it must parse,
+(* Structural v6 schema check on the serialized document: it must parse,
    and each required member path (dot-separated; "*" fans out over a
    list) must reach at least one value — equal to the expected one where
    given.  Catches a key rename or a dropped section.  Returns the failed
    requirements. *)
-let validate_v5 text =
+let validate_v6 text =
   let required =
     [
-      ("schema_version", Some (Json.Int 5));
-      ("index_crossover.cells.*.est_nested_cost", None);
-      ("index_crossover.cells.*.transformed_floor", None);
-      ("index_crossover.cells.*.picked", Some (Json.Str "nested"));
+      ("schema_version", Some (Json.Int 6));
+      ("index_crossover.cells.*.estimates.nested", None);
+      ("index_crossover.cells.*.estimates.transformed", None);
+      ("index_crossover.cells.*.estimates.batched", None);
+      ( "index_crossover.cells.*.picked",
+        Some (Json.Str (Core.via_name Core.Via_nested)) );
+      ( "index_crossover.cells.*.picked",
+        Some (Json.Str (Core.via_name Core.Via_transformed)) );
+      ("index_crossover.cells.*.outer", Some (Json.Str "repeated"));
+      ("index_crossover.cells.*.outer", Some (Json.Str "distinct"));
       ( "index_crossover.cells.*.strategies.*.name",
         Some (Json.Str "indexed_nested") );
       ("index_crossover.crossover_outer_rows", None);
@@ -1214,18 +1291,23 @@ let json_bench ~smoke () =
       ~scales:(if smoke then [ 1_000 ] else [ 1_000; 10_000 ])
       ~warmup ~reps:(min reps 3) ()
   in
-  (* the §7 index crossover: outer size swept against a fixed 10k SUPPLY *)
+  (* the §7 index crossover: outer size swept against a fixed 10k SUPPLY,
+     plus a repeated-key and a large all-distinct outer *)
   let crossover =
     json_index_crossover
-      ~outer_sizes:(if smoke then [ 4; 64 ] else [ 4; 16; 64; 256 ])
+      ~outers:
+        (List.map
+           (fun n -> Random n)
+           (if smoke then [ 4; 64 ] else [ 4; 16; 64; 256 ])
+        @ [ Repeated; Distinct ])
       ~warmup ~reps:(min reps 3) ()
   in
-  (* smallest outer size at which the estimates flip to transformed *)
-  let crossover_point kind' =
+  (* smallest outer size at which Auto picks the transformed program *)
+  let crossover_point kind =
     List.fold_left
-      (fun acc (kind, n, picks_nested, _, _, _, _, _, _) ->
-        if kind = kind' && not picks_nested then
-          Some (match acc with Some m -> min m n | None -> n)
+      (fun acc x ->
+        if x.x_kind = kind && x.x_via = Core.Via_transformed then
+          Some (match acc with Some m -> min m x.x_rows | None -> x.x_rows)
         else acc)
       None crossover
   in
@@ -1246,12 +1328,16 @@ let json_bench ~smoke () =
   let doc =
     Json.Obj
       [
-        (* v5: adds "index_crossover" — indexed vs unindexed nested
-           iteration vs the hybrid rewrite with a B-tree on SUPPLY.PNUM,
-           outer size swept; per-cell cost-model verdict
-           ("est_nested_cost" / "transformed_floor" / "picked") and the
-           headline "crossover_outer_rows" where the estimate flips to
-           transformed.  v4 keys unchanged: "batched_comparison" — the
+        (* v6: "index_crossover" cells run through Core — indexed vs
+           unindexed nested iteration vs the transformed program Auto
+           would run (keyed TEMP2 included) vs Auto itself, each cell
+           naming its "outer" shape ("random" / "repeated" / "distinct")
+           and carrying every candidate's "estimates" ("nested" /
+           "transformed" / "batched") with Auto's "picked" strategy;
+           headline "crossover_outer_rows" where Auto first picks the
+           transformed program.  v5 added the section with
+           "est_nested_cost" / "transformed_floor" estimates.  v4 keys
+           unchanged: "batched_comparison" — the
            three-strategy head-to-head on duplicate-skewed keys, with
            per-cell "rewrite_refused" and "batched_speedup_vs_nested";
            every transformed cell runs under both engines ("engine"
@@ -1259,7 +1345,7 @@ let json_bench ~smoke () =
            per-cell "vectorized_speedup_vs_tuple", headline
            "vectorized_speedup_10k", operator_breakdowns one entry per
            (query, engine). *)
-        ("schema_version", Json.Int 5);
+        ("schema_version", Json.Int 6);
         ("speedup_scale_supply_rows", Json.Int top_scale);
         ("queries", Json.List (List.map (fun (_, _, _, _, j) -> j) grid));
         ( "batched_comparison",
@@ -1268,9 +1354,7 @@ let json_bench ~smoke () =
           Json.Obj
             [
               ( "cells",
-                Json.List
-                  (List.map (fun (_, _, _, _, _, _, _, _, j) -> j) crossover)
-              );
+                Json.List (List.map (fun x -> x.x_json) crossover) );
               ( "crossover_outer_rows",
                 Json.Obj
                   (List.map
@@ -1312,17 +1396,17 @@ let json_bench ~smoke () =
         speedup
         (if refused then " (rewrite refused)" else ""))
     skew;
-  List.iter
-    (fun (kind, n, picks, indexed, unindexed, rewritten, _, _, _) ->
-      Fmt.pr
-        "%-8s %4d outer rows: estimate picks %-11s io indexed-nested %d / \
-         unindexed %d / transformed %d@."
-        kind n
-        (if picks then "nested;" else "transformed;")
-        (Pager.total_io indexed.s_io)
-        (Pager.total_io unindexed.s_io)
-        (Pager.total_io rewritten.s_io))
-    crossover;
+  let describe_crossover x =
+    Fmt.str
+      "%s %d %s outer rows: auto picks %s; io indexed-nested %d / unindexed \
+       %d / transformed %d / auto %d"
+      x.x_kind x.x_rows (outer_name x.x_outer) (Core.via_name x.x_via)
+      (Pager.total_io x.x_indexed.s_io)
+      (Pager.total_io x.x_unindexed.s_io)
+      (Pager.total_io x.x_transformed.s_io)
+      (Pager.total_io x.x_auto.s_io)
+  in
+  List.iter (fun x -> Fmt.pr "%s@." (describe_crossover x)) crossover;
   List.iter
     (fun (kind, _) ->
       Fmt.pr "%-8s crossover to transformed at %s outer rows@." kind
@@ -1348,46 +1432,38 @@ let json_bench ~smoke () =
     exit 1
   end;
   (* Index assertions: the probe must pay off (indexed nested beats the
-     unindexed enumeration on physical I/O at every cell), the §7 decision
-     must be sound (whenever the estimate picks nested, measured I/O must
-     agree), and the sweep must contain at least one cell where the
-     untransformed indexed iteration is the chosen strategy — the regime
-     the paper's uniform-transformation policy misses. *)
+     unindexed enumeration on page I/O at every cell), Auto's pick must be
+     sound in both directions (its measured page I/O within 10% of the
+     cheapest candidate's, whichever it picked), and the sweep must hold
+     both regimes: a cell where the untransformed indexed iteration is
+     picked — the regime the paper's uniform-transformation policy misses
+     — and one where the transformed program is. *)
   let index_losses =
-    List.filter
-      (fun (_, _, _, _, _, _, probe_pays, decision_sound, _) ->
-        not (probe_pays && decision_sound))
-      crossover
+    List.filter (fun x -> not (x.x_probe_pays && x.x_sound)) crossover
   in
   if index_losses <> [] then begin
     List.iter
-      (fun (kind, n, picks, indexed, unindexed, rewritten, probe_pays, _, _) ->
-        Fmt.epr
-          "index crossover cell %s at %d outer rows FAILED (%s): io \
-           indexed-nested %d / unindexed %d / transformed %d@."
-          kind n
-          (if probe_pays then "estimate picked nested but lost on io"
+      (fun x ->
+        Fmt.epr "index crossover cell FAILED (%s): %s@."
+          (if x.x_probe_pays then
+             "auto's pick measures more than 10% above the cheapest"
            else "indexed nested did not beat unindexed")
-          (Pager.total_io indexed.s_io)
-          (Pager.total_io unindexed.s_io)
-          (Pager.total_io rewritten.s_io);
-        ignore picks)
+          (describe_crossover x))
       index_losses;
     exit 1
   end;
-  if
-    not
-      (List.exists (fun (_, _, picks, _, _, _, _, _, _) -> picks) crossover)
-  then begin
-    Fmt.epr
-      "no crossover cell picks indexed nested iteration — the §7 regime is \
-       gone@.";
-    exit 1
-  end;
-  match validate_v5 text with
-  | [] -> Fmt.pr "schema v5 check: ok@."
+  List.iter
+    (fun (via, regime) ->
+      if not (List.exists (fun x -> x.x_via = via) crossover) then begin
+        Fmt.epr "no crossover cell picks %s — the %s regime is gone@."
+          (Core.via_name via) regime;
+        exit 1
+      end)
+    [ (Core.Via_nested, "§7 indexed"); (Core.Via_transformed, "transformed") ];
+  match validate_v6 text with
+  | [] -> Fmt.pr "schema v6 check: ok@."
   | missing ->
-      Fmt.epr "schema v5 check FAILED; missing keys:@.";
+      Fmt.epr "schema v6 check FAILED; missing keys:@.";
       List.iter (fun k -> Fmt.epr "  %s@." k) missing;
       exit 1
 

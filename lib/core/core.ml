@@ -104,13 +104,11 @@ let probe_keys db kp =
   Option.map Optimizer.Estimate.describe_keyed_temp2
     (Optimizer.Estimate.keyed_temp2 db.catalog kp)
 
-(* NEST-G over an already-analyzed query; [transform] and the prepared-
-   statement path both come through here. *)
-let transform_query ?(rewrite_not_in = false) ?on_step db q =
-  let fresh () = Catalog.fresh_temp_name db.catalog in
+(* NEST-G over an already-analyzed query, its temps named by [fresh]. *)
+let transform_with ~rewrite_not_in ?on_step ~probe_keys ~fresh db q =
   match
     Optimizer.Nest_g.transform ~rewrite_not_in ~nullable:(column_nullable db)
-      ~probe_keys:(probe_keys db) ?on_step ~fresh q
+      ~probe_keys ?on_step ~fresh q
   with
   | program -> Ok program
   | exception Optimizer.Nest_g.Unsupported msg
@@ -118,6 +116,12 @@ let transform_query ?(rewrite_not_in = false) ?on_step db q =
   | exception Optimizer.Nest_n_j.Not_applicable msg
   | exception Optimizer.Extensions.Unsupported msg ->
       Error ("not transformable: " ^ msg)
+
+(* [transform] and the prepared-statement path both come through here. *)
+let transform_query ?(rewrite_not_in = false) ?on_step db q =
+  transform_with ~rewrite_not_in ?on_step ~probe_keys:(probe_keys db)
+    ~fresh:(fun () -> Catalog.fresh_temp_name db.catalog)
+    db q
 
 let transform ?rewrite_not_in ?on_step db text =
   match parse db text with
@@ -298,8 +302,9 @@ type strategy =
     (* Guravannavar batched bindings: planner-lowered outer block, one
        inner evaluation per distinct correlation-key batch *)
   | Auto
-    (* transform when possible, else batched when Estimate says the key
-       domain beats the outer cardinality, else nested iteration *)
+    (* indexed nested iteration when priced cheapest, else transform when
+       possible, else batched when priced below nested iteration, else
+       nested iteration *)
 
 (* The names the CLI (--strategy), the REPL (\strategy) and the server
    protocol all accept — one parser so the surfaces can't drift.  Join
@@ -360,22 +365,67 @@ let prepare_query ?(rewrite_not_in = false) db q =
 let prepare ?rewrite_not_in db text =
   Result.map (prepare_query ?rewrite_not_in db) (parse db text)
 
-(* The §7 crossover: when the frames of the nested enumeration (outer
-   block and correlated subqueries) can probe B-trees, the un-transformed
-   program's estimated page traffic can undercut a transformed program
-   whose temps read every referenced relation at least once — what
-   [Estimate.transformed_floor] counts.  That floor does not bound the
-   transformed programs that probe B-trees themselves (a keyed NEST-JA2
-   TEMP2, NEST-N-J's index joins), so this pick can still be the slower
-   side, and the opposite pick is not checked at all; making both
-   directions sound is an open ROADMAP item.  [None] whenever no index
-   applies, so databases without indexes behave exactly as before. *)
+(* The §7 crossover, priced.  When some frame of the nested enumeration
+   can probe a B-tree, Auto's candidates are priced in page I/O with
+   Estimate's one vocabulary: indexed nested iteration, the program the
+   transformation produces (bounded below by what it must read: keyed TEMP2
+   probes included), and batched execution.  The program comes from the
+   same transformation Auto runs, under private temp names so that pricing
+   leaves the catalog's TEMP# numbering alone; nothing is materialized.
+   [None] when no probe applies: Auto then runs its ladder unpriced. *)
+type candidates = {
+  est_nested : float;
+  est_transformed : float option;  (* [None]: the transformation refuses *)
+  est_batched : float option;  (* [None]: no batchable subquery *)
+}
+
+let auto_candidates db (q : Sql.Ast.query) : candidates option =
+  Option.map
+    (fun est_nested ->
+      let keyed = ref [] in
+      let probe_keys (kp : Optimizer.Nest_ja2.key_probe) =
+        Option.map
+          (fun k ->
+            keyed := (kp.inner_rel, k) :: !keyed;
+            Optimizer.Estimate.describe_keyed_temp2 k)
+          (Optimizer.Estimate.keyed_temp2 db.catalog kp)
+      in
+      let fresh = ref 0 in
+      let fresh () =
+        incr fresh;
+        Printf.sprintf "PRICED#%d" !fresh
+      in
+      {
+        est_nested;
+        est_transformed =
+          Result.to_option
+            (Result.map
+               (fun (program : Optimizer.Program.t) ->
+                 Optimizer.Estimate.transformed_bound db.catalog q
+                   ~keyed:!keyed ~temps:(List.length program.temps))
+               (transform_with ~rewrite_not_in:false ~probe_keys ~fresh db q));
+        est_batched = Optimizer.Estimate.batched_cost db.catalog q;
+      })
+    (Optimizer.Estimate.indexed_nested_cost db.catalog q)
+
+(* The rung Auto reaches unless it runs nested first: the program when the
+   query transforms (batching never overrides a transformation), batched
+   execution after a refusal; none when both refuse. *)
+let alternative c =
+  match (c.est_transformed, c.est_batched) with
+  | Some t, _ -> t
+  | None, Some b -> b
+  | None, None -> infinity
+
+(* The candidates, when indexed nested iteration is priced at or below
+   that rung (ties go to nested iteration, the reference behaviour). *)
+let nested_first db q =
+  match auto_candidates db q with
+  | Some c when c.est_nested <= alternative c -> Some c
+  | _ -> None
+
 let indexed_nested_choice db (q : Sql.Ast.query) : (float * float) option =
-  match Optimizer.Estimate.indexed_nested_cost db.catalog q with
-  | None -> None
-  | Some cost ->
-      let floor = Optimizer.Estimate.transformed_floor db.catalog q in
-      if cost < floor then Some (cost, floor) else None
+  Option.map (fun c -> (c.est_nested, alternative c)) (nested_first db q)
 
 (* Run one statement's work, then delete the scratch files its operators
    left in the pager (Catalog.release_since): without this every sort and
@@ -465,16 +515,17 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace
   | Batched force -> run_batched force
   | Auto -> (
       match indexed_nested_choice db q with
-      | Some (cost, floor) ->
-          (* Indexed nested iteration beats every transformed program's
-             lower bound — run the query un-transformed (§7's regime). *)
+      | Some (cost, alternative) ->
+          (* Indexed nested iteration is priced at or below the rung Auto
+             would otherwise reach — run the query un-transformed (§7's
+             regime). *)
           (match on_fallback with
           | Some note ->
               note
                 (Fmt.str
                    "auto: indexed nested iteration chosen (est. %.0f page \
-                    I/O < transformed floor %.0f)"
-                   cost floor)
+                    I/O <= alternative est. %.0f)"
+                   cost alternative)
           | None -> ());
           run_nested ()
       | None -> (
@@ -482,8 +533,8 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace
       | Ok _ as ok -> ok
       | Error msg ->
           (* Refused: pick the cheaper un-transformed strategy.  Batched
-             wins when the estimated distinct-key domain undercuts the
-             outer cardinality (Estimate.prefer_batched); it can itself
+             wins when it is priced below nested iteration
+             (Estimate.prefer_batched); it can itself
              refuse on the unbatchable shape, in which case nested
              iteration — which refuses nothing — closes the ladder. *)
           let use_batched =
@@ -567,21 +618,26 @@ let explain_query ?strategy ?mode ?(analyze = false) ?engine ?trace db text :
       | Error _ as e -> e
       | Ok q -> (
           (* Under Auto, surface the §7 crossover decision: when indexed
-             nested iteration undercuts the transformed floor, execution
-             will not transform at all — EXPLAIN must say so (and with
-             what probes), since nested iteration has no plan tree. *)
-          let crossover =
-            if auto then indexed_nested_choice db q else None
-          in
+             nested iteration is priced cheapest, execution will not
+             transform at all — EXPLAIN must say so, with every candidate's
+             estimate and the probes, since nested iteration has no plan
+             tree. *)
           let header =
-            match crossover with
-            | None -> ""
-            | Some (cost, floor) ->
+            match if auto then nested_first db q else None with
+            | Some c ->
+                let est name = Option.map (Fmt.str "; %s est. %.0f" name) in
                 Fmt.str
                   "auto: indexed nested iteration (untransformed) — est. \
-                   %.0f page I/O < transformed floor %.0f\n%s"
-                  cost floor
+                   %.0f page I/O%s\n%s"
+                  c.est_nested
+                  (String.concat ""
+                     (List.filter_map Fun.id
+                        [
+                          est "transformed" c.est_transformed;
+                          est "batched" c.est_batched;
+                        ]))
                   (String.concat "\n" (probe_report db q))
+            | None -> ""
           in
           match transform_query db q with
           | Error _ when header <> "" ->

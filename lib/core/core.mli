@@ -43,14 +43,28 @@ val parse_create_index : string -> (string * string) option
 val is_create_index : string -> bool
 val execute_create_index : db -> string -> (string, string) result
 
+(** Auto's candidates on a query some index probe applies to, priced in
+    page I/O with {!Optimizer.Estimate}'s vocabulary: indexed nested
+    iteration ({!Optimizer.Estimate.indexed_nested_cost}), the program the
+    transformation produces, bounded below by what it must read
+    ({!Optimizer.Estimate.transformed_bound}; [None] when it refuses), and
+    batched execution ({!Optimizer.Estimate.batched_cost}; [None] without a
+    batchable subquery).  [None] when no probe applies.  Pricing
+    materializes nothing and leaves the catalog as it was. *)
+type candidates = {
+  est_nested : float;
+  est_transformed : float option;
+  est_batched : float option;
+}
+
+val auto_candidates : db -> Sql.Ast.query -> candidates option
+
 (** The §7 crossover decision Auto makes before transforming: [Some
-    (nested_cost, transformed_floor)] when estimated indexed nested
-    iteration strictly undercuts the page-count lower bound of the
-    transformed programs that scan every relation they reference
-    ({!Optimizer.Estimate.transformed_floor}); [None] when no index probe
-    applies or the floor wins.  Programs that probe B-trees (a keyed
-    NEST-JA2 TEMP2, NEST-N-J's index joins) are not bounded by the floor,
-    so the pick is not guaranteed to be the cheaper side. *)
+    (nested, alternative)] when {!auto_candidates} prices indexed nested
+    iteration at or below the rung Auto would otherwise run — the
+    transformed program when the query transforms, batched execution after
+    a refusal, [infinity] when both refuse.  [None] when no index probe
+    applies or the alternative is cheaper. *)
 val indexed_nested_choice : db -> Sql.Ast.query -> (float * float) option
 
 (** Parse and analyze (name resolution, literal coercion, validation). *)
@@ -126,9 +140,10 @@ type strategy =
           planner-lowered outer block, one inner evaluation per distinct
           correlation-key batch *)
   | Auto
-      (** transform when possible, else batched when
-          {!Optimizer.Estimate.prefer_batched} says the key domain beats
-          the outer cardinality, else nested iteration *)
+      (** indexed nested iteration when {!indexed_nested_choice} prices it
+          cheapest, else transform when possible, else batched when
+          {!Optimizer.Estimate.prefer_batched} prices it below nested
+          iteration, else nested iteration *)
 
 (** ["nested"] / ["transformed"] / ["batched"] / ["auto"] — the shared
     vocabulary of the CLI [--strategy], the REPL [\strategy] and the server

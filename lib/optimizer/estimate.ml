@@ -96,21 +96,21 @@ let descent idx = float_of_int (Btree.height idx)
 
 type probe = { probe_cost : float; probe_matches : float }
 
-(* One equality probe of the B-tree on [c]: a root-to-leaf descent plus a
-   data-page fetch per match, tuples/distinct of them (the probe-side
-   pessimism of §4: matches rarely share pages).  [None] without a
-   B-tree. *)
+(* One equality probe through a B-tree and its column's statistics: a
+   root-to-leaf descent plus a data-page fetch per match, tuples/distinct
+   of them (the probe-side pessimism of §4: matches rarely share
+   pages). *)
+let probe_through catalog (f : from_item) (idx, (cs : Stats.column_stats)) =
+  let matches =
+    if cs.distinct > 0 then
+      float_of_int (Catalog.tuples catalog f.rel) /. float_of_int cs.distinct
+    else 1.
+  in
+  { probe_cost = descent idx +. matches; probe_matches = matches }
+
+(* [None] without a B-tree on [c]. *)
 let index_probe catalog f c =
-  Option.map
-    (fun (idx, (cs : Stats.column_stats)) ->
-      let matches =
-        if cs.distinct > 0 then
-          float_of_int (Catalog.tuples catalog f.rel)
-          /. float_of_int cs.distinct
-        else 1.
-      in
-      { probe_cost = descent idx +. matches; probe_matches = matches })
-    (index_on catalog f c)
+  Option.map (probe_through catalog f) (index_on catalog f c)
 
 (* A range probe selecting [sel] of [tuples] rows, [matches] of them: one
    descent, the qualifying slice of the leaf level, and a data-page fetch
@@ -271,181 +271,205 @@ let estimator catalog plan =
       entries
 
 (* ------------------------------------------------------------------ *)
-(* Batched-bindings fallback costing                                   *)
+(* Auto's pricers: nested iteration and batched bindings               *)
 (* ------------------------------------------------------------------ *)
 
-(* When the transformation refuses, [Core]'s Auto strategy chooses between
-   plain nested iteration and batched execution ([Batched_nest]).  Both
-   re-evaluate each correlated WHERE subquery; nested iteration does it
-   once per outer tuple, batching once per *distinct* correlation-key
-   tuple — so the decision reduces to comparing the outer cardinality with
-   the key domain, both available from catalog statistics (per-column
-   distinct counts, a NULL adding one batch of its own). *)
+(* Both strategies enumerate the outer block's frames and re-evaluate each
+   correlated WHERE subquery; they differ in how often.  Nested iteration
+   ([Sysr_iteration]) re-runs a subquery per outer assignment, but a frame
+   it probes through a B-tree is paid once per distinct binding when one
+   probe's pages fit the pool: a repeat re-reads the pages the identical
+   probe just left resident.  Batching ([Batched_nest]) evaluates each
+   subquery once per distinct correlation-key tuple.  Both counts are
+   products of per-column distinct counts, capped by the enumerations; a
+   NULL key is one more batch, but never a probe (a B-tree stores no NULL
+   keys, so [Btree.lookup_eq] answers it without I/O). *)
+
+(* FROM items in scope, innermost first, by alias. *)
+type scope = (string * from_item) list
+
+(* Distinct values [c] takes, a NULL counting as one more [~with_null];
+   [None] for a column no FROM item in [scope] names. *)
+let binding_count ~with_null catalog (scope : scope) (c : col_ref) =
+  Option.bind
+    (Option.bind c.table (fun t -> List.assoc_opt t scope))
+    (fun f ->
+      Option.map
+        (fun (_, (cs : Stats.column_stats)) ->
+          float_of_int
+            (max 1 cs.distinct + if with_null && cs.nulls > 0 then 1 else 0))
+        (column_stats catalog f c))
+
+(* The frames of [q]'s enumeration, run [evals] times: their page I/O (a
+   full rescan per enumeration unless probed), the assignments they
+   produce, whether any frame probes, and the scope the subqueries see. *)
+let frames catalog ~(scope : scope) ~evals (q : query) =
+  let pool = float_of_int (Pager.buffer_pages (Catalog.pager catalog)) in
+  let probes =
+    Exec.Sysr_iteration.probes catalog ~outer_aliases:(List.map fst scope) q
+  in
+  List.fold_left
+    (fun (cost, rows_so_far, probed, scope) (f : from_item) ->
+      let alias = from_alias f in
+      let enumerations = evals *. rows_so_far in
+      let probe =
+        Option.bind
+          (List.find_opt (fun (a, _, _) -> String.equal a alias) probes)
+          (fun (_, column, rhs) ->
+            Option.map
+              (fun p -> (p, rhs))
+              (index_probe catalog f { table = None; column }))
+      in
+      let scope' = (alias, f) :: scope in
+      match probe with
+      | Some (p, rhs) ->
+          let bindings =
+            match rhs with
+            | Lit _ -> Some 1.
+            | Col c -> binding_count ~with_null:false catalog scope c
+          in
+          let paid =
+            match bindings with
+            | Some d when p.probe_cost <= pool -> Float.min enumerations d
+            | _ -> enumerations
+          in
+          ( cost +. (paid *. p.probe_cost),
+            rows_so_far *. Float.max 1. p.probe_matches,
+            true,
+            scope' )
+      | None ->
+          let tuples = float_of_int (max 1 (Catalog.tuples catalog f.rel)) in
+          let pages = float_of_int (max 1 (Catalog.pages catalog f.rel)) in
+          ( cost +. (enumerations *. pages),
+            rows_so_far *. tuples,
+            probed,
+            scope' ))
+    (0., 1., false, scope) q.from
+
+(* Nested iteration's page I/O for [q] run [evals] times, and whether any
+   frame probes: each correlated subquery re-runs per innermost
+   assignment; an uncorrelated one runs once, then each assignment
+   re-reads its materialized value list (approximated at one page). *)
+let rec nested catalog ~scope ~evals (q : query) : float * bool =
+  let cost, fanout, probed, scope = frames catalog ~scope ~evals q in
+  List.fold_left
+    (fun (c, p) sub ->
+      let sc, sp = subquery catalog ~scope ~evals:(evals *. fanout) sub in
+      (c +. sc, p || sp))
+    (cost, probed) (subqueries q)
+
+and subquery catalog ~scope ~evals sub =
+  if is_correlated sub then nested catalog ~scope ~evals sub
+  else
+    let sc, sp = nested catalog ~scope:[] ~evals:1. sub in
+    (sc +. evals, sp)
+
+let indexed_nested_cost catalog (q : query) : float option =
+  if subqueries q = [] then None
+  else
+    match nested catalog ~scope:[] ~evals:1. q with
+    | c, true -> Some c
+    | _, false -> None
 
 type fallback = {
-  fb_outer_rows : float;  (* outer FROM cardinality (cross-product bound) *)
-  fb_nested_evals : float;  (* inner evaluations nested iteration pays *)
-  fb_batched_evals : float;  (* inner evaluations batching pays *)
+  fb_outer_rows : float;
+  fb_nested_evals : float;
+  fb_batched_evals : float;
 }
 
-let batched_fallback catalog (q : Sql.Ast.query) : fallback option =
-  let alias_rel =
-    List.map (fun (f : from_item) -> (from_alias f, f.rel)) q.from
-  in
-  let outer_rows =
-    List.fold_left
-      (fun acc (f : from_item) ->
-        acc *. float_of_int (max 1 (Catalog.tuples catalog f.rel)))
-      1. q.from
-  in
-  let distinct_of (c : col_ref) =
-    match
-      Option.bind
-        (Option.bind c.table (fun t -> List.assoc_opt t alias_rel))
-        (fun rel -> Catalog.column_stats catalog rel c.column)
-    with
-    | Some (_, cs) ->
-        float_of_int
-          (max 1 cs.Stats.distinct + if cs.Stats.nulls > 0 then 1 else 0)
-    | None -> outer_rows (* e.g. a correlation on a mid-level alias *)
-  in
-  (* an uncorrelated subquery runs once either way; an unbatchable one
-     would make batching refuse *)
-  let correlated_keys =
-    List.filter_map
-      (fun sub ->
-        match correlation_keys sub with
-        | Ok (_ :: _ as keys) -> Some keys
-        | Ok [] | Error _ -> None)
-      (subqueries q)
-  in
-  match correlated_keys with
+(* Each correlated WHERE subquery batching can evaluate, with its batch
+   count; an uncorrelated one runs once either way, an unbatchable one
+   makes batching refuse at run time.  [outer_rows] bounds the batches. *)
+let batched_subqueries catalog (q : query) ~outer_rows =
+  let scope = List.map (fun (f : from_item) -> (from_alias f, f)) q.from in
+  List.filter_map
+    (fun sub ->
+      match correlation_keys sub with
+      | Ok (_ :: _ as keys) ->
+          let batches =
+            List.fold_left
+              (fun acc c ->
+                (* e.g. a correlation on a mid-level alias *)
+                acc
+                *. Option.value ~default:outer_rows
+                     (binding_count ~with_null:true catalog scope c))
+              1. keys
+          in
+          Some (sub, Float.min outer_rows batches)
+      | Ok [] | Error _ -> None)
+    (subqueries q)
+
+let outer_rows catalog (q : query) =
+  List.fold_left
+    (fun acc (f : from_item) ->
+      acc *. float_of_int (max 1 (Catalog.tuples catalog f.rel)))
+    1. q.from
+
+let batched_fallback catalog (q : query) : fallback option =
+  let outer_rows = outer_rows catalog q in
+  match batched_subqueries catalog q ~outer_rows with
   | [] -> None
-  | keys_per_pred ->
-      let batched =
-        List.fold_left
-          (fun acc keys ->
-            acc
-            +. Float.min outer_rows
-                 (List.fold_left (fun p c -> p *. distinct_of c) 1. keys))
-          0. keys_per_pred
-      in
+  | subs ->
       Some
         {
           fb_outer_rows = outer_rows;
-          fb_nested_evals =
-            outer_rows *. float_of_int (List.length keys_per_pred);
-          fb_batched_evals = batched;
+          fb_nested_evals = outer_rows *. float_of_int (List.length subs);
+          fb_batched_evals =
+            List.fold_left (fun acc (_, batches) -> acc +. batches) 0. subs;
         }
 
-(* The Auto decision: batch when deduplication is estimated to save inner
-   evaluations (ties go to nested iteration, the reference behaviour). *)
+(* Batched execution's page I/O: the outer block's frames, then one
+   evaluation per batch of each batchable subquery; every other subquery
+   costs what it costs nested iteration. *)
+let batched_cost catalog (q : query) : float option =
+  let outer_rows = outer_rows catalog q in
+  match batched_subqueries catalog q ~outer_rows with
+  | [] -> None
+  | batched ->
+      let cost, fanout, _, scope = frames catalog ~scope:[] ~evals:1. q in
+      Some
+        (List.fold_left
+           (fun acc sub ->
+             acc
+             +.
+             match List.assq_opt sub batched with
+             | Some batches ->
+                 batches *. fst (nested catalog ~scope ~evals:1. sub)
+             | None -> fst (subquery catalog ~scope ~evals:fanout sub))
+           cost (subqueries q))
+
+(* Batch when batching is priced strictly below nested iteration (ties go
+   to nested iteration, the reference behaviour).  Without a probe both
+   pay the same per evaluation, so this compares evaluation counts. *)
 let prefer_batched catalog q =
-  match batched_fallback catalog q with
+  match batched_cost catalog q with
   | None -> false
-  | Some fb -> fb.fb_batched_evals < fb.fb_nested_evals
-
-(* ------------------------------------------------------------------ *)
-(* Indexed nested iteration vs transformation (the §7 crossover)       *)
-(* ------------------------------------------------------------------ *)
-
-let rec referenced_rels (q : query) : string list =
-  List.map (fun (f : from_item) -> f.rel) q.from
-  @ List.concat_map referenced_rels (subqueries q)
-
-(* The summed page counts of every referenced base relation: a lower bound
-   on the I/O of a transformed program that scans each relation in full at
-   least once, as the paper's NEST-JA2/NEST-G temps do.  It is *not* a
-   bound on every transformed program: a keyed NEST-JA2 TEMP2
-   ([keyed_temp2]) and NEST-N-J's index nested-loop joins probe a B-tree
-   instead of scanning, and can read less.  So picking indexed nested
-   iteration when it undercuts this floor is safe only against the
-   scanning programs; soundness against the probing ones, and of the
-   opposite pick, is still open (ROADMAP, Auto soundness). *)
-let transformed_floor catalog (q : query) : float =
-  List.fold_left
-    (fun acc rel ->
-      acc
-      +.
-      match Catalog.pages catalog rel with
-      | p -> float_of_int p
-      | exception Catalog.Unknown_table _ -> 0.)
-    0.
-    (List.sort_uniq String.compare (referenced_rels q))
-
-(* Estimated page I/O of evaluating [q] by nested iteration with the
-   current index inventory ([Sysr_iteration]'s probes): each frame costs a
-   full rescan per enumeration unless probed ([index_probe]), each
-   correlated subquery re-runs per innermost assignment, each uncorrelated
-   one runs once and is probed from its materialized list.  [None] when no
-   probe applies anywhere or [q] has no subquery — then the comparison
-   with transformation is not this module's call. *)
-let indexed_nested_cost catalog (q : query) : float option =
-  let rec cost ~outer_aliases ~evals (q : query) : float * bool =
-    let probes = Exec.Sysr_iteration.probes catalog ~outer_aliases q in
-    let frame_cost, fanout, any_probe =
-      List.fold_left
-        (fun (cost_acc, rows_so_far, any) (f : from_item) ->
-          let alias = from_alias f in
-          let probe =
-            Option.bind
-              (List.find_opt (fun (a, _, _) -> String.equal a alias) probes)
-              (fun (_, column, _) ->
-                index_probe catalog f { table = None; column })
-          in
-          match probe with
-          | Some p ->
-              ( cost_acc +. (evals *. rows_so_far *. p.probe_cost),
-                rows_so_far *. Float.max 1. p.probe_matches,
-                true )
-          | None ->
-              let tuples = float_of_int (max 1 (Catalog.tuples catalog f.rel)) in
-              let pages = float_of_int (max 1 (Catalog.pages catalog f.rel)) in
-              ( cost_acc +. (evals *. rows_so_far *. pages),
-                rows_so_far *. tuples,
-                any ))
-        (0., 1., false) q.from
-    in
-    let aliases = outer_aliases @ List.map from_alias q.from in
-    List.fold_left
-      (fun (c, anyp) sub ->
-        if is_correlated sub then
-          let sc, sp =
-            cost ~outer_aliases:aliases ~evals:(evals *. fanout) sub
-          in
-          (c +. sc, anyp || sp)
-        else
-          (* one evaluation, then each innermost assignment re-reads the
-             materialized value list (approximated at one page) *)
-          let sc, sp = cost ~outer_aliases:[] ~evals:1. sub in
-          (c +. sc +. (evals *. fanout), anyp || sp))
-      (frame_cost, any_probe) (subqueries q)
-  in
-  if subqueries q = [] then None
-  else
-    let c, any_probe = cost ~outer_aliases:[] ~evals:1. q in
-    if any_probe then Some c else None
+  | Some batched -> batched < fst (nested catalog ~scope:[] ~evals:1. q)
 
 (* ------------------------------------------------------------------ *)
 (* NEST-JA2's keyed TEMP2                                              *)
 (* ------------------------------------------------------------------ *)
 
-type keyed_temp2 = { kt_keys : float; kt_height : int; kt_pages : float }
+type keyed_temp2 = {
+  kt_keys : float;
+  kt_height : int;
+  kt_pages : float;
+  kt_probe : float;
+}
 
 (* The paper's TEMP2 reads the whole inner relation; the keyed TEMP2 pays
    at least one root-to-leaf descent per TEMP1 key (matches cost data-page
    fetches on top).  So keys × height is a lower bound on probing, and
    when it is not below the inner relation's page count the keyed form
-   cannot win — the same kind of bound as [transformed_floor], here used
-   to rule the keyed form out rather than to prove it cheaper.  The key
-   count is the product of the non-NULL distinct counts of TEMP1's
-   columns, capped by the outer cardinality: NULL keys never probe, and
-   TEMP1's DISTINCT (plus the outer restrictions) can only shrink it. *)
+   cannot win: a bound used to rule the keyed form out, not to prove it
+   cheaper.  The key count is the product of the non-NULL distinct counts
+   of TEMP1's columns, capped by the outer cardinality: NULL keys never
+   probe, and TEMP1's DISTINCT (plus the outer restrictions) can only
+   shrink it. *)
 let keyed_temp2 catalog (kp : Nest_ja2.key_probe) : keyed_temp2 option =
-  match
-    index_on catalog (from kp.inner_rel) { table = None; column = kp.inner_col }
-  with
-  | Some (idx, _) when Catalog.mem catalog kp.outer_rel ->
+  let inner = from kp.inner_rel in
+  match index_on catalog inner { table = None; column = kp.inner_col } with
+  | Some ((idx, _) as index) when Catalog.mem catalog kp.outer_rel ->
       let outer_rows = float_of_int (Catalog.tuples catalog kp.outer_rel) in
       let distinct c =
         match Catalog.column_stats catalog kp.outer_rel c with
@@ -459,7 +483,13 @@ let keyed_temp2 catalog (kp : Nest_ja2.key_probe) : keyed_temp2 option =
       let height = Btree.height idx in
       let pages = float_of_int (Catalog.pages catalog kp.inner_rel) in
       if keys *. float_of_int height < pages then
-        Some { kt_keys = keys; kt_height = height; kt_pages = pages }
+        Some
+          {
+            kt_keys = keys;
+            kt_height = height;
+            kt_pages = pages;
+            kt_probe = (probe_through catalog inner index).probe_cost;
+          }
       else None
   | _ -> None
 
@@ -468,3 +498,37 @@ let describe_keyed_temp2 k =
     k.kt_height
     (k.kt_keys *. float_of_int k.kt_height)
     k.kt_pages
+
+(* ------------------------------------------------------------------ *)
+(* The transformed program's side of the §7 crossover                 *)
+(* ------------------------------------------------------------------ *)
+
+let rec referenced_rels (q : query) : string list =
+  List.map (fun (f : from_item) -> f.rel) q.from
+  @ List.concat_map referenced_rels (subqueries q)
+
+(* A lower bound on the page I/O of the transformed program for [q]: the
+   paper's temps read every base relation [q] references in full at least
+   once — except the inner relation of a keyed TEMP2, which its keys probe
+   instead, each probe paying what one nested-iteration probe pays — and
+   each of the program's [temps] writes at least one page.  So a keyed
+   TEMP2 costs at least the probes nested iteration makes, plus its temps.
+   NEST-N-J's index nested-loop joins and index scans can read less than a
+   full relation; they are not bounded by it.  Unknown relations
+   contribute nothing. *)
+let transformed_bound catalog (q : query) ~keyed ~temps =
+  List.fold_left
+    (fun acc rel ->
+      acc
+      +.
+      match List.filter (fun (r, _) -> String.equal r rel) keyed with
+      | [] -> (
+          match Catalog.pages catalog rel with
+          | p -> float_of_int p
+          | exception Catalog.Unknown_table _ -> 0.)
+      | probed ->
+          List.fold_left
+            (fun acc (_, k) -> acc +. (k.kt_keys *. k.kt_probe))
+            0. probed)
+    (float_of_int temps)
+    (List.sort_uniq String.compare (referenced_rels q))

@@ -5,8 +5,8 @@
     estimates, index-probe and index-range cost.  {!Planner} ranks
     alternatives with them while lowering; {!analyze} re-derives them over
     a finished physical plan for EXPLAIN; Auto's pricers
-    ({!batched_fallback}, {!indexed_nested_cost}) and NEST-JA2's
-    {!keyed_temp2} rule price whole strategies with them.
+    ({!indexed_nested_cost}, {!batched_cost}) and NEST-JA2's {!keyed_temp2}
+    rule price whole strategies with them.
 
     The formulas are shared; two inputs are not, so EXPLAIN's numbers can
     differ from the ones the planner ranked on:
@@ -93,46 +93,54 @@ val estimator :
   Exec.Plan.node ->
   Exec.Explain.est option
 
+(** {1 Auto's pricers}
+
+    Nested iteration and batched execution priced in page I/O from the
+    same frames: each enumeration of an unprobed frame rescans its
+    relation; a frame {!Exec.Sysr_iteration} probes through a B-tree
+    ({!index_probe}) is paid once per distinct binding when one probe's
+    pages (descent + matches) fit the pool, since a repeat re-reads the
+    pages the identical probe just left resident; batching evaluates each
+    correlated WHERE subquery once per distinct correlation-key tuple.
+    Distinct counts are products of per-column distinct counts, capped by
+    the enumeration count; a NULL key adds a batch but never a probe. *)
+
+(** Estimated page I/O of evaluating [q] by nested iteration with the
+    current index inventory.  [None] when [q] has no WHERE subquery or no
+    probe applies anywhere — Auto's choice then does not involve an index
+    and stays with its ladder. *)
+val indexed_nested_cost :
+  Storage.Catalog.t -> Sql.Ast.query -> float option
+
 type fallback = {
   fb_outer_rows : float;  (** outer FROM cardinality (cross-product bound) *)
   fb_nested_evals : float;  (** inner evaluations nested iteration pays *)
   fb_batched_evals : float;  (** inner evaluations batching pays *)
 }
-(** Costing for {!Core}'s Auto fallback when the transformation refuses:
-    nested iteration re-evaluates each correlated WHERE subquery once per
-    outer tuple, {!Batched_nest} once per distinct correlation-key tuple
-    (estimated from per-column distinct counts, plus one batch for NULLs). *)
+(** Evaluation counts of the two un-transformed strategies: nested
+    iteration re-evaluates each correlated WHERE subquery once per outer
+    tuple, {!Batched_nest} once per distinct correlation-key tuple. *)
 
 (** [None] when the query has no batchable correlated WHERE subquery
     (uncorrelated only, or a shape {!Batched_nest} would refuse). *)
 val batched_fallback : Storage.Catalog.t -> Sql.Ast.query -> fallback option
 
-(** The Auto decision: true iff batching is estimated to save inner
-    evaluations over nested iteration. *)
+(** Estimated page I/O of batched execution: the outer block's frames plus
+    one evaluation per batch of each batchable subquery.  [None] exactly
+    when {!batched_fallback} is. *)
+val batched_cost : Storage.Catalog.t -> Sql.Ast.query -> float option
+
+(** What Auto does after the transformation refuses: true iff batched
+    execution is priced strictly below nested iteration.  Without an index
+    probe both pay the same per evaluation, so this compares evaluation
+    counts. *)
 val prefer_batched : Storage.Catalog.t -> Sql.Ast.query -> bool
-
-(** The summed page counts of every base relation [q] references: a lower
-    bound on the page I/O of a transformed program that reads each of them
-    in full at least once, as the paper's temps do.  Programs that probe a
-    B-tree instead (a keyed NEST-JA2 TEMP2, NEST-N-J's index nested-loop
-    joins) are not bounded by it.  Unknown relations contribute nothing. *)
-val transformed_floor : Storage.Catalog.t -> Sql.Ast.query -> float
-
-(** Estimated page I/O of evaluating [q] by nested iteration with the
-    current index inventory ({!Exec.Sysr_iteration}'s probes): frames pay
-    a full rescan per enumeration unless probed ({!index_probe});
-    correlated subqueries re-run per innermost
-    assignment.  [None] when [q] has no WHERE subquery or no probe
-    applies anywhere — the crossover question then does not arise.
-    Comparing the result against {!transformed_floor} is {!Core}'s Auto
-    decision for untransformed indexed iteration. *)
-val indexed_nested_cost :
-  Storage.Catalog.t -> Sql.Ast.query -> float option
 
 type keyed_temp2 = {
   kt_keys : float;  (** TEMP1 keys: non-NULL distinct outer values *)
   kt_height : int;  (** height of the inner relation's B-tree *)
   kt_pages : float;  (** pages of the inner relation *)
+  kt_probe : float;  (** one key's probe ({!index_probe}'s cost) *)
 }
 
 (** NEST-JA2's keyed-TEMP2 decision for {!Nest_ja2.transform}'s
@@ -145,3 +153,20 @@ val keyed_temp2 : Storage.Catalog.t -> Nest_ja2.key_probe -> keyed_temp2 option
 
 (** ["128 keys × height 4 = 512 < 1000 pages"]. *)
 val describe_keyed_temp2 : keyed_temp2 -> string
+
+(** {1 The transformed program's side of the §7 crossover} *)
+
+(** A lower bound on the page I/O of the transformed program for [q] that
+    materializes [temps] temps and builds a keyed TEMP2 for each
+    [(inner relation, decision)] in [keyed]: every other base relation [q]
+    references is read in full at least once, a keyed inner relation costs
+    keys × one probe ([kt_probe]) — the probes nested iteration makes —
+    and each temp writes at least one page.  NEST-N-J's index nested-loop
+    joins and index scans can read less than a full relation and are not
+    bounded by it. *)
+val transformed_bound :
+  Storage.Catalog.t ->
+  Sql.Ast.query ->
+  keyed:(string * keyed_temp2) list ->
+  temps:int ->
+  float

@@ -8,8 +8,8 @@
 
    - an IndexScan plan and an index-nested-loop plan (the keyed NEST-JA2
      TEMP2, whose note heads the EXPLAIN), in both planner modes;
-   - Auto's crossover header on a database where indexed nested iteration
-     undercuts the transformed floor;
+   - Auto's crossover header, with every candidate's estimate, on a
+     database where indexed nested iteration is priced cheapest;
    - the keyed-TEMP2 note on its own;
    - EXPLAIN over every examples/queries/*.sql file, in both modes, with
      no index and with a B-tree on every column a correlation predicate
@@ -81,8 +81,8 @@ let test_keyed_temp2_note () =
     (String.concat "" (List.map (fun n -> n ^ "\n") program.Optimizer.Program.notes))
 
 (* Four PARTS rows probing a 2000-row SUPPLY (five rows per key): indexed
-   nested iteration costs a few dozen page I/Os against a floor of every
-   SUPPLY page. *)
+   nested iteration costs a few dozen page I/Os, and the keyed TEMP2 of
+   the transformed program makes the same probes plus its temps. *)
 let crossover_db () =
   let db = Core.create_db ~buffer_pages:16 ~page_bytes:256 () in
   Core.define_table db "PARTS"

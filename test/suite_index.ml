@@ -164,9 +164,173 @@ let prop_probed_enumeration =
         false
       end)
 
+(* --- Auto on indexed data: the priced pick and the ladder contract ---- *)
+
+(* nestbench's crossover shape: a 10k-row SUPPLY over keys 1-1000 (the
+   first 1000 rows NULL-keyed, the others cycling), nullable QUAN, a
+   B-tree on PNUM, a 256-page pool; outer tables of 16, 64 and 256 rows
+   cycling over keys 1-128 (P256 holds each key twice) and one of 1024
+   rows with every key once. *)
+let crossover_db () =
+  let db = Core.create_db ~buffer_pages:256 ~page_bytes:256 () in
+  Core.define_table db "SUPPLY"
+    [ ("PNUM", Value.Tint); ("QUAN", Value.Tint); ("SHIPDATE", Value.Tdate) ]
+    (List.init 10_000 (fun i ->
+         [
+           (if i < 1000 then Value.Null else Value.Int (((i - 1000) mod 1000) + 1));
+           (if i mod 10 = 7 then Value.Null else Value.Int (i * 7 mod 10));
+           Value.Date
+             { year = 1975 + (i mod 10); month = 1 + (i mod 12); day = 1 };
+         ]));
+  List.iter
+    (fun (name, rows, keys) ->
+      Core.define_table db name
+        [ ("PNUM", Value.Tint); ("QOH", Value.Tint) ]
+        (List.init rows (fun i ->
+             [ Value.Int ((i mod keys) + 1); Value.Int (i mod 5) ])))
+    [ ("P16", 16, 128); ("P64", 64, 128); ("P256", 256, 128); ("P1024", 1024, 1024) ];
+  Core.create_index db "SUPPLY" ~column:"PNUM";
+  db
+
+let count_query t =
+  Printf.sprintf
+    "SELECT PNUM FROM %s WHERE QOH = (SELECT COUNT(QUAN) FROM SUPPLY WHERE \
+     SUPPLY.PNUM = %s.PNUM AND SHIPDATE < '1-1-77')"
+    t t
+
+let not_exists_query t =
+  Printf.sprintf
+    "SELECT PNUM FROM %s WHERE NOT EXISTS (SELECT PNUM FROM SUPPLY WHERE \
+     SUPPLY.PNUM = %s.PNUM AND SHIPDATE < '1-1-77')"
+    t t
+
+(* QUAN is nullable, so the >= ALL rewrite refuses *)
+let ge_all_query t =
+  Printf.sprintf
+    "SELECT PNUM FROM %s WHERE QOH >= ALL (SELECT QUAN FROM SUPPLY WHERE \
+     SUPPLY.PNUM = %s.PNUM AND QUAN >= 5)"
+    t t
+
+let via =
+  Alcotest.testable
+    (fun ppf v -> Fmt.string ppf (Core.via_name v))
+    ( = )
+
+let auto_via db sql =
+  match Core.run db sql with
+  | Ok e -> e.Core.via
+  | Error msg -> Alcotest.failf "%s: %s" sql msg
+
+(* A keyed TEMP2 makes the probes nested iteration makes, plus its temps;
+   a repeated key is probed once by both; a large all-distinct outer
+   amortizes the transformed program's full read of SUPPLY. *)
+let test_crossover_picks () =
+  let db = crossover_db () in
+  List.iter
+    (fun (sql, expected) -> Alcotest.check via sql expected (auto_via db sql))
+    (List.concat_map
+       (fun t ->
+         [ (count_query t, Core.Via_nested); (not_exists_query t, Core.Via_nested) ])
+       [ "P16"; "P64"; "P256" ]
+    @ [
+        (ge_all_query "P256", Core.Via_nested);
+        (count_query "P1024", Core.Via_transformed);
+        (not_exists_query "P1024", Core.Via_transformed);
+      ]);
+  Alcotest.(check bool) ">= ALL is refused" true
+    (Result.is_error (Core.transform db (ge_all_query "P256")))
+
+(* Auto's ladder rebuilt from the public calls nestbench's traced run
+   makes: nested iteration when [indexed_nested_choice] says so; else the
+   transformed program when it transforms and verifies; else batched when
+   [prefer_batched] says so and batching runs; else nested iteration. *)
+let rebuilt_via db (q : Sql.Ast.query) =
+  let catalog = Core.catalog db in
+  let fallback () =
+    if not (Optimizer.Estimate.prefer_batched catalog q) then Core.Via_nested
+    else
+      match Optimizer.Batched_nest.run catalog q with
+      | _ -> Core.Via_batched
+      | exception
+          (Optimizer.Batched_nest.Unsupported _
+          | Optimizer.Planner.Planning_error _) ->
+          Core.Via_nested
+  in
+  if Core.indexed_nested_choice db q <> None then Core.Via_nested
+  else
+    match Lazy.force (Core.prepare_query db q).Core.program with
+    | Error _ -> fallback ()
+    | Ok program ->
+        if
+          List.exists
+            (fun (d : Analysis.Diagnostics.t) ->
+              d.severity = Analysis.Diagnostics.Error)
+            (Optimizer.Planner.verify_program catalog program)
+        then fallback ()
+        else Core.Via_transformed
+
+let check_ladder ~label db sql =
+  match Core.parse db sql with
+  | Error _ -> ()
+  | Ok q -> Alcotest.check via (label ^ ": " ^ sql) (rebuilt_via db q) (auto_via db sql)
+
+let test_ladder_contract () =
+  let indexed = crossover_db () in
+  let unindexed = Core.create_db ~buffer_pages:256 ~page_bytes:256 () in
+  List.iter
+    (fun name -> Fixtures.define_fixture unindexed name (Core.table indexed name))
+    [ "SUPPLY"; "P16"; "P256" ];
+  List.iter
+    (fun t ->
+      List.iter
+        (fun query ->
+          check_ladder ~label:"indexed" indexed (query t);
+          check_ladder ~label:"unindexed" unindexed (query t))
+        [ count_query; not_exists_query; ge_all_query ])
+    [ "P16"; "P256" ];
+  let files =
+    Sys.readdir Suite_cost_goldens.corpus_dir
+    |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".sql")
+    |> List.sort String.compare
+  in
+  List.iter
+    (fun file ->
+      let src =
+        In_channel.with_open_bin
+          (Filename.concat Suite_cost_goldens.corpus_dir file)
+          In_channel.input_all
+      in
+      let fixture = Option.get (Suite_cost_goldens.fixture_pragma src) in
+      List.iter
+        (fun raw ->
+          let sql = Sql.Pp.query_to_string raw in
+          let db = Suite_cost_goldens.fixture_db fixture in
+          check_ladder ~label:(file ^ " unindexed") db sql;
+          match Core.parse db sql with
+          | Error _ -> ()
+          | Ok q ->
+              let columns = Suite_cost_goldens.correlated_columns q in
+              if columns <> [] then begin
+                let db = Suite_cost_goldens.fixture_db fixture in
+                List.iter
+                  (fun (rel, column) -> Core.create_index db rel ~column)
+                  columns;
+                check_ladder ~label:(file ^ " indexed") db sql
+              end)
+        (Sql.Parser.parse_many_exn src))
+    files
+
 let suites =
   [
     ( "index.properties",
       List.map QCheck_alcotest.to_alcotest
         [ prop_index_scan; prop_index_join; prop_probed_enumeration ] );
+    ( "index.auto",
+      [
+        Alcotest.test_case "crossover picks on repeated and distinct outers"
+          `Quick test_crossover_picks;
+        Alcotest.test_case "ladder contract: Core.run = rebuilt ladder" `Quick
+          test_ladder_contract;
+      ] );
   ]
