@@ -8,4 +8,5 @@ let () =
     @ Suite_operators.suites @ Suite_explain.suites @ Suite_lint.suites
     @ Suite_oracle.suites @ Suite_vectorized.suites @ Suite_batched.suites
     @ Suite_server.suites @ Suite_analysis.suites @ Suite_index.suites
-    @ Suite_json.suites @ Suite_keyed_ja2.suites @ Suite_cost_goldens.suites)
+    @ Suite_json.suites @ Suite_keyed_ja2.suites @ Suite_cost_goldens.suites
+    @ Suite_nested_io.suites)
