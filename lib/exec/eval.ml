@@ -10,6 +10,10 @@ module Value = Relalg.Value
 module Truth = Relalg.Truth
 open Sql.Ast
 
+(* A query that is well-formed but cannot be evaluated on this data: a
+   scalar subquery returning several rows, a multi-column value subquery. *)
+exception Runtime_error of string
+
 (* SQL comparison: Unknown if either side is NULL — except the null-safe
    [<=>], which is two-valued (NULL <=> NULL is True; NULL <=> v is False).
    [Value.compare] already treats NULL as equal to itself only. *)

@@ -2,6 +2,11 @@
     aggregates).  Both executors delegate here, so they can only disagree on
     plan structure, never on scalar rules. *)
 
+(** A query that cannot be evaluated on this data: a scalar subquery
+    returning several rows, a multi-column value subquery, an outer-join
+    predicate in a source query. *)
+exception Runtime_error of string
+
 (** SQL comparison: [Unknown] when either operand is NULL. *)
 val cmp_values :
   Sql.Ast.cmp -> Relalg.Value.t -> Relalg.Value.t -> Relalg.Truth.t

@@ -158,12 +158,13 @@ let nested_loop_join ?(outer_join = false)
   in
   { schema; next }
 
-(* Index nested loops: probe a dense sorted index on the right side's join
-   column once per left row — the access path §5.2 warns can tempt a system
-   into joining before restricting. *)
+(* Index nested loops: [probe] fetches the right rows matching one left
+   row (a B-tree lookup on the join column, fetched in full before the
+   first is returned) — the access path §5.2 warns can tempt a system into
+   joining before restricting. *)
 let index_nested_loop_join ?(outer_join = false)
-    ?(residual : (Row.t -> Row.t -> Truth.t) option) ~left_key
-    ~(index : Storage.Btree.t) ~(right_schema : Schema.t) (left : t) : t =
+    ?(residual : (Row.t -> Row.t -> Truth.t) option)
+    ~(probe : Row.t -> Row.t list) ~(right_schema : Schema.t) (left : t) : t =
   let pad = Row.nulls (Schema.arity right_schema) in
   let schema = Schema.append left.schema right_schema in
   let residual_ok l r =
@@ -183,7 +184,7 @@ let index_nested_loop_join ?(outer_join = false)
               List.filter_map
                 (fun r ->
                   if residual_ok l r then Some (Row.append l r) else None)
-                (Storage.Btree.lookup_eq index (Row.get l left_key))
+                (probe l)
             in
             match matches with
             | [] -> if outer_join then Some (Row.append l pad) else next ()

@@ -54,14 +54,13 @@ val nested_loop_join :
   Storage.Heap_file.t ->
   t
 
-(** Index nested loops: probe the right side's dense index once per left
-    row; matches are fetched through the pool.  [outer_join]/[residual] as
-    in {!merge_join}. *)
+(** Index nested loops: [probe] fetches the right rows matching one left
+    row (a B-tree lookup through the pool), all of them before the first
+    is returned.  [outer_join]/[residual] as in {!merge_join}. *)
 val index_nested_loop_join :
   ?outer_join:bool ->
   ?residual:(Relalg.Row.t -> Relalg.Row.t -> Relalg.Truth.t) ->
-  left_key:int ->
-  index:Storage.Btree.t ->
+  probe:(Relalg.Row.t -> Relalg.Row.t list) ->
   right_schema:Relalg.Schema.t ->
   t ->
   t

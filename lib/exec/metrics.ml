@@ -20,6 +20,7 @@ type t = {
   mutable logical_reads : int; (* pager traffic, inclusive *)
   mutable physical_reads : int;
   mutable physical_writes : int;
+  mutable loops : int; (* times the operator was opened *)
 }
 
 let create () =
@@ -32,6 +33,7 @@ let create () =
     logical_reads = 0;
     physical_reads = 0;
     physical_writes = 0;
+    loops = 0;
   }
 
 let add_io m (s : Storage.Pager.stats) =
@@ -47,6 +49,7 @@ let merge dst ~src =
   dst.rows <- dst.rows + src.rows;
   dst.next_calls <- dst.next_calls + src.next_calls;
   dst.batches <- dst.batches + src.batches;
+  dst.loops <- dst.loops + src.loops;
   dst.build_s <- dst.build_s +. src.build_s;
   dst.next_s <- dst.next_s +. src.next_s;
   dst.logical_reads <- dst.logical_reads + src.logical_reads;

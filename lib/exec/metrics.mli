@@ -18,6 +18,9 @@ type t = {
   mutable logical_reads : int;  (** pager page requests, inclusive *)
   mutable physical_reads : int;  (** buffer-pool misses, inclusive *)
   mutable physical_writes : int;  (** pages written, inclusive *)
+  mutable loops : int;
+      (** times the operator was opened: 1, or once per binding for a
+          plan an [Apply] re-opens; every other counter sums over them *)
 }
 
 (** A zeroed record. *)

@@ -286,7 +286,8 @@ let test_index_join_matches_nl () =
   let idx = Option.get (Catalog.index_on catalog "R" ~key_col:0) in
   let left = rel_of "L" [ (1, 10); (2, 20); (3, 30) ] in
   let run ~outer =
-    Exec.Iterator.index_nested_loop_join ~outer_join:outer ~left_key:0 ~index:idx
+    Exec.Iterator.index_nested_loop_join ~outer_join:outer
+      ~probe:(fun l -> Storage.Btree.lookup_eq idx (Relalg.Row.get l 0))
       ~right_schema:(Catalog.schema catalog "R")
       (Exec.Iterator.of_relation left)
     |> Exec.Iterator.to_rows
@@ -343,7 +344,8 @@ let prop_index_equals_nl =
         |> Exec.Iterator.to_relation
       in
       let ix =
-        Exec.Iterator.index_nested_loop_join ~left_key:0 ~index:idx
+        Exec.Iterator.index_nested_loop_join
+          ~probe:(fun l -> Storage.Btree.lookup_eq idx (Relalg.Row.get l 0))
           ~right_schema:(Catalog.schema catalog "R")
           (Exec.Iterator.of_relation left)
         |> Exec.Iterator.to_relation

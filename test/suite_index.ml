@@ -49,11 +49,11 @@ let bounds_and_pred rng v =
   let lit = Sql.Ast.Lit (Value.Int v) in
   let cmp op = Sql.Ast.Cmp (Sql.Ast.Col (pcol "PNUM"), op, lit) in
   match G.int_in rng 0 4 with
-  | 0 -> ((Some (Value.Int v, true), Some (Value.Int v, true)), cmp Sql.Ast.Eq)
-  | 1 -> ((None, Some (Value.Int v, false)), cmp Sql.Ast.Lt)
-  | 2 -> ((None, Some (Value.Int v, true)), cmp Sql.Ast.Le)
-  | 3 -> ((Some (Value.Int v, false), None), cmp Sql.Ast.Gt)
-  | _ -> ((Some (Value.Int v, true), None), cmp Sql.Ast.Ge)
+  | 0 -> ((Some (lit, true), Some (lit, true)), cmp Sql.Ast.Eq)
+  | 1 -> ((None, Some (lit, false)), cmp Sql.Ast.Lt)
+  | 2 -> ((None, Some (lit, true)), cmp Sql.Ast.Le)
+  | 3 -> ((Some (lit, false), None), cmp Sql.Ast.Gt)
+  | _ -> ((Some (lit, true), None), cmp Sql.Ast.Ge)
 
 let key_ordered rel =
   let schema = Relation.schema rel in

@@ -292,21 +292,7 @@ let prop_modes =
 (* Directed checks that Hybrid actually switches operators when profitable
    (and Paper1987 never does). *)
 let rec plan_has pred (n : Exec.Plan.node) =
-  pred n
-  ||
-  match n with
-  | Exec.Plan.Scan _ | Exec.Plan.Index_scan _ -> false
-  | Exec.Plan.Rename (_, i)
-  | Exec.Plan.Filter (_, i)
-  | Exec.Plan.Project (_, i)
-  | Exec.Plan.Distinct i
-  | Exec.Plan.Hash_distinct i
-  | Exec.Plan.Sort (_, i) ->
-      plan_has pred i
-  | Exec.Plan.Join { left; right; _ } ->
-      plan_has pred left || plan_has pred right
-  | Exec.Plan.Group_agg { input; _ } | Exec.Plan.Hash_group_agg { input; _ } ->
-      plan_has pred input
+  pred n || List.exists (plan_has pred) (Exec.Plan.children n)
 
 let big_catalog () =
   G.scaled_catalog ~buffer_pages:256 ~page_bytes:128 ~seed:3 ~n_parts:50

@@ -684,17 +684,7 @@ let test_planner_join_method_choice () =
     let { Planner.plan; _ } = Planner.lower catalog q in
     let rec find = function
       | Exec.Plan.Join { method_; _ } -> Some method_
-      | Exec.Plan.Project (_, n)
-      | Exec.Plan.Filter (_, n)
-      | Exec.Plan.Sort (_, n)
-      | Exec.Plan.Distinct n
-      | Exec.Plan.Hash_distinct n
-      | Exec.Plan.Rename (_, n) ->
-          find n
-      | Exec.Plan.Group_agg { input; _ } | Exec.Plan.Hash_group_agg { input; _ }
-        ->
-          find input
-      | Exec.Plan.Scan _ | Exec.Plan.Index_scan _ -> None
+      | n -> List.find_map find (Exec.Plan.children n)
     in
     find plan
   in
@@ -722,13 +712,7 @@ let test_planner_uses_index () =
   let { Planner.plan; _ } = Planner.lower catalog q in
   let rec find = function
     | Exec.Plan.Join { method_; _ } -> Some method_
-    | Exec.Plan.Project (_, n) | Exec.Plan.Filter (_, n)
-    | Exec.Plan.Sort (_, n) | Exec.Plan.Distinct n
-    | Exec.Plan.Hash_distinct n | Exec.Plan.Rename (_, n) ->
-        find n
-    | Exec.Plan.Group_agg { input; _ } | Exec.Plan.Hash_group_agg { input; _ } ->
-        find input
-    | Exec.Plan.Scan _ | Exec.Plan.Index_scan _ -> None
+    | n -> List.find_map find (Exec.Plan.children n)
   in
   Alcotest.(check bool) "few probes into a big indexed table -> index join"
     true
