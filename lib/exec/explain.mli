@@ -19,11 +19,11 @@ type session
     event; page traffic is attributed via [pager] counter snapshots. *)
 val session : ?trace:(string -> unit) -> Storage.Pager.t -> session
 
-(** The observer to pass to {!Plan.execute}: wraps every operator with row /
+(** The observer to pass to {!Plan.run}: wraps every operator with row /
     [next]-call / wall-clock / page-I/O counting (and trace emission). *)
 val observer : session -> Plan.observer
 
-(** The observer to pass to {!Plan.execute_vec}.  Timer reads and pager
+(** The observer to pass to {!Plan.run_vec}.  Timer reads and pager
     snapshots happen once per {e batch}, not per row, so instrumentation
     overhead stays amortized; [rows] counts selected rows, [batches]
     non-empty batches. *)
