@@ -298,6 +298,9 @@ let lookup_eq t (v : Value.t) : Row.t list =
     collect []
   end
 
+let range_cost t ~sel ~matches =
+  float_of_int t.height +. ceil (sel *. float_of_int t.leaf_pages) +. matches
+
 let pages t = Pager.page_count t.pager t.file
 let leaf_page_count t = t.leaf_pages
 let entry_count t = t.entries

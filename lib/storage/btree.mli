@@ -28,6 +28,11 @@ type bound = Relalg.Value.t * bool
 val range :
   t -> ?lo:bound -> ?hi:bound -> unit -> unit -> Relalg.Row.t option
 
+(** Estimated page reads of a range probe selecting [sel] of the keys,
+    [matches] rows: one descent, the qualifying slice of the leaf level,
+    and a data-page fetch per match. *)
+val range_cost : t -> sel:float -> matches:float -> float
+
 (** Total pages (leaf + interior). *)
 val pages : t -> int
 

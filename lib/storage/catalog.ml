@@ -97,6 +97,10 @@ let indexed_columns t name =
 let pages t name = Heap_file.page_count (entry t name).heap
 let tuples t name = Heap_file.tuple_count (entry t name).heap
 
+let probe_beats_scan t name index ~sel =
+  let matches = Float.max 1. (float_of_int (tuples t name) *. sel) in
+  Btree.range_cost index ~sel ~matches < float_of_int (pages t name)
+
 let drop t name =
   match List.assoc_opt name t.entries with
   | None -> ()

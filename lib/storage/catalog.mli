@@ -51,6 +51,11 @@ val index_epoch : t -> int
 val pages : t -> string -> int
 val tuples : t -> string -> int
 
+(** The planner's access-path rule: a range probe of [index] selecting
+    [sel] of [name]'s rows is worth taking when {!Btree.range_cost} is
+    below the relation's pages. *)
+val probe_beats_scan : t -> string -> Btree.t -> sel:float -> bool
+
 (** No-op for unknown names. *)
 val drop : t -> string -> unit
 
