@@ -15,8 +15,6 @@ type temp = { name : string; def : query }
 
 type t = { temps : temp list; main : query; notes : string list }
 
-let flat q = { temps = []; main = q; notes = [] }
-
 (* Output column name of a select item; must agree with
    [Sql.Analyzer.output_schema] so that references built by the
    transformation resolve against the registered temp's schema. *)

@@ -9,9 +9,6 @@ type temp = { name : string; def : Sql.Ast.query }
     keyed NEST-JA2 TEMP2); EXPLAIN prints them above the plans. *)
 type t = { temps : temp list; main : Sql.Ast.query; notes : string list }
 
-(** A program with no temps. *)
-val flat : Sql.Ast.query -> t
-
 (** Output column name of a select item; agrees with
     [Sql.Analyzer.output_schema] so generated references resolve.
     @raise Invalid_argument on [SELECT *]. *)
