@@ -1149,7 +1149,7 @@ let json_index_crossover ~outers ~warmup ~reps () =
               | Error msg -> failwith msg)
         in
         ( { s_rows = Relation.cardinality e.Core.result; s_wall = wall; s_io = io },
-          e.Core.via )
+          e.Core.decision )
       in
       for _ = 1 to warmup do
         ignore (once ())
@@ -1162,16 +1162,16 @@ let json_index_crossover ~outers ~warmup ~reps () =
     let transformed, _ =
       measure ~indexed:true (Core.Transformed Planner.Auto)
     in
-    let auto, via = measure ~indexed:true Core.Auto in
-    (* the estimates Core's Auto decides with, on the indexed database *)
-    let db = crossover_db ~indexed:true outer in
-    let q = Result.get_ok (Core.parse db text) in
-    let est = Core.auto_candidates db q in
-    let rows = Catalog.tuples (Core.catalog db) "PARTS" in
+    (* Auto's pick and the estimates it decided with *)
+    let auto, decision = measure ~indexed:true Core.Auto in
+    let { Core.pick = via; candidates; _ } = Option.get decision in
+    let rows = Relation.cardinality (List.assoc "PARTS" (crossover_tables outer)) in
     let io s = Pager.total_io s.s_io in
     let cheapest = min (io indexed) (io transformed) in
     let estimate f =
-      match Option.bind est f with Some c -> Json.Float c | None -> Json.Null
+      match Option.bind candidates f with
+      | Some c -> Json.Float c
+      | None -> Json.Null
     in
     let x_json =
       Json.Obj

@@ -23,6 +23,21 @@ open Cmdliner
 
 (* ---------------- database setup -------------------------------------- *)
 
+let die msg =
+  Fmt.epr "error: %s@." msg;
+  exit 1
+
+(* A CSV table or directory that cannot be read, parsed or registered
+   ends the command with one line, like every other set-up error. *)
+let loading load path =
+  match load path with
+  | () -> ()
+  | exception
+      ( Sys_error msg
+      | Workload.Csv_loader.Bad_csv msg
+      | Invalid_argument msg ) ->
+      die msg
+
 let setup_db load_dir fixture tables buffer_pages page_bytes indexes =
   let db = Core.create_db ~buffer_pages ~page_bytes () in
   let define name rel =
@@ -47,35 +62,33 @@ let setup_db load_dir fixture tables buffer_pages page_bytes indexes =
   | "duplicates" ->
       define "PARTS" F.dup_parts;
       define "SUPPLY" F.dup_supply
-  | other -> failwith ("unknown fixture " ^ other));
+  | other -> die ("unknown fixture " ^ other));
   List.iter
     (fun spec ->
       match String.index_opt spec '=' with
-      | None -> failwith ("bad --table spec " ^ spec ^ " (want NAME=path.csv)")
+      | None -> die ("bad --table spec " ^ spec ^ " (want NAME=path.csv)")
       | Some i ->
           let name = String.sub spec 0 i in
           let path = String.sub spec (i + 1) (String.length spec - i - 1) in
-          define name (Workload.Csv_loader.load_file ~rel:name path))
+          loading
+            (fun path -> define name (Workload.Csv_loader.load_file ~rel:name path))
+            path)
     tables;
-  (match load_dir with
-  | Some dir -> Workload.Csv_writer.load_dir (Core.catalog db) dir
-  | None -> ());
+  Option.iter (loading (Workload.Csv_writer.load_dir (Core.catalog db))) load_dir;
   List.iter
     (fun spec ->
       match String.index_opt spec '.' with
-      | None ->
-          failwith ("bad --index spec " ^ spec ^ " (want TABLE.COLUMN)")
+      | None -> die ("bad --index spec " ^ spec ^ " (want TABLE.COLUMN)")
       | Some i ->
           let table = String.sub spec 0 i in
           let column = String.sub spec (i + 1) (String.length spec - i - 1) in
           match Catalog.lookup (Core.catalog db) table with
-          | None -> failwith ("--index: unknown table " ^ table)
+          | None -> die ("--index: unknown table " ^ table)
           | Some schema -> (
               match Core.Schema.find_opt schema column with
-              | None ->
-                  failwith ("--index: no column " ^ column ^ " in " ^ table)
+              | None -> die ("--index: no column " ^ column ^ " in " ^ table)
               | exception Core.Schema.Ambiguous _ ->
-                  failwith ("--index: ambiguous column " ^ column)
+                  die ("--index: ambiguous column " ^ column)
               | Some _ -> Core.create_index db table ~column))
     indexes;
   db
@@ -148,10 +161,6 @@ let trace_sink flag =
   if flag || Sys.getenv_opt "NESTOPT_TRACE" = Some "1" then
     Some (fun line -> Printf.eprintf "%s\n%!" line)
   else None
-
-let die msg =
-  Fmt.epr "error: %s@." msg;
-  exit 1
 
 let ok_or_die = function Ok v -> v | Error msg -> die msg
 
@@ -496,7 +505,10 @@ let repl_cmd load_dir fixture tables buffer_pages page_bytes indexes =
     && s.[n] = ' '
   in
   let explain ~analyze sql =
-    match Core.explain_query ~analyze ?trace:(trace_sink false) db sql with
+    match
+      Core.explain_query ~strategy:!strategy ~analyze
+        ?trace:(trace_sink false) db sql
+    with
     | Ok text -> Fmt.pr "%s@." text
     | Error msg -> Fmt.pr "error: %s@." msg
   in

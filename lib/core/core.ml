@@ -333,11 +333,28 @@ let via_name = function
   | Via_transformed -> "transformed"
   | Via_batched -> "batched"
 
+(* Auto's candidates on a query some index probe applies to, priced in
+   page I/O (see [price]). *)
+type candidates = {
+  est_nested : float;
+  est_transformed : float option;  (* [None]: the transformation refuses *)
+  est_batched : float option;  (* [None]: no batchable subquery *)
+}
+
+(* Auto's decision on one statement: what it priced, the rung that
+   answered and, in walk order, the rungs that refused before it. *)
+type decision = {
+  candidates : candidates option;  (* [None]: no index probe applies *)
+  pick : via;
+  refused : (via * string) list;
+}
+
 type execution = {
   result : Relation.t;
   via : via;
   program : Optimizer.Program.t option;
   io : Pager.stats; (* page traffic of this execution only *)
+  decision : decision option; (* Auto's; [None] under a forced strategy *)
 }
 
 (* A statement with the per-statement work done once: parse/analyze (the
@@ -370,14 +387,8 @@ let prepare ?rewrite_not_in db text =
    probes included), and batched execution.  The program comes from the
    same transformation Auto runs, under private temp names so that pricing
    leaves the catalog's TEMP# numbering alone; nothing is materialized.
-   [None] when no probe applies: Auto then runs its ladder unpriced. *)
-type candidates = {
-  est_nested : float;
-  est_transformed : float option;  (* [None]: the transformation refuses *)
-  est_batched : float option;  (* [None]: no batchable subquery *)
-}
-
-let auto_candidates db (q : Sql.Ast.query) : candidates option =
+   [None] when no probe applies: Auto then walks its ladder unpriced. *)
+let price db (q : Sql.Ast.query) : candidates option =
   Option.map
     (fun est_nested ->
       let keyed = ref [] in
@@ -415,15 +426,137 @@ let alternative c =
   | None, Some b -> b
   | None, None -> infinity
 
-(* The candidates, when indexed nested iteration is priced at or below
-   that rung (ties go to nested iteration, the reference behaviour). *)
-let nested_first db q =
-  match auto_candidates db q with
-  | Some c when c.est_nested <= alternative c -> Some c
-  | _ -> None
+(* Ties go to nested iteration, the reference behaviour. *)
+let indexed_first c = c.est_nested <= alternative c
 
 let indexed_nested_choice db (q : Sql.Ast.query) : (float * float) option =
-  Option.map (fun c -> (c.est_nested, alternative c)) (nested_first db q)
+  match price db q with
+  | Some c when indexed_first c -> Some (c.est_nested, alternative c)
+  | _ -> None
+
+let rungs = [ Via_nested; Via_transformed; Via_batched ]
+
+let estimate c = function
+  | Via_nested -> Some c.est_nested
+  | Via_transformed -> c.est_transformed
+  | Via_batched -> c.est_batched
+
+(* What decided, on one line: the estimates, the pick's first (or that no
+   probe applies), then each refusal. *)
+let reason d =
+  let priced c v =
+    let name = if v = Via_nested then "indexed nested iteration" else via_name v in
+    if v = d.pick then None else Option.map (Fmt.str "%s est. %.0f" name) (estimate c v)
+  in
+  String.concat "; "
+    ((match d.candidates with
+     | None -> [ "no index probe applies" ]
+     | Some c ->
+         Option.to_list (Option.map (Fmt.str "est. %.0f page I/O") (estimate c d.pick))
+         @ List.filter_map (priced c) rungs)
+    @ List.map
+        (fun (via, msg) ->
+          Fmt.str "%s refused (%s)" (via_name via)
+            (String.map (function '\n' -> ' ' | c -> c) msg))
+        d.refused)
+
+let auto_header d =
+  Fmt.str "auto: %s — %s"
+    (match (d.pick, d.candidates) with
+    | Via_nested, Some _ -> "indexed nested iteration (untransformed)"
+    | Via_nested, None -> "nested iteration"
+    | via, _ -> via_name via)
+    (reason d)
+
+(* The [--trace] line of one Auto statement. *)
+let auto_event d =
+  let json ~some = Option.fold ~none:Json.Null ~some in
+  let candidates c =
+    Json.Obj (List.map (fun v -> (via_name v, json ~some:(fun e -> Json.Float e) (estimate c v))) rungs)
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("ev", Json.Str "auto");
+         ("pick", Json.Str (via_name d.pick));
+         ("reason", Json.Str (reason d));
+         ("candidates", json ~some:candidates d.candidates);
+       ])
+
+(* Auto's ladder, walked once per statement, run or explained: indexed
+   nested iteration when priced first, else the transformed program; after
+   it refuses, batched execution when [Estimate.prefer_batched] says so;
+   nested iteration last.  [attempt] tries a rung; an [Error] moves on.
+   [trace] receives the decision as one "auto" event. *)
+let decide ?trace db (p : prepared) attempt =
+  let candidates = price db p.query in
+  let next = function
+    | Via_transformed
+      when Optimizer.Estimate.prefer_batched db.catalog p.query ->
+        Some Via_batched
+    | Via_transformed | Via_batched -> Some Via_nested
+    | Via_nested -> None
+  in
+  let rec walk refused via =
+    match attempt via with
+    | Ok x ->
+        let d = { candidates; pick = via; refused = List.rev refused } in
+        Option.iter (fun out -> out (auto_event d)) trace;
+        Ok (x, Some d)
+    | Error msg -> (
+        match next via with
+        | Some rung -> walk ((via, msg) :: refused) rung
+        | None -> Error msg)
+  in
+  walk []
+    (match candidates with
+    | Some c when indexed_first c -> Via_nested
+    | _ -> Via_transformed)
+
+(* Structural verification (NQ900-NQ906) refuses a broken program before
+   it runs or is explained. *)
+let verified db program =
+  let diags = Optimizer.Planner.verify_program db.catalog program in
+  if not (Analysis.Diagnostics.has_errors diags) then Ok program
+  else Error ("transformed program failed verification:\n" ^ Analysis.Diagnostics.list_to_string diags)
+
+(* One rung, the same for run and EXPLAIN: an untransformed plan, lowered
+   here, goes to [untransformed]; the verified program to [transformed],
+   its temps dropped after.  Refusals come back as [Error]: the rewrite's,
+   verification's, [Batched_nest.Unsupported] and [Planning_error]. *)
+let rung ?mode ?engine db (p : prepared) ~untransformed ~transformed force via =
+  match
+    match via with
+    | Via_nested ->
+        Ok (untransformed via (Exec.Sysr_iteration.lower db.catalog p.query) Exec.Plan.Tuple)
+    | Via_batched ->
+        Ok
+          (untransformed via
+             (Optimizer.Batched_nest.lower ~force ?mode db.catalog p.query)
+             (Option.value engine ~default:Exec.Plan.Tuple))
+    | Via_transformed ->
+        Result.map
+          (fun program ->
+            Fun.protect (fun () -> transformed force program) ~finally:(fun () ->
+                Optimizer.Planner.drop_temps db.catalog program))
+          (Result.bind (Lazy.force p.program) (verified db))
+  with
+  | r -> r
+  | exception Optimizer.Batched_nest.Unsupported msg ->
+      Error ("not transformable: batched: " ^ msg)
+  | exception Optimizer.Planner.Planning_error msg -> Error msg
+
+(* Run or EXPLAIN under [strategy]: a forced one is one rung; [Auto] walks
+   the ladder. *)
+let apply_strategy ?mode ?engine ?trace db p strategy ~untransformed
+    ~transformed =
+  let rung = rung ?mode ?engine db p ~untransformed ~transformed in
+  let forced force via = Result.map (fun x -> (x, None)) (rung force via) in
+  match strategy with
+  | Nested_iteration -> forced Optimizer.Planner.Auto Via_nested
+  | Transformed force -> forced force Via_transformed
+  | Batched force -> forced force Via_batched
+  | Auto -> decide ?trace db p (rung Optimizer.Planner.Auto)
 
 (* Run one statement's work, then delete the scratch files its operators
    left in the pager (Catalog.release_since): without this every sort and
@@ -432,143 +565,51 @@ let with_statement_files db f =
   let mark = Pager.mark (Catalog.pager db.catalog) in
   Fun.protect f ~finally:(fun () -> Catalog.release_since db.catalog mark)
 
-let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace
-    ?on_fallback db (p : prepared) : (execution, string) result =
+let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace db
+    (p : prepared) : (execution, string) result =
   with_statement_files db @@ fun () ->
-  let q = p.query in
   let pager = Catalog.pager db.catalog in
   (* one instrumentation session for the whole pipeline *)
   let session =
     Option.map (fun t -> Exec.Explain.session ~trace:t pager) trace
   in
-  (* Nested iteration's and batched execution's plans are checked
-     ([~check]) and run like a transformed program's main plan. *)
-  let untransformed via lower engine =
+  let measured via program f =
     let before = Pager.snapshot pager in
-    match
-      let plan = lower () in
-      if check then
-        Optimizer.Planner.check_plan ~engine ~label:"plan" db.catalog plan;
-      Optimizer.Planner.run_plan ~engine ?session db.catalog plan
-    with
-    | rel ->
-        let result = Exec.Sysr_iteration.present db.catalog q rel in
-        Ok { result; via; program = None; io = Pager.diff_since pager before }
-    | exception Optimizer.Batched_nest.Unsupported msg ->
-        Error ("not transformable: batched: " ^ msg)
-    | exception Optimizer.Planner.Planning_error msg -> Error msg
+    let result = f () in
+    { result; via; program; io = Pager.diff_since pager before; decision = None }
   in
-  let run_nested () =
-    untransformed Via_nested
-      (fun () -> Exec.Sysr_iteration.lower db.catalog q)
-      Exec.Plan.Tuple
+  let untransformed via plan engine =
+    measured via None @@ fun () ->
+    if check then Optimizer.Planner.check_plan ~engine ~label:"plan" db.catalog plan;
+    Exec.Sysr_iteration.present db.catalog p.query
+      (Optimizer.Planner.run_plan ~engine ?session db.catalog plan)
   in
-  (* Batched bindings never transform — a refusal can only come from the
-     one unbatchable shape (correlated column outside a WHERE predicate),
-     surfaced with the same refusal prefix the transformation guards use so
-     the oracle and the Auto fallback treat it uniformly. *)
-  let run_batched force =
-    untransformed Via_batched
-      (fun () -> Optimizer.Batched_nest.lower ~force ?mode db.catalog q)
-      (Option.value engine ~default:Exec.Plan.Tuple)
+  (* ORDER BY is presentation, not plan structure: [present] sorts the
+     untransformed results, the program's is sorted here. *)
+  let transformed force program =
+    measured Via_transformed (Some program) @@ fun () ->
+    Exec.Presentation.apply_order p.query
+      (Optimizer.Planner.run_program ~force ?mode ~check ?engine ?session db.catalog program)
   in
-  (* Every transformed program is verified before it runs (NQ900-NQ906);
-     a failing program is refused here and — under [Auto] — execution
-     falls back to nested iteration with a warning. *)
-  let run_transformed force =
-    match Lazy.force p.program with
-    | Error _ as e -> e
-    | Ok program -> (
-        let before = Pager.snapshot pager in
-        match
-          Optimizer.Planner.run_program ~force ?mode ~verify:true ~check
-            ?engine ?session db.catalog program
-        with
-        | result ->
-            (* ORDER BY is presentation, not plan structure: the nested
-               paths sort inside [run]; the transformed path must sort
-               here or a sorted query silently loses its order. *)
-            let result = Exec.Presentation.apply_order q result in
-            let io = Pager.diff_since pager before in
-            Optimizer.Planner.drop_temps db.catalog program;
-            Ok
-              {
-                result;
-                via = Via_transformed;
-                program = Some program;
-                io;
-              }
-        | exception Optimizer.Planner.Planning_error msg ->
-            Optimizer.Planner.drop_temps db.catalog program;
-            Error msg)
-  in
-  match strategy with
-  | Nested_iteration -> run_nested ()
-  | Transformed force -> run_transformed force
-  | Batched force -> run_batched force
-  | Auto -> (
-      match indexed_nested_choice db q with
-      | Some (cost, alternative) ->
-          (* Indexed nested iteration is priced at or below the rung Auto
-             would otherwise reach — run the query un-transformed (§7's
-             regime). *)
-          (match on_fallback with
-          | Some note ->
-              note
-                (Fmt.str
-                   "auto: indexed nested iteration chosen (est. %.0f page \
-                    I/O <= alternative est. %.0f)"
-                   cost alternative)
-          | None -> ());
-          run_nested ()
-      | None -> (
-      match run_transformed Optimizer.Planner.Auto with
-      | Ok _ as ok -> ok
-      | Error msg ->
-          (* Refused: pick the cheaper un-transformed strategy.  Batched
-             wins when it is priced below nested iteration
-             (Estimate.prefer_batched); it can itself
-             refuse on the unbatchable shape, in which case nested
-             iteration — which refuses nothing — closes the ladder. *)
-          let use_batched =
-            Optimizer.Estimate.prefer_batched db.catalog q
-          in
-          let warn fallback =
-            match on_fallback with
-            | Some warn ->
-                warn
-                  ("transformed strategy refused (" ^ msg
-                 ^ "); falling back to " ^ fallback)
-            | None -> ()
-          in
-          if use_batched then
-            match run_batched Optimizer.Planner.Auto with
-            | Ok _ as ok ->
-                warn "batched execution";
-                ok
-            | Error _ ->
-                warn "nested iteration";
-                run_nested ()
-          else begin
-            warn "nested iteration";
-            run_nested ()
-          end))
+  Result.map
+    (fun (e, decision) -> { e with decision })
+    (apply_strategy ?mode ?engine ?trace db p strategy ~untransformed
+       ~transformed)
 
-let run ?strategy ?check ?rewrite_not_in ?mode ?engine ?trace ?on_fallback db
-    text : (execution, string) result =
-  match prepare ?rewrite_not_in db text with
-  | Error _ as e -> e
-  | Ok p ->
-      run_prepared ?strategy ?check ?mode ?engine ?trace ?on_fallback db p
+let run ?strategy ?check ?rewrite_not_in ?mode ?engine ?trace db text :
+    (execution, string) result =
+  Result.bind
+    (prepare ?rewrite_not_in db text)
+    (run_prepared ?strategy ?check ?mode ?engine ?trace db)
 
 (* Convenience: the relation only. *)
 let query db text : (Relation.t, string) result =
   Result.map (fun e -> e.result) (run db text)
 
-(* EXPLAIN [ANALYZE] of an untransformed strategy's plan as one "main:"
-   segment, estimates from [Estimate]; under ANALYZE the plan runs
-   instrumented, a re-opened inner plan's actuals adding up per node. *)
-let explain_untransformed ~analyze ~engine ?trace db plan =
+(* EXPLAIN [ANALYZE] of an untransformed strategy's plan, estimates from
+   [Estimate]; under ANALYZE the plan runs instrumented, a re-opened inner
+   plan's actuals adding up per node. *)
+let explain_untransformed ~analyze ?trace db plan engine =
   let rows = ref 0 in
   let run session =
     rows :=
@@ -581,93 +622,47 @@ let explain_untransformed ~analyze ~engine ?trace db plan =
   in
   if analyze then text ^ Printf.sprintf "result: %d rows\n" !rows else text
 
-let explain_query ?strategy ?mode ?(analyze = false) ?engine ?trace db text :
-    (string, string) result =
+let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?engine ?trace
+    db text : (string, string) result =
   with_statement_files db @@ fun () ->
-  let untransformed name lower engine =
-    match parse db text with
-    | Error _ as e -> e
-    | Ok q -> (
-        match lower q with
-        | plan ->
-            Ok
-              (Printf.sprintf "strategy: %s\nmain:\n%s" name
-                 (explain_untransformed ~analyze ~engine ?trace db plan))
-        | exception Optimizer.Batched_nest.Unsupported msg ->
-            Error ("not transformable: batched: " ^ msg)
-        | exception Optimizer.Planner.Planning_error msg -> Error msg)
+  Result.bind (parse db text) @@ fun q ->
+  let p = prepare_query db q in
+  let untransformed _ plan = explain_untransformed ~analyze ?trace db plan in
+  (* Cost-based choices inside the rewrite (a keyed NEST-JA2 TEMP2) head
+     its plans; its bounded-equivalence certificate closes them: the
+     counterexample search at k=2 over {const₁, const₂, NULL}, in one line
+     (docs/LINT.md). *)
+  let transformed force program =
+    let text =
+      Optimizer.Planner.explain_text ~force ?mode ~analyze ?engine ?trace
+        db.catalog program
+    in
+    String.concat ""
+      (List.map (fun n -> n ^ "\n") program.Optimizer.Program.notes)
+    ^ text ^ "\n"
+    ^ Analysis.Equiv_check.certificate (equivalence ~bound:2 db q program)
   in
-  match strategy with
-  | Some (Batched force) ->
-      untransformed "batched"
-        (Optimizer.Batched_nest.lower ~force ?mode db.catalog)
-        (Option.value engine ~default:Exec.Plan.Tuple)
-  | Some Nested_iteration ->
-      untransformed "nested iteration"
-        (Exec.Sysr_iteration.lower db.catalog)
-        Exec.Plan.Tuple
-  | Some (Transformed _) | Some Auto | None -> (
-      let auto = match strategy with Some (Transformed _) -> false | _ -> true in
-      match parse db text with
-      | Error _ as e -> e
-      | Ok q -> (
-          (* Under Auto, surface the §7 crossover decision: when indexed
-             nested iteration is priced cheapest, execution will not
-             transform at all — EXPLAIN must say so, with every candidate's
-             estimate and the nested plan that will run. *)
-          let header =
-            match if auto then nested_first db q else None with
-            | Some c ->
-                let est name = Option.map (Fmt.str "; %s est. %.0f" name) in
-                Fmt.str
-                  "auto: indexed nested iteration (untransformed) — est. \
-                   %.0f page I/O%s\n%s"
-                  c.est_nested
-                  (String.concat ""
-                     (List.filter_map Fun.id
-                        [
-                          est "transformed" c.est_transformed;
-                          est "batched" c.est_batched;
-                        ]))
-                  (let tree =
-                     explain_untransformed ~analyze:false
-                       ~engine:Exec.Plan.Tuple db
-                       (Exec.Sysr_iteration.lower db.catalog q)
-                   in
-                   String.sub tree 0 (String.length tree - 1))
-            | None -> ""
-          in
-          match transform_query db q with
-          | Error _ when header <> "" ->
-              (* Not transformable, but Auto has an indexed nested path:
-                 that decision *is* the explanation. *)
-              Ok header
-          | Error _ as e -> e
-          | Ok program -> (
-              match
-                Optimizer.Planner.explain_text ?mode ~analyze ?engine ?trace
-                  db.catalog program
-              with
-              | text ->
-                  (* Every accepted rewrite carries its bounded-equivalence
-                     certificate: the counterexample search at k=2 over the
-                     abstract {const₁, const₂, NULL} domain, summarized in
-                     one line (see docs/LINT.md). *)
-                  let verdict = equivalence ~bound:2 db q program in
-                  (* Cost-based choices inside the rewrite (a keyed NEST-JA2
-                     TEMP2) head the plans, as Auto's crossover note does. *)
-                  let body =
-                    String.concat ""
-                      (List.map
-                         (fun n -> n ^ "\n")
-                         program.Optimizer.Program.notes)
-                    ^ text ^ "\n"
-                    ^ Analysis.Equiv_check.certificate verdict
-                  in
-                  Ok
-                    (if header = "" then body
-                     else header ^ "\ntransformed alternative:\n" ^ body)
-              | exception Optimizer.Planner.Planning_error msg -> Error msg)))
+  Result.map
+    (fun (text, decision) ->
+      match decision with
+      | None -> (
+          match strategy with
+          | Transformed _ -> text
+          | Batched _ -> "strategy: batched\nmain:\n" ^ text
+          | _ -> "strategy: nested iteration\nmain:\n" ^ text)
+      | Some ({ pick = Via_nested; refused = []; _ } as d) ->
+          (* priced first: the program Auto would otherwise run follows *)
+          auto_header d ^ "\n"
+          ^ String.sub text 0 (String.length text - 1)
+          ^ Result.fold ~error:(Fun.const "")
+              ~ok:(( ^ ) "\ntransformed alternative:\n")
+              (rung ?mode ?engine db p ~untransformed ~transformed
+                 Optimizer.Planner.Auto Via_transformed)
+      | Some ({ pick = Via_transformed; _ } as d) ->
+          auto_header d ^ "\n" ^ text
+      | Some d -> auto_header d ^ "\nmain:\n" ^ text)
+    (apply_strategy ?mode ?engine ?trace db p strategy ~untransformed
+       ~transformed)
 
 let explain db text : (string, string) result = explain_query db text
 

@@ -3,7 +3,9 @@
 # `nestsql serve` on a Unix-domain socket over the count-bug fixture, run
 # the paper's Q2 twice through `nestsql client` and assert the plan cache
 # reports a hit, `load` replacement data and assert the cache was
-# invalidated, then run Q5 twice and assert the hit counter moved again.
+# invalidated, then run Q5 twice and assert the hit counter moved again,
+# and assert `explain` under the "nested" strategy knob shows the
+# nested-iteration plan.
 #
 # Run as `make serve-smoke` (which builds the binary first) or directly
 # from the repo root.  The binary is invoked straight from _build so the
@@ -60,4 +62,12 @@ printf '%s\n' "$out"
 hits2=$(counter hits "$(printf '%s\n' "$out" | tail -1)")
 [ "${hits2:-0}" -gt "$hits1" ] || fail "hit counter did not advance for repeated Q5 ($hits1 -> ${hits2:-0})"
 
-echo "serve-smoke: OK (hits $hits1 -> $hits2, invalidations >= $inv)"
+# 4. EXPLAIN honours the strategy knob: under "nested" the text is the
+#    nested-iteration plan (an Apply per row), not the transformed program.
+out=$("$BIN" client --socket "$SOCK" --raw \
+  --json "{\"op\": \"explain\", \"sql\": \"$Q2\", \"strategy\": \"nested\"}")
+printf '%s\n' "$out"
+printf '%s\n' "$out" | grep -q '"ok":true' || fail "explain under strategy nested failed"
+printf '%s\n' "$out" | grep -q 'Apply per row' || fail "explain ignored the nested strategy knob"
+
+echo "serve-smoke: OK (hits $hits1 -> $hits2, invalidations >= $inv, nested explain)"

@@ -269,10 +269,60 @@ let rebuilt_via db (q : Sql.Ast.query) =
         then fallback ()
         else Core.Via_transformed
 
+(* The pick EXPLAIN names in its [auto:] header line. *)
+let explained_via text =
+  let header = List.hd (String.split_on_char '\n' text) in
+  match Astring.String.cut ~sep:" — " header with
+  | Some ("auto: indexed nested iteration (untransformed)", _)
+  | Some ("auto: nested iteration", _) ->
+      Core.Via_nested
+  | Some ("auto: transformed", _) -> Core.Via_transformed
+  | Some ("auto: batched", _) -> Core.Via_batched
+  | _ -> Alcotest.failf "no auto: header in EXPLAIN:\n%s" text
+
+(* Three readings of one Auto decision must agree: the ladder rebuilt from
+   the public calls, the pick [Core.run] executes, and the pick EXPLAIN's
+   header names.  EXPLAIN succeeds exactly when run does. *)
 let check_ladder ~label db sql =
   match Core.parse db sql with
   | Error _ -> ()
-  | Ok q -> Alcotest.check via (label ^ ": " ^ sql) (rebuilt_via db q) (auto_via db sql)
+  | Ok q -> (
+      let name = label ^ ": " ^ sql in
+      let explained = Core.explain_query db sql in
+      match Core.run db sql with
+      | Error msg ->
+          if Result.is_ok explained then
+            Alcotest.failf "%s: EXPLAIN succeeds, run refuses: %s" name msg
+      | Ok e -> (
+          Alcotest.check via (name ^ " (rebuilt ladder)") (rebuilt_via db q)
+            e.Core.via;
+          match explained with
+          | Ok text ->
+              Alcotest.check via (name ^ " (EXPLAIN)") e.Core.via
+                (explained_via text)
+          | Error msg ->
+              Alcotest.failf "%s: run succeeds, EXPLAIN refuses: %s" name msg))
+
+(* [check_ladder] on a fresh database from [make_db], then on another with a
+   B-tree on every column a correlation predicate compares. *)
+let check_ladder_indexed ~label make_db sql =
+  let db = make_db () in
+  check_ladder ~label:(label ^ " unindexed") db sql;
+  match Core.parse db sql with
+  | Error _ -> ()
+  | Ok q ->
+      let columns = Suite_cost_goldens.correlated_columns q in
+      if columns <> [] then begin
+        let db = make_db () in
+        List.iter (fun (rel, column) -> Core.create_index db rel ~column) columns;
+        check_ladder ~label:(label ^ " indexed") db sql
+      end
+
+(* NOT IN refuses the transformation; Auto runs it by nested iteration,
+   indexed or not, and EXPLAIN must explain that. *)
+let not_in_query =
+  "SELECT PNUM FROM PARTS WHERE QOH NOT IN (SELECT QUAN FROM SUPPLY WHERE \
+   SUPPLY.PNUM = PARTS.PNUM)"
 
 let test_ladder_contract () =
   let indexed = crossover_db () in
@@ -288,38 +338,51 @@ let test_ladder_contract () =
           check_ladder ~label:"unindexed" unindexed (query t))
         [ count_query; not_exists_query; ge_all_query ])
     [ "P16"; "P256" ];
-  let files =
-    Sys.readdir Suite_cost_goldens.corpus_dir
-    |> Array.to_list
+  (* the crossover golden's database, whose Auto header prices nested first *)
+  let golden = Suite_cost_goldens.crossover_db () in
+  check_ladder ~label:"crossover golden" golden Fixtures.count_bug_query;
+  check_ladder_indexed ~label:"crossover golden"
+    (fun () ->
+      let db = Core.create_db ~buffer_pages:16 ~page_bytes:256 () in
+      List.iter
+        (fun name -> Fixtures.define_fixture db name (Core.table golden name))
+        [ "PARTS"; "SUPPLY" ];
+      db)
+    Fixtures.count_bug_query;
+  check_ladder_indexed ~label:"NOT IN" (fun () -> Fixtures.count_bug_db ())
+    not_in_query;
+  let sql_files dir =
+    Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".sql")
     |> List.sort String.compare
+    |> List.map (Filename.concat dir)
   in
   List.iter
-    (fun file ->
-      let src =
-        In_channel.with_open_bin
-          (Filename.concat Suite_cost_goldens.corpus_dir file)
-          In_channel.input_all
-      in
+    (fun path ->
+      let src = In_channel.with_open_bin path In_channel.input_all in
       let fixture = Option.get (Suite_cost_goldens.fixture_pragma src) in
       List.iter
         (fun raw ->
-          let sql = Sql.Pp.query_to_string raw in
-          let db = Suite_cost_goldens.fixture_db fixture in
-          check_ladder ~label:(file ^ " unindexed") db sql;
-          match Core.parse db sql with
-          | Error _ -> ()
-          | Ok q ->
-              let columns = Suite_cost_goldens.correlated_columns q in
-              if columns <> [] then begin
-                let db = Suite_cost_goldens.fixture_db fixture in
-                List.iter
-                  (fun (rel, column) -> Core.create_index db rel ~column)
-                  columns;
-                check_ladder ~label:(file ^ " indexed") db sql
-              end)
+          check_ladder_indexed ~label:path
+            (fun () -> Suite_cost_goldens.fixture_db fixture)
+            (Sql.Pp.query_to_string raw))
         (Sql.Parser.parse_many_exn src))
-    files
+    (sql_files Suite_cost_goldens.corpus_dir);
+  List.iter
+    (fun path ->
+      let case = Oracle.Repro.load path in
+      check_ladder_indexed ~label:path
+        (fun () -> Oracle.Repro.build_db case)
+        case.Oracle.Repro.sql)
+    (sql_files (Filename.concat Suite_cost_goldens.corpus_dir "regressions"));
+  let rng = Random.State.make [| 42 |] in
+  for i = 1 to 100 do
+    let case = Oracle.Gen.case rng in
+    check_ladder_indexed
+      ~label:(Printf.sprintf "seed 42 case %d" i)
+      (fun () -> Oracle.Repro.build_db case)
+      case.Oracle.Repro.sql
+  done
 
 let suites =
   [
@@ -330,7 +393,9 @@ let suites =
       [
         Alcotest.test_case "crossover picks on repeated and distinct outers"
           `Quick test_crossover_picks;
-        Alcotest.test_case "ladder contract: Core.run = rebuilt ladder" `Quick
+        Alcotest.test_case
+          "ladder contract: Core.run = rebuilt ladder = EXPLAIN's header"
+          `Quick
           test_ladder_contract;
       ] );
   ]

@@ -219,6 +219,57 @@ let test_surfaces_parse =
           Astring.String.is_infix ~affix:(sql_literal lit) text
       | _ -> QCheck2.Test.fail_report "explain response has no text")
 
+(* Auto's decision as a trace line: exactly one per Auto statement, strict
+   JSON, with the pick, the reason and the candidates ([null] when no
+   index probe applies). *)
+let test_auto_trace_line () =
+  let not_in =
+    "SELECT PNUM FROM PARTS WHERE QOH NOT IN (SELECT QUAN FROM SUPPLY WHERE \
+     SUPPLY.PNUM = PARTS.PNUM)"
+  in
+  let indexed () =
+    let db = Fixtures.count_bug_db () in
+    Core.create_index db "SUPPLY" ~column:"PNUM";
+    db
+  in
+  List.iter
+    (fun (db, sql, pick, priced) ->
+      let lines = ref [] in
+      ignore
+        (Result.get_ok
+           (Core.run ~trace:(fun l -> lines := l :: !lines) db sql));
+      match
+        List.filter
+          (String.starts_with ~prefix:{|{"ev":"auto"|})
+          !lines
+      with
+      | [ line ] ->
+          let j = parse_exn line in
+          Alcotest.(check (option string)) ("pick: " ^ sql) (Some pick)
+            (match Json.member "pick" j with
+            | Some (Json.Str s) -> Some s
+            | _ -> None);
+          Alcotest.(check bool) ("reason: " ^ sql) true
+            (match Json.member "reason" j with
+            | Some (Json.Str r) -> r <> ""
+            | _ -> false);
+          Alcotest.(check bool) ("candidates: " ^ sql) true
+            (match Json.member "candidates" j with
+            | Some Json.Null -> not priced
+            | Some (Json.Obj _ as c) ->
+                priced
+                && (match Json.member "nested_iteration" c with
+                   | Some (Json.Float _ | Json.Int _) -> true
+                   | _ -> false)
+            | _ -> false)
+      | lines ->
+          Alcotest.failf "%s: %d auto lines" sql (List.length lines))
+    [
+      (kim_db (), query_with "café", "transformed", false);
+      (Fixtures.count_bug_db (), not_in, "nested_iteration", false);
+      (indexed (), not_in, "nested_iteration", true);
+    ]
+
 let suites =
   [
     ( "json",
@@ -226,6 +277,7 @@ let suites =
         QCheck_alcotest.to_alcotest test_roundtrip;
         Alcotest.test_case "goldens and strict grammar" `Quick test_goldens;
         Alcotest.test_case "valid UTF-8 output" `Quick test_utf8_output;
+        Alcotest.test_case "Auto's trace line" `Quick test_auto_trace_line;
         QCheck_alcotest.to_alcotest test_surfaces_parse;
       ] );
   ]

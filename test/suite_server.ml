@@ -244,6 +244,26 @@ let test_server_strategy_not_cache_key () =
   Alcotest.(check string) "batched replay hits" "hit" (str_member "cache" b2);
   Server.close_session server s
 
+(* [explain] honours the strategy knob: under "nested" it shows the plan
+   [query] with the same knobs runs, not the transformed program. *)
+let test_server_explain_strategy () =
+  let server = Server.create ~cache_capacity:8 (count_bug_db ()) in
+  let s = Server.open_session server in
+  let explain extra =
+    str_member "text"
+      (send_ok server s
+         (Printf.sprintf {|{"op": "explain", "sql": %s%s}|}
+            (P.to_string (P.Str q2)) extra))
+  in
+  let has affix text = Astring.String.is_infix ~affix text in
+  let nested = explain {|, "strategy": "nested"|} in
+  Alcotest.(check bool) "nested: Apply per row" true (has "Apply per row" nested);
+  Alcotest.(check bool) "nested: no temps" false (has "TEMP#" nested);
+  let auto = explain "" in
+  Alcotest.(check bool) "auto: transformed" true
+    (has "auto: transformed" auto && has "TEMP#" auto);
+  Server.close_session server s
+
 let test_server_load_invalidates () =
   let server = Server.create ~cache_capacity:8 (count_bug_db ()) in
   let s = Server.open_session server in
@@ -458,6 +478,17 @@ let test_cli_bad_flags () =
     "unknown mode quantum";
   check_rejects "run -d kim --strategy sideways \"SELECT SNAME FROM S\""
     "unknown strategy sideways";
+  (* set-up errors: one line, exit 1, never an uncaught exception *)
+  List.iter
+    (fun (flags, affix) ->
+      check_rejects (flags ^ " \"SELECT SNAME FROM S\"") affix)
+    [
+      ("run -d nosuch", "unknown fixture nosuch");
+      ("run -d kim -i SP", "bad --index spec SP");
+      ("run -d kim -i SP.NOPE", "no column NOPE in SP");
+      ("run -d kim -t bad", "bad --table spec bad");
+      ("run -d kim -t X=/nonexistent.csv", "/nonexistent.csv");
+    ];
   (* the well-formed values still work *)
   let code, _ =
     run_cli
@@ -482,6 +513,8 @@ let suites =
           test_server_prepare_execute;
         Alcotest.test_case "strategy knob is part of the request, not the cache key" `Quick
           test_server_strategy_not_cache_key;
+        Alcotest.test_case "explain honours the strategy knob" `Quick
+          test_server_explain_strategy;
         Alcotest.test_case "load invalidates and re-prepares" `Quick
           test_server_load_invalidates;
         Alcotest.test_case "indexes rebuilt across load (stale-index fix)"
