@@ -32,9 +32,6 @@ val build : Sql.Ast.query -> t
 val node : t -> int -> node
 (** @raise Not_found on an unknown id. *)
 
-val correlations_of : t -> int -> edge list
-(** Edges leaving block [id]: its correlations to enclosing blocks. *)
-
 val is_correlated_block : t -> int -> bool
 
 val pp : t Fmt.t

@@ -15,10 +15,6 @@ type t = {
   hint : string option;  (** paper citation / suggested fix *)
 }
 
-val catalogue : (string * string * severity * string) list
-(** [(code, slug, severity, description)] for every diagnostic the analysis
-    library can emit.  The source of truth for docs/LINT.md. *)
-
 val make :
   ?hint:string ->
   string ->
@@ -36,8 +32,6 @@ val sort : t list -> t list
 (** Stable presentation order: source position, then severity, then code. *)
 
 val pp : t Fmt.t
-
-val pp_list : t list Fmt.t
 
 val to_string : t -> string
 

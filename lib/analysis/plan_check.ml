@@ -611,13 +611,6 @@ let run ?(engine = Plan.Tuple) env node =
   let info = walk st node in
   (info.schema, Diagnostics.sort (List.rev st.diags))
 
-let infer env node =
-  match run env node with
-  | Some schema, [] -> Ok schema
-  | Some schema, diags ->
-      if Diagnostics.has_errors diags then Error diags else Ok schema
-  | None, diags -> Error diags
-
 let check ?engine env node = snd (run ?engine env node)
 
 let check_catalog ?engine catalog node =

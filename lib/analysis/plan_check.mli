@@ -39,12 +39,6 @@ type tenv = {
   has_index : string -> column:string -> bool;
 }
 
-val env_of_catalog : Storage.Catalog.t -> tenv
-
-(** Typed schema of the plan's output.  [Error] carries the violations
-    that made inference impossible (at least one). *)
-val infer : tenv -> Exec.Plan.node -> (tcol list, Diagnostics.t list) result
-
 (** All violations, every node.  An empty list means the plan type-checks;
     [engine] selects the executor whose contracts apply (the vectorized
     engine shares them — hash operators still need equality keys — so the

@@ -57,23 +57,11 @@ type ja2_params = {
   nt2 : float;  (** tuples of Rt2 (thrashing nested-loop case) *)
 }
 
-(** §7.1: project/restrict Ri with duplicate-removing sort. *)
-val ja2_outer_projection : ?rounding:rounding -> ja2_params -> float
-
 (** §7.2 temp creation: nested loops, Rt3 fits in B-1 pages. *)
 val ja2_temp_nl_fits : ja2_params -> float
 
 (** §7.2 temp creation: nested loops, Rt3 re-read per Rt2 tuple. *)
 val ja2_temp_nl_thrash : ja2_params -> float
-
-(** §7.2 temp creation: merge join (same cost for the COUNT outer join). *)
-val ja2_temp_merge : ?rounding:rounding -> ja2_params -> float
-
-(** §7.3 final join: merge (sorts Ri; Rt is born sorted). *)
-val ja2_final_merge : ?rounding:rounding -> ja2_params -> float
-
-(** §7.3 final join: nested iteration. *)
-val ja2_final_nl : ja2_params -> float
 
 (** §7.4 closed-form all-merge total, exactly as printed. *)
 val ja2_total_merge : ?rounding:rounding -> ja2_params -> float
@@ -90,14 +78,12 @@ val ja2_strategies : ?rounding:rounding -> ja2_params -> ja2_strategy list
 (** {1 Beyond the paper: blended I/O + CPU costing}
 
     Pure page counting cannot distinguish a hash operator from a nested
-    loop whose inner fits the pool; the hybrid planner charges
-    [cpu_tuple_weight] page-I/O equivalents per tuple operation on top of
-    page traffic.  All of these are additions over the paper's §4/§7
-    model, which remains untouched above. *)
+    loop whose inner fits the pool; the hybrid planner charges a small
+    weight in page-I/O equivalents per tuple operation on top of page
+    traffic.  All of these are additions over the paper's §4/§7 model,
+    which remains untouched above. *)
 
-val cpu_tuple_weight : float
-
-(** [blended ~io ~tuples] = io + cpu_tuple_weight·tuples. *)
+(** [blended ~io ~tuples] = io + weight·tuples. *)
 val blended : io:float -> tuples:float -> float
 
 (** In-memory hash join: both inputs scanned once, Nj builds + Ni probes. *)

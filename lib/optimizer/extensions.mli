@@ -16,9 +16,6 @@ exception Unsupported of string
     guarded rewrites refuse). *)
 val default_nullable : rel:string -> string -> bool
 
-(** Aliases bound anywhere in a query's FROM tree (capture check). *)
-val bound_aliases : Sql.Ast.query -> string list
-
 (** Guard shared by every COUNT-form rewrite that inlines [x op item] into
     a subquery: raises {!Unsupported} unless [x] and [item] are provably
     non-NULL under [nullable] (resolved through [scope], an alias →

@@ -1,14 +1,5 @@
 (** Capture-aware renaming of table aliases inside query blocks, used when
     NEST-N-J merges two blocks that bind the same alias. *)
 
-(** Rename references to a binding of [q] itself (its FROM item with alias
-    [from_alias] plus all in-scope references, stopping at deeper blocks
-    that rebind the alias). *)
-val rename_binding :
-  from_alias:string -> to_alias:string -> Sql.Ast.query -> Sql.Ast.query
-
-(** A fresh alias based on [base] avoiding [taken]. *)
-val fresh_alias : string list -> string -> string
-
 (** Rename every binding of [q] that collides with [taken]. *)
 val avoid_aliases : taken:string list -> Sql.Ast.query -> Sql.Ast.query

@@ -37,17 +37,6 @@ type candidate =
   | Indexed_auto of { mode : Optimizer.Planner.mode }
       (** the end-to-end ladder including the §7 crossover decision *)
 
-val candidate_label : candidate -> string
-
-(** The full grid, 54 cells: paged nested iteration + 24 forced-join
-    rewrite cells + 16 batched cells + 8 end-to-end Auto cells (vectorized
-    cells carry a ["/vec"] label suffix) + 5 index-axis cells that rerun
-    nested/rewrite/auto with a B-tree on every column.  The Auto cells
-    subsume the old force=auto rewrite cells — same execution when the
-    transformation applies — and exercise the fallback ladder when it
-    refuses. *)
-val all_candidates : candidate list
-
 type verdict =
   | Agree
   | Refused of string  (** transformation declined; not a discrepancy *)

@@ -22,9 +22,6 @@ val type_of : t -> ty option
 
 val is_null : t -> bool
 
-(** [date_of_parts] validates the calendar date. *)
-val date_of_parts : year:int -> month:int -> day:int -> date option
-
 (** Parses "M-D-YY", "M/D/YY" (19xx assumed) and ISO "YYYY-MM-DD". *)
 val date_of_string : string -> date option
 

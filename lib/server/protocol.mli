@@ -43,10 +43,6 @@ val json_of_value : Relalg.Value.t -> json
     (dates parsed as in CSV loading), [Null] anywhere. *)
 val value_of_json : Relalg.Value.ty -> json -> (Relalg.Value.t, string) result
 
-(** ["int"] / ["float"] / ["str"] (also ["string"], ["text"]) / ["date"],
-    case-insensitive. *)
-val ty_of_string : string -> Relalg.Value.ty option
-
 (** {1 Requests} *)
 
 type knobs = {

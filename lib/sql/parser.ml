@@ -314,4 +314,3 @@ let wrap_errors f src =
 
 let parse src = wrap_errors parse_exn src
 
-let parse_many src = wrap_errors parse_many_exn src
