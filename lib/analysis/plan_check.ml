@@ -128,6 +128,15 @@ let set_nullable cols positions =
     (fun i c -> if List.mem i positions then { c with t_nullable = Non_null } else c)
     cols
 
+(* [f ()] with [cols] bound as the innermost row: a plan re-opened under
+   each row of [cols] reads them as parameters. *)
+let with_bound st cols f =
+  let saved = st.bound in
+  st.bound <- cols @ saved;
+  let r = f () in
+  st.bound <- saved;
+  r
+
 (* A parameter: the innermost enclosing [Apply] row's column. *)
 let bound_col st (c : Ast.col_ref) =
   List.find_opt
@@ -349,11 +358,7 @@ and walk_apply st ~label (a : Plan.apply) : info =
   let o = walk st a.outer in
   let cols = Option.value o.schema ~default:[] in
   let inner (sp : Plan.subplan) =
-    let saved = st.bound in
-    st.bound <- cols @ saved;
-    let i = walk st sp.inner in
-    st.bound <- saved;
-    i.schema
+    (with_bound st cols (fun () -> walk st sp.inner)).schema
   in
   List.iter
     (fun ((p : Ast.predicate), sp) ->
@@ -375,8 +380,16 @@ and walk_apply st ~label (a : Plan.apply) : info =
     a.preds;
   o
 
+(* An index join's right side is re-opened under each left row, so it
+   checks with the left columns bound, as an [Apply]'s inner plan does. *)
 and walk_join st ~label method_ kind cond residual left right : info =
-  let li = walk st left and ri = walk st right in
+  let li = walk st left in
+  let ri =
+    if method_ <> Plan.Index_nl then walk st right
+    else
+      with_bound st (Option.value li.schema ~default:[]) (fun () ->
+          walk st right)
+  in
   let padded = li.padded || ri.padded || kind = Plan.Left_outer in
   match (li.schema, ri.schema) with
   | Some lcols, Some rcols ->
@@ -416,21 +429,23 @@ and walk_join st ~label method_ kind cond residual left right : info =
               "%s: %s join requires at least one equality condition" label
               (match method_ with Plan.Sort_merge -> "merge" | _ -> "hash")
       | Plan.Index_nl -> (
-          match right with
-          | Plan.Index_scan _ when cond = [] -> ()
-          | Plan.Scan name | Plan.Rename (_, Plan.Scan name) -> (
-              match cond with
-              | [ (_, Ast.Eq, rc) ] ->
-                  if not (st.env.has_index name ~column:rc.Ast.column) then
-                    emit st "NQ115" "%s: no index on %s.%s for the join column"
-                      label name rc.Ast.column
-              | _ ->
-                  emit st "NQ115"
-                    "%s: index join requires exactly one equality condition"
-                    label)
+          match (right, cond) with
+          | Plan.Index_scan { lo; hi; _ }, [] ->
+              (* a NULL key probes nothing: a left column a bound reads
+                 compares strictly *)
+              List.iter
+                (function
+                  | Some (Ast.Col c, _) ->
+                      Result.iter
+                        (fun i -> strict_l := i :: !strict_l)
+                        (resolve lcols c)
+                  | _ -> ())
+                [ lo; hi ]
           | _ ->
               emit st "NQ115"
-                "%s: index join requires a base-table scan on the right" label)
+                "%s: index join requires an index scan on the right and no \
+                 join condition"
+                label)
       | Plan.Nested_loop -> ());
       (* Sort contract for merge joins: flag only provable mismatches —
          a child that claims an order not led by its key column. *)

@@ -134,8 +134,8 @@ let observer_vec (s : session) : Plan.vec_observer =
 
 let no_est : Plan.node -> est option = fun _ -> None
 
-(* Metrics of the children that were instrumented (a nested-loop or index
-   join's base-table scan is driven by the join itself and has none). *)
+(* Metrics of the children that were instrumented (a nested-loop join's
+   stored inner is driven by the join itself and has none). *)
 let child_metrics lookup node =
   List.filter_map lookup (Plan.children node)
 

@@ -55,8 +55,8 @@ val nested_loop_join :
   t
 
 (** Index nested loops: [probe] fetches the right rows matching one left
-    row (a B-tree lookup through the pool), all of them before the first
-    is returned.  [outer_join]/[residual] as in {!merge_join}. *)
+    row (its re-opened index scan), all of them before the first is
+    returned.  [outer_join]/[residual] as in {!merge_join}. *)
 val index_nested_loop_join :
   ?outer_join:bool ->
   ?residual:(Relalg.Row.t -> Relalg.Row.t -> Relalg.Truth.t) ->

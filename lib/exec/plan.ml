@@ -4,9 +4,10 @@
    relations.  The two untransformed strategies lower to the same operators
    plus one dependent join: an [Apply] re-opens a subquery's inner plan
    under each row of its input (nested iteration), or once per distinct
-   correlation key (batched bindings).  Inside a re-opened plan, a column
-   no operator below produces is a parameter read from the enclosing
-   bindings.  Join
+   correlation key (batched bindings).  An index nested-loop join re-opens
+   its right side, an [Index_scan], the same way under each left row.
+   Inside a re-opened plan, a column no operator below produces is a
+   parameter read from the enclosing bindings.  Join
    conditions are (left column, op, right column) triples; only equality
    conditions may serve as sort-merge keys.  The executor compiles column
    references to positions against each node's output schema, so plans stay
@@ -309,56 +310,28 @@ let index_scan catalog env ~table ~alias ~column ~lo ~hi : Iterator.t =
         { schema; next = (fun () -> (Lazy.force all).next ()) }
     | _ -> { Iterator.schema; next }
 
-(* Right side of an index join: a base-table scan with an index on the
-   single equality condition's column, probed with each left row's key —
-   or, with no condition, an [Index_scan] re-probed for every left row.
-   Either way one probe's matches are fetched before the first is
-   returned. *)
-let index_nl_join catalog env ~outer_join ~cond ~residual ~right
+(* Index nested loops: the right side, an [Index_scan] whose bound reads
+   the left row as a parameter, is re-opened through [child] under each
+   left row — as [Apply] re-opens an inner plan — and one probe's matches
+   are fetched before the first is returned. *)
+let index_nl_join catalog ctx ~child ~outer_join ~cond ~residual ~right
     (lit : Iterator.t) : Iterator.t =
-  let rschema, probe =
-    match (right, cond) with
-    | Index_scan { table; alias; column; lo; hi }, [] ->
-        let probe _ =
-          Iterator.to_rows
-            (index_scan catalog env ~table ~alias ~column ~lo ~hi)
-        in
-        (Schema.rename_rel (Catalog.schema catalog table) alias, probe)
-    | _ ->
-        let name, rschema =
-          match right with
-          | Scan name ->
-              (name, Schema.rename_rel (Catalog.schema catalog name) name)
-          | Rename (alias, Scan name) ->
-              (name, Schema.rename_rel (Catalog.schema catalog name) alias)
-          | _ -> errf "index join requires a base-table scan on the right"
-        in
-        let lc, rc =
-          match cond with
-          | [ (lc, Eq, rc) ] -> (lc, rc)
-          | [ (_, Eq_null, _) ] ->
-              (* NEST-JA2's null-safe join-back must not be indexed: the
-                 B-tree stores no NULL keys, so a [<=>] probe would silently
-                 drop the NULL group instead of matching it. *)
-              errf
-                "index join cannot implement a null-safe (<=>) condition: \
-                 NULL keys are not in the index"
-          | _ -> errf "index join requires exactly one equality condition"
-        in
-        let key_col = find_col rschema rc in
-        let index =
-          match Catalog.index_on catalog name ~key_col with
-          | Some idx -> idx
-          | None -> errf "no index on %s for the join column" name
-        in
-        let left_key = find_col lit.Iterator.schema lc in
-        (rschema, fun l -> Storage.Btree.lookup_eq index (Row.get l left_key))
-  in
-  let joined_schema = Schema.append lit.Iterator.schema rschema in
+  (match (right, cond) with
+  | Index_scan _, [] -> ()
+  | _ ->
+      errf
+        "index join requires an index scan on the right and no join \
+         condition");
+  let lschema = lit.Iterator.schema and rschema = output_schema catalog right in
+  let joined_schema = Schema.append lschema rschema in
   let residual_fn =
-    compile_conjunction joined_schema (bind_params env joined_schema residual)
+    compile_conjunction joined_schema
+      (bind_params ctx.env joined_schema residual)
   in
   let residual l r = residual_fn (Row.append l r) in
+  let probe l =
+    Iterator.to_rows (child { ctx with env = (lschema, l) :: ctx.env } right)
+  in
   let it =
     Iterator.index_nested_loop_join ~outer_join ~residual ~probe
       ~right_schema:rschema lit
@@ -598,7 +571,8 @@ let tuple_node ~(child : ctx -> node -> Iterator.t) ctx (catalog : Catalog.t)
       let outer_join = kind = Left_outer in
       match method_ with
       | Index_nl ->
-          index_nl_join catalog env ~outer_join ~cond ~residual ~right lit
+          index_nl_join catalog ctx ~child ~outer_join ~cond ~residual ~right
+            lit
       | Nested_loop ->
           nested_loop_join catalog env ~outer_join ~cond ~residual ~right
             ~right_iter:(fun () -> input right)

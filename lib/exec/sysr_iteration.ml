@@ -124,34 +124,30 @@ let rec lower_block catalog ~scope (q : query) : Plan.node =
   let probes = probes catalog ~outer_aliases:scope q in
   let locals = List.map from_alias q.from in
   (* A frame's access path: its stored heap, or its B-tree probed by a
-     literal or an enclosing block's column (an [Index_scan]), or by an
-     earlier frame's column (a join condition). *)
+     literal or a column bound before it — an earlier frame's or an
+     enclosing block's, read as a parameter (an [Index_scan]). *)
   let access (f : from_item) =
     let alias = from_alias f in
-    let scan =
-      if alias = f.rel then Plan.Scan f.rel
-      else Plan.Rename (alias, Plan.Scan f.rel)
-    in
     match List.find_opt (fun (a, _, _) -> a = alias) probes with
-    | None -> (Plan.Nested_loop, [], scan)
-    | Some (_, column, Col c) when List.mem (Option.get c.table) locals ->
-        (Plan.Index_nl, [ (c, Eq, { table = Some alias; column }) ], scan)
+    | None ->
+        ( Plan.Nested_loop,
+          if alias = f.rel then Plan.Scan f.rel
+          else Plan.Rename (alias, Plan.Scan f.rel) )
     | Some (_, column, v) ->
         let b = Some (v, true) in
         ( Plan.Index_nl,
-          [],
           Plan.Index_scan { table = f.rel; alias; column; lo = b; hi = b } )
   in
   let join left f =
-    let method_, cond, right = access f in
-    Plan.Join { method_; kind = Plan.Inner; cond; residual = []; left; right }
+    let method_, right = access f in
+    Plan.Join
+      { method_; kind = Plan.Inner; cond = []; residual = []; left; right }
   in
   let frames =
     match q.from with
     | [] -> raise (Plan.Plan_error "a block needs a FROM clause")
     | first :: rest ->
-        let _, _, node = access first in
-        List.fold_left join node rest
+        List.fold_left join (snd (access first)) rest
   in
   let subplan sub =
     let keys = List.map fst (free_col_refs sub) in

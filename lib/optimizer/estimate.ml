@@ -261,19 +261,9 @@ let analyze catalog (root : Exec.Plan.node) : (Exec.Plan.node * t) list =
                 +.
                 if r.pages <= float_of_int (b - 1) then r.cost
                 else l.rows *. r.pages
-            | Exec.Plan.Index_nl when cond = [] ->
+            | Exec.Plan.Index_nl ->
                 (* the right side is an index scan re-probed per row *)
                 l.cost +. (l.rows *. r.cost)
-            | Exec.Plan.Index_nl ->
-                let probe_cost =
-                  match (rrel, eq) with
-                  | Some f, (_, _, rc) :: _ -> (
-                      match index_probe catalog f rc with
-                      | Some p -> p.probe_cost
-                      | None -> 1.)
-                  | _ -> 1.
-                in
-                l.cost +. (l.rows *. probe_cost)
           in
           { rows; pages = derived_pages node rows; cost }
       | Exec.Plan.Group_agg { group_by; input; _ }
@@ -354,7 +344,7 @@ let estimator catalog plan =
    subquery once per distinct correlation-key tuple.  Both counts are
    products of per-column distinct counts, capped by the enumerations; a
    NULL key is one more batch, but never a probe (a B-tree stores no NULL
-   keys, so [Btree.lookup_eq] answers it without I/O). *)
+   keys, so a NULL bound is answered without I/O). *)
 
 (* The frames of [q]'s enumeration, run [evals] times: their page I/O (a
    full rescan per enumeration unless probed), the assignments they

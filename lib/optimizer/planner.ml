@@ -321,10 +321,10 @@ let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
               right = right.node;
             },
           left.sorted )
-    | `Index indexed_cond ->
-        (* All remaining conditions and the right-side restrictions apply as
-           residuals on the fetched matches; the right node is the raw
-           scan. *)
+    | `Index ((lc, _, rc) as indexed_cond) ->
+        (* The right side is the B-tree probed with each left row's key;
+           every other condition and the right-side restrictions apply as
+           residuals on the fetched matches. *)
         let residual =
           List.filter_map
             (fun (lc, op, rc) ->
@@ -333,18 +333,23 @@ let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
             oriented
           @ filters
         in
-        let raw_scan =
-          if String.equal alias right_f.rel then Exec.Plan.Scan right_f.rel
-          else Exec.Plan.Rename (alias, Exec.Plan.Scan right_f.rel)
-        in
+        let key = Some (Col lc, true) in
         ( Exec.Plan.Join
             {
               method_ = Exec.Plan.Index_nl;
               kind;
-              cond = [ indexed_cond ];
+              cond = [];
               residual;
               left = left.node;
-              right = raw_scan;
+              right =
+                Exec.Plan.Index_scan
+                  {
+                    table = right_f.rel;
+                    alias;
+                    column = rc.column;
+                    lo = key;
+                    hi = key;
+                  };
             },
           left.sorted )
     | `Merge | `Nl ->

@@ -3,8 +3,9 @@
 
    - IndexScan (equality and range probes) must equal Filter∘Scan on the
      same predicate, on both engines, and deliver key order.
-   - Index nested-loop join must equal hash and sort-merge joins on the
-     same equi-condition, on both engines.
+   - Index nested-loop join (an IndexScan re-opened per left row) must
+     equal hash and sort-merge joins on the same equi-condition, inner and
+     left outer, on both engines.
    - The probe-based paged nested enumeration (Sysr_iteration) with a
      B-tree on every column must equal the in-memory oracle.
 
@@ -85,34 +86,43 @@ let prop_index_scan =
 
 (* --- index nested-loop join = hash = merge --------------------------- *)
 
-let join method_ =
+let join kind method_ =
   (* sort-merge consumes key-ordered inputs (the planner inserts the
-     Sorts); the other methods take the bare scans *)
-  let left, right =
+     Sorts); the index join re-opens an IndexScan bounded by the left
+     row's key; the other methods take the bare scans *)
+  let pnum = { Sql.Ast.table = Some "PARTS"; column = "PNUM" } in
+  let cond = [ (pnum, Sql.Ast.Eq, pcol "PNUM") ] in
+  let left, right, cond =
     match method_ with
     | Plan.Sort_merge ->
-        ( Plan.Sort ([ { Sql.Ast.table = Some "PARTS"; column = "PNUM" } ],
-            Plan.Scan "PARTS"),
-          Plan.Sort ([ pcol "PNUM" ], Plan.Scan "SUPPLY") )
-    | _ -> (Plan.Scan "PARTS", Plan.Scan "SUPPLY")
+        ( Plan.Sort ([ pnum ], Plan.Scan "PARTS"),
+          Plan.Sort ([ pcol "PNUM" ], Plan.Scan "SUPPLY"),
+          cond )
+    | Plan.Index_nl ->
+        let key = Some (Sql.Ast.Col pnum, true) in
+        ( Plan.Scan "PARTS",
+          Plan.Index_scan
+            {
+              table = "SUPPLY";
+              alias = "SUPPLY";
+              column = "PNUM";
+              lo = key;
+              hi = key;
+            },
+          [] )
+    | _ -> (Plan.Scan "PARTS", Plan.Scan "SUPPLY", cond)
   in
-  Plan.Join
-    {
-      method_;
-      kind = Plan.Inner;
-      cond =
-        [ ({ table = Some "PARTS"; column = "PNUM" }, Sql.Ast.Eq, pcol "PNUM") ];
-      residual = [];
-      left;
-      right;
-    }
+  Plan.Join { method_; kind; cond; residual = []; left; right }
 
+(* Under a left outer join a NULL left key must pad, not probe. *)
 let prop_index_join =
   QCheck2.Test.make
     ~name:"index NL join = hash = merge over NULL/dup/empty data" ~count:200
-    seed_gen (fun seed ->
+    QCheck2.Gen.(pair seed_gen (oneofl [ Plan.Inner; Plan.Left_outer ]))
+    (fun (seed, kind) ->
       let rng = Random.State.make [| seed |] in
       let catalog = supply_catalog rng in
+      let join = join kind in
       let inl = run_plan Plan.Tuple catalog (join Plan.Index_nl) in
       let hash = run_plan Plan.Tuple catalog (join Plan.Hash) in
       let merge = run_plan Plan.Tuple catalog (join Plan.Sort_merge) in

@@ -275,19 +275,25 @@ let explain_text () =
 let test_explain_corpus () =
   Suite_cost_goldens.check_golden "explain_untransformed" (explain_text ())
 
-(* EXPLAIN ANALYZE on the count-bug fixture: the Apply's inner plan runs
-   once per outer row under nested iteration and once per distinct key
-   under batched bindings (wall-clock masked). *)
+(* EXPLAIN ANALYZE of Q2 on the count-bug fixture: the Apply's inner plan
+   runs once per outer row under nested iteration and once per distinct
+   key under batched bindings.  Then the transformed Q2 on the keyed-TEMP2
+   database: TEMP2's index join re-opens its IndexScan once per TEMP1 key,
+   which reports its own rows and page I/O (wall-clock masked). *)
 let test_explain_analyze () =
   let mask = Str.global_replace (Str.regexp "time=[0-9.]+ms") "time=*" in
+  let analyze db strategy =
+    mask (explain db ~analyze:true strategy Fixtures.count_bug_query)
+  in
   Suite_cost_goldens.check_golden "explain_analyze_apply"
     (String.concat ""
        (List.map
-          (fun strategy ->
-            mask
-              (explain (Fixtures.count_bug_db ()) ~analyze:true strategy
-                 Fixtures.count_bug_query))
-          [ Core.Nested_iteration; Core.Batched Planner.Auto ]))
+          (analyze (Fixtures.count_bug_db ()))
+          [ Core.Nested_iteration; Core.Batched Planner.Auto ]
+       @ [
+           analyze (Suite_keyed_ja2.probed_db ())
+             (Core.Transformed Planner.Auto);
+         ]))
 
 (* Plan_check reports nothing on either strategy's plans, over every case
    of the I/O golden. *)

@@ -849,22 +849,49 @@ let test_plan_error_paths () =
                 left = Exec.Plan.Scan "PARTS";
                 right = Exec.Plan.Scan "SUPPLY";
               })));
-  (* index join without an index *)
+  (* index join without an index: the probe has no B-tree to descend *)
+  let index_join right cond =
+    Exec.Plan.Join
+      {
+        method_ = Exec.Plan.Index_nl;
+        kind = Exec.Plan.Inner;
+        cond;
+        residual = [];
+        left = Exec.Plan.Scan "PARTS";
+        right;
+      }
+  in
+  let probe =
+    Some (Sql.Ast.Col (Sql.Ast.col ~table:"PARTS" "PNUM"), true)
+  in
   Alcotest.(check bool) "index join without index rejected" true
     (expect_plan_error (fun () ->
          Exec.Plan.run catalog
-           (Exec.Plan.Join
-              {
-                method_ = Exec.Plan.Index_nl;
-                kind = Exec.Plan.Inner;
-                cond =
-                  [ ( Sql.Ast.col ~table:"PARTS" "PNUM",
-                      Sql.Ast.Eq,
-                      Sql.Ast.col ~table:"SUPPLY" "PNUM" ) ];
-                residual = [];
-                left = Exec.Plan.Scan "PARTS";
-                right = Exec.Plan.Scan "SUPPLY";
-              })));
+           (index_join
+              (Exec.Plan.Index_scan
+                 {
+                   table = "SUPPLY";
+                   alias = "SUPPLY";
+                   column = "PNUM";
+                   lo = probe;
+                   hi = probe;
+                 })
+              [])));
+  (* index join over a plain scan: the one form is a re-opened IndexScan *)
+  let over_scan =
+    index_join (Exec.Plan.Scan "SUPPLY")
+      [
+        ( Sql.Ast.col ~table:"PARTS" "PNUM",
+          Sql.Ast.Eq,
+          Sql.Ast.col ~table:"SUPPLY" "PNUM" );
+      ]
+  in
+  Alcotest.(check bool) "index join over a scan rejected" true
+    (expect_plan_error (fun () -> Exec.Plan.run catalog over_scan));
+  Alcotest.(check (list string)) "index join over a scan: NQ115" [ "NQ115" ]
+    (List.map
+       (fun (d : Analysis.Diagnostics.t) -> d.code)
+       (Analysis.Plan_check.check_catalog catalog over_scan));
   (* planner refuses a query that still nests *)
   Alcotest.(check bool) "planner refuses nested query" true
     (try
