@@ -73,9 +73,13 @@ bench-json:
 # cheapest candidate (either direction), or the sweep lacks a cell where
 # Auto picks the untransformed indexed strategy or the transformed one.  Not a
 # perf artifact — it proves the bench harness, both engines and all
-# strategies still run end to end.
+# strategies still run end to end.  Then `--compare` holds every row count,
+# page-I/O counter, Auto pick and estimate of the run to the committed
+# bench/smoke_baseline.json (timings ignored); a deliberate change to one
+# regenerates the baseline with `--smoke` and lists the change.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
+	dune exec bench/main.exe -- --compare bench/smoke_baseline.json BENCH_perf.smoke.json
 
 # Workload benchmark smoke (nestbench/README.md): every workload at 1/10
 # data for half a second, each statement's result checked against the

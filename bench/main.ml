@@ -4,6 +4,8 @@
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig1    # one section
+     dune exec bench/main.exe -- --compare BASE.json NEW.json
+       # exits 1 unless rows, page I/O, Auto's picks and estimates agree
    Sections: fig1 sec74 bugs figure2 sweep ext timing *)
 
 module Value = Relalg.Value
@@ -1467,6 +1469,79 @@ let json_bench ~smoke () =
       List.iter (fun k -> Fmt.epr "  %s@." k) missing;
       exit 1
 
+(* ---------------- --compare --------------------------------------------- *)
+
+(* What two bench documents must agree on when only timings may differ:
+   row counts, page I/O, Auto's pick and its estimates.  A member with one
+   of these names is compared whole, wherever it sits. *)
+let compared_members =
+  [
+    "rows"; "logical_reads"; "physical_reads"; "physical_writes"; "picked";
+    "estimates";
+  ]
+
+(* [(path, value)] of every compared member, in document order; a path
+   reads like [.queries[0].strategies[2].rows]. *)
+let compared_values doc =
+  let rec go path acc = function
+    | Json.Obj members ->
+        List.fold_left
+          (fun acc (name, v) ->
+            let path = path ^ "." ^ name in
+            if List.mem name compared_members then (path, v) :: acc
+            else go path acc v)
+          acc members
+    | Json.List items ->
+        snd
+          (List.fold_left
+             (fun (i, acc) v -> (i + 1, go (Fmt.str "%s[%d]" path i) acc v))
+             (0, acc) items)
+    | _ -> acc
+  in
+  List.rev (go "" [] doc)
+
+(* [--compare BASE NEW]: list every compared path whose value differs or
+   is missing on one side; exit 1 when there is one (or a file does not
+   parse). *)
+let compare_files base_path new_path =
+  let load path =
+    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok doc -> compared_values doc
+    | Error e ->
+        Fmt.epr "%s: %s@." path e;
+        exit 1
+  in
+  let base = load base_path and fresh = load new_path in
+  let only_in values other name =
+    List.filter_map
+      (fun (path, v) ->
+        if List.mem_assoc path other then None
+        else Some (Fmt.str "%s: %s only in %s" path (Json.to_string v) name))
+      values
+  in
+  let changed =
+    List.filter_map
+      (fun (path, v) ->
+        match List.assoc_opt path fresh with
+        | Some v' when v' <> v ->
+            Some
+              (Fmt.str "%s: %s -> %s" path (Json.to_string v)
+                 (Json.to_string v'))
+        | _ -> None)
+      base
+  in
+  match
+    changed @ only_in base fresh base_path @ only_in fresh base new_path
+  with
+  | [] ->
+      Fmt.pr "%s vs %s: %d rows / page-I/O / pick / estimate values, all equal@."
+        base_path new_path (List.length base)
+  | differences ->
+      List.iter (Fmt.pr "%s@.") differences;
+      Fmt.pr "%s vs %s: %d differences@." base_path new_path
+        (List.length differences);
+      exit 1
+
 (* ---------------- driver ------------------------------------------------ *)
 
 let sections =
@@ -1478,17 +1553,21 @@ let sections =
   ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  if List.mem "--json" args then json_bench ~smoke:false ()
-  else if List.mem "--smoke" args then json_bench ~smoke:true ()
-  else
-  let requested = if args <> [] then args else List.map fst sections in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name sections with
-      | Some f -> f ()
-      | None ->
-          Fmt.epr "unknown section %s (available: %s)@." name
-            (String.concat " " (List.map fst sections));
-          exit 1)
-    requested
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "--compare"; base; fresh ] -> compare_files base fresh
+  | "--compare" :: _ ->
+      Fmt.epr "usage: main.exe --compare BASE.json NEW.json@.";
+      exit 1
+  | args when List.mem "--json" args -> json_bench ~smoke:false ()
+  | args when List.mem "--smoke" args -> json_bench ~smoke:true ()
+  | args ->
+      let requested = if args <> [] then args else List.map fst sections in
+      List.iter
+        (fun name ->
+          match List.assoc_opt name sections with
+          | Some f -> f ()
+          | None ->
+              Fmt.epr "unknown section %s (available: %s)@." name
+                (String.concat " " (List.map fst sections));
+              exit 1)
+        requested
