@@ -771,7 +771,8 @@ let cmds =
       Term.(common (const tree_cmd) $ sql);
     cmd "explain"
       "Print annotated physical plans; --analyze adds runtime metrics; \
-       --strategy batched shows the batched outer plan and batch counts."
+       under --strategy nested or batched, each subquery's plan runs under \
+       its Apply (per row or per key) and --analyze shows its loops=."
       Term.(
         common (const explain_cmd) $ analyze $ strategy $ mode $ engine
         $ exec_trace $ sql);
@@ -936,7 +937,7 @@ let cmds =
          value & opt (some string) None & info [ "e-engine"; "engine" ] ~docv:"ENGINE" ~doc)
      in
      let strategy_opt =
-       let doc = "Strategy for -e queries: auto, nested or transformed." in
+       let doc = "Strategy for -e queries: auto, nested, transformed or batched." in
        Arg.(
          value & opt (some string) None & info [ "s"; "strategy" ] ~docv:"S" ~doc)
      in

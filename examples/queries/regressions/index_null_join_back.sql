@@ -3,8 +3,9 @@
 -- PARTS.PNUM <=> TEMP.PNUM — null-safe equality, because the part with
 -- a NULL PNUM still has COUNT() = 0 and its QOH = 0 row must survive.
 -- A B-tree stores no NULL keys, so routing that join-back through an
--- index probe would silently drop the NULL row; the planner refuses
--- index nested-loop joins on <=> (Plan.index_nl_join), and the indexed
+-- index probe would silently drop the NULL row; the planner takes the
+-- index nested-loop join only for = (Planner.join_step), its IndexScan
+-- probe cannot state <=>, and the indexed
 -- cells of the oracle matrix must agree with the in-memory oracle here:
 -- the answer is {1, NULL}, never just {1}.
 -- table PARTS (PNUM:int,QOH:int)
