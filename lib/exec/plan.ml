@@ -186,19 +186,48 @@ let compile_scalar schema = function
       let i = find_col schema c in
       fun row -> Row.get row i
 
-let compile_predicate schema (p : predicate) : Row.t -> Truth.t =
-  match p with
-  | Cmp (a, op, b) ->
-      let fa = compile_scalar schema a and fb = compile_scalar schema b in
-      fun row -> Eval.cmp_values op (fa row) (fb row)
+(* A plan predicate is a comparison of columns and literals; nested
+   predicates are planned as an [Apply]'s and never compile. *)
+let comparison = function
+  | Cmp (a, op, b) -> (a, op, b)
   | Cmp_outer _ -> errf "outer-join predicate must be a join condition"
   | Cmp_subq _ | In_subq _ | Not_in_subq _ | Exists _ | Not_exists _
   | Quant _ ->
       errf "nested predicate reached the physical planner"
 
+let compile_predicate schema (p : predicate) : Row.t -> Truth.t =
+  let a, op, b = comparison p in
+  let fa = compile_scalar schema a and fb = compile_scalar schema b in
+  fun row -> Eval.cmp_values op (fa row) (fb row)
+
+(* A conjunction evaluated left to right, stopping at the first False and
+   remembering an Unknown: False absorbs, so the result is
+   [Truth.conjunction]'s, and since every compiled predicate is a pure
+   comparison, a skipped one skips no page I/O.  Top-level and
+   tail-recursive, so an evaluation allocates nothing. *)
+let rec all_true fs row acc =
+  match fs with
+  | [] -> acc
+  | f :: rest -> (
+      match f row with
+      | Truth.False -> Truth.False
+      | Truth.True -> all_true rest row acc
+      | Truth.Unknown -> all_true rest row Truth.Unknown)
+
+let rec all_true2 fs l r acc =
+  match fs with
+  | [] -> acc
+  | f :: rest -> (
+      match f l r with
+      | Truth.False -> Truth.False
+      | Truth.True -> all_true2 rest l r acc
+      | Truth.Unknown -> all_true2 rest l r Truth.Unknown)
+
 let compile_conjunction schema preds : Row.t -> Truth.t =
-  let compiled = List.map (compile_predicate schema) preds in
-  fun row -> Truth.conjunction (List.map (fun f -> f row) compiled)
+  match List.map (compile_predicate schema) preds with
+  | [] -> fun _ -> Truth.True
+  | [ f ] -> f
+  | fs -> fun row -> all_true fs row Truth.True
 
 (* ------------------------------------------------------------------ *)
 (* Join compilation (shared by both engines)                           *)
@@ -208,6 +237,43 @@ let compile_conjunction schema preds : Row.t -> Truth.t =
    identically whichever engine runs the join; these helpers take the
    already-built input schemas so the tuple and vectorized executors can
    share every semantic decision. *)
+
+(* A join's conditions and residual as one short-circuit test on the
+   (left, right) pair.  A residual column is resolved on the joined schema
+   and read from whichever row holds it, so no joined row is built to test
+   a pair. *)
+let compile_pair_conjunction env (lschema : Schema.t) (rschema : Schema.t)
+    ~cond ~residual : Row.t -> Row.t -> Truth.t =
+  let cond_fns =
+    List.map
+      (fun (lc, op, rc) ->
+        let li = find_col lschema lc and ri = find_col rschema rc in
+        fun l r -> Eval.cmp_values op (Row.get l li) (Row.get r ri))
+      cond
+  in
+  let joined = Schema.append lschema rschema in
+  let split = Schema.arity lschema in
+  let operand = function
+    | Lit v -> fun _ _ -> v
+    | Col c ->
+        let i = find_col joined c in
+        if i < split then fun l _ -> Row.get l i
+        else
+          let i = i - split in
+          fun _ r -> Row.get r i
+  in
+  let residual_fns =
+    List.map
+      (fun p ->
+        let a, op, b = comparison p in
+        let fa = operand a and fb = operand b in
+        fun l r -> Eval.cmp_values op (fa l r) (fb l r))
+      (bind_params env joined residual)
+  in
+  match cond_fns @ residual_fns with
+  | [] -> fun _ _ -> Truth.True
+  | [ f ] -> f
+  | fs -> fun l r -> all_true2 fs l r Truth.True
 
 (* Split an equi-joinable condition list: equality conditions become keys
    (with their [<=>] null-safety flags), the rest fold into the residual.
@@ -223,31 +289,15 @@ let equi_join_parts ~method_name env (lschema : Schema.t) (rschema : Schema.t)
   let null_safe = List.map (fun (_, op, _) -> op = Eq_null) eq_cond in
   let left_key = List.map (fun (lc, _, _) -> find_col lschema lc) eq_cond in
   let right_key = List.map (fun (_, _, rc) -> find_col rschema rc) eq_cond in
-  let joined_schema = Schema.append lschema rschema in
-  let rest_fns =
-    List.map
-      (fun (lc, op, rc) ->
-        let li = find_col lschema lc and ri = find_col rschema rc in
-        fun l r -> Eval.cmp_values op (Row.get l li) (Row.get r ri))
-      rest
-  in
   (* No residual function at all when every condition became a key: the
-     executors' pure-equi fast paths must not pay per-match row
-     materialization for an always-true check. *)
+     executors' pure-equi fast paths must not pay a per-match call for an
+     always-true check. *)
   let residual_opt =
     if rest = [] && residual = [] then None
     else
-      let residual_fn =
-        compile_conjunction joined_schema
-          (bind_params env joined_schema residual)
-      in
-      Some
-        (fun l r ->
-          Truth.and_
-            (Truth.conjunction (List.map (fun f -> f l r) rest_fns))
-            (residual_fn (Row.append l r)))
+      Some (compile_pair_conjunction env lschema rschema ~cond:rest ~residual)
   in
-  (left_key, right_key, null_safe, residual_opt, joined_schema)
+  (left_key, right_key, null_safe, residual_opt, Schema.append lschema rschema)
 
 (* An IndexScan streams a B-tree probe: O(height) page reads down to the
    start leaf, then a leaf walk with data pages fetched through the pool —
@@ -323,20 +373,20 @@ let index_nl_join catalog ctx ~child ~outer_join ~cond ~residual ~right
         "index join requires an index scan on the right and no join \
          condition");
   let lschema = lit.Iterator.schema and rschema = output_schema catalog right in
-  let joined_schema = Schema.append lschema rschema in
-  let residual_fn =
-    compile_conjunction joined_schema
-      (bind_params ctx.env joined_schema residual)
+  let residual =
+    if residual = [] then None
+    else
+      Some
+        (compile_pair_conjunction ctx.env lschema rschema ~cond:[] ~residual)
   in
-  let residual l r = residual_fn (Row.append l r) in
   let probe l =
     Iterator.to_rows (child { ctx with env = (lschema, l) :: ctx.env } right)
   in
   let it =
-    Iterator.index_nested_loop_join ~outer_join ~residual ~probe
+    Iterator.index_nested_loop_join ~outer_join ?residual ~probe
       ~right_schema:rschema lit
   in
-  { it with Iterator.schema = joined_schema }
+  { it with Iterator.schema = Schema.append lschema rschema }
 
 (* Tuple nested loops: the inner side must be stored so it can be
    re-scanned; scans use the stored heap, other subtrees are materialized
@@ -356,29 +406,11 @@ let nested_loop_join catalog env ~outer_join ~cond ~residual ~right
         let heap = Iterator.materialize pager (right_iter ()) in
         (heap, Storage.Heap_file.schema heap)
   in
-  let joined_schema = Schema.append lit.Iterator.schema rschema in
   let theta =
-    if cond = [] && residual = [] then fun _ _ -> Truth.True
-    else
-      let cond_fns =
-        List.map
-          (fun (lc, op, rc) ->
-            let li = find_col lit.Iterator.schema lc
-            and ri = find_col rschema rc in
-            fun l r -> Eval.cmp_values op (Row.get l li) (Row.get r ri))
-          cond
-      in
-      let residual_fn =
-        compile_conjunction joined_schema
-          (bind_params env joined_schema residual)
-      in
-      fun l r ->
-        Truth.and_
-          (Truth.conjunction (List.map (fun f -> f l r) cond_fns))
-          (residual_fn (Row.append l r))
+    compile_pair_conjunction env lit.Iterator.schema rschema ~cond ~residual
   in
   let it = Iterator.nested_loop_join ~outer_join ~theta lit right_heap in
-  { it with Iterator.schema = joined_schema }
+  { it with Iterator.schema = Schema.append lit.Iterator.schema rschema }
 
 (* Group keys and aggregate specs against the input schema. *)
 let group_agg_parts (ischema : Schema.t) ~group_by ~aggs =

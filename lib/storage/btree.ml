@@ -286,18 +286,6 @@ let range t ?lo ?hi () : unit -> Row.t option =
         let data = Pager.read_page t.pager t.data_file page in
         Some data.(slot)
 
-let lookup_eq t (v : Value.t) : Row.t list =
-  if Value.is_null v then []
-  else begin
-    let next = range t ~lo:(v, true) ~hi:(v, true) () in
-    let rec collect acc =
-      match next () with
-      | Some r -> collect (r :: acc)
-      | None -> List.rev acc
-    in
-    collect []
-  end
-
 let range_cost t ~sel ~matches =
   float_of_int t.height +. ceil (sel *. float_of_int t.leaf_pages) +. matches
 

@@ -16,10 +16,6 @@ type t
     charged to the pager's counters and recorded in {!build_io}. *)
 val build : Pager.t -> Heap_file.t -> key_col:int -> t
 
-(** Data rows whose key equals [v], in stored (page, slot) order.
-    NULL matches nothing (SQL comparison semantics). *)
-val lookup_eq : t -> Relalg.Value.t -> Relalg.Row.t list
-
 (** [(value, inclusive)] endpoint of a range probe. *)
 type bound = Relalg.Value.t * bool
 

@@ -277,6 +277,12 @@ let test_merge_join_null_keys_never_match () =
   in
   Alcotest.(check int) "outer pads null-key left row" 2 (List.length outer)
 
+(* Data rows whose key equals [v]: an equality range probe, drained. *)
+let eq_rows idx v =
+  let next = Storage.Btree.range idx ~lo:(v, true) ~hi:(v, true) () in
+  let rec drain () = match next () with Some r -> r :: drain () | None -> [] in
+  drain ()
+
 let test_index_join_matches_nl () =
   let pager = Pager.create ~buffer_pages:4 ~page_bytes:64 () in
   let catalog = Catalog.create pager in
@@ -287,7 +293,7 @@ let test_index_join_matches_nl () =
   let left = rel_of "L" [ (1, 10); (2, 20); (3, 30) ] in
   let run ~outer =
     Exec.Iterator.index_nested_loop_join ~outer_join:outer
-      ~probe:(fun l -> Storage.Btree.lookup_eq idx (Relalg.Row.get l 0))
+      ~probe:(fun l -> eq_rows idx (Relalg.Row.get l 0))
       ~right_schema:(Catalog.schema catalog "R")
       (Exec.Iterator.of_relation left)
     |> Exec.Iterator.to_rows
@@ -345,7 +351,7 @@ let prop_index_equals_nl =
       in
       let ix =
         Exec.Iterator.index_nested_loop_join
-          ~probe:(fun l -> Storage.Btree.lookup_eq idx (Relalg.Row.get l 0))
+          ~probe:(fun l -> eq_rows idx (Relalg.Row.get l 0))
           ~right_schema:(Catalog.schema catalog "R")
           (Exec.Iterator.of_relation left)
         |> Exec.Iterator.to_relation

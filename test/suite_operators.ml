@@ -42,6 +42,90 @@ let join_inputs rng =
   in
   (left, right)
 
+(* Plan's compiled join conditions: the same inputs as [Exec.Plan.Join]
+   nodes under every method and both engines, with a key condition, a
+   random extra non-equality condition and a random residual, against the
+   cross product filtered by [Truth.conjunction] of [Eval.cmp_values] (an
+   unmatched left row padded for a left-outer join). *)
+let plan_joins_agree rng ~outer left right =
+  let module P = Exec.Plan in
+  let open Sql.Ast in
+  let pick xs = List.nth xs (G.int_in rng 0 (List.length xs - 1)) in
+  let col rel name = { table = Some rel; column = name } in
+  (* an operand as a plan scalar and as a reader of the (left, right) pair *)
+  let operand () =
+    match G.int_in rng 0 4 with
+    | 0 -> (Col (col "L" "K"), fun l _ -> Row.get l 0)
+    | 1 -> (Col (col "L" "V"), fun l _ -> Row.get l 1)
+    | 2 -> (Col (col "R" "K"), fun _ r -> Row.get r 0)
+    | 3 -> (Col (col "R" "V"), fun _ r -> Row.get r 1)
+    | _ ->
+        let v = Value.Int (G.int_in rng 0 9) in
+        (Lit v, fun _ _ -> v)
+  in
+  (* a condition on one column of both sides *)
+  let on name i op =
+    ( (col "L" name, op, col "R" name),
+      fun l r -> Exec.Eval.cmp_values op (Row.get l i) (Row.get r i) )
+  in
+  let key_op = pick [ Eq; Eq_null ] in
+  let extra_op = pick [ Ne; Lt; Ge; Eq_null ] in
+  let extra = if Random.State.bool rng then [ on "V" 1 extra_op ] else [] in
+  let cond = on "K" 0 key_op :: extra in
+  let residual =
+    List.init (G.int_in rng 0 2) (fun _ ->
+        let a, fa = operand () and b, fb = operand () in
+        let op = pick [ Eq; Ne; Lt; Le; Gt; Ge; Eq_null ] in
+        (Cmp (a, op, b), fun l r -> Exec.Eval.cmp_values op (fa l r) (fb l r)))
+  in
+  let holds l r =
+    let test (_, f) = f l r in
+    Relalg.Truth.conjunction (List.map test cond @ List.map test residual)
+    = Relalg.Truth.True
+  in
+  let expected =
+    List.sort Row.compare
+      (List.concat_map
+         (fun l ->
+           match
+             List.filter_map
+               (fun r -> if holds l r then Some (Row.append l r) else None)
+               (Relation.rows right)
+           with
+           | [] when outer -> [ Row.append l (Row.nulls 2) ]
+           | matches -> matches)
+         (Relation.rows left))
+  in
+  let catalog =
+    G.catalog_of ~buffer_pages:4 ~page_bytes:32 [ ("L", left); ("R", right) ]
+  in
+  let join method_ ~sorted =
+    let input rel =
+      if sorted then P.Sort ([ col rel "K" ], P.Scan rel) else P.Scan rel
+    in
+    P.Join
+      {
+        method_;
+        kind = (if outer then P.Left_outer else P.Inner);
+        cond = List.map fst cond;
+        residual = List.map fst residual;
+        left = input "L";
+        right = input "R";
+      }
+  in
+  List.for_all
+    (fun (name, method_, sorted) ->
+      let plan = join method_ ~sorted in
+      let rows run = List.sort Row.compare (Relation.rows (run catalog plan)) in
+      check_bags ("plan " ^ name ^ " (tuple)") (rows P.run) expected
+      && check_bags ("plan " ^ name ^ " (vectorized)") (rows P.run_vec)
+           expected)
+    [
+      ("nested-loop", P.Nested_loop, false);
+      ("hash", P.Hash, false);
+      ("sort-merge", P.Sort_merge, true);
+    ]
+
 (* The three joins on key column 0 (equality, SQL semantics: NULL keys never
    join).  The stored right side and the sorts go through a tiny pool, so
    external-sort spill paths run too. *)
@@ -69,7 +153,9 @@ let trial_join ~outer seed =
       (Iterator.hash_join ~outer_join:outer ~left_key:[ 0 ] ~right_key:[ 0 ]
          (Iterator.of_relation left) (Iterator.of_relation right))
   in
-  check_bags "merge vs nested-loop" merge nl && check_bags "hash vs merge" hash merge
+  check_bags "merge vs nested-loop" merge nl
+  && check_bags "hash vs merge" hash merge
+  && plan_joins_agree rng ~outer left right
 
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 

@@ -93,6 +93,123 @@ let test_pager_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* A page touch allocates nothing: hits that relink frames, over and over. *)
+let test_pager_touch_allocates_nothing () =
+  let pager = Pager.create ~buffer_pages:4 ~page_bytes:64 () in
+  let f = Pager.create_file pager in
+  for i = 0 to 3 do
+    Pager.append_page pager f [| row i |]
+  done;
+  let before = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    ignore (Pager.read_page pager f ((k * 3) land 3))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "10k hits allocate %.0f words" words)
+    true (words < 100.)
+
+(* Property: the pager against a list-based reference LRU.  Random
+   create/append/read/delete sequences over four file slots; after every
+   operation the counters, live files and disk pages must match, and a read
+   must return the reference's page (or fail where it fails). *)
+type pager_op =
+  | Create of int
+  | Append of int
+  | Read of int * int
+  | Delete of int
+
+let pp_pager_op = function
+  | Create s -> Printf.sprintf "create %d" s
+  | Append s -> Printf.sprintf "append %d" s
+  | Read (s, i) -> Printf.sprintf "read %d.%d" s i
+  | Delete s -> Printf.sprintf "delete %d" s
+
+let pager_ops_gen =
+  let open QCheck2.Gen in
+  let slot = int_range 0 3 in
+  pair (oneofl [ 2; 3; 8 ])
+    (list_size (int_range 1 80)
+       (frequency
+          [
+            (1, map (fun s -> Create s) slot);
+            (3, map (fun s -> Append s) slot);
+            (5, map2 (fun s i -> Read (s, i)) slot (int_range 0 6));
+            (1, map (fun s -> Delete s) slot);
+          ]))
+
+let pager_matches_reference (b, ops) =
+  let pager = Pager.create ~buffer_pages:b ~page_bytes:64 () in
+  (* reference: per slot the pager's file and a file uid; pages by (uid,
+     page number); the pool as a most-recent-first list of (uid, page) *)
+  let slots = Array.make 4 None and next_uid = ref 0 in
+  let disk = Hashtbl.create 64 and pool = ref [] in
+  let logical = ref 0 and reads = ref 0 and writes = ref 0 in
+  let touch key =
+    pool :=
+      List.filteri (fun i _ -> i < b) (key :: List.filter (( <> ) key) !pool)
+  in
+  let slot = function Create s | Append s | Read (s, _) | Delete s -> s in
+  let step op =
+    let page_ok =
+      match (op, slots.(slot op)) with
+      | Create s, None ->
+          slots.(s) <- Some (Pager.create_file pager, !next_uid, ref 0);
+          incr next_uid;
+          true
+      | Append _, Some (f, uid, n) ->
+          (* the write count numbers the page's one row *)
+          Pager.append_page pager f [| row !writes |];
+          Hashtbl.replace disk (uid, !n) !writes;
+          touch (uid, !n);
+          incr n;
+          incr writes;
+          true
+      | Read (_, i), Some (f, uid, _) -> (
+          incr logical;
+          let got =
+            try Some (Pager.read_page pager f i) with Invalid_argument _ -> None
+          in
+          match Hashtbl.find_opt disk (uid, i) with
+          | None -> got = None
+          | Some v ->
+              if not (List.mem (uid, i) !pool) then incr reads;
+              touch (uid, i);
+              got = Some [| row v |])
+      | Delete s, Some (f, uid, n) ->
+          Pager.delete_file pager f;
+          for i = 0 to !n - 1 do
+            Hashtbl.remove disk (uid, i)
+          done;
+          pool := List.filter (fun (u, _) -> u <> uid) !pool;
+          slots.(s) <- None;
+          true
+      | (Create _, Some _) | ((Append _ | Read _ | Delete _), None) -> true
+    in
+    let s = Pager.stats pager in
+    let ok =
+      page_ok
+      && s.logical_reads = !logical
+      && s.physical_reads = !reads
+      && s.physical_writes = !writes
+      && Pager.disk_pages pager = Hashtbl.length disk
+      && Pager.file_count pager
+         = Array.fold_left (fun k s -> if s = None then k else k + 1) 0 slots
+    in
+    if not ok then
+      QCheck2.Test.fail_reportf "after %s: stats %a vs reference %d/%d/%d"
+        (pp_pager_op op) Pager.pp_stats s !logical !reads !writes;
+    ok
+  in
+  List.for_all step ops
+
+let prop_pager_matches_reference =
+  QCheck2.Test.make ~name:"pager = reference LRU (stats, pages)" ~count:300
+    ~print:(fun (b, ops) ->
+      Printf.sprintf "B=%d: %s" b
+        (String.concat "; " (List.map pp_pager_op ops)))
+    pager_ops_gen pager_matches_reference
+
 let test_heap_file_roundtrip () =
   let pager = Pager.create ~buffer_pages:4 ~page_bytes:32 () in
   let rel =
@@ -182,13 +299,19 @@ let kv_heap pager rows =
     (Relation.make kv_schema
        (List.map (fun (k, v) -> Row.of_list [ Value.Int k; Value.Int v ]) rows))
 
+(* Data rows whose key equals [v]: an equality range probe, drained. *)
+let eq_rows idx v =
+  let next = Btree.range idx ~lo:(v, true) ~hi:(v, true) () in
+  let rec drain () = match next () with Some r -> r :: drain () | None -> [] in
+  drain ()
+
 let test_index_lookup () =
   let pager = Pager.create ~buffer_pages:4 ~page_bytes:48 () in
   let heap = kv_heap pager [ (5, 50); (1, 10); (5, 51); (3, 30); (1, 11) ] in
   let idx = Btree.build pager heap ~key_col:0 in
   Alcotest.(check int) "entries" 5 (Btree.entry_count idx);
   let values key =
-    List.map (fun r -> Row.get r 1) (Btree.lookup_eq idx (Value.Int key))
+    List.map (fun r -> Row.get r 1) (eq_rows idx (Value.Int key))
     |> List.sort Value.compare
   in
   Alcotest.(check bool) "duplicates found" true
@@ -196,7 +319,7 @@ let test_index_lookup () =
   Alcotest.(check bool) "single" true (values 3 = [ Value.Int 30 ]);
   Alcotest.(check bool) "missing" true (values 99 = []);
   Alcotest.(check bool) "null probe matches nothing" true
-    (Btree.lookup_eq idx Value.Null = [])
+    (eq_rows idx Value.Null = [])
 
 let test_index_null_keys_excluded () =
   let pager = Pager.create ~buffer_pages:4 ~page_bytes:48 () in
@@ -223,7 +346,7 @@ let test_index_build_costs_io () =
   Alcotest.(check int) "build_io records reads" s.physical_reads
     b.Pager.physical_reads;
   Pager.reset_stats pager;
-  ignore (Btree.lookup_eq idx (Value.Int 40));
+  ignore (eq_rows idx (Value.Int 40));
   let s = Pager.stats pager in
   Alcotest.(check bool) "probe charged" true (s.logical_reads > 0)
 
@@ -241,7 +364,7 @@ let test_btree_multi_level () =
   Alcotest.(check bool) "interior pages exist" true
     (Btree.pages idx > Btree.leaf_page_count idx);
   for k = 0 to n - 1 do
-    match Btree.lookup_eq idx (Value.Int k) with
+    match eq_rows idx (Value.Int k) with
     | [ _ ] -> ()
     | rows ->
         Alcotest.failf "key %d: expected 1 row, got %d" k (List.length rows)
@@ -285,7 +408,7 @@ let test_btree_empty () =
   let idx = Btree.build pager heap ~key_col:0 in
   Alcotest.(check int) "no entries" 0 (Btree.entry_count idx);
   Alcotest.(check bool) "probe on empty" true
-    (Btree.lookup_eq idx (Value.Int 1) = []);
+    (eq_rows idx (Value.Int 1) = []);
   let next = Btree.range idx () in
   Alcotest.(check bool) "range on empty" true (next () = None)
 
@@ -397,6 +520,9 @@ let suites =
         Alcotest.test_case "rescan thrashes" `Quick
           test_pager_repeated_scan_thrashes;
         Alcotest.test_case "validation" `Quick test_pager_validation;
+        Alcotest.test_case "page touch allocates nothing" `Quick
+          test_pager_touch_allocates_nothing;
+        QCheck_alcotest.to_alcotest prop_pager_matches_reference;
       ] );
     ( "storage.heap_file",
       [
