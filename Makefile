@@ -35,17 +35,17 @@ check-corpus:
 	done
 
 # Differential oracle smoke run (docs/ORACLE.md): fixed seed, 500 random
-# nested queries, each through the full 54-cell candidate matrix (rewrite,
+# nested queries, each through the full 38-cell candidate matrix (rewrite,
 # batched, Auto and index-axis columns, both execution engines) and the
 # static checker (--check), plus a replay of the shrunk regression corpus.
 # Exits non-zero on any discrepancy, and on a refusal-count regression:
-# seed 42 x 500 refuses exactly 670 candidate cells today (soundness
+# seed 42 x 500 refuses exactly 210 candidate cells today (soundness
 # guards + the unbatchable shape, including the indexed-rewrite cells'
-# share), so the ratchet pins 671 — a rewrite that starts refusing shapes
+# share), so the ratchet pins 211 — a rewrite that starts refusing shapes
 # it used to handle trips it.
 fuzz-smoke:
 	dune build bin/nestsql.exe
-	dune exec bin/nestsql.exe -- fuzz --seed 42 --count 500 -q --check --assert-refusals-below 671
+	dune exec bin/nestsql.exe -- fuzz --seed 42 --count 500 -q --check --assert-refusals-below 211
 	dune exec bin/nestsql.exe -- fuzz --replay examples/queries/regressions -q
 
 # End-to-end server smoke (docs/SERVER.md): start `nestsql serve` on a

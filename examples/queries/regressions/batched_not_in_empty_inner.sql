@@ -1,7 +1,7 @@
 -- oracle repro: the refusal ladder on NOT IN over an empty correlated
--- inner.  The rewrite cells refuse (no NOT IN transformation in the
--- paper, absent --rewrite-not-in), so batched and the Auto ladder are the
--- only optimizing cells that answer: part 2's substituted inner is empty,
+-- inner.  The rewrite cells refuse (SUPPLY.QUAN holds a NULL, so the
+-- guarded NOT IN -> COUNT rewrite declines), so batched and the Auto
+-- ladder are the only optimizing cells that answer: part 2's substituted inner is empty,
 -- and NOT IN over the empty set is vacuously true, while part 1's inner
 -- contains a NULL QUAN, whose three-valued NOT IN must reject the row —
 -- per-batch literal substitution has to preserve both edges exactly as

@@ -262,9 +262,10 @@ let lint ?classify ?column_stats (q : Ast.query) : D.t list =
             | Ast.Not_in_subq _ ->
                 emit
                   (D.make "NQ007" sub_span
-                     "NOT IN has no direct transformation; the planner can \
-                      rewrite it through a zero COUNT (sec. 8) or fall \
-                      back to nested iteration")
+                     "NOT IN has no paper transformation; the planner \
+                      rewrites it through a zero COUNT when the catalog \
+                      proves both sides non-null, else falls back to \
+                      nested iteration")
             | _ -> ());
             (* NQ008: mirrors Nest_g's Safe-semantics refusal. *)
             if

@@ -105,9 +105,9 @@ let probe_keys db kp =
     (Optimizer.Estimate.keyed_temp2 db.catalog kp)
 
 (* NEST-G over an already-analyzed query, its temps named by [fresh]. *)
-let transform_with ~rewrite_not_in ?on_step ~probe_keys ~fresh db q =
+let transform_with ?on_step ~probe_keys ~fresh db q =
   match
-    Optimizer.Nest_g.transform ~rewrite_not_in ~nullable:(column_nullable db)
+    Optimizer.Nest_g.transform ~nullable:(column_nullable db)
       ~probe_keys ?on_step ~fresh q
   with
   | program -> Ok program
@@ -118,23 +118,23 @@ let transform_with ~rewrite_not_in ?on_step ~probe_keys ~fresh db q =
       Error ("not transformable: " ^ msg)
 
 (* [transform] and the prepared-statement path both come through here. *)
-let transform_query ?(rewrite_not_in = false) ?on_step db q =
-  transform_with ~rewrite_not_in ?on_step ~probe_keys:(probe_keys db)
+let transform_query ?on_step db q =
+  transform_with ?on_step ~probe_keys:(probe_keys db)
     ~fresh:(fun () -> Catalog.fresh_temp_name db.catalog)
     db q
 
-let transform ?rewrite_not_in ?on_step db text =
+let transform ?on_step db text =
   match parse db text with
   | Error _ as e -> e
-  | Ok q -> transform_query ?rewrite_not_in ?on_step db q
+  | Ok q -> transform_query ?on_step db q
 
 (* The transformation together with its step-by-step trace. *)
-let transform_traced ?rewrite_not_in db text =
+let transform_traced db text =
   let steps = ref [] in
   let on_step s = steps := s :: !steps in
   Result.map
     (fun program -> (program, List.rev !steps))
-    (transform ?rewrite_not_in ~on_step db text)
+    (transform ~on_step db text)
 
 (* The paper's query-tree view (Figure 2). *)
 let query_tree db text =
@@ -365,20 +365,18 @@ type execution = {
 type prepared = {
   normalized : string;
   query : Sql.Ast.query;
-  rewrite_not_in : bool;
   program : (Optimizer.Program.t, string) result Lazy.t;
 }
 
-let prepare_query ?(rewrite_not_in = false) db q =
+let prepare_query db q =
   {
     normalized = Sql.Pp.query_to_string q;
     query = q;
-    rewrite_not_in;
-    program = lazy (transform_query ~rewrite_not_in db q);
+    program = lazy (transform_query db q);
   }
 
-let prepare ?rewrite_not_in db text =
-  Result.map (prepare_query ?rewrite_not_in db) (parse db text)
+let prepare db text =
+  Result.map (prepare_query db) (parse db text)
 
 (* The §7 crossover, priced.  When some frame of the nested enumeration
    can probe a B-tree, Auto's candidates are priced in page I/O with
@@ -412,7 +410,7 @@ let price db (q : Sql.Ast.query) : candidates option =
                (fun (program : Optimizer.Program.t) ->
                  Optimizer.Estimate.transformed_bound db.catalog q
                    ~keyed:!keyed ~temps:(List.length program.temps))
-               (transform_with ~rewrite_not_in:false ~probe_keys ~fresh db q));
+               (transform_with ~probe_keys ~fresh db q));
         est_batched = Optimizer.Estimate.batched_cost db.catalog q;
       })
     (Optimizer.Estimate.indexed_nested_cost db.catalog q)
@@ -596,10 +594,10 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace db
     (apply_strategy ?mode ?engine ?trace db p strategy ~untransformed
        ~transformed)
 
-let run ?strategy ?check ?rewrite_not_in ?mode ?engine ?trace db text :
+let run ?strategy ?check ?mode ?engine ?trace db text :
     (execution, string) result =
   Result.bind
-    (prepare ?rewrite_not_in db text)
+    (prepare db text)
     (run_prepared ?strategy ?check ?mode ?engine ?trace db)
 
 (* Convenience: the relation only. *)

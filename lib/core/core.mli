@@ -55,11 +55,9 @@ val parse : db -> string -> (Sql.Ast.query, string) result
 (** Kim's classification of the query's nesting ([None] for flat queries). *)
 val classify : db -> string -> (Optimizer.Classify.t option, string) result
 
-(** Full NEST-G transformation to a canonical program.  [rewrite_not_in]
-    enables the beyond-the-paper NOT IN → COUNT rewrite; [on_step] receives
-    a trace line per transformation action. *)
+(** Full NEST-G transformation to a canonical program.  [on_step]
+    receives a trace line per transformation action. *)
 val transform :
-  ?rewrite_not_in:bool ->
   ?on_step:(string -> unit) ->
   db ->
   string ->
@@ -67,7 +65,6 @@ val transform :
 
 (** [transform] plus the collected trace lines, in order. *)
 val transform_traced :
-  ?rewrite_not_in:bool ->
   db ->
   string ->
   (Optimizer.Program.t * string list, string) result
@@ -180,7 +177,6 @@ type prepared = {
           differing only in whitespace/case normalize identically; the
           server's plan cache keys on it *)
   query : Sql.Ast.query;  (** the analyzed AST *)
-  rewrite_not_in : bool;  (** the flag the transformation was prepared with *)
   program : (Optimizer.Program.t, string) result Lazy.t;
       (** the NEST-G transformation, forced at most once ([Error] = not
           transformable).  Not thread-safe to force concurrently — the
@@ -191,10 +187,10 @@ type prepared = {
     This is the unit the server's plan cache stores. *)
 
 (** Parse + analyze + (lazily) transform one statement. *)
-val prepare : ?rewrite_not_in:bool -> db -> string -> (prepared, string) result
+val prepare : db -> string -> (prepared, string) result
 
 (** {!prepare} for an already-analyzed query (no re-parse). *)
-val prepare_query : ?rewrite_not_in:bool -> db -> Sql.Ast.query -> prepared
+val prepare_query : db -> Sql.Ast.query -> prepared
 
 (** Execute a prepared statement: exactly {!run} minus the per-statement
     work.  [run p] and [run_prepared (prepare p)] are result-identical —
@@ -217,10 +213,9 @@ val run_prepared :
     line per operator open / next-batch / close; see [docs/EXPLAIN.md]) —
     every strategy runs a plan, so every strategy is traced — plus, under
     [Auto], one ["auto"] line with the {!decision}.
-    [rewrite_not_in] and [mode] parameterize
-    the transformed path exactly as {!transform} and
-    {!Optimizer.Planner.run_program} do (the differential oracle sweeps
-    them).  [engine] selects tuple-at-a-time (default) or vectorized batch
+    [mode] parameterizes the transformed path exactly as
+    {!Optimizer.Planner.run_program} does (the differential oracle sweeps
+    it).  [engine] selects tuple-at-a-time (default) or vectorized batch
     execution for plan-based paths; nested iteration is tuple-only and
     ignores it.  Transformed programs are structurally verified
     ({!Optimizer.Planner.verify_program}) before running.  [check]
@@ -230,7 +225,6 @@ val run_prepared :
 val run :
   ?strategy:strategy ->
   ?check:bool ->
-  ?rewrite_not_in:bool ->
   ?mode:Optimizer.Planner.mode ->
   ?engine:Exec.Plan.engine ->
   ?trace:(string -> unit) ->

@@ -18,12 +18,11 @@
    EXISTS/NOT EXISTS/ANY/ALL predicates are first rewritten per §8.
    [x IN (aggregate subquery)] is normalized to [x = (aggregate subquery)].
 
-   NOT IN has no transformation in the paper; by default it raises
-   [Unsupported] (callers fall back to nested iteration).  With
-   [rewrite_not_in:true], an uncorrelated [x NOT IN Q] is rewritten to the
-   type-JA form [0 = (SELECT COUNT(star) FROM ... AND item = x)] — an
-   extension beyond the paper, semantically exact only when neither [x] nor
-   the inner items are NULL (documented in DESIGN.md). *)
+   NOT IN has no transformation in the paper.  [x NOT IN Q] is rewritten
+   to [0 = (SELECT COUNT(item) FROM ... AND item = x)] — an extension
+   beyond the paper, exact only when neither [x] nor the inner item can be
+   NULL, so it shares the §8 COUNT forms' guard and refuses otherwise
+   (callers fall back to nested iteration; see DESIGN.md). *)
 
 open Sql.Ast
 
@@ -79,7 +78,7 @@ let duplicate_sensitive (q : query) =
 let describe_from (q : query) =
   String.concat ", " (List.map (fun f -> from_alias f) q.from)
 
-let rec transform_block ~fresh ~(scope : scope) ~rewrite_not_in ~semantics
+let rec transform_block ~fresh ~(scope : scope) ~semantics
     ~nullable ~probe_keys ~(on_step : string -> unit) ~notes
     (acc : Program.temp list ref) (q : query) : query =
   let local_scope = scope_of_query q @ scope in
@@ -111,7 +110,7 @@ let rec transform_block ~fresh ~(scope : scope) ~rewrite_not_in ~semantics
           (fun p ->
             match p with
             | In_subq (x, sub) when select_has_agg sub -> Cmp_subq (x, Eq, sub)
-            | Not_in_subq (x, sub) when rewrite_not_in ->
+            | Not_in_subq (x, sub) ->
                 not_in_to_count ~nullable ~scope:local_scope x sub
             | _ -> p)
           q.where;
@@ -127,16 +126,16 @@ let rec transform_block ~fresh ~(scope : scope) ~rewrite_not_in ~semantics
       in
       (* Recurse first (postorder): the inner block becomes canonical. *)
       let inner' =
-        transform_block ~fresh ~scope:local_scope ~rewrite_not_in ~semantics
+        transform_block ~fresh ~scope:local_scope ~semantics
           ~nullable ~probe_keys ~on_step ~notes acc inner
       in
       let pred' =
         match pred with
         | Cmp_subq (x, op, _) -> Cmp_subq (x, op, inner')
         | In_subq (x, _) -> In_subq (x, inner')
-        | Not_in_subq (x, _) -> Not_in_subq (x, inner')
-        | Exists _ | Not_exists _ | Quant _ | Cmp _ | Cmp_outer _ ->
-            assert false (* removed by the §8 rewrites above *)
+        | Not_in_subq _ | Exists _ | Not_exists _ | Quant _ | Cmp _
+        | Cmp_outer _ ->
+            assert false (* removed by the rewrites above *)
       in
       let q =
         {
@@ -149,10 +148,6 @@ let rec transform_block ~fresh ~(scope : scope) ~rewrite_not_in ~semantics
         | None -> assert false
         | Some Classify.Type_n | Some Classify.Type_j -> (
             match pred' with
-            | Not_in_subq _ ->
-                raise
-                  (Unsupported
-                     "NOT IN is an anti-join; no transformation in the paper")
             | In_subq (_, sub)
               when semantics = Safe && duplicate_sensitive q
                    && not (is_correlated sub) ->
@@ -240,7 +235,7 @@ let rec transform_block ~fresh ~(scope : scope) ~rewrite_not_in ~semantics
               probe_note;
             rewritten
       in
-      transform_block ~fresh ~scope ~rewrite_not_in ~semantics ~nullable
+      transform_block ~fresh ~scope ~semantics ~nullable
         ~probe_keys ~on_step ~notes acc q
 
 (* [transform ~fresh q] reduces a nested query of arbitrary depth to a
@@ -250,14 +245,14 @@ let rec transform_block ~fresh ~(scope : scope) ~rewrite_not_in ~semantics
    decision (default: never, the paper's program).  @raise Unsupported /
    Ja_shape.Not_ja / Nest_n_j.Not_applicable / Extensions.Unsupported on
    shapes outside the paper's algorithms. *)
-let transform ?(rewrite_not_in = false) ?(semantics = Safe)
+let transform ?(semantics = Safe)
     ?(nullable = Extensions.default_nullable)
     ?(probe_keys = fun (_ : Nest_ja2.key_probe) -> None)
     ?(on_step = fun (_ : string) -> ()) ~(fresh : unit -> string) (q : query)
     : Program.t =
   let acc = ref [] and notes = ref [] in
   let main =
-    transform_block ~fresh ~scope:[] ~rewrite_not_in ~semantics ~nullable
+    transform_block ~fresh ~scope:[] ~semantics ~nullable
       ~probe_keys ~on_step ~notes acc q
   in
   { Program.temps = !acc; main; notes = !notes }

@@ -14,9 +14,8 @@ exception Unsupported of string
 type semantics = Safe | Paper
 
 (** Transform a nested query of arbitrary depth into a canonical program.
-    [fresh] allocates temp-table names.  [rewrite_not_in] enables the
-    beyond-the-paper NOT IN → COUNT rewrite; it and the §8 [!= ANY] /
-    range-[ALL] COUNT forms are guarded by [nullable ~rel col] ("may this
+    [fresh] allocates temp-table names.  The beyond-the-paper NOT IN →
+    COUNT rewrite and the §8 [!= ANY] / range-[ALL] COUNT forms are guarded by [nullable ~rel col] ("may this
     column be NULL?"), defaulting to the conservative
     [Extensions.default_nullable] under which they refuse.  [on_step]
     receives a human-readable trace line for every action the recursion
@@ -28,7 +27,6 @@ type semantics = Safe | Paper
     @raise Unsupported, [Ja_shape.Not_ja], [Nest_n_j.Not_applicable] or
     [Extensions.Unsupported] on shapes outside the paper's algorithms. *)
 val transform :
-  ?rewrite_not_in:bool ->
   ?semantics:semantics ->
   ?nullable:(rel:string -> string -> bool) ->
   ?probe_keys:(Nest_ja2.key_probe -> string option) ->

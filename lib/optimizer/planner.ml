@@ -631,25 +631,13 @@ let check_plan ~engine ~label catalog plan =
 (* Run a whole transformed program: temps in order, then the main query.
    Returns the result; created temps stay registered (callers can inspect
    them — the paper's tables show TEMP contents — and drop them with
-   [drop_temps]).  With [~verify:true] the program is structurally
-   verified first and refused ([Planning_error]) on any violation, so a
-   bad transformation can never silently produce a wrong answer.  With
-   [~check:true] every lowered plan is additionally type-checked
-   ([Analysis.Plan_check], NQ110-NQ115) before it executes. *)
-let run_program ?(force = Auto) ?(mode = Paper1987) ?(verify = false)
-    ?(check = false) ?(engine = Exec.Plan.Tuple) ?session catalog
-    (p : Program.t) : Relation.t =
-  (if verify then
-     match
-       List.filter
-         (fun (d : Analysis.Diagnostics.t) ->
-           d.Analysis.Diagnostics.severity = Analysis.Diagnostics.Error)
-         (verify_program catalog p)
-     with
-     | [] -> ()
-     | violations ->
-         errf "transformed program failed verification:\n%s"
-           (Analysis.Diagnostics.list_to_string violations));
+   [drop_temps]).  Structural verification is the caller's ([Core]
+   refuses an unverified program before it gets here).  With [~check:true]
+   every lowered plan is additionally type-checked ([Analysis.Plan_check],
+   NQ110-NQ115) before it executes. *)
+let run_program ?(force = Auto) ?(mode = Paper1987) ?(check = false)
+    ?(engine = Exec.Plan.Tuple) ?session catalog (p : Program.t) : Relation.t
+    =
   List.iter
     (fun ({ Program.name; def } : Program.temp) ->
       let { plan; out_sorted } = lower ~force ~mode catalog def in

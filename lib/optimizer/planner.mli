@@ -99,17 +99,15 @@ val verify_program :
 
 (** Run a whole program: temps in order, then the main query.  Temps stay
     registered (the paper's tables print their contents); remove them with
-    {!drop_temps}.  [engine] and [session] as in {!materialize_temp}.  With
-    [~verify:true] the program is checked with {!verify_program} first and
-    refused with [Planning_error] on any Error-severity violation, so a bad
-    transformation can never silently produce a wrong answer.  With
-    [~check:true] every lowered physical plan is additionally type-checked
-    ({!Analysis.Plan_check}, NQ110–NQ115) immediately before it executes
-    and refused the same way. *)
+    {!drop_temps}.  [engine] and [session] as in {!materialize_temp}.  The
+    program is not verified here: callers run {!verify_program} first
+    ([Core] refuses on any Error-severity violation).  With [~check:true]
+    every lowered physical plan is type-checked ({!Analysis.Plan_check},
+    NQ110–NQ115) immediately before it executes and refused with
+    [Planning_error] on any violation. *)
 val run_program :
   ?force:join_choice ->
   ?mode:mode ->
-  ?verify:bool ->
   ?check:bool ->
   ?engine:Exec.Plan.engine ->
   ?session:Exec.Explain.session ->

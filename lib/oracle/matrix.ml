@@ -3,8 +3,8 @@
    Reference: in-memory nested iteration ([Exec.Nested_iter]) plus the
    presentation ORDER BY — the non-optimizing engine the paper treats as
    ground truth.  Candidates: the paged nested iteration; the NEST-G
-   transformed program under every (rewrite flag x planner mode x forced
-   join method) combination; the batched-bindings strategy
+   transformed program under every (planner mode x forced join method x
+   engine) combination; the batched-bindings strategy
    ([Optimizer.Batched_nest]) under every (mode x forced join x engine)
    combination — the third independent executor, which accepts the shapes
    the guarded rewrites refuse; and the end-to-end Auto strategy (the
@@ -28,7 +28,6 @@ module Planner = Optimizer.Planner
 type candidate =
   | Paged_nested
   | Rewrite of {
-      rewrite_not_in : bool;
       mode : Planner.mode;
       force : Planner.join_choice;
       engine : Exec.Plan.engine;
@@ -39,7 +38,6 @@ type candidate =
       engine : Exec.Plan.engine;
     }
   | Auto_path of {
-      rewrite_not_in : bool;
       mode : Planner.mode;
       engine : Exec.Plan.engine;
     }
@@ -67,48 +65,41 @@ let engine_label = function
 
 let candidate_label = function
   | Paged_nested -> "paged-nested"
-  | Rewrite { rewrite_not_in; mode; force; engine } ->
-      Printf.sprintf "rewrite%s/%s/%s%s"
-        (if rewrite_not_in then "+not-in" else "")
-        (mode_label mode) (force_label force) (engine_label engine)
+  | Rewrite { mode; force; engine } ->
+      Printf.sprintf "rewrite/%s/%s%s" (mode_label mode) (force_label force)
+        (engine_label engine)
   | Batched { mode; force; engine } ->
       Printf.sprintf "batched/%s/%s%s" (mode_label mode) (force_label force)
         (engine_label engine)
-  | Auto_path { rewrite_not_in; mode; engine } ->
-      Printf.sprintf "auto%s/%s%s"
-        (if rewrite_not_in then "+not-in" else "")
-        (mode_label mode) (engine_label engine)
+  | Auto_path { mode; engine } ->
+      Printf.sprintf "auto/%s%s" (mode_label mode) (engine_label engine)
   | Indexed_nested -> "indexed-nested"
   | Indexed_rewrite { mode } ->
       Printf.sprintf "indexed-rewrite/%s" (mode_label mode)
   | Indexed_auto { mode } -> Printf.sprintf "indexed-auto/%s" (mode_label mode)
 
-(* The full grid: 1 paged-nested + 24 forced rewrites (2 rewrite flags x 2
-   modes x 3 forced joins x 2 engines) + 16 batched (2 modes x 4 join
-   choices x 2 engines) + 8 end-to-end Auto (2 rewrite flags x 2 modes x 2
-   engines) + 5 indexed (nested, rewrite x 2 modes, auto x 2 modes) = 54
-   executions per query.  The engine axis cross-checks the vectorized
-   operators against the tuple engine on every plan shape the other axes
-   can force; the Auto cells subsume the old force=auto rewrite cells
-   (same execution when the transformation applies) and additionally
-   exercise the batched/nested fallback ladder when it refuses; the index
-   axis runs with a B-tree on every column, covering probe-based nested
-   enumeration, IndexScan/index-join plans, and the §7 crossover. *)
+(* The full grid: 1 paged-nested + 12 forced rewrites (2 modes x 3 forced
+   joins x 2 engines) + 16 batched (2 modes x 4 join choices x 2 engines)
+   + 4 end-to-end Auto (2 modes x 2 engines) + 5 indexed (nested, rewrite
+   x 2 modes, auto x 2 modes) = 38 executions per query.  The engine axis
+   cross-checks the vectorized operators against the tuple engine on every
+   plan shape the other axes can force; the Auto cells subsume the old
+   force=auto rewrite cells (same execution when the transformation
+   applies) and additionally exercise the batched/nested fallback ladder
+   when it refuses; the index axis runs with a B-tree on every column,
+   covering probe-based nested enumeration, IndexScan/index-join plans,
+   and the §7 crossover. *)
 let all_candidates =
   (Paged_nested
   :: List.concat_map
-       (fun rewrite_not_in ->
+       (fun mode ->
          List.concat_map
-           (fun mode ->
-             List.concat_map
-               (fun force ->
-                 List.map
-                   (fun engine ->
-                     Rewrite { rewrite_not_in; mode; force; engine })
-                   [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
-               [ Planner.Force_nl; Planner.Force_merge; Planner.Force_hash ])
-           [ Planner.Paper1987; Planner.Hybrid ])
-       [ false; true ])
+           (fun force ->
+             List.map
+               (fun engine -> Rewrite { mode; force; engine })
+               [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
+           [ Planner.Force_nl; Planner.Force_merge; Planner.Force_hash ])
+       [ Planner.Paper1987; Planner.Hybrid ])
   @ List.concat_map
       (fun mode ->
         List.concat_map
@@ -120,14 +111,11 @@ let all_candidates =
             Planner.Force_hash ])
       [ Planner.Paper1987; Planner.Hybrid ]
   @ List.concat_map
-      (fun rewrite_not_in ->
-        List.concat_map
-          (fun mode ->
-            List.map
-              (fun engine -> Auto_path { rewrite_not_in; mode; engine })
-              [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
-          [ Planner.Paper1987; Planner.Hybrid ])
-      [ false; true ]
+      (fun mode ->
+        List.map
+          (fun engine -> Auto_path { mode; engine })
+          [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
+      [ Planner.Paper1987; Planner.Hybrid ]
   @ (Indexed_nested
     :: List.concat_map
          (fun mode -> [ Indexed_rewrite { mode }; Indexed_auto { mode } ])
@@ -256,17 +244,16 @@ let run_candidate ?(check = false) (case : Repro.case) candidate :
     | Batched { force; _ } -> Core.Batched force
     | Auto_path _ | Indexed_auto _ -> Core.Auto
   in
-  let rewrite_not_in, mode, engine =
+  let mode, engine =
     match candidate with
-    | Paged_nested | Indexed_nested -> (false, None, None)
-    | Rewrite { rewrite_not_in; mode; engine; _ }
-    | Auto_path { rewrite_not_in; mode; engine } ->
-        (rewrite_not_in, Some mode, Some engine)
-    | Batched { mode; engine; _ } -> (false, Some mode, Some engine)
-    | Indexed_rewrite { mode } | Indexed_auto { mode } ->
-        (false, Some mode, None)
+    | Paged_nested | Indexed_nested -> (None, None)
+    | Rewrite { mode; engine; _ }
+    | Batched { mode; engine; _ }
+    | Auto_path { mode; engine } ->
+        (Some mode, Some engine)
+    | Indexed_rewrite { mode } | Indexed_auto { mode } -> (Some mode, None)
   in
-  match Core.run ~strategy ~check ~rewrite_not_in ?mode ?engine db case.sql with
+  match Core.run ~strategy ~check ?mode ?engine db case.sql with
   | Ok e -> Ok e.Core.result
   | Error _ as e -> e
   | exception Exec.Nested_iter.Runtime_error msg -> Error ("runtime: " ^ msg)

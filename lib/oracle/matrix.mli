@@ -1,20 +1,19 @@
 (** The execution matrix: one query evaluated by the non-optimizing
     reference (in-memory nested iteration + presentation ORDER BY) and by
     every candidate path — paged nested iteration; the NEST-G rewrite
-    under every (NOT-IN flag x planner mode x forced join method x
-    execution engine) cell; the batched-bindings strategy
-    ({!Optimizer.Batched_nest}) under every (mode x join choice x engine)
-    cell — the third independent executor, accepting shapes the guarded
-    rewrites refuse; and the end-to-end Auto ladder (transform, else
-    batched, else nested iteration) under every (NOT-IN flag x mode x
-    engine) cell.  A candidate may {e refuse} (not transformable /
-    soundness guard / the one unbatchable shape); a candidate that answers
-    must agree with the reference under the NULL-aware comparator. *)
+    under every (planner mode x forced join method x execution engine)
+    cell; the batched-bindings strategy ({!Optimizer.Batched_nest}) under
+    every (mode x join choice x engine) cell — the third independent
+    executor, accepting shapes the guarded rewrites refuse; and the
+    end-to-end Auto ladder (transform, else batched, else nested
+    iteration) under every (mode x engine) cell.  A candidate may
+    {e refuse} (not transformable / soundness guard / the one unbatchable
+    shape); a candidate that answers must agree with the reference under
+    the NULL-aware comparator. *)
 
 type candidate =
   | Paged_nested
   | Rewrite of {
-      rewrite_not_in : bool;
       mode : Optimizer.Planner.mode;
       force : Optimizer.Planner.join_choice;
       engine : Exec.Plan.engine;
@@ -25,7 +24,6 @@ type candidate =
       engine : Exec.Plan.engine;
     }
   | Auto_path of {
-      rewrite_not_in : bool;
       mode : Optimizer.Planner.mode;
       engine : Exec.Plan.engine;
     }

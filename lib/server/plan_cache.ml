@@ -6,19 +6,6 @@
    dummy value.  All operations take the internal mutex; the critical
    sections are pointer surgery only, never parsing or execution. *)
 
-(* Exactly what a [Core.prepared] depends on: the statement, the NEST-G
-   option that changes its rewrite, and the index inventory the keyed
-   TEMP2 rule read.  Strategy, mode and engine are applied at execute
-   time, so one entry serves all of them. *)
-type key = {
-  normalized : string;
-  rewrite_not_in : bool;
-  index_epoch : int;
-      (* the catalog's index inventory version at preparation: a plan
-         chosen with (or without) an index must never be reused after
-         CREATE INDEX / load changes the inventory *)
-}
-
 type counters = {
   hits : int;
   misses : int;
@@ -27,7 +14,7 @@ type counters = {
 }
 
 type node = {
-  nkey : key;
+  nkey : string; (* the statement's normalized text *)
   nvalue : Core.prepared;
   mutable prev : node option; (* toward MRU *)
   mutable next : node option; (* toward LRU *)
@@ -35,7 +22,7 @@ type node = {
 
 type t = {
   cap : int;
-  table : (key, node) Hashtbl.t;
+  table : (string, node) Hashtbl.t;
   mutable mru : node option;
   mutable lru : node option;
   mutable hits : int;

@@ -1,6 +1,7 @@
 (** The shared LRU plan cache of [nestsql serve].
 
-    Maps a {!key} — exactly what a [Core.prepared] depends on — to that
+    Maps a statement's normalized text ([Core.prepared.normalized], the
+    AST rendering) — exactly what a [Core.prepared] depends on — to that
     prepared statement, so each distinct statement is parsed, analyzed,
     classified and transformed once and executed many times, under any
     strategy, mode and engine: those are applied at execute time and are
@@ -10,21 +11,13 @@
     different connections share it safely.
 
     Consistency argument (DESIGN.md §14): a cached entry is only ever
-    reused against the same catalog contents it was prepared against —
-    {!invalidate} drops {e every} entry whenever [load] replaces a table —
-    and [Core.run_prepared] on a cached entry runs the identical
-    verify/plan/execute path as a fresh [Core.run], so cached and fresh
-    plans are result-identical by construction.  The property suite holds
-    exactly that under the oracle comparator. *)
-
-type key = {
-  normalized : string;  (** [Core.prepared.normalized] — the AST rendering *)
-  rewrite_not_in : bool;  (** changes the NEST-G rewrite *)
-  index_epoch : int;
-      (** {!Storage.Catalog.index_epoch} at preparation time: a plan
-          chosen against one index inventory must never be reused after
-          [CREATE INDEX] or [load] changes it *)
-}
+    reused against the same catalog it was prepared against —
+    {!invalidate} drops {e every} entry whenever [load] replaces a table or
+    [CREATE INDEX] changes the index inventory — and [Core.run_prepared]
+    on a cached entry runs the identical verify/plan/execute path as a
+    fresh [Core.run], so cached and fresh plans are result-identical by
+    construction.  The property suite holds exactly that under the oracle
+    comparator. *)
 
 type counters = {
   hits : int;
@@ -45,15 +38,15 @@ val length : t -> int
 
 (** Lookup; bumps the entry to most-recently-used and counts a hit or a
     miss. *)
-val find : t -> key -> Core.prepared option
+val find : t -> string -> Core.prepared option
 
 (** Insert (or refresh) an entry, evicting from the LRU end beyond
     capacity.  Does not count a hit or miss. *)
-val add : t -> key -> Core.prepared -> unit
+val add : t -> string -> Core.prepared -> unit
 
-(** Drop every entry (table contents changed under the cached analyses);
-    returns how many were dropped.  Each drop counts as an invalidation,
-    not an eviction. *)
+(** Drop every entry (table contents or indexes changed under the cached
+    analyses); returns how many were dropped.  Each drop counts as an
+    invalidation, not an eviction. *)
 val invalidate : t -> int
 
 (** Monotonic count of {!invalidate} calls — sessions compare it against

@@ -64,7 +64,6 @@ type knobs = {
   strategy : Core.strategy option;
   mode : Optimizer.Planner.mode option;
   engine : Exec.Plan.engine option;
-  rewrite_not_in : bool option;
 }
 
 type request =
@@ -132,8 +131,7 @@ let knobs_of_json j =
   let* engine =
     parse_with "engine" Exec.Plan.engine_of_string "tuple or vectorized"
   in
-  let* rewrite_not_in = bool_field_opt j "rewrite_not_in" in
-  Ok { strategy; mode; engine; rewrite_not_in }
+  Ok { strategy; mode; engine }
 
 let columns_of_json = function
   | List cols ->

@@ -49,11 +49,10 @@ type knobs = {
   strategy : Core.strategy option;
   mode : Optimizer.Planner.mode option;
   engine : Exec.Plan.engine option;
-  rewrite_not_in : bool option;
 }
-(** Per-request planner knobs; [None] means the server default.  Of these
-    only [rewrite_not_in] is part of the plan-cache key: strategy, mode and
-    engine are applied when a cached statement executes. *)
+(** Per-request planner knobs; [None] means the server default.  None of
+    them is part of the plan-cache key: they are applied when a cached
+    statement executes. *)
 
 type request =
   | Query of { sql : string; knobs : knobs }

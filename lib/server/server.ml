@@ -88,42 +88,28 @@ let record_verb t name seconds =
 let resolve (k : P.knobs) =
   ( Option.value k.strategy ~default:Core.Auto,
     Option.value k.mode ~default:Optimizer.Planner.Paper1987,
-    Option.value k.engine ~default:Exec.Plan.Tuple,
-    Option.value k.rewrite_not_in ~default:false )
-
-let cache_key t ~knobs normalized =
-  let _, _, _, rewrite_not_in = resolve knobs in
-  {
-    Plan_cache.normalized;
-    rewrite_not_in;
-    (* stamping the key with the catalog's index inventory version makes
-       index changes (CREATE INDEX, load) logically invalidate every
-       older entry even before the cache is swept *)
-    index_epoch = Catalog.index_epoch (Core.catalog t.db);
-  }
+    Option.value k.engine ~default:Exec.Plan.Tuple )
 
 (* Parse/analyze (to learn the normalized key text), then either reuse the
    cached prepared statement or do the transform once and cache it.  The
    transform is forced here, under the statement lock, so a cached entry is
    never lazily forced from two threads.  Returns the cache disposition
    ("hit" / "miss") for the response. *)
-let prepare_cached t ~knobs sql : (Core.prepared * string, string) result =
+let prepare_cached t sql : (Core.prepared * string, string) result =
   match Core.parse t.db sql with
   | Error e -> Error e
   | Ok q -> (
-      let normalized = Sql.Pp.query_to_string q in
-      let key = cache_key t ~knobs normalized in
+      let key = Sql.Pp.query_to_string q in
       match Plan_cache.find t.plan_cache key with
       | Some p -> Ok (p, "hit")
       | None ->
-          let _, _, _, rewrite_not_in = resolve knobs in
-          let p = Core.prepare_query ~rewrite_not_in t.db q in
+          let p = Core.prepare_query t.db q in
           ignore (Lazy.force p.Core.program);
           Plan_cache.add t.plan_cache key p;
           Ok (p, "miss"))
 
 let execute t session ~knobs (p : Core.prepared) =
-  let strategy, mode, engine, _ = resolve knobs in
+  let strategy, mode, engine = resolve knobs in
   let t0 = Unix.gettimeofday () in
   match Core.run_prepared ~strategy ~mode ~engine t.db p with
   | Error _ as e -> e
@@ -175,9 +161,9 @@ let classification_name q =
 (* ------------------------------------------------------------------ *)
 
 (* CREATE INDEX arrives as a [query] statement: DDL, not a query plan —
-   build the B-tree, then sweep the plan cache (the key's index_epoch
-   already makes stale entries unreachable; the sweep also bumps the cache
-   epoch so sessions re-analyze their prepared statements). *)
+   build the B-tree, then sweep the plan cache: every cached program was
+   chosen against the old index inventory.  The sweep also bumps the cache
+   epoch so sessions re-analyze their prepared statements. *)
 let do_create_index t sql =
   match Core.execute_create_index t.db sql with
   | Error e -> P.error_response e
@@ -189,7 +175,7 @@ let do_create_index t sql =
 let do_query t session ~knobs sql =
   if Core.is_create_index sql then do_create_index t sql
   else
-    match prepare_cached t ~knobs sql with
+    match prepare_cached t sql with
     | Error e -> P.error_response e
     | Ok (p, cache_status) -> (
         match execute t session ~knobs p with
@@ -198,7 +184,7 @@ let do_query t session ~knobs sql =
             P.ok_response (result_fields ~cache_status e wall_s))
 
 let do_prepare t (session : Session.t) ~name ~knobs sql =
-  match prepare_cached t ~knobs sql with
+  match prepare_cached t sql with
   | Error e -> P.error_response e
   | Ok (p, cache_status) ->
       Hashtbl.replace session.Session.prepared name
@@ -228,17 +214,14 @@ let do_execute t (session : Session.t) ~name =
       let refreshed =
         let epoch = Plan_cache.epoch t.plan_cache in
         if entry.Session.cache_epoch <> epoch then
-          match prepare_cached t ~knobs:entry.Session.knobs entry.Session.sql with
+          match prepare_cached t entry.Session.sql with
           | Error e -> Error e
           | Ok (p, status) ->
               entry.Session.prep <- p;
               entry.Session.cache_epoch <- epoch;
               Ok (p, status)
         else
-          let key =
-            cache_key t ~knobs:entry.Session.knobs
-              entry.Session.prep.Core.normalized
-          in
+          let key = entry.Session.prep.Core.normalized in
           match Plan_cache.find t.plan_cache key with
           | Some p ->
               entry.Session.prep <- p;
@@ -259,7 +242,7 @@ let do_execute t (session : Session.t) ~name =
                 (("name", P.Str name) :: result_fields ~cache_status e wall_s)))
 
 let do_explain t ~knobs ~analyze sql =
-  let strategy, mode, engine, _ = resolve knobs in
+  let strategy, mode, engine = resolve knobs in
   match Core.explain_query ~strategy ~mode ~analyze ~engine t.db sql with
   | Ok text -> P.ok_response [ ("text", P.Str text) ]
   | Error e -> P.error_response e

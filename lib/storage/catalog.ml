@@ -23,17 +23,12 @@ type t = {
   pager : Pager.t;
   mutable entries : (string * entry) list;
   mutable temp_counter : int;
-  mutable index_epoch : int;
-      (* bumped whenever the set of indexes changes; cached plans chosen
-         against an index inventory must not outlive it. *)
 }
 
 exception Unknown_table of string
 
 let create pager =
-  { pager; entries = []; temp_counter = 0; index_epoch = 0 }
-
-let index_epoch t = t.index_epoch
+  { pager; entries = []; temp_counter = 0 }
 
 let pager t = t.pager
 
@@ -80,10 +75,8 @@ let column_stats t name column =
 let create_index t name ~column =
   let e = entry t name in
   let key_col = Schema.find (Heap_file.schema e.heap) column in
-  if not (List.mem_assoc key_col e.indexes) then begin
-    e.indexes <- (key_col, Btree.build t.pager e.heap ~key_col) :: e.indexes;
-    t.index_epoch <- t.index_epoch + 1
-  end
+  if not (List.mem_assoc key_col e.indexes) then
+    e.indexes <- (key_col, Btree.build t.pager e.heap ~key_col) :: e.indexes
 
 let index_on t name ~key_col = List.assoc_opt key_col (entry t name).indexes
 
@@ -107,7 +100,6 @@ let drop t name =
   | Some e ->
       Heap_file.delete e.heap;
       List.iter (fun (_, idx) -> Btree.delete idx) e.indexes;
-      if e.indexes <> [] then t.index_epoch <- t.index_epoch + 1;
       t.entries <- List.remove_assoc name t.entries
 
 (* Operators leave scratch files behind — an external sort's output run,

@@ -44,10 +44,6 @@ val index_on : t -> string -> key_col:int -> Btree.t option
 (** Names of the columns of [name] that carry an index. *)
 val indexed_columns : t -> string -> string list
 
-(** Bumped whenever the index inventory changes (create or drop of an
-    indexed table); plan caches key on it. *)
-val index_epoch : t -> int
-
 val pages : t -> string -> int
 val tuples : t -> string -> int
 

@@ -326,7 +326,7 @@ let test_check_query_refusal () =
   let db = Fixtures.count_bug_db () in
   match
     Core.parse db
-      "SELECT PNUM FROM PARTS WHERE PNUM NOT IN (SELECT PNUM FROM SUPPLY)"
+      "SELECT PNUM FROM PARTS WHERE PNUM = ALL (SELECT PNUM FROM SUPPLY)"
   with
   | Error msg -> Alcotest.fail msg
   | Ok q ->
@@ -352,7 +352,7 @@ let test_check_source_reports () =
             | _ -> false))
         reports
 
-(* --- the matrix under ~check: all 54 cells type-check ------------------ *)
+(* --- the matrix under ~check: all 38 cells type-check ------------------ *)
 
 let test_matrix_check_clean () =
   let case =
@@ -366,7 +366,7 @@ let test_matrix_check_clean () =
   Alcotest.(check (list string))
     "no mismatches or plan-check failures" []
     (Oracle.Matrix.describe result);
-  Alcotest.(check int) "all 54 cells ran" 54
+  Alcotest.(check int) "all 38 cells ran" 38
     (List.length result.Oracle.Matrix.outcomes)
 
 let suites =
@@ -405,7 +405,7 @@ let suites =
           test_check_query_refusal;
         Alcotest.test_case "check_source: report per query" `Quick
           test_check_source_reports;
-        Alcotest.test_case "matrix ~check: 49 cells clean" `Quick
+        Alcotest.test_case "matrix ~check: 33 cells clean" `Quick
           test_matrix_check_clean;
       ] );
   ]

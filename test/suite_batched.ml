@@ -430,20 +430,20 @@ let test_runtime_error_parity () =
 (* The ladder: rewrite refuses, batched answers                        *)
 (* ------------------------------------------------------------------ *)
 
-(* NOT IN (without --rewrite-not-in) is the canonical refused shape: the
-   paper has no transformation, but batching needs none.  Batched must
-   agree with nested iteration where the rewrite only refuses. *)
+(* = ALL is a refused shape: §8 has no transformation for it, but
+   batching needs none.  Batched must agree with nested iteration where the
+   rewrite only refuses. *)
 let test_refused_shape_batched_answers () =
   let sql =
-    "SELECT PNUM FROM PARTS WHERE QOH NOT IN (SELECT QUAN FROM SUPPLY WHERE \
-     SUPPLY.PNUM = PARTS.PNUM)"
+    "SELECT PNUM FROM PARTS WHERE QOH = ALL (SELECT QUAN FROM SUPPLY WHERE \
+     SUPPLY.PNUM = PARTS.PNUM AND QUAN > 4)"
   in
   let run strategy =
     Core.run ~strategy (Fixtures.count_bug_db ()) sql
   in
   (match run (Core.Transformed Planner.Auto) with
   | Error msg -> Alcotest.(check bool) "rewrite refuses" true (refusal msg)
-  | Ok _ -> Alcotest.fail "expected the rewrite to refuse NOT IN");
+  | Ok _ -> Alcotest.fail "expected the rewrite to refuse = ALL");
   match (run (Core.Batched Planner.Auto), run Core.Nested_iteration) with
   | Ok b, Ok n ->
       let db = Fixtures.count_bug_db () in
@@ -469,7 +469,7 @@ let test_batched_vs_verified_program () =
     | Error e -> Alcotest.fail e
   in
   let transformed =
-    Planner.run_program ~verify:true (Core.catalog db) program
+    Fixtures.run_verified (Core.catalog db) program
   in
   Planner.drop_temps (Core.catalog db) program;
   let batched = run_batched db Fixtures.count_bug_query in

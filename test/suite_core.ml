@@ -68,11 +68,11 @@ let test_run_strategies_agree () =
 
 let test_auto_falls_back () =
   let db = make_parts_db () in
-  (* NOT IN is untransformable by default: Auto must fall back. *)
+  (* = ALL has no §8 transformation: Auto must fall back. *)
   let e =
     Result.get_ok
-      (Core.run db "SELECT PNUM FROM PARTS WHERE PNUM NOT IN (SELECT PNUM \
-                    FROM SUPPLY WHERE QUAN > 4)")
+      (Core.run db "SELECT PNUM FROM PARTS WHERE QOH = ALL (SELECT QUAN \
+                    FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND QUAN > 4)")
   in
   Alcotest.(check bool) "fell back to nested iteration" false
     (e.Core.via = Core.Via_transformed);

@@ -201,7 +201,7 @@ let run_both catalog text =
   let program =
     Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q
   in
-  let transformed = Planner.run_program ~verify:true catalog program in
+  let transformed = Fixtures.run_verified catalog program in
   Planner.drop_temps catalog program;
   (nested, transformed, program)
 
@@ -337,7 +337,7 @@ let test_order_by_transformed_path () =
   let program =
     Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q
   in
-  let result = Planner.run_program ~verify:true catalog program in
+  let result = Fixtures.run_verified catalog program in
   Alcotest.(check bool) "ordered transformed result" true
     (Relation.column_values result "PNUM" = Value.[ Int 10; Int 8 ])
 

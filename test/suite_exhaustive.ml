@@ -54,7 +54,7 @@ let run_case variant (spec : G.ja_spec) =
       q
   in
   let check force =
-    let got = Optimizer.Planner.run_program ~force ~verify:true catalog program in
+    let got = Fixtures.run_verified ~force catalog program in
     Optimizer.Planner.drop_temps catalog program;
     if not (Relation.equal_bag expected got) then
       Alcotest.failf "mismatch for %s:@.expected:@.%a@.got:@.%a" text

@@ -328,8 +328,9 @@ let check_ladder_indexed ~label make_db sql =
         check_ladder ~label:(label ^ " indexed") db sql
       end
 
-(* NOT IN refuses the transformation; Auto runs it by nested iteration,
-   indexed or not, and EXPLAIN must explain that. *)
+(* NOT IN over NULL-free columns: the guarded COUNT rewrite applies, so
+   Auto prices it against indexed nested iteration, and EXPLAIN must
+   explain the same pick the run makes. *)
 let not_in_query =
   "SELECT PNUM FROM PARTS WHERE QOH NOT IN (SELECT QUAN FROM SUPPLY WHERE \
    SUPPLY.PNUM = PARTS.PNUM)"

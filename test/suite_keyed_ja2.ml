@@ -122,7 +122,7 @@ let prop_keyed_matches_reference =
               let keyed = program.Program.notes <> [] in
               let agree (mode, engine) =
                 let got =
-                  Planner.run_program ~mode ~engine ~verify:true ~check:true
+                  Fixtures.run_verified ~mode ~engine ~check:true
                     catalog program
                 in
                 Planner.drop_temps catalog program;

@@ -20,7 +20,7 @@ let check_equivalence ?(compare_ = Relation.equal_set) catalog text =
   let program =
     Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q
   in
-  let got = Planner.run_program ~verify:true catalog program in
+  let got = Fixtures.run_verified catalog program in
   Planner.drop_temps catalog program;
   if not (compare_ expected got) then
     Alcotest.failf "mismatch for %s:@.expected:@.%a@.got:@.%a" text Relation.pp

@@ -367,7 +367,7 @@ let trial_modes seed =
     let program =
       Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q
     in
-    Planner.run_program ~mode ~verify:true catalog program
+    Fixtures.run_verified ~mode catalog program
   in
   Relation.equal_bag (run Planner.Paper1987) (run Planner.Hybrid)
 

@@ -29,7 +29,7 @@ let ints rel name =
 let transform_and_run ?(force = Planner.Auto) catalog text =
   let q = parse catalog text in
   let program = Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q in
-  let result = Planner.run_program ~force ~verify:true catalog program in
+  let result = Fixtures.run_verified ~force catalog program in
   (program, result)
 
 (* --- Classification ------------------------------------------------------ *)
@@ -545,14 +545,37 @@ let test_nest_g_figure2_tree () =
   in
   nest_g_matches_reference (F.parts_supply_catalog F.Neq_bug) text
 
+(* NOT IN's rewrite to [0 = (SELECT COUNT(item) ... AND item = x)] is
+   decided by the §8 COUNT forms' non-null guard alone: it refuses while
+   either side may be NULL and yields the COUNT form once both are proved
+   NULL-free. *)
 let test_nest_g_not_in_unsupported () =
   let kim = F.kim_catalog () in
   let q = parse kim "SELECT SNO FROM S WHERE SNO NOT IN (SELECT SNO FROM SP)" in
-  Alcotest.(check bool) "NOT IN unsupported by default" true
+  Alcotest.(check bool) "NOT IN over nullable columns refused" true
     (try
        ignore (Nest_g.transform ~fresh:(fresh_counter ()) q);
        false
-     with Nest_g.Unsupported _ -> true)
+     with Extensions.Unsupported _ -> true);
+  let program =
+    Nest_g.transform ~nullable:(fun ~rel:_ _ -> false)
+      ~fresh:(fresh_counter ()) q
+  in
+  let has_not_in =
+    List.exists
+      (function Sql.Ast.Not_in_subq _ -> true | _ -> false)
+      program.Program.main.Sql.Ast.where
+  in
+  Alcotest.(check bool) "NOT IN over non-null columns rewritten" false
+    has_not_in;
+  Alcotest.(check bool) "through a COUNT temp" true
+    (List.exists
+       (fun (t : Program.temp) ->
+         List.exists
+           (function
+             | Sql.Ast.Sel_agg (Sql.Ast.Count _) -> true | _ -> false)
+           t.Program.def.Sql.Ast.select)
+       program.Program.temps)
 
 let test_nest_g_not_in_extension () =
   let catalog = F.kim_catalog () in
@@ -560,11 +583,11 @@ let test_nest_g_not_in_extension () =
   let q = parse catalog text in
   let program =
     (* Kim's relations are NULL-free; the NOT IN guard needs the proof. *)
-    Nest_g.transform ~rewrite_not_in:true ~nullable:(fun ~rel:_ _ -> false)
+    Nest_g.transform ~nullable:(fun ~rel:_ _ -> false)
       ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
       q
   in
-  let result = Planner.run_program ~verify:true catalog program in
+  let result = Fixtures.run_verified catalog program in
   let reference = Exec.Nested_iter.run catalog q in
   Alcotest.(check bool) "NOT IN via COUNT extension" true
     (Relation.equal_set reference result)

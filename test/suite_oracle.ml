@@ -125,7 +125,7 @@ let test_matrix_clean_case () =
   let result = Matrix.run_case sample_case in
   Alcotest.(check bool) "reference ran" true
     (Result.is_ok result.Matrix.reference);
-  Alcotest.(check int) "grid size" 54 (List.length result.Matrix.outcomes);
+  Alcotest.(check int) "grid size" 38 (List.length result.Matrix.outcomes);
   Alcotest.(check (list string)) "no discrepancies" []
     (Matrix.describe result)
 
@@ -221,7 +221,7 @@ let suites =
       [
         Alcotest.test_case "comparator bag/set/NULL" `Quick test_comparator;
         Alcotest.test_case "comparator ORDER BY" `Quick test_comparator_order;
-        Alcotest.test_case "clean case: 54 cells" `Quick test_matrix_clean_case;
+        Alcotest.test_case "clean case: 38 cells" `Quick test_matrix_clean_case;
         Alcotest.test_case "reference error detected" `Quick
           test_fails_on_reference_error;
       ] );

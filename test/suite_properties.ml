@@ -19,7 +19,7 @@ let run_transformed catalog text =
       ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
       q
   in
-  let result = Optimizer.Planner.run_program ~verify:true catalog program in
+  let result = Fixtures.run_verified catalog program in
   Optimizer.Planner.drop_temps catalog program;
   result
 
@@ -111,7 +111,7 @@ let prop_join_methods_agree =
             ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
             q
         in
-        Optimizer.Planner.run_program ~force ~verify:true catalog program
+        Fixtures.run_verified ~force catalog program
       in
       Relation.equal_bag (run Optimizer.Planner.Force_nl)
         (run Optimizer.Planner.Force_merge))

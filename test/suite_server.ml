@@ -83,8 +83,6 @@ let test_request_parsing () =
 (* Plan cache: LRU accounting                                          *)
 (* ------------------------------------------------------------------ *)
 
-let key text = { Cache.normalized = text; rewrite_not_in = false; index_epoch = 0 }
-
 let test_cache_lru () =
   let db = count_bug_db () in
   let prep sql =
@@ -94,23 +92,18 @@ let test_cache_lru () =
   in
   let cache = Cache.create ~capacity:2 () in
   let p = prep q2 in
-  Cache.add cache (key "a") p;
-  Cache.add cache (key "b") p;
-  Alcotest.(check bool) "a hits" true (Cache.find cache (key "a") <> None);
+  Cache.add cache "a" p;
+  Cache.add cache "b" p;
+  Alcotest.(check bool) "a hits" true (Cache.find cache "a" <> None);
   (* b is now LRU; inserting c evicts it *)
-  Cache.add cache (key "c") p;
+  Cache.add cache "c" p;
   Alcotest.(check int) "still 2 entries" 2 (Cache.length cache);
-  Alcotest.(check bool) "b evicted" true (Cache.find cache (key "b") = None);
-  Alcotest.(check bool) "a survived" true (Cache.find cache (key "a") <> None);
+  Alcotest.(check bool) "b evicted" true (Cache.find cache "b" = None);
+  Alcotest.(check bool) "a survived" true (Cache.find cache "a" <> None);
   let c = Cache.counters cache in
   Alcotest.(check int) "hits" 2 c.Cache.hits;
   Alcotest.(check int) "misses" 1 c.Cache.misses;
   Alcotest.(check int) "evictions" 1 c.Cache.evictions;
-  (* what the prepared statement depends on is part of the key *)
-  Alcotest.(check bool) "different rewrite_not_in = different key" true
-    (Cache.find cache { (key "a") with Cache.rewrite_not_in = true } = None);
-  Alcotest.(check bool) "different index epoch = different key" true
-    (Cache.find cache { (key "a") with Cache.index_epoch = 1 } = None);
   let epoch_before = Cache.epoch cache in
   Alcotest.(check int) "invalidate drops all" 2 (Cache.invalidate cache);
   Alcotest.(check int) "empty" 0 (Cache.length cache);
@@ -304,8 +297,8 @@ let test_server_load_invalidates () =
    — and redefined it without them, so a nested-strategy statement
    re-executed after load silently lost its index access path (and a plan
    cached against the old index inventory could be reused).  Now load
-   rebuilds the indexes on the replacement heap and reports it, and the
-   catalog's index_epoch is part of the plan-cache key. *)
+   rebuilds the indexes on the replacement heap and reports it, and
+   sweeps the plan cache. *)
 let test_server_index_survives_load () =
   let server = Server.create ~cache_capacity:8 (count_bug_db ()) in
   let s = Server.open_session server in
@@ -337,6 +330,56 @@ let test_server_index_survives_load () =
   (* re-creating the same index is idempotent, not an error *)
   let ci2 = send_ok server s (query_line "CREATE INDEX ON SUPPLY (PNUM)") in
   Alcotest.(check bool) "idempotent" true (str_member "message" ci2 <> "");
+  Server.close_session server s
+
+(* CREATE INDEX sweeps the plan cache: the key is the statement text
+   alone, so a statement prepared before the index must miss afterwards
+   and be re-planned against the new access path. *)
+let test_server_create_index_invalidates () =
+  let server = Server.create ~cache_capacity:8 (count_bug_db ()) in
+  let s = Server.open_session server in
+  let nested = {|, "strategy": "nested"|} in
+  let j = send_ok server s (query_line ~extra:nested q2) in
+  Alcotest.(check string) "first run misses" "miss" (str_member "cache" j);
+  let j = send_ok server s (query_line ~extra:nested q2) in
+  Alcotest.(check string) "replay hits" "hit" (str_member "cache" j);
+  let ci = send_ok server s (query_line "CREATE INDEX ON SUPPLY (PNUM)") in
+  Alcotest.(check int) "the entry was swept" 1 (int_member "invalidated" ci);
+  let j2 = send_ok server s (query_line ~extra:nested q2) in
+  Alcotest.(check string) "re-sent after CREATE INDEX misses" "miss"
+    (str_member "cache" j2);
+  Alcotest.(check bool) "same answer" true
+    (P.member "rows" j = P.member "rows" j2);
+  let explain =
+    str_member "text"
+      (send_ok server s
+         (Printf.sprintf {|{"op": "explain", "sql": %s%s}|}
+            (P.to_string (P.Str q2)) nested))
+  in
+  Alcotest.(check bool) "nested plan probes the new index" true
+    (Astring.String.is_infix ~affix:"IndexScan SUPPLY" explain);
+  Server.close_session server s
+
+(* A NOT IN over NULL-free columns: [query] and [explain] under Auto see
+   one NEST-G, so they name the same strategy — the guarded COUNT rewrite. *)
+let test_server_not_in_query_explain_agree () =
+  let server = Server.create ~cache_capacity:8 (count_bug_db ()) in
+  let s = Server.open_session server in
+  let not_in =
+    "SELECT PNUM FROM PARTS WHERE QOH NOT IN (SELECT QUAN FROM SUPPLY WHERE \
+     SUPPLY.PNUM = PARTS.PNUM)"
+  in
+  let q = send_ok server s (query_line not_in) in
+  let explain =
+    str_member "text"
+      (send_ok server s
+         (Printf.sprintf {|{"op": "explain", "sql": %s}|}
+            (P.to_string (P.Str not_in))))
+  in
+  Alcotest.(check string) "query runs the rewrite" "transformed"
+    (str_member "strategy" q);
+  Alcotest.(check bool) "explain picks the same" true
+    (String.starts_with ~prefix:"auto: transformed" explain);
   Server.close_session server s
 
 let test_server_eviction_under_tiny_capacity () =
@@ -519,6 +562,10 @@ let suites =
           test_server_load_invalidates;
         Alcotest.test_case "indexes rebuilt across load (stale-index fix)"
           `Quick test_server_index_survives_load;
+        Alcotest.test_case "CREATE INDEX invalidates the cache" `Quick
+          test_server_create_index_invalidates;
+        Alcotest.test_case "NOT IN: query and explain agree" `Quick
+          test_server_not_in_query_explain_agree;
         Alcotest.test_case "eviction under capacity 1" `Quick
           test_server_eviction_under_tiny_capacity;
         Alcotest.test_case "protocol errors" `Quick test_server_errors;

@@ -136,7 +136,7 @@ let test_nested_ja_in_ja () =
   Alcotest.(check int) "two JA2 applications" 2
     (List.length (List.filter (contains "NEST-JA2") !steps));
   let reference = Exec.Nested_iter.run catalog q in
-  let result = Planner.run_program ~verify:true catalog program in
+  let result = Fixtures.run_verified catalog program in
   Alcotest.(check bool) "JA-in-JA matches reference" true
     (Relation.equal_set reference result)
 

@@ -137,7 +137,7 @@ let prop_hash_group_agg =
    tuple adapters inside the vectorized pipeline. *)
 let run_engine catalog program ~force ~mode engine =
   let result =
-    Planner.run_program ~force ~mode ~verify:true ~engine catalog program
+    Fixtures.run_verified ~force ~mode ~engine catalog program
   in
   Planner.drop_temps catalog program;
   result
