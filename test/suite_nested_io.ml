@@ -295,6 +295,74 @@ let test_explain_analyze () =
              (Core.Transformed Planner.Auto);
          ]))
 
+(* Indexed nested iteration under EXPLAIN ANALYZE: a B-tree on
+   SUPPLY.PNUM, outer PNUMs that repeat, are NULL or match nothing.
+   Nested iteration re-opens its equality IndexScan once per outer row
+   (loops = outer rows, a NULL key probing nothing), and a two-frame
+   inner block probes its second frame by an index nested-loop join;
+   batched bindings
+   re-opens the per-binding range [SUPPLY.PNUM < PARTS.PNUM] once per
+   distinct key, probing for a small bound and scanning for a large one.
+   Both engines; wall-clock masked. *)
+let indexed_db () =
+  let db = Core.create_db ~buffer_pages:16 ~page_bytes:256 () in
+  let keys = [ Some 3; Some 3; None; Some 7; Some 99; None; Some 3; Some 30 ] in
+  Core.define_table db "PARTS"
+    [ ("PNUM", Value.Tint); ("QOH", Value.Tint) ]
+    (List.mapi
+       (fun i k ->
+         [ Option.fold ~none:Value.Null ~some:(fun k -> Value.Int k) k;
+           Value.Int (i mod 3) ])
+       keys);
+  Core.define_table db "SUPPLY"
+    [ ("PNUM", Value.Tint); ("QUAN", Value.Tint); ("SHIPDATE", Value.Tdate) ]
+    (List.init 400 (fun i ->
+         [
+           (if i mod 50 = 0 then Value.Null else Value.Int ((i mod 40) + 1));
+           Value.Int (i mod 7);
+           Value.Date { year = 1975 + (i mod 10); month = 1; day = 1 };
+         ]));
+  Core.create_index db "SUPPLY" ~column:"PNUM";
+  Core.create_index db "PARTS" ~column:"PNUM";
+  db
+
+let indexed_queries =
+  [
+    ( Core.Nested_iteration,
+      "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) FROM \
+       SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < '1-1-80')" );
+    ( Core.Nested_iteration,
+      "SELECT PNUM FROM PARTS WHERE NOT EXISTS (SELECT * FROM SUPPLY WHERE \
+       SUPPLY.PNUM = PARTS.PNUM)" );
+    ( Core.Nested_iteration,
+      "SELECT PNUM FROM PARTS WHERE QOH <= (SELECT COUNT(*) FROM PARTS P2, \
+       SUPPLY WHERE P2.PNUM = PARTS.PNUM AND SUPPLY.PNUM = P2.PNUM)" );
+    ( Core.Batched Planner.Auto,
+      "SELECT PNUM FROM PARTS WHERE QOH < (SELECT COUNT(*) FROM SUPPLY \
+       WHERE SUPPLY.PNUM < PARTS.PNUM)" );
+  ]
+
+let test_explain_analyze_indexed () =
+  let mask = Str.global_replace (Str.regexp "time=[0-9.]+ms") "time=*" in
+  Suite_cost_goldens.check_golden "explain_analyze_indexed"
+    (String.concat ""
+       (List.concat_map
+          (fun engine ->
+            List.map
+              (fun (strategy, sql) ->
+                Printf.sprintf "== %s\n%s\n%s"
+                  (Exec.Plan.engine_name engine)
+                  sql
+                  (mask
+                     (match
+                        Core.explain_query ~strategy ~analyze:true ~engine
+                          (indexed_db ()) sql
+                      with
+                     | Ok text -> text
+                     | Error msg -> "error: " ^ msg ^ "\n")))
+              indexed_queries)
+          Exec.Plan.[ Tuple; Vectorized ]))
+
 (* Plan_check reports nothing on either strategy's plans, over every case
    of the I/O golden. *)
 let test_plans_check_clean () =
@@ -357,6 +425,8 @@ let suites =
             `Quick test_explain_corpus;
           Alcotest.test_case "EXPLAIN ANALYZE shows Apply loops" `Quick
             test_explain_analyze;
+          Alcotest.test_case "EXPLAIN ANALYZE of indexed nested iteration"
+            `Quick test_explain_analyze_indexed;
           Alcotest.test_case "Plan_check clean on nested and batched plans"
             `Quick test_plans_check_clean;
           Alcotest.test_case "--trace covers nested iteration" `Quick
