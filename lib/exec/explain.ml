@@ -48,7 +48,8 @@ let emit s ev id fields =
 
 (* The engine-independent half of both observers: register [node]'s
    metrics (a node an [Apply] re-opens keeps one record and one trace id
-   across its loops), time its [build], emit its "open" line, and return
+   across its loops), time its [build] — one open: the plan was compiled
+   before — emit its "open" line, and return
    the built operator with a wrapper for its pull function.  The wrapper
    times each
    pull, attributes its page traffic, and emits "close" at the first

@@ -12,8 +12,9 @@ type t = {
   mutable batches : int;
       (** non-empty batches produced (vectorized engine; 0 under tuple) *)
   mutable build_s : float;
-      (** wall-clock seconds building the iterator (eager work: sorts,
-          materializations, hash builds) *)
+      (** wall-clock seconds opening the iterator, summed over its loops
+          (eager work: sorts, materializations, hash builds); the plan's
+          compilation precedes every open and is not included *)
   mutable next_s : float;  (** wall-clock seconds inside [next], inclusive *)
   mutable logical_reads : int;  (** pager page requests, inclusive *)
   mutable physical_reads : int;  (** buffer-pool misses, inclusive *)

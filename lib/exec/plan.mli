@@ -1,11 +1,14 @@
 (** Physical plans for every strategy: canonical queries, NEST-JA2 temp
     definitions, and the untransformed strategies' dependent joins.
 
-    Column references are compiled to positions against each node's output
-    schema at execution time, so plans remain printable (EXPLAIN).  Inside
-    a plan an [Apply] re-opens, a column that no operator below produces is
-    a {e parameter}: it reads the enclosing [Apply]'s current row (and
-    theirs, innermost first). *)
+    Plans remain printable (EXPLAIN); each execution compiles its plan once,
+    resolving column references to positions against each node's output
+    schema, and then opens operators — once, or once per binding for a
+    plan an [Apply] or an index nested-loop join re-opens.  Inside such a
+    plan, a column that no operator below produces is a {e parameter}: a
+    slot fixed at compile time in the innermost enclosing re-opening
+    operator whose input has the column, read from the row it has bound
+    for the current open. *)
 
 type join_method = Nested_loop | Sort_merge | Index_nl | Hash
 
@@ -107,8 +110,8 @@ val engine_name : engine -> string
 (** Parses ["tuple"], ["vectorized"] (or ["vec"]). *)
 val engine_of_string : string -> engine option
 
-(** An observer intercepts every operator's construction: it receives the
-    plan node and a thunk building its iterator (including eager work —
+(** An observer intercepts every open of every operator: it receives the
+    plan node and a thunk opening its iterator (including eager work —
     sorts, materializations, hash builds) and returns the iterator to use,
     usually the built one wrapped with instrumentation.  {!Explain} supplies
     one to collect per-operator {!Metrics} without the executor knowing.
@@ -121,8 +124,9 @@ type vec_observer = node -> (unit -> Vec.t) -> Vec.t
     pager), then delete the value lists an [Apply] materialized.
     Sort-merge joins require plan-inserted [Sort]s (or born-sorted inputs);
     [Group_agg] requires input sorted on [group_by] ([Hash_group_agg] does
-    not).  [observe] wraps every operator each time it is built, so once
-    per loop of a plan an [Apply] re-opens.
+    not).  [observe] wraps every operator each time it is opened, so once
+    per loop of a plan an [Apply] re-opens; compiling happens before, and
+    outside, every observed open.
     @raise Plan_error on malformed plans.
     @raise Eval.Runtime_error where nested iteration would. *)
 val run : ?observe:observer -> Storage.Catalog.t -> node -> Relalg.Relation.t

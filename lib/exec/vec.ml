@@ -125,11 +125,6 @@ let[@inline] store sel k i keep =
   sel.(!k) <- i;
   k := !k + Bool.to_int keep
 
-let find_col schema (c : col_ref) =
-  match c.table with
-  | Some rel -> Schema.find schema ~rel c.column
-  | None -> Schema.find schema c.column
-
 let flip_cmp = function
   | Eq -> Eq
   | Ne -> Ne
@@ -288,22 +283,32 @@ let col_col ca op cb : sel_filter =
       int_col_loop op da na db nb sel n
   | _ -> generic_col_loop op b ca cb sel n
 
-let compile_predicate schema (p : predicate) : sel_filter =
+(* A comparison operand: a column of the batch, or a value read each time
+   a batch is filtered — a literal, or a parameter of the bindings a
+   re-opened plan runs under. *)
+type operand = Column of int | Value of (unit -> Value.t)
+
+let compile_predicate ~(operand : scalar -> operand) (p : predicate) :
+    sel_filter =
   match p with
-  | Cmp (Col a, op, Lit v) -> col_lit (find_col schema a) op v
-  | Cmp (Lit v, op, Col a) -> col_lit (find_col schema a) (flip_cmp op) v
-  | Cmp (Col a, op, Col b) -> col_col (find_col schema a) op (find_col schema b)
-  | Cmp (Lit u, op, Lit v) ->
-      let keep = Eval.cmp_values op u v = Truth.True in
-      fun _ _ n -> if keep then n else 0
+  | Cmp (a, op, b) -> (
+      match (operand a, operand b) with
+      | Column ca, Column cb -> col_col ca op cb
+      | Column ci, Value v -> fun b sel n -> col_lit ci op (v ()) b sel n
+      | Value v, Column ci ->
+          let op = flip_cmp op in
+          fun b sel n -> col_lit ci op (v ()) b sel n
+      | Value u, Value v ->
+          fun _ _ n ->
+            if Eval.cmp_values op (u ()) (v ()) = Truth.True then n else 0)
   | Cmp_outer _ | Cmp_subq _ | In_subq _ | Not_in_subq _ | Exists _
   | Not_exists _ | Quant _ ->
       invalid_arg "Vec.compile_predicate: nested predicate"
 
 (* Mixed-mode conjunction: the first conjunct sees the dense selection,
    later conjuncts only the survivors. *)
-let compile_conjunction schema preds : sel_filter =
-  let fs = List.map (compile_predicate schema) preds in
+let compile_conjunction ~operand preds : sel_filter =
+  let fs = List.map (compile_predicate ~operand) preds in
   fun b sel n -> List.fold_left (fun n f -> if n = 0 then 0 else f b sel n) n fs
 
 let filter ~(pred : sel_filter) (input : t) : t =
@@ -921,8 +926,12 @@ let hash_group_agg ~group_key ~(aggs : Iterator.agg_spec list) ~schema
   let fresh () = Array.map (fun (s : Iterator.agg_spec) -> Eval.fresh_state s.fn) agg_arr in
   (* Group routing mirrors [hash_join]'s: int-class keys through an unboxed
      table, everything else (including the NULL group) through [Row.Tbl]. *)
-  let t1 : (int, Eval.agg_state array) Hashtbl.t = Hashtbl.create 256 in
-  let tg : Eval.agg_state array Row.Tbl.t = Row.Tbl.create 64 in
+  let t1 : (int, Eval.agg_state array) Hashtbl.t =
+    Hashtbl.create (if nk = 0 then 1 else 256)
+  in
+  let tg : Eval.agg_state array Row.Tbl.t =
+    Row.Tbl.create (if nk = 0 then 1 else 64)
+  in
   let order = ref [] (* (first-occurrence key row, states), reversed *) in
   let global = fresh () in
   let states_for b i =

@@ -42,15 +42,22 @@ val with_schema : t -> Relalg.Schema.t -> t
     rows that pass and returns the new length. *)
 type sel_filter = Batch.t -> int array -> int -> int
 
+(** A comparison operand, as the caller resolved it: a column position in
+    the batch, or a value read each time a batch is filtered (a literal,
+    or a parameter a re-opened plan reads from its bindings). *)
+type operand = Column of int | Value of (unit -> Relalg.Value.t)
+
 (** Compile a conjunction of simple predicates ([Cmp] over Col/Lit) to a
-    selection filter.  Conjuncts are applied in order, each over the
+    selection filter, resolving each operand through [operand].
+    Conjuncts are applied in order, each over the
     survivors of the previous one (mixed-mode evaluation: the first runs
     dense, later ones over the narrowed selection).  Comparisons follow
     SQL 3VL via {!Eval.cmp_values}: only [True] rows survive.  Int/float
-    column-vs-literal and column-vs-column conjuncts run as branch-poor
+    column-vs-value and column-vs-column conjuncts run as branch-poor
     unboxed loops; everything else falls back to a per-row boxed loop.
     @raise Invalid_argument on nested predicates. *)
-val compile_conjunction : Relalg.Schema.t -> Sql.Ast.predicate list -> sel_filter
+val compile_conjunction :
+  operand:(Sql.Ast.scalar -> operand) -> Sql.Ast.predicate list -> sel_filter
 
 (** Narrow each batch's selection vector; batches with no survivors are
     skipped.  Zero-copy: column data is shared with the input batch. *)

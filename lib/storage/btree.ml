@@ -41,15 +41,24 @@ type t = {
 let leaf_fanout pager = max 2 (Pager.page_bytes pager / 24)
 let interior_fanout pager = max 2 (Pager.page_bytes pager / 16)
 
-let leaf_entry (r : Row.t) =
-  match Row.to_list r with
-  | [ key; Value.Int page; Value.Int slot ] -> (key, page, slot)
-  | _ -> invalid_arg "Btree.leaf_entry: corrupt leaf page"
+(* Entry fields read in place, arity checked: a probe decodes one entry per
+   binary-search step and per leaf entry it walks, so decoding allocates
+   nothing. *)
+let field ~what ~arity (r : Row.t) i =
+  if Row.arity r <> arity then invalid_arg ("Btree: corrupt " ^ what ^ " page");
+  Row.get r i
 
-let interior_entry (r : Row.t) =
-  match Row.to_list r with
-  | [ key; Value.Int child ] -> (key, child)
-  | _ -> invalid_arg "Btree.interior_entry: corrupt interior page"
+let int_field ~what ~arity r i =
+  match field ~what ~arity r i with
+  | Value.Int n -> n
+  | _ -> invalid_arg ("Btree: corrupt " ^ what ^ " page")
+
+(* leaf entries are [key; page; slot], interior entries [sep_key; child] *)
+let leaf_key r = field ~what:"leaf" ~arity:3 r 0
+let leaf_page r = int_field ~what:"leaf" ~arity:3 r 1
+let leaf_slot r = int_field ~what:"leaf" ~arity:3 r 2
+let interior_key r = field ~what:"interior" ~arity:2 r 0
+let interior_child r = int_field ~what:"interior" ~arity:2 r 1
 
 (* ---------------- bulk load --------------------------------------------- *)
 
@@ -95,9 +104,7 @@ let build pager (heap : Heap_file.t) ~key_col : t =
     | [] -> ()
     | rows ->
         (match List.rev rows with
-        | first :: _ ->
-            let key, _, _ = leaf_entry first in
-            leaf_seps := (key, !nleaves) :: !leaf_seps
+        | first :: _ -> leaf_seps := (leaf_key first, !nleaves) :: !leaf_seps
         | [] -> ());
         Pager.append_page pager file (Array.of_list (List.rev rows));
         incr nleaves;
@@ -198,13 +205,13 @@ let descend_step t page v =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      let key, _ = interior_entry rows.(mid) in
-      if Value.compare key v < 0 then go (mid + 1) hi else go lo mid
+      if Value.compare (interior_key rows.(mid)) v < 0 then go (mid + 1) hi
+      else go lo mid
   in
   let pos = go 0 n in
   let i = max 0 (pos - 1) in
   if n = 0 then invalid_arg "Btree.descend_step: empty interior page"
-  else snd (interior_entry rows.(i))
+  else interior_child rows.(i)
 
 let rec descend t page v =
   if is_leaf t page then page else descend t (descend_step t page v) v
@@ -216,17 +223,17 @@ let leaf_lower_bound rows v =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      let key, _, _ = leaf_entry rows.(mid) in
-      if Value.compare key v < 0 then go (mid + 1) hi else go lo mid
+      if Value.compare (leaf_key rows.(mid)) v < 0 then go (mid + 1) hi
+      else go lo mid
   in
   go 0 n
 
 type bound = Value.t * bool (* value, inclusive? *)
 
-(* Entry cursor over the leaf level for keys within [lo, hi]; yields
-   (key, page, slot).  NULL bounds match nothing (SQL semantics). *)
+(* Entry cursor over the leaf level for keys within [lo, hi]; yields the
+   leaf entries.  NULL bounds match nothing (SQL semantics). *)
 let entry_cursor t ?(lo : bound option) ?(hi : bound option) () :
-    unit -> (Value.t * int * int) option =
+    unit -> Row.t option =
   let null_bound = function
     | Some (v, _) -> Value.is_null v
     | None -> false
@@ -266,10 +273,11 @@ let entry_cursor t ?(lo : bound option) ?(hi : bound option) () :
         end
         else None
       else begin
-        let key, page, s = leaf_entry !rows.(!slot) in
+        let entry = !rows.(!slot) in
+        let key = leaf_key entry in
         incr slot;
         if not (past_lo key) then next () (* exclusive lo: skip equals *)
-        else if within_hi key then Some (key, page, s)
+        else if within_hi key then Some entry
         else None
       end
     in
@@ -282,9 +290,9 @@ let range t ?lo ?hi () : unit -> Row.t option =
   fun () ->
     match entries () with
     | None -> None
-    | Some (_, page, slot) ->
-        let data = Pager.read_page t.pager t.data_file page in
-        Some data.(slot)
+    | Some entry ->
+        let data = Pager.read_page t.pager t.data_file (leaf_page entry) in
+        Some data.(leaf_slot entry)
 
 let range_cost t ~sel ~matches =
   float_of_int t.height +. ceil (sel *. float_of_int t.leaf_pages) +. matches
