@@ -11,10 +11,18 @@ let append (a : t) (b : t) : t = Array.append a b
 
 let project (t : t) idxs : t = Array.of_list (List.map (fun i -> t.(i)) idxs)
 
-(* Array-of-positions variant for hot paths: one array read per column, no
-   list allocation per row. *)
+(* Array-of-positions variant for hot paths: one array read per column,
+   and nothing allocated per row but the output row. *)
 let project_positions (t : t) (idxs : int array) : t =
-  Array.map (fun i -> t.(i)) idxs
+  let n = Array.length idxs in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n t.(idxs.(0)) in
+    for i = 1 to n - 1 do
+      out.(i) <- t.(idxs.(i))
+    done;
+    out
+  end
 
 let nulls n : t = Array.make n Value.Null
 
