@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke bench bench-json bench-smoke nestbench-smoke bench-pairs doc clean
+.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke bench bench-json bench-smoke nestbench-smoke bench-verdicts bench-pairs doc clean
 
 all:
 	dune build
@@ -88,16 +88,20 @@ bench-smoke:
 nestbench-smoke:
 	python3 nestbench/run.py --smoke
 
+# Unit checks of bench-pairs' verdict rule (scripts/test_bench_pairs.py):
+# synthetic run pairs, no benchmark runs.  Well under a second.
+bench-verdicts:
+	python3 -B scripts/test_bench_pairs.py
+
 # Parent-versus-change verdicts on the workload benchmark
 # (scripts/bench_pairs.py): PAIRS alternating 15 s runs per workload, the
 # working tree against the checkout in PARENT (e.g. `git archive HEAD~1 |
 # tar -x -C /tmp/parent`).  Exits non-zero if a metric regressed beyond
 # its BENCHMARK.json bound or a statement failed.  The verdict's unit
-# checks (scripts/test_bench_pairs.py) run first.
+# checks (bench-verdicts) run first.
 PAIRS ?= 10
-bench-pairs:
+bench-pairs: bench-verdicts
 	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=DIR [WORKLOAD=W] [PAIRS=N]"; exit 2; }
-	python3 -B scripts/test_bench_pairs.py
 	python3 scripts/bench_pairs.py $(PARENT) . --pairs $(PAIRS) $(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # API docs (requires odoc; CI installs it).

@@ -2,9 +2,10 @@
 
 open Relalg
 
-type col =
+type col = Column.t =
   | Ints of { data : int array; nulls : bool array }
   | Floats of { data : float array; nulls : bool array }
+  | Dates of { data : int array; nulls : bool array }
   | Values of Value.t array
 
 type t = {
@@ -14,16 +15,11 @@ type t = {
   sel : int array option;
 }
 
-let max_rows = 240
+let max_rows = Column.max_rows
 
 let live b = match b.sel with None -> b.len | Some s -> Array.length s
 
-let value b ~col ~row =
-  match b.cols.(col) with
-  | Ints { data; nulls } -> if nulls.(row) then Value.Null else Value.Int data.(row)
-  | Floats { data; nulls } ->
-      if nulls.(row) then Value.Null else Value.Float data.(row)
-  | Values vs -> vs.(row)
+let value b ~col ~row = Column.value b.cols.(col) row
 
 let row b i =
   Array.init (Array.length b.cols) (fun c -> value b ~col:c ~row:i)
@@ -31,7 +27,12 @@ let row b i =
 let live_indices b =
   match b.sel with
   | Some s -> Array.copy s
-  | None -> Array.init b.len (fun i -> i)
+  | None ->
+      let s = Array.make b.len 0 in
+      for i = 1 to b.len - 1 do
+        s.(i) <- i
+      done;
+      s
 
 let iter_live b f =
   match b.sel with
@@ -41,46 +42,8 @@ let iter_live b f =
       done
   | Some s -> Array.iter f s
 
-(* Transpose one column, preferring the unboxed representation the schema
-   type promises.  A single non-conforming value (e.g. [Float 1.] in a Tint
-   column) demotes the whole column to boxed [Values] so the batch round-trips
-   rows exactly — the vectorized engine must never change what a value
-   prints as. *)
-let col_of_rows (rows : Row.t array) n j (ty : Value.ty) : col =
-  let boxed () = Values (Array.init n (fun i -> rows.(i).(j))) in
-  match ty with
-  | Value.Tint -> (
-      let data = Array.make n 0 and nulls = Array.make n false in
-      try
-        for i = 0 to n - 1 do
-          match rows.(i).(j) with
-          | Value.Int x -> data.(i) <- x
-          | Value.Null -> nulls.(i) <- true
-          | _ -> raise_notrace Exit
-        done;
-        Ints { data; nulls }
-      with Exit -> boxed ())
-  | Value.Tfloat -> (
-      let data = Array.make n 0. and nulls = Array.make n false in
-      try
-        for i = 0 to n - 1 do
-          match rows.(i).(j) with
-          | Value.Float x -> data.(i) <- x
-          | Value.Null -> nulls.(i) <- true
-          | _ -> raise_notrace Exit
-        done;
-        Floats { data; nulls }
-      with Exit -> boxed ())
-  | Value.Tstr | Value.Tdate -> boxed ()
-
 let of_rows schema (rows : Row.t array) =
-  let n = Array.length rows in
-  let cols =
-    Array.of_list
-      (List.mapi (fun j (c : Schema.column) -> col_of_rows rows n j c.ty)
-         (Schema.columns schema))
-  in
-  { schema; len = n; cols; sel = None }
+  { schema; len = Array.length rows; cols = Column.of_rows schema rows; sel = None }
 
 (* Column-wise gather: allocate every row, then fill per column so the
    representation dispatch happens once per column, not once per cell. *)
@@ -102,6 +65,12 @@ let to_rows b =
           for k = 0 to n - 1 do
             let i = if dense then k else idxs.(k) in
             if not nulls.(i) then rows.(k).(c) <- Value.Float data.(i)
+          done
+      | Dates { data; nulls } ->
+          for k = 0 to n - 1 do
+            let i = if dense then k else idxs.(k) in
+            if not nulls.(i) then
+              rows.(k).(c) <- Value.Date (Column.date_of_key data.(i))
           done
       | Values vs ->
           for k = 0 to n - 1 do

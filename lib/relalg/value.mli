@@ -27,6 +27,10 @@ val date_of_string : string -> date option
 
 val pp_date : date Fmt.t
 
+(** [year * 10000 + month * 100 + day]: {!compare} orders dates by this
+    key. *)
+val date_key : date -> int
+
 (** Total order: NULL first, numerics compare numerically across Int/Float. *)
 val compare : t -> t -> int
 

@@ -25,10 +25,15 @@ val flush : t -> unit
 (** Sequential scan; flushes first. Page reads go through the buffer pool. *)
 val scan : t -> unit -> Relalg.Row.t option
 
-(** Page-at-a-time scan for batch decoders; flushes first.  Each call
-    yields one page's rows (do not mutate the array).  Page reads go
-    through the buffer pool exactly as in {!scan}. *)
-val scan_pages : t -> unit -> Relalg.Row.t array option
+(** Column scan for the vectorized engine; flushes first.  Each call
+    yields the next {!Relalg.Column.max_rows} rows (fewer at the end) as
+    their row count and one vector per schema column.  The vectors come
+    from the heap's column image — decoded the first time any scan reaches
+    those rows, shared afterwards — and must not be written to.  Each page
+    is read through the buffer pool at the call that first needs one of
+    its rows, so page accounting and LRU order are the same whether a
+    chunk is decoded or found in the image. *)
+val scan_chunks : t -> unit -> (int * Relalg.Column.t array) option
 
 val to_relation : t -> Relalg.Relation.t
 val delete : t -> unit
