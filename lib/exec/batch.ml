@@ -13,6 +13,7 @@ type t = {
   len : int;
   cols : col array;
   sel : int array option;
+  rows : Row.t array option;
 }
 
 let max_rows = Column.max_rows
@@ -22,7 +23,9 @@ let live b = match b.sel with None -> b.len | Some s -> Array.length s
 let value b ~col ~row = Column.value b.cols.(col) row
 
 let row b i =
-  Array.init (Array.length b.cols) (fun c -> value b ~col:c ~row:i)
+  match b.rows with
+  | Some rows -> rows.(i)
+  | None -> Array.init (Array.length b.cols) (fun c -> value b ~col:c ~row:i)
 
 let live_indices b =
   match b.sel with
@@ -43,11 +46,17 @@ let iter_live b f =
   | Some s -> Array.iter f s
 
 let of_rows schema (rows : Row.t array) =
-  { schema; len = Array.length rows; cols = Column.of_rows schema rows; sel = None }
+  {
+    schema;
+    len = Array.length rows;
+    cols = Column.of_rows schema rows;
+    sel = None;
+    rows = Some rows;
+  }
 
 (* Column-wise gather: allocate every row, then fill per column so the
    representation dispatch happens once per column, not once per cell. *)
-let to_rows b =
+let gather_rows b =
   let idxs = match b.sel with Some s -> s | None -> [||] in
   let n = match b.sel with Some s -> Array.length s | None -> b.len in
   let dense = b.sel = None in
@@ -80,8 +89,14 @@ let to_rows b =
     b.cols;
   Array.to_list rows
 
+let to_rows b =
+  match (b.rows, b.sel) with
+  | Some rows, None -> Array.to_list rows
+  | Some rows, Some s -> Array.fold_right (fun i acc -> rows.(i) :: acc) s []
+  | None, _ -> gather_rows b
+
 let project b ~schema ~positions =
-  { b with schema; cols = Array.map (fun p -> b.cols.(p)) positions }
+  { b with schema; cols = Array.map (fun p -> b.cols.(p)) positions; rows = None }
 
 let with_sel b sel = { b with sel = Some sel }
 let with_schema b schema = { b with schema }

@@ -15,7 +15,17 @@
     Batches are immutable.  A scan hands out its heap file's column image
     without copying, so the same vectors reach every scan of that heap:
     an operator builds new columns and new selection vectors, and never
-    writes into an input's. *)
+    writes into an input's.
+
+    A batch may also carry the stored rows its columns were decoded from
+    ([rows]).  {!Vec.scan} sets them to the heap's own {!Relalg.Row.t}s
+    and {!of_rows} to the rows it transposes; {!with_sel} and
+    {!with_schema} keep them, since neither changes a row's values.  Every
+    operator that builds or reorders columns — {!project}, a join's or an
+    aggregate's gather — makes a batch without them.  Where they are set,
+    {!row} and {!to_rows} return the stored rows themselves instead of
+    boxing the columns: rows are immutable, so sharing them is safe, and a
+    vectorized plan hands a heap the very rows the tuple engine would. *)
 
 type col = Relalg.Column.t =
   | Ints of { data : int array; nulls : bool array }
@@ -31,6 +41,9 @@ type t = {
   cols : col array;
   sel : int array option;
       (** live physical row indices, strictly increasing; [None] = all *)
+  rows : Relalg.Row.t array option;
+      (** the stored rows, one per physical index, equal to the columns'
+          values; [None] once the columns no longer match them *)
 }
 
 (** Batch capacity (rows): {!Relalg.Column.max_rows}. *)
@@ -43,7 +56,8 @@ val live : t -> int
     touching live rows). *)
 val value : t -> col:int -> row:int -> Relalg.Value.t
 
-(** Gather one physical row into a boxed {!Relalg.Row.t}. *)
+(** One physical row: the stored row when [rows] is set, else the row
+    gathered from the columns into a fresh {!Relalg.Row.t}. *)
 val row : t -> int -> Relalg.Row.t
 
 (** Live physical indices as a fresh dense array (safe to mutate). *)
@@ -53,18 +67,21 @@ val live_indices : t -> int array
 val iter_live : t -> (int -> unit) -> unit
 
 (** Transpose rows into columns ({!Relalg.Column.of_rows}: unboxed where
-    the schema's column type holds exactly, exact round-trip always). *)
+    the schema's column type holds exactly, exact round-trip always); the
+    rows are kept as the batch's stored rows. *)
 val of_rows : Relalg.Schema.t -> Relalg.Row.t array -> t
 
-(** Gather the live rows, in order. *)
+(** The live rows, in order: stored rows when set, else gathered. *)
 val to_rows : t -> Relalg.Row.t list
 
 (** Share columns: keep the columns at [positions] (in order) under a new
-    schema.  O(arity) — no row data is touched. *)
+    schema.  O(arity) — no row data is touched.  Drops the stored rows. *)
 val project : t -> schema:Relalg.Schema.t -> positions:int array -> t
 
-(** Replace the selection vector (indices must be increasing, live). *)
+(** Replace the selection vector (indices must be increasing, live); keeps
+    the stored rows. *)
 val with_sel : t -> int array -> t
 
-(** Retag the schema (provenance rename); columns are shared. *)
+(** Retag the schema (provenance rename); columns and stored rows are
+    shared. *)
 val with_schema : t -> Relalg.Schema.t -> t

@@ -100,9 +100,10 @@ val output_schema : Storage.Catalog.t -> node -> Relalg.Schema.t
 
 (** Which executor runs a plan: [Tuple] is the Volcano engine — the default
     and the differential oracle's reference; [Vectorized] pulls column-major
-    {!Batch.t} chunks through {!Vec}, falling back to the tuple operators
-    (through adapters) for sorts and non-hash joins, so any plan executes
-    under either engine with identical results. *)
+    {!Batch.t} chunks through {!Vec}, nested-loop joins included, falling
+    back to the tuple operators (through adapters) for sorts, sort-merge
+    and index nested-loop joins and [Apply], so any plan executes under
+    either engine with identical results. *)
 type engine = Tuple | Vectorized
 
 val engine_name : engine -> string
@@ -131,8 +132,12 @@ type vec_observer = node -> (unit -> Vec.t) -> Vec.t
     @raise Eval.Runtime_error where nested iteration would. *)
 val run : ?observe:observer -> Storage.Catalog.t -> node -> Relalg.Relation.t
 
-(** {!run} batch-at-a-time: scans, filters, projections and the hash
-    operators run vectorized, everything else through tuple adapters. *)
+(** {!run} batch-at-a-time: scans, filters, projections, the hash
+    operators and nested-loop joins run vectorized, everything else through
+    tuple adapters.  A nested-loop join's inner is the same heap the tuple
+    engine rescans — the stored table, or the inner subtree materialized at
+    each open from its batches' stored rows — and each rescan requests its
+    pages in the same order. *)
 val run_vec :
   ?observe:vec_observer -> Storage.Catalog.t -> node -> Relalg.Relation.t
 

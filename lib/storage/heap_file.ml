@@ -12,7 +12,9 @@
    image only saves CPU: every scan still requests each page through the
    pool at the point where it first needs a row of that page, so logical
    reads, physical reads and LRU order are those of a scan that decodes
-   every time.  Flushed pages never change, so a chunk goes stale only
+   every time.  Each chunk keeps the rows it was decoded from beside its
+   vectors, so a scan can hand out the stored rows themselves (rows are
+   immutable, so sharing them is safe).  Flushed pages never change, so a chunk goes stale only
    when a flush grows the trailing partial chunk (dropped then) or the
    file is deleted (the whole image is dropped). *)
 
@@ -31,9 +33,10 @@ type t = {
   mutable tail_len : int; (* length of [tail]; appends must stay O(1) *)
   mutable starts : int array;
       (* [starts.(p)]: index of page [p]'s first row; grown by doubling *)
-  mutable chunks : (int * Column.t array) option array;
+  mutable chunks : (int * Column.t array * Row.t array) option array;
       (* the column image: chunk [c] holds rows from [c * Column.max_rows],
-         as (rows, one vector per column); grown by doubling *)
+         as (row count, one vector per column, the rows decoded); grown by
+         doubling *)
 }
 
 let rows_per_page pager schema =
@@ -125,7 +128,7 @@ let scan t : unit -> Row.t option =
    batch.  A chunk missing from the image is decoded from those pages and
    the last page read before them, which may hold the chunk's first
    rows. *)
-let scan_chunks t : unit -> (int * Column.t array) option =
+let scan_chunks t : unit -> (int * Column.t array * Row.t array) option =
   flush t;
   let npages = Pager.page_count t.pager t.file and total = t.tuples in
   let chunk = ref 0 and next_page = ref 0 in
@@ -155,14 +158,14 @@ let scan_chunks t : unit -> (int * Column.t array) option =
       (* a scan begun before the last flush may have stored a shorter
          trailing chunk: only a whole one is reused *)
       match if c < Array.length t.chunks then t.chunks.(c) else None with
-      | Some (n, _) as e when n = hi - lo ->
+      | Some (n, _, _) as e when n = hi - lo ->
           read_until hi [||] lo;
           e
       | _ ->
           let rows = Array.make (hi - lo) [||] in
           take rows lo;
           read_until hi rows lo;
-          let e = Some (hi - lo, Column.of_rows t.schema rows) in
+          let e = Some (hi - lo, Column.of_rows t.schema rows, rows) in
           t.chunks <- grown t.chunks c None;
           t.chunks.(c) <- e;
           e

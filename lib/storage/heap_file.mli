@@ -27,13 +27,16 @@ val scan : t -> unit -> Relalg.Row.t option
 
 (** Column scan for the vectorized engine; flushes first.  Each call
     yields the next {!Relalg.Column.max_rows} rows (fewer at the end) as
-    their row count and one vector per schema column.  The vectors come
-    from the heap's column image — decoded the first time any scan reaches
-    those rows, shared afterwards — and must not be written to.  Each page
+    their row count, one vector per schema column, and the stored rows
+    themselves (the very {!Relalg.Row.t}s {!scan} returns, in order, one
+    per position of the vectors).  Vectors and rows come from the heap's
+    column image — decoded the first time any scan reaches those rows,
+    shared afterwards — and neither array may be written to.  Each page
     is read through the buffer pool at the call that first needs one of
     its rows, so page accounting and LRU order are the same whether a
     chunk is decoded or found in the image. *)
-val scan_chunks : t -> unit -> (int * Relalg.Column.t array) option
+val scan_chunks :
+  t -> unit -> (int * Relalg.Column.t array * Relalg.Row.t array) option
 
 val to_relation : t -> Relalg.Relation.t
 val delete : t -> unit

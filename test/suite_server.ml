@@ -539,11 +539,69 @@ let test_cli_bad_flags () =
   in
   Alcotest.(check int) "valid mode/engine accepted" 0 code
 
+(* ------------------------------------------------------------------ *)
+(* Hostile input                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One valid request of every verb; the load targets its own table, so no
+   mutation of it can touch the tables the follow-up query reads. *)
+let valid_requests =
+  [
+    query_line ~extra:{|, "engine": "vectorized", "mode": "hybrid"|} q2;
+    Printf.sprintf {|{"op": "prepare", "name": "p", "sql": %s, "strategy": "auto"}|}
+      (P.to_string (P.Str q5));
+    {|{"op": "execute", "name": "p"}|};
+    Printf.sprintf {|{"op": "explain", "sql": %s, "analyze": true}|}
+      (P.to_string (P.Str q2));
+    Printf.sprintf {|{"op": "lint", "sql": %s, "check": true}|}
+      (P.to_string (P.Str q5));
+    {|{"op": "load", "table": "TX", "columns": [["A", "int"], ["D", "date"], ["F", "float"], ["S", "str"]], "rows": [[1, "1979-06-01", 2.5, "x"], [null, null, null, null]]}|};
+    {|{"op": "stats"}|};
+    {|{"op": "close"}|};
+  ]
+
+(* Random bytes, a truncated valid request, or a valid request with one
+   byte replaced. *)
+let hostile_line =
+  let open QCheck2.Gen in
+  let any_byte = map Char.chr (int_range 0 255) in
+  oneof
+    [
+      string_size ~gen:any_byte (int_range 0 120);
+      (let* r = oneofl valid_requests in
+       let* n = int_range 0 (String.length r) in
+       return (String.sub r 0 n));
+      (let* r = oneofl valid_requests in
+       let* i = int_range 0 (String.length r - 1) in
+       let* b = any_byte in
+       return (String.mapi (fun j c -> if j = i then b else c) r));
+    ]
+
+(* [handle_line] never raises on a hostile line, answers it with exactly
+   one line, and still answers a valid query afterwards. *)
+let test_hostile_input =
+  let server =
+    lazy
+      (let server = Server.create ~cache_capacity:8 (count_bug_db ()) in
+       (server, Server.open_session server))
+  in
+  let answer line =
+    let server, session = Lazy.force server in
+    fst (Server.handle_line server session line)
+  in
+  QCheck2.Test.make ~name:"handle_line: hostile bytes, truncations, mutations"
+    ~count:2000 ~print:String.escaped hostile_line (fun line ->
+      let response = answer line in
+      (not (String.contains response '\n'))
+      && Result.is_ok (P.parse response)
+      && is_ok (parse_exn (answer (query_line q2))))
+
 let suites =
   [
     ( "server.protocol",
       [
         Alcotest.test_case "request parsing" `Quick test_request_parsing;
+        QCheck_alcotest.to_alcotest test_hostile_input;
       ] );
     ( "server.plan_cache",
       [
