@@ -247,6 +247,18 @@ let sweep_queries =
        SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < '1-1-80')" );
   ]
 
+(* The engine grid's queries: the sweep's, plus the paper's Q5 (MAX under
+   a '<' correlation) with its outer block cut to PNUM <= 3, as nestbench's
+   JA-max-lt cuts it — the one grid cell whose TEMP2 is a nested-loop
+   join. *)
+let grid_queries =
+  sweep_queries
+  @ [
+      ( "type-JA-lt",
+        "SELECT PNUM FROM PARTS WHERE PNUM <= 3 AND QOH = (SELECT MAX(QUAN) \
+         FROM SUPPLY WHERE SUPPLY.PNUM < PARTS.PNUM)" );
+    ]
+
 let measure_io catalog run =
   let pager = Catalog.pager catalog in
   let before = Pager.snapshot pager in
@@ -832,7 +844,7 @@ let json_grid ~scales ~warmup ~reps () =
                 ("vectorized_speedup_vs_tuple", Json.Float vec_speedup);
               ] ))
         scales)
-    sweep_queries
+    grid_queries
 
 (* Pager page-touch microbench: a pool-resident file of B pages touched
    uniformly at random.  Every touch is a hit, so the measured cost is pure
@@ -920,7 +932,7 @@ let json_operator_breakdowns ~supply_per_part () =
                      segs) );
             ])
         [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
-    sweep_queries
+    grid_queries
 
 (* ---------------- batched vs nested vs rewrite -------------------------- *)
 
