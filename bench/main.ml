@@ -848,30 +848,45 @@ let json_grid ~scales ~warmup ~reps () =
 
 (* Pager page-touch microbench: a pool-resident file of B pages touched
    uniformly at random.  Every touch is a hit, so the measured cost is pure
-   LRU maintenance — it must stay flat as B grows (O(1) hashtable + linked
-   list), where a list-based LRU degrades linearly. *)
+   LRU maintenance — it must stay flat as B grows (O(1) array-linked
+   frames), where a list-based LRU degrades linearly.  Beside the hits, one
+   miss point: sequential rescans of a file four times a 1024-page pool,
+   which miss on every page (each evicts the LRU frame). *)
 let json_pager_scaling () =
   let touches = 200_000 in
-  let point buffer_pages =
+  let ns_per_touch ~buffer_pages ~file_pages page_of =
     let pager = Pager.create ~buffer_pages ~page_bytes:64 () in
     let f = Pager.create_file pager in
-    for _ = 1 to buffer_pages do
+    for _ = 1 to file_pages do
       Pager.append_page pager f [||]
     done;
-    let rng = Random.State.make [| 7 |] in
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to touches do
-      ignore (Pager.read_page pager f (Random.State.int rng buffer_pages))
+    for k = 1 to touches do
+      ignore (Pager.read_page pager f (page_of k))
     done;
     let wall = Unix.gettimeofday () -. t0 in
-    (buffer_pages, wall *. 1e9 /. float_of_int touches)
+    (wall *. 1e9 /. float_of_int touches, Pager.stats pager)
+  in
+  let point buffer_pages =
+    let rng = Random.State.make [| 7 |] in
+    let ns, _ =
+      ns_per_touch ~buffer_pages ~file_pages:buffer_pages (fun _ ->
+          Random.State.int rng buffer_pages)
+    in
+    (buffer_pages, ns)
   in
   let points = List.map point [ 16; 128; 1024; 8192 ] in
+  let miss_pool = 1024 and miss_file = 4096 in
+  let ns_per_miss, miss_stats =
+    ns_per_touch ~buffer_pages:miss_pool ~file_pages:miss_file (fun k ->
+        k mod miss_file)
+  in
+  assert (miss_stats.Pager.physical_reads = touches);
   let ns = List.map snd points in
   let flatness =
     List.fold_left Float.max 0. ns /. List.fold_left Float.min infinity ns
   in
-  ( flatness,
+  ( (flatness, ns_per_miss),
     Json.Obj
       [
         ("touches", Json.Int touches);
@@ -886,6 +901,13 @@ let json_pager_scaling () =
                    ])
                points) );
         ("flatness_max_over_min", Json.Float flatness);
+        ( "miss",
+          Json.Obj
+            [
+              ("buffer_pages", Json.Int miss_pool);
+              ("file_pages", Json.Int miss_file);
+              ("ns_per_miss", Json.Float ns_per_miss);
+            ] );
       ] )
 
 (* Per-operator breakdowns: one instrumented hybrid-mode run per query kind
@@ -1297,7 +1319,7 @@ let json_bench ~smoke () =
   let warmup = 1 in
   let reps = if smoke then 3 else 9 in
   let grid = json_grid ~scales ~warmup ~reps () in
-  let flatness, pager_json = json_pager_scaling () in
+  let (flatness, ns_per_miss), pager_json = json_pager_scaling () in
   (* batched-vs-nested-vs-rewrite on duplicate-skewed keys; nested runs at
      every scale here (500 outer rows keep it tractable at 10k) *)
   let skew =
@@ -1402,8 +1424,10 @@ let json_bench ~smoke () =
          tuple@."
         kind rows hybrid_speedup vec_speedup)
     grid;
-  Fmt.pr "pager page-touch flatness (max/min ns over B=16..8192): %.2f@."
-    flatness;
+  Fmt.pr
+    "pager page-touch flatness (max/min ns over B=16..8192): %.2f; %.1f ns \
+     per miss@."
+    flatness ns_per_miss;
   List.iter
     (fun (kind, rows, refused, speedup, _, _) ->
       Fmt.pr "%-22s %6d supply rows: batched %.2fx vs nested%s@." kind rows

@@ -503,8 +503,9 @@ let index_nl_join ~child scope ~outer_join ~cond ~residual ~right
 (* A nested-loop join's inner, in either engine: it must be stored so it
    can be re-scanned.  Scans use the stored heap; other subtrees are
    compiled by [child] and materialized at each open (their pages written
-   and the writes counted) by [materialize].  Returns the heap to open and
-   the inner's schema. *)
+   and the writes counted) by [materialize]; a re-open (under an [Apply])
+   first deletes the previous open's heap, whose rescans are over.
+   Returns the heap to open and the inner's schema. *)
 let nl_inner ~child ~materialize catalog scope right =
   let stored name alias =
     let heap = Catalog.heap catalog name in
@@ -516,7 +517,14 @@ let nl_inner ~child ~materialize catalog scope right =
   | Rename (alias, Scan name) -> stored name alias
   | _ ->
       let r = child scope right in
-      ((fun () -> materialize (Catalog.pager catalog) (r.open_ ())), r.schema)
+      let previous = ref None in
+      let open_ () =
+        Option.iter Storage.Heap_file.delete !previous;
+        let heap = materialize (Catalog.pager catalog) (r.open_ ()) in
+        previous := Some heap;
+        heap
+      in
+      (open_, r.schema)
 
 (* ------------------------------------------------------------------ *)
 (* Apply: the dependent join                                          *)

@@ -109,21 +109,77 @@ let test_pager_touch_allocates_nothing () =
     (Printf.sprintf "10k hits allocate %.0f words" words)
     true (words < 100.)
 
+(* So does a miss: a sequential rescan of a file four times the pool
+   misses on every page, each taking the LRU frame. *)
+let test_pager_miss_allocates_nothing () =
+  let pager = Pager.create ~buffer_pages:4 ~page_bytes:64 () in
+  let f = Pager.create_file pager in
+  for i = 0 to 15 do
+    Pager.append_page pager f [| row i |]
+  done;
+  Pager.reset_stats pager;
+  let before = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    ignore (Pager.read_page pager f (k land 15))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every read misses" 10_000
+    (Pager.stats pager).physical_reads;
+  Alcotest.(check bool)
+    (Printf.sprintf "10k misses allocate %.0f words" words)
+    true (words < 100.)
+
+(* A deleted file's slot is reused, so the pager's memory follows the
+   live files, not the number ever created: 100k files created, written,
+   read and deleted leave the live heap where it was. *)
+let test_pager_files_bounded () =
+  let pager = Pager.create ~buffer_pages:4 ~page_bytes:64 () in
+  let cycle () =
+    let f = Pager.create_file pager in
+    Pager.append_page pager f [| row 1 |];
+    ignore (Pager.read_page pager f 0);
+    Pager.delete_file pager f
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  cycle ();
+  let before = live_words () in
+  for _ = 1 to 100_000 do
+    cycle ()
+  done;
+  let after = live_words () in
+  Alcotest.(check int) "no live files" 0 (Pager.file_count pager);
+  Alcotest.(check bool)
+    (Printf.sprintf "live words %d -> %d" before after)
+    true
+    (after - before < 1_000)
+
 (* Property: the pager against a list-based reference LRU.  Random
    create/append/read/delete sequences over four file slots; after every
    operation the counters, live files and disk pages must match, and a read
-   must return the reference's page (or fail where it fails). *)
+   must return the reference's page (or fail where it fails).  The model
+   keeps the ids of deleted files: a read or an append through one must
+   fail, also once a later create has reused the file's slot in the
+   pager.  A failed read still counts as a request. *)
 type pager_op =
   | Create of int
   | Append of int
   | Read of int * int
+  | Read_past of int (* the page after the file's last *)
   | Delete of int
+  | Stale_read of int (* through the k-th deleted id *)
+  | Stale_append of int
 
 let pp_pager_op = function
   | Create s -> Printf.sprintf "create %d" s
   | Append s -> Printf.sprintf "append %d" s
   | Read (s, i) -> Printf.sprintf "read %d.%d" s i
+  | Read_past s -> Printf.sprintf "read past %d" s
   | Delete s -> Printf.sprintf "delete %d" s
+  | Stale_read k -> Printf.sprintf "stale read %d" k
+  | Stale_append k -> Printf.sprintf "stale append %d" k
 
 let pager_ops_gen =
   let open QCheck2.Gen in
@@ -135,24 +191,41 @@ let pager_ops_gen =
             (1, map (fun s -> Create s) slot);
             (3, map (fun s -> Append s) slot);
             (5, map2 (fun s i -> Read (s, i)) slot (int_range 0 6));
+            (1, map (fun s -> Read_past s) slot);
             (1, map (fun s -> Delete s) slot);
+            (1, map (fun k -> Stale_read k) nat);
+            (1, map (fun k -> Stale_append k) nat);
           ]))
 
 let pager_matches_reference (b, ops) =
   let pager = Pager.create ~buffer_pages:b ~page_bytes:64 () in
   (* reference: per slot the pager's file and a file uid; pages by (uid,
      page number); the pool as a most-recent-first list of (uid, page) *)
-  let slots = Array.make 4 None and next_uid = ref 0 in
+  let slots = Array.make 4 None and next_uid = ref 0 and stale = ref [] in
   let disk = Hashtbl.create 64 and pool = ref [] in
   let logical = ref 0 and reads = ref 0 and writes = ref 0 in
   let touch key =
     pool :=
       List.filteri (fun i _ -> i < b) (key :: List.filter (( <> ) key) !pool)
   in
-  let slot = function Create s | Append s | Read (s, _) | Delete s -> s in
+  let fails f = try f (); false with Invalid_argument _ -> true in
+  let stale_id k = List.nth !stale (k mod List.length !stale) in
+  let slot = function
+    | Create s | Append s | Read (s, _) | Read_past s | Delete s -> s
+    | Stale_read _ | Stale_append _ -> 0
+  in
   let step op =
     let page_ok =
       match (op, slots.(slot op)) with
+      | (Stale_read _ | Stale_append _), _ when !stale = [] -> true
+      | Stale_read k, _ ->
+          incr logical;
+          fails (fun () -> ignore (Pager.read_page pager (stale_id k) 0))
+      | Stale_append k, _ ->
+          fails (fun () -> Pager.append_page pager (stale_id k) [| row 0 |])
+      | Read_past _, Some (f, _, n) ->
+          incr logical;
+          fails (fun () -> ignore (Pager.read_page pager f !n))
       | Create s, None ->
           slots.(s) <- Some (Pager.create_file pager, !next_uid, ref 0);
           incr next_uid;
@@ -183,8 +256,11 @@ let pager_matches_reference (b, ops) =
           done;
           pool := List.filter (fun (u, _) -> u <> uid) !pool;
           slots.(s) <- None;
+          stale := f :: !stale;
           true
-      | (Create _, Some _) | ((Append _ | Read _ | Delete _), None) -> true
+      | (Create _, Some _) | ((Append _ | Read _ | Read_past _ | Delete _), None)
+        ->
+          true
     in
     let s = Pager.stats pager in
     let ok =
@@ -551,6 +627,10 @@ let suites =
         Alcotest.test_case "validation" `Quick test_pager_validation;
         Alcotest.test_case "page touch allocates nothing" `Quick
           test_pager_touch_allocates_nothing;
+        Alcotest.test_case "page miss allocates nothing" `Quick
+          test_pager_miss_allocates_nothing;
+        Alcotest.test_case "100k files: memory follows live files" `Quick
+          test_pager_files_bounded;
         QCheck_alcotest.to_alcotest prop_pager_matches_reference;
       ] );
     ( "storage.heap_file",

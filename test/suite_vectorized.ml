@@ -548,6 +548,72 @@ let adapter_nl_join catalog plan =
       Relation.make joined (Vec.to_rows (Vec.of_tuple it))
   | _ -> invalid_arg "adapter_nl_join"
 
+(* A materialized inner is remade at every open of its join.  Under an
+   [Apply] over 50 outer rows the join re-opens per row; each re-open
+   deletes the previous open's heap, so the run leaves one inner (half of
+   R's 20 pages) on the simulated disk, not fifty, under either engine. *)
+let test_nl_inner_reopen_deletes () =
+  let rng = Random.State.make [| 24 |] in
+  let r =
+    Relation.of_values ~rel:"R" nl_columns
+      (List.init 20 (fun i ->
+           [ Value.Int (1 + (i mod 4)); Value.Null; Value.Null; Value.Str "a" ]))
+  in
+  let rels =
+    [ ("L", nl_relation rng "L" 50); ("M", nl_relation rng "M" 2); ("R", r) ]
+  in
+  let rk = col ~table:"R" "K" in
+  let join =
+    Plan.Join
+      {
+        method_ = Plan.Nested_loop;
+        kind = Plan.Inner;
+        cond = [];
+        residual = [ A.Cmp (A.Col rk, A.Le, A.Col lk) ];
+        left = Plan.Scan "M";
+        right = Plan.Filter ([ A.Cmp (A.Col rk, A.Ge, A.Lit (Value.Int 3)) ], Plan.Scan "R");
+      }
+  in
+  let plan =
+    Plan.Apply
+      {
+        mode = Plan.Per_row;
+        preds =
+          [
+            ( A.Cmp_subq (A.Col lk, A.Ge, dummy_subquery),
+              Some
+                {
+                  Plan.keys = [ lk ];
+                  inner =
+                    Plan.Hash_group_agg
+                      {
+                        Plan.group_by = [];
+                        aggs = [ { Plan.fn = A.Count_star; out_name = "N" } ];
+                        input = join;
+                      };
+                };
+            );
+          ];
+        outer = Plan.Scan "L";
+      }
+  in
+  let left_behind run =
+    let catalog = G.catalog_of rels in
+    let pager = Catalog.pager catalog in
+    Alcotest.(check int) "R is 20 pages" 20
+      (Storage.Heap_file.page_count (Catalog.heap catalog "R"));
+    let files = Pager.file_count pager and pages = Pager.disk_pages pager in
+    let rows = run catalog plan in
+    (rows, Pager.file_count pager - files, Pager.disk_pages pager - pages)
+  in
+  let tuple, tuple_files, tuple_pages = left_behind Plan.run in
+  let vec, vec_files, vec_pages = left_behind Plan.run_vec in
+  Alcotest.(check bool) "engines agree" true (Relation.equal_bag tuple vec);
+  Alcotest.(check (list int)) "tuple: one inner left" [ 1; 10 ]
+    [ tuple_files; tuple_pages ];
+  Alcotest.(check (list int)) "vectorized: one inner left" [ 1; 10 ]
+    [ vec_files; vec_pages ]
+
 let io_of catalog run plan =
   let pager = Catalog.pager catalog in
   let before = Pager.snapshot pager in
@@ -1234,6 +1300,8 @@ let suites =
             test_boundary_hash_join;
           Alcotest.test_case "a date never meets the Int of its day key" `Quick
             test_date_never_meets_int;
+          Alcotest.test_case "nested-loop inner: a re-open deletes the last"
+            `Quick test_nl_inner_reopen_deletes;
         ] );
     ( "vectorized.batches",
       [
