@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke bench bench-json bench-smoke nestbench-smoke bench-verdicts bench-pairs doc clean
+.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke bench bench-json bench-smoke nestbench-smoke bench-verdicts bench-pairs loc doc clean
 
 all:
 	dune build
@@ -103,6 +103,13 @@ PAIRS ?= 10
 bench-pairs: bench-verdicts
 	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=DIR [WORKLOAD=W] [PAIRS=N]"; exit 2; }
 	python3 scripts/bench_pairs.py $(PARENT) . --pairs $(PAIRS) $(if $(WORKLOAD),--workload $(WORKLOAD))
+
+# Source size: .ml + .mli lines per directory, then the total.
+loc:
+	@for d in lib bin bench test; do \
+	  printf '%-6s %7d\n' $$d $$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l); \
+	done
+	@printf '%-6s %7d\n' total $$(find lib bin bench test -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)
 
 # API docs (requires odoc; CI installs it).
 doc:

@@ -132,9 +132,12 @@ let strategy =
 
 let engine =
   let doc =
-    "Execution engine for plan-based paths: tuple (Volcano iterators, the \
-     default and oracle reference) or vectorized (column-major batches of \
-     up to 240 rows).  Same plans, same results."
+    "Execution engine for the scans, filters, projections and nested-loop \
+     joins of plan-based paths: tuple (Volcano iterators, the default) or \
+     vectorized (column-major batches of up to 240 rows).  Hash operators \
+     run batch-at-a-time under both.  Same plans, same rows, same logical \
+     reads and writes; physical reads may differ under LRU eviction.  The \
+     oracle's reference is the separate nested-iteration evaluator."
   in
   Arg.(value & opt string "tuple" & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
 

@@ -97,7 +97,6 @@ let tys_compatible a b =
 type state = {
   env : tenv;
   mutable diags : Diagnostics.t list;
-  engine : Plan.engine;
   mutable bound : tcol list;
       (* the enclosing [Apply]s' rows: what a parameter resolves
          against *)
@@ -620,13 +619,11 @@ and walk_group st ~label ~sorted_variant { Plan.group_by; aggs; input } : info
 
 (* ---------------- entry points ----------------------------------------- *)
 
-let run ?(engine = Plan.Tuple) env node =
-  let st = { env; diags = []; engine; bound = [] } in
-  ignore st.engine;
+let run env node =
+  let st = { env; diags = []; bound = [] } in
   let info = walk st node in
   (info.schema, Diagnostics.sort (List.rev st.diags))
 
-let check ?engine env node = snd (run ?engine env node)
+let check env node = snd (run env node)
 
-let check_catalog ?engine catalog node =
-  check ?engine (env_of_catalog catalog) node
+let check_catalog catalog node = check (env_of_catalog catalog) node

@@ -40,16 +40,9 @@ type tenv = {
 }
 
 (** All violations, every node.  An empty list means the plan type-checks;
-    [engine] selects the executor whose contracts apply (the vectorized
-    engine shares them — hash operators still need equality keys — so the
-    parameter today only labels messages). *)
-val check :
-  ?engine:Exec.Plan.engine -> tenv -> Exec.Plan.node -> Diagnostics.t list
+    both engines run a plan under the same operator contracts. *)
+val check : tenv -> Exec.Plan.node -> Diagnostics.t list
 
 (** {!check} against a live catalog (schemas, statistics, order metadata,
     indexes). *)
-val check_catalog :
-  ?engine:Exec.Plan.engine ->
-  Storage.Catalog.t ->
-  Exec.Plan.node ->
-  Diagnostics.t list
+val check_catalog : Storage.Catalog.t -> Exec.Plan.node -> Diagnostics.t list

@@ -578,7 +578,7 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace db
   in
   let untransformed via plan engine =
     measured via None @@ fun () ->
-    if check then Optimizer.Planner.check_plan ~engine ~label:"plan" db.catalog plan;
+    if check then Optimizer.Planner.check_plan ~label:"plan" db.catalog plan;
     Exec.Sysr_iteration.present db.catalog p.query
       (Optimizer.Planner.run_plan ~engine ?session db.catalog plan)
   in

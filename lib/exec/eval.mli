@@ -26,14 +26,16 @@ val quant_values :
 
 (** Apply an aggregate to a column of values.  NULLs are ignored;
     COUNT(∅) = 0; every other aggregate is NULL on an empty (or all-NULL)
-    input — the paper's MAX({}) = NULL assumption.
+    input — the paper's MAX({}) = NULL assumption.  The reference
+    evaluator's ({!Nested_iter}) form; the physical operators accumulate
+    with {!fresh_state}/{!update_state}/{!finish_state}.
     @raise Invalid_argument for AVG over non-numeric values. *)
 val aggregate_values : Sql.Ast.agg -> Relalg.Value.t list -> Relalg.Value.t
 
 (** Incremental aggregate accumulators, equivalent to {!aggregate_values}
     fold-style: COUNT(col) ignores NULLs (COUNT-star does not);
     MAX/MIN/SUM/AVG ignore NULLs and finish to NULL on empty/all-NULL
-    input.  Shared by the tuple and vectorized group operators. *)
+    input.  Every physical aggregate, in either engine, runs on these. *)
 type agg_state =
   | S_count of { mutable n : int; star : bool }
   | S_max of { mutable v : Relalg.Value.t }

@@ -85,39 +85,14 @@ let materialize pager (input : t) : Heap_file.t =
   drain ();
   heap
 
-(* External sort; materializes, sorts, scans. *)
-let sort pager ?(dedup = Storage.External_sort.Keep_duplicates) ~key (input : t)
-    : t =
+(* External sort: materializes the input, sorts it and returns the sorted
+   run, a fresh heap the caller scans and deletes. *)
+let sort_run pager ?(dedup = Storage.External_sort.Keep_duplicates) ~key
+    (input : t) : Heap_file.t =
   let heap = materialize pager input in
   let sorted = Storage.External_sort.sort pager ~dedup ~key heap in
   Heap_file.delete heap;
-  scan sorted
-
-let distinct pager (input : t) : t =
-  let key = List.init (Schema.arity input.schema) Fun.id in
-  sort pager ~dedup:Storage.External_sort.Drop_duplicates ~key input
-
-(* Hash-based duplicate elimination (beyond the paper): stream the input,
-   holding one copy of each distinct row in memory.  No page I/O and no
-   sort; output is in first-occurrence order.  The planner's hybrid mode
-   chooses this only when the distinct result is estimated to fit the
-   buffer pool; {!distinct} remains the paper-faithful sort-based path. *)
-let hash_distinct (input : t) : t =
-  (* [Row.Tbl], not the structural Hashtbl: duplicate elimination must use
-     the same equality the sort-based path gets from [Value.compare] (Int 1
-     = Float 1.0, NULL = NULL). *)
-  let seen : unit Row.Tbl.t = Row.Tbl.create 256 in
-  let rec next () =
-    match input.next () with
-    | None -> None
-    | Some r ->
-        if Row.Tbl.mem seen r then next ()
-        else begin
-          Row.Tbl.add seen r ();
-          Some r
-        end
-  in
-  { schema = input.schema; next }
+  sorted
 
 (* ------------------------------------------------------------------ *)
 (* Nested-loop joins                                                   *)
@@ -323,88 +298,7 @@ let merge_join ?(outer_join = false) ?(null_safe : bool list option)
   { schema; next }
 
 (* ------------------------------------------------------------------ *)
-(* Hash join (beyond the paper)                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Classic in-memory hash join: build a table on the right side, probe per
-   left row.  This is the *modern* comparator — it assumes the build side
-   fits in memory, an assumption the 1987 cost model never makes, so the
-   planner only uses it when forced (see the bench ablation).  NULL keys in
-   strict ([=]) columns never match; [null_safe] columns ([<=>]) let NULL
-   match NULL, exactly as in {!merge_join}.  [outer_join] pads unmatched
-   left rows. *)
-let hash_join ?(outer_join = false) ?(null_safe : bool list option)
-    ?(residual : (Row.t -> Row.t -> Truth.t) option) ~left_key ~right_key
-    (left : t) (right : t) : t =
-  let pad = Row.nulls (Schema.arity right.schema) in
-  let schema = Schema.append left.schema right.schema in
-  let residual_ok l r =
-    match residual with None -> true | Some f -> Truth.to_bool (f l r)
-  in
-  let lk = Array.of_list left_key and rk = Array.of_list right_key in
-  let nk = Array.length lk in
-  let strict =
-    match null_safe with
-    | None -> Array.make nk true
-    | Some flags -> Array.of_list (List.map not flags)
-  in
-  (* [Row.Tbl]: semantic key equality/hash (Int/Float unify numerically,
-     NULL equals itself) so hash joins agree with the sort-merge path. *)
-  let table : Row.t list Row.Tbl.t = Row.Tbl.create 64 in
-  let key_null idxs r =
-    let rec go i =
-      i < nk
-      && ((strict.(i) && Value.is_null (Row.get r idxs.(i))) || go (i + 1))
-    in
-    go 0
-  in
-  let rec build () =
-    match right.next () with
-    | None -> ()
-    | Some r ->
-        if not (key_null rk r) then begin
-          let k = Row.project_positions r rk in
-          Row.Tbl.replace table k
-            (r :: Option.value (Row.Tbl.find_opt table k) ~default:[])
-        end;
-        build ()
-  in
-  build ();
-  (* Probe with one reused scratch key buffer: a single allocation for the
-     whole probe side instead of one key list per left row. *)
-  let probe_key = Array.make nk Value.Null in
-  let pending = ref [] in
-  let rec next () =
-    match !pending with
-    | r :: rest ->
-        pending := rest;
-        Some r
-    | [] -> (
-        match left.next () with
-        | None -> None
-        | Some l -> (
-            let matches =
-              if key_null lk l then []
-              else begin
-                Array.iteri (fun i li -> probe_key.(i) <- Row.get l li) lk;
-                List.filter_map
-                  (fun r ->
-                    if residual_ok l r then Some (Row.append l r) else None)
-                  (List.rev
-                     (Option.value (Row.Tbl.find_opt table probe_key)
-                        ~default:[]))
-              end
-            in
-            match matches with
-            | [] -> if outer_join then Some (Row.append l pad) else next ()
-            | first :: rest ->
-                pending := rest;
-                Some first))
-  in
-  { schema; next }
-
-(* ------------------------------------------------------------------ *)
-(* Grouped aggregation                                                 *)
+(* Aggregation                                                         *)
 (* ------------------------------------------------------------------ *)
 
 type agg_spec = {
@@ -412,70 +306,16 @@ type agg_spec = {
   arg : int option; (* input column position; None for COUNT-star *)
 }
 
-(* Streaming aggregation over input sorted by [group_key]; emits one row per
-   group: the group-key values followed by one value per [agg_spec].  When
-   [group_key] is empty, emits exactly one (possibly empty-input) row — SQL's
-   global-aggregate behaviour. *)
-let group_agg_sorted ~group_key ~(aggs : agg_spec list) ~schema (input : t) : t
-    =
-  let gk = Array.of_list group_key in
-  let key_of r = Row.project_positions r gk in
-  let finish key members =
-    let members = List.rev members in
-    let agg_value spec =
-      let column =
-        match spec.arg with
-        | None -> List.map (fun _ -> Value.Int 1) members
-        | Some i -> List.map (fun r -> Row.get r i) members
-      in
-      Eval.aggregate_values spec.fn column
-    in
-    Row.append key (Row.of_list (List.map agg_value aggs))
-  in
-  let current = ref None (* (key, members so far) *) in
-  let done_ = ref false in
-  let emitted_global = ref false in
-  let rec next () =
-    if !done_ then None
-    else
-      match input.next () with
-      | Some r -> (
-          let k = key_of r in
-          match !current with
-          | None ->
-              current := Some (k, [ r ]);
-              next ()
-          | Some (k', members) ->
-              if Row.equal k k' then begin
-                current := Some (k', r :: members);
-                next ()
-              end
-              else begin
-                current := Some (k, [ r ]);
-                Some (finish k' members)
-              end)
-      | None -> (
-          done_ := true;
-          match !current with
-          | Some (k, members) -> Some (finish k members)
-          | None ->
-              if group_key = [] && not !emitted_global then begin
-                emitted_global := true;
-                Some (finish [||] [])
-              end
-              else None)
-  in
-  { schema; next }
+(* One [Eval] accumulator per spec; a row updates each with its column
+   (COUNT-star with a non-NULL constant). *)
+let fresh_states (aggs : agg_spec array) =
+  Array.map (fun s -> Eval.fresh_state s.fn) aggs
 
-(* ------------------------------------------------------------------ *)
-(* Hash aggregation (beyond the paper)                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-group accumulators live in [Eval] (shared with the vectorized
-   engine, so the two cannot drift on NULL/empty-input rules). *)
-let fresh_state (spec : agg_spec) = Eval.fresh_state spec.fn
-let update_state = Eval.update_state
-let finish_state = Eval.finish_state
+let update_states (aggs : agg_spec array) states r =
+  for i = 0 to Array.length aggs - 1 do
+    Eval.update_state states.(i)
+      (match aggs.(i).arg with None -> Value.Int 1 | Some c -> Row.get r c)
+  done
 
 (* The global aggregate (no group key) keeps one state array and emits
    exactly one row, empty input included (COUNT 0, MAX NULL): nested
@@ -488,90 +328,53 @@ let global_agg ~(aggs : agg_spec list) ~schema (input : t) : t =
     if !done_ then None
     else begin
       done_ := true;
-      let states = Array.map fresh_state agg_arr in
+      let states = fresh_states agg_arr in
       let rec drain () =
         match input.next () with
         | None -> ()
         | Some r ->
-            for i = 0 to Array.length agg_arr - 1 do
-              update_state states.(i)
-                (match agg_arr.(i).arg with
-                | None -> Value.Int 1
-                | Some c -> Row.get r c)
-            done;
+            update_states agg_arr states r;
             drain ()
       in
       drain ();
-      Some (Array.map finish_state states)
+      Some (Array.map Eval.finish_state states)
     end
   in
   { schema; next }
 
-(* Hash-based grouped aggregation: one pass over unsorted input, holding one
-   accumulator row per group in memory — no external sort, no page I/O.
-   Output order is group first-occurrence order. *)
-let grouped_agg ~group_key ~(aggs : agg_spec list) ~schema (input : t) : t =
-  let gk = Array.of_list group_key in
-  let agg_arr = Array.of_list aggs in
-  (* [Row.Tbl]: group keys must unify under [Value.compare] semantics (NULL
-     is one group; Int/Float group numerically), matching the sorted path. *)
-  let groups : Eval.agg_state array Row.Tbl.t = Row.Tbl.create 256 in
-  let order = ref [] (* group keys, most recent first *) in
-  let probe = Array.make (Array.length gk) Value.Null in
-  let drain () =
-    let rec loop () =
-      match input.next () with
-      | None -> ()
-      | Some r ->
-          Array.iteri (fun i gi -> probe.(i) <- Row.get r gi) gk;
-          let states =
-            match Row.Tbl.find_opt groups probe with
-            | Some st -> st
-            | None ->
-                let key = Array.copy probe in
-                let st = Array.map fresh_state agg_arr in
-                Row.Tbl.add groups key st;
-                order := key :: !order;
-                st
-          in
-          Array.iteri
-            (fun i spec ->
-              let v =
-                match spec.arg with
-                | None -> Value.Int 1
-                | Some c -> Row.get r c
-              in
-              update_state states.(i) v)
-            agg_arr;
-          loop ()
-    in
-    loop ()
-  in
-  let out = ref None in
-  let rec next () =
-    match !out with
-    | Some remaining -> (
-        match !remaining with
-        | [] -> None
-        | r :: rest ->
-            remaining := rest;
-            Some r)
-    | None ->
-        drain ();
-        let rows =
-          List.rev_map
-            (fun key ->
-              let states = Row.Tbl.find groups key in
-              Row.append key (Array.map finish_state states))
-            !order
-        in
-        out := Some (ref rows);
-        next ()
-  in
-  { schema; next }
-
-(* Same contract as {!group_agg_sorted}, including the one-row global
-   aggregate for an empty [group_key]. *)
-let hash_group_agg ~group_key ~aggs ~schema input =
+(* Streaming aggregation over input sorted by [group_key]: one state array
+   for the open group, finished into a row when the key changes; the
+   group-key values come first, then one value per [agg_spec].  An empty
+   [group_key] is the global aggregate.  [done_] keeps an exhausted input
+   from being pulled again. *)
+let group_agg_sorted ~group_key ~(aggs : agg_spec list) ~schema (input : t) : t
+    =
   if group_key = [] then global_agg ~aggs ~schema input
-  else grouped_agg ~group_key ~aggs ~schema input
+  else
+    let gk = Array.of_list group_key in
+    let agg_arr = Array.of_list aggs in
+    let finish (key, states) =
+      Row.append key (Array.map Eval.finish_state states)
+    in
+    let current = ref None (* (key, states) of the open group *) in
+    let done_ = ref false in
+    let rec next () =
+      if !done_ then None
+      else
+        match input.next () with
+        | None ->
+            done_ := true;
+            Option.map finish !current
+        | Some r -> (
+            let k = Row.project_positions r gk in
+            match !current with
+            | Some (k', states) when Row.equal k k' ->
+                update_states agg_arr states r;
+                next ()
+            | previous -> (
+                let states = fresh_states agg_arr in
+                update_states agg_arr states r;
+                current := Some (k, states);
+                match previous with Some g -> Some (finish g) | None -> next ()))
+    in
+    { schema; next }

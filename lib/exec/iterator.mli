@@ -4,10 +4,12 @@
     touching stored relations count their page traffic through the pager,
     which is what lets measured I/O be compared against the paper's §4/§7
     cost formulas (and attributed per operator by {!Explain}).  The
-    operator set mirrors what the paper's plans need: scans, restrict /
-    project, the §5.2 left outer join, sort-based DISTINCT and GROUP BY —
-    plus beyond-the-paper hash variants used by the [Hybrid] planner
-    mode. *)
+    operator set is what the paper's plans need: scans, restrict /
+    project, nested-loop and sort-merge joins with the §5.2 left outer
+    join, sort-based DISTINCT and GROUP BY, and the global aggregate.  The
+    beyond-the-paper hash operators of the [Hybrid] planner mode have one
+    implementation, in {!Vec}; the tuple engine runs it between
+    {!Vec.of_tuple} and {!Vec.to_tuple}. *)
 
 type t = { schema : Relalg.Schema.t; next : unit -> Relalg.Row.t option }
 
@@ -29,20 +31,15 @@ val project : idxs:int list -> t -> t
 (** Drain into a fresh heap file (writes counted). *)
 val materialize : Storage.Pager.t -> t -> Storage.Heap_file.t
 
-(** External (B-1)-way merge sort on the given key positions. *)
-val sort :
+(** External (B-1)-way merge sort on the given key positions: the sorted
+    run, a fresh heap ({!scan} reads it; the caller deletes it).
+    [~dedup:Drop_duplicates] over every column is sort-based DISTINCT. *)
+val sort_run :
   Storage.Pager.t ->
   ?dedup:Storage.External_sort.dedup ->
   key:int list ->
   t ->
-  t
-
-(** Full-row duplicate elimination (sort-based). *)
-val distinct : Storage.Pager.t -> t -> t
-
-(** Beyond the paper: duplicate elimination via an in-memory hash table —
-    one pass, no sort, no page I/O.  Emits rows in first-occurrence order. *)
-val hash_distinct : t -> t
+  Storage.Heap_file.t
 
 (** Tuple nested loops: the stored right side is re-scanned once per left
     row (cheap iff it fits in the pool).  [outer_join] pads unmatched left
@@ -82,34 +79,19 @@ val merge_join :
   t ->
   t
 
-(* Beyond the paper: in-memory hash join (build right, probe left); the
-   modern comparator for the bench ablation.  NULL keys in strict columns
-   never match; [null_safe] columns ([<=>]) let NULL match NULL. *)
-val hash_join :
-  ?outer_join:bool ->
-  ?null_safe:bool list ->
-  ?residual:(Relalg.Row.t -> Relalg.Row.t -> Relalg.Truth.t) ->
-  left_key:int list ->
-  right_key:int list ->
-  t ->
-  t ->
-  t
-
 type agg_spec = {
   fn : Sql.Ast.agg;
   arg : int option;  (** input column position; [None] for COUNT-star *)
 }
 
-(** Streaming aggregation over input sorted by [group_key]; one output row
-    per group (key values, then one value per spec).  With an empty
-    [group_key], exactly one row even on empty input (global aggregate). *)
-val group_agg_sorted :
-  group_key:int list -> aggs:agg_spec list -> schema:Relalg.Schema.t -> t -> t
+(** The global aggregate: drains its input at the first pull and emits
+    exactly one row, one value per spec, even on empty input (COUNT 0,
+    MAX NULL).  Nested iteration re-opens one per outer row. *)
+val global_agg : aggs:agg_spec list -> schema:Relalg.Schema.t -> t -> t
 
-(** Beyond the paper: hash aggregation over unsorted input — one pass,
-    incremental per-group accumulators, no external sort.  Output order is
-    group first-occurrence order; otherwise the same contract as
-    {!group_agg_sorted}, including the single global-aggregate row for an
-    empty [group_key]. *)
-val hash_group_agg :
+(** Streaming aggregation over input sorted by [group_key]; one output row
+    per group (key values, then one value per spec), accumulated with
+    {!Eval.fresh_state}/{!Eval.update_state}/{!Eval.finish_state}.  An
+    empty [group_key] is {!global_agg}. *)
+val group_agg_sorted :
   group_key:int list -> aggs:agg_spec list -> schema:Relalg.Schema.t -> t -> t

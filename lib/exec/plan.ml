@@ -526,6 +526,18 @@ let nl_inner ~child ~materialize catalog scope right =
       in
       (open_, r.schema)
 
+(* A sort's run, read by a scan; a re-open (under an [Apply]) first
+   deletes the previous open's run, as [nl_inner] deletes its heap. *)
+let sorted pager ?dedup ~key (i : Iterator.t compiled) : Iterator.t compiled =
+  let previous = ref None in
+  let open_ () =
+    Option.iter Storage.Heap_file.delete !previous;
+    let run = Iterator.sort_run pager ?dedup ~key (i.open_ ()) in
+    previous := Some run;
+    Iterator.scan run
+  in
+  { i with open_ }
+
 (* ------------------------------------------------------------------ *)
 (* Apply: the dependent join                                          *)
 (* ------------------------------------------------------------------ *)
@@ -688,10 +700,13 @@ let apply ~child ex catalog scope (a : apply) (outer : Iterator.t compiled) :
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Which executor runs a plan.  [Tuple] is the Volcano engine — the default
-   and the oracle's reference; [Vectorized] pulls column-major batches
-   through [Vec], falling back to the tuple operators (through adapters)
-   for sorts, sort-merge and index nested-loop joins and [Apply]. *)
+(* Which executor runs a plan's scans, filters, projections and
+   nested-loop joins.  [Tuple] is the Volcano engine, the default;
+   [Vectorized] pulls column-major batches through [Vec], falling back to
+   the tuple operators (through adapters) for sorts, sort-merge and index
+   nested-loop joins, sorted grouping and [Apply].  The hash operators run
+   [Vec]'s one implementation under either engine, but for the tuple
+   engine's global aggregate. *)
 type engine = Tuple | Vectorized
 
 let engine_name = function Tuple -> "tuple" | Vectorized -> "vectorized"
@@ -715,6 +730,23 @@ let observed observe node (c : 'a compiled) =
   match observe with
   | None -> c
   | Some f -> { c with open_ = (fun () -> f node c.open_) }
+
+(* The hash operators have one implementation, [Vec]'s: the tuple engine
+   runs it between adapters.  [batches] pulls a tuple input no further
+   once it has ended, as a tuple operator does, so EXPLAIN ANALYZE counts
+   the pulls the tuple engine's operators always made. *)
+let batches (it : Iterator.t) =
+  let ended = ref false in
+  let next () =
+    if !ended then None
+    else
+      let row = it.next () in
+      ended := Option.is_none row;
+      row
+  in
+  Vec.of_tuple { it with next }
+
+let through_vec op it = Vec.to_tuple (op (batches it))
 
 (* One operator of the tuple engine, compiled; [child] compiles an input
    under the given frames ([Apply] and index nested loops compile their
@@ -745,11 +777,15 @@ let tuple_node ~(child : scope -> node -> Iterator.t compiled) ex scope
       let idxs = List.map (find_col i.schema) cols in
       { (map_open i (Iterator.project ~idxs)) with
         schema = Schema.project i.schema idxs }
-  | Distinct i -> map_open (input i) (Iterator.distinct pager)
-  | Hash_distinct i -> map_open (input i) Iterator.hash_distinct
+  | Distinct i ->
+      let i = input i in
+      sorted pager ~dedup:Storage.External_sort.Drop_duplicates
+        ~key:(List.init (Schema.arity i.schema) Fun.id)
+        i
+  | Hash_distinct i -> map_open (input i) (through_vec Vec.hash_distinct)
   | Sort (cols, i) ->
       let i = input i in
-      map_open i (Iterator.sort pager ~key:(List.map (find_col i.schema) cols))
+      sorted pager ~key:(List.map (find_col i.schema) cols) i
   | Join { method_; kind; cond; residual; left; right } -> (
       let left = input left in
       let outer_join = kind = Left_outer in
@@ -779,13 +815,16 @@ let tuple_node ~(child : scope -> node -> Iterator.t compiled) ex scope
               ~method_name:(if method_ = Hash then "hash" else "sort-merge")
               scope left.schema right.schema ~cond ~residual
           in
-          let join =
-            if method_ = Hash then Iterator.hash_join else Iterator.merge_join
-          in
           let open_ () =
             let lit = left.open_ () in
-            join ~outer_join ~null_safe ?residual ~left_key ~right_key lit
-              (right.open_ ())
+            let rit = right.open_ () in
+            if method_ = Hash then
+              Vec.to_tuple
+                (Vec.hash_join ~outer_join ~null_safe ?residual ~left_key
+                   ~right_key (batches lit) (batches rit))
+            else
+              Iterator.merge_join ~outer_join ~null_safe ?residual ~left_key
+                ~right_key lit rit
           in
           { schema; open_ })
   | Group_agg { group_by; aggs; input = i }
@@ -793,11 +832,12 @@ let tuple_node ~(child : scope -> node -> Iterator.t compiled) ex scope
       let i = input i in
       let group_key, aggs, schema = group_agg_parts i.schema ~group_by ~aggs in
       let agg_op =
-        match node with
-        | Hash_group_agg _ -> Iterator.hash_group_agg
-        | _ -> Iterator.group_agg_sorted
+        match (node, group_key) with
+        | Hash_group_agg _, _ :: _ ->
+            through_vec (Vec.hash_group_agg ~group_key ~aggs ~schema)
+        | _ -> Iterator.group_agg_sorted ~group_key ~aggs ~schema
       in
-      { (map_open i (agg_op ~group_key ~aggs ~schema)) with schema }
+      { (map_open i agg_op) with schema }
   | Apply a -> apply ~child ex catalog scope a (input a.outer)
 
 let rec compile ?observe ex scope catalog node : Iterator.t compiled =
@@ -806,10 +846,10 @@ let rec compile ?observe ex scope catalog node : Iterator.t compiled =
        ~child:(fun scope n -> compile ?observe ex scope catalog n)
        ex scope catalog node)
 
-(* The vectorized executor: hot operators (scan, filter, project, hash
-   distinct/join/group, nested-loop join) run batch-at-a-time through
-   [Vec]; every other operator runs its compiled tuple implementation
-   between adapters, so any plan executes under either engine. *)
+(* The vectorized executor: scans, filters, projections, nested-loop joins
+   and the hash operators run batch-at-a-time through [Vec]; every other
+   operator runs its compiled tuple implementation between adapters, so
+   any plan executes under either engine. *)
 let rec compile_vec ?observe ex scope (catalog : Catalog.t) (node : node) :
     Vec.t compiled =
   let input n = compile_vec ?observe ex scope catalog n in

@@ -8,7 +8,14 @@
     plan, a column that no operator below produces is a {e parameter}: a
     slot fixed at compile time in the innermost enclosing re-opening
     operator whose input has the column, read from the row it has bound
-    for the current open. *)
+    for the current open.
+
+    Two engines execute plans ({!run}, {!run_vec}).  Each physical
+    operator has one implementation: the paper's sorts, sort-merge and
+    index joins, sorted grouping and [Apply] in {!Iterator}, the
+    beyond-the-paper hash operators in {!Vec}; the engine picks the
+    implementation of scans, filters, projections and nested-loop
+    joins. *)
 
 type join_method = Nested_loop | Sort_merge | Index_nl | Hash
 
@@ -98,12 +105,19 @@ exception Plan_error of string
 (** Schema the node produces.  @raise Plan_error / Catalog.Unknown_table *)
 val output_schema : Storage.Catalog.t -> node -> Relalg.Schema.t
 
-(** Which executor runs a plan: [Tuple] is the Volcano engine — the default
-    and the differential oracle's reference; [Vectorized] pulls column-major
-    {!Batch.t} chunks through {!Vec}, nested-loop joins included, falling
-    back to the tuple operators (through adapters) for sorts, sort-merge
-    and index nested-loop joins and [Apply], so any plan executes under
-    either engine with identical results. *)
+(** Which executor runs a plan's scans, filters, projections and
+    nested-loop joins: [Tuple] is the Volcano engine, the default;
+    [Vectorized] pulls column-major {!Batch.t} chunks through {!Vec},
+    falling back to the tuple operators (through adapters) for sorts,
+    sort-merge and index nested-loop joins, [Group_agg] and [Apply].  The
+    hash operators ([Hash_distinct], hash [Join], [Hash_group_agg]) have
+    one implementation, {!Vec}'s, which the tuple engine runs between
+    adapters; only its global aggregate (a [Hash_group_agg] with no group
+    key, re-opened per outer row by nested iteration) is
+    {!Iterator.global_agg}.  Both engines return the same rows with the
+    same logical reads and physical writes; physical reads may differ once
+    LRU evicts, since a vectorized scan requests a chunk's pages
+    together. *)
 type engine = Tuple | Vectorized
 
 val engine_name : engine -> string
@@ -123,6 +137,8 @@ type vec_observer = node -> (unit -> Vec.t) -> Vec.t
 
 (** Execute and collect the rows (page traffic through the catalog's
     pager), then delete the value lists an [Apply] materialized.
+    A [Sort] or [Distinct] re-opened under an [Apply] deletes its previous
+    open's sorted run.
     Sort-merge joins require plan-inserted [Sort]s (or born-sorted inputs);
     [Group_agg] requires input sorted on [group_by] ([Hash_group_agg] does
     not).  [observe] wraps every operator each time it is opened, so once

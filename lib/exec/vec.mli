@@ -9,7 +9,9 @@
     same predicate kernels.  Adapters convert in both directions so
     batch-only and tuple-only operators compose inside one plan; operators
     without a vectorized implementation (sorts, merge and index
-    nested-loop joins, the dependent join) run through the adapters.
+    nested-loop joins, sorted grouping, the dependent join) run through the
+    adapters.  The hash operators here are the only ones: the tuple engine
+    runs them between {!of_tuple} and {!to_tuple}.
 
     Semantics are identical to the tuple operators by construction: scalar
     comparison, NULL and aggregate rules all delegate to {!Eval}, hash keys
@@ -68,17 +70,19 @@ val filter : pred:sel_filter -> t -> t
 (** Keep the columns at [positions] under [schema].  Zero-copy. *)
 val project : schema:Relalg.Schema.t -> positions:int array -> t -> t
 
-(** Full-row duplicate elimination via hashing, first-occurrence order
-    (same contract as {!Iterator.hash_distinct}).  Emits the input batches
-    narrowed to first occurrences; single int columns dedup through an
-    unboxed table. *)
+(** Full-row duplicate elimination via hashing, first-occurrence order,
+    under [Value.compare] equality (Int 1 = Float 1.0, NULL = NULL: the
+    rows sort-based DISTINCT keeps).  Emits the input batches narrowed to
+    first occurrences; single int columns dedup through an unboxed
+    table. *)
 val hash_distinct : t -> t
 
-(** In-memory hash join (build right, probe left) over batch inputs; same
-    contract as {!Iterator.hash_join}: NULL keys in strict columns never
-    match, [null_safe] columns let NULL match NULL, [outer_join] pads
-    unmatched left rows, [residual] filters matches.  One- and two-column
-    int-class keys build and probe unboxed tables.
+(** In-memory hash join (build right, probe left) over batch inputs; the
+    rows of {!Iterator.merge_join} on the same keys: NULL keys in strict
+    columns never match, [null_safe] columns let NULL match NULL,
+    [outer_join] pads a left row with no residual-qualifying match,
+    [residual] filters matches.  One- and two-column int-class keys build
+    and probe unboxed tables.
 
     [project] is late materialization: positions into the concatenated
     left@right schema that the join should emit (a fused downstream
@@ -112,9 +116,10 @@ val nested_loop_join :
   Storage.Heap_file.t ->
   t
 
-(** Hash aggregation over unsorted batches; same contract as
-    {!Iterator.hash_group_agg} (group first-occurrence order, one global
-    row for an empty [group_key] even on empty input).  Accumulators are
+(** Hash aggregation over unsorted batches; the rows of
+    {!Iterator.group_agg_sorted} over the sorted input, in group
+    first-occurrence order (one global row for an empty [group_key], even
+    on empty input).  Accumulators are
     {!Eval.agg_state}s updated straight from column arrays where unboxed. *)
 val hash_group_agg :
   group_key:int list ->

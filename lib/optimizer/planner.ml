@@ -616,12 +616,12 @@ let verify_program catalog (p : Program.t) : Analysis.Diagnostics.t list =
 (* Typed validation of a lowered plan (NQ110-NQ115) — the per-segment half
    of [~check]; an Error-severity violation refuses the plan before it
    runs, exactly as [~verify] refuses a structurally broken program. *)
-let check_plan ~engine ~label catalog plan =
+let check_plan ~label catalog plan =
   match
     List.filter
       (fun (d : Analysis.Diagnostics.t) ->
         d.Analysis.Diagnostics.severity = Analysis.Diagnostics.Error)
-      (Analysis.Plan_check.check_catalog ~engine catalog plan)
+      (Analysis.Plan_check.check_catalog catalog plan)
   with
   | [] -> ()
   | violations ->
@@ -641,12 +641,12 @@ let run_program ?(force = Auto) ?(mode = Paper1987) ?(check = false)
   List.iter
     (fun ({ Program.name; def } : Program.temp) ->
       let { plan; out_sorted } = lower ~force ~mode catalog def in
-      if check then check_plan ~engine ~label:("temp " ^ name) catalog plan;
+      if check then check_plan ~label:("temp " ^ name) catalog plan;
       register_temp_result catalog name def out_sorted
         (run_plan ~engine ?session catalog plan))
     p.temps;
   let { plan; _ } = lower ~force ~mode catalog p.main in
-  if check then check_plan ~engine ~label:"main plan" catalog plan;
+  if check then check_plan ~label:"main plan" catalog plan;
   run_plan ~engine ?session catalog plan
 
 (* Validate every plan of a program without executing anything: each temp
@@ -654,9 +654,8 @@ let run_program ?(force = Auto) ?(mode = Paper1987) ?(check = false)
    output schema (later segments must lower and resolve against it), then
    dropped.  Returns every violation; [] means the whole pipeline
    type-checks. *)
-let check_program ?(force = Auto) ?(mode = Paper1987)
-    ?(engine = Exec.Plan.Tuple) catalog (p : Program.t) :
-    Analysis.Diagnostics.t list =
+let check_program ?(force = Auto) ?(mode = Paper1987) catalog (p : Program.t)
+    : Analysis.Diagnostics.t list =
   let diags = ref [] in
   let registered = ref [] in
   Fun.protect
@@ -666,7 +665,7 @@ let check_program ?(force = Auto) ?(mode = Paper1987)
   List.iter
     (fun ({ Program.name; def } : Program.temp) ->
       let { plan; out_sorted } = lower ~force ~mode catalog def in
-      diags := !diags @ Analysis.Plan_check.check_catalog ~engine catalog plan;
+      diags := !diags @ Analysis.Plan_check.check_catalog catalog plan;
       let names = Program.output_column_names def in
       let out_schema = Exec.Plan.output_schema catalog plan in
       let schema =
@@ -681,7 +680,7 @@ let check_program ?(force = Auto) ?(mode = Paper1987)
       registered := name :: !registered)
     p.temps;
   let { plan; _ } = lower ~force ~mode catalog p.main in
-  diags := !diags @ Analysis.Plan_check.check_catalog ~engine catalog plan;
+  diags := !diags @ Analysis.Plan_check.check_catalog catalog plan;
   !diags
 
 let drop_temps catalog (p : Program.t) =

@@ -63,11 +63,10 @@ val run_plan :
   Exec.Plan.node ->
   Relalg.Relation.t
 
-(** Type-check one physical plan ({!Analysis.Plan_check}, NQ110–NQ115)
-    for [engine]; [label] names it in the refusal.
+(** Type-check one physical plan ({!Analysis.Plan_check}, NQ110–NQ115);
+    [label] names it in the refusal.
     @raise Planning_error on any Error-severity violation. *)
 val check_plan :
-  engine:Exec.Plan.engine ->
   label:string ->
   Storage.Catalog.t ->
   Exec.Plan.node ->
@@ -75,8 +74,8 @@ val check_plan :
 
 (** Plan, execute and register one temp definition under its program name
     (column names from [Program.output_column_names], order metadata from
-    the plan).  [engine] selects tuple-at-a-time (the default and oracle
-    reference) or vectorized batch execution — same plans, same results.
+    the plan).  [engine] selects tuple-at-a-time (the default) or vectorized
+    batch execution ({!Exec.Plan.engine}) — same plans, same results.
     [session] instruments the execution with the engine-appropriate
     {!Exec.Explain} observer. *)
 val materialize_temp :
@@ -123,7 +122,6 @@ val run_program :
 val check_program :
   ?force:join_choice ->
   ?mode:mode ->
-  ?engine:Exec.Plan.engine ->
   Storage.Catalog.t ->
   Program.t ->
   Analysis.Diagnostics.t list

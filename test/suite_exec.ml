@@ -373,11 +373,10 @@ let prop_hash_equals_nl =
           |> Exec.Iterator.to_relation
         in
         let h =
-          Exec.Iterator.hash_join ~outer_join:outer ~left_key:[ 0 ]
-            ~right_key:[ 0 ]
-            (Exec.Iterator.of_relation left)
-            (Exec.Iterator.of_relation right)
-          |> Exec.Iterator.to_relation
+          Exec.Vec.hash_join ~outer_join:outer ~left_key:[ 0 ] ~right_key:[ 0 ]
+            (Exec.Vec.of_tuple (Exec.Iterator.of_relation left))
+            (Exec.Vec.of_tuple (Exec.Iterator.of_relation right))
+          |> Exec.Vec.to_tuple |> Exec.Iterator.to_relation
         in
         Relation.equal_bag nl h
       in
@@ -466,7 +465,9 @@ let test_filter_distinct_project () =
     |> Exec.Iterator.filter ~pred:(fun r ->
            Value.lt_sql (Row.get r 1) (Value.Int 50))
     |> Exec.Iterator.project ~idxs:[ 1 ]
-    |> Exec.Iterator.distinct pager
+    |> Exec.Iterator.sort_run pager
+         ~dedup:Storage.External_sort.Drop_duplicates ~key:[ 0 ]
+    |> Exec.Iterator.scan
   in
   Alcotest.(check bool) "filter+project+distinct" true
     (pairs_of it = [ [ Value.Int 10 ] ])

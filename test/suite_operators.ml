@@ -17,6 +17,24 @@ let fresh_pager () = Pager.create ~buffer_pages:4 ~page_bytes:32 ()
 
 let bag it = List.sort Row.compare (Iterator.to_rows it)
 
+(* External sort, read back; [distinct] is the sort-based DISTINCT. *)
+let sort pager ?dedup ~key it =
+  Iterator.scan (Iterator.sort_run pager ?dedup ~key it)
+
+let distinct pager (it : Iterator.t) =
+  sort pager ~dedup:Storage.External_sort.Drop_duplicates
+    ~key:(List.init (Schema.arity it.schema) Fun.id)
+    it
+
+(* The hash operators' one implementation, [Vec]'s, run on tuple inputs
+   through the adapters, as the tuple engine runs it. *)
+let via_vec op it = Exec.Vec.to_tuple (op (Exec.Vec.of_tuple it))
+
+let hash_join ?outer_join ?null_safe ~left_key ~right_key l r =
+  Exec.Vec.to_tuple
+    (Exec.Vec.hash_join ?outer_join ?null_safe ~left_key ~right_key
+       (Exec.Vec.of_tuple l) (Exec.Vec.of_tuple r))
+
 let check_bags name a b =
   if a <> b then begin
     Fmt.epr "@.%s mismatch:@.%a@.vs@.%a@." name
@@ -142,7 +160,7 @@ let trial_join ~outer seed =
   in
   let merge =
     let sorted rel =
-      Iterator.sort pager ~key:[ 0 ] (Iterator.of_relation rel)
+      sort pager ~key:[ 0 ] (Iterator.of_relation rel)
     in
     bag
       (Iterator.merge_join ~outer_join:outer ~left_key:[ 0 ] ~right_key:[ 0 ]
@@ -150,7 +168,7 @@ let trial_join ~outer seed =
   in
   let hash =
     bag
-      (Iterator.hash_join ~outer_join:outer ~left_key:[ 0 ] ~right_key:[ 0 ]
+      (hash_join ~outer_join:outer ~left_key:[ 0 ] ~right_key:[ 0 ]
          (Iterator.of_relation left) (Iterator.of_relation right))
   in
   check_bags "merge vs nested-loop" merge nl
@@ -184,7 +202,7 @@ let trial_join_null_safe ~outer seed =
   in
   let merge =
     let sorted rel =
-      Iterator.sort pager ~key:[ 0 ] (Iterator.of_relation rel)
+      sort pager ~key:[ 0 ] (Iterator.of_relation rel)
     in
     bag
       (Iterator.merge_join ~outer_join:outer ~null_safe:[ true ]
@@ -192,7 +210,7 @@ let trial_join_null_safe ~outer seed =
   in
   let hash =
     bag
-      (Iterator.hash_join ~outer_join:outer ~null_safe:[ true ]
+      (hash_join ~outer_join:outer ~null_safe:[ true ]
          ~left_key:[ 0 ] ~right_key:[ 0 ] (Iterator.of_relation left)
          (Iterator.of_relation right))
   in
@@ -242,7 +260,7 @@ let trial_join_mixed_types seed =
   in
   let merge =
     let sorted rel =
-      Iterator.sort pager ~key:[ 0 ] (Iterator.of_relation rel)
+      sort pager ~key:[ 0 ] (Iterator.of_relation rel)
     in
     bag
       (Iterator.merge_join ~left_key:[ 0 ] ~right_key:[ 0 ] (sorted left)
@@ -250,7 +268,7 @@ let trial_join_mixed_types seed =
   in
   let hash =
     bag
-      (Iterator.hash_join ~left_key:[ 0 ] ~right_key:[ 0 ]
+      (hash_join ~left_key:[ 0 ] ~right_key:[ 0 ]
          (Iterator.of_relation left) (Iterator.of_relation right))
   in
   check_bags "mixed-type merge vs nested-loop" merge nl
@@ -268,8 +286,8 @@ let trial_distinct seed =
     G.keyed_relation rng ~rel:"T" ~n:(G.int_in rng 0 60)
       ~key_range:(G.int_in rng 1 4) ~null_pct:20
   in
-  let sorted = bag (Iterator.distinct (fresh_pager ()) (Iterator.of_relation rel)) in
-  let hashed = bag (Iterator.hash_distinct (Iterator.of_relation rel)) in
+  let sorted = bag (distinct (fresh_pager ()) (Iterator.of_relation rel)) in
+  let hashed = bag (via_vec Exec.Vec.hash_distinct (Iterator.of_relation rel)) in
   check_bags "hash_distinct vs distinct" hashed sorted
 
 let prop_distinct =
@@ -309,12 +327,13 @@ let trial_group_agg seed =
     let sorted =
       bag
         (Iterator.group_agg_sorted ~group_key:[ 0 ] ~aggs:agg_specs ~schema
-           (Iterator.sort (fresh_pager ()) ~key:[ 0 ]
+           (sort (fresh_pager ()) ~key:[ 0 ]
               (Iterator.of_relation rel)))
     in
     let hashed =
       bag
-        (Iterator.hash_group_agg ~group_key:[ 0 ] ~aggs:agg_specs ~schema
+        (via_vec
+           (Exec.Vec.hash_group_agg ~group_key:[ 0 ] ~aggs:agg_specs ~schema)
            (Iterator.of_relation rel))
     in
     check_bags "hash_group_agg vs group_agg_sorted" hashed sorted
@@ -329,7 +348,8 @@ let trial_group_agg seed =
     in
     let hashed =
       bag
-        (Iterator.hash_group_agg ~group_key:[] ~aggs:agg_specs ~schema
+        (via_vec
+           (Exec.Vec.hash_group_agg ~group_key:[] ~aggs:agg_specs ~schema)
            (Iterator.of_relation rel))
     in
     List.length hashed = 1 && check_bags "global hash_group_agg" hashed sorted

@@ -4,8 +4,10 @@
    engine on every plan: same rows, same multiset, on NULL-dense and empty
    inputs and exactly at batch boundaries (sizes 1, k*max_rows ± 1).  Operator
    shapes are exercised two ways: direct physical plans through
-   [Plan.run] / [Plan.run_vec] (scans, filters, projections, the hash
-   operators, joins with residuals), and whole transformed programs through
+   [Plan.run] / [Plan.run_vec] (scans, filters, projections, joins with
+   residuals; a hash plan against the paper's operator for the same node,
+   since both engines run the one hash implementation), and whole
+   transformed programs through
    [Planner.run_program ~engine] sweeping planner mode and forced join
    method, which routes the sort/merge/NL operators through the tuple
    adapters. *)
@@ -39,6 +41,37 @@ let engines_agree ~make_catalog plan =
     false
   end
 
+(* The hash operators have one implementation, [Vec]'s, which both engines
+   run, so the engines agreeing on a hash plan checks nothing.  A hash
+   plan's reference is the paper's operator for the same node, which no
+   hash code runs: the join by nested loops, sort-based DISTINCT, GROUP BY
+   over a sort. *)
+let reference_of = function
+  | Plan.Join j -> Plan.Join { j with method_ = Plan.Nested_loop }
+  | Plan.Hash_distinct input -> Plan.Distinct input
+  | Plan.Hash_group_agg g ->
+      Plan.Group_agg
+        {
+          g with
+          input = (if g.group_by = [] then g.input else Plan.Sort (g.group_by, g.input));
+        }
+  | plan -> invalid_arg ("reference_of: " ^ Plan.to_string plan)
+
+(* A hash plan under each engine against its reference under the tuple
+   engine, a fresh catalog per run. *)
+let matches_reference ~make_catalog plan =
+  let reference = Plan.run (make_catalog ()) (reference_of plan) in
+  List.for_all
+    (fun (engine, run) ->
+      let got = run (make_catalog ()) plan in
+      Relation.equal_bag reference got
+      || begin
+           Fmt.epr "@.%s engine differs from the reference on %s@.reference:@.%a@.%s:@.%a@."
+             engine (Plan.to_string plan) Relation.pp reference engine Relation.pp got;
+           false
+         end)
+    [ ("tuple", fun c p -> Plan.run c p); ("vectorized", fun c p -> Plan.run_vec c p) ]
+
 (* ---------------- randomized plan-level properties -------------------- *)
 
 (* NULL-dense, duplicate-heavy keyed inputs: the same generator the
@@ -56,17 +89,17 @@ let random_tables rng =
   in
   (l, r)
 
-let trial_of_plan make_plan seed =
+let trial_of_plan check make_plan seed =
   let rng = Random.State.make [| seed |] in
   let l, r = random_tables rng in
   let plan = make_plan rng in
-  engines_agree plan ~make_catalog:(fun () ->
-      G.catalog_of [ ("L", l); ("R", r) ])
+  check ~make_catalog:(fun () -> G.catalog_of [ ("L", l); ("R", r) ]) plan
 
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 
-let prop name ~count make_plan =
-  QCheck2.Test.make ~name ~count seed_gen (trial_of_plan make_plan)
+(* [check]: [engines_agree], or [matches_reference] for a hash plan. *)
+let prop ?(check = engines_agree) name ~count make_plan =
+  QCheck2.Test.make ~name ~count seed_gen (trial_of_plan check make_plan)
 
 let lk = col ~table:"L" "K"
 let lv = col ~table:"L" "V"
@@ -90,45 +123,54 @@ let prop_project =
   prop "project: reorder + duplicate column" ~count:80 (fun _rng ->
       Plan.Project ([ lv; lk; lv ], Plan.Scan "L"))
 
+let hash_distinct_plan rng =
+  let cols = G.pick rng [ [ lk ]; [ lk; lv ] ] in
+  Plan.Hash_distinct (Plan.Project (cols, Plan.Scan "L"))
+
 let prop_hash_distinct =
-  prop "hash distinct = tuple distinct semantics" ~count:120 (fun rng ->
-      let cols = G.pick rng [ [ lk ]; [ lk; lv ] ] in
-      Plan.Hash_distinct (Plan.Project (cols, Plan.Scan "L")))
+  prop ~check:matches_reference "hash distinct = tuple distinct semantics"
+    ~count:120 hash_distinct_plan
+
+let hash_join_plan rng =
+  let kind = G.pick rng [ Plan.Inner; Plan.Left_outer ] in
+  let key_cmp = G.pick rng [ A.Eq; A.Eq_null ] in
+  let residual =
+    if G.int_in rng 0 1 = 0 then []
+    else [ A.Cmp (A.Col lv, A.Lt, A.Col rv) ]
+  in
+  Plan.Join
+    {
+      method_ = Plan.Hash;
+      kind;
+      cond = [ (lk, key_cmp, rk) ];
+      residual;
+      left = Plan.Scan "L";
+      right = Plan.Scan "R";
+    }
 
 let prop_hash_join =
-  prop "hash join: inner/outer, null-safe keys, residual" ~count:200
-    (fun rng ->
-      let kind = G.pick rng [ Plan.Inner; Plan.Left_outer ] in
-      let key_cmp = G.pick rng [ A.Eq; A.Eq_null ] in
-      let residual =
-        if G.int_in rng 0 1 = 0 then []
-        else [ A.Cmp (A.Col lv, A.Lt, A.Col rv) ]
-      in
-      Plan.Join
-        {
-          method_ = Plan.Hash;
-          kind;
-          cond = [ (lk, key_cmp, rk) ];
-          residual;
-          left = Plan.Scan "L";
-          right = Plan.Scan "R";
-        })
+  prop ~check:matches_reference
+    "hash join: inner/outer, null-safe keys, residual" ~count:200
+    hash_join_plan
+
+let hash_group_plan rng =
+  let aggs =
+    [
+      { Plan.fn = A.Count_star; out_name = "CSTAR" };
+      { Plan.fn = A.Count lv; out_name = "CV" };
+      { Plan.fn = A.Sum lv; out_name = "SV" };
+      { Plan.fn = A.Min lv; out_name = "MNV" };
+      { Plan.fn = A.Max lv; out_name = "MXV" };
+      { Plan.fn = A.Avg lv; out_name = "AV" };
+    ]
+  in
+  let group_by = G.pick rng [ [ lk ]; [] ] in
+  Plan.Hash_group_agg { Plan.group_by; aggs; input = Plan.Scan "L" }
 
 let prop_hash_group_agg =
-  prop "hash group/agg: all aggregates over NULL-dense input" ~count:150
-    (fun rng ->
-      let aggs =
-        [
-          { Plan.fn = A.Count_star; out_name = "CSTAR" };
-          { Plan.fn = A.Count lv; out_name = "CV" };
-          { Plan.fn = A.Sum lv; out_name = "SV" };
-          { Plan.fn = A.Min lv; out_name = "MNV" };
-          { Plan.fn = A.Max lv; out_name = "MXV" };
-          { Plan.fn = A.Avg lv; out_name = "AV" };
-        ]
-      in
-      let group_by = G.pick rng [ [ lk ]; [] ] in
-      Plan.Hash_group_agg { Plan.group_by; aggs; input = Plan.Scan "L" })
+  prop ~check:matches_reference
+    "hash group/agg: all aggregates over NULL-dense input" ~count:150
+    hash_group_plan
 
 (* ---------------- DATE columns ----------------------------------------- *)
 
@@ -162,12 +204,13 @@ let date_tables rng =
   in
   (d, e)
 
-let date_prop name ~count make_plan =
+let date_prop ?(check = engines_agree) name ~count make_plan =
   QCheck2.Test.make ~name ~count seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let d, e = date_tables rng in
-      engines_agree (make_plan rng) ~make_catalog:(fun () ->
-          G.catalog_of [ ("D", d); ("E", e) ]))
+      check
+        ~make_catalog:(fun () -> G.catalog_of [ ("D", d); ("E", e) ])
+        (make_plan rng))
 
 let da = col ~table:"D" "A"
 let db = col ~table:"D" "B"
@@ -187,7 +230,8 @@ let prop_date_filter =
       Plan.Filter ([ pred ], Plan.Scan "D"))
 
 let prop_date_hash_join =
-  date_prop "dates: hash join keyed on a date" ~count:150 (fun rng ->
+  date_prop ~check:matches_reference "dates: hash join keyed on a date"
+    ~count:150 (fun rng ->
       Plan.Join
         {
           method_ = Plan.Hash;
@@ -199,8 +243,8 @@ let prop_date_hash_join =
         })
 
 let prop_date_distinct_group =
-  date_prop "dates: distinct, group-by, MIN/MAX of a date" ~count:150
-    (fun rng ->
+  date_prop ~check:matches_reference
+    "dates: distinct, group-by, MIN/MAX of a date" ~count:150 (fun rng ->
       if G.int_in rng 0 1 = 0 then
         Plan.Hash_distinct
           (Plan.Project (G.pick rng [ [ da ]; [ da; dk ]; [ db; da ] ], Plan.Scan "D"))
@@ -548,71 +592,97 @@ let adapter_nl_join catalog plan =
       Relation.make joined (Vec.to_rows (Vec.of_tuple it))
   | _ -> invalid_arg "adapter_nl_join"
 
-(* A materialized inner is remade at every open of its join.  Under an
-   [Apply] over 50 outer rows the join re-opens per row; each re-open
-   deletes the previous open's heap, so the run leaves one inner (half of
-   R's 20 pages) on the simulated disk, not fifty, under either engine. *)
-let test_nl_inner_reopen_deletes () =
+(* [input] re-opened under a per-row [Apply] over L: the outer row is
+   kept when its K is at least COUNT-star of [input]. *)
+let count_per_row input =
+  Plan.Apply
+    {
+      mode = Plan.Per_row;
+      preds =
+        [
+          ( A.Cmp_subq (A.Col lk, A.Ge, dummy_subquery),
+            Some
+              {
+                Plan.keys = [ lk ];
+                inner =
+                  Plan.Hash_group_agg
+                    {
+                      Plan.group_by = [];
+                      aggs = [ { Plan.fn = A.Count_star; out_name = "N" } ];
+                      input;
+                    };
+              } );
+        ];
+      outer = Plan.Scan "L";
+    }
+
+(* Files and disk pages a run of [plan] leaves behind, and its rows. *)
+let left_behind rels run plan =
+  let catalog = G.catalog_of rels in
+  let pager = Catalog.pager catalog in
+  let files = Pager.file_count pager and pages = Pager.disk_pages pager in
+  let rows = run catalog plan in
+  (rows, Pager.file_count pager - files, Pager.disk_pages pager - pages)
+
+(* R: 20 rows of K = 1..4, 20 pages under the default page size. *)
+let reopen_relations () =
   let rng = Random.State.make [| 24 |] in
   let r =
     Relation.of_values ~rel:"R" nl_columns
       (List.init 20 (fun i ->
            [ Value.Int (1 + (i mod 4)); Value.Null; Value.Null; Value.Str "a" ]))
   in
-  let rels =
-    [ ("L", nl_relation rng "L" 50); ("M", nl_relation rng "M" 2); ("R", r) ]
-  in
+  [ ("L", nl_relation rng "L" 50); ("M", nl_relation rng "M" 2); ("R", r) ]
+
+(* A materialized inner is remade at every open of its join.  Under an
+   [Apply] over 50 outer rows the join re-opens per row; each re-open
+   deletes the previous open's heap, so the run leaves one inner (half of
+   R's 20 pages) on the simulated disk, not fifty, under either engine. *)
+let test_nl_inner_reopen_deletes () =
+  let rels = reopen_relations () in
+  Alcotest.(check int) "R is 20 pages" 20
+    (Storage.Heap_file.page_count (Catalog.heap (G.catalog_of rels) "R"));
   let rk = col ~table:"R" "K" in
-  let join =
-    Plan.Join
-      {
-        method_ = Plan.Nested_loop;
-        kind = Plan.Inner;
-        cond = [];
-        residual = [ A.Cmp (A.Col rk, A.Le, A.Col lk) ];
-        left = Plan.Scan "M";
-        right = Plan.Filter ([ A.Cmp (A.Col rk, A.Ge, A.Lit (Value.Int 3)) ], Plan.Scan "R");
-      }
-  in
   let plan =
-    Plan.Apply
-      {
-        mode = Plan.Per_row;
-        preds =
-          [
-            ( A.Cmp_subq (A.Col lk, A.Ge, dummy_subquery),
-              Some
-                {
-                  Plan.keys = [ lk ];
-                  inner =
-                    Plan.Hash_group_agg
-                      {
-                        Plan.group_by = [];
-                        aggs = [ { Plan.fn = A.Count_star; out_name = "N" } ];
-                        input = join;
-                      };
-                };
-            );
-          ];
-        outer = Plan.Scan "L";
-      }
+    count_per_row
+      (Plan.Join
+         {
+           method_ = Plan.Nested_loop;
+           kind = Plan.Inner;
+           cond = [];
+           residual = [ A.Cmp (A.Col rk, A.Le, A.Col lk) ];
+           left = Plan.Scan "M";
+           right = Plan.Filter ([ A.Cmp (A.Col rk, A.Ge, A.Lit (Value.Int 3)) ], Plan.Scan "R");
+         })
   in
-  let left_behind run =
-    let catalog = G.catalog_of rels in
-    let pager = Catalog.pager catalog in
-    Alcotest.(check int) "R is 20 pages" 20
-      (Storage.Heap_file.page_count (Catalog.heap catalog "R"));
-    let files = Pager.file_count pager and pages = Pager.disk_pages pager in
-    let rows = run catalog plan in
-    (rows, Pager.file_count pager - files, Pager.disk_pages pager - pages)
-  in
-  let tuple, tuple_files, tuple_pages = left_behind Plan.run in
-  let vec, vec_files, vec_pages = left_behind Plan.run_vec in
+  let tuple, tuple_files, tuple_pages = left_behind rels Plan.run plan in
+  let vec, vec_files, vec_pages = left_behind rels Plan.run_vec plan in
   Alcotest.(check bool) "engines agree" true (Relation.equal_bag tuple vec);
   Alcotest.(check (list int)) "tuple: one inner left" [ 1; 10 ]
     [ tuple_files; tuple_pages ];
   Alcotest.(check (list int)) "vectorized: one inner left" [ 1; 10 ]
     [ vec_files; vec_pages ]
+
+(* A [Sort] (and a sort-based [Distinct]) re-opened under the same [Apply]
+   writes a sorted run of R's rows with K at most the outer row's K at
+   every open; each re-open deletes the previous open's run, so at most
+   one is left under either engine, not one per outer row. *)
+let test_sort_reopen_deletes () =
+  let rels = reopen_relations () in
+  let rk = col ~table:"R" "K" in
+  let correlated = Plan.Filter ([ A.Cmp (A.Col rk, A.Le, A.Col lk) ], Plan.Scan "R") in
+  List.iter
+    (fun (what, input) ->
+      let plan = count_per_row input in
+      let tuple, tuple_files, _ = left_behind rels Plan.run plan in
+      let vec, vec_files, _ = left_behind rels Plan.run_vec plan in
+      Alcotest.(check bool) (what ^ ": engines agree") true (Relation.equal_bag tuple vec);
+      Alcotest.(check bool) (what ^ ", tuple: at most one run left") true (tuple_files <= 1);
+      Alcotest.(check bool) (what ^ ", vectorized: at most one run left") true (vec_files <= 1))
+    [
+      ("sort", Plan.Sort ([ rk ], correlated));
+      ("distinct", Plan.Distinct (Plan.Project ([ rk ], correlated)));
+    ]
 
 let io_of catalog run plan =
   let pager = Catalog.pager catalog in
@@ -621,31 +691,33 @@ let io_of catalog run plan =
   let d = Pager.diff_since pager before in
   (result, [ d.Pager.logical_reads; d.Pager.physical_reads; d.Pager.physical_writes ])
 
+(* One nested-loop trial: L and R, R sometimes crossing the chunk
+   boundary, and a plain join or one under an [Apply]. *)
+let nl_trial rng =
+  let l = nl_relation rng "L" (G.int_in rng 0 30) in
+  let r =
+    nl_relation rng "R"
+      (if G.int_in rng 0 3 = 0 then
+         G.int_in rng (Batch.max_rows - 5) (Batch.max_rows + 5)
+       else G.int_in rng 0 40)
+  in
+  let plan =
+    if G.int_in rng 0 3 = 0 then nl_apply rng
+    else nl_join rng ~l:"L" ~left:(Plan.Scan "L") ~extra_residual:(fun _ -> [])
+  in
+  ([ ("L", l); ("R", r) ], plan)
+
+let logical_and_writes = function [ lr; _; pw ] -> [ lr; pw ] | io -> io
+
 let prop_nested_loop =
   QCheck2.Test.make ~name:"nested-loop join: rows and page I/O, both engines"
     ~count:150 seed_gen (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let l = nl_relation rng "L" (G.int_in rng 0 30) in
-      let r =
-        nl_relation rng "R"
-          (if G.int_in rng 0 3 = 0 then
-             G.int_in rng (Batch.max_rows - 5) (Batch.max_rows + 5)
-           else G.int_in rng 0 40)
-      in
-      let rels = [ ("L", l); ("R", r) ] in
-      let plan =
-        if G.int_in rng 0 3 = 0 then nl_apply rng
-        else nl_join rng ~l:"L" ~left:(Plan.Scan "L") ~extra_residual:(fun _ -> [])
-      in
+      let rels, plan = nl_trial (Random.State.make [| seed |]) in
       List.for_all
         (fun buffer_pages ->
           let catalog () = G.catalog_of ~buffer_pages rels in
           let tuple, tuple_io = io_of (catalog ()) Plan.run plan in
           let vec, vec_io = io_of (catalog ()) Plan.run_vec plan in
-          let logical_and_writes = function
-            | [ lr; _; pw ] -> [ lr; pw ]
-            | io -> io
-          in
           let ok, expected_io =
             match plan with
             | Plan.Join _ ->
@@ -669,6 +741,39 @@ let prop_nested_loop =
               Relation.pp tuple Relation.pp vec;
             false
           end)
+        [ 3; 8 ])
+
+(* What [--engine] may change: physical reads, and nothing else.  Over the
+   nested-loop trials above and the hash plans of the plan-level
+   properties, in 3- and 8-page pools, both engines return the same bag of
+   rows with the same logical reads and physical writes.  Physical reads
+   may differ once LRU evicts: a vectorized scan requests a chunk's pages
+   together, a tuple scan each page as its first row is needed. *)
+let prop_engines_io =
+  QCheck2.Test.make ~name:"engines: same rows, logical reads and writes"
+    ~count:150 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let rels, plan =
+        if G.int_in rng 0 1 = 0 then nl_trial rng
+        else
+          let l, r = random_tables rng in
+          ( [ ("L", l); ("R", r) ],
+            G.pick rng [ hash_distinct_plan; hash_join_plan; hash_group_plan ] rng )
+      in
+      List.for_all
+        (fun buffer_pages ->
+          let catalog () = G.catalog_of ~buffer_pages rels in
+          let tuple, tuple_io = io_of (catalog ()) Plan.run plan in
+          let vec, vec_io = io_of (catalog ()) Plan.run_vec plan in
+          Relation.equal_bag tuple vec
+          && logical_and_writes tuple_io = logical_and_writes vec_io
+          || begin
+               Fmt.epr "@.pool %d: %s@.tuple io %a, vectorized io %a@." buffer_pages
+                 (Plan.to_string plan)
+                 Fmt.(Dump.list int) tuple_io
+                 Fmt.(Dump.list int) vec_io;
+               false
+             end)
         [ 3; 8 ])
 
 let m = Batch.max_rows
@@ -725,14 +830,10 @@ let test_boundary_group_agg () =
                 input = Plan.Scan "T";
               }
           in
-          let tuple = Plan.run (make_catalog ()) plan in
-          let vec = Plan.run_vec (make_catalog ()) plan in
-          (* distinct keys: NULL (i mod 11 = 0, when n > 0) plus i mod 7
-             values present among non-multiples of 11 *)
           Alcotest.(check bool)
             (Printf.sprintf "group agg agrees at n=%d" n)
             true
-            (Relation.equal_bag tuple vec)))
+            (matches_reference ~make_catalog plan)))
     boundary_sizes
 
 let test_boundary_hash_join () =
@@ -761,12 +862,10 @@ let test_boundary_hash_join () =
                   }
             | p -> p
           in
-          let tuple = Plan.run (make_catalog ()) plan in
-          let vec = Plan.run_vec (make_catalog ()) plan in
           Alcotest.(check bool)
             (Printf.sprintf "outer hash self-join agrees at n=%d" n)
             true
-            (Relation.equal_bag tuple vec)))
+            (matches_reference ~make_catalog plan)))
     [ 0; 1; m - 1; m; m + 1 ]
 
 
@@ -1285,6 +1384,7 @@ let qtests =
       prop_date_distinct_group;
       prop_programs;
       prop_nested_loop;
+      prop_engines_io;
     ]
 
 let suites =
@@ -1300,6 +1400,8 @@ let suites =
             test_boundary_hash_join;
           Alcotest.test_case "a date never meets the Int of its day key" `Quick
             test_date_never_meets_int;
+          Alcotest.test_case "sort: a re-open deletes the last run" `Quick
+            test_sort_reopen_deletes;
           Alcotest.test_case "nested-loop inner: a re-open deletes the last"
             `Quick test_nl_inner_reopen_deletes;
         ] );
