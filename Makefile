@@ -35,17 +35,16 @@ check-corpus:
 	done
 
 # Differential oracle smoke run (docs/ORACLE.md): fixed seed, 500 random
-# nested queries, each through the full 38-cell candidate matrix (rewrite,
-# batched, Auto and index-axis columns, both execution engines) and the
-# static checker (--check), plus a replay of the shrunk regression corpus.
-# Exits non-zero on any discrepancy, and on a refusal-count regression:
-# seed 42 x 500 refuses exactly 210 candidate cells today (soundness
-# guards + the unbatchable shape, including the indexed-rewrite cells'
-# share), so the ratchet pins 211 — a rewrite that starts refusing shapes
-# it used to handle trips it.
+# nested queries, each through the full 22-cell candidate matrix (rewrite,
+# batched, Auto and index-axis columns) and the static checker (--check),
+# plus a replay of the shrunk regression corpus.  Exits non-zero on any
+# discrepancy, and on a refusal-count regression: seed 42 x 500 refuses
+# exactly 120 candidate cells today (soundness guards + the unbatchable
+# shape, including the indexed-rewrite cells' share), so the ratchet pins
+# 121 — a rewrite that starts refusing shapes it used to handle trips it.
 fuzz-smoke:
 	dune build bin/nestsql.exe
-	dune exec bin/nestsql.exe -- fuzz --seed 42 --count 500 -q --check --assert-refusals-below 211
+	dune exec bin/nestsql.exe -- fuzz --seed 42 --count 500 -q --check --assert-refusals-below 121
 	dune exec bin/nestsql.exe -- fuzz --replay examples/queries/regressions -q
 
 # End-to-end server smoke (docs/SERVER.md): start `nestsql serve` on a
@@ -59,21 +58,21 @@ bench:
 	dune exec bench/main.exe
 
 # Machine-readable perf run: writes BENCH_perf.json (wall-clock, page I/O,
-# rows over the query grid under both execution engines, plus the pager
-# scaling microbench).
+# rows over the query grid in both planner modes, plus the pager scaling
+# microbench).
 bench-json:
 	dune exec bench/main.exe -- --json
 
 # CI-speed structural run of the same code path: one small scale, fewer
-# reps, writes BENCH_perf.smoke.json and exits non-zero if the v6 schema
+# reps, writes BENCH_perf.smoke.json and exits non-zero if the v7 schema
 # validation fails, batched fails to beat nested iteration on the
 # rewrite-refused skewed type-JA cell, indexed nested iteration fails to
 # beat the unindexed enumeration on page I/O in the crossover sweep,
 # Auto's pick at any crossover cell measures more than 10% above the
 # cheapest candidate (either direction), or the sweep lacks a cell where
 # Auto picks the untransformed indexed strategy or the transformed one.  Not a
-# perf artifact — it proves the bench harness, both engines and all
-# strategies still run end to end.  Then `--compare` holds every row count,
+# perf artifact — it proves the bench harness and all strategies still
+# run end to end.  Then `--compare` holds every row count,
 # page-I/O counter, Auto pick and estimate of the run to the committed
 # bench/smoke_baseline.json (timings ignored); a deliberate change to one
 # regenerates the baseline with `--smoke` and lists the change.

@@ -247,7 +247,7 @@ let sweep_queries =
        SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < '1-1-80')" );
   ]
 
-(* The engine grid's queries: the sweep's, plus the paper's Q5 (MAX under
+(* The perf grid's queries: the sweep's, plus the paper's Q5 (MAX under
    a '<' correlation) with its outer block cut to PNUM <= 3, as nestbench's
    JA-max-lt cuts it — the one grid cell whose TEMP2 is a nested-loop
    join. *)
@@ -595,39 +595,6 @@ let model () =
   Fmt.pr
     "(agreement within a few percent; residuals come from partial pages, LRU interference@.between concurrent scans, and the streamed pre-GROUP-BY join result.)@."
 
-(* ---------------- engine comparison ------------------------------------ *)
-
-(* Per-operator EXPLAIN ANALYZE of the hybrid pipeline under both engines
-   at the 10k-supply-row scale — where the vectorized wins (and any
-   regressions) actually live.  The "vec" section of the CLI. *)
-let vec () =
-  List.iter
-    (fun (kind, text) ->
-      List.iter
-        (fun engine ->
-          let catalog =
-            G.scaled_catalog ~buffer_pages:1024 ~page_bytes:256 ~seed:42
-              ~n_parts:100 ~supply_per_part:100 ()
-          in
-          let q = F.parse_analyzed catalog text in
-          let program =
-            Nest_g.transform
-              ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-              q
-          in
-          let t0 = Unix.gettimeofday () in
-          let text =
-            Planner.explain_text ~mode:Planner.Hybrid ~analyze:true ~engine
-              catalog program
-          in
-          let wall = Unix.gettimeofday () -. t0 in
-          Fmt.pr "@.=== %s / %s engine (%.2fms incl. instrumentation) ===@.%s@."
-            kind
-            (Exec.Plan.engine_name engine)
-            (wall *. 1e3) text)
-        [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
-    sweep_queries
-
 (* ---------------- bechamel timings ------------------------------------- *)
 
 let timing () =
@@ -754,13 +721,13 @@ let run_strategy ~warmup ~reps ~buffer_pages ~page_bytes ~n_parts
     let run =
       match strategy with
       | `Nested -> fun () -> Exec.Sysr_iteration.run catalog q
-      | `Transformed (mode, engine) ->
+      | `Transformed mode ->
           let program =
             Nest_g.transform
               ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
               q
           in
-          fun () -> Planner.run_program ~mode ~engine catalog program
+          fun () -> Planner.run_program ~mode catalog program
     in
     let result, wall, io = time_io catalog run in
     { s_rows = Relation.cardinality result; s_wall = wall; s_io = io }
@@ -770,11 +737,10 @@ let run_strategy ~warmup ~reps ~buffer_pages ~page_bytes ~n_parts
   done;
   median_sample (List.init reps (fun _ -> once ()))
 
-let strategy_json ~name ~engine { s_rows; s_wall; s_io = io } =
+let strategy_json ~name { s_rows; s_wall; s_io = io } =
   Json.Obj
     [
       ("name", Json.Str name);
-      ("engine", Json.Str engine);
       ("wall_s", Json.Float s_wall);
       ("logical_reads", Json.Int io.Pager.logical_reads);
       ("physical_reads", Json.Int io.Pager.physical_reads);
@@ -782,8 +748,8 @@ let strategy_json ~name ~engine { s_rows; s_wall; s_io = io } =
       ("rows", Json.Int s_rows);
     ]
 
-(* The grid: 100 parts, SUPPLY scaling 500 -> 10000 rows.  Each transformed
-   cell runs under both execution engines.  The pool is sized so the hybrid
+(* The grid: 100 parts, SUPPLY scaling 500 -> 10000 rows.  The pool is
+   sized so the hybrid
    planner's hash paths are eligible at every scale; nested iteration is
    skipped at the largest scales where its quadratic page traffic dominates
    the whole run. *)
@@ -802,33 +768,21 @@ let json_grid ~scales ~warmup ~reps () =
           let nested =
             if supply_rows <= 2500 then Some (run `Nested) else None
           in
-          let paper = run (`Transformed (Planner.Paper1987, Exec.Plan.Tuple)) in
-          let paper_vec =
-            run (`Transformed (Planner.Paper1987, Exec.Plan.Vectorized))
-          in
-          let hybrid = run (`Transformed (Planner.Hybrid, Exec.Plan.Tuple)) in
-          let hybrid_vec =
-            run (`Transformed (Planner.Hybrid, Exec.Plan.Vectorized))
-          in
+          let paper = run (`Transformed Planner.Paper1987) in
+          let hybrid = run (`Transformed Planner.Hybrid) in
           let strategies =
             (match nested with
-            | Some r -> [ strategy_json ~name:"nested_iteration" ~engine:"tuple" r ]
+            | Some r -> [ strategy_json ~name:"nested_iteration" r ]
             | None -> [])
             @ [
-                strategy_json ~name:"transformed_paper1987" ~engine:"tuple" paper;
-                strategy_json ~name:"transformed_paper1987" ~engine:"vectorized"
-                  paper_vec;
-                strategy_json ~name:"transformed_hybrid" ~engine:"tuple" hybrid;
-                strategy_json ~name:"transformed_hybrid" ~engine:"vectorized"
-                  hybrid_vec;
+                strategy_json ~name:"transformed_paper1987" paper;
+                strategy_json ~name:"transformed_hybrid" hybrid;
               ]
           in
           let hybrid_speedup = paper.s_wall /. hybrid.s_wall in
-          let vec_speedup = hybrid.s_wall /. hybrid_vec.s_wall in
           ( kind,
             supply_rows,
             hybrid_speedup,
-            vec_speedup,
             Json.Obj
               [
                 ("query", Json.Str kind);
@@ -841,7 +795,6 @@ let json_grid ~scales ~warmup ~reps () =
                      ("stat", Json.Str "median") ]);
                 ("strategies", Json.List strategies);
                 ("hybrid_speedup_vs_paper", Json.Float hybrid_speedup);
-                ("vectorized_speedup_vs_tuple", Json.Float vec_speedup);
               ] ))
         scales)
     grid_queries
@@ -911,49 +864,44 @@ let json_pager_scaling () =
       ] )
 
 (* Per-operator breakdowns: one instrumented hybrid-mode run per query kind
-   {e and per engine} (planner estimates via Optimizer.Estimate, actuals
-   from the EXPLAIN ANALYZE observer — per-batch amortized under the
-   vectorized engine), at a fixed mid-grid scale.  Each segment's "plan" is
-   the Exec.Explain.render_json tree. *)
+   (planner estimates via Optimizer.Estimate, actuals from the EXPLAIN
+   ANALYZE observer — per batch for a batch operator), at a fixed mid-grid
+   scale.  Each segment's "plan" is the Exec.Explain.render_json tree. *)
 let json_operator_breakdowns ~supply_per_part () =
   let buffer_pages = 1024 and page_bytes = 256 in
   let n_parts = 100 in
-  List.concat_map
+  List.map
     (fun (kind, text) ->
-      List.map
-        (fun engine ->
-          let catalog =
-            G.scaled_catalog ~buffer_pages ~page_bytes ~seed:42 ~n_parts
-              ~supply_per_part ()
-          in
-          let q = F.parse_analyzed catalog text in
-          let program =
-            Nest_g.transform
-              ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-              q
-          in
-          let segs =
-            Planner.explain_plans ~mode:Planner.Hybrid ~analyze:true ~engine
-              catalog program
-          in
-          Json.Obj
-            [
-              ("query", Json.Str kind);
-              ("engine", Json.Str (Exec.Plan.engine_name engine));
-              ("n_parts", Json.Int n_parts);
-              ("supply_rows", Json.Int (n_parts * supply_per_part));
-              ( "segments",
-                Json.List
-                  (List.map
-                     (fun (s : Planner.explained) ->
-                       Json.Obj
-                         [
-                           ("label", Json.Str s.Planner.seg_label);
-                           ("plan", s.Planner.seg_json);
-                         ])
-                     segs) );
-            ])
-        [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
+      let catalog =
+        G.scaled_catalog ~buffer_pages ~page_bytes ~seed:42 ~n_parts
+          ~supply_per_part ()
+      in
+      let q = F.parse_analyzed catalog text in
+      let program =
+        Nest_g.transform
+          ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
+          q
+      in
+      let segs =
+        Planner.explain_plans ~mode:Planner.Hybrid ~analyze:true catalog
+          program
+      in
+      Json.Obj
+        [
+          ("query", Json.Str kind);
+          ("n_parts", Json.Int n_parts);
+          ("supply_rows", Json.Int (n_parts * supply_per_part));
+          ( "segments",
+            Json.List
+              (List.map
+                 (fun (s : Planner.explained) ->
+                   Json.Obj
+                     [
+                       ("label", Json.Str s.Planner.seg_label);
+                       ("plan", s.Planner.seg_json);
+                     ])
+                 segs) );
+        ])
     grid_queries
 
 (* ---------------- batched vs nested vs rewrite -------------------------- *)
@@ -1047,13 +995,13 @@ let json_batched_comparison ~scales ~warmup ~reps () =
           let speedup = nested.s_wall /. batched.s_wall in
           let strategies =
             [
-              strategy_json ~name:"nested_iteration" ~engine:"tuple" nested;
-              strategy_json ~name:"batched" ~engine:"tuple" batched;
+              strategy_json ~name:"nested_iteration" nested;
+              strategy_json ~name:"batched" batched;
             ]
             @
             match rewrite with
             | Some r ->
-                [ strategy_json ~name:"transformed_hybrid" ~engine:"tuple" r ]
+                [ strategy_json ~name:"transformed_hybrid" r ]
             | None -> []
           in
           let cell =
@@ -1228,11 +1176,11 @@ let json_index_crossover ~outers ~warmup ~reps () =
           ( "strategies",
             Json.List
               [
-                strategy_json ~name:"indexed_nested" ~engine:"tuple" indexed;
-                strategy_json ~name:"unindexed_nested" ~engine:"tuple"
+                strategy_json ~name:"indexed_nested" indexed;
+                strategy_json ~name:"unindexed_nested"
                   unindexed;
-                strategy_json ~name:"transformed" ~engine:"tuple" transformed;
-                strategy_json ~name:"auto" ~engine:"tuple" auto;
+                strategy_json ~name:"transformed" transformed;
+                strategy_json ~name:"auto" auto;
               ] );
         ]
     in
@@ -1254,15 +1202,15 @@ let json_index_crossover ~outers ~warmup ~reps () =
     (fun query -> List.map (cell query) outers)
     crossover_queries
 
-(* Structural v6 schema check on the serialized document: it must parse,
+(* Structural v7 schema check on the serialized document: it must parse,
    and each required member path (dot-separated; "*" fans out over a
    list) must reach at least one value — equal to the expected one where
    given.  Catches a key rename or a dropped section.  Returns the failed
    requirements. *)
-let validate_v6 text =
+let validate_v7 text =
   let required =
     [
-      ("schema_version", Some (Json.Int 6));
+      ("schema_version", Some (Json.Int 7));
       ("index_crossover.cells.*.estimates.nested", None);
       ("index_crossover.cells.*.estimates.transformed", None);
       ("index_crossover.cells.*.estimates.batched", None);
@@ -1279,13 +1227,8 @@ let validate_v6 text =
       ("batched_comparison.*.batched_speedup_vs_nested", None);
       ("batched_comparison.*.rewrite_refused", Some (Json.Bool true));
       ("batched_comparison.*.key_range", None);
-      ("queries.*.strategies.*.engine", Some (Json.Str "tuple"));
-      ("queries.*.strategies.*.engine", Some (Json.Str "vectorized"));
       ("queries.*.timing.stat", Some (Json.Str "median"));
-      ("queries.*.vectorized_speedup_vs_tuple", None);
-      ("vectorized_speedup_10k", None);
-      ("speedup_scale_supply_rows", None);
-      ("hybrid_speedup_10k", None);
+      ("queries.*.hybrid_speedup_vs_paper", None);
       ("pager_scaling", None);
       ("operator_breakdowns.*.segments.*.plan.actual.rows_per_call", None);
       ("operator_breakdowns.*.segments.*.plan.actual.batches", None);
@@ -1347,24 +1290,14 @@ let json_bench ~smoke () =
         else acc)
       None crossover
   in
-  (* Headline numbers at the largest scale of this run (10k supply rows on
-     the full grid): hybrid-vs-paper, and vectorized-vs-tuple on the hybrid
-     plans. *)
-  let top_scale =
-    List.fold_left (fun m (_, rows, _, _, _) -> max m rows) 0 grid
-  in
-  let at_top f =
-    List.filter_map
-      (fun (kind, supply_rows, hybrid_speedup, vec_speedup, _) ->
-        if supply_rows = top_scale then
-          Some (kind, Json.Float (f hybrid_speedup vec_speedup))
-        else None)
-      grid
-  in
   let doc =
     Json.Obj
       [
-        (* v6: "index_crossover" cells run through Core — indexed vs
+        (* v7: one executor — no "engine" field, no
+           "vectorized_speedup_vs_tuple" per cell, no headline
+           "vectorized_speedup_10k" / "hybrid_speedup_10k" /
+           "speedup_scale_supply_rows"; operator_breakdowns one entry per
+           query.  v6: "index_crossover" cells run through Core — indexed vs
            unindexed nested iteration vs the transformed program Auto
            would run (keyed TEMP2 included) vs Auto itself, each cell
            naming its "outer" shape ("random" / "repeated" / "distinct")
@@ -1376,14 +1309,9 @@ let json_bench ~smoke () =
            unchanged: "batched_comparison" — the
            three-strategy head-to-head on duplicate-skewed keys, with
            per-cell "rewrite_refused" and "batched_speedup_vs_nested";
-           every transformed cell runs under both engines ("engine"
-           field), timing is median-of-k with warm-up ("timing" object),
-           per-cell "vectorized_speedup_vs_tuple", headline
-           "vectorized_speedup_10k", operator_breakdowns one entry per
-           (query, engine). *)
-        ("schema_version", Json.Int 6);
-        ("speedup_scale_supply_rows", Json.Int top_scale);
-        ("queries", Json.List (List.map (fun (_, _, _, _, j) -> j) grid));
+           timing is median-of-k with warm-up ("timing" object). *)
+        ("schema_version", Json.Int 7);
+        ("queries", Json.List (List.map (fun (_, _, _, j) -> j) grid));
         ( "batched_comparison",
           Json.List (List.map (fun (_, _, _, _, _, j) -> j) skew) );
         ( "index_crossover",
@@ -1402,8 +1330,6 @@ let json_bench ~smoke () =
                      crossover_queries) );
             ] );
         ("pager_scaling", pager_json);
-        ("hybrid_speedup_10k", Json.Obj (at_top (fun h _ -> h)));
-        ("vectorized_speedup_10k", Json.Obj (at_top (fun _ v -> v)));
         ( "operator_breakdowns",
           Json.List
             (json_operator_breakdowns
@@ -1418,11 +1344,9 @@ let json_bench ~smoke () =
   output_char oc '\n';
   close_out oc;
   List.iter
-    (fun (kind, rows, hybrid_speedup, vec_speedup, _) ->
-      Fmt.pr
-        "%-8s %6d supply rows: hybrid %.2fx vs paper; vectorized %.2fx vs \
-         tuple@."
-        kind rows hybrid_speedup vec_speedup)
+    (fun (kind, rows, hybrid_speedup, _) ->
+      Fmt.pr "%-8s %6d supply rows: hybrid %.2fx vs paper@." kind rows
+        hybrid_speedup)
     grid;
   Fmt.pr
     "pager page-touch flatness (max/min ns over B=16..8192): %.2f; %.1f ns \
@@ -1498,10 +1422,10 @@ let json_bench ~smoke () =
         exit 1
       end)
     [ (Core.Via_nested, "§7 indexed"); (Core.Via_transformed, "transformed") ];
-  match validate_v6 text with
-  | [] -> Fmt.pr "schema v6 check: ok@."
+  match validate_v7 text with
+  | [] -> Fmt.pr "schema v7 check: ok@."
   | missing ->
-      Fmt.epr "schema v6 check FAILED; missing keys:@.";
+      Fmt.epr "schema v7 check FAILED; missing keys:@.";
       List.iter (fun k -> Fmt.epr "  %s@." k) missing;
       exit 1
 
@@ -1585,7 +1509,7 @@ let sections =
     ("fig1", fig1); ("sec74", sec74); ("bugs", bugs); ("figure2", figure2);
     ("sweep", sweep); ("ext", ext); ("strategies", strategies);
     ("buffers", buffers); ("indexes", indexes); ("projection", projection);
-    ("model", model); ("vec", vec); ("timing", timing);
+    ("model", model); ("timing", timing);
   ]
 
 let () =

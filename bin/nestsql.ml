@@ -130,17 +130,6 @@ let strategy =
   let doc = "Evaluation strategy: auto, nested, transformed, batched." in
   Arg.(value & opt string "auto" & info [ "s"; "strategy" ] ~doc)
 
-let engine =
-  let doc =
-    "Execution engine for the scans, filters, projections and nested-loop \
-     joins of plan-based paths: tuple (Volcano iterators, the default) or \
-     vectorized (column-major batches of up to 240 rows).  Hash operators \
-     run batch-at-a-time under both.  Same plans, same rows, same logical \
-     reads and writes; physical reads may differ under LRU eviction.  The \
-     oracle's reference is the separate nested-iteration evaluator."
-  in
-  Arg.(value & opt string "tuple" & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
-
 let trace =
   let doc = "Print the NEST-G transformation steps." in
   Arg.(value & flag & info [ "trace" ] ~doc)
@@ -167,13 +156,8 @@ let trace_sink flag =
 
 let ok_or_die = function Ok v -> v | Error msg -> die msg
 
-(* --engine/--mode values are validated strictly: a typo exits 1 with a
+(* --mode/--strategy values are validated strictly: a typo exits 1 with a
    clear message and must never silently select a default. *)
-let engine_of_flag s =
-  match Exec.Plan.engine_of_string s with
-  | Some e -> e
-  | None -> die ("unknown engine " ^ s ^ " (want tuple or vectorized)")
-
 let mode =
   let doc = "Planner mode: paper1987 (the paper's cost model, the default) \
              or hybrid (adds hash operators under blended I/O+CPU costing)."
@@ -196,14 +180,12 @@ let strategy_of_flag s =
 (* ---------------- commands -------------------------------------------- *)
 
 let run_cmd load_dir fixture tables buffer_pages page_bytes indexes strategy mode
-    engine exec_trace sql =
+    exec_trace sql =
   let db = setup_db load_dir fixture tables buffer_pages page_bytes indexes in
   let strategy = strategy_of_flag strategy in
   let mode = mode_of_flag mode in
-  let engine = engine_of_flag engine in
   let e =
-    ok_or_die
-      (Core.run ~strategy ~mode ~engine ?trace:(trace_sink exec_trace) db sql)
+    ok_or_die (Core.run ~strategy ~mode ?trace:(trace_sink exec_trace) db sql)
   in
   Fmt.pr "%a@.(%a)@." Core.Relation.pp e.Core.result Core.pp_execution e
 
@@ -239,14 +221,13 @@ let tree_cmd load_dir fixture tables buffer_pages page_bytes indexes sql =
   Fmt.pr "%a" Optimizer.Query_tree.pp tree
 
 let explain_cmd load_dir fixture tables buffer_pages page_bytes indexes analyze
-    strategy mode engine exec_trace sql =
+    strategy mode exec_trace sql =
   let db = setup_db load_dir fixture tables buffer_pages page_bytes indexes in
   let strategy = strategy_of_flag strategy in
   let mode = mode_of_flag mode in
-  let engine = engine_of_flag engine in
   Fmt.pr "%s@."
     (ok_or_die
-       (Core.explain_query ~strategy ~mode ~analyze ~engine
+       (Core.explain_query ~strategy ~mode ~analyze
           ?trace:(trace_sink exec_trace) db sql))
 
 (* ---------------- lint -------------------------------------------------- *)
@@ -688,7 +669,7 @@ let print_response ~raw line =
              | _ -> Fmt.pr "%s@." line));
       ok)
 
-let client_cmd socket host port mode engine strategy raw exprs jsons =
+let client_cmd socket host port mode strategy raw exprs jsons =
   let sockaddr = sockaddr_of_flags socket host port in
   (* validate the knob flags before connecting; they apply to every -e *)
   let knob_fields =
@@ -698,10 +679,6 @@ let client_cmd socket host port mode engine strategy raw exprs jsons =
           (fun m ->
             ("mode", Json.Str (Optimizer.Planner.mode_name (mode_of_flag m))))
           mode;
-        Option.map
-          (fun e ->
-            ("engine", Json.Str (Exec.Plan.engine_name (engine_of_flag e))))
-          engine;
         Option.map
           (fun (s : string) ->
             ("strategy", Json.Str (Core.strategy_name (strategy_of_flag s))))
@@ -763,7 +740,7 @@ let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 let cmds =
   [
     cmd "run" "Run a query (auto strategy by default)."
-      Term.(common (const run_cmd) $ strategy $ mode $ engine $ exec_trace $ sql);
+      Term.(common (const run_cmd) $ strategy $ mode $ exec_trace $ sql);
     cmd "compare" "Run both strategies; report results and page I/O."
       Term.(common (const compare_cmd) $ sql);
     cmd "classify" "Print Kim's nesting classification."
@@ -777,8 +754,8 @@ let cmds =
        under --strategy nested or batched, each subquery's plan runs under \
        its Apply (per row or per key) and --analyze shows its loops=."
       Term.(
-        common (const explain_cmd) $ analyze $ strategy $ mode $ engine
-        $ exec_trace $ sql);
+        common (const explain_cmd) $ analyze $ strategy $ mode $ exec_trace
+        $ sql);
     (let json =
        let doc = "Emit diagnostics as a JSON array (schema in docs/LINT.md)." in
        Arg.(value & flag & info [ "json" ] ~doc)
@@ -934,11 +911,6 @@ let cmds =
        let doc = "Planner mode for -e queries: paper1987 or hybrid." in
        Arg.(value & opt (some string) None & info [ "m"; "mode" ] ~docv:"MODE" ~doc)
      in
-     let engine_opt =
-       let doc = "Execution engine for -e queries: tuple or vectorized." in
-       Arg.(
-         value & opt (some string) None & info [ "e-engine"; "engine" ] ~docv:"ENGINE" ~doc)
-     in
      let strategy_opt =
        let doc = "Strategy for -e queries: auto, nested, transformed or batched." in
        Arg.(
@@ -951,7 +923,7 @@ let cmds =
         error."
        Term.(
          const client_cmd $ socket_opt $ host_opt $ port_opt $ mode_opt
-         $ engine_opt $ strategy_opt $ raw $ expr $ json));
+         $ strategy_opt $ raw $ expr $ json));
   ]
 
 let () =

@@ -12,8 +12,7 @@
     (NQ114) and physical operator method contracts (NQ115).
 
     The checks are sound over planner output: every plan
-    {!Optimizer.Planner.lower} produces (under either engine) checks
-    clean; the diagnostics exist to catch hand-built or miscompiled plans
+    {!Optimizer.Planner.lower} produces checks clean; the diagnostics exist to catch hand-built or miscompiled plans
     and regressions in the lowering rules.  Violations carry
     [Sql.Ast.no_span] (plans have no source positions). *)
 
@@ -39,8 +38,8 @@ type tenv = {
   has_index : string -> column:string -> bool;
 }
 
-(** All violations, every node.  An empty list means the plan type-checks;
-    both engines run a plan under the same operator contracts. *)
+(** All violations, every node.  An empty list means the plan
+    type-checks. *)
 val check : tenv -> Exec.Plan.node -> Diagnostics.t list
 
 (** {!check} against a live catalog (schemas, statistics, order metadata,

@@ -522,16 +522,15 @@ let verified db program =
    here, goes to [untransformed]; the verified program to [transformed],
    its temps dropped after.  Refusals come back as [Error]: the rewrite's,
    verification's, [Batched_nest.Unsupported] and [Planning_error]. *)
-let rung ?mode ?engine db (p : prepared) ~untransformed ~transformed force via =
+let rung ?mode db (p : prepared) ~untransformed ~transformed force via =
   match
     match via with
     | Via_nested ->
-        Ok (untransformed via (Exec.Sysr_iteration.lower db.catalog p.query) Exec.Plan.Tuple)
+        Ok (untransformed via (Exec.Sysr_iteration.lower db.catalog p.query))
     | Via_batched ->
         Ok
           (untransformed via
-             (Optimizer.Batched_nest.lower ~force ?mode db.catalog p.query)
-             (Option.value engine ~default:Exec.Plan.Tuple))
+             (Optimizer.Batched_nest.lower ~force ?mode db.catalog p.query))
     | Via_transformed ->
         Result.map
           (fun program ->
@@ -546,9 +545,8 @@ let rung ?mode ?engine db (p : prepared) ~untransformed ~transformed force via =
 
 (* Run or EXPLAIN under [strategy]: a forced one is one rung; [Auto] walks
    the ladder. *)
-let apply_strategy ?mode ?engine ?trace db p strategy ~untransformed
-    ~transformed =
-  let rung = rung ?mode ?engine db p ~untransformed ~transformed in
+let apply_strategy ?mode ?trace db p strategy ~untransformed ~transformed =
+  let rung = rung ?mode db p ~untransformed ~transformed in
   let forced force via = Result.map (fun x -> (x, None)) (rung force via) in
   match strategy with
   | Nested_iteration -> forced Optimizer.Planner.Auto Via_nested
@@ -563,7 +561,8 @@ let with_statement_files db f =
   let mark = Pager.mark (Catalog.pager db.catalog) in
   Fun.protect f ~finally:(fun () -> Catalog.release_since db.catalog mark)
 
-let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace db
+let run_prepared ?(strategy = Auto) ?(check = false) ?mode
+    ?engine:(_ : Exec.Plan.engine option) ?trace db
     (p : prepared) : (execution, string) result =
   with_statement_files db @@ fun () ->
   let pager = Catalog.pager db.catalog in
@@ -576,23 +575,23 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?engine ?trace db
     let result = f () in
     { result; via; program; io = Pager.diff_since pager before; decision = None }
   in
-  let untransformed via plan engine =
+  let untransformed via plan =
     measured via None @@ fun () ->
     if check then Optimizer.Planner.check_plan ~label:"plan" db.catalog plan;
     Exec.Sysr_iteration.present db.catalog p.query
-      (Optimizer.Planner.run_plan ~engine ?session db.catalog plan)
+      (Optimizer.Planner.run_plan ?session db.catalog plan)
   in
   (* ORDER BY is presentation, not plan structure: [present] sorts the
      untransformed results, the program's is sorted here. *)
   let transformed force program =
     measured Via_transformed (Some program) @@ fun () ->
     Exec.Presentation.apply_order p.query
-      (Optimizer.Planner.run_program ~force ?mode ~check ?engine ?session db.catalog program)
+      (Optimizer.Planner.run_program ~force ?mode ~check ?session db.catalog
+         program)
   in
   Result.map
     (fun (e, decision) -> { e with decision })
-    (apply_strategy ?mode ?engine ?trace db p strategy ~untransformed
-       ~transformed)
+    (apply_strategy ?mode ?trace db p strategy ~untransformed ~transformed)
 
 let run ?strategy ?check ?mode ?engine ?trace db text :
     (execution, string) result =
@@ -607,12 +606,12 @@ let query db text : (Relation.t, string) result =
 (* EXPLAIN [ANALYZE] of an untransformed strategy's plan, estimates from
    [Estimate]; under ANALYZE the plan runs instrumented, a re-opened inner
    plan's actuals adding up per node. *)
-let explain_untransformed ~analyze ?trace db plan engine =
+let explain_untransformed ~analyze ?trace db plan =
   let rows = ref 0 in
   let run session =
     rows :=
       Relation.cardinality
-        (Optimizer.Planner.run_plan ~engine ~session db.catalog plan)
+        (Optimizer.Planner.run_plan ~session db.catalog plan)
   in
   let text, _ =
     Optimizer.Planner.explain_plan ~analyze ?trace db.catalog ~label:"main"
@@ -620,8 +619,9 @@ let explain_untransformed ~analyze ?trace db plan engine =
   in
   if analyze then text ^ Printf.sprintf "result: %d rows\n" !rows else text
 
-let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?engine ?trace
-    db text : (string, string) result =
+let explain_query ?(strategy = Auto) ?mode ?(analyze = false)
+    ?engine:(_ : Exec.Plan.engine option) ?trace db text :
+    (string, string) result =
   with_statement_files db @@ fun () ->
   Result.bind (parse db text) @@ fun q ->
   let p = prepare_query db q in
@@ -632,8 +632,8 @@ let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?engine ?trace
      (docs/LINT.md). *)
   let transformed force program =
     let text =
-      Optimizer.Planner.explain_text ~force ?mode ~analyze ?engine ?trace
-        db.catalog program
+      Optimizer.Planner.explain_text ~force ?mode ~analyze ?trace db.catalog
+        program
     in
     String.concat ""
       (List.map (fun n -> n ^ "\n") program.Optimizer.Program.notes)
@@ -654,13 +654,12 @@ let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?engine ?trace
           ^ String.sub text 0 (String.length text - 1)
           ^ Result.fold ~error:(Fun.const "")
               ~ok:(( ^ ) "\ntransformed alternative:\n")
-              (rung ?mode ?engine db p ~untransformed ~transformed
+              (rung ?mode db p ~untransformed ~transformed
                  Optimizer.Planner.Auto Via_transformed)
       | Some ({ pick = Via_transformed; _ } as d) ->
           auto_header d ^ "\n" ^ text
       | Some d -> auto_header d ^ "\nmain:\n" ^ text)
-    (apply_strategy ?mode ?engine ?trace db p strategy ~untransformed
-       ~transformed)
+    (apply_strategy ?mode ?trace db p strategy ~untransformed ~transformed)
 
 let explain db text : (string, string) result = explain_query db text
 

@@ -194,8 +194,8 @@ val prepare_query : db -> Sql.Ast.query -> prepared
 
 (** Execute a prepared statement: exactly {!run} minus the per-statement
     work.  [run p] and [run_prepared (prepare p)] are result-identical —
-    the plan-cache test suite holds this across strategies, modes and
-    engines under the oracle comparator.  When the statement ends, the
+    the plan-cache test suite holds this across strategies and modes
+    under the oracle comparator.  When the statement ends, the
     pager files its operators created and left unregistered (sort runs,
     materialized nested-loop inners) are deleted, as by
     {!explain_query}. *)
@@ -215,9 +215,9 @@ val run_prepared :
     [Auto], one ["auto"] line with the {!decision}.
     [mode] parameterizes the transformed path exactly as
     {!Optimizer.Planner.run_program} does (the differential oracle sweeps
-    it).  [engine] selects tuple-at-a-time (default) or vectorized batch
-    execution for plan-based paths; nested iteration is tuple-only and
-    ignores it.  Transformed programs are structurally verified
+    it).  [engine] is ignored: every strategy's plan runs on the one
+    executor ({!Exec.Plan.run}); the argument remains for callers that
+    still name an engine.  Transformed programs are structurally verified
     ({!Optimizer.Planner.verify_program}) before running.  [check]
     additionally type-checks every physical plan — nested and batched ones
     included ({!Analysis.Plan_check}) — before it executes and refuses on
@@ -240,8 +240,8 @@ val query : db -> string -> (Relation.t, string) result
     With [~analyze:true] the plans are also executed, instrumented, and
     each operator gains actual rows / [next] calls / wall-clock / page
     I/Os; [trace] receives one JSON line per operator event
-    (see [docs/EXPLAIN.md]).  [engine] as in {!run}; under the vectorized
-    engine actuals include [rows/call] > 1 and a [batches] count.
+    (see [docs/EXPLAIN.md]).  [engine] is ignored, as in {!run}; a batch
+    operator's actuals include [rows/call] > 1 and a [batches] count.
     [Nested_iteration] and [Batched _] explain their own plan trees (a
     [strategy:] line, then one [main:] segment; under ANALYZE, a re-opened
     inner plan's actuals add up over its loops).  [Auto] walks {!run}'s

@@ -14,6 +14,7 @@ type t = {
   cols : col array;
   sel : int array option;
   rows : Row.t array option;
+  pages : Storage.Heap_file.pending;
 }
 
 let max_rows = Column.max_rows
@@ -45,6 +46,16 @@ let iter_live b f =
       done
   | Some s -> Array.iter f s
 
+let of_cols schema len cols =
+  {
+    schema;
+    len;
+    cols;
+    sel = None;
+    rows = None;
+    pages = Storage.Heap_file.no_pages;
+  }
+
 let of_rows schema (rows : Row.t array) =
   {
     schema;
@@ -52,6 +63,7 @@ let of_rows schema (rows : Row.t array) =
     cols = Column.of_rows schema rows;
     sel = None;
     rows = Some rows;
+    pages = Storage.Heap_file.no_pages;
   }
 
 (* Column-wise gather: allocate every row, then fill per column so the

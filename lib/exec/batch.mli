@@ -1,4 +1,4 @@
-(** Column-major row chunks for the vectorized engine.
+(** Column-major row chunks for the batch operators ({!Vec}).
 
     A batch holds up to {!max_rows} rows as {!Relalg.Column} vectors:
     [Tint] / [Tfloat] / [Tdate] columns whose values are all of the
@@ -25,7 +25,12 @@
     aggregate's gather — makes a batch without them.  Where they are set,
     {!row} and {!to_rows} return the stored rows themselves instead of
     boxing the columns: rows are immutable, so sharing them is safe, and a
-    vectorized plan hands a heap the very rows the tuple engine would. *)
+    materialized heap receives the very rows that were scanned.
+
+    A scan's batch also carries its chunk's pages that the scan has not
+    requested ([pages]), so a consumer that takes rows one at a time can
+    request each where a row-by-row scan would
+    ({!Storage.Heap_file.request_through}). *)
 
 type col = Relalg.Column.t =
   | Ints of { data : int array; nulls : bool array }
@@ -44,6 +49,10 @@ type t = {
   rows : Relalg.Row.t array option;
       (** the stored rows, one per physical index, equal to the columns'
           values; [None] once the columns no longer match them *)
+  pages : Storage.Heap_file.pending;
+      (** the scanned chunk's pages not yet requested through the pool
+          ({!Storage.Heap_file.no_pages} but on a scan's batches and those
+          a filter, projection or rename derives from them) *)
 }
 
 (** Batch capacity (rows): {!Relalg.Column.max_rows}. *)
@@ -65,6 +74,10 @@ val live_indices : t -> int array
 
 (** Iterate the live rows in physical order. *)
 val iter_live : t -> (int -> unit) -> unit
+
+(** A batch of [len] rows built from new columns: no selection, no stored
+    rows, no pending pages. *)
+val of_cols : Relalg.Schema.t -> int -> col array -> t
 
 (** Transpose rows into columns ({!Relalg.Column.of_rows}: unboxed where
     the schema's column type holds exactly, exact round-trip always); the

@@ -90,8 +90,8 @@ let aggregate_values (a : agg) (column : Value.t list) : Value.t =
 
 (* Incremental accumulators mirroring [aggregate_values]: COUNT(col)
    ignores NULLs (COUNT-star does not); MAX/MIN/SUM/AVG ignore NULLs and
-   yield NULL on empty/all-NULL input.  Shared by both the tuple and the
-   vectorized group/aggregate operators so the engines cannot drift. *)
+   yield NULL on empty/all-NULL input.  Shared by the row and the batch
+   group/aggregate operators so they cannot drift. *)
 type agg_state =
   | S_count of { mutable n : int; star : bool }
   | S_max of { mutable v : Value.t }

@@ -35,7 +35,7 @@ val aggregate_values : Sql.Ast.agg -> Relalg.Value.t list -> Relalg.Value.t
 (** Incremental aggregate accumulators, equivalent to {!aggregate_values}
     fold-style: COUNT(col) ignores NULLs (COUNT-star does not);
     MAX/MIN/SUM/AVG ignore NULLs and finish to NULL on empty/all-NULL
-    input.  Every physical aggregate, in either engine, runs on these. *)
+    input.  Every physical aggregate, row or batch, runs on these. *)
 type agg_state =
   | S_count of { mutable n : int; star : bool }
   | S_max of { mutable v : Relalg.Value.t }

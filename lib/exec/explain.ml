@@ -46,7 +46,7 @@ let emit s ev id fields =
            (Json.Obj (("ev", Json.Str ev) :: ("id", Json.Int id) :: fields)))
   | None -> ()
 
-(* The engine-independent half of both observers: register [node]'s
+(* What the row and the batch observer share: register [node]'s
    metrics (a node an [Apply] re-opens keeps one record and one trace id
    across its loops), time its [build] — one open: the plan was compiled
    before — emit its "open" line, and return
@@ -105,29 +105,31 @@ let instrument s node build ~produced =
   in
   (op, pull)
 
-(* Tuple-engine observer: a "batch" line every [trace_batch] [next] calls. *)
+(* A row operator's pulls are rows: a "batch" line every [trace_batch]
+   [next] calls.  A batch operator's are batches: one timer pair and one
+   pager snapshot per batch, not per row — the amortization that keeps
+   instrumentation overhead from dwarfing the batch loops ([rows] still
+   counts individual selected rows). *)
 let observer (s : session) : Plan.observer =
- fun node build ->
-  let it, pull =
-    instrument s node build ~produced:(fun m _ ->
-        m.Metrics.rows <- m.Metrics.rows + 1;
-        m.Metrics.next_calls mod trace_batch = 0)
-  in
-  { it with Iterator.next = pull it.Iterator.next }
-
-(* Vectorized-engine observer: the same protocol over [next_batch].  One
-   timer pair and one pager snapshot per *batch*, not per row — the
-   amortization that keeps instrumentation overhead from dwarfing the
-   vectorized loops ([rows] still counts individual selected rows). *)
-let observer_vec (s : session) : Plan.vec_observer =
- fun node build ->
-  let v, pull =
-    instrument s node build ~produced:(fun m b ->
-        m.Metrics.rows <- m.Metrics.rows + Batch.live b;
-        m.Metrics.batches <- m.Metrics.batches + 1;
-        true)
-  in
-  { v with Vec.next_batch = pull v.Vec.next_batch }
+  {
+    rows =
+      (fun node build ->
+        let it, pull =
+          instrument s node build ~produced:(fun m _ ->
+              m.Metrics.rows <- m.Metrics.rows + 1;
+              m.Metrics.next_calls mod trace_batch = 0)
+        in
+        { it with Iterator.next = pull it.Iterator.next });
+    batches =
+      (fun node build ->
+        let v, pull =
+          instrument s node build ~produced:(fun m b ->
+              m.Metrics.rows <- m.Metrics.rows + Batch.live b;
+              m.Metrics.batches <- m.Metrics.batches + 1;
+              true)
+        in
+        { v with Vec.next_batch = pull v.Vec.next_batch });
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -20,14 +20,11 @@ type session
 val session : ?trace:(string -> unit) -> Storage.Pager.t -> session
 
 (** The observer to pass to {!Plan.run}: wraps every operator with row /
-    [next]-call / wall-clock / page-I/O counting (and trace emission). *)
+    [next]-call / wall-clock / page-I/O counting (and trace emission).  A
+    batch operator's timer reads and pager snapshots happen once per
+    {e batch}, not per row, so instrumentation overhead stays amortized;
+    [rows] counts selected rows, [batches] non-empty batches. *)
 val observer : session -> Plan.observer
-
-(** The observer to pass to {!Plan.run_vec}.  Timer reads and pager
-    snapshots happen once per {e batch}, not per row, so instrumentation
-    overhead stays amortized; [rows] counts selected rows, [batches]
-    non-empty batches. *)
-val observer_vec : session -> Plan.vec_observer
 
 (** Metrics recorded for [node] during this session, if it was executed
     (the base-table scan under a nested-loop or index join is driven by the

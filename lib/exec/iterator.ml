@@ -1,13 +1,13 @@
-(* Volcano-style physical operators.
+(* Volcano-style row operators.
 
    Every operator is a pull iterator carrying its output schema.  Operators
    that touch stored relations do so through the pager, so measured page I/O
-   reflects plan structure.  Join methods are the two the paper discusses:
-   tuple nested loops (re-scanning the stored inner per outer tuple — cheap
-   when the inner fits in the buffer pool, quadratic in I/O when it does
-   not) and sort-merge (on equality keys, with many-to-many group handling).
-   Both come in inner and left-outer flavours; the left-outer variants are
-   the operation §5.2 requires for the COUNT bug fix. *)
+   reflects plan structure.  These are the operators the executor runs a
+   row at a time: sorts, the sort-merge join (on equality keys, with
+   many-to-many group handling) and index nested loops, both in inner and
+   left-outer flavours — the left outer join is the operation §5.2
+   requires for the COUNT bug fix — and sorted grouping.  The nested-loop
+   join runs batch-at-a-time, in [Vec]. *)
 
 module Value = Relalg.Value
 module Truth = Relalg.Truth
@@ -57,22 +57,6 @@ let filter ~(pred : Row.t -> Truth.t) (input : t) : t =
   in
   { schema = input.schema; next }
 
-let project ~idxs (input : t) : t =
-  (* Positions are compiled to an array once; the per-row work is one array
-     map, not a list traversal. *)
-  let positions = Array.of_list idxs in
-  {
-    schema = Schema.project input.schema idxs;
-    next =
-      (fun () ->
-        match input.next () with
-        | None -> None
-        | Some r -> Some (Row.project_positions r positions));
-  }
-
-(* Evaluate select-item-shaped scalar expressions; used for constant columns
-   if ever needed.  (Projection by positions is the common path.) *)
-
 let materialize pager (input : t) : Heap_file.t =
   let heap = Heap_file.create pager input.schema in
   let rec drain () =
@@ -95,43 +79,8 @@ let sort_run pager ?(dedup = Storage.External_sort.Keep_duplicates) ~key
   sorted
 
 (* ------------------------------------------------------------------ *)
-(* Nested-loop joins                                                   *)
+(* Index nested loops                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Tuple nested loops: the stored inner relation is re-scanned once per
-   outer row (buffer pool permitting). *)
-let nested_loop_join ?(outer_join = false)
-    ~(theta : Row.t -> Row.t -> Truth.t) (left : t) (right : Heap_file.t) : t =
-  let right_schema = Heap_file.schema right in
-  let pad = Row.nulls (Schema.arity right_schema) in
-  let schema = Schema.append left.schema right_schema in
-  let current_left = ref None in
-  let right_scan = ref (fun () -> None) in
-  let matched = ref false in
-  let rec next () =
-    match !current_left with
-    | None -> (
-        match left.next () with
-        | None -> None
-        | Some l ->
-            current_left := Some l;
-            right_scan := Heap_file.scan right;
-            matched := false;
-            next ())
-    | Some l -> (
-        match !right_scan () with
-        | Some r -> (
-            match theta l r with
-            | Truth.True ->
-                matched := true;
-                Some (Row.append l r)
-            | Truth.False | Truth.Unknown -> next ())
-        | None ->
-            let emit_pad = outer_join && not !matched in
-            current_left := None;
-            if emit_pad then Some (Row.append l pad) else next ())
-  in
-  { schema; next }
 
 (* Index nested loops: [probe] fetches the right rows matching one left
    row (a B-tree lookup on the join column, fetched in full before the

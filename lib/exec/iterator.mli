@@ -1,15 +1,16 @@
-(** Volcano-style physical operators over paged storage.
+(** Volcano-style row operators over paged storage.
 
     Every operator is a pull iterator carrying its output schema; operators
     touching stored relations count their page traffic through the pager,
     which is what lets measured I/O be compared against the paper's §4/§7
-    cost formulas (and attributed per operator by {!Explain}).  The
-    operator set is what the paper's plans need: scans, restrict /
-    project, nested-loop and sort-merge joins with the §5.2 left outer
-    join, sort-based DISTINCT and GROUP BY, and the global aggregate.  The
-    beyond-the-paper hash operators of the [Hybrid] planner mode have one
-    implementation, in {!Vec}; the tuple engine runs it between
-    {!Vec.of_tuple} and {!Vec.to_tuple}. *)
+    cost formulas (and attributed per operator by {!Explain}).  These are
+    the operators the executor runs a row at a time: sorts (sort-based
+    DISTINCT), sort-merge and index nested-loop joins with the §5.2 left
+    outer join, sorted GROUP BY and the global aggregate, and the heap
+    scans and filters an index scan falls back to.  Scans, filters,
+    projections, nested-loop joins and the hash operators run
+    batch-at-a-time, in {!Vec}; {!Vec.of_tuple} and {!Vec.to_tuple} adapt
+    between the two. *)
 
 type t = { schema : Relalg.Schema.t; next : unit -> Relalg.Row.t option }
 
@@ -25,9 +26,6 @@ val scan : Storage.Heap_file.t -> t
 (** Keep rows whose predicate is [True] (SQL WHERE semantics). *)
 val filter : pred:(Relalg.Row.t -> Relalg.Truth.t) -> t -> t
 
-(** Keep the columns at the given positions, in order. *)
-val project : idxs:int list -> t -> t
-
 (** Drain into a fresh heap file (writes counted). *)
 val materialize : Storage.Pager.t -> t -> Storage.Heap_file.t
 
@@ -41,19 +39,10 @@ val sort_run :
   t ->
   Storage.Heap_file.t
 
-(** Tuple nested loops: the stored right side is re-scanned once per left
-    row (cheap iff it fits in the pool).  [outer_join] pads unmatched left
-    rows with NULLs — the operation §5.2 of the paper requires. *)
-val nested_loop_join :
-  ?outer_join:bool ->
-  theta:(Relalg.Row.t -> Relalg.Row.t -> Relalg.Truth.t) ->
-  t ->
-  Storage.Heap_file.t ->
-  t
-
 (** Index nested loops: [probe] fetches the right rows matching one left
     row (its re-opened index scan), all of them before the first is
-    returned.  [outer_join]/[residual] as in {!merge_join}. *)
+    returned.  [outer_join]/[residual] as in {!merge_join}: an unmatched
+    left row is padded with NULLs under [outer_join]. *)
 val index_nested_loop_join :
   ?outer_join:bool ->
   ?residual:(Relalg.Row.t -> Relalg.Row.t -> Relalg.Truth.t) ->

@@ -14,7 +14,7 @@
 type t = {
   mutable rows : int; (* rows this operator produced *)
   mutable next_calls : int;
-  mutable batches : int; (* non-empty batches (vectorized engine only) *)
+  mutable batches : int; (* non-empty batches (batch operators only) *)
   mutable build_s : float; (* wall-clock building the iterator *)
   mutable next_s : float; (* wall-clock inside next(), inclusive *)
   mutable logical_reads : int; (* pager traffic, inclusive *)
@@ -58,8 +58,8 @@ let merge dst ~src =
 
 let total_s m = m.build_s +. m.next_s
 
-(* Output rows per [next] call.  1.0 for tuple operators by construction;
-   ~[Batch.max_rows] for saturated vectorized operators — the direct
+(* Output rows per [next] call.  1.0 for row operators by construction;
+   ~[Batch.max_rows] for saturated batch operators — the direct
    measure of how much per-call overhead batching amortizes. *)
 let rows_per_call m = float_of_int m.rows /. float_of_int (max 1 m.next_calls)
 

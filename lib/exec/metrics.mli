@@ -10,7 +10,7 @@ type t = {
   mutable rows : int;  (** rows this operator produced *)
   mutable next_calls : int;  (** calls to the iterator's [next]/[next_batch] *)
   mutable batches : int;
-      (** non-empty batches produced (vectorized engine; 0 under tuple) *)
+      (** non-empty batches produced (a batch operator; 0 for a row operator) *)
   mutable build_s : float;
       (** wall-clock seconds opening the iterator, summed over its loops
           (eager work: sorts, materializations, hash builds); the plan's
@@ -38,8 +38,8 @@ val merge : t -> src:t -> unit
 (** [build_s + next_s]. *)
 val total_s : t -> float
 
-(** Output rows per [next] call (1.0 for tuple operators; up to
-    [Batch.max_rows] for vectorized ones). *)
+(** Output rows per [next] call (1.0 for row operators; up to
+    [Batch.max_rows] for batch operators). *)
 val rows_per_call : t -> float
 
 (** Inclusive logical + physical reads + writes. *)

@@ -203,37 +203,22 @@ let compile_predicate scope schema (p : predicate) : Row.t -> Truth.t =
   and fb = compile_scalar scope schema b in
   fun row -> Eval.cmp_values op (fa row) (fb row)
 
-(* A conjunction evaluated left to right, stopping at the first False and
-   remembering an Unknown: False absorbs, so the result is
+(* A pair conjunction evaluated left to right, stopping at the first
+   False and remembering an Unknown: False absorbs, so the result is
    [Truth.conjunction]'s, and since every compiled predicate is a pure
    comparison, a skipped one skips no page I/O.  Top-level and
    tail-recursive, so an evaluation allocates nothing. *)
-let rec all_true fs row acc =
-  match fs with
-  | [] -> acc
-  | f :: rest -> (
-      match f row with
-      | Truth.False -> Truth.False
-      | Truth.True -> all_true rest row acc
-      | Truth.Unknown -> all_true rest row Truth.Unknown)
-
-let rec all_true2 fs l r acc =
+let rec all_true fs l r acc =
   match fs with
   | [] -> acc
   | f :: rest -> (
       match f l r with
       | Truth.False -> Truth.False
-      | Truth.True -> all_true2 rest l r acc
-      | Truth.Unknown -> all_true2 rest l r Truth.Unknown)
+      | Truth.True -> all_true rest l r acc
+      | Truth.Unknown -> all_true rest l r Truth.Unknown)
 
-let compile_conjunction scope schema preds : Row.t -> Truth.t =
-  match List.map (compile_predicate scope schema) preds with
-  | [] -> fun _ -> Truth.True
-  | [ f ] -> f
-  | fs -> fun row -> all_true fs row Truth.True
-
-(* The vectorized engine's filter: a literal or a parameter is a value
-   read per batch, anything else a column of the batch. *)
+(* A batch filter: a literal or a parameter is a value read per batch,
+   anything else a column of the batch. *)
 let vec_conjunction scope schema preds : Vec.sel_filter =
   let operand = function
     | Lit v -> Vec.Value (fun () -> v)
@@ -250,13 +235,12 @@ let vec_conjunction scope schema preds : Vec.sel_filter =
        preds)
 
 (* ------------------------------------------------------------------ *)
-(* Join compilation (shared by both engines)                           *)
+(* Join compilation                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Column references, null-safety flags and residual predicates compile
-   identically whichever engine runs the join; these helpers take the
-   input schemas so the tuple and vectorized executors share every
-   semantic decision. *)
+   alike whichever operator runs the join; these helpers take the input
+   schemas, so every join method shares every semantic decision. *)
 
 (* Where a join comparison reads an operand: a literal, an enclosing
    parameter, or a column of the left or of the right row. *)
@@ -269,8 +253,9 @@ type pair_operand =
 (* A join's conditions and residual as comparisons, in order, their
    operands resolved: a condition's left column on the left schema and its
    right column on the right; a residual column on the joined schema, read
-   from whichever row holds it, else a parameter.  Both engines' joins
-   compile from these, so they resolve every operand alike. *)
+   from whichever row holds it, else a parameter.  The batch nested-loop
+   join and the pair tests of the other joins compile from these, so they
+   resolve every operand alike. *)
 let pair_comparisons scope (lschema : Schema.t) (rschema : Schema.t) ~cond
     ~residual =
   let joined = Schema.append lschema rschema in
@@ -316,7 +301,7 @@ let compile_pair_conjunction scope (lschema : Schema.t) (rschema : Schema.t)
   with
   | [] -> fun _ _ -> Truth.True
   | [ f ] -> f
-  | fs -> fun l r -> all_true2 fs l r Truth.True
+  | fs -> fun l r -> all_true fs l r Truth.True
 
 (* Split an equi-joinable condition list: equality conditions become keys
    (with their [<=>] null-safety flags), the rest fold into the residual.
@@ -500,13 +485,14 @@ let index_nl_join ~child scope ~outer_join ~cond ~residual ~right
     schema = Schema.append left.schema right.schema;
   }
 
-(* A nested-loop join's inner, in either engine: it must be stored so it
-   can be re-scanned.  Scans use the stored heap; other subtrees are
-   compiled by [child] and materialized at each open (their pages written
-   and the writes counted) by [materialize]; a re-open (under an [Apply])
-   first deletes the previous open's heap, whose rescans are over.
-   Returns the heap to open and the inner's schema. *)
-let nl_inner ~child ~materialize catalog scope right =
+(* A nested-loop join's inner: it must be stored so it can be re-scanned.
+   Scans use the stored heap; other subtrees are compiled by [child] as
+   rows and materialized at each open (their pages written and the writes
+   counted); a re-open (under an [Apply]) first deletes the previous
+   open's heap, whose rescans are over.  Returns the heap to open and the
+   inner's schema. *)
+let nl_inner ~(child : scope -> node -> Iterator.t compiled) catalog scope
+    right =
   let stored name alias =
     let heap = Catalog.heap catalog name in
     ( (fun () -> heap),
@@ -520,7 +506,7 @@ let nl_inner ~child ~materialize catalog scope right =
       let previous = ref None in
       let open_ () =
         Option.iter Storage.Heap_file.delete !previous;
-        let heap = materialize (Catalog.pager catalog) (r.open_ ()) in
+        let heap = Iterator.materialize (Catalog.pager catalog) (r.open_ ()) in
         previous := Some heap;
         heap
       in
@@ -700,13 +686,9 @@ let apply ~child ex catalog scope (a : apply) (outer : Iterator.t compiled) :
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Which executor runs a plan's scans, filters, projections and
-   nested-loop joins.  [Tuple] is the Volcano engine, the default;
-   [Vectorized] pulls column-major batches through [Vec], falling back to
-   the tuple operators (through adapters) for sorts, sort-merge and index
-   nested-loop joins, sorted grouping and [Apply].  The hash operators run
-   [Vec]'s one implementation under either engine, but for the tuple
-   engine's global aggregate. *)
+(* An engine name, accepted and ignored: every plan runs on the one
+   executor below.  It remains for callers that still name one (the
+   workload benchmark's specs). *)
 type engine = Tuple | Vectorized
 
 let engine_name = function Tuple -> "tuple" | Vectorized -> "vectorized"
@@ -717,142 +699,123 @@ let engine_of_string = function
   | _ -> None
 
 (* An observer intercepts every open of every operator: it receives the
-   plan node and a thunk that opens its iterator (including the eager
-   work of sorts and hash builds), and returns the iterator to use —
-   usually the opened one wrapped with instrumentation.  [Explain] uses
-   this to attach per-operator metrics and trace events without the
-   executor knowing about either.  [vec_observer] is the same protocol for
-   the vectorized engine. *)
-type observer = node -> (unit -> Iterator.t) -> Iterator.t
-type vec_observer = node -> (unit -> Vec.t) -> Vec.t
+   plan node and a thunk that opens it (including the eager work of sorts
+   and hash builds), and returns the operator to use — usually the opened
+   one wrapped with instrumentation.  [Explain] uses this to attach
+   per-operator metrics and trace events without the executor knowing
+   about either.  A row operator is observed through [rows], every other
+   through [batches]. *)
+type observer = {
+  rows : node -> (unit -> Iterator.t) -> Iterator.t;
+  batches : node -> (unit -> Vec.t) -> Vec.t;
+}
 
 let observed observe node (c : 'a compiled) =
   match observe with
   | None -> c
   | Some f -> { c with open_ = (fun () -> f node c.open_) }
 
-(* The hash operators have one implementation, [Vec]'s: the tuple engine
-   runs it between adapters.  [batches] pulls a tuple input no further
-   once it has ended, as a tuple operator does, so EXPLAIN ANALYZE counts
-   the pulls the tuple engine's operators always made. *)
-let batches (it : Iterator.t) =
-  let ended = ref false in
-  let next () =
-    if !ended then None
-    else
-      let row = it.next () in
-      ended := Option.is_none row;
-      row
-  in
-  Vec.of_tuple { it with next }
+(* One executor, two kinds of operator.  Scans, filters, projections,
+   renames, nested-loop and hash joins, hash DISTINCT and hash grouping
+   run batch-at-a-time through [Vec] ([compile_vec]); index scans, sorts,
+   sort-merge and index nested-loop joins, sorted grouping and [Apply]
+   are row operators ([compile_rows]).  A projection or a global
+   aggregate (a hash grouping with no key) takes the kind of its input,
+   so nested iteration's re-opened inner plans — a projection or a COUNT
+   over an index probe, per binding — run on rows throughout.  Each
+   operator compiles its inputs as the kind it consumes, so an adapter
+   stands only where a batch operator meets a row operator — never
+   between two row operators.
 
-let through_vec op it = Vec.to_tuple (op (batches it))
+   A scan requests a chunk's pages when it hands the chunk out, unless
+   its rows are consumed one at a time: through [Vec.to_tuple] by a row
+   operator or by the materialization of a nested-loop inner, or by a
+   nested-loop join's left side.  Then ([~rowwise]) the pages
+   go out unrequested, through any filters, projections and renames
+   between, and the consumer requests each at the row that first needs
+   it — the request order of a row-by-row scan, relative to the
+   consumer's own page traffic. *)
+let rec produces_rows = function
+  | Index_scan _ | Distinct _ | Sort _ | Group_agg _ | Apply _
+  | Join { method_ = Index_nl | Sort_merge; _ } ->
+      true
+  | Project (_, input) | Hash_group_agg { group_by = []; input; _ } ->
+      produces_rows input
+  | Scan _ | Rename _ | Filter _ | Hash_distinct _ | Hash_group_agg _
+  | Join { method_ = Nested_loop | Hash; _ } ->
+      false
 
-(* One operator of the tuple engine, compiled; [child] compiles an input
-   under the given frames ([Apply] and index nested loops compile their
-   re-opened plans under their own). *)
-let tuple_node ~(child : scope -> node -> Iterator.t compiled) ex scope
-    (catalog : Catalog.t) (node : node) : Iterator.t compiled =
-  let pager = Catalog.pager catalog in
+let rec compile_rows ?observe ex (scope : scope) (catalog : Catalog.t)
+    (node : node) : Iterator.t compiled =
+  let child scope n = compile_rows ?observe ex scope catalog n in
   let input n = child scope n in
+  let row c = observed (Option.map (fun o -> o.rows) observe) node c in
+  let pager = Catalog.pager catalog in
+  let batches () =
+    map_open
+      (compile_vec ?observe ~rowwise:true ex scope catalog node)
+      Vec.to_tuple
+  in
   match node with
-  | Scan name ->
-      (* Present stored columns under the table's name so plan-level
-         references [name.col] resolve. *)
-      let heap = Catalog.heap catalog name in
-      let schema = Schema.rename_rel (Storage.Heap_file.schema heap) name in
-      { schema; open_ = (fun () -> { (Iterator.scan heap) with schema }) }
   | Index_scan { table; alias; column; lo; hi } ->
-      index_scan catalog scope ~table ~alias ~column ~lo ~hi
-  | Rename (alias, i) ->
-      let i = input i in
-      let schema = Schema.rename_rel i.schema alias in
-      { (map_open i (fun it -> { it with schema })) with schema }
-  | Filter (preds, i) ->
-      let i = input i in
-      map_open i
-        (Iterator.filter ~pred:(compile_conjunction scope i.schema preds))
-  | Project (cols, i) ->
-      let i = input i in
-      let idxs = List.map (find_col i.schema) cols in
-      { (map_open i (Iterator.project ~idxs)) with
-        schema = Schema.project i.schema idxs }
+      row (index_scan catalog scope ~table ~alias ~column ~lo ~hi)
   | Distinct i ->
       let i = input i in
-      sorted pager ~dedup:Storage.External_sort.Drop_duplicates
-        ~key:(List.init (Schema.arity i.schema) Fun.id)
-        i
-  | Hash_distinct i -> map_open (input i) (through_vec Vec.hash_distinct)
+      row
+        (sorted pager ~dedup:Storage.External_sort.Drop_duplicates
+           ~key:(List.init (Schema.arity i.schema) Fun.id)
+           i)
   | Sort (cols, i) ->
       let i = input i in
-      sorted pager ~key:(List.map (find_col i.schema) cols) i
-  | Join { method_; kind; cond; residual; left; right } -> (
-      let left = input left in
-      let outer_join = kind = Left_outer in
-      match method_ with
-      | Index_nl ->
-          index_nl_join ~child scope ~outer_join ~cond ~residual ~right left
-      | Nested_loop ->
-          let right_heap, rschema =
-            nl_inner ~child ~materialize:Iterator.materialize catalog scope
-              right
-          in
-          let theta =
-            compile_pair_conjunction scope left.schema rschema ~cond ~residual
-          in
-          let schema = Schema.append left.schema rschema in
-          let open_ () =
-            let lit = left.open_ () in
-            { (Iterator.nested_loop_join ~outer_join ~theta lit (right_heap ()))
-              with
-              schema }
-          in
-          { schema; open_ }
-      | Hash | Sort_merge ->
-          let right = input right in
-          let left_key, right_key, null_safe, residual, schema =
-            equi_join_parts
-              ~method_name:(if method_ = Hash then "hash" else "sort-merge")
-              scope left.schema right.schema ~cond ~residual
-          in
-          let open_ () =
-            let lit = left.open_ () in
-            let rit = right.open_ () in
-            if method_ = Hash then
-              Vec.to_tuple
-                (Vec.hash_join ~outer_join ~null_safe ?residual ~left_key
-                   ~right_key (batches lit) (batches rit))
-            else
-              Iterator.merge_join ~outer_join ~null_safe ?residual ~left_key
-                ~right_key lit rit
-          in
-          { schema; open_ })
-  | Group_agg { group_by; aggs; input = i }
-  | Hash_group_agg { group_by; aggs; input = i } ->
+      row (sorted pager ~key:(List.map (find_col i.schema) cols) i)
+  | Join { method_ = Index_nl; kind; cond; residual; left; right } ->
+      row
+        (index_nl_join ~child scope ~outer_join:(kind = Left_outer) ~cond
+           ~residual ~right (input left))
+  | Join { method_ = Sort_merge; kind; cond; residual; left; right } ->
+      let left = input left and right = input right in
+      let left_key, right_key, null_safe, residual, schema =
+        equi_join_parts ~method_name:"sort-merge" scope left.schema
+          right.schema ~cond ~residual
+      in
+      let open_ () =
+        let lit = left.open_ () in
+        let rit = right.open_ () in
+        Iterator.merge_join ~outer_join:(kind = Left_outer) ~null_safe
+          ?residual ~left_key ~right_key lit rit
+      in
+      row { schema; open_ }
+  | Group_agg { group_by; aggs; input = i } ->
       let i = input i in
       let group_key, aggs, schema = group_agg_parts i.schema ~group_by ~aggs in
-      let agg_op =
-        match (node, group_key) with
-        | Hash_group_agg _, _ :: _ ->
-            through_vec (Vec.hash_group_agg ~group_key ~aggs ~schema)
-        | _ -> Iterator.group_agg_sorted ~group_key ~aggs ~schema
+      row
+        { (map_open i (Iterator.group_agg_sorted ~group_key ~aggs ~schema)) with
+          schema }
+  | Hash_group_agg { group_by = []; aggs; input = i } when produces_rows i ->
+      let i = input i in
+      let _, aggs, schema = group_agg_parts i.schema ~group_by:[] ~aggs in
+      row { (map_open i (Iterator.global_agg ~aggs ~schema)) with schema }
+  | Project (cols, i) when produces_rows i ->
+      let i = input i in
+      let positions = Array.of_list (List.map (find_col i.schema) cols) in
+      let schema = Schema.project i.schema (Array.to_list positions) in
+      let project (it : Iterator.t) =
+        let next () =
+          Option.map (fun r -> Row.project_positions r positions) (it.next ())
+        in
+        { Iterator.schema; next }
       in
-      { (map_open i agg_op) with schema }
-  | Apply a -> apply ~child ex catalog scope a (input a.outer)
+      row { (map_open i project) with schema }
+  | Apply a -> row (apply ~child ex catalog scope a (input a.outer))
+  | Scan _ | Rename _ | Filter _ | Project _ | Hash_distinct _
+  | Hash_group_agg _
+  | Join { method_ = Nested_loop | Hash; _ } ->
+      batches ()
 
-let rec compile ?observe ex scope catalog node : Iterator.t compiled =
-  observed observe node
-    (tuple_node
-       ~child:(fun scope n -> compile ?observe ex scope catalog n)
-       ex scope catalog node)
-
-(* The vectorized executor: scans, filters, projections, nested-loop joins
-   and the hash operators run batch-at-a-time through [Vec]; every other
-   operator runs its compiled tuple implementation between adapters, so
-   any plan executes under either engine. *)
-let rec compile_vec ?observe ex scope (catalog : Catalog.t) (node : node) :
-    Vec.t compiled =
-  let input n = compile_vec ?observe ex scope catalog n in
+and compile_vec ?observe ?(rowwise = false) ex scope (catalog : Catalog.t)
+    (node : node) : Vec.t compiled =
+  let input ?rowwise n = compile_vec ?observe ?rowwise ex scope catalog n in
+  let batches c = observed (Option.map (fun o -> o.batches) observe) node c in
   (* [cols]: the projection a hash join's gather is fused with *)
   let hash_join ?cols ~kind ~cond ~residual left right =
     let lv = input left in
@@ -868,23 +831,32 @@ let rec compile_vec ?observe ex scope (catalog : Catalog.t) (node : node) :
       Vec.hash_join ~outer_join:(kind = Left_outer) ~null_safe ?residual
         ?project ~left_key ~right_key l r
     in
-    { schema = Option.fold ~none:joined ~some:(Schema.project joined) project;
-      open_ }
+    batches
+      { schema = Option.fold ~none:joined ~some:(Schema.project joined) project;
+        open_ }
   in
-  observed observe node
-  @@
+  let rows () =
+    map_open (compile_rows ?observe ex scope catalog node) Vec.of_tuple
+  in
   match node with
+  | Project (_, i) | Hash_group_agg { group_by = []; input = i; _ }
+    when produces_rows i ->
+      rows ()
   | Scan name ->
       let heap = Catalog.heap catalog name in
       let schema = Schema.rename_rel (Storage.Heap_file.schema heap) name in
-      { schema; open_ = (fun () -> Vec.with_schema (Vec.scan heap) schema) }
+      let open_ () =
+        Vec.with_schema (Vec.scan ~eager:(not rowwise) heap) schema
+      in
+      batches { schema; open_ }
   | Rename (alias, i) ->
-      let v = input i in
+      let v = input ~rowwise i in
       let schema = Schema.rename_rel v.schema alias in
-      { (map_open v (fun v -> Vec.with_schema v schema)) with schema }
+      batches { (map_open v (fun v -> Vec.with_schema v schema)) with schema }
   | Filter (preds, i) ->
-      let v = input i in
-      map_open v (Vec.filter ~pred:(vec_conjunction scope v.schema preds))
+      let v = input ~rowwise i in
+      batches
+        (map_open v (Vec.filter ~pred:(vec_conjunction scope v.schema preds)))
   | Project (cols, Join { method_ = Hash; kind; cond; residual; left; right })
     when observe = None ->
       (* Late materialization: fuse the projection into the hash join's
@@ -892,20 +864,19 @@ let rec compile_vec ?observe ex scope (catalog : Catalog.t) (node : node) :
          [observe] to keep per-node EXPLAIN ANALYZE accounting intact. *)
       hash_join ~cols ~kind ~cond ~residual left right
   | Project (cols, i) ->
-      let v = input i in
+      let v = input ~rowwise i in
       let idxs = List.map (find_col v.schema) cols in
       let schema = Schema.project v.schema idxs in
       let positions = Array.of_list idxs in
-      { (map_open v (Vec.project ~schema ~positions)) with schema }
-  | Hash_distinct i -> map_open (input i) Vec.hash_distinct
+      batches { (map_open v (Vec.project ~schema ~positions)) with schema }
+  | Hash_distinct i -> batches (map_open (input i) Vec.hash_distinct)
   | Join { method_ = Hash; kind; cond; residual; left; right } ->
       hash_join ~kind ~cond ~residual left right
   | Join { method_ = Nested_loop; kind; cond; residual; left; right } ->
-      let lv = input left in
+      let lv = input ~rowwise:true left in
       let right_heap, rschema =
         nl_inner
-          ~child:(fun scope n -> compile_vec ?observe ex scope catalog n)
-          ~materialize:(fun pager v -> Iterator.materialize pager (Vec.to_tuple v))
+          ~child:(fun scope n -> compile_rows ?observe ex scope catalog n)
           catalog scope right
       in
       (* the left row the inner is rescanned under; the join's left
@@ -929,38 +900,26 @@ let rec compile_vec ?observe ex scope (catalog : Catalog.t) (node : node) :
         Vec.nested_loop_join ~outer_join:(kind = Left_outer) ~schema ~frame ~pred
           l (right_heap ())
       in
-      { schema; open_ }
+      batches { schema; open_ }
   | Hash_group_agg { group_by; aggs; input = i } ->
       let v = input i in
       let group_key, aggs, schema = group_agg_parts v.schema ~group_by ~aggs in
-      { (map_open v (Vec.hash_group_agg ~group_key ~aggs ~schema)) with schema }
-  | _ ->
-      map_open
-        (tuple_node
-           ~child:(fun scope n ->
-             map_open (compile_vec ?observe ex scope catalog n) Vec.to_tuple)
-           ex scope catalog node)
-        Vec.of_tuple
+      batches
+        { (map_open v (Vec.hash_group_agg ~group_key ~aggs ~schema)) with schema }
+  | Index_scan _ | Distinct _ | Sort _ | Group_agg _ | Apply _
+  | Join { method_ = Index_nl | Sort_merge; _ } ->
+      rows ()
 
 (* Compile, run to completion, then delete the value lists nested
    iteration materialized. *)
-let execute compile_root finish =
+let run ?observe catalog node : Relalg.Relation.t =
   let ex = { lists = [] } in
-  let result = finish ((compile_root ex).open_ ()) in
+  let v = (compile_vec ?observe ex [] catalog node).open_ () in
+  let result = Relalg.Relation.make v.Vec.schema (Vec.to_rows v) in
   List.iter
     (fun (_, cell) -> Option.iter Storage.Heap_file.delete !cell)
     ex.lists;
   result
-
-let run ?observe catalog node : Relalg.Relation.t =
-  execute
-    (fun ex -> compile ?observe ex [] catalog node)
-    Iterator.to_relation
-
-let run_vec ?observe catalog node : Relalg.Relation.t =
-  execute
-    (fun ex -> compile_vec ?observe ex [] catalog node)
-    (fun v -> Relalg.Relation.make v.Vec.schema (Vec.to_rows v))
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN                                                             *)

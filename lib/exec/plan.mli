@@ -10,12 +10,16 @@
     operator whose input has the column, read from the row it has bound
     for the current open.
 
-    Two engines execute plans ({!run}, {!run_vec}).  Each physical
-    operator has one implementation: the paper's sorts, sort-merge and
-    index joins, sorted grouping and [Apply] in {!Iterator}, the
-    beyond-the-paper hash operators in {!Vec}; the engine picks the
-    implementation of scans, filters, projections and nested-loop
-    joins. *)
+    One executor runs every plan ({!run}).  Scans, filters, projections,
+    renames, nested-loop joins and the beyond-the-paper hash operators run
+    batch-at-a-time in {!Vec}; index scans, the paper's sorts, sort-merge
+    and index nested-loop joins, sorted grouping (the global aggregate
+    included) and [Apply] are row operators in {!Iterator}.  A projection
+    or a global aggregate over a row operator runs on rows too.  An
+    adapter stands only where the two kinds meet.  A scan's batch carries its pages
+    unrequested ({!Batch.t}'s [pages]), so a row operator above a
+    scan, a filter or a projection sees the page requests of a row-by-row
+    scan, in the same order relative to its own. *)
 
 type join_method = Nested_loop | Sort_merge | Index_nl | Hash
 
@@ -105,19 +109,8 @@ exception Plan_error of string
 (** Schema the node produces.  @raise Plan_error / Catalog.Unknown_table *)
 val output_schema : Storage.Catalog.t -> node -> Relalg.Schema.t
 
-(** Which executor runs a plan's scans, filters, projections and
-    nested-loop joins: [Tuple] is the Volcano engine, the default;
-    [Vectorized] pulls column-major {!Batch.t} chunks through {!Vec},
-    falling back to the tuple operators (through adapters) for sorts,
-    sort-merge and index nested-loop joins, [Group_agg] and [Apply].  The
-    hash operators ([Hash_distinct], hash [Join], [Hash_group_agg]) have
-    one implementation, {!Vec}'s, which the tuple engine runs between
-    adapters; only its global aggregate (a [Hash_group_agg] with no group
-    key, re-opened per outer row by nested iteration) is
-    {!Iterator.global_agg}.  Both engines return the same rows with the
-    same logical reads and physical writes; physical reads may differ once
-    LRU evicts, since a vectorized scan requests a chunk's pages
-    together. *)
+(** The former engine switch, kept so callers that name an engine still
+    compile: every plan runs on the one executor, whichever is named. *)
 type engine = Tuple | Vectorized
 
 val engine_name : engine -> string
@@ -126,19 +119,23 @@ val engine_name : engine -> string
 val engine_of_string : string -> engine option
 
 (** An observer intercepts every open of every operator: it receives the
-    plan node and a thunk opening its iterator (including eager work —
-    sorts, materializations, hash builds) and returns the iterator to use,
-    usually the built one wrapped with instrumentation.  {!Explain} supplies
-    one to collect per-operator {!Metrics} without the executor knowing.
-    [vec_observer] is the same protocol for the vectorized engine. *)
-type observer = node -> (unit -> Iterator.t) -> Iterator.t
-
-type vec_observer = node -> (unit -> Vec.t) -> Vec.t
+    plan node and a thunk opening it (including eager work — sorts,
+    materializations, hash builds) and returns the operator to use,
+    usually the built one wrapped with instrumentation.  A row operator
+    goes through [rows], a batch operator through [batches].  {!Explain}
+    supplies one to collect per-operator {!Metrics} without the executor
+    knowing. *)
+type observer = {
+  rows : node -> (unit -> Iterator.t) -> Iterator.t;
+  batches : node -> (unit -> Vec.t) -> Vec.t;
+}
 
 (** Execute and collect the rows (page traffic through the catalog's
     pager), then delete the value lists an [Apply] materialized.
     A [Sort] or [Distinct] re-opened under an [Apply] deletes its previous
-    open's sorted run.
+    open's sorted run, a nested-loop join its previous materialized inner.
+    A nested-loop join's inner is the stored table, or the inner subtree
+    materialized at each open.
     Sort-merge joins require plan-inserted [Sort]s (or born-sorted inputs);
     [Group_agg] requires input sorted on [group_by] ([Hash_group_agg] does
     not).  [observe] wraps every operator each time it is opened, so once
@@ -147,15 +144,6 @@ type vec_observer = node -> (unit -> Vec.t) -> Vec.t
     @raise Plan_error on malformed plans.
     @raise Eval.Runtime_error where nested iteration would. *)
 val run : ?observe:observer -> Storage.Catalog.t -> node -> Relalg.Relation.t
-
-(** {!run} batch-at-a-time: scans, filters, projections, the hash
-    operators and nested-loop joins run vectorized, everything else through
-    tuple adapters.  A nested-loop join's inner is the same heap the tuple
-    engine rescans — the stored table, or the inner subtree materialized at
-    each open from its batches' stored rows — and each rescan requests its
-    pages in the same order. *)
-val run_vec :
-  ?observe:vec_observer -> Storage.Catalog.t -> node -> Relalg.Relation.t
 
 (** One-line operator description, without children. *)
 val label : node -> string

@@ -6,9 +6,9 @@
    selection-vector compaction, amortize all per-call bookkeeping over the
    batch.  Every semantic decision (3VL comparisons, NULL handling in keys
    and aggregates, Int/Float numeric unification) delegates to the same
-   [Eval]/[Value] rules the tuple engine uses, so the two engines can only
-   differ in speed, never in results — the differential oracle enforces
-   this over the whole query matrix. *)
+   [Eval]/[Value] rules the row operators use; the differential oracle
+   holds the plans to an independent evaluator over the whole query
+   matrix. *)
 
 module Value = Relalg.Value
 module Truth = Relalg.Truth
@@ -25,27 +25,46 @@ let schema t = t.schema
 (* Adapters                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Rows into batches.  The buffer starts small and doubles up to
+   [Batch.max_rows], so an input of a few rows (an index probe's matches)
+   allocates for what it holds; a batch cut short by the input's end is
+   the last, and the input is not pulled again. *)
 let of_tuple (it : Iterator.t) : t =
+  let ended = ref false in
   let next_batch () =
-    match it.Iterator.next () with
-    | None -> None
-    | Some first ->
-        let buf = Array.make Batch.max_rows first in
-        let n = ref 1 in
-        (try
-           while !n < Batch.max_rows do
-             match it.Iterator.next () with
-             | Some r ->
-                 buf.(!n) <- r;
-                 incr n
-             | None -> raise_notrace Exit
-           done
-         with Exit -> ());
-        let rows = if !n = Batch.max_rows then buf else Array.sub buf 0 !n in
-        Some (Batch.of_rows it.Iterator.schema rows)
+    if !ended then None
+    else
+      match it.Iterator.next () with
+      | None ->
+          ended := true;
+          None
+      | Some first ->
+          let buf = ref (Array.make 8 first) in
+          let n = ref 1 in
+          while !n < Batch.max_rows && not !ended do
+            match it.Iterator.next () with
+            | Some r ->
+                if !n = Array.length !buf then begin
+                  let grown =
+                    Array.make (min Batch.max_rows (2 * !n)) first
+                  in
+                  Array.blit !buf 0 grown 0 !n;
+                  buf := grown
+                end;
+                !buf.(!n) <- r;
+                incr n
+            | None -> ended := true
+          done;
+          let rows =
+            if !n = Array.length !buf then !buf else Array.sub !buf 0 !n
+          in
+          Some (Batch.of_rows it.Iterator.schema rows)
   in
   { schema = it.Iterator.schema; next_batch }
 
+(* Each row is handed out after the pages a row-by-row scan would have
+   requested by then; a batch's remaining pages go before the next batch
+   is pulled. *)
 let to_tuple (v : t) : Iterator.t =
   let cur = ref None (* (batch, live indices, cursor) *) in
   let rec next () =
@@ -53,10 +72,16 @@ let to_tuple (v : t) : Iterator.t =
     | Some (b, idxs, pos) when !pos < Array.length idxs ->
         let i = idxs.(!pos) in
         incr pos;
+        Heap_file.request_through b.Batch.pages i;
         Some (Batch.row b i)
-    | _ -> (
+    | finished -> (
+        Option.iter
+          (fun (b, _, _) -> Heap_file.request_all b.Batch.pages)
+          finished;
         match v.next_batch () with
-        | None -> None
+        | None ->
+            cur := None;
+            None
         | Some b ->
             cur := Some (b, Batch.live_indices b, ref 0);
             next ())
@@ -75,15 +100,29 @@ let to_rows (v : t) =
 (* Scan: the heap's column image                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A chunk of the image as a batch that carries the stored rows. *)
-let chunk_batch schema (len, cols, rows) =
-  { Batch.schema; len; cols; sel = None; rows = Some rows }
+(* A chunk of the image as a batch that carries the stored rows and the
+   chunk's pending pages. *)
+let chunk_batch schema (c : Heap_file.chunk) =
+  {
+    Batch.schema;
+    len = c.len;
+    cols = c.cols;
+    sel = None;
+    rows = Some c.rows;
+    pages = c.pages;
+  }
 
-let scan (heap : Heap_file.t) : t =
+let scan ?(eager = false) (heap : Heap_file.t) : t =
   let schema = Heap_file.schema heap in
   let next_chunk = Heap_file.scan_chunks heap in
-  { schema; next_batch = (fun () -> Option.map (chunk_batch schema) (next_chunk ())) }
-
+  let next_batch () =
+    match next_chunk () with
+    | None -> None
+    | Some c ->
+        if eager then Heap_file.request_all c.pages;
+        Some (chunk_batch schema c)
+  in
+  { schema; next_batch }
 
 let with_schema (v : t) schema =
   {
@@ -254,7 +293,7 @@ let int_col_loop op (da : int array) (na : bool array) (db : int array)
   !k
 
 (* Boxed fallback: still one tight loop per batch, no per-row closures or
-   truth-list allocation (unlike the tuple engine's conjunction). *)
+   truth-list allocation. *)
 let generic_lit_loop op b ci (v : Value.t) sel n =
   let k = ref 0 in
   for si = 0 to n - 1 do
@@ -755,7 +794,7 @@ let hash_join ?(outer_join = false) ?(null_safe : bool list option)
     ivec_push out_r (-1)
   in
   (* Emit a flat-table chain (newest-first): reserve and fill backwards so
-     output order is build order, matching the tuple engine. *)
+     output order is build order, as a nested-loop join's would be. *)
   let emit_chain lb i head =
     if head < 0 then begin
       if outer_join then pad_left i
@@ -875,7 +914,7 @@ let hash_join ?(outer_join = false) ?(null_safe : bool list option)
             else gather_right (p - l_arity) !start len)
           out_positions
       in
-      Queue.add { Batch.schema; len; cols; sel = None; rows = None } pending;
+      Queue.add (Batch.of_cols schema len cols) pending;
       start := !start + len
     done
   in
@@ -943,7 +982,7 @@ let nested_loop_join ?(outer_join = false) ~schema ~(frame : Row.t ref)
             let cj = p - l_arity in
             gather_refs tys.(p) cs cj out_r.buf 0 len)
     in
-    Queue.add { Batch.schema; len; cols; sel = None; rows = None } pending;
+    Queue.add (Batch.of_cols schema len cols) pending;
     let rest = out_l.n - len in
     Array.blit out_l.buf len out_l.buf 0 rest;
     Array.blit out_r.buf len out_r.buf 0 rest;
@@ -958,14 +997,16 @@ let nested_loop_join ?(outer_join = false) ~schema ~(frame : Row.t ref)
     let rec rescan () =
       match next_chunk () with
       | None -> ()
-      | Some ((len, cols, _) as chunk) ->
+      | Some chunk ->
+          Heap_file.request_all chunk.pages;
+          let len = chunk.len in
           for k = 0 to len - 1 do
             sel.(k) <- k
           done;
           let n = pred (chunk_batch r_schema chunk) sel len in
           if n > 0 then begin
             matched := true;
-            let c = retain cols lsl ref_bits in
+            let c = retain chunk.cols lsl ref_bits in
             ivec_reserve out_l n;
             ivec_reserve out_r n;
             for k = 0 to n - 1 do
@@ -992,13 +1033,18 @@ let nested_loop_join ?(outer_join = false) ~schema ~(frame : Row.t ref)
     else
       match !cur with
       | Some (lb, idxs, pos) when !pos < Array.length idxs ->
-          join_row lb idxs.(!pos);
+          let i = idxs.(!pos) in
+          Heap_file.request_through lb.Batch.pages i;
+          join_row lb i;
           incr pos;
           next_batch ()
       | finished -> (
-          (* as the tuple join asks for its next left row as soon as a
-             rescan ends, the next left batch is pulled before the last
-             one's leftover matches go out *)
+          (* as a row-at-a-time join asks for its next left row as soon
+             as a rescan ends, the next left batch is pulled before the
+             last one's leftover matches go out *)
+          Option.iter
+            (fun (lb, _, _) -> Heap_file.request_all lb.Batch.pages)
+            finished;
           let next = left.next_batch () in
           (match finished with
           | Some (lb, _, _) when out_l.n > 0 -> emit lb out_l.n
@@ -1059,6 +1105,11 @@ let update_from_col (st : Eval.agg_state) (c : Batch.col) i =
       | _ -> Eval.update_state st (Relalg.Column.value c i))
   | Batch.Values vs -> Eval.update_state st vs.(i)
 
+(* The tables a global aggregate never touches, shared so that one
+   opened per outer row allocates none. *)
+let no_int_groups : (int, Eval.agg_state array) Hashtbl.t = Hashtbl.create 1
+let no_groups : Eval.agg_state array Row.Tbl.t = Row.Tbl.create 1
+
 let hash_group_agg ~group_key ~(aggs : Iterator.agg_spec list) ~schema
     (input : t) : t =
   let gk = Array.of_list group_key in
@@ -1068,10 +1119,10 @@ let hash_group_agg ~group_key ~(aggs : Iterator.agg_spec list) ~schema
   (* Group routing mirrors [hash_join]'s: int-class keys through an unboxed
      table, everything else (including the NULL group) through [Row.Tbl]. *)
   let t1 : (int, Eval.agg_state array) Hashtbl.t =
-    Hashtbl.create (if nk = 0 then 1 else 256)
+    if nk = 1 then Hashtbl.create 256 else no_int_groups
   in
   let tg : Eval.agg_state array Row.Tbl.t =
-    Row.Tbl.create (if nk = 0 then 1 else 64)
+    if nk = 0 then no_groups else Row.Tbl.create 64
   in
   let order = ref [] (* (first-occurrence key row, states), reversed *) in
   let global = fresh () in

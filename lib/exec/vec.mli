@@ -1,33 +1,36 @@
-(** Batch-at-a-time (vectorized) physical operators.
+(** Batch-at-a-time physical operators.
 
-    The vectorized engine mirrors the Volcano operators in {!Iterator} but
-    pulls {!Batch.t} chunks instead of single rows: per-call overhead is
-    amortized over ~{!Batch.max_rows} rows, predicates run as tight loops
-    over unboxed column arrays with selection-vector compaction, and
-    filter/project are zero-copy.  Nested-loop joins run here too: under
-    each left row the stored inner is rescanned chunk by chunk through the
-    same predicate kernels.  Adapters convert in both directions so
-    batch-only and tuple-only operators compose inside one plan; operators
-    without a vectorized implementation (sorts, merge and index
-    nested-loop joins, sorted grouping, the dependent join) run through the
-    adapters.  The hash operators here are the only ones: the tuple engine
-    runs them between {!of_tuple} and {!to_tuple}.
+    Operators pull {!Batch.t} chunks instead of single rows: per-call
+    overhead is amortized over ~{!Batch.max_rows} rows, predicates run as
+    tight loops over unboxed column arrays with selection-vector
+    compaction, and filter/project are zero-copy.  Nested-loop joins run
+    here too: under each left row the stored inner is rescanned chunk by
+    chunk through the same predicate kernels.  Adapters convert in both
+    directions so batch operators and the row operators of {!Iterator}
+    (sorts, merge and index nested-loop joins, sorted grouping, the
+    dependent join) compose inside one plan.
 
-    Semantics are identical to the tuple operators by construction: scalar
-    comparison, NULL and aggregate rules all delegate to {!Eval}, hash keys
-    group by the same {!Relalg.Value.compare} equality classes (Int/Float
-    unify numerically, NULL equals itself only where null-safe), and the
-    differential oracle cross-checks the two engines. *)
+    Semantics follow {!Eval}: scalar comparison, NULL and aggregate rules
+    all delegate to it, and hash keys group by the same
+    {!Relalg.Value.compare} equality classes (Int/Float unify numerically,
+    NULL equals itself only where null-safe).  The differential oracle
+    holds the plans built from these operators to an independent
+    evaluator ({!Nested_iter}). *)
 
 type t = { schema : Relalg.Schema.t; next_batch : unit -> Batch.t option }
 
 val schema : t -> Relalg.Schema.t
 
-(** Adapt a tuple iterator: each [next_batch] pulls up to {!Batch.max_rows}
-    rows and transposes them. *)
+(** Adapt a row iterator: each [next_batch] pulls up to {!Batch.max_rows}
+    rows into a buffer that grows from a few slots, and transposes them.
+    After a short batch the input is not pulled again. *)
 val of_tuple : Iterator.t -> t
 
-(** Adapt to a tuple iterator: rows are gathered lazily from each batch. *)
+(** Adapt to a row iterator: rows are gathered lazily from each batch.
+    Before it returns a row it requests the batch's pending pages that
+    start at or before that row ({!Storage.Heap_file.request_through}),
+    and the rest
+    before it pulls the next batch. *)
 val to_tuple : t -> Iterator.t
 
 (** Drain to rows (selected rows only, in batch order). *)
@@ -35,9 +38,13 @@ val to_rows : t -> Relalg.Row.t list
 
 (** Page-to-batch sequential scan over the heap's column image
     ({!Storage.Heap_file.scan_chunks}), up to {!Batch.max_rows} rows per
-    batch; each batch carries the heap's stored rows.  Page reads go
-    through the buffer pool as a batch-filling {!Iterator.scan} would. *)
-val scan : Storage.Heap_file.t -> t
+    batch; each batch carries the heap's stored rows and its chunk's pages,
+    pending ({!Batch.pages}).  A consumer that takes rows one at a time
+    ({!to_tuple}, {!nested_loop_join}'s left side) requests each page at
+    the row that first needs it; the next pull requests whatever is still
+    pending.  [~eager:true] requests a chunk's pages when its batch is
+    handed out, for a consumer that takes batches whole. *)
+val scan : ?eager:bool -> Storage.Heap_file.t -> t
 
 (** Retag the output schema (alias rename); batches are re-tagged only. *)
 val with_schema : t -> Relalg.Schema.t -> t
@@ -98,12 +105,14 @@ val hash_join :
   t ->
   t
 
-(** Nested loops over a stored inner; same contract as
-    {!Iterator.nested_loop_join}.  Each live left row is bound in [frame]
-    (read by [pred]'s left operands), then [right] is rescanned through
-    {!Storage.Heap_file.scan_chunks} — the pages the tuple operator's
-    rescan requests, in the same order — and [pred] narrows each chunk to
-    the row's matches.  [outer_join] pads an unmatched left row.  Output
+(** Nested loops over a stored inner: the stored right side is rescanned
+    once per left row (cheap iff it fits in the pool).  Each live left row
+    is bound in [frame] (read by [pred]'s left operands) after the left
+    batch's pending pages up to it are requested, then [right] is
+    rescanned through {!Storage.Heap_file.scan_chunks} — the pages a
+    row-by-row rescan requests, in the same order — and [pred] narrows
+    each chunk to the row's matches.  [outer_join] pads an unmatched left
+    row with NULLs, the operation §5.2 of the paper requires.  Output
     under [schema] (left@right) is gathered column-wise from the left batch
     and the inner chunks, at most {!Batch.max_rows} rows per batch, so it
     allocates per output row, not per inner row scanned. *)

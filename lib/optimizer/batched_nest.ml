@@ -5,7 +5,7 @@
    tuple) and set-oriented unnesting (NEST-JA2, which refuses shapes it
    cannot prove sound): each block's FROM chain and subquery-free predicates
    go through the ordinary [Planner] lowering — restrictions pushed, join
-   methods costed (or forced), either engine — and a per-key [Apply] over
+   methods costed (or forced) — and a per-key [Apply] over
    that plan evaluates each WHERE subquery once per distinct correlation-key
    tuple (in key order, NULL keys sharing one tuple under the null-safe
    [Value.hash]/[Value.equal]), then filters the outer rows against the
@@ -105,11 +105,11 @@ let rec lower ?(force = Planner.Auto) ?(mode = Planner.Paper1987) catalog
     (if preds = [] then plan
      else Exec.Plan.Apply { mode = Exec.Plan.Per_key; preds; outer = plan })
 
-let run ?force ?mode ?(engine = Exec.Plan.Tuple) ?session catalog (q : query)
-    : result =
+let run ?force ?mode ?engine:(_ : Exec.Plan.engine option) ?session catalog
+    (q : query) : result =
   let plan = lower ?force ?mode catalog q in
   {
     relation =
       Exec.Sysr_iteration.present catalog q
-        (Planner.run_plan ~engine ?session catalog plan);
+        (Planner.run_plan ?session catalog plan);
   }

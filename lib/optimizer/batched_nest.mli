@@ -41,12 +41,13 @@ val lower :
   Sql.Ast.query ->
   Exec.Plan.node
 
-(** {!lower}, then run under [engine] ([session] instruments every
+(** {!lower}, then run ([session] instruments every
     operator, re-opened inner plans included), then present the result as
     nested iteration does (output schema, DISTINCT order, ORDER BY).
     @raise Unsupported on unbatchable correlation (see above)
     @raise Exec.Eval.Runtime_error exactly where nested iteration would
-    (multi-row scalar subqueries, multi-column value subqueries). *)
+    (multi-row scalar subqueries, multi-column value subqueries).
+    [engine] is ignored: there is one executor. *)
 val run :
   ?force:Planner.join_choice ->
   ?mode:Planner.mode ->

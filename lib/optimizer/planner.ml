@@ -581,27 +581,19 @@ let register_temp_result catalog name def out_sorted result =
   let renamed = Relation.make schema (Relation.rows result) in
   Catalog.register_relation ?sorted_on:out_sorted catalog name renamed
 
-(* Execute a lowered plan under the chosen engine, instrumented when a
-   session is supplied.  The observer type differs per engine (tuple
-   iterators vs batch streams), so the dispatch lives here rather than in
-   callers. *)
-let run_plan ~engine ?session catalog plan : Relation.t =
-  match (engine : Exec.Plan.engine) with
-  | Exec.Plan.Tuple ->
-      let observe = Option.map Exec.Explain.observer session in
-      Exec.Plan.run ?observe catalog plan
-  | Exec.Plan.Vectorized ->
-      let observe = Option.map Exec.Explain.observer_vec session in
-      Exec.Plan.run_vec ?observe catalog plan
+(* Execute a lowered plan, instrumented when a session is supplied. *)
+let run_plan ?session catalog plan : Relation.t =
+  let observe = Option.map Exec.Explain.observer session in
+  Exec.Plan.run ?observe catalog plan
 
 (* Materialize one temp definition and register it under its name with the
    program's column names. *)
 let materialize_temp ?(force = Auto) ?(mode = Paper1987)
-    ?(engine = Exec.Plan.Tuple) ?session catalog
+    ?engine:(_ : Exec.Plan.engine option) ?session catalog
     ({ Program.name; def } : Program.temp) =
   let { plan; out_sorted } = lower ~force ~mode catalog def in
   register_temp_result catalog name def out_sorted
-    (run_plan ~engine ?session catalog plan)
+    (run_plan ?session catalog plan)
 
 (* Structural verification of a transformed program (NQ900-NQ906): the
    invariants NEST-JA2 guarantees and Kim's NEST-JA violates.  The checker
@@ -636,18 +628,18 @@ let check_plan ~label catalog plan =
    every lowered plan is additionally type-checked ([Analysis.Plan_check],
    NQ110-NQ115) before it executes. *)
 let run_program ?(force = Auto) ?(mode = Paper1987) ?(check = false)
-    ?(engine = Exec.Plan.Tuple) ?session catalog (p : Program.t) : Relation.t
+    ?engine:(_ : Exec.Plan.engine option) ?session catalog (p : Program.t) : Relation.t
     =
   List.iter
     (fun ({ Program.name; def } : Program.temp) ->
       let { plan; out_sorted } = lower ~force ~mode catalog def in
       if check then check_plan ~label:("temp " ^ name) catalog plan;
       register_temp_result catalog name def out_sorted
-        (run_plan ~engine ?session catalog plan))
+        (run_plan ?session catalog plan))
     p.temps;
   let { plan; _ } = lower ~force ~mode catalog p.main in
   if check then check_plan ~label:"main plan" catalog plan;
-  run_plan ~engine ?session catalog plan
+  run_plan ?session catalog plan
 
 (* Validate every plan of a program without executing anything: each temp
    is lowered, type-checked and registered as an *empty* relation of its
@@ -721,16 +713,16 @@ let explain_plan ~analyze ?trace catalog ~label ~run plan =
     Exec.Explain.render_json ~estimate ?metrics plan )
 
 let explain_plans ?(force = Auto) ?(mode = Paper1987) ?(analyze = false)
-    ?(engine = Exec.Plan.Tuple) ?trace catalog (p : Program.t) :
+    ?engine:(_ : Exec.Plan.engine option) ?trace catalog (p : Program.t) :
     explained list =
   let segment label def ~register =
     let { plan; out_sorted } = lower ~force ~mode catalog def in
     let run ?session () =
       match register with
-      | None -> ignore (run_plan ~engine ?session catalog plan)
+      | None -> ignore (run_plan ?session catalog plan)
       | Some name ->
           register_temp_result catalog name def out_sorted
-            (run_plan ~engine ?session catalog plan)
+            (run_plan ?session catalog plan)
     in
     let text, json =
       explain_plan ~analyze ?trace catalog ~label
@@ -751,9 +743,9 @@ let explain_plans ?(force = Auto) ?(mode = Paper1987) ?(analyze = false)
   temp_segs @ [ main_seg ]
 
 (* EXPLAIN: the full pipeline as text, one "label:" header per segment. *)
-let explain_text ?force ?mode ?analyze ?engine ?trace catalog (p : Program.t)
+let explain_text ?force ?mode ?analyze ?engine:(_ : Exec.Plan.engine option) ?trace catalog (p : Program.t)
     : string =
-  explain_plans ?force ?mode ?analyze ?engine ?trace catalog p
+  explain_plans ?force ?mode ?analyze ?trace catalog p
   |> List.map (fun s -> s.seg_label ^ ":\n" ^ s.seg_text)
   |> String.concat "\n"
 

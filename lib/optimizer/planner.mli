@@ -51,13 +51,11 @@ val lower :
   Sql.Ast.query ->
   lowered
 
-(** Execute a lowered plan under the chosen engine ([Tuple] or
-    [Vectorized]), instrumented with the engine-appropriate
+(** Execute a lowered plan ({!Exec.Plan.run}), instrumented with the
     {!Exec.Explain} observer when a session is supplied.  Exposed for
     strategies that drive plans directly (nested iteration and
     {!Batched_nest}). *)
 val run_plan :
-  engine:Exec.Plan.engine ->
   ?session:Exec.Explain.session ->
   Storage.Catalog.t ->
   Exec.Plan.node ->
@@ -74,10 +72,9 @@ val check_plan :
 
 (** Plan, execute and register one temp definition under its program name
     (column names from [Program.output_column_names], order metadata from
-    the plan).  [engine] selects tuple-at-a-time (the default) or vectorized
-    batch execution ({!Exec.Plan.engine}) — same plans, same results.
-    [session] instruments the execution with the engine-appropriate
-    {!Exec.Explain} observer. *)
+    the plan).  [session] instruments the execution with the
+    {!Exec.Explain} observer.  [engine] is ignored: there is one executor
+    ({!Exec.Plan.engine}). *)
 val materialize_temp :
   ?force:join_choice ->
   ?mode:mode ->
@@ -144,9 +141,8 @@ type explained = {
     which otherwise never runs — and annotates each operator with actual
     rows / [next] calls / wall-clock / page I/Os.  [trace] receives one
     JSON line per operator event plus a [{"ev":"segment"}] marker per
-    segment.  [engine] selects the execution engine for the (instrumented)
-    runs; under the vectorized engine the actuals gain [rows/call] > 1 and
-    a [batches] count.  Temps are dropped before returning. *)
+    segment.  [engine] is ignored, as in {!materialize_temp}.  Temps are
+    dropped before returning. *)
 val explain_plans :
   ?force:join_choice ->
   ?mode:mode ->

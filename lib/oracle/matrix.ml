@@ -1,12 +1,12 @@
 (* The execution matrix: one query, every evaluation path the system has.
 
    Reference: in-memory nested iteration ([Exec.Nested_iter]) plus the
-   presentation ORDER BY — the non-optimizing engine the paper treats as
-   ground truth.  Candidates: the paged nested iteration; the NEST-G
-   transformed program under every (planner mode x forced join method x
-   engine) combination; the batched-bindings strategy
-   ([Optimizer.Batched_nest]) under every (mode x forced join x engine)
-   combination — the third independent executor, which accepts the shapes
+   presentation ORDER BY — the non-optimizing evaluator the paper treats
+   as ground truth, which shares no code with the executor.  Candidates:
+   the paged nested iteration; the NEST-G transformed program under every
+   (planner mode x forced join method) combination; the batched-bindings
+   strategy ([Optimizer.Batched_nest]) under every (mode x forced join)
+   combination — the third independent strategy, which accepts the shapes
    the guarded rewrites refuse; and the end-to-end Auto strategy (the
    ladder users actually run: transform, else batched, else nested), so
    refusal cases get a real second opinion instead of only a refusal tally.
@@ -27,20 +27,9 @@ module Planner = Optimizer.Planner
 
 type candidate =
   | Paged_nested
-  | Rewrite of {
-      mode : Planner.mode;
-      force : Planner.join_choice;
-      engine : Exec.Plan.engine;
-    }
-  | Batched of {
-      mode : Planner.mode;
-      force : Planner.join_choice;
-      engine : Exec.Plan.engine;
-    }
-  | Auto_path of {
-      mode : Planner.mode;
-      engine : Exec.Plan.engine;
-    }
+  | Rewrite of { mode : Planner.mode; force : Planner.join_choice }
+  | Batched of { mode : Planner.mode; force : Planner.join_choice }
+  | Auto_path of { mode : Planner.mode }
   (* The index axis: same strategies with a B-tree on every column of
      every table, so index-only code paths (Sysr probe enumeration,
      IndexScan / index nested-loop plans, Auto's §7 crossover) face the
@@ -59,67 +48,48 @@ let force_label = function
   | Planner.Force_merge -> "merge"
   | Planner.Force_hash -> "hash"
 
-let engine_label = function
-  | Exec.Plan.Tuple -> ""
-  | Exec.Plan.Vectorized -> "/vec"
-
 let candidate_label = function
   | Paged_nested -> "paged-nested"
-  | Rewrite { mode; force; engine } ->
-      Printf.sprintf "rewrite/%s/%s%s" (mode_label mode) (force_label force)
-        (engine_label engine)
-  | Batched { mode; force; engine } ->
-      Printf.sprintf "batched/%s/%s%s" (mode_label mode) (force_label force)
-        (engine_label engine)
-  | Auto_path { mode; engine } ->
-      Printf.sprintf "auto/%s%s" (mode_label mode) (engine_label engine)
+  | Rewrite { mode; force } ->
+      Printf.sprintf "rewrite/%s/%s" (mode_label mode) (force_label force)
+  | Batched { mode; force } ->
+      Printf.sprintf "batched/%s/%s" (mode_label mode) (force_label force)
+  | Auto_path { mode } -> Printf.sprintf "auto/%s" (mode_label mode)
   | Indexed_nested -> "indexed-nested"
   | Indexed_rewrite { mode } ->
       Printf.sprintf "indexed-rewrite/%s" (mode_label mode)
   | Indexed_auto { mode } -> Printf.sprintf "indexed-auto/%s" (mode_label mode)
 
-(* The full grid: 1 paged-nested + 12 forced rewrites (2 modes x 3 forced
-   joins x 2 engines) + 16 batched (2 modes x 4 join choices x 2 engines)
-   + 4 end-to-end Auto (2 modes x 2 engines) + 5 indexed (nested, rewrite
-   x 2 modes, auto x 2 modes) = 38 executions per query.  The engine axis
-   cross-checks the vectorized operators against the tuple engine on every
-   plan shape the other axes can force; the Auto cells subsume the old
-   force=auto rewrite cells (same execution when the transformation
-   applies) and additionally exercise the batched/nested fallback ladder
-   when it refuses; the index axis runs with a B-tree on every column,
-   covering probe-based nested enumeration, IndexScan/index-join plans,
-   and the §7 crossover. *)
+(* The full grid: 1 paged-nested + 6 forced rewrites (2 modes x 3 forced
+   joins) + 8 batched (2 modes x 4 join choices) + 2 end-to-end Auto (one
+   per mode) + 5 indexed (nested, rewrite x 2 modes, auto x 2 modes) = 22
+   executions per query.  The Auto cells subsume force=auto rewrite cells
+   (same execution when the transformation applies) and additionally
+   exercise the batched/nested fallback ladder when it refuses; the index
+   axis runs with a B-tree on every column, covering probe-based nested
+   enumeration, IndexScan/index-join plans, and the §7 crossover. *)
+let modes = [ Planner.Paper1987; Planner.Hybrid ]
+
 let all_candidates =
   (Paged_nested
   :: List.concat_map
        (fun mode ->
-         List.concat_map
-           (fun force ->
-             List.map
-               (fun engine -> Rewrite { mode; force; engine })
-               [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
+         List.map
+           (fun force -> Rewrite { mode; force })
            [ Planner.Force_nl; Planner.Force_merge; Planner.Force_hash ])
-       [ Planner.Paper1987; Planner.Hybrid ])
-  @ List.concat_map
-      (fun mode ->
-        List.concat_map
-          (fun force ->
-            List.map
-              (fun engine -> Batched { mode; force; engine })
-              [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
-          [ Planner.Auto; Planner.Force_nl; Planner.Force_merge;
-            Planner.Force_hash ])
-      [ Planner.Paper1987; Planner.Hybrid ]
+       modes)
   @ List.concat_map
       (fun mode ->
         List.map
-          (fun engine -> Auto_path { mode; engine })
-          [ Exec.Plan.Tuple; Exec.Plan.Vectorized ])
-      [ Planner.Paper1987; Planner.Hybrid ]
+          (fun force -> Batched { mode; force })
+          [ Planner.Auto; Planner.Force_nl; Planner.Force_merge;
+            Planner.Force_hash ])
+      modes
+  @ List.map (fun mode -> Auto_path { mode }) modes
   @ (Indexed_nested
     :: List.concat_map
          (fun mode -> [ Indexed_rewrite { mode }; Indexed_auto { mode } ])
-         [ Planner.Paper1987; Planner.Hybrid ])
+         modes)
 
 type verdict =
   | Agree
@@ -244,16 +214,17 @@ let run_candidate ?(check = false) (case : Repro.case) candidate :
     | Batched { force; _ } -> Core.Batched force
     | Auto_path _ | Indexed_auto _ -> Core.Auto
   in
-  let mode, engine =
+  let mode =
     match candidate with
-    | Paged_nested | Indexed_nested -> (None, None)
-    | Rewrite { mode; engine; _ }
-    | Batched { mode; engine; _ }
-    | Auto_path { mode; engine } ->
-        (Some mode, Some engine)
-    | Indexed_rewrite { mode } | Indexed_auto { mode } -> (Some mode, None)
+    | Paged_nested | Indexed_nested -> None
+    | Rewrite { mode; _ }
+    | Batched { mode; _ }
+    | Auto_path { mode }
+    | Indexed_rewrite { mode }
+    | Indexed_auto { mode } ->
+        Some mode
   in
-  match Core.run ~strategy ~check ?mode ?engine db case.sql with
+  match Core.run ~strategy ~check ?mode db case.sql with
   | Ok e -> Ok e.Core.result
   | Error _ as e -> e
   | exception Exec.Nested_iter.Runtime_error msg -> Error ("runtime: " ^ msg)

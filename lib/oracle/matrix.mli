@@ -1,12 +1,12 @@
 (** The execution matrix: one query evaluated by the non-optimizing
     reference (in-memory nested iteration + presentation ORDER BY) and by
     every candidate path — paged nested iteration; the NEST-G rewrite
-    under every (planner mode x forced join method x execution engine)
-    cell; the batched-bindings strategy ({!Optimizer.Batched_nest}) under
-    every (mode x join choice x engine) cell — the third independent
-    executor, accepting shapes the guarded rewrites refuse; and the
-    end-to-end Auto ladder (transform, else batched, else nested
-    iteration) under every (mode x engine) cell.  A candidate may
+    under every (planner mode x forced join method) cell; the
+    batched-bindings strategy ({!Optimizer.Batched_nest}) under every
+    (mode x join choice) cell — the third independent strategy, accepting
+    shapes the guarded rewrites refuse; the end-to-end Auto ladder
+    (transform, else batched, else nested iteration) in each mode; and
+    the same with a B-tree on every column.  A candidate may
     {e refuse} (not transformable / soundness guard / the one unbatchable
     shape); a candidate that answers must agree with the reference under
     the NULL-aware comparator. *)
@@ -16,17 +16,12 @@ type candidate =
   | Rewrite of {
       mode : Optimizer.Planner.mode;
       force : Optimizer.Planner.join_choice;
-      engine : Exec.Plan.engine;
     }
   | Batched of {
       mode : Optimizer.Planner.mode;
       force : Optimizer.Planner.join_choice;
-      engine : Exec.Plan.engine;
     }
-  | Auto_path of {
-      mode : Optimizer.Planner.mode;
-      engine : Exec.Plan.engine;
-    }
+  | Auto_path of { mode : Optimizer.Planner.mode }
   | Indexed_nested
       (** paged nested iteration with a B-tree on every column — the
           probe-based enumeration must agree with full rescans *)

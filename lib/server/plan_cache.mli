@@ -4,7 +4,7 @@
     AST rendering) — exactly what a [Core.prepared] depends on — to that
     prepared statement, so each distinct statement is parsed, analyzed,
     classified and transformed once and executed many times, under any
-    strategy, mode and engine: those are applied at execute time and are
+    strategy and mode: those are applied at execute time and are
     not part of the key.  O(1)
     lookup/insert via a hashtable over an intrusive recency list (the same
     shape as the pager's LRU), guarded by an internal mutex so sessions on

@@ -109,8 +109,9 @@ let ( let* ) = Result.bind
 let strategy_of_string = Core.strategy_of_string
 
 (* The optional planner knobs shared by query/prepare/explain.  Unknown
-   names are errors, mirroring the CLI's strict --mode/--engine parsing:
-   a typo must never silently select a default. *)
+   names are errors, mirroring the CLI's strict --mode/--strategy parsing:
+   a typo must never silently select a default.  [engine] is still parsed
+   and validated for clients that send it, and the server ignores it. *)
 let knobs_of_json j =
   let parse_with name of_string what =
     match member name j with

@@ -49,6 +49,7 @@ type knobs = {
   strategy : Core.strategy option;
   mode : Optimizer.Planner.mode option;
   engine : Exec.Plan.engine option;
+      (** validated, then ignored: there is one executor *)
 }
 (** Per-request planner knobs; [None] means the server default.  None of
     them is part of the plan-cache key: they are applied when a cached

@@ -85,10 +85,11 @@ let record_verb t name seconds =
 (* Statement preparation against the shared plan cache                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The [engine] knob is validated when the request is parsed and then
+   ignored: there is one executor. *)
 let resolve (k : P.knobs) =
   ( Option.value k.strategy ~default:Core.Auto,
-    Option.value k.mode ~default:Optimizer.Planner.Paper1987,
-    Option.value k.engine ~default:Exec.Plan.Tuple )
+    Option.value k.mode ~default:Optimizer.Planner.Paper1987 )
 
 (* Parse/analyze (to learn the normalized key text), then either reuse the
    cached prepared statement or do the transform once and cache it.  The
@@ -109,9 +110,9 @@ let prepare_cached t sql : (Core.prepared * string, string) result =
           Ok (p, "miss"))
 
 let execute t session ~knobs (p : Core.prepared) =
-  let strategy, mode, engine = resolve knobs in
+  let strategy, mode = resolve knobs in
   let t0 = Unix.gettimeofday () in
-  match Core.run_prepared ~strategy ~mode ~engine t.db p with
+  match Core.run_prepared ~strategy ~mode t.db p with
   | Error _ as e -> e
   | Ok (e : Core.execution) ->
       let wall_s = Unix.gettimeofday () -. t0 in
@@ -242,8 +243,8 @@ let do_execute t (session : Session.t) ~name =
                 (("name", P.Str name) :: result_fields ~cache_status e wall_s)))
 
 let do_explain t ~knobs ~analyze sql =
-  let strategy, mode, engine = resolve knobs in
-  match Core.explain_query ~strategy ~mode ~analyze ~engine t.db sql with
+  let strategy, mode = resolve knobs in
+  match Core.explain_query ~strategy ~mode ~analyze t.db sql with
   | Ok text -> P.ok_response [ ("text", P.Str text) ]
   | Error e -> P.error_response e
 

@@ -5,18 +5,19 @@
    Pi/Pj ("size in pages of relation Ri/Rj") well defined for the measured
    experiments.
 
-   A heap also keeps a column image for the vectorized scan: the rows cut
-   into chunks of [Column.max_rows], each chunk decoded into column
-   vectors the first time a scan reaches it, from the pages that scan
-   reads through the pool.  Later scans are handed the same vectors.  The
-   image only saves CPU: every scan still requests each page through the
-   pool at the point where it first needs a row of that page, so logical
-   reads, physical reads and LRU order are those of a scan that decodes
-   every time.  Each chunk keeps the rows it was decoded from beside its
-   vectors, so a scan can hand out the stored rows themselves (rows are
-   immutable, so sharing them is safe).  Flushed pages never change, so a chunk goes stale only
-   when a flush grows the trailing partial chunk (dropped then) or the
-   file is deleted (the whole image is dropped). *)
+   A heap also keeps a column image for the batch scan: the rows cut into
+   chunks of [Column.max_rows], each chunk decoded into column vectors
+   the first time a scan reaches it, from its pages' contents.  Later
+   scans are handed the same vectors.  The image only saves CPU: decoding
+   requests no page, and every scan hands a chunk out with its pages
+   pending, for its consumer to request where a row-by-row scan would
+   ([scan_chunks]), so logical reads, physical reads and LRU order do not
+   depend on whether a chunk is decoded or found.  Each chunk keeps the
+   rows it was decoded from beside its vectors, so a scan can hand out
+   the stored rows themselves (rows are immutable, so sharing them is
+   safe).  Flushed pages never change, so a chunk goes stale only when a
+   flush grows the trailing partial chunk (dropped then) or the file is
+   deleted (the whole image is dropped). *)
 
 module Row = Relalg.Row
 module Column = Relalg.Column
@@ -121,34 +122,63 @@ let scan t : unit -> Row.t option =
   in
   next
 
-(* Chunk-at-a-time scan over the column image.  For chunk [c] (rows
-   [lo, hi)) it reads through the pool, in order, every page that starts
-   before [hi] and that this scan has not read yet: the pages a scan
-   filling [Column.max_rows]-row batches row by row would read for that
-   batch.  A chunk missing from the image is decoded from those pages and
-   the last page read before them, which may hold the chunk's first
-   rows. *)
-let scan_chunks t : unit -> (int * Column.t array * Row.t array) option =
+(* The pages of one chunk that its scan has not requested yet: pages
+   [next, until) of the file, page [p] starting at row [starts.(p)], all
+   at or after the chunk's first row [lo]; [read] requests one. *)
+type pending = {
+  read : int -> unit;
+  starts : int array;
+  lo : int;
+  mutable next : int;
+  until : int;
+}
+
+type chunk = {
+  len : int;
+  cols : Column.t array;
+  rows : Row.t array;
+  pages : pending;
+}
+
+let no_pages = { read = ignore; starts = [||]; lo = 0; next = 0; until = 0 }
+
+let request_below p row =
+  while p.next < p.until && p.starts.(p.next) < row do
+    p.read p.next;
+    p.next <- p.next + 1
+  done
+
+let request_through p i = request_below p (p.lo + i + 1)
+let request_all p = request_below p max_int
+
+(* Chunk-at-a-time scan over the column image.  Chunk [c] holds rows
+   [lo, hi); its pages are the pages that start in [lo, hi), and it is
+   handed out with them all pending: the consumer requests each before it
+   uses a row at or past the page's first row ([request_through]), or all
+   of them when it takes the chunk whole.  Pulling the next chunk first
+   requests whatever the previous one left pending, so the requests keep
+   the file's order.  A chunk missing from the image is decoded from the
+   pages' contents, which reading does not count as a request: the pool
+   sees exactly the requests of a row-by-row scan. *)
+let scan_chunks t : unit -> chunk option =
   flush t;
   let npages = Pager.page_count t.pager t.file and total = t.tuples in
-  let chunk = ref 0 and next_page = ref 0 in
-  let page = ref [||] and page_start = ref 0 (* the last page read *) in
-  (* Copy the rows of the last page read that fall in
-     [lo, lo + Array.length rows) into [rows]. *)
-  let take rows lo =
-    let a = max lo !page_start
-    and b = min (lo + Array.length rows) (!page_start + Array.length !page) in
-    if a < b then Array.blit !page (a - !page_start) rows (a - lo) (b - a)
-  in
-  let read_until hi rows lo =
-    while !next_page < npages && t.starts.(!next_page) < hi do
-      page := Pager.read_page t.pager t.file !next_page;
-      page_start := t.starts.(!next_page);
-      incr next_page;
-      take rows lo
-    done
+  let chunk = ref 0 and next_page = ref 0 and last = ref no_pages in
+  let read p = ignore (Pager.read_page t.pager t.file p) in
+  let decode lo hi =
+    let rows = Array.make (hi - lo) [||] in
+    (* the page before this chunk's first may hold its first rows *)
+    let q = ref (max 0 (!next_page - 1)) in
+    while !q < npages && t.starts.(!q) < hi do
+      let page = Pager.contents t.pager t.file !q and start = t.starts.(!q) in
+      let a = max lo start and b = min hi (start + Array.length page) in
+      if a < b then Array.blit page (a - start) rows (a - lo) (b - a);
+      incr q
+    done;
+    rows
   in
   fun () ->
+    request_all !last;
     let c = !chunk in
     let lo = c * Column.max_rows in
     if lo >= total then None
@@ -157,18 +187,22 @@ let scan_chunks t : unit -> (int * Column.t array * Row.t array) option =
       let hi = min total (lo + Column.max_rows) in
       (* a scan begun before the last flush may have stored a shorter
          trailing chunk: only a whole one is reused *)
-      match if c < Array.length t.chunks then t.chunks.(c) else None with
-      | Some (n, _, _) as e when n = hi - lo ->
-          read_until hi [||] lo;
-          e
-      | _ ->
-          let rows = Array.make (hi - lo) [||] in
-          take rows lo;
-          read_until hi rows lo;
-          let e = Some (hi - lo, Column.of_rows t.schema rows, rows) in
-          t.chunks <- grown t.chunks c None;
-          t.chunks.(c) <- e;
-          e
+      let len, cols, rows =
+        match if c < Array.length t.chunks then t.chunks.(c) else None with
+        | Some ((n, _, _) as e) when n = hi - lo -> e
+        | _ ->
+            let rows = decode lo hi in
+            let e = (hi - lo, Column.of_rows t.schema rows, rows) in
+            t.chunks <- grown t.chunks c None;
+            t.chunks.(c) <- Some e;
+            e
+      in
+      let first = !next_page in
+      while !next_page < npages && t.starts.(!next_page) < hi do
+        incr next_page
+      done;
+      last := { read; starts = t.starts; lo; next = first; until = !next_page };
+      Some { len; cols; rows; pages = !last }
     end
 
 let to_relation t =

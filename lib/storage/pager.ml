@@ -230,6 +230,11 @@ let read_page t id i : page =
   end;
   f.pages.(i)
 
+let contents t id i : page =
+  let f = find t id "Pager.contents: no such page" in
+  if i < 0 || i >= f.npages then invalid_arg "Pager.contents: no such page";
+  f.pages.(i)
+
 let append_page t id (rows : Row.t array) =
   let f = find t id "Pager.append_page: unknown file" in
   let i = f.npages in

@@ -54,5 +54,11 @@ val page_count : t -> file_id -> int
 (** @raise Invalid_argument on an out-of-range page. *)
 val read_page : t -> file_id -> int -> Relalg.Row.t array
 
+(** A page's rows without requesting it: no counter moves and the LRU
+    order is unchanged.  For work that mirrors a request made separately
+    through {!read_page} (a heap's column image is decoded this way).
+    @raise Invalid_argument on an out-of-range page. *)
+val contents : t -> file_id -> int -> Relalg.Row.t array
+
 val append_page : t -> file_id -> Relalg.Row.t array -> unit
 val delete_file : t -> file_id -> unit

@@ -9,8 +9,9 @@ PARENT_DIR and CHANGE_DIR are two checkouts of this repository (a
 tree for the change).  For each workload, every pair runs
 `nestbench/run.py --workload W --seed S` once in each checkout for
 BENCHMARK.json's `run_seconds`, the side that goes first alternating from
-pair to pair.  The script reads
-`nestbench/` and BENCHMARK.json and never writes to either.
+pair to pair.  The script reads `nestbench/` and BENCHMARK.json and never
+writes to either; the traced pass below leaves each checkout's
+`nestbench/out/W.trace.json`, which git ignores.
 
 Per workload and end-to-end metric it prints each side's median and
 quartiles, the change's win fraction (pairs where it is strictly better),
@@ -28,6 +29,15 @@ bound, then every run's value:
                 change within it cannot be told from noise (unless every
                 run of the change is better than every run of the parent)
     unchanged   otherwise
+
+The timed loop ends mid-round of its shuffled statements, so the mean
+`page_io_per_stmt` moves with how many statements fit in the run even
+when no statement's page I/O changed.  So page I/O is also judged
+exactly: one traced run per side (`--trace 1`) records, for every
+distinct statement, the page I/O of Auto and of every forced strategy
+(the trace's `regret` array, timings ignored) and Auto's pick, and
+`page_io_per_stmt` is reported beside its verdict as "identical" or
+"changed on N statements", each named.
 
 It exits 1 if any metric regressed or any run had a failed statement.
 """
@@ -55,6 +65,33 @@ def run_once(root, workload, seed, seconds):
         sys.stderr.write(done.stderr)
         sys.exit(f"bench_pairs: {workload} failed in {root}")
     return json.loads(done.stdout.rstrip("\n").split("\n")[-1])
+
+
+def traced_io(root, workload, seed):
+    """[(sql, {strategy: page I/O or "refused", "auto": pick})] from one
+    traced run in checkout [root]: Auto's and each forced strategy's page
+    I/O per distinct statement, timings dropped."""
+    cmd = [sys.executable, os.path.join("nestbench", "run.py"),
+           "--workload", workload, "--seed", str(seed), "--seconds", "1",
+           "--trace", "1"]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        sys.exit(f"bench_pairs: traced {workload} failed in {root}")
+    path = os.path.join(root, "nestbench", "out", f"{workload}.trace.json")
+    with open(path) as f:
+        regret = json.load(f).get("regret", [])
+    return [(r["sql"], {k: v["io"] if isinstance(v, dict) else v
+                        for k, v in r.items() if k != "sql"})
+            for r in regret]
+
+
+def io_changes(parent, change):
+    """The statements whose traced page I/O or Auto pick differs between
+    the sides; every statement when the sides traced different ones."""
+    if [sql for sql, _ in parent] != [sql for sql, _ in change]:
+        return [sql for sql, _ in parent]
+    return [sql for (sql, p), (_, c) in zip(parent, change) if p != c]
 
 
 def quartiles(values):
@@ -118,6 +155,9 @@ def main():
             print(f"{workload}: pair {k + 1}/{args.pairs} done",
                   file=sys.stderr, flush=True)
         failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+        traced = {side: traced_io(root, workload, args.seed)
+                  for side, root in sides.items()}
+        changed = io_changes(traced["parent"], traced["change"])
         print(f"\n{workload}: {args.pairs} pairs, seed {args.seed}, "
               f"{seconds:g} s, failed parent {failed['parent']} "
               f"change {failed['change']}")
@@ -131,6 +171,13 @@ def main():
                     for side, vs in values.items()}
             print(f"  {m['name']:18} {cols['parent']:>30} {cols['change']:>30} "
                   f"{rel:+8.1%} {win_frac:5.0%}  {v}")
+            if m["name"] == "page_io_per_stmt":
+                n = len(traced["parent"])
+                print(f"  {'  traced':18} "
+                      + (f"identical on all {n} statements" if not changed
+                         else f"changed on {len(changed)} of {n} statements"))
+                for sql in changed:
+                    print(f"      {sql[:100]}")
             bad = bad or v == "regressed"
         print("  runs, in pair order (parent | change):")
         for m in spec["end_to_end"]:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit checks of scripts/bench_pairs.py's verdict().
+"""Unit checks of scripts/bench_pairs.py's verdict() and io_changes().
 
     python3 scripts/test_bench_pairs.py
 """
@@ -9,7 +9,7 @@ import sys
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pairs import verdict  # noqa: E402
+from bench_pairs import io_changes, verdict  # noqa: E402
 
 QPS = {"name": "qps", "better": "higher", "bound": 0.25}
 SETUP = {"name": "setup_s", "better": "lower", "bound": 0.25}
@@ -53,6 +53,29 @@ class Verdict(unittest.TestCase):
     def test_narrow_parent_clear_gain_is_improved(self):
         self.assertEqual(self.v(QPS, NARROW, [x * 1.5 for x in NARROW]),
                          "improved")
+
+
+class IoChanges(unittest.TestCase):
+    A = ("SELECT A", {"auto": "transformed", "auto_cost": 16, "nested": 16})
+    B = ("SELECT B", {"auto": "nested_iteration", "auto_cost": 0,
+                      "batched": "refused"})
+
+    def test_identical_traces_change_nothing(self):
+        self.assertEqual(io_changes([self.A, self.B], [self.A, self.B]), [])
+
+    def test_one_strategy_io_names_its_statement(self):
+        moved = ("SELECT A", dict(self.A[1], nested=133))
+        self.assertEqual(io_changes([self.A, self.B], [moved, self.B]),
+                         ["SELECT A"])
+
+    def test_a_changed_pick_counts(self):
+        picked = ("SELECT B", dict(self.B[1], auto="batched"))
+        self.assertEqual(io_changes([self.A, self.B], [self.A, picked]),
+                         ["SELECT B"])
+
+    def test_different_statements_change_everything(self):
+        self.assertEqual(io_changes([self.A, self.B], [self.B, self.A]),
+                         ["SELECT A", "SELECT B"])
 
 
 if __name__ == "__main__":

@@ -34,9 +34,9 @@ let max_quan_query =
 
 (* Run a transformed program the way [Core] does: structurally verified
    first (NQ900-NQ906), failing the test on any Error diagnostic. *)
-let run_verified ?force ?mode ?check ?engine catalog program =
+let run_verified ?force ?mode ?check catalog program =
   let diags = Optimizer.Planner.verify_program catalog program in
   if Analysis.Diagnostics.has_errors diags then
     Alcotest.failf "transformed program failed verification:\n%s"
       (Analysis.Diagnostics.list_to_string diags);
-  Optimizer.Planner.run_program ?force ?mode ?check ?engine catalog program
+  Optimizer.Planner.run_program ?force ?mode ?check catalog program

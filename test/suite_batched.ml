@@ -122,7 +122,7 @@ let run_measured db sql =
   let q = Workload.Fixtures.parse_analyzed catalog sql in
   let plan = Batched.lower catalog q in
   let session = Exec.Explain.session (Storage.Catalog.pager catalog) in
-  let result = Planner.run_plan ~engine:Exec.Plan.Tuple ~session catalog plan in
+  let result = Planner.run_plan ~session catalog plan in
   let rec find_apply = function
     | Exec.Plan.Apply a -> a
     | n -> (
@@ -371,8 +371,9 @@ let test_strategy_names () =
 (* Planner knob sweep and runtime-error parity                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The forced-join and engine knobs steer the outer-block plan; none of
-   them may change the answer. *)
+(* The forced-join knob steers the outer-block plan and the engine knob,
+   kept for callers that still name one, steers nothing; none of them may
+   change the answer. *)
 let test_forced_joins_and_engines_agree () =
   let db = Fixtures.count_bug_db () in
   let q = parse_on db Fixtures.count_bug_query in

@@ -190,24 +190,48 @@ let pairs_of it =
     (fun r -> Row.to_list r)
     (Exec.Iterator.to_rows it)
 
+(* Nested loops in memory, every left row against every right row: the
+   reference the join algorithms are held to. *)
+let nested_loops ?(outer_join = false) ~theta left right =
+  let pad = Row.nulls (Schema.arity (Relation.schema right)) in
+  Relation.make
+    (Schema.append (Relation.schema left) (Relation.schema right))
+    (List.concat_map
+       (fun l ->
+         match
+           List.filter_map
+             (fun r ->
+               if theta l r = Truth.True then Some (Row.append l r) else None)
+             (Relation.rows right)
+         with
+         | [] when outer_join -> [ Row.append l pad ]
+         | matches -> matches)
+       (Relation.rows left))
+
+(* The executor's nested-loop join, inner and left outer, over stored L
+   and R. *)
 let test_nl_join_inner_vs_outer () =
-  let pager = Pager.create ~buffer_pages:4 ~page_bytes:64 () in
   let left = rel_of "L" [ (1, 10); (2, 20); (3, 30) ] in
   let right = rel_of "R" [ (1, 100); (1, 101); (3, 300) ] in
-  let rheap = Storage.Heap_file.of_relation pager right in
-  let theta l r = Value.eq_sql (Row.get l 0) (Row.get r 0) in
-  let inner =
-    Exec.Iterator.nested_loop_join ~theta
-      (Exec.Iterator.of_relation left)
-      rheap
+  let run kind =
+    let catalog = Catalog.create (Pager.create ~buffer_pages:4 ~page_bytes:64 ()) in
+    Catalog.register_relation catalog "L" left;
+    Catalog.register_relation catalog "R" right;
+    let k rel = { Sql.Ast.table = Some rel; column = "k" } in
+    Exec.Plan.run catalog
+      (Exec.Plan.Join
+         {
+           method_ = Exec.Plan.Nested_loop;
+           kind;
+           cond = [ (k "L", Sql.Ast.Eq, k "R") ];
+           residual = [];
+           left = Exec.Plan.Scan "L";
+           right = Exec.Plan.Scan "R";
+         })
+    |> Relation.rows |> List.map Row.to_list
   in
-  Alcotest.(check int) "inner join rows" 3 (List.length (pairs_of inner));
-  let outer =
-    Exec.Iterator.nested_loop_join ~outer_join:true ~theta
-      (Exec.Iterator.of_relation left)
-      rheap
-  in
-  let rows = pairs_of outer in
+  Alcotest.(check int) "inner join rows" 3 (List.length (run Exec.Plan.Inner));
+  let rows = run Exec.Plan.Left_outer in
   Alcotest.(check int) "outer join rows" 4 (List.length rows);
   let padded =
     List.filter (fun r -> List.exists Value.is_null r) rows
@@ -315,16 +339,9 @@ let join_input_gen =
 let prop_merge_equals_nl =
   QCheck2.Test.make ~name:"merge join = nested-loop join" ~count:100
     join_input_gen (fun (ls, rs) ->
-      let pager = Pager.create ~buffer_pages:4 ~page_bytes:32 () in
       let left = rel_of "L" ls and right = rel_of "R" rs in
-      let rheap = Storage.Heap_file.of_relation pager right in
       let theta l r = Value.eq_sql (Row.get l 0) (Row.get r 0) in
-      let nl =
-        Exec.Iterator.nested_loop_join ~theta
-          (Exec.Iterator.of_relation left)
-          rheap
-        |> Exec.Iterator.to_relation
-      in
+      let nl = nested_loops ~theta left right in
       let mj_rows = merge_join_result ls rs in
       let mj =
         Relation.make (Relation.schema nl) (List.map Row.of_list mj_rows)
@@ -341,14 +358,8 @@ let prop_index_equals_nl =
       Catalog.create_index catalog "R" ~column:"k";
       let idx = Option.get (Catalog.index_on catalog "R" ~key_col:0) in
       let left = rel_of "L" ls in
-      let rheap = Catalog.heap catalog "R" in
       let theta l r = Value.eq_sql (Row.get l 0) (Row.get r 0) in
-      let nl =
-        Exec.Iterator.nested_loop_join ~theta
-          (Exec.Iterator.of_relation left)
-          rheap
-        |> Exec.Iterator.to_relation
-      in
+      let nl = nested_loops ~theta left (rel_of "R" rs) in
       let ix =
         Exec.Iterator.index_nested_loop_join
           ~probe:(fun l -> eq_rows idx (Relalg.Row.get l 0))
@@ -361,17 +372,10 @@ let prop_index_equals_nl =
 let prop_hash_equals_nl =
   QCheck2.Test.make ~name:"hash join = nested-loop join (inner and outer)"
     ~count:100 join_input_gen (fun (ls, rs) ->
-      let pager = Pager.create ~buffer_pages:4 ~page_bytes:32 () in
       let left = rel_of "L" ls and right = rel_of "R" rs in
-      let rheap = Storage.Heap_file.of_relation pager right in
       let theta l r = Value.eq_sql (Row.get l 0) (Row.get r 0) in
       let agree outer =
-        let nl =
-          Exec.Iterator.nested_loop_join ~outer_join:outer ~theta
-            (Exec.Iterator.of_relation left)
-            rheap
-          |> Exec.Iterator.to_relation
-        in
+        let nl = nested_loops ~outer_join:outer ~theta left right in
         let h =
           Exec.Vec.hash_join ~outer_join:outer ~left_key:[ 0 ] ~right_key:[ 0 ]
             (Exec.Vec.of_tuple (Exec.Iterator.of_relation left))
@@ -460,13 +464,21 @@ let test_group_agg_grouped_empty () =
 let test_filter_distinct_project () =
   let pager = Pager.create ~buffer_pages:4 ~page_bytes:32 () in
   let input = rel_of "T" [ (1, 10); (2, 10); (2, 10); (1, 99) ] in
-  let it =
+  let filtered =
     Exec.Iterator.of_relation input
     |> Exec.Iterator.filter ~pred:(fun r ->
            Value.lt_sql (Row.get r 1) (Value.Int 50))
-    |> Exec.Iterator.project ~idxs:[ 1 ]
-    |> Exec.Iterator.sort_run pager
-         ~dedup:Storage.External_sort.Drop_duplicates ~key:[ 0 ]
+  in
+  let projected =
+    Exec.Iterator.of_rows
+      (Schema.project (Relation.schema input) [ 1 ])
+      (List.map
+         (fun r -> Row.project_positions r [| 1 |])
+         (Exec.Iterator.to_rows filtered))
+  in
+  let it =
+    Exec.Iterator.sort_run pager ~dedup:Storage.External_sort.Drop_duplicates
+      ~key:[ 0 ] projected
     |> Exec.Iterator.scan
   in
   Alcotest.(check bool) "filter+project+distinct" true

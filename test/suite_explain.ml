@@ -122,19 +122,19 @@ let test_golden_analyze_ja () =
        [
          "temp TEMP#1:";
          "  Distinct  (cost=3.0 rows=3)  (actual: rows=3 next=4 \
-          rows/call=0.8 time=_ms io=3/0/3)";
-         "    Project PARTS.PNUM  (cost=1.0 rows=3)  (actual: rows=3 next=4 \
-          rows/call=0.8 time=_ms io=0/0/0)";
-         "      Scan PARTS  (cost=1.0 rows=3)  (actual: rows=3 next=4 \
-          rows/call=0.8 time=_ms io=1/0/0)";
+          rows/call=0.8 time=_ms io=4/0/3)";
+         "    Project PARTS.PNUM  (cost=1.0 rows=3)  (actual: rows=3 \
+          next=2 rows/call=1.5 batches=1 time=_ms io=0/0/0)";
+         "      Scan PARTS  (cost=1.0 rows=3)  (actual: rows=3 next=2 \
+          rows/call=1.5 batches=1 time=_ms io=0/0/0)";
          "";
          "temp TEMP#2:";
          "  Project SUPPLY.PNUM, SUPPLY.SHIPDATE  (cost=3.0 rows=2)  \
-          (actual: rows=3 next=4 rows/call=0.8 time=_ms io=0/0/0)";
+          (actual: rows=3 next=2 rows/call=1.5 batches=1 time=_ms io=0/0/0)";
          "    Filter SUPPLY.SHIPDATE < '1980-01-01'  (cost=3.0 rows=2)  \
-          (actual: rows=3 next=4 rows/call=0.8 time=_ms io=0/0/0)";
-         "      Scan SUPPLY  (cost=3.0 rows=5)  (actual: rows=5 next=6 \
-          rows/call=0.8 time=_ms io=3/0/0)";
+          (actual: rows=3 next=2 rows/call=1.5 batches=1 time=_ms io=0/0/0)";
+         "      Scan SUPPLY  (cost=3.0 rows=5)  (actual: rows=5 next=2 \
+          rows/call=2.5 batches=1 time=_ms io=3/0/0)";
          "";
          "temp TEMP#3:";
          "  Project TEMP#1.PNUM, agg.COUNT_SHIPDATE  (cost=2.0 rows=2)  \
@@ -143,20 +143,20 @@ let test_golden_analyze_ja () =
           AS COUNT_SHIPDATE]  (cost=2.0 rows=2)  (actual: rows=3 next=4 \
           rows/call=0.8 time=_ms io=0/0/0)";
          "      nested-loop left-outer join on TEMP#1.PNUM = TEMP#2.PNUM  \
-          (cost=2.0 rows=4)  (actual: rows=4 next=5 rows/call=0.8 time=_ms \
-          io=3/0/0)";
-         "        Scan TEMP#1  (cost=1.0 rows=3)  (actual: rows=3 next=4 \
-          rows/call=0.8 time=_ms io=1/0/0)";
+          (cost=2.0 rows=4)  (actual: rows=4 next=2 rows/call=2.0 batches=1 \
+          time=_ms io=4/0/0)";
+         "        Scan TEMP#1  (cost=1.0 rows=3)  (actual: rows=3 next=3 \
+          rows/call=1.0 batches=1 time=_ms io=0/0/0)";
          "        Scan TEMP#2  (cost=1.0 rows=3)  (actual: -)";
          "";
          "main:";
-         "  Project PARTS.PNUM  (cost=2.0 rows=1)  (actual: rows=2 next=3 \
-          rows/call=0.7 time=_ms io=0/0/0)";
+         "  Project PARTS.PNUM  (cost=2.0 rows=1)  (actual: rows=2 next=2 \
+          rows/call=1.0 batches=1 time=_ms io=0/0/0)";
          "    nested-loop inner join on PARTS.QOH = TEMP#3.COUNT_SHIPDATE \
           AND PARTS.PNUM <=> TEMP#3.PNUM  (cost=2.0 rows=1)  (actual: \
-          rows=2 next=3 rows/call=0.7 time=_ms io=3/0/0)";
-         "      Scan PARTS  (cost=1.0 rows=3)  (actual: rows=3 next=4 \
-          rows/call=0.8 time=_ms io=1/0/0)";
+          rows=2 next=2 rows/call=1.0 batches=1 time=_ms io=4/0/0)";
+         "      Scan PARTS  (cost=1.0 rows=3)  (actual: rows=3 next=3 \
+          rows/call=1.0 batches=1 time=_ms io=0/0/0)";
          "      Scan TEMP#3  (cost=1.0 rows=3)  (actual: -)";
          "";
        ]
@@ -213,8 +213,9 @@ let prop_root_rows =
           | Some m -> m.Exec.Metrics.rows = Relation.cardinality result)
         canonical_queries)
 
-(* Every instrumented operator: [next] is called at least once per row
-   produced (plus the terminating None), and the estimator knows the root. *)
+(* Every instrumented operator: [next] is called at least once per row a
+   row operator produces, or per batch a batch operator produces (plus the
+   terminating None), and the estimator knows the root. *)
 let prop_metric_sanity =
   QCheck2.Test.make ~name:"metrics/estimates sane on every operator"
     ~count:25
@@ -232,8 +233,11 @@ let prop_metric_sanity =
             (match Exec.Explain.metrics session node with
             | Some m ->
                 (* a join may stop pulling a side before exhaustion, so
-                   [next_calls = rows] is possible; fewer never is *)
-                m.Exec.Metrics.next_calls >= m.Exec.Metrics.rows
+                   [next_calls] may equal the rows or batches produced;
+                   fewer never is *)
+                m.Exec.Metrics.next_calls
+                >= (if m.Exec.Metrics.batches > 0 then m.Exec.Metrics.batches
+                    else m.Exec.Metrics.rows)
                 && m.Exec.Metrics.logical_reads >= 0
             | None -> true)
             && List.for_all ok (Exec.Plan.children node)

@@ -2,10 +2,10 @@
    the B-tree operators against their index-free counterparts.
 
    - IndexScan (equality and range probes) must equal Filter∘Scan on the
-     same predicate, on both engines, and deliver key order.
+     same predicate and deliver key order.
    - Index nested-loop join (an IndexScan re-opened per left row) must
      equal hash and sort-merge joins on the same equi-condition, inner and
-     left outer, on both engines.
+     left outer.
    - The probe-based paged nested enumeration (Sysr_iteration) with a
      B-tree on every column must equal the in-memory oracle.
 
@@ -37,11 +37,6 @@ let supply_catalog rng =
   Catalog.create_index catalog "SUPPLY" ~column:"PNUM";
   catalog
 
-let run_plan engine catalog plan =
-  match engine with
-  | Plan.Tuple -> Plan.run catalog plan
-  | Plan.Vectorized -> Plan.run_vec catalog plan
-
 let pcol c : Sql.Ast.col_ref = { table = Some "SUPPLY"; column = c }
 
 (* --- IndexScan = Filter(Scan) --------------------------------------- *)
@@ -69,7 +64,7 @@ let key_ordered rel =
   go (Relation.rows rel)
 
 let prop_index_scan =
-  QCheck2.Test.make ~name:"IndexScan = Filter(Scan), both engines, key order"
+  QCheck2.Test.make ~name:"IndexScan = Filter(Scan), key order"
     ~count:200 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let catalog = supply_catalog rng in
@@ -79,10 +74,9 @@ let prop_index_scan =
           { table = "SUPPLY"; alias = "SUPPLY"; column = "PNUM"; lo; hi }
       in
       let plain = Plan.Filter ([ pred ], Plan.Scan "SUPPLY") in
-      let a = run_plan Plan.Tuple catalog indexed in
-      let b = run_plan Plan.Tuple catalog plain in
-      let av = run_plan Plan.Vectorized catalog indexed in
-      Relation.equal_bag a b && Relation.equal_bag a av && key_ordered a)
+      let a = Plan.run catalog indexed in
+      let b = Plan.run catalog plain in
+      Relation.equal_bag a b && key_ordered a)
 
 (* --- index nested-loop join = hash = merge --------------------------- *)
 
@@ -123,13 +117,10 @@ let prop_index_join =
       let rng = Random.State.make [| seed |] in
       let catalog = supply_catalog rng in
       let join = join kind in
-      let inl = run_plan Plan.Tuple catalog (join Plan.Index_nl) in
-      let hash = run_plan Plan.Tuple catalog (join Plan.Hash) in
-      let merge = run_plan Plan.Tuple catalog (join Plan.Sort_merge) in
-      let inl_vec = run_plan Plan.Vectorized catalog (join Plan.Index_nl) in
-      Relation.equal_bag inl hash
-      && Relation.equal_bag inl merge
-      && Relation.equal_bag inl inl_vec)
+      let inl = Plan.run catalog (join Plan.Index_nl) in
+      let hash = Plan.run catalog (join Plan.Hash) in
+      let merge = Plan.run catalog (join Plan.Sort_merge) in
+      Relation.equal_bag inl hash && Relation.equal_bag inl merge)
 
 (* --- probe-based nested enumeration = in-memory oracle --------------- *)
 
@@ -180,7 +171,7 @@ let prop_probed_enumeration =
    every outer row.  Outer keys repeat, are NULL, or match no SUPPLY row
    (SUPPLY's keys stop at 4), so consecutive bindings alternate between
    full and empty probes; a B-tree on SUPPLY.PNUM is optional.  Each
-   query runs twice under both engines through an instrumented
+   query runs twice through an instrumented
    [Plan.run]: its rows must equal the in-memory oracle's, bag for bag,
    and every correlated inner plan of the top block must be opened once
    per outer row (an uncorrelated one once in all). *)
@@ -224,16 +215,10 @@ let reopen_queries =
 (* Run [q]'s nested-iteration plan instrumented; return the presented
    result and, for each subquery of the top block's [Apply], whether it
    is correlated and how often its inner plan was opened. *)
-let run_nested engine catalog q =
+let run_nested catalog q =
   let plan = Exec.Sysr_iteration.lower catalog q in
   let session = Exec.Explain.session (Catalog.pager catalog) in
-  let rel =
-    match engine with
-    | Plan.Tuple ->
-        Plan.run ~observe:(Exec.Explain.observer session) catalog plan
-    | Plan.Vectorized ->
-        Plan.run_vec ~observe:(Exec.Explain.observer_vec session) catalog plan
-  in
+  let rel = Plan.run ~observe:(Exec.Explain.observer session) catalog plan in
   let rec top_apply (node : Plan.node) =
     match node with
     | Plan.Apply a -> Some a
@@ -270,30 +255,22 @@ let prop_reopen_isolation =
           let q = F.parse_analyzed catalog text in
           let expected = Exec.Nested_iter.run catalog q in
           List.for_all
-            (fun engine ->
-              List.for_all
-                (fun _run ->
-                  let got, opens = run_nested engine catalog q in
-                  let loops_ok =
-                    List.for_all
-                      (fun (correlated, loops) ->
-                        loops
-                        = if correlated then outer_rows
-                          else min 1 outer_rows)
-                      opens
-                  in
-                  let ok = Relation.equal_bag expected got && loops_ok in
-                  if not ok then
-                    Fmt.epr
-                      "@.seed %d %s query %s@.oracle:@.%a@.got:@.%a@.opens: \
-                       %s@."
-                      seed (Plan.engine_name engine) text Relation.pp expected
-                      Relation.pp got
-                      (String.concat ", "
-                         (List.map (fun (_, l) -> string_of_int l) opens));
-                  ok)
-                [ 1; 2 ])
-            Plan.[ Tuple; Vectorized ])
+            (fun _run ->
+              let got, opens = run_nested catalog q in
+              let loops_ok =
+                List.for_all
+                  (fun (correlated, loops) ->
+                    loops = if correlated then outer_rows else min 1 outer_rows)
+                  opens
+              in
+              let ok = Relation.equal_bag expected got && loops_ok in
+              if not ok then
+                Fmt.epr "@.seed %d query %s@.oracle:@.%a@.got:@.%a@.opens: %s@."
+                  seed text Relation.pp expected Relation.pp got
+                  (String.concat ", "
+                     (List.map (fun (_, l) -> string_of_int l) opens));
+              ok)
+            [ 1; 2 ])
         reopen_queries)
 
 (* The scalar aggregate of a re-opened COUNT: for a binding whose probe
@@ -327,17 +304,11 @@ let test_reopened_count_on_empty_probes () =
   let expected = Exec.Nested_iter.run catalog q in
   Alcotest.(check int) "oracle: the empty probes' rows and keys 1, 2" 4
     (Relation.cardinality expected);
-  List.iter
-    (fun engine ->
-      let got, opens = run_nested engine catalog q in
-      Alcotest.(check bool)
-        (Plan.engine_name engine ^ ": bag-equal to the oracle")
-        true
-        (Relation.equal_bag expected got);
-      Alcotest.(check (list (pair bool int)))
-        (Plan.engine_name engine ^ ": one open per outer row")
-        [ (true, 6) ] opens)
-    Plan.[ Tuple; Vectorized ]
+  let got, opens = run_nested catalog q in
+  Alcotest.(check bool) "bag-equal to the oracle" true
+    (Relation.equal_bag expected got);
+  Alcotest.(check (list (pair bool int))) "one open per outer row"
+    [ (true, 6) ] opens
 
 (* --- Auto on indexed data: the priced pick and the ladder contract ---- *)
 

@@ -165,21 +165,16 @@ let test_surfaces_parse =
     (fun lit ->
       let sql = query_with lit in
       let db = kim_db () in
-      (* trace lines, under both engines, from a run and an EXPLAIN ANALYZE *)
-      List.iter
-        (fun engine ->
-          let lines = ref [] in
-          let trace l = lines := l :: !lines in
-          ignore
-            (Result.get_ok
-               (Core.run ~strategy:(Core.Transformed Optimizer.Planner.Auto)
-                  ~engine ~trace db sql));
-          ignore
-            (Result.get_ok
-               (Core.explain_query ~analyze:true ~engine ~trace db sql));
-          if !lines = [] then QCheck2.Test.fail_report "no trace lines";
-          all_parse !lines)
-        [ Exec.Plan.Tuple; Exec.Plan.Vectorized ];
+      (* trace lines from a run and an EXPLAIN ANALYZE *)
+      let lines = ref [] in
+      let trace l = lines := l :: !lines in
+      ignore
+        (Result.get_ok
+           (Core.run ~strategy:(Core.Transformed Optimizer.Planner.Auto) ~trace
+              db sql));
+      ignore (Result.get_ok (Core.explain_query ~analyze:true ~trace db sql));
+      if !lines = [] then QCheck2.Test.fail_report "no trace lines";
+      all_parse !lines;
       (* EXPLAIN trees *)
       let program = Result.get_ok (Core.transform db sql) in
       Optimizer.Planner.explain_plans ~analyze:true (Core.catalog db) program

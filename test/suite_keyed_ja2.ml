@@ -4,8 +4,8 @@
      eligible COUNT block builds TEMP2 by joining TEMP1's keys with the
      inner relation.  Core's cost rule never fires on fuzz-sized tables,
      so the property forces the path and checks the program against the
-     reference evaluator on the oracle's data profiles, both engines,
-     with a B-tree on every column.
+     reference evaluator on the oracle's data profiles, in both planner
+     modes, with a B-tree on every column.
    - Goldens: the keyed Q2 program text, its index-nested-loop plan and
      EXPLAIN note, the paper's TEMP2 wherever the keyed form must not
      apply, and the checkers' verdicts on the keyed program.
@@ -86,17 +86,11 @@ let keyed_query rng =
           outer_filter op0 inner_filter )
   | _ -> (false, Oracle.Gen.query rng)
 
-let engines =
-  [
-    (Planner.Paper1987, Exec.Plan.Tuple);
-    (Planner.Paper1987, Exec.Plan.Vectorized);
-    (Planner.Hybrid, Exec.Plan.Tuple);
-    (Planner.Hybrid, Exec.Plan.Vectorized);
-  ]
+let modes = [ Planner.Paper1987; Planner.Hybrid ]
 
 let prop_keyed_matches_reference =
   QCheck2.Test.make
-    ~name:"forced keyed TEMP2 = Nested_iter, both engines, B-tree everywhere"
+    ~name:"forced keyed TEMP2 = Nested_iter, both modes, B-tree everywhere"
     ~count:300 (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
       let rng = Random.State.make [| seed |] in
       let eligible, sql = keyed_query rng in
@@ -120,10 +114,9 @@ let prop_keyed_matches_reference =
               not eligible
           | program ->
               let keyed = program.Program.notes <> [] in
-              let agree (mode, engine) =
+              let agree mode =
                 let got =
-                  Fixtures.run_verified ~mode ~engine ~check:true
-                    catalog program
+                  Fixtures.run_verified ~mode ~check:true catalog program
                 in
                 Planner.drop_temps catalog program;
                 let got = Exec.Presentation.apply_order q got in
@@ -135,7 +128,7 @@ let prop_keyed_matches_reference =
                    Relation.pp reference Relation.pp got;
                  false)
               in
-              ((not eligible) || keyed) && List.for_all agree engines))
+              ((not eligible) || keyed) && List.for_all agree modes))
 
 (* --- goldens -------------------------------------------------------- *)
 

@@ -303,7 +303,7 @@ let test_explain_analyze () =
    batched bindings
    re-opens the per-binding range [SUPPLY.PNUM < PARTS.PNUM] once per
    distinct key, probing for a small bound and scanning for a large one.
-   Both engines; wall-clock masked. *)
+   Wall-clock masked. *)
 let indexed_db () =
   let db = Core.create_db ~buffer_pages:16 ~page_bytes:256 () in
   let keys = [ Some 3; Some 3; None; Some 7; Some 99; None; Some 3; Some 30 ] in
@@ -346,22 +346,17 @@ let test_explain_analyze_indexed () =
   let mask = Str.global_replace (Str.regexp "time=[0-9.]+ms") "time=*" in
   Suite_cost_goldens.check_golden "explain_analyze_indexed"
     (String.concat ""
-       (List.concat_map
-          (fun engine ->
-            List.map
-              (fun (strategy, sql) ->
-                Printf.sprintf "== %s\n%s\n%s"
-                  (Exec.Plan.engine_name engine)
-                  sql
-                  (mask
-                     (match
-                        Core.explain_query ~strategy ~analyze:true ~engine
-                          (indexed_db ()) sql
-                      with
-                     | Ok text -> text
-                     | Error msg -> "error: " ^ msg ^ "\n")))
-              indexed_queries)
-          Exec.Plan.[ Tuple; Vectorized ]))
+       (List.map
+          (fun (strategy, sql) ->
+            Printf.sprintf "== %s\n%s" sql
+              (mask
+                 (match
+                    Core.explain_query ~strategy ~analyze:true (indexed_db ())
+                      sql
+                  with
+                 | Ok text -> text
+                 | Error msg -> "error: " ^ msg ^ "\n")))
+          indexed_queries))
 
 (* Plan_check reports nothing on either strategy's plans, over every case
    of the I/O golden. *)

@@ -26,14 +26,33 @@ let distinct pager (it : Iterator.t) =
     ~key:(List.init (Schema.arity it.schema) Fun.id)
     it
 
-(* The hash operators' one implementation, [Vec]'s, run on tuple inputs
-   through the adapters, as the tuple engine runs it. *)
+(* The hash operators' one implementation, [Vec]'s, run on row inputs
+   through the adapters. *)
 let via_vec op it = Exec.Vec.to_tuple (op (Exec.Vec.of_tuple it))
 
 let hash_join ?outer_join ?null_safe ~left_key ~right_key l r =
   Exec.Vec.to_tuple
     (Exec.Vec.hash_join ?outer_join ?null_safe ~left_key ~right_key
        (Exec.Vec.of_tuple l) (Exec.Vec.of_tuple r))
+
+(* Nested loops in memory, every left row against every right row: the
+   reference the join algorithms are held to (the executor's batch
+   nested-loop join is held to it through [plan_joins_agree]). *)
+let nested_loops ?(outer_join = false) ~theta left right =
+  let pad = Row.nulls (Schema.arity (Relation.schema right)) in
+  List.sort Row.compare
+    (List.concat_map
+       (fun l ->
+         match
+           List.filter_map
+             (fun r ->
+               if theta l r = Relalg.Truth.True then Some (Row.append l r)
+               else None)
+             (Relation.rows right)
+         with
+         | [] when outer_join -> [ Row.append l pad ]
+         | matches -> matches)
+       (Relation.rows left))
 
 let check_bags name a b =
   if a <> b then begin
@@ -61,7 +80,7 @@ let join_inputs rng =
   (left, right)
 
 (* Plan's compiled join conditions: the same inputs as [Exec.Plan.Join]
-   nodes under every method and both engines, with a key condition, a
+   nodes under every method, with a key condition, a
    random extra non-equality condition and a random residual, against the
    cross product filtered by [Truth.conjunction] of [Eval.cmp_values] (an
    unmatched left row padded for a left-outer join). *)
@@ -135,9 +154,7 @@ let plan_joins_agree rng ~outer left right =
     (fun (name, method_, sorted) ->
       let plan = join method_ ~sorted in
       let rows run = List.sort Row.compare (Relation.rows (run catalog plan)) in
-      check_bags ("plan " ^ name ^ " (tuple)") (rows P.run) expected
-      && check_bags ("plan " ^ name ^ " (vectorized)") (rows P.run_vec)
-           expected)
+      check_bags ("plan " ^ name) (rows P.run) expected)
     [
       ("nested-loop", P.Nested_loop, false);
       ("hash", P.Hash, false);
@@ -152,12 +169,7 @@ let trial_join ~outer seed =
   let left, right = join_inputs rng in
   let pager = fresh_pager () in
   let theta l r = Exec.Eval.cmp_values Sql.Ast.Eq (Row.get l 0) (Row.get r 0) in
-  let nl =
-    let right_heap = Heap_file.of_relation pager right in
-    bag
-      (Iterator.nested_loop_join ~outer_join:outer ~theta
-         (Iterator.of_relation left) right_heap)
-  in
+  let nl = nested_loops ~outer_join:outer ~theta left right in
   let merge =
     let sorted rel =
       sort pager ~key:[ 0 ] (Iterator.of_relation rel)
@@ -194,12 +206,7 @@ let trial_join_null_safe ~outer seed =
   let theta l r =
     Exec.Eval.cmp_values Sql.Ast.Eq_null (Row.get l 0) (Row.get r 0)
   in
-  let nl =
-    let right_heap = Heap_file.of_relation pager right in
-    bag
-      (Iterator.nested_loop_join ~outer_join:outer ~theta
-         (Iterator.of_relation left) right_heap)
-  in
+  let nl = nested_loops ~outer_join:outer ~theta left right in
   let merge =
     let sorted rel =
       sort pager ~key:[ 0 ] (Iterator.of_relation rel)
@@ -253,11 +260,7 @@ let trial_join_mixed_types seed =
   in
   let pager = fresh_pager () in
   let theta l r = Exec.Eval.cmp_values Sql.Ast.Eq (Row.get l 0) (Row.get r 0) in
-  let nl =
-    let right_heap = Heap_file.of_relation pager right in
-    bag
-      (Iterator.nested_loop_join ~theta (Iterator.of_relation left) right_heap)
-  in
+  let nl = nested_loops ~theta left right in
   let merge =
     let sorted rel =
       sort pager ~key:[ 0 ] (Iterator.of_relation rel)

@@ -2,7 +2,7 @@
    (hit/miss/eviction/invalidation accounting), the cached-plan ≡
    fresh-plan correctness property under the oracle comparator, end-to-end
    sessions through [Server.handle_line] (no sockets), a real concurrent
-   Unix-socket run, and the CLI's strict --engine/--mode validation. *)
+   Unix-socket run, and the CLI's strict flag validation. *)
 
 module P = Server.Protocol
 module Cache = Server.Plan_cache
@@ -115,10 +115,10 @@ let test_cache_lru () =
 (* ------------------------------------------------------------------ *)
 
 (* For random oracle cases, running a [Core.prepare]d statement twice must
-   be result-identical to a fresh [Core.run] — across planner modes and
-   engines, under the NULL-aware comparator the differential oracle uses. *)
+   be result-identical to a fresh [Core.run] — across planner modes, under
+   the NULL-aware comparator the differential oracle uses. *)
 let test_cached_equals_fresh =
-  QCheck2.Test.make ~name:"plan cache: cached ≡ fresh across modes/engines"
+  QCheck2.Test.make ~name:"plan cache: cached ≡ fresh across modes"
     ~count:40
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
@@ -129,9 +129,9 @@ let test_cached_equals_fresh =
       | Error _ -> QCheck2.assume_fail ()
       | Ok p ->
           List.for_all
-            (fun (mode, engine) ->
-              let fresh = Core.run ~mode ~engine db case.Oracle.Repro.sql in
-              let cached () = Core.run_prepared ~mode ~engine db p in
+            (fun mode ->
+              let fresh = Core.run ~mode db case.Oracle.Repro.sql in
+              let cached () = Core.run_prepared ~mode db p in
               let agree a b =
                 match (a, b) with
                 | Ok (ea : Core.execution), Ok (eb : Core.execution) ->
@@ -143,13 +143,7 @@ let test_cached_equals_fresh =
               in
               (* twice: first forces the lazy transform, second reuses it *)
               agree fresh (cached ()) && agree fresh (cached ()))
-            Optimizer.Planner.
-              [
-                (Paper1987, Exec.Plan.Tuple);
-                (Paper1987, Exec.Plan.Vectorized);
-                (Hybrid, Exec.Plan.Tuple);
-                (Hybrid, Exec.Plan.Vectorized);
-              ])
+            Optimizer.Planner.[ Paper1987; Hybrid ])
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end sessions through handle_line (no sockets)                *)
@@ -189,10 +183,10 @@ let test_server_prepare_execute () =
   (* the same statement via the query verb reuses the same cache entry *)
   let qj = send_ok server s (query_line q2) in
   Alcotest.(check string) "query hits too" "hit" (str_member "cache" qj);
-  (* the engine is applied at execute time: same entry *)
+  (* the engine knob is validated and ignored: same entry, same rows *)
   let vj = send_ok server s (query_line ~extra:{|, "engine": "vectorized"|} q2) in
-  Alcotest.(check string) "vectorized run hits" "hit" (str_member "cache" vj);
-  Alcotest.(check bool) "engines agree" true
+  Alcotest.(check string) "engine knob hits" "hit" (str_member "cache" vj);
+  Alcotest.(check bool) "same rows under the engine knob" true
     (P.member "rows" qj = P.member "rows" vj);
   let stats = send_ok server s {|{"op": "stats"}|} in
   let cache = Option.get (P.member "plan_cache" stats) in
@@ -490,7 +484,8 @@ let test_server_concurrent_sessions () =
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
 (* ------------------------------------------------------------------ *)
-(* CLI: malformed --engine/--mode exit non-zero with a clear message   *)
+(* CLI: malformed flags exit non-zero with a clear message; --engine is
+   gone *)
 (* ------------------------------------------------------------------ *)
 
 let nestsql_exe = Filename.concat (Filename.concat ".." "bin") "nestsql.exe"
@@ -513,8 +508,17 @@ let test_cli_bad_flags () =
     if not (Astring.String.is_infix ~affix message) then
       Alcotest.failf "stderr %S does not mention %S" message affix
   in
-  check_rejects "run -d kim --engine turbo \"SELECT SNAME FROM S\""
-    "unknown engine turbo";
+  (* the engine flag is no longer an option: a usage error *)
+  List.iter
+    (fun args ->
+      let code, message = run_cli args in
+      Alcotest.(check bool) ("rejected: " ^ args) true (code <> 0);
+      if not (Astring.String.is_infix ~affix:"engine" message) then
+        Alcotest.failf "stderr %S does not mention the engine flag" message)
+    [
+      "run -d kim --engine vectorized \"SELECT SNAME FROM S\"";
+      "explain -d kim --engine tuple \"SELECT SNAME FROM S\"";
+    ];
   check_rejects "run -d kim --mode fast \"SELECT SNAME FROM S\""
     "unknown mode fast";
   check_rejects "explain -d kim --mode quantum \"SELECT SNAME FROM S\""
@@ -534,10 +538,9 @@ let test_cli_bad_flags () =
     ];
   (* the well-formed values still work *)
   let code, _ =
-    run_cli
-      "run -d kim --mode hybrid --engine vectorized \"SELECT SNAME FROM S\""
+    run_cli "run -d kim --mode hybrid --strategy batched \"SELECT SNAME FROM S\""
   in
-  Alcotest.(check int) "valid mode/engine accepted" 0 code
+  Alcotest.(check int) "valid mode/strategy accepted" 0 code
 
 (* ------------------------------------------------------------------ *)
 (* Hostile input                                                       *)

@@ -1,16 +1,14 @@
-(* Tuple-vs-vectorized engine equivalence.
+(* The batch operators against references.
 
-   The vectorized engine must be observationally identical to the tuple
-   engine on every plan: same rows, same multiset, on NULL-dense and empty
-   inputs and exactly at batch boundaries (sizes 1, k*max_rows ± 1).  Operator
-   shapes are exercised two ways: direct physical plans through
-   [Plan.run] / [Plan.run_vec] (scans, filters, projections, joins with
-   residuals; a hash plan against the paper's operator for the same node,
-   since both engines run the one hash implementation), and whole
-   transformed programs through
-   [Planner.run_program ~engine] sweeping planner mode and forced join
-   method, which routes the sort/merge/NL operators through the tuple
-   adapters. *)
+   Every plan runs batch-at-a-time where it can, so each batch operator is
+   held to a reference that shares none of its code, on NULL-dense and
+   empty inputs and exactly at batch boundaries (sizes 1, k*max_rows ± 1):
+   filters and projections to the same predicates evaluated in memory, a
+   hash plan to the paper's operator for the same node, nested-loop joins
+   to nested loops in memory (rows) and row by row over the stored heaps
+   (page I/O), and whole transformed programs under every planner mode and
+   forced join method to one another, which routes the row operators
+   through the adapters. *)
 
 module Value = Relalg.Value
 module Row = Relalg.Row
@@ -29,23 +27,55 @@ module F = Workload.Fixtures
 
 let col ?table column = { A.table; A.column }
 
-(* Run one plan under both engines against a fresh catalog each time (page
-   and statistics state must not leak between the two executions). *)
-let engines_agree ~make_catalog plan =
-  let tuple = Plan.run (make_catalog ()) plan in
-  let vec = Plan.run_vec (make_catalog ()) plan in
-  if Relation.equal_bag tuple vec then true
-  else begin
-    Fmt.epr "@.engine mismatch on %s@.tuple:@.%a@.vectorized:@.%a@."
-      (Plan.to_string plan) Relation.pp tuple Relation.pp vec;
-    false
-  end
+(* A filter or projection over a stored table, evaluated in memory:
+   columns resolved by name, comparisons by [Eval.cmp_values], only True
+   kept. *)
+let rec in_memory catalog = function
+  | Plan.Scan name ->
+      let rel = Storage.Heap_file.to_relation (Catalog.heap catalog name) in
+      Relation.make
+        (Schema.rename_rel (Relation.schema rel) name)
+        (Relation.rows rel)
+  | Plan.Filter (preds, input) ->
+      let rel = in_memory catalog input in
+      let schema = Relation.schema rel in
+      let value row = function
+        | A.Lit v -> v
+        | A.Col c -> Row.get row (Schema.find schema ?rel:c.A.table c.A.column)
+      in
+      let holds row = function
+        | A.Cmp (a, op, b) ->
+            Exec.Eval.cmp_values op (value row a) (value row b) = Relalg.Truth.True
+        | _ -> invalid_arg "in_memory: a nested predicate"
+      in
+      Relation.make schema
+        (List.filter (fun row -> List.for_all (holds row) preds) (Relation.rows rel))
+  | Plan.Project (cols, input) ->
+      let rel = in_memory catalog input in
+      let schema = Relation.schema rel in
+      let idxs =
+        Array.of_list
+          (List.map (fun c -> Schema.find schema ?rel:c.A.table c.A.column) cols)
+      in
+      Relation.make
+        (Schema.project schema (Array.to_list idxs))
+        (List.map (fun r -> Row.project_positions r idxs) (Relation.rows rel))
+  | plan -> invalid_arg ("in_memory: " ^ Plan.to_string plan)
 
-(* The hash operators have one implementation, [Vec]'s, which both engines
-   run, so the engines agreeing on a hash plan checks nothing.  A hash
-   plan's reference is the paper's operator for the same node, which no
-   hash code runs: the join by nested loops, sort-based DISTINCT, GROUP BY
-   over a sort. *)
+(* One plan's rows against [in_memory]'s, each on a fresh catalog. *)
+let matches_in_memory ~make_catalog plan =
+  let expected = in_memory (make_catalog ()) plan in
+  let got = Plan.run (make_catalog ()) plan in
+  Relation.equal_bag expected got
+  || begin
+       Fmt.epr "@.%s differs from memory@.expected:@.%a@.got:@.%a@."
+         (Plan.to_string plan) Relation.pp expected Relation.pp got;
+       false
+     end
+
+(* A hash plan's reference is the paper's operator for the same node,
+   which no hash code runs: the join by nested loops, sort-based DISTINCT,
+   GROUP BY over a sort. *)
 let reference_of = function
   | Plan.Join j -> Plan.Join { j with method_ = Plan.Nested_loop }
   | Plan.Hash_distinct input -> Plan.Distinct input
@@ -57,20 +87,16 @@ let reference_of = function
         }
   | plan -> invalid_arg ("reference_of: " ^ Plan.to_string plan)
 
-(* A hash plan under each engine against its reference under the tuple
-   engine, a fresh catalog per run. *)
+(* A hash plan against its reference, a fresh catalog per run. *)
 let matches_reference ~make_catalog plan =
   let reference = Plan.run (make_catalog ()) (reference_of plan) in
-  List.for_all
-    (fun (engine, run) ->
-      let got = run (make_catalog ()) plan in
-      Relation.equal_bag reference got
-      || begin
-           Fmt.epr "@.%s engine differs from the reference on %s@.reference:@.%a@.%s:@.%a@."
-             engine (Plan.to_string plan) Relation.pp reference engine Relation.pp got;
-           false
-         end)
-    [ ("tuple", fun c p -> Plan.run c p); ("vectorized", fun c p -> Plan.run_vec c p) ]
+  let got = Plan.run (make_catalog ()) plan in
+  Relation.equal_bag reference got
+  || begin
+       Fmt.epr "@.%s differs from the reference@.reference:@.%a@.got:@.%a@."
+         (Plan.to_string plan) Relation.pp reference Relation.pp got;
+       false
+     end
 
 (* ---------------- randomized plan-level properties -------------------- *)
 
@@ -97,8 +123,8 @@ let trial_of_plan check make_plan seed =
 
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 
-(* [check]: [engines_agree], or [matches_reference] for a hash plan. *)
-let prop ?(check = engines_agree) name ~count make_plan =
+(* [check]: [matches_in_memory], or [matches_reference] for a hash plan. *)
+let prop ?(check = matches_in_memory) name ~count make_plan =
   QCheck2.Test.make ~name ~count seed_gen (trial_of_plan check make_plan)
 
 let lk = col ~table:"L" "K"
@@ -204,7 +230,7 @@ let date_tables rng =
   in
   (d, e)
 
-let date_prop ?(check = engines_agree) name ~count make_plan =
+let date_prop ?(check = matches_in_memory) name ~count make_plan =
   QCheck2.Test.make ~name ~count seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let d, e = date_tables rng in
@@ -275,10 +301,8 @@ let test_date_never_meets_int () =
   let ik = col ~table:"I" "K" in
   List.iter
     (fun plan ->
-      Alcotest.(check int) "tuple engine: no match" 0
-        (Relation.cardinality (Plan.run (make_catalog ()) plan));
-      Alcotest.(check int) "vectorized engine: no match" 0
-        (Relation.cardinality (Plan.run_vec (make_catalog ()) plan)))
+      Alcotest.(check int) "no match" 0
+        (Relation.cardinality (Plan.run (make_catalog ()) plan)))
     [
       Plan.Join
         {
@@ -296,13 +320,13 @@ let test_date_never_meets_int () =
 
 (* ---------------- randomized program-level property ------------------- *)
 
-(* Whole transformed programs under every planner mode and forced join
-   method: the non-hash cells route sorts, merge and NL joins through the
-   tuple adapters inside the vectorized pipeline. *)
-let run_engine catalog program ~force ~mode engine =
-  let result =
-    Fixtures.run_verified ~force ~mode ~engine catalog program
-  in
+(* Whole transformed programs under a random planner mode and forced join
+   method, against the same program under Paper1987 with sort-merge joins:
+   the cells mix batch operators (hash and nested-loop joins, hash
+   grouping) with row operators behind the adapters (sorts, merge joins,
+   sorted grouping), and the reference runs the paper's operators. *)
+let run_cell catalog program ~force ~mode =
+  let result = Fixtures.run_verified ~force ~mode catalog program in
   Planner.drop_temps catalog program;
   result
 
@@ -334,20 +358,23 @@ let trial_program seed =
   | exception Optimizer.Nest_n_j.Not_applicable _ ->
       true (* not transformable: nothing to compare *)
   | program -> (
-      match run_engine catalog program ~force ~mode Plan.Tuple with
-      | exception Planner.Planning_error _ -> true (* engine-independent *)
-      | tuple ->
-          let vec = run_engine catalog program ~force ~mode Plan.Vectorized in
-          if Relation.equal_bag tuple vec then true
-          else begin
-            Fmt.epr "@.seed %d query %s@.tuple:@.%a@.vectorized:@.%a@." seed
-              text Relation.pp tuple Relation.pp vec;
-            false
-          end)
+      let reference () =
+        run_cell catalog program ~force:Planner.Force_merge
+          ~mode:Planner.Paper1987
+      in
+      match (reference (), run_cell catalog program ~force ~mode) with
+      | exception Planner.Planning_error _ -> true (* no plan to compare *)
+      | expected, got ->
+          Relation.equal_bag expected got
+          || begin
+               Fmt.epr "@.seed %d query %s@.sort-merge:@.%a@.cell:@.%a@." seed
+                 text Relation.pp expected Relation.pp got;
+               false
+             end)
 
 let prop_programs =
   QCheck2.Test.make
-    ~name:"transformed programs: tuple = vectorized (mode x force sweep)"
+    ~name:"transformed programs: every mode x force cell = paper sort-merge"
     ~count:150 seed_gen trial_program
 
 (* ---------------- batch-boundary goldens ------------------------------ *)
@@ -367,14 +394,10 @@ let prop_programs =
    or left-outer, over three inners — the stored R, a self-join on a
    renamed L and a filtered (materialized) R — or that join re-opened
    under an [Apply] whose outer row the residual reads as a parameter.
-   Both engines run it in a 3-page pool and in the default 8-page pool and
-   must agree on the bag of rows, logical reads and physical writes.
-   Physical reads are held to the same join run batch-to-tuple (below):
-   against the tuple engine they may differ, since a vectorized scan
-   requests a chunk's pages together, so left pages and inner rescans
-   interleave differently under LRU eviction.  An in-memory nested loop
-   over the same predicates, resolved by the test itself, checks the rows
-   of the plain joins. *)
+   It runs in a 3-page pool and in the default 8-page pool.  Nested loops
+   in memory over the same predicates, resolved by the test itself, check
+   the rows; a plain join's logical reads, physical reads and writes are
+   held to nested loops run row by row over the stored heaps (below). *)
 let nl_columns =
   [ ("K", Value.Tint); ("D", Value.Tdate); ("F", Value.Tfloat); ("S", Value.Tstr) ]
 
@@ -520,77 +543,127 @@ let nl_holds joined ~cond ~residual =
         | _ -> false)
       preds
 
-(* The rows of a plain nested-loop join over the in-memory relations:
-   every pair the predicates hold for, left-outer padding included. *)
-let reference_nl_join (rels : (string * Relation.t) list) plan =
+(* A join input over the in-memory relations: a table, renamed or
+   filtered by one comparison with a literal. *)
+let rec nl_input (rels : (string * Relation.t) list) = function
+  | Plan.Scan n ->
+      let rel = List.assoc n rels in
+      Relation.make (Schema.rename_rel (Relation.schema rel) n) (Relation.rows rel)
+  | Plan.Rename (a, input) ->
+      let rel = nl_input rels input in
+      Relation.make (Schema.rename_rel (Relation.schema rel) a) (Relation.rows rel)
+  | Plan.Filter ([ A.Cmp (A.Col c, op, A.Lit v) ], input) ->
+      let rel = nl_input rels input in
+      let i = Schema.find (Relation.schema rel) ?rel:c.A.table c.A.column in
+      Relation.make (Relation.schema rel)
+        (List.filter
+           (fun row -> Exec.Eval.cmp_values op (Row.get row i) v = Relalg.Truth.True)
+           (Relation.rows rel))
+  | plan -> invalid_arg ("nl_input: " ^ Plan.to_string plan)
+
+(* The rows of a nested-loop join over the in-memory relations: every
+   pair the predicates hold for, left-outer padding included; [outer] is
+   the schema and row of an enclosing [Apply], which the predicates may
+   read. *)
+let reference_nl_join ?(outer = (Schema.make [], [||])) rels plan =
   match plan with
-  | Plan.Join { kind; cond; residual; left = Plan.Scan ln; right; _ } ->
-      let lrel = List.assoc ln rels in
-      let rrel =
-        match right with
-        | Plan.Scan n -> List.assoc n rels
-        | Plan.Rename (a, Plan.Scan n) ->
-            let rel = List.assoc n rels in
-            Relation.make (Schema.rename_rel (Relation.schema rel) a) (Relation.rows rel)
-        | Plan.Filter ([ A.Cmp (A.Col c, op, A.Lit v) ], Plan.Scan n) ->
-            let rel = List.assoc n rels in
-            let i = Schema.find (Relation.schema rel) ~rel:n c.A.column in
-            Relation.make (Relation.schema rel)
-              (List.filter
-                 (fun row -> Exec.Eval.cmp_values op (Row.get row i) v = Relalg.Truth.True)
-                 (Relation.rows rel))
-        | _ -> invalid_arg "reference_nl_join"
-      in
+  | Plan.Join { kind; cond; residual; left; right; _ } ->
+      let lrel = nl_input rels left and rrel = nl_input rels right in
       let joined = Schema.append (Relation.schema lrel) (Relation.schema rrel) in
-      let holds = nl_holds joined ~cond ~residual in
+      let oschema, orow = outer in
+      let holds = nl_holds (Schema.append oschema joined) ~cond ~residual in
       let pad = Row.nulls (Schema.arity (Relation.schema rrel)) in
       Relation.make joined
         (List.concat_map
            (fun l ->
-             match List.filter holds (List.map (Row.append l) (Relation.rows rrel)) with
+             match
+               List.filter
+                 (fun row -> holds (Row.append orow row))
+                 (List.map (Row.append l) (Relation.rows rrel))
+             with
              | [] when kind = Plan.Left_outer -> [ Row.append l pad ]
              | matches -> matches)
            (Relation.rows lrel))
   | _ -> invalid_arg "reference_nl_join"
 
-(* A plain join run batch-to-tuple: the vectorized scans, filter and
-   materialization adapted with [Vec.to_tuple] into the tuple engine's
-   [Iterator.nested_loop_join], its output adapted back with
-   [Vec.of_tuple].  It requests pages exactly as a batch nested-loop join
-   over the same inputs must. *)
-let adapter_nl_join catalog plan =
+(* The rows of a plan [nl_apply] or [count_per_row] makes, in memory: an
+   outer row of L is kept when its K is at least the number of rows of the
+   inner join, its predicates reading the row's columns as parameters —
+   per key, the columns of the first row with the same key columns. *)
+let reference_nl_apply rels plan =
   match plan with
-  | Plan.Join { kind; cond; residual; left = Plan.Scan ln; right; _ } ->
-      let scan name alias =
-        let heap = Catalog.heap catalog name in
-        Vec.with_schema (Vec.scan heap)
-          (Schema.rename_rel (Storage.Heap_file.schema heap) alias)
+  | Plan.Apply
+      {
+        mode;
+        preds = [ (_, Some { Plan.keys; inner = Plan.Hash_group_agg { input; _ } }) ];
+        _;
+      } ->
+      let lrel = nl_input rels (Plan.Scan "L") in
+      let schema = Relation.schema lrel in
+      let key o =
+        Array.of_list
+          (List.map (fun c -> Row.get o (Schema.find schema ?rel:c.A.table c.A.column)) keys)
       in
-      let left = scan ln ln in
-      let rschema, inner =
+      let bound o =
+        match mode with
+        | Plan.Per_row -> o
+        | Plan.Per_key ->
+            List.find (fun o' -> Row.compare (key o') (key o) = 0) (Relation.rows lrel)
+      in
+      Relation.make schema
+        (List.filter
+           (fun o ->
+             let n =
+               Relation.cardinality
+                 (reference_nl_join ~outer:(schema, bound o) rels input)
+             in
+             Exec.Eval.cmp_values A.Ge (Row.get o 0) (Value.Int n) = Relalg.Truth.True)
+           (Relation.rows lrel))
+  | _ -> invalid_arg "reference_nl_apply"
+
+(* The page requests of a plain join run a row at a time: the left heap
+   scanned row by row ([Heap_file.scan]), the stored inner rescanned row by
+   row under each left row, a filtered inner first materialized into a new
+   heap from a row-by-row scan.  Returns the counters. *)
+let row_nl_join_io catalog plan =
+  match plan with
+  | Plan.Join { left = Plan.Scan ln; right; _ } ->
+      let module H = Storage.Heap_file in
+      let pager = Catalog.pager catalog in
+      let before = Pager.snapshot pager in
+      let drain next = while Option.is_some (next ()) do () done in
+      let left = H.scan (Catalog.heap catalog ln) in
+      let inner =
         match right with
-        | Plan.Scan n -> ((scan n n).Vec.schema, fun () -> Catalog.heap catalog n)
-        | Plan.Rename (a, Plan.Scan n) ->
-            ((scan n a).Vec.schema, fun () -> Catalog.heap catalog n)
+        | Plan.Scan n | Plan.Rename (_, Plan.Scan n) -> Catalog.heap catalog n
         | Plan.Filter ([ A.Cmp (A.Col c, op, A.Lit v) ], Plan.Scan n) ->
-            let v' = scan n n in
-            let i = Schema.find v'.Vec.schema ~rel:n c.A.column in
-            let pred = Vec.compile_conjunction [ (Vec.Column i, op, Vec.Value (fun () -> v)) ] in
-            ( v'.Vec.schema,
-              fun () ->
-                Iterator.materialize (Catalog.pager catalog)
-                  (Vec.to_tuple (Vec.filter ~pred v')) )
-        | _ -> invalid_arg "adapter_nl_join"
+            let stored = Catalog.heap catalog n in
+            let i = Schema.find (H.schema stored) c.A.column in
+            let heap = H.create pager (H.schema stored) in
+            let next = H.scan stored in
+            let rec copy () =
+              match next () with
+              | None -> H.flush heap
+              | Some row ->
+                  if Exec.Eval.cmp_values op (Row.get row i) v = Relalg.Truth.True
+                  then H.append heap row;
+                  copy ()
+            in
+            copy ();
+            heap
+        | _ -> invalid_arg "row_nl_join_io"
       in
-      let joined = Schema.append left.Vec.schema rschema in
-      let holds = nl_holds joined ~cond ~residual in
-      let theta l r = Relalg.Truth.of_bool (holds (Row.append l r)) in
-      let it =
-        Iterator.nested_loop_join ~outer_join:(kind = Plan.Left_outer) ~theta
-          (Vec.to_tuple left) (inner ())
+      let rec loop () =
+        match left () with
+        | None -> ()
+        | Some _ ->
+            drain (H.scan inner);
+            loop ()
       in
-      Relation.make joined (Vec.to_rows (Vec.of_tuple it))
-  | _ -> invalid_arg "adapter_nl_join"
+      loop ();
+      let d = Pager.diff_since pager before in
+      [ d.Pager.logical_reads; d.Pager.physical_reads; d.Pager.physical_writes ]
+  | _ -> invalid_arg "row_nl_join_io"
 
 (* [input] re-opened under a per-row [Apply] over L: the outer row is
    kept when its K is at least COUNT-star of [input]. *)
@@ -637,7 +710,7 @@ let reopen_relations () =
 (* A materialized inner is remade at every open of its join.  Under an
    [Apply] over 50 outer rows the join re-opens per row; each re-open
    deletes the previous open's heap, so the run leaves one inner (half of
-   R's 20 pages) on the simulated disk, not fifty, under either engine. *)
+   R's 20 pages) on the simulated disk, not fifty. *)
 let test_nl_inner_reopen_deletes () =
   let rels = reopen_relations () in
   Alcotest.(check int) "R is 20 pages" 20
@@ -655,18 +728,15 @@ let test_nl_inner_reopen_deletes () =
            right = Plan.Filter ([ A.Cmp (A.Col rk, A.Ge, A.Lit (Value.Int 3)) ], Plan.Scan "R");
          })
   in
-  let tuple, tuple_files, tuple_pages = left_behind rels Plan.run plan in
-  let vec, vec_files, vec_pages = left_behind rels Plan.run_vec plan in
-  Alcotest.(check bool) "engines agree" true (Relation.equal_bag tuple vec);
-  Alcotest.(check (list int)) "tuple: one inner left" [ 1; 10 ]
-    [ tuple_files; tuple_pages ];
-  Alcotest.(check (list int)) "vectorized: one inner left" [ 1; 10 ]
-    [ vec_files; vec_pages ]
+  let rows, files, pages = left_behind rels Plan.run plan in
+  Alcotest.(check bool) "rows" true
+    (Relation.equal_bag rows (reference_nl_apply rels plan));
+  Alcotest.(check (list int)) "one inner left" [ 1; 10 ] [ files; pages ]
 
 (* A [Sort] (and a sort-based [Distinct]) re-opened under the same [Apply]
    writes a sorted run of R's rows with K at most the outer row's K at
    every open; each re-open deletes the previous open's run, so at most
-   one is left under either engine, not one per outer row. *)
+   one is left, not one per outer row. *)
 let test_sort_reopen_deletes () =
   let rels = reopen_relations () in
   let rk = col ~table:"R" "K" in
@@ -674,11 +744,8 @@ let test_sort_reopen_deletes () =
   List.iter
     (fun (what, input) ->
       let plan = count_per_row input in
-      let tuple, tuple_files, _ = left_behind rels Plan.run plan in
-      let vec, vec_files, _ = left_behind rels Plan.run_vec plan in
-      Alcotest.(check bool) (what ^ ": engines agree") true (Relation.equal_bag tuple vec);
-      Alcotest.(check bool) (what ^ ", tuple: at most one run left") true (tuple_files <= 1);
-      Alcotest.(check bool) (what ^ ", vectorized: at most one run left") true (vec_files <= 1))
+      let _, files, _ = left_behind rels Plan.run plan in
+      Alcotest.(check bool) (what ^ ": at most one run left") true (files <= 1))
     [
       ("sort", Plan.Sort ([ rk ], correlated));
       ("distinct", Plan.Distinct (Plan.Project ([ rk ], correlated)));
@@ -707,71 +774,29 @@ let nl_trial rng =
   in
   ([ ("L", l); ("R", r) ], plan)
 
-let logical_and_writes = function [ lr; _; pw ] -> [ lr; pw ] | io -> io
-
 let prop_nested_loop =
-  QCheck2.Test.make ~name:"nested-loop join: rows and page I/O, both engines"
+  QCheck2.Test.make
+    ~name:"nested-loop join: rows and page I/O against nested loops in memory \
+           and row by row"
     ~count:150 seed_gen (fun seed ->
       let rels, plan = nl_trial (Random.State.make [| seed |]) in
       List.for_all
         (fun buffer_pages ->
           let catalog () = G.catalog_of ~buffer_pages rels in
-          let tuple, tuple_io = io_of (catalog ()) Plan.run plan in
-          let vec, vec_io = io_of (catalog ()) Plan.run_vec plan in
-          let ok, expected_io =
+          let got, io = io_of (catalog ()) Plan.run plan in
+          let expected, expected_io =
             match plan with
             | Plan.Join _ ->
-                let adapted, adapted_io = io_of (catalog ()) adapter_nl_join plan in
-                ( Relation.equal_bag vec (reference_nl_join rels plan)
-                  && Relation.equal_bag vec adapted && vec_io = adapted_io,
-                  adapted_io )
-            | _ -> (true, tuple_io)
+                (reference_nl_join rels plan, row_nl_join_io (catalog ()) plan)
+            | _ -> (reference_nl_apply rels plan, io)
           in
-          if
-            ok && Relation.equal_bag tuple vec
-            && logical_and_writes tuple_io = logical_and_writes vec_io
-          then true
-          else begin
-            Fmt.epr
-              "@.pool %d: %s@.tuple io %a, vectorized io %a, expected %a@.tuple:@.%a@.vectorized:@.%a@."
-              buffer_pages (Plan.to_string plan)
-              Fmt.(Dump.list int) tuple_io
-              Fmt.(Dump.list int) vec_io
-              Fmt.(Dump.list int) expected_io
-              Relation.pp tuple Relation.pp vec;
-            false
-          end)
-        [ 3; 8 ])
-
-(* What [--engine] may change: physical reads, and nothing else.  Over the
-   nested-loop trials above and the hash plans of the plan-level
-   properties, in 3- and 8-page pools, both engines return the same bag of
-   rows with the same logical reads and physical writes.  Physical reads
-   may differ once LRU evicts: a vectorized scan requests a chunk's pages
-   together, a tuple scan each page as its first row is needed. *)
-let prop_engines_io =
-  QCheck2.Test.make ~name:"engines: same rows, logical reads and writes"
-    ~count:150 seed_gen (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let rels, plan =
-        if G.int_in rng 0 1 = 0 then nl_trial rng
-        else
-          let l, r = random_tables rng in
-          ( [ ("L", l); ("R", r) ],
-            G.pick rng [ hash_distinct_plan; hash_join_plan; hash_group_plan ] rng )
-      in
-      List.for_all
-        (fun buffer_pages ->
-          let catalog () = G.catalog_of ~buffer_pages rels in
-          let tuple, tuple_io = io_of (catalog ()) Plan.run plan in
-          let vec, vec_io = io_of (catalog ()) Plan.run_vec plan in
-          Relation.equal_bag tuple vec
-          && logical_and_writes tuple_io = logical_and_writes vec_io
+          (Relation.equal_bag expected got && io = expected_io)
           || begin
-               Fmt.epr "@.pool %d: %s@.tuple io %a, vectorized io %a@." buffer_pages
-                 (Plan.to_string plan)
-                 Fmt.(Dump.list int) tuple_io
-                 Fmt.(Dump.list int) vec_io;
+               Fmt.epr "@.pool %d: %s@.io %a, expected %a@.got:@.%a@.expected:@.%a@."
+                 buffer_pages (Plan.to_string plan)
+                 Fmt.(Dump.list int) io
+                 Fmt.(Dump.list int) expected_io
+                 Relation.pp got Relation.pp expected;
                false
              end)
         [ 3; 8 ])
@@ -803,15 +828,14 @@ let test_boundary_scan_filter () =
               ( [ A.Cmp (A.Col tv, A.Lt, A.Lit (Value.Int (n - 1))) ],
                 Plan.Scan "T" )
           in
-          let vec = Plan.run_vec (make_catalog ()) plan in
           Alcotest.(check int)
             (Printf.sprintf "filter cardinality at n=%d" n)
             (max 0 (n - 1))
-            (Relation.cardinality vec);
+            (Relation.cardinality (Plan.run (make_catalog ()) plan));
           Alcotest.(check bool)
             (Printf.sprintf "filter agrees at n=%d" n)
             true
-            (Relation.equal_bag (Plan.run (make_catalog ()) plan) vec)))
+            (matches_in_memory ~make_catalog plan)))
     boundary_sizes
 
 let test_boundary_group_agg () =
@@ -1007,7 +1031,7 @@ let check_io what vec ref_ =
     (io ref_) (io vec)
 
 let vec_batches tw =
-  let v = Vec.scan tw.heap in
+  let v = Vec.scan ~eager:true tw.heap in
   fun () -> Option.map Batch.to_rows (v.Vec.next_batch ())
 
 (* Two scans of each twin's heap, the second started after the first's
@@ -1098,6 +1122,83 @@ let test_image_scan_before_append () =
   Alcotest.(check bool) "a new scan sees 400 rows" true
     (List.equal Row.equal (Vec.to_rows (Vec.scan tw.heap)) (expect 400))
 
+(* The page order a row-at-a-time consumer sees.  A heap is scanned
+   through [Vec.scan] — bare, filtered, and filtered and projected — and
+   consumed row by row through [Vec.to_tuple]; after each row a page of a
+   second file is read, cycling through all but two of the pool's pages.
+   In 3- to 8-page pools the logical reads, physical reads and writes
+   must equal those of [Heap_file.scan] consumed the same way, with the
+   same filter applied row by row: the batch scan requests each page just
+   before the first row that needs it, not the chunk's pages together. *)
+let test_page_order () =
+  let n = (2 * Batch.max_rows) + 17 in
+  let k_ge_3 =
+    Vec.compile_conjunction [ (Vec.Column 0, A.Ge, Vec.Value (fun () -> Value.Int 3)) ]
+  in
+  let passes (row : Row.t) =
+    Exec.Eval.cmp_values A.Ge (Row.get row 0) (Value.Int 3) = Relalg.Truth.True
+  in
+  let kd = Schema.project image_schema [ 0; 2 ] in
+  let shapes =
+    [
+      ("scan", Fun.id, fun _ -> true);
+      ("filter", Vec.filter ~pred:k_ge_3, passes);
+      ( "filter and projection",
+        (fun v -> Vec.project ~schema:kd ~positions:[| 0; 2 |] (Vec.filter ~pred:k_ge_3 v)),
+        passes );
+    ]
+  in
+  List.iter
+    (fun buffer_pages ->
+      List.iter
+        (fun (what, through, keep) ->
+          let run rows_of =
+            let pager = Pager.create ~buffer_pages ~page_bytes:64 () in
+            let heap = Heap_file.create pager image_schema in
+            List.iter (fun i -> Heap_file.append heap (image_row i)) (List.init n Fun.id);
+            Heap_file.flush heap;
+            (* the second file fits beside one heap page: a request
+               order that brings a chunk's pages in together evicts it *)
+            let other = Heap_file.create pager image_schema in
+            while Heap_file.page_count other < buffer_pages - 2 do
+              Heap_file.append other (image_row 0)
+            done;
+            Heap_file.flush other;
+            let other_pages = Heap_file.page_count other in
+            let before = Pager.snapshot pager in
+            let next = rows_of heap in
+            let rec go k =
+              match next () with
+              | None -> k
+              | Some _ ->
+                  ignore (Pager.read_page pager (Heap_file.file_id other) (k mod other_pages));
+                  go (k + 1)
+            in
+            let rows = go 0 in
+            let d = Pager.diff_since pager before in
+            (rows, [ d.Pager.logical_reads; d.Pager.physical_reads; d.Pager.physical_writes ])
+          in
+          let batch_rows, batch_io =
+            run (fun heap -> (Vec.to_tuple (through (Vec.scan heap))).Iterator.next)
+          in
+          let row_rows, row_io =
+            run (fun heap ->
+                let next = Heap_file.scan heap in
+                let rec kept () =
+                  match next () with
+                  | Some row when not (keep row) -> kept ()
+                  | r -> r
+                in
+                kept)
+          in
+          let label = Printf.sprintf "%s, %d-page pool" what buffer_pages in
+          Alcotest.(check int) (label ^ ": rows") row_rows batch_rows;
+          Alcotest.(check (list int))
+            (label ^ ": logical reads, physical reads, writes")
+            row_io batch_io)
+        shapes)
+    [ 3; 4; 5; 6; 7; 8 ]
+
 (* A deleted temp's image goes with it: its scan fails as the file's does,
    and a new heap on the same pager scans its own rows. *)
 let test_image_deleted_temp () =
@@ -1117,8 +1218,9 @@ let test_image_deleted_temp () =
 
 (* A self hash join scans one heap twice, the build side to the end before
    the probe side starts; the statement runs twice on one catalog, the
-   second time from the image.  Rows and page counters equal the tuple
-   engine's, run the same way. *)
+   second time from the image.  Each run's rows equal the nested-loop
+   join's, and its page counters those of two row-by-row scans of the heap
+   one after the other, run the same way. *)
 let test_image_self_join_twice () =
   let rel = Relation.make image_schema (List.init 700 image_row) in
   let hk = col ~table:"H" "K" in
@@ -1135,22 +1237,31 @@ let test_image_self_join_twice () =
   in
   let runs run =
     let catalog = G.catalog_of ~buffer_pages:3 [ ("H", rel) ] in
-    let pager = Catalog.pager catalog in
-    List.map
-      (fun _ ->
-        let before = Pager.snapshot pager in
-        let result = run catalog plan in
-        let d = Pager.diff_since pager before in
-        (result, [ d.Pager.logical_reads; d.Pager.physical_reads; d.Pager.physical_writes ]))
-      [ 1; 2 ]
+    List.map (fun _ -> io_of catalog run plan) [ 1; 2 ]
+  in
+  let two_scans catalog _ =
+    let heap = Catalog.heap catalog "H" in
+    List.iter
+      (fun () ->
+        let next = Heap_file.scan heap in
+        while Option.is_some (next ()) do () done)
+      [ (); () ];
+    Relation.make image_schema []
+  in
+  let nested_loops =
+    match plan with
+    | Plan.Join j -> Plan.Join { j with method_ = Plan.Nested_loop }
+    | p -> p
   in
   List.iteri
-    (fun i ((tuple, tuple_io), (vec, vec_io)) ->
+    (fun i (((rows, io), (_, scans_io)), (expected, _)) ->
       Alcotest.(check bool) (Printf.sprintf "run %d: rows" (i + 1)) true
-        (Relation.equal_bag tuple vec);
+        (Relation.equal_bag expected rows);
       Alcotest.(check (list int)) (Printf.sprintf "run %d: page I/O" (i + 1))
-        tuple_io vec_io)
-    (List.combine (runs Plan.run) (runs Plan.run_vec))
+        scans_io io)
+    (List.combine
+       (List.combine (runs Plan.run) (runs two_scans))
+       (runs (fun c _ -> Plan.run c nested_loops)))
 
 (* ---------------- stored rows ------------------------------------------ *)
 
@@ -1272,22 +1383,9 @@ let contains ~needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-let test_analyze_vectorized_metrics () =
-  let db = Core.create_db () in
-  define_fixture db;
-  let text =
-    match
-      Core.explain_query ~analyze:true ~engine:Plan.Vectorized db
-        count_bug_query
-    with
-    | Ok t -> t
-    | Error msg -> Alcotest.fail msg
-  in
-  Alcotest.(check bool) "reports batches" true (contains ~needle:"batches=" text);
-  Alcotest.(check bool) "reports rows/call" true
-    (contains ~needle:"rows/call=" text)
-
-let test_analyze_tuple_has_no_batches () =
+(* Every plan runs batch-at-a-time, so the default EXPLAIN ANALYZE
+   reports batches beside rows/call. *)
+let test_analyze_metrics () =
   let db = Core.create_db () in
   define_fixture db;
   let text =
@@ -1295,13 +1393,11 @@ let test_analyze_tuple_has_no_batches () =
     | Ok t -> t
     | Error msg -> Alcotest.fail msg
   in
-  (* tuple operators never produce batches; the field stays hidden *)
-  Alcotest.(check bool) "no batches field" false
-    (contains ~needle:"batches=" text);
-  Alcotest.(check bool) "still reports rows/call" true
+  Alcotest.(check bool) "reports batches" true (contains ~needle:"batches=" text);
+  Alcotest.(check bool) "reports rows/call" true
     (contains ~needle:"rows/call=" text)
 
-(* EXPLAIN ANALYZE under the vectorized engine, pinned as a golden: the
+(* EXPLAIN ANALYZE pinned as a golden: the
    nestbench [fit] workload's N-in and JA-count shapes with SHIPDATE filters,
    and its JA-max-lt shape (the paper's Q5: MAX under a '<' correlation, the
    outer block cut to PNUM <= 3, so TEMP2 is a nested-loop join), over a
@@ -1351,13 +1447,15 @@ let test_explain_analyze_vectorized_golden () =
                   (mask
                      (match
                         Core.explain_query ~mode:Planner.Hybrid ~analyze:true
-                          ~engine:Plan.Vectorized (fit_db ~buffer_pages) sql
+                          (fit_db ~buffer_pages) sql
                       with
                      | Ok text -> text
                      | Error msg -> "error: " ^ msg ^ "\n")))
               [ 256; 8 ])
           fit_queries))
 
+(* The engine argument is kept for callers that still name one, and
+   changes nothing. *)
 let test_core_run_engines_agree () =
   let run engine =
     let db = Core.create_db () in
@@ -1384,7 +1482,6 @@ let qtests =
       prop_date_distinct_group;
       prop_programs;
       prop_nested_loop;
-      prop_engines_io;
     ]
 
 let suites =
@@ -1419,6 +1516,8 @@ let suites =
           `Quick test_image_scan_before_append;
         Alcotest.test_case "column image: a deleted temp" `Quick
           test_image_deleted_temp;
+        Alcotest.test_case "page order: row-at-a-time consumers" `Quick
+          test_page_order;
         Alcotest.test_case "column image: self hash join, run twice" `Quick
           test_image_self_join_twice;
         Alcotest.test_case "stored rows: shared by scans, dropped by gathers"
@@ -1426,10 +1525,8 @@ let suites =
       ] );
     ( "vectorized.surface",
       [
-        Alcotest.test_case "EXPLAIN ANALYZE --engine vectorized" `Quick
-          test_analyze_vectorized_metrics;
-        Alcotest.test_case "EXPLAIN ANALYZE tuple hides batches" `Quick
-          test_analyze_tuple_has_no_batches;
+        Alcotest.test_case "EXPLAIN ANALYZE reports batches" `Quick
+          test_analyze_metrics;
         Alcotest.test_case "EXPLAIN ANALYZE of fit shapes, vectorized" `Quick
           test_explain_analyze_vectorized_golden;
         Alcotest.test_case "Core.run engines agree" `Quick
