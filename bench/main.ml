@@ -123,27 +123,32 @@ let fresh_counter prefix =
     incr n;
     Printf.sprintf "%s%d" prefix !n
 
+(* The programs this harness runs with [Planner.run_program]: NEST-G's for
+   [q], its temps named from [catalog]'s counter, or — given [temps] —
+   those temps (NEST-JA2's or Kim's NEST-JA alone) with [q] as the main
+   query. *)
+let program ?temps catalog q =
+  match temps with
+  | Some temps -> { Program.temps; main = q; notes = []; probes = [] }
+  | None ->
+      Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q
+
+let run_and_drop catalog program =
+  let result = Planner.run_program catalog program in
+  Planner.drop_temps catalog program;
+  result
+
 let run_kim_ja catalog q =
   let pred = List.hd q.Sql.Ast.where in
   let temp, rewritten = Nest_ja.transform q pred ~temp_name:"KIMTEMP" in
-  Planner.materialize_temp catalog temp;
-  let result =
-    Exec.Plan.run catalog (Planner.lower catalog rewritten).Planner.plan
-  in
-  Catalog.drop catalog "KIMTEMP";
-  result
+  run_and_drop catalog (program ~temps:[ temp ] catalog rewritten)
 
 let run_ja2 catalog q =
   let pred = List.hd q.Sql.Ast.where in
   let { Nest_ja2.temps; rewritten; _ } =
     Nest_ja2.transform q pred ~fresh:(fresh_counter "JA2T") ()
   in
-  List.iter (Planner.materialize_temp catalog) temps;
-  let result =
-    Exec.Plan.run catalog (Planner.lower catalog rewritten).Planner.plan
-  in
-  List.iter (fun { Program.name; _ } -> Catalog.drop catalog name) temps;
-  result
+  run_and_drop catalog (program ~temps catalog rewritten)
 
 let bugs () =
   let scenario variant query =
@@ -188,12 +193,7 @@ let bugs () =
         let catalog = F.parts_supply_catalog variant in
         let q = F.parse_analyzed catalog q3_style in
         let reference = Exec.Nested_iter.run catalog q in
-        let program =
-          Nest_g.transform
-            ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-            q
-        in
-        let got = Planner.run_program catalog program in
+        let got = Planner.run_program catalog (program catalog q) in
         [ label; show_ints reference "PNUM"; show_ints got "PNUM";
           string_of_bool (Relation.equal_bag reference got) ])
       [ ("kiessling data", F.Count_bug); ("sec. 5.3 data", F.Neq_bug);
@@ -214,12 +214,9 @@ let figure2 () =
      SHIPDATE FROM SUPPLY E WHERE E.PNUM = PARTS.PNUM)))"
   in
   let q = F.parse_analyzed catalog text in
-  let program =
-    Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q
-  in
+  let program = program catalog q in
   let reference = Exec.Nested_iter.run catalog q in
-  let result = Planner.run_program catalog program in
-  Planner.drop_temps catalog program;
+  let result = run_and_drop catalog program in
   print_table ~title:"E6 / Figure 2: recursive NEST-G on a 4-block query tree"
     ~header:[ "metric"; "value" ]
     [
@@ -283,13 +280,7 @@ let sweep () =
             let c2 = fresh_catalog () in
             let q2 = F.parse_analyzed c2 text in
             let transformed, trans_io =
-              measure_io c2 (fun () ->
-                  let program =
-                    Nest_g.transform
-                      ~fresh:(fun () -> Catalog.fresh_temp_name c2)
-                      q2
-                  in
-                  Planner.run_program c2 program)
+              measure_io c2 (fun () -> Planner.run_program c2 (program c2 q2))
             in
             let agree = Relation.equal_set reference transformed in
             let supply_pages = Catalog.pages c2 "SUPPLY" in
@@ -347,13 +338,7 @@ let ext () =
         let c2 = F.kim_catalog () in
         let q2 = F.parse_analyzed c2 text in
         let transformed, trans_io =
-          measure_io c2 (fun () ->
-              let program =
-                Nest_g.transform
-                  ~fresh:(fun () -> Catalog.fresh_temp_name c2)
-                  q2
-              in
-              Planner.run_program c2 program)
+          measure_io c2 (fun () -> Planner.run_program c2 (program c2 q2))
         in
         [
           name;
@@ -384,12 +369,7 @@ let strategies () =
           G.scaled_catalog ~buffer_pages:8 ~page_bytes:128 ~seed:42
             ~n_parts:40 ~supply_per_part:16 ()
         in
-        let q = F.parse_analyzed catalog text in
-        let program =
-          Nest_g.transform
-            ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-            q
-        in
+        let program = program catalog (F.parse_analyzed catalog text) in
         let result, io =
           measure_io catalog (fun () -> Planner.run_program ~force catalog program)
         in
@@ -426,12 +406,7 @@ let buffers () =
           | `Transformed ->
               snd
                 (measure_io catalog (fun () ->
-                     let program =
-                       Nest_g.transform
-                         ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-                         q
-                     in
-                     Planner.run_program catalog program))
+                     Planner.run_program catalog (program catalog q)))
         in
         let nested = run `Nested and transformed = run `Transformed in
         let savings =
@@ -466,12 +441,7 @@ let indexes () =
             in
             if with_index then
               Catalog.create_index catalog "SUPPLY" ~column:"PNUM";
-            let q = F.parse_analyzed catalog text in
-            let program =
-              Nest_g.transform
-                ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-                q
-            in
+            let program = program catalog (F.parse_analyzed catalog text) in
             let result, io =
               measure_io catalog (fun () ->
                   Planner.run_program ~force catalog program)
@@ -509,8 +479,7 @@ let projection () =
         in
         let result, io =
           measure_io catalog (fun () ->
-              List.iter (Planner.materialize_temp catalog) temps;
-              Exec.Plan.run catalog (Planner.lower catalog rewritten).Planner.plan)
+              Planner.run_program catalog (program ~temps catalog rewritten))
         in
         let reference = Exec.Nested_iter.run catalog q in
         [
@@ -542,12 +511,7 @@ let model () =
           G.scaled_catalog ~buffer_pages:8 ~page_bytes:128 ~seed:42 ~n_parts
             ~supply_per_part ()
         in
-        let q = F.parse_analyzed catalog text in
-        let program =
-          Nest_g.transform
-            ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-            q
-        in
+        let program = program catalog (F.parse_analyzed catalog text) in
         let _, measured =
           measure_io catalog (fun () ->
               Planner.run_program ~force:Planner.Force_merge catalog program)
@@ -614,17 +578,10 @@ let timing () =
     in
     let c_trans = make_catalog () in
     let q_trans = F.parse_analyzed c_trans text in
-    let program =
-      Nest_g.transform
-        ~fresh:(fun () -> Catalog.fresh_temp_name c_trans)
-        q_trans
-    in
+    let program = program c_trans q_trans in
     let transformed =
       Test.make ~name:(kind ^ " transformed")
-        (Staged.stage (fun () ->
-             let r = Planner.run_program c_trans program in
-             Planner.drop_temps c_trans program;
-             ignore r))
+        (Staged.stage (fun () -> ignore (run_and_drop c_trans program)))
     in
     let transform_only =
       Test.make ~name:(kind ^ " transform (rewrite only)")
@@ -722,11 +679,7 @@ let run_strategy ~warmup ~reps ~buffer_pages ~page_bytes ~n_parts
       match strategy with
       | `Nested -> fun () -> Exec.Sysr_iteration.run catalog q
       | `Transformed mode ->
-          let program =
-            Nest_g.transform
-              ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-              q
-          in
+          let program = program catalog q in
           fun () -> Planner.run_program ~mode catalog program
     in
     let result, wall, io = time_io catalog run in
@@ -876,15 +829,9 @@ let json_operator_breakdowns ~supply_per_part () =
         G.scaled_catalog ~buffer_pages ~page_bytes ~seed:42 ~n_parts
           ~supply_per_part ()
       in
-      let q = F.parse_analyzed catalog text in
-      let program =
-        Nest_g.transform
-          ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-          q
-      in
       let segs =
         Planner.explain_plans ~mode:Planner.Hybrid ~analyze:true catalog
-          program
+          (program catalog (F.parse_analyzed catalog text))
       in
       Json.Obj
         [
@@ -947,11 +894,7 @@ let run_skew ~warmup ~reps ~n_parts ~n_supply ~key_range text strategy =
           Some
             (fun () -> (Batched_nest.run catalog q).Batched_nest.relation)
       | `Rewrite -> (
-          match
-            Nest_g.transform
-              ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
-              q
-          with
+          match program catalog q with
           | program ->
               Some
                 (fun () ->

@@ -56,5 +56,8 @@ let () =
   Optimizer.Planner.drop_temps catalog program;
 
   (* And the physical side: the plans chosen for each step. *)
-  Fmt.pr "@.physical plans:@.%s@."
-    (Optimizer.Planner.explain catalog program)
+  Fmt.pr "@.physical plans:@.";
+  List.iter
+    (fun (s : Optimizer.Planner.explained) ->
+      Fmt.pr "%s:@.%s@." s.seg_label s.seg_text)
+    (Optimizer.Planner.explain_plans catalog program)

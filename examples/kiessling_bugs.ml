@@ -22,6 +22,10 @@ let fresh_counter prefix =
     Printf.sprintf "%s%d" prefix !n
 
 (* Run one §5 scenario. *)
+(* NEST-JA's or NEST-JA2's temps and rewritten query as one program. *)
+let program temps main =
+  { Optimizer.Program.temps; main; notes = []; probes = [] }
+
 let scenario ~title ~variant ~query =
   rule title;
   let catalog = F.parts_supply_catalog variant in
@@ -37,12 +41,11 @@ let scenario ~title ~variant ~query =
   (* 2. Kim's NEST-JA *)
   let pred = List.hd q.Sql.Ast.where in
   let temp, rewritten = Optimizer.Nest_ja.transform q pred ~temp_name:"TEMPK" in
-  Optimizer.Planner.materialize_temp catalog temp;
+  let kim_result =
+    Optimizer.Planner.run_program catalog (program [ temp ] rewritten)
+  in
   Fmt.pr "@.Kim's NEST-JA temporary table:";
   show_table catalog "TEMPK";
-  let kim_result =
-    Exec.Plan.run catalog (Optimizer.Planner.lower catalog rewritten).Optimizer.Planner.plan
-  in
   Fmt.pr "@.Kim's NEST-JA result:@.%a@." Relation.pp kim_result;
   let kim_ok = Relation.equal_set reference kim_result in
   Fmt.pr "@.NEST-JA %s@."
@@ -54,12 +57,11 @@ let scenario ~title ~variant ~query =
   let { Optimizer.Nest_ja2.temps; rewritten; _ } =
     Optimizer.Nest_ja2.transform q pred ~fresh:(fresh_counter "TEMP") ()
   in
-  List.iter (Optimizer.Planner.materialize_temp catalog) temps;
+  let ja2_result =
+    Optimizer.Planner.run_program catalog (program temps rewritten)
+  in
   Fmt.pr "@.NEST-JA2 temporary tables:";
   List.iter (fun { Optimizer.Program.name; _ } -> show_table catalog name) temps;
-  let ja2_result =
-    Exec.Plan.run catalog (Optimizer.Planner.lower catalog rewritten).Optimizer.Planner.plan
-  in
   Fmt.pr "@.NEST-JA2 result:@.%a@." Relation.pp ja2_result;
   assert (Relation.equal_bag reference ja2_result);
   Fmt.pr "@.NEST-JA2 matches nested iteration.@."
@@ -82,9 +84,8 @@ let () =
     Optimizer.Nest_ja2.transform q (List.hd q.Sql.Ast.where)
       ~fresh:(fresh_counter "TEMP") ()
   in
-  List.iter (Optimizer.Planner.materialize_temp catalog) temps;
   let result =
-    Exec.Plan.run catalog (Optimizer.Planner.lower catalog rewritten).Optimizer.Planner.plan
+    Optimizer.Planner.run_program catalog (program temps rewritten)
   in
   Fmt.pr "@.COUNT(*) query result (transformed):@.%a@." Relation.pp result;
   assert (Relation.equal_bag reference result);

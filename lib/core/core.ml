@@ -75,6 +75,13 @@ let execute_create_index db text : (string, string) result =
               Ok (Fmt.str "created index on %s(%s)" table column)
             end)
 
+(* Run one statement's work, then delete the scratch files its operators
+   left in the pager (Catalog.release_since): without this every sort and
+   materialized nested-loop inner stays on the simulated disk for good. *)
+let with_statement_files db f =
+  let mark = Pager.mark (Catalog.pager db.catalog) in
+  Fun.protect f ~finally:(fun () -> Catalog.release_since db.catalog mark)
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline stages                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -97,18 +104,18 @@ let column_nullable db ~rel col =
   | Some (_, cs) -> cs.Storage.Stats.nulls > 0
   | None -> true
 
-(* NEST-JA2's keyed-TEMP2 decision against this catalog: probe the inner
-   B-tree with TEMP1's keys when one descent per key undercuts the inner
-   relation's pages (Estimate.keyed_temp2). *)
-let probe_keys db kp =
-  Option.map Optimizer.Estimate.describe_keyed_temp2
-    (Optimizer.Estimate.keyed_temp2 db.catalog kp)
-
-(* NEST-G over an already-analyzed query, its temps named by [fresh]. *)
-let transform_with ?on_step ~probe_keys ~fresh db q =
+(* NEST-G over an already-analyzed query, its temps named from the
+   catalog's counter; NEST-JA2 builds a keyed TEMP2 where
+   [Estimate.keyed_temp2] accepts the probe against this catalog. *)
+let transform_query ?on_step db q =
   match
     Optimizer.Nest_g.transform ~nullable:(column_nullable db)
-      ~probe_keys ?on_step ~fresh q
+      ~probe_keys:(fun kp ->
+        Option.map Optimizer.Estimate.describe_keyed_temp2
+          (Optimizer.Estimate.keyed_temp2 db.catalog kp))
+      ?on_step
+      ~fresh:(fun () -> Catalog.fresh_temp_name db.catalog)
+      q
   with
   | program -> Ok program
   | exception Optimizer.Nest_g.Unsupported msg
@@ -116,12 +123,6 @@ let transform_with ?on_step ~probe_keys ~fresh db q =
   | exception Optimizer.Nest_n_j.Not_applicable msg
   | exception Optimizer.Extensions.Unsupported msg ->
       Error ("not transformable: " ^ msg)
-
-(* [transform] and the prepared-statement path both come through here. *)
-let transform_query ?on_step db q =
-  transform_with ?on_step ~probe_keys:(probe_keys db)
-    ~fresh:(fun () -> Catalog.fresh_temp_name db.catalog)
-    db q
 
 let transform ?on_step db text =
   match parse db text with
@@ -189,14 +190,16 @@ let lint_query db text : Analysis.Diagnostics.t list =
 (* Semantic checking (plan validation + bounded equivalence)           *)
 (* ------------------------------------------------------------------ *)
 
-(* One query through both checker passes: lower the transformed program
-   and type-check every physical plan (NQ110-NQ115), then search for a
-   bounded counterexample to the rewrite (NQ120-NQ122).  A query the
-   transformation refuses yields an empty report — there is no rewrite to
-   falsify, and the refusal itself is the lint layer's business. *)
+(* One query through both checker passes: type-check every physical plan
+   the transformed program runs, in both planner modes (NQ110-NQ115), then
+   search for a bounded counterexample to the rewrite (NQ120-NQ122).  A
+   query the transformation refuses yields an empty report — there is no
+   rewrite to falsify, and the refusal itself is the lint layer's
+   business. *)
 type check_report = {
   ck_sql : string;  (* canonical rendering of the checked query *)
   ck_refused : string option;  (* transformation refusal, when any *)
+  ck_plans : (string * Exec.Plan.node) list;  (* "MODE SEGMENT", plan *)
   ck_diags : Analysis.Diagnostics.t list;
   ck_verdict : Analysis.Equiv_check.verdict option;
   ck_certificate : string option;
@@ -220,13 +223,33 @@ let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
       {
         ck_sql;
         ck_refused = Some msg;
+        ck_plans = [];
         ck_diags = [];
         ck_verdict = None;
         ck_certificate = None;
         ck_repro = None;
       }
   | Ok program ->
-      let plan_diags = Optimizer.Planner.check_program db.catalog program in
+      (* the temps run, so each mode's scratch files go with its check *)
+      let checked =
+        List.concat_map
+          (fun mode ->
+            List.map
+              (fun (segment, plan, diags) ->
+                (Optimizer.Planner.mode_name mode ^ " " ^ segment, plan, diags))
+              (with_statement_files db (fun () ->
+                   Optimizer.Planner.check_program ~mode db.catalog program)))
+          [ Optimizer.Planner.Paper1987; Optimizer.Planner.Hybrid ]
+      in
+      let plan_diags =
+        List.concat_map
+          (fun (label, _, diags) ->
+            List.map
+              (fun (d : Analysis.Diagnostics.t) ->
+                { d with message = label ^ ": " ^ d.message })
+              diags)
+          checked
+      in
       let verdict = equivalence ~bound db q program in
       let repro =
         match verdict with
@@ -237,6 +260,7 @@ let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
       {
         ck_sql;
         ck_refused = None;
+        ck_plans = List.map (fun (label, plan, _) -> (label, plan)) checked;
         ck_diags =
           Analysis.Diagnostics.sort
             (plan_diags
@@ -380,40 +404,24 @@ let prepare db text =
 
 (* The §7 crossover, priced.  When some frame of the nested enumeration
    can probe a B-tree, Auto's candidates are priced in page I/O with
-   Estimate's one vocabulary: indexed nested iteration, the program the
-   transformation produces (bounded below by what it must read: keyed TEMP2
-   probes included), and batched execution.  The program comes from the
-   same transformation Auto runs, under private temp names so that pricing
-   leaves the catalog's TEMP# numbering alone; nothing is materialized.
+   Estimate's one vocabulary: indexed nested iteration, the statement's own
+   transformed program (bounded below by what it must read: the keyed TEMP2
+   probes it records included), and batched execution.  Pricing forces the
+   program, which a transformed run then reuses; nothing is materialized.
    [None] when no probe applies: Auto then walks its ladder unpriced. *)
-let price db (q : Sql.Ast.query) : candidates option =
+let price db (p : prepared) : candidates option =
   Option.map
     (fun est_nested ->
-      let keyed = ref [] in
-      let probe_keys (kp : Optimizer.Nest_ja2.key_probe) =
-        Option.map
-          (fun k ->
-            keyed := (kp.inner_rel, k) :: !keyed;
-            Optimizer.Estimate.describe_keyed_temp2 k)
-          (Optimizer.Estimate.keyed_temp2 db.catalog kp)
-      in
-      let fresh = ref 0 in
-      let fresh () =
-        incr fresh;
-        Printf.sprintf "PRICED#%d" !fresh
-      in
       {
         est_nested;
         est_transformed =
           Result.to_option
             (Result.map
-               (fun (program : Optimizer.Program.t) ->
-                 Optimizer.Estimate.transformed_bound db.catalog q
-                   ~keyed:!keyed ~temps:(List.length program.temps))
-               (transform_with ~probe_keys ~fresh db q));
-        est_batched = Optimizer.Estimate.batched_cost db.catalog q;
+               (Optimizer.Estimate.transformed_bound db.catalog p.query)
+               (Lazy.force p.program));
+        est_batched = Optimizer.Estimate.batched_cost db.catalog p.query;
       })
-    (Optimizer.Estimate.indexed_nested_cost db.catalog q)
+    (Optimizer.Estimate.indexed_nested_cost db.catalog p.query)
 
 (* The rung Auto reaches unless it runs nested first: the program when the
    query transforms (batching never overrides a transformation), batched
@@ -428,7 +436,7 @@ let alternative c =
 let indexed_first c = c.est_nested <= alternative c
 
 let indexed_nested_choice db (q : Sql.Ast.query) : (float * float) option =
-  match price db q with
+  match price db (prepare_query db q) with
   | Some c when indexed_first c -> Some (c.est_nested, alternative c)
   | _ -> None
 
@@ -487,7 +495,7 @@ let auto_event d =
    nested iteration last.  [attempt] tries a rung; an [Error] moves on.
    [trace] receives the decision as one "auto" event. *)
 let decide ?trace db (p : prepared) attempt =
-  let candidates = price db p.query in
+  let candidates = price db p in
   let next = function
     | Via_transformed
       when Optimizer.Estimate.prefer_batched db.catalog p.query ->
@@ -554,15 +562,7 @@ let apply_strategy ?mode ?trace db p strategy ~untransformed ~transformed =
   | Batched force -> forced force Via_batched
   | Auto -> decide ?trace db p (rung Optimizer.Planner.Auto)
 
-(* Run one statement's work, then delete the scratch files its operators
-   left in the pager (Catalog.release_since): without this every sort and
-   materialized nested-loop inner stays on the simulated disk for good. *)
-let with_statement_files db f =
-  let mark = Pager.mark (Catalog.pager db.catalog) in
-  Fun.protect f ~finally:(fun () -> Catalog.release_since db.catalog mark)
-
-let run_prepared ?(strategy = Auto) ?(check = false) ?mode
-    ?engine:(_ : Exec.Plan.engine option) ?trace db
+let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?trace db
     (p : prepared) : (execution, string) result =
   with_statement_files db @@ fun () ->
   let pager = Catalog.pager db.catalog in
@@ -593,11 +593,9 @@ let run_prepared ?(strategy = Auto) ?(check = false) ?mode
     (fun (e, decision) -> { e with decision })
     (apply_strategy ?mode ?trace db p strategy ~untransformed ~transformed)
 
-let run ?strategy ?check ?mode ?engine ?trace db text :
-    (execution, string) result =
-  Result.bind
-    (prepare db text)
-    (run_prepared ?strategy ?check ?mode ?engine ?trace db)
+let run ?strategy ?check ?mode ?engine:(_ : Exec.Plan.engine option) ?trace db
+    text : (execution, string) result =
+  Result.bind (prepare db text) (run_prepared ?strategy ?check ?mode ?trace db)
 
 (* Convenience: the relation only. *)
 let query db text : (Relation.t, string) result =
@@ -619,8 +617,7 @@ let explain_untransformed ~analyze ?trace db plan =
   in
   if analyze then text ^ Printf.sprintf "result: %d rows\n" !rows else text
 
-let explain_query ?(strategy = Auto) ?mode ?(analyze = false)
-    ?engine:(_ : Exec.Plan.engine option) ?trace db text :
+let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?trace db text :
     (string, string) result =
   with_statement_files db @@ fun () ->
   Result.bind (parse db text) @@ fun q ->
@@ -631,13 +628,15 @@ let explain_query ?(strategy = Auto) ?mode ?(analyze = false)
      counterexample search at k=2 over {const₁, const₂, NULL}, in one line
      (docs/LINT.md). *)
   let transformed force program =
-    let text =
-      Optimizer.Planner.explain_text ~force ?mode ~analyze ?trace db.catalog
-        program
-    in
     String.concat ""
       (List.map (fun n -> n ^ "\n") program.Optimizer.Program.notes)
-    ^ text ^ "\n"
+    ^ String.concat "\n"
+        (List.map
+           (fun (s : Optimizer.Planner.explained) ->
+             s.seg_label ^ ":\n" ^ s.seg_text)
+           (Optimizer.Planner.explain_plans ~force ?mode ~analyze ?trace
+              db.catalog program))
+    ^ "\n"
     ^ Analysis.Equiv_check.certificate (equivalence ~bound:2 db q program)
   in
   Result.map
@@ -660,8 +659,6 @@ let explain_query ?(strategy = Auto) ?mode ?(analyze = false)
           auto_header d ^ "\n" ^ text
       | Some d -> auto_header d ^ "\nmain:\n" ^ text)
     (apply_strategy ?mode ?trace db p strategy ~untransformed ~transformed)
-
-let explain db text : (string, string) result = explain_query db text
 
 (* ------------------------------------------------------------------ *)
 (* Side-by-side comparison (the paper's experiment)                    *)

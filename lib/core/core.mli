@@ -41,12 +41,12 @@ val create_index : db -> string -> column:string -> unit
 val is_create_index : string -> bool
 val execute_create_index : db -> string -> (string, string) result
 
-(** Auto's first rung, from {!decision}'s pricing: [Some (nested,
-    alternative)] when indexed nested iteration is priced at or below the
-    rung Auto would otherwise run — the transformed program when the query
-    transforms, batched execution after a refusal, [infinity] when both
-    refuse.  [None] when no index probe applies or the alternative is
-    cheaper. *)
+(** Auto's first rung, from {!decision}'s pricing of [prepare_query db q]:
+    [Some (nested, alternative)] when indexed nested iteration is priced at
+    or below the rung Auto would otherwise run — the transformed program
+    when the query transforms, batched execution after a refusal,
+    [infinity] when both refuse.  [None] when no index probe applies or
+    the alternative is cheaper. *)
 val indexed_nested_choice : db -> Sql.Ast.query -> (float * float) option
 
 (** Parse and analyze (name resolution, literal coercion, validation). *)
@@ -85,9 +85,13 @@ type check_report = {
   ck_refused : string option;
       (** the transformation refusal message, when the query has no rewrite
           to check *)
+  ck_plans : (string * Exec.Plan.node) list;
+      (** every plan type-checked, in order: the plans
+          {!Optimizer.Planner.run_program} runs in [Paper1987], then in
+          [Hybrid], each labelled ["MODE temp NAME"] or ["MODE main"] *)
   ck_diags : Analysis.Diagnostics.t list;
-      (** plan-validation (NQ110–NQ115) and equivalence (NQ120–NQ122)
-          diagnostics, sorted *)
+      (** plan-validation (NQ110–NQ115, each message prefixed with its
+          plan's label) and equivalence (NQ120–NQ122) diagnostics, sorted *)
   ck_verdict : Analysis.Equiv_check.verdict option;
   ck_certificate : string option;
       (** one-line bounded-equivalence certificate *)
@@ -95,8 +99,9 @@ type check_report = {
       (** counterexample database as a replayable oracle repro [.sql] *)
 }
 (** The result of the semantic checker over one query: typed validation of
-    every lowered physical plan of its transformed program, plus the
-    bounded counterexample search for the rewrite itself. *)
+    every physical plan its transformed program runs, in both planner
+    modes (the temps are executed), plus the bounded counterexample search
+    for the rewrite itself. *)
 
 (** Check one analyzed query (see {!check_source} for text input).
     [bound] is the rows-per-relation search bound (default 2). *)
@@ -144,10 +149,11 @@ val via_name : via -> string
 
 (** Auto's candidates when an index probe applies, in page I/O: indexed
     nested iteration ({!Optimizer.Estimate.indexed_nested_cost}), a lower
-    bound of the transformed program ({!Optimizer.Estimate.transformed_bound};
-    [None] when it refuses) and batched execution
+    bound of the statement's own transformed program
+    ({!Optimizer.Estimate.transformed_bound} of the forced
+    {!prepared.program}; [None] when it refuses) and batched execution
     ({!Optimizer.Estimate.batched_cost}; [None] without a batchable
-    subquery).  Pricing materializes nothing. *)
+    subquery).  Pricing materializes nothing, but forces the program. *)
 type candidates = {
   est_nested : float;
   est_transformed : float option;
@@ -179,8 +185,9 @@ type prepared = {
   query : Sql.Ast.query;  (** the analyzed AST *)
   program : (Optimizer.Program.t, string) result Lazy.t;
       (** the NEST-G transformation, forced at most once ([Error] = not
-          transformable).  Not thread-safe to force concurrently — the
-          server forces it under its statement lock. *)
+          transformable), by Auto's pricing or the transformed rung.  Not
+          thread-safe to force concurrently — the server forces it under
+          its statement lock. *)
 }
 (** A statement with the per-statement pipeline work — parse, analyze,
     normalize, transform — done once, ready to be executed many times.
@@ -203,7 +210,6 @@ val run_prepared :
   ?strategy:strategy ->
   ?check:bool ->
   ?mode:Optimizer.Planner.mode ->
-  ?engine:Exec.Plan.engine ->
   ?trace:(string -> unit) ->
   db ->
   prepared ->
@@ -240,8 +246,10 @@ val query : db -> string -> (Relation.t, string) result
     With [~analyze:true] the plans are also executed, instrumented, and
     each operator gains actual rows / [next] calls / wall-clock / page
     I/Os; [trace] receives one JSON line per operator event
-    (see [docs/EXPLAIN.md]).  [engine] is ignored, as in {!run}; a batch
-    operator's actuals include [rows/call] > 1 and a [batches] count.
+    (see [docs/EXPLAIN.md]).  A batch operator's actuals include
+    [rows/call] > 1 and a [batches] count.  A transformed program's
+    segments are {!Optimizer.Planner.explain_plans}', joined here as
+    ["LABEL:\n<tree>"] blocks.
     [Nested_iteration] and [Batched _] explain their own plan trees (a
     [strategy:] line, then one [main:] segment; under ANALYZE, a re-opened
     inner plan's actuals add up over its loops).  [Auto] walks {!run}'s
@@ -251,15 +259,10 @@ val explain_query :
   ?strategy:strategy ->
   ?mode:Optimizer.Planner.mode ->
   ?analyze:bool ->
-  ?engine:Exec.Plan.engine ->
   ?trace:(string -> unit) ->
   db ->
   string ->
   (string, string) result
-
-(** Transformed program + physical plans, as text — [explain_query] without
-    analysis. *)
-val explain : db -> string -> (string, string) result
 
 type comparison = {
   nested : execution;

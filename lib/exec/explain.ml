@@ -25,15 +25,16 @@ let trace_batch = 256
 type session = {
   pager : Pager.t;
   trace : (string -> unit) option;
-  mutable entries : (Plan.node * Metrics.t * int) list; (* keyed by [==] *)
+  mutable entries : (Plan.node * Metrics.t * int * int ref) list;
+      (* keyed by [==]; the node's running opens and pulls last *)
   mutable fresh_id : int;
 }
 
 let session ?trace pager = { pager; trace; entries = []; fresh_id = 0 }
 
-let entry s node = List.find_opt (fun (n, _, _) -> n == node) s.entries
+let entry s node = List.find_opt (fun (n, _, _, _) -> n == node) s.entries
 
-let metrics s node = Option.map (fun (_, m, _) -> m) (entry s node)
+let metrics s node = Option.map (fun (_, m, _, _) -> m) (entry s node)
 
 let ms seconds = Json.Float (seconds *. 1e3)
 
@@ -49,26 +50,33 @@ let emit s ev id fields =
 (* What the row and the batch observer share: register [node]'s
    metrics (a node an [Apply] re-opens keeps one record and one trace id
    across its loops), time its [build] — one open: the plan was compiled
-   before — emit its "open" line, and return
-   the built operator with a wrapper for its pull function.  The wrapper
-   times each
-   pull, attributes its page traffic, and emits "close" at the first
-   exhausted pull; [produced] accounts for one non-empty pull and says
-   whether it deserves a "batch" line. *)
+   before — emit its "open" line, and return the built operator, a
+   wrapper for its pull function and a [charge] for the page requests of
+   what it hands out.  The wrapper times each pull, attributes its page
+   traffic, and emits "close" at the first exhausted pull; [produced]
+   accounts for one non-empty pull and says whether it deserves a "batch"
+   line.  [charge] adds a consumer's later request to the node's I/O
+   unless the node's own open or pull is running, which counts it. *)
 let instrument s node build ~produced =
-  let m, id =
+  let m, id, active =
     match entry s node with
-    | Some (_, m, id) -> (m, id)
+    | Some (_, m, id, active) -> (m, id, active)
     | None ->
-        let m = Metrics.create () and id = s.fresh_id in
-        s.entries <- (node, m, id) :: s.entries;
+        let m = Metrics.create () and id = s.fresh_id and active = ref 0 in
+        s.entries <- (node, m, id, active) :: s.entries;
         s.fresh_id <- id + 1;
-        (m, id)
+        (m, id, active)
+  in
+  let running f =
+    incr active;
+    let r = f () in
+    decr active;
+    r
   in
   m.Metrics.loops <- m.Metrics.loops + 1;
   let before = Pager.snapshot s.pager in
   let t0 = Unix.gettimeofday () in
-  let op = build () in
+  let op = running build in
   m.Metrics.build_s <- m.Metrics.build_s +. (Unix.gettimeofday () -. t0);
   Metrics.add_io m (Pager.diff_since s.pager before);
   emit s "open" id
@@ -83,7 +91,7 @@ let instrument s node build ~produced =
   let pull next () =
     let before = Pager.snapshot s.pager in
     let t0 = Unix.gettimeofday () in
-    let r = next () in
+    let r = running next in
     m.Metrics.next_s <- m.Metrics.next_s +. (Unix.gettimeofday () -. t0);
     Metrics.add_io m (Pager.diff_since s.pager before);
     m.Metrics.next_calls <- m.Metrics.next_calls + 1;
@@ -103,18 +111,27 @@ let instrument s node build ~produced =
         end);
     r
   in
-  (op, pull)
+  let charge request =
+    if !active > 0 then request ()
+    else begin
+      let before = Pager.snapshot s.pager in
+      request ();
+      Metrics.add_io m (Pager.diff_since s.pager before)
+    end
+  in
+  (op, pull, charge)
 
 (* A row operator's pulls are rows: a "batch" line every [trace_batch]
    [next] calls.  A batch operator's are batches: one timer pair and one
    pager snapshot per batch, not per row — the amortization that keeps
    instrumentation overhead from dwarfing the batch loops ([rows] still
-   counts individual selected rows). *)
+   counts individual selected rows); a scan's pending pages, requested
+   later by a consumer, are charged to every node that handed them out. *)
 let observer (s : session) : Plan.observer =
   {
     rows =
       (fun node build ->
-        let it, pull =
+        let it, pull, _ =
           instrument s node build ~produced:(fun m _ ->
               m.Metrics.rows <- m.Metrics.rows + 1;
               m.Metrics.next_calls mod trace_batch = 0)
@@ -122,13 +139,20 @@ let observer (s : session) : Plan.observer =
         { it with Iterator.next = pull it.Iterator.next });
     batches =
       (fun node build ->
-        let v, pull =
+        let v, pull, charge =
           instrument s node build ~produced:(fun m b ->
               m.Metrics.rows <- m.Metrics.rows + Batch.live b;
               m.Metrics.batches <- m.Metrics.batches + 1;
               true)
         in
-        { v with Vec.next_batch = pull v.Vec.next_batch });
+        let next () =
+          let r = pull v.Vec.next_batch () in
+          Option.iter
+            (fun b -> Storage.Heap_file.wrap_requests b.Batch.pages charge)
+            r;
+          r
+        in
+        { v with Vec.next_batch = next });
   }
 
 (* ------------------------------------------------------------------ *)

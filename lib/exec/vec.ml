@@ -1028,6 +1028,7 @@ let nested_loop_join ?(outer_join = false) ~schema ~(frame : Row.t ref)
     end
   in
   let cur = ref None (* (left batch, live indices, cursor) *) in
+  let left_ended = ref false in
   let rec next_batch () =
     if not (Queue.is_empty pending) then Some (Queue.take pending)
     else
@@ -1045,7 +1046,8 @@ let nested_loop_join ?(outer_join = false) ~schema ~(frame : Row.t ref)
           Option.iter
             (fun (lb, _, _) -> Heap_file.request_all lb.Batch.pages)
             finished;
-          let next = left.next_batch () in
+          let next = if !left_ended then None else left.next_batch () in
+          left_ended := Option.is_none next;
           (match finished with
           | Some (lb, _, _) when out_l.n > 0 -> emit lb out_l.n
           | _ -> ());

@@ -493,7 +493,7 @@ type keyed_temp2 = {
    of TEMP1's columns, capped by the outer cardinality: NULL keys never
    probe, and TEMP1's DISTINCT (plus the outer restrictions) can only
    shrink it. *)
-let keyed_temp2 catalog (kp : Nest_ja2.key_probe) : keyed_temp2 option =
+let keyed_temp2 catalog (kp : Program.key_probe) : keyed_temp2 option =
   let inner = from kp.inner_rel in
   match index_on catalog inner { table = None; column = kp.inner_col } with
   | Some ((idx, _) as index) when Catalog.mem catalog kp.outer_rel ->
@@ -534,28 +534,32 @@ let rec referenced_rels (q : query) : string list =
   List.map (fun (f : from_item) -> f.rel) q.from
   @ List.concat_map referenced_rels (subqueries q)
 
-(* A lower bound on the page I/O of the transformed program for [q]: the
-   paper's temps read every base relation [q] references in full at least
-   once — except the inner relation of a keyed TEMP2, which its keys probe
-   instead, each probe paying what one nested-iteration probe pays — and
-   each of the program's [temps] writes at least one page.  So a keyed
-   TEMP2 costs at least the probes nested iteration makes, plus its temps.
-   NEST-N-J's index nested-loop joins and index scans can read less than a
-   full relation; they are not bounded by it.  Unknown relations
-   contribute nothing. *)
-let transformed_bound catalog (q : query) ~keyed ~temps =
+(* A lower bound on the page I/O of [program], the transformation of [q]:
+   the paper's temps read every base relation [q] references in full at
+   least once — except the inner relation of a keyed TEMP2, which its keys
+   probe instead (the program's [probes]), each probe paying what one
+   nested-iteration probe pays — and each of the program's temps writes at
+   least one page.  So a keyed TEMP2 costs at least the probes nested
+   iteration makes, plus its temps.  NEST-N-J's index nested-loop joins and
+   index scans can read less than a full relation; they are not bounded by
+   it.  Unknown relations contribute nothing. *)
+let transformed_bound catalog (q : query) (program : Program.t) =
+  let keyed rel =
+    List.filter_map
+      (fun (kp : Program.key_probe) ->
+        if String.equal kp.inner_rel rel then keyed_temp2 catalog kp else None)
+      program.probes
+  in
   List.fold_left
     (fun acc rel ->
       acc
       +.
-      match List.filter (fun (r, _) -> String.equal r rel) keyed with
+      match keyed rel with
       | [] -> (
           match Catalog.pages catalog rel with
           | p -> float_of_int p
           | exception Catalog.Unknown_table _ -> 0.)
       | probed ->
-          List.fold_left
-            (fun acc (_, k) -> acc +. (k.kt_keys *. k.kt_probe))
-            0. probed)
-    (float_of_int temps)
+          List.fold_left (fun acc k -> acc +. (k.kt_keys *. k.kt_probe)) 0. probed)
+    (float_of_int (List.length program.temps))
     (List.sort_uniq String.compare (referenced_rels q))

@@ -132,24 +132,19 @@ type keyed_temp2 = {
     the inner relation's pages (what the paper's TEMP2 scans).  The key
     count is the product of the non-NULL distinct counts of [outer_cols],
     capped by the outer cardinality. *)
-val keyed_temp2 : Storage.Catalog.t -> Nest_ja2.key_probe -> keyed_temp2 option
+val keyed_temp2 : Storage.Catalog.t -> Program.key_probe -> keyed_temp2 option
 
 (** ["128 keys × height 4 = 512 < 1000 pages"]. *)
 val describe_keyed_temp2 : keyed_temp2 -> string
 
 (** {1 The transformed program's side of the §7 crossover} *)
 
-(** A lower bound on the page I/O of the transformed program for [q] that
-    materializes [temps] temps and builds a keyed TEMP2 for each
-    [(inner relation, decision)] in [keyed]: every other base relation [q]
-    references is read in full at least once, a keyed inner relation costs
-    keys × one probe ([kt_probe]) — the probes nested iteration makes —
-    and each temp writes at least one page.  NEST-N-J's index nested-loop
-    joins and index scans can read less than a full relation and are not
-    bounded by it. *)
+(** A lower bound on the page I/O of [program], the transformation of
+    [q]: every base relation [q] references is read in full at least once,
+    but the inner relation of each keyed TEMP2 in [program.probes], whose
+    keys cost {!keyed_temp2}'s keys × one probe ([kt_probe]) — the probes
+    nested iteration makes — and each of the program's temps writes at
+    least one page.  NEST-N-J's index nested-loop joins and index scans can
+    read less than a full relation and are not bounded by it. *)
 val transformed_bound :
-  Storage.Catalog.t ->
-  Sql.Ast.query ->
-  keyed:(string * keyed_temp2) list ->
-  temps:int ->
-  float
+  Storage.Catalog.t -> Sql.Ast.query -> Program.t -> float

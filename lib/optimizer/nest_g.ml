@@ -79,7 +79,7 @@ let describe_from (q : query) =
   String.concat ", " (List.map (fun f -> from_alias f) q.from)
 
 let rec transform_block ~fresh ~(scope : scope) ~semantics
-    ~nullable ~probe_keys ~(on_step : string -> unit) ~notes
+    ~nullable ~probe_keys ~(on_step : string -> unit) ~notes ~probes
     (acc : Program.temp list ref) (q : query) : query =
   let local_scope = scope_of_query q @ scope in
   (* §8 rewrites at this level. *)
@@ -127,7 +127,7 @@ let rec transform_block ~fresh ~(scope : scope) ~semantics
       (* Recurse first (postorder): the inner block becomes canonical. *)
       let inner' =
         transform_block ~fresh ~scope:local_scope ~semantics
-          ~nullable ~probe_keys ~on_step ~notes acc inner
+          ~nullable ~probe_keys ~on_step ~notes ~probes acc inner
       in
       let pred' =
         match pred with
@@ -217,7 +217,7 @@ let rec transform_block ~fresh ~(scope : scope) ~semantics
             }
         | Some Classify.Type_ja ->
             let rel_of_alias alias = List.assoc_opt alias scope in
-            let { Nest_ja2.temps; rewritten; probe_note } =
+            let { Nest_ja2.temps; rewritten; probe_note; probe } =
               Nest_ja2.transform q pred' ~fresh ~rel_of_alias ~probe_keys ()
             in
             acc := !acc @ temps;
@@ -233,10 +233,11 @@ let rec transform_block ~fresh ~(scope : scope) ~semantics
                 on_step note;
                 notes := !notes @ [ note ])
               probe_note;
+            probes := !probes @ Option.to_list probe;
             rewritten
       in
       transform_block ~fresh ~scope ~semantics ~nullable
-        ~probe_keys ~on_step ~notes acc q
+        ~probe_keys ~on_step ~notes ~probes acc q
 
 (* [transform ~fresh q] reduces a nested query of arbitrary depth to a
    canonical program.  [nullable] feeds the soundness guards of the §8
@@ -247,12 +248,12 @@ let rec transform_block ~fresh ~(scope : scope) ~semantics
    shapes outside the paper's algorithms. *)
 let transform ?(semantics = Safe)
     ?(nullable = Extensions.default_nullable)
-    ?(probe_keys = fun (_ : Nest_ja2.key_probe) -> None)
+    ?(probe_keys = fun (_ : Program.key_probe) -> None)
     ?(on_step = fun (_ : string) -> ()) ~(fresh : unit -> string) (q : query)
     : Program.t =
-  let acc = ref [] and notes = ref [] in
+  let acc = ref [] and notes = ref [] and probes = ref [] in
   let main =
     transform_block ~fresh ~scope:[] ~semantics ~nullable
-      ~probe_keys ~on_step ~notes acc q
+      ~probe_keys ~on_step ~notes ~probes acc q
   in
-  { Program.temps = !acc; main; notes = !notes }
+  { Program.temps = !acc; main; notes = !notes; probes = !probes }

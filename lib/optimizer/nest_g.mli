@@ -22,14 +22,14 @@ type semantics = Safe | Paper
     takes (sec.-8 rewrite, NEST-N-J merge, type-A materialization,
     NEST-JA2 application, keyed TEMP2) in postorder.  [probe_keys] is
     passed to every {!Nest_ja2.transform} (default: never; the program is
-    then the paper's); the notes of the keyed TEMP2s it accepts are
-    collected in the program's [notes].
+    then the paper's); the notes and probes of the keyed TEMP2s it
+    accepts are collected in the program's [notes] and [probes].
     @raise Unsupported, [Ja_shape.Not_ja], [Nest_n_j.Not_applicable] or
     [Extensions.Unsupported] on shapes outside the paper's algorithms. *)
 val transform :
   ?semantics:semantics ->
   ?nullable:(rel:string -> string -> bool) ->
-  ?probe_keys:(Nest_ja2.key_probe -> string option) ->
+  ?probe_keys:(Program.key_probe -> string option) ->
   ?on_step:(string -> unit) ->
   fresh:(unit -> string) ->
   Sql.Ast.query ->

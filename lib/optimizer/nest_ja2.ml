@@ -29,17 +29,11 @@
 
 open Sql.Ast
 
-type key_probe = {
-  outer_rel : string;
-  outer_cols : string list;
-  inner_rel : string;
-  inner_col : string;
-}
-
 type result = {
   temps : Program.temp list;
   rewritten : query;
   probe_note : string option;
+  probe : Program.key_probe option;
 }
 
 (* Predicates of the outer block that restrict only [alias] (no subqueries,
@@ -77,7 +71,7 @@ let simple_preds_on (q : query) ~alias ~except =
    duplicate-free).  Absent, TEMP2 is the paper's. *)
 let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
     ?(rel_of_alias = fun (_ : string) -> None) ?(project_outer = true)
-    ?(probe_keys = fun (_ : key_probe) -> None) () : result =
+    ?(probe_keys = fun (_ : Program.key_probe) -> None) () : result =
   let shape = Ja_shape.extract pred in
   let outer_alias = shape.outer_alias in
   let locally_bound, outer_rel =
@@ -127,15 +121,15 @@ let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
                 shape.correlations ->
         List.find_map
           (fun (c : Ja_shape.correlation) ->
-            Option.map
-              (fun why -> (inner.rel, c.inner.column, why))
-              (probe_keys
-                 {
-                   outer_rel;
-                   outer_cols;
-                   inner_rel = inner.rel;
-                   inner_col = c.inner.column;
-                 }))
+            let kp : Program.key_probe =
+              {
+                outer_rel;
+                outer_cols;
+                inner_rel = inner.rel;
+                inner_col = c.inner.column;
+              }
+            in
+            Option.map (fun why -> (kp, why)) (probe_keys kp))
           shape.correlations
     | _ -> None
   in
@@ -259,10 +253,10 @@ let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
   let rewritten = { q with from = q.from @ [ from temp3_name ]; where } in
   let probe_note =
     match (probe, temps) with
-    | Some (rel, col, why), [ temp2 ] ->
+    | Some (kp, why), [ temp2 ] ->
         Some
           (Printf.sprintf "NEST-JA2: %s probes %s.%s with %s's keys (%s)"
-             temp2.Program.name rel col temp1_name why)
+             temp2.Program.name kp.inner_rel kp.inner_col temp1_name why)
     | _ -> None
   in
   {
@@ -272,4 +266,5 @@ let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
       @ [ { Program.name = temp3_name; def = temp3_def } ];
     rewritten;
     probe_note;
+    probe = Option.map fst probe;
   }

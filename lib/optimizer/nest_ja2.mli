@@ -9,16 +9,6 @@
     outer columns; step 3 rewrites the query with equality joins against
     the temp. *)
 
-(** A candidate for building TEMP2 from TEMP1's keys: TEMP1 projects
-    [outer_cols] of [outer_rel], and each key would probe [inner_col] of
-    the inner relation [inner_rel]. *)
-type key_probe = {
-  outer_rel : string;
-  outer_cols : string list;
-  inner_rel : string;
-  inner_col : string;
-}
-
 (** [probe_note] is the one-line report of a keyed TEMP2 (["NEST-JA2:
     TEMP#2 probes SUPPLY.PNUM with TEMP#1's keys (...)"]), [None] for the
     paper's TEMP2. *)
@@ -26,6 +16,7 @@ type result = {
   temps : Program.temp list;
   rewritten : Sql.Ast.query;
   probe_note : string option;
+  probe : Program.key_probe option;  (** the keyed TEMP2's, with its note *)
 }
 
 (** [transform q pred ~fresh ()] rewrites the type-JA predicate [pred] of
@@ -52,6 +43,6 @@ val transform :
   fresh:(unit -> string) ->
   ?rel_of_alias:(string -> string option) ->
   ?project_outer:bool ->
-  ?probe_keys:(key_probe -> string option) ->
+  ?probe_keys:(Program.key_probe -> string option) ->
   unit ->
   result

@@ -586,15 +586,6 @@ let run_plan ?session catalog plan : Relation.t =
   let observe = Option.map Exec.Explain.observer session in
   Exec.Plan.run ?observe catalog plan
 
-(* Materialize one temp definition and register it under its name with the
-   program's column names. *)
-let materialize_temp ?(force = Auto) ?(mode = Paper1987)
-    ?engine:(_ : Exec.Plan.engine option) ?session catalog
-    ({ Program.name; def } : Program.temp) =
-  let { plan; out_sorted } = lower ~force ~mode catalog def in
-  register_temp_result catalog name def out_sorted
-    (run_plan ?session catalog plan)
-
 (* Structural verification of a transformed program (NQ900-NQ906): the
    invariants NEST-JA2 guarantees and Kim's NEST-JA violates.  The checker
    itself lives in [Analysis.Rewrite_verifier]; this wrapper only adapts
@@ -605,20 +596,39 @@ let verify_program catalog (p : Program.t) : Analysis.Diagnostics.t list =
     ~temps:(List.map (fun { Program.name; def } -> (name, def)) p.temps)
     ~main:p.main
 
+let errors diags =
+  List.filter
+    (fun (d : Analysis.Diagnostics.t) ->
+      d.Analysis.Diagnostics.severity = Analysis.Diagnostics.Error)
+    diags
+
 (* Typed validation of a lowered plan (NQ110-NQ115) — the per-segment half
    of [~check]; an Error-severity violation refuses the plan before it
    runs, exactly as [~verify] refuses a structurally broken program. *)
 let check_plan ~label catalog plan =
-  match
-    List.filter
-      (fun (d : Analysis.Diagnostics.t) ->
-        d.Analysis.Diagnostics.severity = Analysis.Diagnostics.Error)
-      (Analysis.Plan_check.check_catalog catalog plan)
-  with
+  match errors (Analysis.Plan_check.check_catalog catalog plan) with
   | [] -> ()
   | violations ->
       errf "%s failed plan check:\n%s" label
         (Analysis.Diagnostics.list_to_string violations)
+
+let drop_temps catalog (p : Program.t) =
+  List.iter (fun { Program.name; _ } -> Catalog.drop catalog name) p.temps
+
+(* The one segment loop of a program.  Each temp is lowered against the
+   catalog as the earlier temps left it and handed to [temp] as
+   ("temp NAME", plan); what [temp] returns is registered as the temp's
+   result.  Then the main query's plan goes to [main] as ("main", plan),
+   whose answer is the loop's.  Created temps stay registered. *)
+let segments ?(force = Auto) ?(mode = Paper1987) catalog (p : Program.t)
+    ~temp ~main =
+  List.iter
+    (fun ({ Program.name; def } : Program.temp) ->
+      let { plan; out_sorted } = lower ~force ~mode catalog def in
+      register_temp_result catalog name def out_sorted
+        (temp ("temp " ^ name) plan))
+    p.temps;
+  main "main" (lower ~force ~mode catalog p.main).plan
 
 (* Run a whole transformed program: temps in order, then the main query.
    Returns the result; created temps stay registered (callers can inspect
@@ -627,56 +637,38 @@ let check_plan ~label catalog plan =
    refuses an unverified program before it gets here).  With [~check:true]
    every lowered plan is additionally type-checked ([Analysis.Plan_check],
    NQ110-NQ115) before it executes. *)
-let run_program ?(force = Auto) ?(mode = Paper1987) ?(check = false)
-    ?engine:(_ : Exec.Plan.engine option) ?session catalog (p : Program.t) : Relation.t
-    =
-  List.iter
-    (fun ({ Program.name; def } : Program.temp) ->
-      let { plan; out_sorted } = lower ~force ~mode catalog def in
-      if check then check_plan ~label:("temp " ^ name) catalog plan;
-      register_temp_result catalog name def out_sorted
-        (run_plan ?session catalog plan))
-    p.temps;
-  let { plan; _ } = lower ~force ~mode catalog p.main in
-  if check then check_plan ~label:"main plan" catalog plan;
-  run_plan ?session catalog plan
+let run_program ?force ?mode ?(check = false)
+    ?engine:(_ : Exec.Plan.engine option) ?session catalog (p : Program.t) :
+    Relation.t =
+  let run label plan =
+    if check then check_plan ~label catalog plan;
+    run_plan ?session catalog plan
+  in
+  segments ?force ?mode catalog p ~temp:run ~main:run
 
-(* Validate every plan of a program without executing anything: each temp
-   is lowered, type-checked and registered as an *empty* relation of its
-   output schema (later segments must lower and resolve against it), then
-   dropped.  Returns every violation; [] means the whole pipeline
-   type-checks. *)
-let check_program ?(force = Auto) ?(mode = Paper1987) catalog (p : Program.t)
-    : Analysis.Diagnostics.t list =
-  let diags = ref [] in
-  let registered = ref [] in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun name -> Catalog.drop catalog name) !registered)
-  @@ fun () ->
-  List.iter
-    (fun ({ Program.name; def } : Program.temp) ->
-      let { plan; out_sorted } = lower ~force ~mode catalog def in
-      diags := !diags @ Analysis.Plan_check.check_catalog catalog plan;
-      let names = Program.output_column_names def in
-      let out_schema = Exec.Plan.output_schema catalog plan in
-      let schema =
-        Schema.of_columns ~rel:name
-          (List.map2
-             (fun n (c : Schema.column) -> (n, c.ty))
-             names
-             (Schema.columns out_schema))
-      in
-      Catalog.register_relation ?sorted_on:out_sorted catalog name
-        (Relation.make schema []);
-      registered := name :: !registered)
-    p.temps;
-  let { plan; _ } = lower ~force ~mode catalog p.main in
-  diags := !diags @ Analysis.Plan_check.check_catalog catalog plan;
-  !diags
-
-let drop_temps catalog (p : Program.t) =
-  List.iter (fun { Program.name; _ } -> Catalog.drop catalog name) p.temps
+(* Type-check the plans [run_program] runs: each segment's plan is checked,
+   and each temp's is run so that the next segment lowers against its
+   result.  Stops after the first segment with an Error-severity
+   violation, where [run_program ~check:true] refuses.  Returns each
+   checked segment as (label, plan, diagnostics); temps are dropped before
+   returning. *)
+let check_program ?force ?mode catalog (p : Program.t) =
+  let checked = ref [] in
+  let exception Refused in
+  let check label plan =
+    let diags = Analysis.Plan_check.check_catalog catalog plan in
+    checked := (label, plan, diags) :: !checked;
+    if errors diags <> [] then raise Refused
+  in
+  (try
+     Fun.protect ~finally:(fun () -> drop_temps catalog p) @@ fun () ->
+     segments ?force ?mode catalog p
+       ~temp:(fun label plan ->
+         check label plan;
+         run_plan catalog plan)
+       ~main:check
+   with Refused -> ());
+  List.rev !checked
 
 type explained = {
   seg_label : string;
@@ -685,14 +677,10 @@ type explained = {
   seg_json : Json.t;
 }
 
-(* EXPLAIN [ANALYZE]: one annotated segment per pipeline step.
-
-   Temps are executed even without [analyze] — later segments lower against
-   their registered schemas and statistics, exactly as [run_program] would
-   see them — but only [analyze] instruments the execution (and runs the
-   main query at all).  Temps are dropped before returning. *)
+(* EXPLAIN [ANALYZE] of one plan as (text, JSON).  The estimates come from
+   the statistics as they stand before the plan runs, as the planner saw
+   them; under [analyze] [run session] executes it instrumented. *)
 let explain_plan ~analyze ?trace catalog ~label ~run plan =
-  (* estimate against pre-execution statistics, as the planner saw them *)
   let estimate = Estimate.estimator catalog plan in
   let metrics =
     if analyze then begin
@@ -712,42 +700,27 @@ let explain_plan ~analyze ?trace catalog ~label ~run plan =
   ( Exec.Explain.render ~estimate ?metrics ~indent:1 plan,
     Exec.Explain.render_json ~estimate ?metrics plan )
 
-let explain_plans ?(force = Auto) ?(mode = Paper1987) ?(analyze = false)
-    ?engine:(_ : Exec.Plan.engine option) ?trace catalog (p : Program.t) :
-    explained list =
-  let segment label def ~register =
-    let { plan; out_sorted } = lower ~force ~mode catalog def in
-    let run ?session () =
-      match register with
-      | None -> ignore (run_plan ?session catalog plan)
-      | Some name ->
-          register_temp_result catalog name def out_sorted
-            (run_plan ?session catalog plan)
-    in
-    let text, json =
-      explain_plan ~analyze ?trace catalog ~label
-        ~run:(fun session -> run ~session ())
-        plan
-    in
-    if (not analyze) && register <> None then run ();
-    { seg_label = label; seg_plan = plan; seg_text = text; seg_json = json }
+(* EXPLAIN [ANALYZE]: one annotated segment per pipeline step.  Temps run
+   either way — later segments lower against their results, as under
+   [run_program] — but only [analyze] instruments them and runs the main
+   query at all.  Temps are dropped before returning. *)
+let explain_plans ?force ?mode ?(analyze = false) ?trace catalog
+    (p : Program.t) : explained list =
+  let explained = ref [] in
+  let explain label plan =
+    let result = ref None in
+    let run session = result := Some (run_plan ~session catalog plan) in
+    let text, json = explain_plan ~analyze ?trace catalog ~label ~run plan in
+    explained :=
+      { seg_label = label; seg_plan = plan; seg_text = text; seg_json = json }
+      :: !explained;
+    !result
   in
-  let temp_segs =
-    List.map
-      (fun ({ Program.name; def } : Program.temp) ->
-        segment ("temp " ^ name) def ~register:(Some name))
-      p.temps
-  in
-  let main_seg = segment "main" p.main ~register:None in
-  drop_temps catalog p;
-  temp_segs @ [ main_seg ]
-
-(* EXPLAIN: the full pipeline as text, one "label:" header per segment. *)
-let explain_text ?force ?mode ?analyze ?engine:(_ : Exec.Plan.engine option) ?trace catalog (p : Program.t)
-    : string =
-  explain_plans ?force ?mode ?analyze ?trace catalog p
-  |> List.map (fun s -> s.seg_label ^ ":\n" ^ s.seg_text)
-  |> String.concat "\n"
-
-let explain ?force ?mode catalog (p : Program.t) : string =
-  explain_text ?force ?mode catalog p
+  Fun.protect ~finally:(fun () -> drop_temps catalog p) (fun () ->
+      segments ?force ?mode catalog p
+        ~temp:(fun label plan ->
+          match explain label plan with
+          | Some result -> result
+          | None -> run_plan catalog plan)
+        ~main:(fun label plan -> ignore (explain label plan)));
+  List.rev !explained

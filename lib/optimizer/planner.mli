@@ -70,20 +70,6 @@ val check_plan :
   Exec.Plan.node ->
   unit
 
-(** Plan, execute and register one temp definition under its program name
-    (column names from [Program.output_column_names], order metadata from
-    the plan).  [session] instruments the execution with the
-    {!Exec.Explain} observer.  [engine] is ignored: there is one executor
-    ({!Exec.Plan.engine}). *)
-val materialize_temp :
-  ?force:join_choice ->
-  ?mode:mode ->
-  ?engine:Exec.Plan.engine ->
-  ?session:Exec.Explain.session ->
-  Storage.Catalog.t ->
-  Program.temp ->
-  unit
-
 (** Structurally verify a transformed program against the invariants the
     corrected algorithms guarantee (NQ900–NQ906: canonical definitions,
     resolvable references, compatible join types, GROUP BY keys covered by
@@ -93,14 +79,18 @@ val materialize_temp :
 val verify_program :
   Storage.Catalog.t -> Program.t -> Analysis.Diagnostics.t list
 
-(** Run a whole program: temps in order, then the main query.  Temps stay
-    registered (the paper's tables print their contents); remove them with
-    {!drop_temps}.  [engine] and [session] as in {!materialize_temp}.  The
-    program is not verified here: callers run {!verify_program} first
-    ([Core] refuses on any Error-severity violation).  With [~check:true]
-    every lowered physical plan is type-checked ({!Analysis.Plan_check},
-    NQ110–NQ115) immediately before it executes and refused with
-    [Planning_error] on any violation. *)
+(** Run a whole program: each temp is lowered against the catalog as the
+    earlier temps left it, executed and registered under its program name
+    (column names from [Program.output_column_names], order metadata from
+    the plan), then the main query runs.  Temps stay registered (the
+    paper's tables print their contents); remove them with {!drop_temps}.
+    [session] instruments every execution with the {!Exec.Explain}
+    observer.  [engine] is ignored: there is one executor
+    ({!Exec.Plan.engine}).  The program is not verified here: callers run
+    {!verify_program} first ([Core] refuses on any Error-severity
+    violation).  With [~check:true] every lowered physical plan is
+    type-checked ({!Analysis.Plan_check}, NQ110–NQ115) immediately before
+    it executes and refused with [Planning_error] on any violation. *)
 val run_program :
   ?force:join_choice ->
   ?mode:mode ->
@@ -111,17 +101,20 @@ val run_program :
   Program.t ->
   Relalg.Relation.t
 
-(** Type-check every physical plan of a program ({!Analysis.Plan_check})
-    without executing anything: temps are lowered and registered as empty
-    relations of their output schemas so later segments plan against real
-    names, then dropped.  [[]] means the whole lowered pipeline checks
-    clean. *)
+(** Type-check ({!Analysis.Plan_check}) the physical plans
+    [run_program ~check:true] runs: segments are lowered as {!run_program}
+    lowers them, and each temp is executed and registered so the next
+    segment plans against its result.  Stops after the first segment with
+    an Error-severity violation, where {!run_program} refuses.  Returns
+    each checked segment as (["temp NAME"] or ["main"], plan, its
+    diagnostics), in order; no diagnostics anywhere means the whole lowered
+    pipeline checks clean.  Temps are dropped before returning. *)
 val check_program :
   ?force:join_choice ->
   ?mode:mode ->
   Storage.Catalog.t ->
   Program.t ->
-  Analysis.Diagnostics.t list
+  (string * Exec.Plan.node * Analysis.Diagnostics.t list) list
 
 val drop_temps : Storage.Catalog.t -> Program.t -> unit
 
@@ -134,20 +127,18 @@ type explained = {
 (** One pipeline segment of an EXPLAIN \[ANALYZE\], annotated with
     {!Estimate} numbers and — under [~analyze:true] — runtime metrics. *)
 
-(** EXPLAIN \[ANALYZE\] every segment of a program.  Temp definitions are
-    executed either way (later segments plan against their registered
-    schemas and statistics, as {!run_program} would); [~analyze:true]
+(** EXPLAIN \[ANALYZE\] every segment of a program, lowered as
+    {!run_program} lowers it.  Temp definitions are executed either way
+    (later segments plan against their results); [~analyze:true]
     additionally instruments every execution — including the main query,
     which otherwise never runs — and annotates each operator with actual
     rows / [next] calls / wall-clock / page I/Os.  [trace] receives one
     JSON line per operator event plus a [{"ev":"segment"}] marker per
-    segment.  [engine] is ignored, as in {!materialize_temp}.  Temps are
-    dropped before returning. *)
+    segment.  Temps are dropped before returning. *)
 val explain_plans :
   ?force:join_choice ->
   ?mode:mode ->
   ?analyze:bool ->
-  ?engine:Exec.Plan.engine ->
   ?trace:(string -> unit) ->
   Storage.Catalog.t ->
   Program.t ->
@@ -165,21 +156,3 @@ val explain_plan :
   run:(Exec.Explain.session -> unit) ->
   Exec.Plan.node ->
   string * Json.t
-
-(** {!explain_plans} flattened to text: ["label:\n<tree>"] segments
-    separated by blank lines. *)
-val explain_text :
-  ?force:join_choice ->
-  ?mode:mode ->
-  ?analyze:bool ->
-  ?engine:Exec.Plan.engine ->
-  ?trace:(string -> unit) ->
-  Storage.Catalog.t ->
-  Program.t ->
-  string
-
-(** Physical plans of the whole pipeline as text (materializes and then
-    drops the temps so later definitions can be planned); equivalent to
-    {!explain_text} without analysis. *)
-val explain :
-  ?force:join_choice -> ?mode:mode -> Storage.Catalog.t -> Program.t -> string

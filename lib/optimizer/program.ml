@@ -13,7 +13,19 @@ open Sql.Ast
 
 type temp = { name : string; def : query }
 
-type t = { temps : temp list; main : query; notes : string list }
+type key_probe = {
+  outer_rel : string;
+  outer_cols : string list;
+  inner_rel : string;
+  inner_col : string;
+}
+
+type t = {
+  temps : temp list;
+  main : query;
+  notes : string list;
+  probes : key_probe list;
+}
 
 (* Output column name of a select item; must agree with
    [Sql.Analyzer.output_schema] so that references built by the

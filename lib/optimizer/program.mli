@@ -5,9 +5,26 @@
 
 type temp = { name : string; def : Sql.Ast.query }
 
+(** A candidate for building a keyed TEMP2 ({!Nest_ja2.transform}'s
+    [probe_keys]): TEMP1 projects [outer_cols] of [outer_rel], and each of
+    its keys would probe [inner_col] of the inner relation [inner_rel]. *)
+type key_probe = {
+  outer_rel : string;
+  outer_cols : string list;
+  inner_rel : string;
+  inner_col : string;
+}
+
 (** [notes]: one line per cost-based choice the transformation made (a
-    keyed NEST-JA2 TEMP2); EXPLAIN prints them above the plans. *)
-type t = { temps : temp list; main : Sql.Ast.query; notes : string list }
+    keyed NEST-JA2 TEMP2); EXPLAIN prints them above the plans.
+    [probes]: the probe of each keyed TEMP2, in program order — the data
+    Auto prices the program with ({!Estimate.transformed_bound}). *)
+type t = {
+  temps : temp list;
+  main : Sql.Ast.query;
+  notes : string list;
+  probes : key_probe list;
+}
 
 (** Output column name of a select item; agrees with
     [Sql.Analyzer.output_schema] so generated references resolve.

@@ -126,7 +126,7 @@ let scan t : unit -> Row.t option =
    [next, until) of the file, page [p] starting at row [starts.(p)], all
    at or after the chunk's first row [lo]; [read] requests one. *)
 type pending = {
-  read : int -> unit;
+  mutable read : int -> unit;
   starts : int array;
   lo : int;
   mutable next : int;
@@ -150,6 +150,12 @@ let request_below p row =
 
 let request_through p i = request_below p (p.lo + i + 1)
 let request_all p = request_below p max_int
+
+let wrap_requests p around =
+  if p.next < p.until then begin
+    let read = p.read in
+    p.read <- (fun page -> around (fun () -> read page))
+  end
 
 (* Chunk-at-a-time scan over the column image.  Chunk [c] holds rows
    [lo, hi); its pages are the pages that start in [lo, hi), and it is

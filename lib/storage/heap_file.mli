@@ -51,6 +51,11 @@ val request_through : pending -> int -> unit
 (** Request every pending page, in file order. *)
 val request_all : pending -> unit
 
+(** [wrap_requests p around] runs each later request of [p]'s pages, in
+    every batch sharing [p], as [around request] (EXPLAIN ANALYZE charges
+    it to the operators that handed the pages out). *)
+val wrap_requests : pending -> ((unit -> unit) -> unit) -> unit
+
 (** Column scan; flushes first.  Each call yields the next
     {!Relalg.Column.max_rows} rows (fewer at the end).  Vectors and rows
     come from the heap's column image — decoded the first time any scan

@@ -238,8 +238,9 @@ let test_planner_output_checks_clean () =
               check_codes
                 (Printf.sprintf "planner output clean: %s" text)
                 []
-                (Optimizer.Planner.check_program
-                   (Core.catalog db) program)))
+                (List.concat_map
+                   (fun (_, _, diags) -> diags)
+                   (Optimizer.Planner.check_program (Core.catalog db) program))))
     [
       Fixtures.count_bug_query;
       Fixtures.max_quan_query;
@@ -247,6 +248,63 @@ let test_planner_output_checks_clean () =
       "SELECT PNUM FROM PARTS WHERE PNUM IN (SELECT PNUM FROM SUPPLY)";
       "SELECT PNUM FROM PARTS WHERE QOH < 10 ORDER BY PNUM";
     ]
+
+(* --- check type-checks the plans that run ------------------------------- *)
+
+(* The plans a run of [program] lowers in [mode], rendered, each temp
+   lowered against the catalog as the earlier temps left it — run and
+   registered, or, with [~empty], registered with no rows. *)
+let run_plans ?(empty = false) ~mode catalog (program : Optimizer.Program.t) =
+  let module P = Optimizer.Planner in
+  let label l = P.mode_name mode ^ " " ^ l in
+  let temps =
+    List.map
+      (fun ({ Optimizer.Program.name; def } : Optimizer.Program.temp) ->
+        let { P.plan; out_sorted } = P.lower ~mode catalog def in
+        let result = P.run_plan catalog plan in
+        let schema =
+          Relalg.Schema.of_columns ~rel:name
+            (List.map2
+               (fun n (c : Relalg.Schema.column) -> (n, c.ty))
+               (Optimizer.Program.output_column_names def)
+               (Relalg.Schema.columns (Relation.schema result)))
+        in
+        Catalog.register_relation ?sorted_on:out_sorted catalog name
+          (Relation.make schema (if empty then [] else Relation.rows result));
+        (label ("temp " ^ name), Exec.Explain.render plan))
+      program.Optimizer.Program.temps
+  in
+  let main = (P.lower ~mode catalog program.Optimizer.Program.main).P.plan in
+  P.drop_temps catalog program;
+  temps @ [ (label "main", Exec.Explain.render main) ]
+
+(* [nestsql check] type-checks exactly the plans a run lowers, in both
+   modes.  On Kiessling's data the hybrid TEMP#3 and main query join the
+   temps by hashing; against empty temps, as the checker once registered
+   them, the same segments lower to nested-loop joins — plans that never
+   run. *)
+let test_check_plans_are_run_plans () =
+  let db () = Fixtures.count_bug_db () in
+  let checked =
+    let db = db () in
+    (Core.check_query db
+       (Result.get_ok (Core.parse db Fixtures.count_bug_query)))
+      .Core.ck_plans
+  in
+  let db = db () in
+  let program = Result.get_ok (Core.transform db Fixtures.count_bug_query) in
+  let modes = [ Optimizer.Planner.Paper1987; Optimizer.Planner.Hybrid ] in
+  let run_plans ?empty () =
+    List.concat_map
+      (fun mode -> run_plans ?empty ~mode (Core.catalog db) program)
+      modes
+  in
+  let expected = run_plans () in
+  Alcotest.(check (list (pair string string)))
+    "checked plans = run plans" expected
+    (List.map (fun (label, plan) -> (label, Exec.Explain.render plan)) checked);
+  Alcotest.(check bool) "empty temps lower differently" true
+    (run_plans ~empty:true () <> expected)
 
 (* --- bounded counterexample search ------------------------------------- *)
 
@@ -407,5 +465,7 @@ let suites =
           test_check_source_reports;
         Alcotest.test_case "matrix ~check: 22 cells clean" `Quick
           test_matrix_check_clean;
+        Alcotest.test_case "check type-checks the plans that run" `Quick
+          test_check_plans_are_run_plans;
       ] );
   ]

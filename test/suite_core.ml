@@ -86,7 +86,7 @@ let test_compare_strategies () =
 
 let test_explain_output () =
   let db = make_parts_db () in
-  let text = Result.get_ok (Core.explain db F.query_q2) in
+  let text = Result.get_ok (Core.explain_query db F.query_q2) in
   Alcotest.(check bool) "mentions merge or nested-loop join" true
     (let has needle =
        let re = ref false in

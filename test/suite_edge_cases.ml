@@ -161,7 +161,12 @@ let test_golden_explain_shape () =
   let program =
     Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q
   in
-  let text = Planner.explain catalog program in
+  let text =
+    String.concat "\n"
+      (List.map
+         (fun (s : Planner.explained) -> s.seg_text)
+         (Planner.explain_plans catalog program))
+  in
   let has needle =
     let n = String.length needle in
     let rec go i = i + n <= String.length text && (String.sub text i n = needle || go (i + 1)) in

@@ -122,11 +122,11 @@ let test_golden_analyze_ja () =
        [
          "temp TEMP#1:";
          "  Distinct  (cost=3.0 rows=3)  (actual: rows=3 next=4 \
-          rows/call=0.8 time=_ms io=4/0/3)";
+          rows/call=0.8 time=_ms io=3/0/3)";
          "    Project PARTS.PNUM  (cost=1.0 rows=3)  (actual: rows=3 \
           next=2 rows/call=1.5 batches=1 time=_ms io=0/0/0)";
          "      Scan PARTS  (cost=1.0 rows=3)  (actual: rows=3 next=2 \
-          rows/call=1.5 batches=1 time=_ms io=0/0/0)";
+          rows/call=1.5 batches=1 time=_ms io=1/0/0)";
          "";
          "temp TEMP#2:";
          "  Project SUPPLY.PNUM, SUPPLY.SHIPDATE  (cost=3.0 rows=2)  \
@@ -144,9 +144,9 @@ let test_golden_analyze_ja () =
           rows/call=0.8 time=_ms io=0/0/0)";
          "      nested-loop left-outer join on TEMP#1.PNUM = TEMP#2.PNUM  \
           (cost=2.0 rows=4)  (actual: rows=4 next=2 rows/call=2.0 batches=1 \
-          time=_ms io=4/0/0)";
-         "        Scan TEMP#1  (cost=1.0 rows=3)  (actual: rows=3 next=3 \
-          rows/call=1.0 batches=1 time=_ms io=0/0/0)";
+          time=_ms io=3/0/0)";
+         "        Scan TEMP#1  (cost=1.0 rows=3)  (actual: rows=3 next=2 \
+          rows/call=1.5 batches=1 time=_ms io=1/0/0)";
          "        Scan TEMP#2  (cost=1.0 rows=3)  (actual: -)";
          "";
          "main:";
@@ -154,9 +154,9 @@ let test_golden_analyze_ja () =
           rows/call=1.0 batches=1 time=_ms io=0/0/0)";
          "    nested-loop inner join on PARTS.QOH = TEMP#3.COUNT_SHIPDATE \
           AND PARTS.PNUM <=> TEMP#3.PNUM  (cost=2.0 rows=1)  (actual: \
-          rows=2 next=2 rows/call=1.0 batches=1 time=_ms io=4/0/0)";
-         "      Scan PARTS  (cost=1.0 rows=3)  (actual: rows=3 next=3 \
-          rows/call=1.0 batches=1 time=_ms io=0/0/0)";
+          rows=2 next=2 rows/call=1.0 batches=1 time=_ms io=3/0/0)";
+         "      Scan PARTS  (cost=1.0 rows=3)  (actual: rows=3 next=2 \
+          rows/call=1.5 batches=1 time=_ms io=1/0/0)";
          "      Scan TEMP#3  (cost=1.0 rows=3)  (actual: -)";
          "";
        ]

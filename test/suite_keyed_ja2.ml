@@ -21,7 +21,7 @@ module G = Workload.Gen
 module F = Workload.Fixtures
 open Optimizer
 
-let always (_ : Nest_ja2.key_probe) = Some "forced"
+let always (_ : Program.key_probe) = Some "forced"
 
 let fresh_counter () =
   let n = ref 0 in
@@ -169,7 +169,7 @@ let test_keyed_q2_golden () =
      WHERE PARTS.QOH = TEMP3.COUNT_SHIPDATE\n\
      AND PARTS.PNUM <=> TEMP3.PNUM;"
     (Program.to_string
-       { Program.temps = r.temps; main = r.rewritten; notes = [] });
+       { Program.temps = r.temps; main = r.rewritten; notes = []; probes = [] });
   Alcotest.(check (option string))
     "note" (Some "NEST-JA2: TEMP2 probes SUPPLY.PNUM with TEMP1's keys (forced)")
     r.probe_note
@@ -230,7 +230,7 @@ let test_core_rule_and_plan () =
   let catalog = Core.catalog db in
   let kp =
     {
-      Nest_ja2.outer_rel = "PARTS";
+      Program.outer_rel = "PARTS";
       outer_cols = [ "PNUM" ];
       inner_rel = "SUPPLY";
       inner_col = "PNUM";
@@ -291,7 +291,10 @@ let test_keyed_program_checks () =
   Alcotest.(check int) "Rewrite_verifier silent" 0
     (List.length (Planner.verify_program catalog program));
   Alcotest.(check int) "Plan_check silent" 0
-    (List.length (Planner.check_program catalog program));
+    (List.length
+       (List.concat_map
+          (fun (_, _, diags) -> diags)
+          (Planner.check_program catalog program)));
   let temps =
     List.map (fun { Program.name; def } -> (name, def)) program.Program.temps
   in
@@ -339,6 +342,37 @@ let test_statement_scratch_released () =
   done;
   Alcotest.(check (pair int int)) "after 10 EXPLAIN ANALYZE" before (baseline ())
 
+(* --- Auto prices the statement's own program ---------------------- *)
+
+(* A priced Auto statement is transformed once: pricing forces the
+   prepared program, Auto's estimate of the transformed rung is that
+   program's bound (its recorded keyed-TEMP2 probe included), and a second
+   execution draws no new TEMP# names.  Here Auto picks nested iteration,
+   so nothing but pricing forces the program. *)
+let test_priced_program_transformed_once () =
+  let db = probed_db () in
+  let catalog = Core.catalog db in
+  let p = Result.get_ok (Core.prepare db Fixtures.count_bug_query) in
+  let run () = Result.get_ok (Core.run_prepared ~strategy:Core.Auto db p) in
+  let e = run () in
+  Alcotest.(check bool) "Auto runs nested" true (e.Core.via = Core.Via_nested);
+  Alcotest.(check bool) "pricing forced the program" true
+    (Lazy.is_val p.Core.program);
+  let program = Result.get_ok (Lazy.force p.Core.program) in
+  Alcotest.(check int) "the keyed TEMP2's probe is recorded" 1
+    (List.length program.Program.probes);
+  (match e.Core.decision with
+  | Some { Core.candidates = Some c; _ } ->
+      Alcotest.(check (option (float 0.)))
+        "estimate of the transformed rung"
+        (Some (Estimate.transformed_bound catalog p.Core.query program))
+        c.Core.est_transformed
+  | _ -> Alcotest.fail "no priced decision");
+  ignore (run ());
+  Alcotest.(check string) "one transformation's temp names, run twice"
+    (Printf.sprintf "TEMP#%d" (List.length program.Program.temps + 1))
+    (Catalog.fresh_temp_name catalog)
+
 let suites =
   [
     ( "keyed-ja2",
@@ -354,5 +388,8 @@ let suites =
           test_statement_scratch_released;
       ]
       @ List.map QCheck_alcotest.to_alcotest [ prop_keyed_matches_reference ]
-    );
+      @ [
+          Alcotest.test_case "a priced Auto statement is transformed once"
+            `Quick test_priced_program_transformed_once;
+        ] );
   ]

@@ -138,12 +138,17 @@ let test_nest_nj_rejects_agg () =
    COUNT can never be 0, so part 8 has no group — and the final join keeps
    only {10}.  We assert both the TEMP' contents the paper prints and the
    divergence of the two results. *)
+(* Run NEST-JA's or NEST-JA2's temps, then the rewritten query; the temps
+   stay registered for inspection. *)
+let run_temps catalog temps main =
+  Planner.run_program catalog { Program.temps; main; notes = []; probes = [] }
+
 let test_kim_ja_count_bug () =
   let catalog = F.parts_supply_catalog F.Count_bug in
   let q = parse catalog F.query_q2 in
   let pred = match q.Sql.Ast.where with [ p ] -> p | _ -> Alcotest.fail "shape" in
   let temp, rewritten = Nest_ja.transform q pred ~temp_name:"TEMPP" in
-  Planner.materialize_temp catalog temp;
+  let transformed = run_temps catalog [ temp ] rewritten in
   (* TEMP' as printed in the paper: {(3,2), (10,1)} — no row for 8. *)
   let temp_rel = Catalog.relation catalog "TEMPP" in
   Alcotest.(check (list int)) "TEMP' group keys" [ 3; 10 ]
@@ -151,8 +156,6 @@ let test_kim_ja_count_bug () =
   Alcotest.(check (list int)) "TEMP' counts" [ 1; 2 ]
     (ints temp_rel "COUNT_SHIPDATE");
   (* Transformed result: {10} — differs from nested iteration's {10, 8}. *)
-  let { Planner.plan; _ } = Planner.lower catalog rewritten in
-  let transformed = Exec.Plan.run catalog plan in
   Alcotest.(check (list int)) "buggy transformed result" [ 10 ]
     (ints transformed "PNUM");
   let reference = Exec.Nested_iter.run catalog q in
@@ -170,13 +173,11 @@ let test_kim_ja_neq_bug () =
   let q = parse catalog F.query_q5 in
   let pred = match q.Sql.Ast.where with [ p ] -> p | _ -> Alcotest.fail "shape" in
   let temp, rewritten = Nest_ja.transform q pred ~temp_name:"TEMP5" in
-  Planner.materialize_temp catalog temp;
+  let transformed = run_temps catalog [ temp ] rewritten in
   let temp_rel = Catalog.relation catalog "TEMP5" in
   Alcotest.(check (list int)) "TEMP5 keys" [ 3; 9; 10 ] (ints temp_rel "PNUM");
   Alcotest.(check (list int)) "TEMP5 maxima" [ 1; 4; 5 ]
     (ints temp_rel "MAX_QUAN");
-  let { Planner.plan; _ } = Planner.lower catalog rewritten in
-  let transformed = Exec.Plan.run catalog plan in
   Alcotest.(check (list int)) "buggy transformed result" [ 8; 10 ]
     (ints transformed "PNUM");
   let reference = Exec.Nested_iter.run catalog q in
@@ -191,9 +192,7 @@ let nest_ja2_run catalog text =
   let { Nest_ja2.temps; rewritten; _ } =
     Nest_ja2.transform q pred ~fresh:(fresh_counter ()) ()
   in
-  List.iter (Planner.materialize_temp catalog) temps;
-  let { Planner.plan; _ } = Planner.lower catalog rewritten in
-  (temps, Exec.Plan.run catalog plan)
+  (temps, run_temps catalog temps rewritten)
 
 let test_ja2_fixes_count_bug () =
   let catalog = F.parts_supply_catalog F.Count_bug in
@@ -249,12 +248,10 @@ let test_ja2_unprojected_variant_still_wrong () =
   let { Nest_ja2.temps; rewritten; _ } =
     Nest_ja2.transform q pred ~fresh:(fresh_counter ()) ~project_outer:false ()
   in
-  List.iter (Planner.materialize_temp catalog) temps;
+  let transformed = run_temps catalog temps rewritten in
   let temp3 = Catalog.relation catalog "TEMP3" in
   Alcotest.(check (list int)) "inflated counts" [ 0; 2; 4 ]
     (ints temp3 "COUNT_SHIPDATE");
-  let { Planner.plan; _ } = Planner.lower catalog rewritten in
-  let transformed = Exec.Plan.run catalog plan in
   Alcotest.(check (list int)) "paper's wrong result {8}" [ 8 ]
     (ints transformed "PNUM");
   let reference = Exec.Nested_iter.run catalog q in
@@ -286,12 +283,10 @@ let test_ja2_outer_simple_predicates_restrict_temp1 () =
   let { Nest_ja2.temps; rewritten; _ } =
     Nest_ja2.transform q pred ~fresh:(fresh_counter ()) ()
   in
-  List.iter (Planner.materialize_temp catalog) temps;
+  let result = run_temps catalog temps rewritten in
   let temp1 = Catalog.relation catalog "TEMP1" in
   Alcotest.(check (list int)) "TEMP1 restricted by PNUM > 5" [ 8; 10 ]
     (ints temp1 "PNUM");
-  let { Planner.plan; _ } = Planner.lower catalog rewritten in
-  let result = Exec.Plan.run catalog plan in
   let reference = Exec.Nested_iter.run catalog q in
   Alcotest.(check bool) "matches reference" true
     (Relation.equal_bag reference result)
@@ -928,11 +923,14 @@ let test_explain_runs () =
   let program =
     Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q
   in
-  let text = Planner.explain catalog program in
+  let segments = Planner.explain_plans catalog program in
   Alcotest.(check bool) "mentions temps" true
-    (String.length text > 0
-    && String.split_on_char '\n' text
-       |> List.exists (fun l -> String.length l >= 4 && String.sub l 0 4 = "temp"))
+    (List.exists
+       (fun (s : Planner.explained) ->
+         s.seg_text <> ""
+         && String.length s.seg_label >= 4
+         && String.sub s.seg_label 0 4 = "temp")
+       segments)
 
 let suites =
   [

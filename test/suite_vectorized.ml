@@ -1370,6 +1370,53 @@ let test_stored_rows () =
        ~schema:agg_schema (scan ()))
     (Hashtbl.fold (fun k n acc -> [| k; Value.Int n |] :: acc) counts [])
 
+(* A nested-loop join pulls its left input until it ends, and not after:
+   when the last left batch's matches are still queued as it ends, the
+   queue drains without another pull.  Three left rows times five inner
+   rows make fifteen matches, short of one output batch, so all of them
+   are queued when the left side ends. *)
+let test_nl_left_pulls () =
+  let row k i = [| Value.Int k; Value.Null; Value.Str (string_of_int i) |] in
+  let catalog =
+    G.catalog_of
+      [
+        ("L", Relation.make image_schema (List.init 3 (row 1)));
+        ("R", Relation.make image_schema (List.init 5 (row 1)));
+      ]
+  in
+  let left = Vec.scan (Catalog.heap catalog "L") in
+  let pulls = ref 0 and after_end = ref 0 and ended = ref false in
+  let left =
+    {
+      left with
+      Vec.next_batch =
+        (fun () ->
+          incr pulls;
+          if !ended then incr after_end;
+          let b = left.Vec.next_batch () in
+          if Option.is_none b then ended := true;
+          b);
+    }
+  in
+  let frame = ref [||] in
+  let join =
+    Vec.nested_loop_join
+      ~schema:(Schema.append image_schema (Schema.rename_rel image_schema "R"))
+      ~frame
+      ~pred:
+        (Vec.compile_conjunction
+           [ (Vec.Value (fun () -> Row.get !frame 0), A.Eq, Vec.Column 0) ])
+      left (Catalog.heap catalog "R")
+  in
+  let rec drain n =
+    match join.Vec.next_batch () with
+    | None -> n
+    | Some b -> drain (n + Batch.live b)
+  in
+  Alcotest.(check int) "matches" 15 (drain 0);
+  Alcotest.(check int) "pulls after the left input ended" 0 !after_end;
+  Alcotest.(check int) "left pulls: one batch and its end" 2 !pulls
+
 (* ---------------- EXPLAIN ANALYZE surface ------------------------------ *)
 
 let define_fixture db =
@@ -1522,6 +1569,8 @@ let suites =
           test_image_self_join_twice;
         Alcotest.test_case "stored rows: shared by scans, dropped by gathers"
           `Quick test_stored_rows;
+        Alcotest.test_case "nested-loop join: no pull past the left's end"
+          `Quick test_nl_left_pulls;
       ] );
     ( "vectorized.surface",
       [
