@@ -23,7 +23,9 @@ lint:
 
 # Semantic checker over the whole example corpus (docs/LINT.md): every
 # query file and every shrunk regression repro goes through `nestsql
-# check` — typed plan validation of the transformed program (NQ110-NQ115)
+# check` — typed plan validation (NQ110-NQ115) of every plan a strategy
+# runs (nested iteration, batched bindings and the transformed program in
+# both planner modes; a refused rewrite's nested and batched plans too)
 # plus the bounded counterexample search at k=2 (NQ120-NQ122).  Exits
 # non-zero on any Error-severity diagnostic, i.e. on a plan-contract
 # violation or a refuted rewrite.
@@ -36,15 +38,17 @@ check-corpus:
 
 # Differential oracle smoke run (docs/ORACLE.md): fixed seed, 500 random
 # nested queries, each through the full 22-cell candidate matrix (rewrite,
-# batched, Auto and index-axis columns) and the static checker (--check),
-# plus a replay of the shrunk regression corpus.  Exits non-zero on any
-# discrepancy, and on a refusal-count regression: seed 42 x 500 refuses
-# exactly 120 candidate cells today (soundness guards + the unbatchable
-# shape, including the indexed-rewrite cells' share), so the ratchet pins
-# 121 — a rewrite that starts refusing shapes it used to handle trips it.
+# batched, Auto and index-axis columns) and the static checker (--check:
+# every plan of every strategy type-checked, plus the bounded
+# counterexample search), plus a replay of the shrunk regression corpus.
+# Exits non-zero on any discrepancy, and on a refusal-count regression:
+# seed 42 x 500 refuses exactly 112 candidate cells today (soundness
+# guards + the unbatchable shape, including the indexed-rewrite cells'
+# share), so the ratchet pins 113 — a rewrite that starts refusing shapes
+# it used to handle trips it.
 fuzz-smoke:
 	dune build bin/nestsql.exe
-	dune exec bin/nestsql.exe -- fuzz --seed 42 --count 500 -q --check --assert-refusals-below 121
+	dune exec bin/nestsql.exe -- fuzz --seed 42 --count 500 -q --check --assert-refusals-below 113
 	dune exec bin/nestsql.exe -- fuzz --replay examples/queries/regressions -q
 
 # End-to-end server smoke (docs/SERVER.md): start `nestsql serve` on a

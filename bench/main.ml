@@ -830,8 +830,8 @@ let json_operator_breakdowns ~supply_per_part () =
           ~supply_per_part ()
       in
       let segs =
-        Planner.explain_plans ~mode:Planner.Hybrid ~analyze:true catalog
-          (program catalog (F.parse_analyzed catalog text))
+        Planner.explain_segments ~mode:Planner.Hybrid ~analyze:true catalog
+          (Planner.Program (program catalog (F.parse_analyzed catalog text)))
       in
       Json.Obj
         [

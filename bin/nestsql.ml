@@ -197,7 +197,7 @@ let compare_cmd load_dir fixture tables buffer_pages page_bytes indexes sql =
   (match c.Core.transformed with
   | Some t -> Fmt.pr "%a@." Core.pp_execution t
   | None -> Fmt.pr "transformation: not applicable@.");
-  Fmt.pr "results agree (set semantics): %b@." c.Core.agree
+  Fmt.pr "results agree (the oracle's comparison): %b@." c.Core.agree
 
 let classify_cmd load_dir fixture tables buffer_pages page_bytes indexes sql =
   let db = setup_db load_dir fixture tables buffer_pages page_bytes indexes in
@@ -316,9 +316,11 @@ let is_repro_format src =
 
 let print_check_report i (r : Core.check_report) =
   Fmt.pr "query %d: %s@." (i + 1) r.Core.ck_sql;
-  (match r.Core.ck_refused with
-  | Some msg -> Fmt.pr "  %s (nothing to check)@." msg
-  | None -> ());
+  List.iter
+    (fun (via, msg) -> Fmt.pr "  %s refused: %s@." (Core.via_name via) msg)
+    r.Core.ck_refused;
+  Fmt.pr "  plans checked: %s@."
+    (String.concat ", " (List.map fst r.Core.ck_plans));
   if r.Core.ck_diags <> [] then
     Fmt.pr "%s" (Analysis.Diagnostics.list_to_string r.Core.ck_diags);
   (match r.Core.ck_certificate with
@@ -811,11 +813,13 @@ let cmds =
        Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
      in
      cmd "check"
-       "Semantic checker: lower each query's transformed program and \
-        type-check every physical plan (NQ110-NQ115), then search for a \
-        bounded counterexample to the rewrite (NQ120-NQ122), printing a \
-        bounded-equivalence certificate or a replayable witness database. \
-        Exits 1 past the --severity threshold."
+       "Semantic checker: lower each query as every strategy runs it \
+        (nested iteration, batched bindings and the transformed program in \
+        both planner modes) and type-check every physical plan \
+        (NQ110-NQ115), then search for a bounded counterexample to the \
+        rewrite (NQ120-NQ122), printing a bounded-equivalence certificate \
+        or a replayable witness database.  Exits 1 past the --severity \
+        threshold."
        Term.(common (const check_cmd) $ json $ severity $ bound $ file));
     (let seed =
        let doc = "Random seed (the same seed reproduces the same run)." in

@@ -60,4 +60,5 @@ let () =
   List.iter
     (fun (s : Optimizer.Planner.explained) ->
       Fmt.pr "%s:@.%s@." s.seg_label s.seg_text)
-    (Optimizer.Planner.explain_plans catalog program)
+    (Optimizer.Planner.explain_segments catalog
+       (Optimizer.Planner.Program program))

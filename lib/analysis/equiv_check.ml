@@ -313,15 +313,16 @@ let eval_program ~lookup ~(db : (string * Relation.t) list) ~temps ~main :
     temps;
   eval_canonical ~lookup_relation main
 
-(* ---------------- comparison (the oracle's rules) ---------------------- *)
+(* ---------------- comparison (the oracle's rule) ----------------------- *)
 
-let multiplicities_fixed (q : Ast.query) =
-  q.Ast.distinct || q.Ast.group_by <> [] || Ast.select_has_agg q
-
-let agree ~original expected got =
-  (if multiplicities_fixed original then Relation.equal_bag
-   else Relation.equal_set)
-    expected got
+(* [Row.compare] orders NULL first and equal to itself, so both equalities
+   are exact on NULLs.  A plain select compares as a set: NEST-N-J's join
+   multiplies outer rows by matching inner duplicates (DESIGN.md). *)
+let agree ~(original : Ast.query) expected got =
+  let fixed =
+    original.distinct || original.group_by <> [] || Ast.select_has_agg original
+  in
+  (if fixed then Relation.equal_bag else Relation.equal_set) expected got
 
 (* ---------------- enumeration ------------------------------------------ *)
 

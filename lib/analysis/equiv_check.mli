@@ -16,10 +16,8 @@
     side of every range literal, and 0 for columns compared against COUNT
     subqueries), defaults fill the rest — so the paper's §5 COUNT bug on
     Q2 falls out as a one-row witness at [bound = 2] without running the
-    fuzzer.  Results are compared exactly as the differential oracle
-    compares them: multisets when the query fixes multiplicities
-    (DISTINCT / GROUP BY / aggregates), sets otherwise (the documented
-    §5.4 duplicate residue). *)
+    fuzzer.  Results are compared by {!agree}, the rule the differential
+    oracle and [Core.compare_strategies] share. *)
 
 type witness = {
   w_tables : (string * Relalg.Relation.t) list;
@@ -37,6 +35,12 @@ type verdict =
           distinguishes the two sides *)
   | Inconclusive of string
       (** unsupported shape or search budget exhausted *)
+
+(** Do two results of [original] agree, NULL equal to NULL?  As multisets
+    when the query fixes multiplicities (DISTINCT / GROUP BY / aggregates),
+    as sets otherwise (the §5.4 duplicate residue).  Order is ignored. *)
+val agree :
+  original:Sql.Ast.query -> Relalg.Relation.t -> Relalg.Relation.t -> bool
 
 (** [check ~lookup ~temps ~main original] searches databases up to
     [bound] rows per relation (default 2), visiting at most

@@ -187,135 +187,6 @@ let lint_query db text : Analysis.Diagnostics.t list =
   Analysis.Diagnostics.sort (base @ verify_diags)
 
 (* ------------------------------------------------------------------ *)
-(* Semantic checking (plan validation + bounded equivalence)           *)
-(* ------------------------------------------------------------------ *)
-
-(* One query through both checker passes: type-check every physical plan
-   the transformed program runs, in both planner modes (NQ110-NQ115), then
-   search for a bounded counterexample to the rewrite (NQ120-NQ122).  A
-   query the transformation refuses yields an empty report — there is no
-   rewrite to falsify, and the refusal itself is the lint layer's
-   business. *)
-type check_report = {
-  ck_sql : string;  (* canonical rendering of the checked query *)
-  ck_refused : string option;  (* transformation refusal, when any *)
-  ck_plans : (string * Exec.Plan.node) list;  (* "MODE SEGMENT", plan *)
-  ck_diags : Analysis.Diagnostics.t list;
-  ck_verdict : Analysis.Equiv_check.verdict option;
-  ck_certificate : string option;
-  ck_repro : string option;  (* witness database as a replayable .sql *)
-}
-
-(* The bounded counterexample search for [program] as a rewrite of [q]. *)
-let equivalence ~bound db (q : Sql.Ast.query) (program : Optimizer.Program.t) =
-  Analysis.Equiv_check.check ~bound ~nullable:(column_nullable db)
-    ~lookup:(Catalog.lookup db.catalog)
-    ~temps:
-      (List.map
-         (fun { Optimizer.Program.name; def } -> (name, def))
-         program.Optimizer.Program.temps)
-    ~main:program.Optimizer.Program.main q
-
-let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
-  let ck_sql = Sql.Pp.query_to_string q in
-  match transform_query db q with
-  | Error msg ->
-      {
-        ck_sql;
-        ck_refused = Some msg;
-        ck_plans = [];
-        ck_diags = [];
-        ck_verdict = None;
-        ck_certificate = None;
-        ck_repro = None;
-      }
-  | Ok program ->
-      (* the temps run, so each mode's scratch files go with its check *)
-      let checked =
-        List.concat_map
-          (fun mode ->
-            List.map
-              (fun (segment, plan, diags) ->
-                (Optimizer.Planner.mode_name mode ^ " " ^ segment, plan, diags))
-              (with_statement_files db (fun () ->
-                   Optimizer.Planner.check_program ~mode db.catalog program)))
-          [ Optimizer.Planner.Paper1987; Optimizer.Planner.Hybrid ]
-      in
-      let plan_diags =
-        List.concat_map
-          (fun (label, _, diags) ->
-            List.map
-              (fun (d : Analysis.Diagnostics.t) ->
-                { d with message = label ^ ": " ^ d.message })
-              diags)
-          checked
-      in
-      let verdict = equivalence ~bound db q program in
-      let repro =
-        match verdict with
-        | Analysis.Equiv_check.Not_equivalent w ->
-            Some (Analysis.Equiv_check.witness_to_repro ~original:q w)
-        | _ -> None
-      in
-      {
-        ck_sql;
-        ck_refused = None;
-        ck_plans = List.map (fun (label, plan, _) -> (label, plan)) checked;
-        ck_diags =
-          Analysis.Diagnostics.sort
-            (plan_diags
-            @ Analysis.Equiv_check.diagnostics ~span:q.Sql.Ast.span verdict);
-        ck_verdict = Some verdict;
-        ck_certificate = Some (Analysis.Equiv_check.certificate verdict);
-        ck_repro = repro;
-      }
-
-(* Check one or more ';'-separated queries (the `nestsql check` surface). *)
-let check_source ?bound db text : (check_report list, string) result =
-  match Sql.Parser.parse_many_exn text with
-  | exception Sql.Parser.Error (_, msg) -> Error msg
-  | exception Sql.Lexer.Error (_, msg) -> Error msg
-  | queries -> (
-      let analyzed =
-        List.map
-          (Sql.Analyzer.analyze ~lookup:(Catalog.lookup db.catalog))
-          queries
-      in
-      match
-        List.find_map
-          (function Error msg -> Some msg | Ok _ -> None)
-          analyzed
-      with
-      | Some msg -> Error msg
-      | None ->
-          Ok
-            (List.map
-               (function
-                 | Ok q -> check_query ?bound db q
-                 | Error _ -> assert false)
-               analyzed))
-
-(* The `nestsql check --json` document: the schema version plus one object
-   per checked query. *)
-let check_json reports =
-  let query r =
-    Json.Obj
-      (("sql", Json.Str r.ck_sql)
-      :: ("diagnostics", Analysis.Diagnostics.list_to_json r.ck_diags)
-      :: List.filter_map Fun.id
-           [
-             Option.map (fun m -> ("refused", Json.Str m)) r.ck_refused;
-             Option.map (fun c -> ("certificate", Json.Str c)) r.ck_certificate;
-             Option.map (fun t -> ("repro", Json.Str t)) r.ck_repro;
-           ])
-  in
-  Json.Obj
-    [
-      ("version", Json.Int Analysis.Diagnostics.json_version);
-      ("queries", Json.List (List.map query reports));
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -333,7 +204,7 @@ type strategy =
 (* The names the CLI (--strategy), the REPL (\strategy) and the server
    protocol all accept — one parser so the surfaces can't drift.  Join
    forcing is orthogonal (the --join flag / force knob); the bare names
-   map to [Planner.Auto]. *)
+   map to [Optimizer.Planner.Auto]. *)
 let strategy_name = function
   | Nested_iteration -> "nested"
   | Transformed _ -> "transformed"
@@ -526,35 +397,36 @@ let verified db program =
   if not (Analysis.Diagnostics.has_errors diags) then Ok program
   else Error ("transformed program failed verification:\n" ^ Analysis.Diagnostics.list_to_string diags)
 
-(* One rung, the same for run and EXPLAIN: an untransformed plan, lowered
-   here, goes to [untransformed]; the verified program to [transformed],
-   its temps dropped after.  Refusals come back as [Error]: the rewrite's,
-   verification's, [Batched_nest.Unsupported] and [Planning_error]. *)
-let rung ?mode db (p : prepared) ~untransformed ~transformed force via =
-  match
-    match via with
-    | Via_nested ->
-        Ok (untransformed via (Exec.Sysr_iteration.lower db.catalog p.query))
-    | Via_batched ->
-        Ok
-          (untransformed via
-             (Optimizer.Batched_nest.lower ~force ?mode db.catalog p.query))
-    | Via_transformed ->
-        Result.map
-          (fun program ->
-            Fun.protect (fun () -> transformed force program) ~finally:(fun () ->
-                Optimizer.Planner.drop_temps db.catalog program))
-          (Result.bind (Lazy.force p.program) (verified db))
+(* One rung, the same for run, EXPLAIN and check: the strategy lowered to
+   its segments — nested iteration's or batched bindings' one plan, or the
+   verified program — handed to [handle] with the join choice and the
+   rung.  Refusals come back as [Error]: the rewrite's, verification's,
+   [Batched_nest.Unsupported] and [Planning_error]. *)
+let rung ?mode db (p : prepared) handle force via =
+  try
+    Result.map (handle force via)
+      (match via with
+      | Via_nested ->
+          Ok
+            (Optimizer.Planner.Plan
+               (Exec.Sysr_iteration.lower db.catalog p.query))
+      | Via_batched ->
+          Ok
+            (Optimizer.Planner.Plan
+               (Optimizer.Batched_nest.lower ~force ?mode db.catalog p.query))
+      | Via_transformed ->
+          Result.map
+            (fun program -> Optimizer.Planner.Program program)
+            (Result.bind (Lazy.force p.program) (verified db)))
   with
-  | r -> r
-  | exception Optimizer.Batched_nest.Unsupported msg ->
+  | Optimizer.Batched_nest.Unsupported msg ->
       Error ("not transformable: batched: " ^ msg)
-  | exception Optimizer.Planner.Planning_error msg -> Error msg
+  | Optimizer.Planner.Planning_error msg -> Error msg
 
-(* Run or EXPLAIN under [strategy]: a forced one is one rung; [Auto] walks
-   the ladder. *)
-let apply_strategy ?mode ?trace db p strategy ~untransformed ~transformed =
-  let rung = rung ?mode db p ~untransformed ~transformed in
+(* Run, EXPLAIN or check under [strategy]: a forced one is one rung;
+   [Auto] walks the ladder. *)
+let apply_strategy ?mode ?trace db p strategy handle =
+  let rung = rung ?mode db p handle in
   let forced force via = Result.map (fun x -> (x, None)) (rung force via) in
   match strategy with
   | Nested_iteration -> forced Optimizer.Planner.Auto Via_nested
@@ -562,103 +434,228 @@ let apply_strategy ?mode ?trace db p strategy ~untransformed ~transformed =
   | Batched force -> forced force Via_batched
   | Auto -> decide ?trace db p (rung Optimizer.Planner.Auto)
 
-let run_prepared ?(strategy = Auto) ?(check = false) ?mode ?trace db
-    (p : prepared) : (execution, string) result =
+let run_prepared ?(strategy = Auto) ?mode ?trace db (p : prepared) :
+    (execution, string) result =
   with_statement_files db @@ fun () ->
   let pager = Catalog.pager db.catalog in
   (* one instrumentation session for the whole pipeline *)
   let session =
     Option.map (fun t -> Exec.Explain.session ~trace:t pager) trace
   in
-  let measured via program f =
+  let run force via segments =
+    let program =
+      match segments with
+      | Optimizer.Planner.Program program -> Some program
+      | Optimizer.Planner.Plan _ -> None
+    in
     let before = Pager.snapshot pager in
-    let result = f () in
-    { result; via; program; io = Pager.diff_since pager before; decision = None }
-  in
-  let untransformed via plan =
-    measured via None @@ fun () ->
-    if check then Optimizer.Planner.check_plan ~label:"plan" db.catalog plan;
-    Exec.Sysr_iteration.present db.catalog p.query
-      (Optimizer.Planner.run_plan ?session db.catalog plan)
-  in
-  (* ORDER BY is presentation, not plan structure: [present] sorts the
-     untransformed results, the program's is sorted here. *)
-  let transformed force program =
-    measured Via_transformed (Some program) @@ fun () ->
-    Exec.Presentation.apply_order p.query
-      (Optimizer.Planner.run_program ~force ?mode ~check ?session db.catalog
-         program)
+    Fun.protect
+      (fun () ->
+        let result =
+          Exec.Presentation.present db.catalog p.query
+            (Optimizer.Planner.run_segments ~force ?mode ?session db.catalog
+               segments)
+        in
+        let io = Pager.diff_since pager before in
+        { result; via; program; io; decision = None })
+      ~finally:(fun () ->
+        Option.iter (Optimizer.Planner.drop_temps db.catalog) program)
   in
   Result.map
     (fun (e, decision) -> { e with decision })
-    (apply_strategy ?mode ?trace db p strategy ~untransformed ~transformed)
+    (apply_strategy ?mode ?trace db p strategy run)
 
-let run ?strategy ?check ?mode ?engine:(_ : Exec.Plan.engine option) ?trace db
-    text : (execution, string) result =
-  Result.bind (prepare db text) (run_prepared ?strategy ?check ?mode ?trace db)
+let run ?strategy ?mode ?engine:(_ : Exec.Plan.engine option) ?trace db text :
+    (execution, string) result =
+  Result.bind (prepare db text) (run_prepared ?strategy ?mode ?trace db)
 
 (* Convenience: the relation only. *)
 let query db text : (Relation.t, string) result =
   Result.map (fun e -> e.result) (run db text)
 
-(* EXPLAIN [ANALYZE] of an untransformed strategy's plan, estimates from
-   [Estimate]; under ANALYZE the plan runs instrumented, a re-opened inner
-   plan's actuals adding up per node. *)
-let explain_untransformed ~analyze ?trace db plan =
-  let rows = ref 0 in
-  let run session =
-    rows :=
-      Relation.cardinality
-        (Optimizer.Planner.run_plan ~session db.catalog plan)
-  in
-  let text, _ =
-    Optimizer.Planner.explain_plan ~analyze ?trace db.catalog ~label:"main"
-      ~run plan
-  in
-  if analyze then text ^ Printf.sprintf "result: %d rows\n" !rows else text
+(* The bounded counterexample search for [program] as a rewrite of [q]. *)
+let equivalence ~bound db (q : Sql.Ast.query) (program : Optimizer.Program.t) =
+  Analysis.Equiv_check.check ~bound ~nullable:(column_nullable db)
+    ~lookup:(Catalog.lookup db.catalog)
+    ~temps:
+      (List.map
+         (fun { Optimizer.Program.name; def } -> (name, def))
+         program.Optimizer.Program.temps)
+    ~main:program.Optimizer.Program.main q
 
 let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?trace db text :
     (string, string) result =
   with_statement_files db @@ fun () ->
   Result.bind (parse db text) @@ fun q ->
   let p = prepare_query db q in
-  let untransformed _ plan = explain_untransformed ~analyze ?trace db plan in
-  (* Cost-based choices inside the rewrite (a keyed NEST-JA2 TEMP2) head
-     its plans; its bounded-equivalence certificate closes them: the
+  (* Every strategy's segments rendered alike, "LABEL:\n<tree>" each.  A
+     rewrite's cost-based choices (a keyed NEST-JA2 TEMP2) head its
+     segments and its bounded-equivalence certificate closes them: the
      counterexample search at k=2 over {const₁, const₂, NULL}, in one line
-     (docs/LINT.md). *)
-  let transformed force program =
-    String.concat ""
-      (List.map (fun n -> n ^ "\n") program.Optimizer.Program.notes)
-    ^ String.concat "\n"
+     (docs/LINT.md).  Under ANALYZE one plan's row count closes it. *)
+  let explain force _ segments =
+    let explained =
+      Optimizer.Planner.explain_segments ~force ?mode ~analyze ?trace db.catalog
+        segments
+    in
+    let body =
+      String.concat "\n"
         (List.map
            (fun (s : Optimizer.Planner.explained) ->
              s.seg_label ^ ":\n" ^ s.seg_text)
-           (Optimizer.Planner.explain_plans ~force ?mode ~analyze ?trace
-              db.catalog program))
-    ^ "\n"
-    ^ Analysis.Equiv_check.certificate (equivalence ~bound:2 db q program)
+           explained)
+    in
+    match (segments, explained) with
+    | Optimizer.Planner.Program program, _ ->
+        String.concat "" (List.map (fun n -> n ^ "\n") program.notes)
+        ^ body ^ "\n"
+        ^ Analysis.Equiv_check.certificate (equivalence ~bound:2 db q program)
+    | Optimizer.Planner.Plan _, [ { seg_rows = Some rows; _ } ] ->
+        body ^ Printf.sprintf "result: %d rows\n" rows
+    | Optimizer.Planner.Plan _, _ -> body
   in
   Result.map
     (fun (text, decision) ->
       match decision with
       | None -> (
           match strategy with
-          | Transformed _ -> text
-          | Batched _ -> "strategy: batched\nmain:\n" ^ text
-          | _ -> "strategy: nested iteration\nmain:\n" ^ text)
+          | Nested_iteration -> "strategy: nested iteration\n" ^ text
+          | Batched _ -> "strategy: batched\n" ^ text
+          | Transformed _ | Auto -> text)
       | Some ({ pick = Via_nested; refused = []; _ } as d) ->
           (* priced first: the program Auto would otherwise run follows *)
-          auto_header d ^ "\n"
-          ^ String.sub text 0 (String.length text - 1)
-          ^ Result.fold ~error:(Fun.const "")
-              ~ok:(( ^ ) "\ntransformed alternative:\n")
-              (rung ?mode db p ~untransformed ~transformed
-                 Optimizer.Planner.Auto Via_transformed)
-      | Some ({ pick = Via_transformed; _ } as d) ->
           auto_header d ^ "\n" ^ text
-      | Some d -> auto_header d ^ "\nmain:\n" ^ text)
-    (apply_strategy ?mode ?trace db p strategy ~untransformed ~transformed)
+          ^ Result.fold ~error:(Fun.const "")
+              ~ok:(( ^ ) "transformed alternative:\n")
+              (rung ?mode db p explain Optimizer.Planner.Auto Via_transformed)
+      | Some d -> auto_header d ^ "\n" ^ text)
+    (apply_strategy ?mode ?trace db p strategy explain)
+
+(* ------------------------------------------------------------------ *)
+(* Semantic checking (plan validation + bounded equivalence)           *)
+(* ------------------------------------------------------------------ *)
+
+(* One query through both checker passes.  Every plan a strategy runs is
+   type-checked (NQ110-NQ115) by walking [run]'s rungs with a checking
+   handler: nested iteration once, then batched bindings and the
+   transformed program in each planner mode (a program's temps are
+   executed, as a run executes them).  A rung that refuses is recorded as
+   Auto's decision records it.  When the query transforms, the bounded
+   counterexample search then runs on the rewrite (NQ120-NQ122). *)
+type check_report = {
+  ck_sql : string;  (* canonical rendering of the checked query *)
+  ck_refused : (via * string) list;  (* refusing rungs, each message once *)
+  ck_plans : (string * Exec.Plan.node) list;  (* "[MODE ]VIA SEGMENT", plan *)
+  ck_diags : Analysis.Diagnostics.t list;
+  ck_verdict : Analysis.Equiv_check.verdict option;
+  ck_certificate : string option;
+  ck_repro : string option;  (* witness database as a replayable .sql *)
+}
+
+let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
+  let p = prepare_query db q in
+  (* each plan labelled "[MODE ]VIA SEGMENT", and so its diagnostics *)
+  let check mode force via segments =
+    let prefix =
+      Option.fold ~none:""
+        ~some:(fun m -> Optimizer.Planner.mode_name m ^ " ")
+        mode
+    in
+    List.map
+      (fun (segment, plan, diags) ->
+        let label = prefix ^ via_name via ^ " " ^ segment in
+        ( (label, plan),
+          List.map
+            (fun (d : Analysis.Diagnostics.t) ->
+              { d with message = label ^ ": " ^ d.message })
+            diags ))
+      (Optimizer.Planner.check_segments ~force ?mode db.catalog segments)
+  in
+  let checked, refused =
+    List.fold_left
+      (fun (checked, refused) (mode, via) ->
+        match
+          with_statement_files db (fun () ->
+              rung ?mode db p (check mode) Optimizer.Planner.Auto via)
+        with
+        | Ok plans -> (checked @ plans, refused)
+        | Error msg when List.mem (via, msg) refused -> (checked, refused)
+        | Error msg -> (checked, refused @ [ (via, msg) ]))
+      ([], [])
+      ((None, Via_nested)
+      :: List.concat_map
+           (fun m -> [ (Some m, Via_batched); (Some m, Via_transformed) ])
+           [ Optimizer.Planner.Paper1987; Optimizer.Planner.Hybrid ])
+  in
+  let verdict =
+    Result.to_option
+      (Result.map (equivalence ~bound db q) (Lazy.force p.program))
+  in
+  {
+    ck_sql = p.normalized;
+    ck_refused = refused;
+    ck_plans = List.map fst checked;
+    ck_diags =
+      Analysis.Diagnostics.sort
+        (List.concat_map snd checked
+        @ Option.fold ~none:[]
+            ~some:(Analysis.Equiv_check.diagnostics ~span:q.Sql.Ast.span)
+            verdict);
+    ck_verdict = verdict;
+    ck_certificate = Option.map Analysis.Equiv_check.certificate verdict;
+    ck_repro =
+      (match verdict with
+      | Some (Analysis.Equiv_check.Not_equivalent w) ->
+          Some (Analysis.Equiv_check.witness_to_repro ~original:q w)
+      | _ -> None);
+  }
+
+(* Check one or more ';'-separated queries (the `nestsql check` surface). *)
+let check_source ?bound db text : (check_report list, string) result =
+  match Sql.Parser.parse_many_exn text with
+  | exception Sql.Parser.Error (_, msg) -> Error msg
+  | exception Sql.Lexer.Error (_, msg) -> Error msg
+  | queries -> (
+      let analyzed =
+        List.map
+          (Sql.Analyzer.analyze ~lookup:(Catalog.lookup db.catalog))
+          queries
+      in
+      match
+        List.find_map
+          (function Error msg -> Some msg | Ok _ -> None)
+          analyzed
+      with
+      | Some msg -> Error msg
+      | None ->
+          Ok
+            (List.map
+               (function
+                 | Ok q -> check_query ?bound db q
+                 | Error _ -> assert false)
+               analyzed))
+
+(* The `nestsql check --json` document: the schema version plus one object
+   per checked query. *)
+let check_json reports =
+  let query r =
+    Json.Obj
+      (("sql", Json.Str r.ck_sql)
+      :: ("diagnostics", Analysis.Diagnostics.list_to_json r.ck_diags)
+      :: List.filter_map Fun.id
+           [
+             Option.map
+               (fun m -> ("refused", Json.Str m))
+               (List.assoc_opt Via_transformed r.ck_refused);
+             Option.map (fun c -> ("certificate", Json.Str c)) r.ck_certificate;
+             Option.map (fun t -> ("repro", Json.Str t)) r.ck_repro;
+           ])
+  in
+  Json.Obj
+    [
+      ("version", Json.Int Analysis.Diagnostics.json_version);
+      ("queries", Json.List (List.map query reports));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Side-by-side comparison (the paper's experiment)                    *)
@@ -667,22 +664,26 @@ let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?trace db text :
 type comparison = {
   nested : execution;
   transformed : execution option; (* None when not transformable *)
-  agree : bool; (* results equal as sets (see DESIGN.md on duplicates) *)
+  agree : bool; (* [Equiv_check.agree], the oracle's comparison *)
 }
 
 let compare_strategies db text : (comparison, string) result =
-  match run ~strategy:Nested_iteration db text with
-  | Error _ as e -> e
-  | Ok nested -> (
-      match run ~strategy:(Transformed Optimizer.Planner.Auto) db text with
-      | Error _ -> Ok { nested; transformed = None; agree = true }
+  Result.bind (prepare db text) @@ fun p ->
+  Result.map
+    (fun nested ->
+      match
+        run_prepared ~strategy:(Transformed Optimizer.Planner.Auto) db p
+      with
+      | Error _ -> { nested; transformed = None; agree = true }
       | Ok transformed ->
-          Ok
-            {
-              nested;
-              transformed = Some transformed;
-              agree = Relation.equal_set nested.result transformed.result;
-            })
+          {
+            nested;
+            transformed = Some transformed;
+            agree =
+              Analysis.Equiv_check.agree ~original:p.query nested.result
+                transformed.result;
+          })
+    (run_prepared ~strategy:Nested_iteration db p)
 
 let pp_execution ppf (e : execution) =
   Fmt.pf ppf "%s: %d rows, %a"

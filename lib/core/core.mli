@@ -80,42 +80,6 @@ val query_tree : db -> string -> (Optimizer.Query_tree.t, string) result
     program (NQ900–NQ906).  See docs/LINT.md. *)
 val lint_query : db -> string -> Analysis.Diagnostics.t list
 
-type check_report = {
-  ck_sql : string;  (** canonical rendering of the checked query *)
-  ck_refused : string option;
-      (** the transformation refusal message, when the query has no rewrite
-          to check *)
-  ck_plans : (string * Exec.Plan.node) list;
-      (** every plan type-checked, in order: the plans
-          {!Optimizer.Planner.run_program} runs in [Paper1987], then in
-          [Hybrid], each labelled ["MODE temp NAME"] or ["MODE main"] *)
-  ck_diags : Analysis.Diagnostics.t list;
-      (** plan-validation (NQ110–NQ115, each message prefixed with its
-          plan's label) and equivalence (NQ120–NQ122) diagnostics, sorted *)
-  ck_verdict : Analysis.Equiv_check.verdict option;
-  ck_certificate : string option;
-      (** one-line bounded-equivalence certificate *)
-  ck_repro : string option;
-      (** counterexample database as a replayable oracle repro [.sql] *)
-}
-(** The result of the semantic checker over one query: typed validation of
-    every physical plan its transformed program runs, in both planner
-    modes (the temps are executed), plus the bounded counterexample search
-    for the rewrite itself. *)
-
-(** Check one analyzed query (see {!check_source} for text input).
-    [bound] is the rows-per-relation search bound (default 2). *)
-val check_query : ?bound:int -> db -> Sql.Ast.query -> check_report
-
-(** Parse, analyze and {!check_query} one or more ';'-separated queries. *)
-val check_source :
-  ?bound:int -> db -> string -> (check_report list, string) result
-
-(** The [nestsql check --json] document:
-    [{"version":N,"queries":[{"sql","diagnostics","refused"?,
-    "certificate"?,"repro"?}]}]. *)
-val check_json : check_report list -> Json.t
-
 type strategy =
   | Nested_iteration  (** the System R method, over paged storage *)
   | Transformed of Optimizer.Planner.join_choice
@@ -208,7 +172,6 @@ val prepare_query : db -> Sql.Ast.query -> prepared
     {!explain_query}. *)
 val run_prepared :
   ?strategy:strategy ->
-  ?check:bool ->
   ?mode:Optimizer.Planner.mode ->
   ?trace:(string -> unit) ->
   db ->
@@ -218,19 +181,15 @@ val run_prepared :
 (** Run a query.  [trace] turns on per-operator JSON event tracing (one
     line per operator open / next-batch / close; see [docs/EXPLAIN.md]) —
     every strategy runs a plan, so every strategy is traced — plus, under
-    [Auto], one ["auto"] line with the {!decision}.
-    [mode] parameterizes the transformed path exactly as
-    {!Optimizer.Planner.run_program} does (the differential oracle sweeps
-    it).  [engine] is ignored: every strategy's plan runs on the one
-    executor ({!Exec.Plan.run}); the argument remains for callers that
-    still name an engine.  Transformed programs are structurally verified
-    ({!Optimizer.Planner.verify_program}) before running.  [check]
-    additionally type-checks every physical plan — nested and batched ones
-    included ({!Analysis.Plan_check}) — before it executes and refuses on
-    any violation; under [Auto] a refusal moves on down the ladder. *)
+    [Auto], one ["auto"] line with the {!decision}.  Every strategy runs
+    as {!Optimizer.Planner.segments}, its result presented by
+    {!Exec.Presentation.present}.  [mode] parameterizes the planner
+    lowering (the differential oracle sweeps it).  [engine] is ignored:
+    there is one executor ({!Exec.Plan.run}).  Transformed programs are
+    structurally verified ({!Optimizer.Planner.verify_program}) before
+    running; {!check_query} type-checks the plans statically. *)
 val run :
   ?strategy:strategy ->
-  ?check:bool ->
   ?mode:Optimizer.Planner.mode ->
   ?engine:Exec.Plan.engine ->
   ?trace:(string -> unit) ->
@@ -247,14 +206,13 @@ val query : db -> string -> (Relation.t, string) result
     each operator gains actual rows / [next] calls / wall-clock / page
     I/Os; [trace] receives one JSON line per operator event
     (see [docs/EXPLAIN.md]).  A batch operator's actuals include
-    [rows/call] > 1 and a [batches] count.  A transformed program's
-    segments are {!Optimizer.Planner.explain_plans}', joined here as
-    ["LABEL:\n<tree>"] blocks.
-    [Nested_iteration] and [Batched _] explain their own plan trees (a
-    [strategy:] line, then one [main:] segment; under ANALYZE, a re-opened
-    inner plan's actuals add up over its loops).  [Auto] walks {!run}'s
-    ladder and heads the pick's plan with its {!decision} as one [auto:]
-    line, so it succeeds exactly when {!run} does, naming the same pick. *)
+    [rows/call] > 1 and a [batches] count.  Every strategy's segments are
+    {!Optimizer.Planner.explain_segments}', rendered as ["LABEL:\n<tree>"]
+    blocks.  A program's close with its bounded-equivalence certificate;
+    a forced nested or batched plan is headed by a [strategy:] line and
+    closed under ANALYZE by a [result:] row count.  [Auto] walks {!run}'s
+    ladder and heads the pick's segments with its {!decision} as one
+    [auto:] line, so it succeeds exactly when {!run} does. *)
 val explain_query :
   ?strategy:strategy ->
   ?mode:Optimizer.Planner.mode ->
@@ -264,10 +222,46 @@ val explain_query :
   string ->
   (string, string) result
 
+type check_report = {
+  ck_sql : string;  (** canonical rendering of the checked query *)
+  ck_refused : (via * string) list;
+      (** the rungs that refused, as {!decision} records them, each once *)
+  ck_plans : (string * Exec.Plan.node) list;
+      (** every plan type-checked, in order, labelled
+          ["nested_iteration main"], then per mode ["MODE batched main"],
+          ["MODE transformed temp NAME"] and ["MODE transformed main"] *)
+  ck_diags : Analysis.Diagnostics.t list;
+      (** plan-validation (NQ110–NQ115, each message prefixed with its
+          plan's label) and equivalence (NQ120–NQ122) diagnostics, sorted *)
+  ck_verdict : Analysis.Equiv_check.verdict option;
+  ck_certificate : string option;
+      (** one-line bounded-equivalence certificate *)
+  ck_repro : string option;
+      (** counterexample database as a replayable oracle repro [.sql] *)
+}
+(** The semantic checker's report on one query: typed validation of every
+    plan {!run} can run, lowered as it lowers them (a program's temps are
+    executed) — nested iteration, then batched bindings and the
+    transformed program in both planner modes — plus, when the query
+    transforms, the bounded counterexample search for the rewrite. *)
+
+(** Check one analyzed query (see {!check_source} for text input).
+    [bound] is the rows-per-relation search bound (default 2). *)
+val check_query : ?bound:int -> db -> Sql.Ast.query -> check_report
+
+(** Parse, analyze and {!check_query} one or more ';'-separated queries. *)
+val check_source :
+  ?bound:int -> db -> string -> (check_report list, string) result
+
+(** The [nestsql check --json] document:
+    [{"version":N,"queries":[{"sql","diagnostics","refused"?,
+    "certificate"?,"repro"?}]}], ["refused"] the rewrite's refusal. *)
+val check_json : check_report list -> Json.t
+
 type comparison = {
   nested : execution;
   transformed : execution option;  (** [None] when not transformable *)
-  agree : bool;  (** set-equality of results; see DESIGN.md on duplicates *)
+  agree : bool;  (** {!Analysis.Equiv_check.agree}, the oracle's rule *)
 }
 
 (** Run both strategies and compare results and I/O. *)

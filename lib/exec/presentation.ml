@@ -1,7 +1,7 @@
-(* Presentation ordering: ORDER BY applies to the outermost result only
-   (the analyzer rejects it in subqueries), so it is implemented as a final
-   in-memory sort over the delivered relation rather than as a plan
-   operator. *)
+(* Presentation: how every strategy's result is delivered.  ORDER BY
+   applies to the outermost result only (the analyzer rejects it in
+   subqueries), so it is a final in-memory sort over the delivered relation
+   rather than a plan operator. *)
 
 module Value = Relalg.Value
 module Schema = Relalg.Schema
@@ -28,3 +28,13 @@ let apply_order (q : query) (rel : Relation.t) : Relation.t =
         go positions
       in
       Relation.make schema (List.stable_sort compare_rows (Relation.rows rel))
+
+(* A hash dedup keeps first-occurrence order, a sort-based one sorts: a
+   DISTINCT result is listed sorted whichever plan deduplicated it. *)
+let present catalog (q : query) (rel : Relation.t) : Relation.t =
+  let schema =
+    Sql.Analyzer.output_schema ~lookup:(Storage.Catalog.lookup catalog)
+      ~rel:"result" q
+  in
+  let rel = Relation.make schema (Relation.rows rel) in
+  apply_order q (if q.distinct then Relation.distinct rel else rel)

@@ -168,14 +168,5 @@ let rec lower_block catalog ~scope (q : query) : Plan.node =
 
 let lower catalog q = lower_block catalog ~scope:[] q
 
-(* A strategy's result as the user sees it: the analyzer's output schema
-   (column names and types), a DISTINCT result listed sorted, then ORDER
-   BY.  Batched bindings shares it. *)
-let present catalog (q : query) (rel : Relation.t) : Relation.t =
-  let schema =
-    Sql.Analyzer.output_schema ~lookup:(Catalog.lookup catalog) ~rel:"result" q
-  in
-  let rel = Relation.make schema (Relation.rows rel) in
-  Presentation.apply_order q (if q.distinct then Relation.distinct rel else rel)
-
-let run catalog q = present catalog q (Plan.run catalog (lower catalog q))
+let run catalog q =
+  Presentation.present catalog q (Plan.run catalog (lower catalog q))

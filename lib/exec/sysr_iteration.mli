@@ -21,12 +21,7 @@ val lower : Storage.Catalog.t -> Sql.Ast.query -> Plan.node
     shares it. *)
 val select_list : Sql.Ast.query -> Plan.node -> Plan.node
 
-(** A strategy's result as presented: the analyzer's output schema, a
-    DISTINCT result sorted, then ORDER BY. *)
-val present :
-  Storage.Catalog.t -> Sql.Ast.query -> Relalg.Relation.t -> Relalg.Relation.t
-
-(** [lower], {!Plan.run}, [present].
+(** [lower], {!Plan.run}, {!Presentation.present}.
     @raise Eval.Runtime_error as the in-memory evaluator does. *)
 val run : Storage.Catalog.t -> Sql.Ast.query -> Relalg.Relation.t
 

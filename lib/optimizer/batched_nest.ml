@@ -110,6 +110,6 @@ let run ?force ?mode ?engine:(_ : Exec.Plan.engine option) ?session catalog
   let plan = lower ?force ?mode catalog q in
   {
     relation =
-      Exec.Sysr_iteration.present catalog q
-        (Planner.run_plan ?session catalog plan);
+      Exec.Presentation.present catalog q
+        (Planner.run_segments ?session catalog (Planner.Plan plan));
   }

@@ -29,14 +29,16 @@
          (ALL is vacuously True, but MIN/MAX of nothing is NULL, which
          rejects) and on NULL items (ALL goes Unknown and rejects, while
          MIN/MAX silently ignore the NULL).
-     Both get the guarded COUNT form above instead: counting satisfying
-     (ANY) or violating (ALL) items is exact *provided* [x] and the inner
-     item can never be NULL — a NULL on either side would make the added
-     comparison Unknown and silently drop a row from the count — and
-     provided inlining [x] into the subquery cannot capture its alias.
-     When [nullable] cannot prove both sides non-NULL, or the alias would
-     be captured, the rewrite raises [Unsupported] and callers fall back
-     to nested iteration: a refusal, never a wrong answer.  [paper:true]
+     Both get the COUNT form above instead, provided inlining [x] into
+     the subquery cannot capture its alias.  For != ANY it is exact with
+     NULLs anywhere: the count is positive exactly when some item makes
+     [x != item] True, i.e. when != ANY is True, and WHERE (no NOT or OR
+     in this dialect) rejects False and Unknown alike.  For range ALL it
+     is exact only when [x] and the item can never be NULL: a NULL item
+     makes ALL Unknown but drops out of the violation count.  When
+     [nullable] cannot prove that, or the alias would be captured, the
+     rewrite raises [Unsupported] and callers fall back to nested
+     iteration: a refusal, never a wrong answer.  [paper:true]
      reproduces the published rules verbatim instead (the paper itself
      concedes its ANY/ALL rules are "logically (but not necessarily
      semantically) equivalent"), for the ablation suites.
@@ -84,23 +86,9 @@ let scalar_nullable ~nullable ~env = function
 
 let local_env (q : query) = List.map (fun f -> (from_alias f, f.rel)) q.from
 
-(* Shared guard for every rewrite that inlines [x op item] into [sub]'s
-   WHERE clause and compares the resulting COUNT against 0 (the quantifier
-   forms here and Nest_g's NOT IN extension): two-valued only when neither
-   side of the added comparison can be NULL, and well-scoped only when
-   [x]'s alias is not re-bound inside [sub]. *)
-let check_count_form ~nullable ~scope (x : scalar) (sub : query)
-    (item : col_ref) : unit =
-  if scalar_nullable ~nullable ~env:scope x then
-    raise
-      (Unsupported
-         "the left side of the quantified comparison may be NULL; the \
-          COUNT form would silently accept what SQL rejects");
-  if col_nullable ~nullable ~env:(local_env sub @ scope) item then
-    raise
-      (Unsupported
-         "the subquery item may be NULL; the COUNT form would drop NULL \
-          items that SQL's quantifier semantics must see");
+(* Inlining [x] into [sub] is well-scoped only when [x]'s alias is not
+   re-bound inside [sub]. *)
+let check_capture (x : scalar) (sub : query) : unit =
   match x with
   | Col { table = Some a; _ } when List.mem a (bound_aliases sub) ->
       raise
@@ -114,8 +102,27 @@ let check_count_form ~nullable ~scope (x : scalar) (sub : query)
             would not be captured by the subquery's FROM clause")
   | Col _ | Lit _ -> ()
 
+(* Shared guard for every rewrite that inlines [x op item] into [sub]'s
+   WHERE clause and compares the resulting COUNT against 0 where a NULL
+   would change the answer (range ALL here and Nest_g's NOT IN extension):
+   two-valued only when neither side of the added comparison can be NULL,
+   and well-scoped by [check_capture]. *)
+let check_count_form ~nullable ~scope (x : scalar) (sub : query)
+    (item : col_ref) : unit =
+  if scalar_nullable ~nullable ~env:scope x then
+    raise
+      (Unsupported
+         "the left side of the quantified comparison may be NULL; the \
+          COUNT form would silently accept what SQL rejects");
+  if col_nullable ~nullable ~env:(local_env sub @ scope) item then
+    raise
+      (Unsupported
+         "the subquery item may be NULL; the COUNT form would drop NULL \
+          items that SQL's quantifier semantics must see");
+  check_capture x sub
+
 (* [x op ANY Q] <=> 0 < COUNT of satisfying items; [x op ALL Q] <=> 0 =
-   COUNT of violating items.  Caller has already run {!check_count_form}. *)
+   COUNT of violating items.  Caller has already run its guard. *)
 let quant_to_count (x : scalar) (op : cmp) (quantifier : quantifier)
     (sub : query) : predicate =
   let item = single_item sub in
@@ -150,7 +157,7 @@ let rewrite_predicate ?(paper = false) ?(nullable = default_nullable)
         (* the paper's rule, reproduced verbatim: wrong whenever the inner
            has two or more distinct values (see header) *)
       else begin
-        check_count_form ~nullable ~scope x sub (single_item sub);
+        check_capture x sub;
         quant_to_count x Ne Any sub
       end
   | Quant (x, Ne, All, sub) -> Not_in_subq (x, sub)

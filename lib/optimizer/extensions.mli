@@ -3,9 +3,10 @@
     (EXISTS → 0 < COUNT; range-ANY → MIN/MAX; =ANY → IN; !=ALL → NOT IN).
     The paper's rules for [!= ANY] and range-[ALL] are unsound under SQL's
     three-valued logic (and, for ALL, on empty inners); by default both
-    use a guarded COUNT form that is exact but requires the [nullable]
-    callback to prove neither comparison operand can be NULL, refusing
-    ([Unsupported]) otherwise.  [paper:true] reproduces the published
+    use a COUNT form guarded against alias capture.  It is exact for
+    [!= ANY] with NULLs anywhere (in WHERE position); for range-[ALL] it
+    also requires the [nullable] callback to prove neither comparison
+    operand can be NULL, refusing ([Unsupported]) otherwise.  [paper:true] reproduces the published
     rules verbatim for the ablation suites.  The full soundness analysis
     is in the implementation header and DESIGN.md. *)
 

@@ -8,10 +8,13 @@
    GROUP BY / DISTINCT implemented by sorting unless the input already has
    the order.
 
-   [run_program] materializes a transformed program: each temp definition is
-   planned, executed and registered in the catalog (with its column names
-   and order metadata), then the main query runs.  Measured page I/O of the
-   whole pipeline is the experimental counterpart of the §7 cost model. *)
+   Every strategy reaches the executor as [segments]: nested iteration's
+   or batched bindings' one plan, or a transformed program, whose temp
+   definitions are each planned, executed and registered in the catalog
+   (with their column names and order metadata) before the main query is
+   planned.  [run_segments], [check_segments] and [explain_segments] walk
+   them in one loop.  Measured page I/O of the whole pipeline is the
+   experimental counterpart of the §7 cost model. *)
 
 module Value = Relalg.Value
 module Schema = Relalg.Schema
@@ -596,73 +599,63 @@ let verify_program catalog (p : Program.t) : Analysis.Diagnostics.t list =
     ~temps:(List.map (fun { Program.name; def } -> (name, def)) p.temps)
     ~main:p.main
 
-let errors diags =
-  List.filter
-    (fun (d : Analysis.Diagnostics.t) ->
-      d.Analysis.Diagnostics.severity = Analysis.Diagnostics.Error)
-    diags
-
-(* Typed validation of a lowered plan (NQ110-NQ115) — the per-segment half
-   of [~check]; an Error-severity violation refuses the plan before it
-   runs, exactly as [~verify] refuses a structurally broken program. *)
-let check_plan ~label catalog plan =
-  match errors (Analysis.Plan_check.check_catalog catalog plan) with
-  | [] -> ()
-  | violations ->
-      errf "%s failed plan check:\n%s" label
-        (Analysis.Diagnostics.list_to_string violations)
-
 let drop_temps catalog (p : Program.t) =
   List.iter (fun { Program.name; _ } -> Catalog.drop catalog name) p.temps
 
-(* The one segment loop of a program.  Each temp is lowered against the
-   catalog as the earlier temps left it and handed to [temp] as
-   ("temp NAME", plan); what [temp] returns is registered as the temp's
-   result.  Then the main query's plan goes to [main] as ("main", plan),
-   whose answer is the loop's.  Created temps stay registered. *)
-let segments ?(force = Auto) ?(mode = Paper1987) catalog (p : Program.t)
-    ~temp ~main =
-  List.iter
-    (fun ({ Program.name; def } : Program.temp) ->
-      let { plan; out_sorted } = lower ~force ~mode catalog def in
-      register_temp_result catalog name def out_sorted
-        (temp ("temp " ^ name) plan))
-    p.temps;
-  main "main" (lower ~force ~mode catalog p.main).plan
+type segments = Plan of Exec.Plan.node | Program of Program.t
 
-(* Run a whole transformed program: temps in order, then the main query.
-   Returns the result; created temps stay registered (callers can inspect
-   them — the paper's tables show TEMP contents — and drop them with
-   [drop_temps]).  Structural verification is the caller's ([Core]
-   refuses an unverified program before it gets here).  With [~check:true]
-   every lowered plan is additionally type-checked ([Analysis.Plan_check],
-   NQ110-NQ115) before it executes. *)
-let run_program ?force ?mode ?(check = false)
-    ?engine:(_ : Exec.Plan.engine option) ?session catalog (p : Program.t) :
-    Relation.t =
-  let run label plan =
-    if check then check_plan ~label catalog plan;
-    run_plan ?session catalog plan
-  in
-  segments ?force ?mode catalog p ~temp:run ~main:run
+(* The one segment loop, for every strategy.  Nested iteration and batched
+   bindings are one plan, handed to [main] as ("main", plan).  A program's
+   temps are lowered against the catalog as the earlier temps left it and
+   handed to [temp] as ("temp NAME", plan); what [temp] returns is
+   registered as the temp's result.  Then the main query's plan goes to
+   [main], whose answer is the loop's.  Created temps stay registered. *)
+let walk ?(force = Auto) ?(mode = Paper1987) catalog segments ~temp ~main =
+  match segments with
+  | Plan plan -> main "main" plan
+  | Program (p : Program.t) ->
+      List.iter
+        (fun ({ Program.name; def } : Program.temp) ->
+          let { plan; out_sorted } = lower ~force ~mode catalog def in
+          register_temp_result catalog name def out_sorted
+            (temp ("temp " ^ name) plan))
+        p.temps;
+      main "main" (lower ~force ~mode catalog p.main).plan
 
-(* Type-check the plans [run_program] runs: each segment's plan is checked,
-   and each temp's is run so that the next segment lowers against its
-   result.  Stops after the first segment with an Error-severity
-   violation, where [run_program ~check:true] refuses.  Returns each
-   checked segment as (label, plan, diagnostics); temps are dropped before
-   returning. *)
-let check_program ?force ?mode catalog (p : Program.t) =
+let drop_segment_temps catalog = function
+  | Plan _ -> ()
+  | Program p -> drop_temps catalog p
+
+(* Run every segment: temps in order, then the main plan, whose result is
+   returned.  Created temps stay registered (callers can inspect them — the
+   paper's tables show TEMP contents — and drop them with [drop_temps]).
+   Structural verification is the caller's ([Core] refuses an unverified
+   program before it gets here). *)
+let run_segments ?force ?mode ?session catalog segments : Relation.t =
+  let run _ plan = run_plan ?session catalog plan in
+  walk ?force ?mode catalog segments ~temp:run ~main:run
+
+let run_program ?force ?mode ?engine:(_ : Exec.Plan.engine option) ?session
+    catalog p =
+  run_segments ?force ?mode ?session catalog (Program p)
+
+(* Type-check the plans [run_segments] runs: each segment's plan is
+   checked, and each temp's is run so that the next segment lowers against
+   its result.  Stops after the first segment with an Error-severity
+   violation.  Returns each checked segment as (label, plan, diagnostics);
+   temps are dropped before returning. *)
+let check_segments ?force ?mode catalog segments =
   let checked = ref [] in
   let exception Refused in
   let check label plan =
     let diags = Analysis.Plan_check.check_catalog catalog plan in
     checked := (label, plan, diags) :: !checked;
-    if errors diags <> [] then raise Refused
+    if Analysis.Diagnostics.has_errors diags then raise Refused
   in
   (try
-     Fun.protect ~finally:(fun () -> drop_temps catalog p) @@ fun () ->
-     segments ?force ?mode catalog p
+     Fun.protect ~finally:(fun () -> drop_segment_temps catalog segments)
+     @@ fun () ->
+     walk ?force ?mode catalog segments
        ~temp:(fun label plan ->
          check label plan;
          run_plan catalog plan)
@@ -672,52 +665,51 @@ let check_program ?force ?mode catalog (p : Program.t) =
 
 type explained = {
   seg_label : string;
-  seg_plan : Exec.Plan.node;
   seg_text : string;
   seg_json : Json.t;
+  seg_rows : int option;
 }
 
-(* EXPLAIN [ANALYZE] of one plan as (text, JSON).  The estimates come from
-   the statistics as they stand before the plan runs, as the planner saw
-   them; under [analyze] [run session] executes it instrumented. *)
-let explain_plan ~analyze ?trace catalog ~label ~run plan =
-  let estimate = Estimate.estimator catalog plan in
-  let metrics =
-    if analyze then begin
-      Option.iter
-        (fun out ->
-          out
-            (Json.to_string
-               (Json.Obj
-                  [ ("ev", Json.Str "segment"); ("name", Json.Str label) ])))
-        trace;
-      let session = Exec.Explain.session ?trace (Catalog.pager catalog) in
-      run session;
-      Some (Exec.Explain.metrics session)
-    end
-    else None
-  in
-  ( Exec.Explain.render ~estimate ?metrics ~indent:1 plan,
-    Exec.Explain.render_json ~estimate ?metrics plan )
-
-(* EXPLAIN [ANALYZE]: one annotated segment per pipeline step.  Temps run
-   either way — later segments lower against their results, as under
-   [run_program] — but only [analyze] instruments them and runs the main
-   query at all.  Temps are dropped before returning. *)
-let explain_plans ?force ?mode ?(analyze = false) ?trace catalog
-    (p : Program.t) : explained list =
+(* EXPLAIN [ANALYZE]: one annotated segment per pipeline step, its
+   estimates from the statistics as they stand before the plan runs, as
+   the planner saw them.  Temps run either way — later segments lower
+   against their results, as under [run_segments] — but only [analyze]
+   instruments them and runs the main plan at all.  Temps are dropped
+   before returning. *)
+let explain_segments ?force ?mode ?(analyze = false) ?trace catalog
+    segments : explained list =
   let explained = ref [] in
   let explain label plan =
-    let result = ref None in
-    let run session = result := Some (run_plan ~session catalog plan) in
-    let text, json = explain_plan ~analyze ?trace catalog ~label ~run plan in
+    let estimate = Estimate.estimator catalog plan in
+    let result, metrics =
+      if not analyze then (None, None)
+      else begin
+        Option.iter
+          (fun out ->
+            out
+              (Json.to_string
+                 (Json.Obj
+                    [ ("ev", Json.Str "segment"); ("name", Json.Str label) ])))
+          trace;
+        let session = Exec.Explain.session ?trace (Catalog.pager catalog) in
+        let result = run_plan ~session catalog plan in
+        (Some result, Some (Exec.Explain.metrics session))
+      end
+    in
     explained :=
-      { seg_label = label; seg_plan = plan; seg_text = text; seg_json = json }
+      {
+        seg_label = label;
+        seg_text = Exec.Explain.render ~estimate ?metrics ~indent:1 plan;
+        seg_json = Exec.Explain.render_json ~estimate ?metrics plan;
+        seg_rows = Option.map Relation.cardinality result;
+      }
       :: !explained;
-    !result
+    result
   in
-  Fun.protect ~finally:(fun () -> drop_temps catalog p) (fun () ->
-      segments ?force ?mode catalog p
+  Fun.protect
+    ~finally:(fun () -> drop_segment_temps catalog segments)
+    (fun () ->
+      walk ?force ?mode catalog segments
         ~temp:(fun label plan ->
           match explain label plan with
           | Some result -> result

@@ -12,7 +12,7 @@
     operators and costs the paper knew — results and I/O counts are then
     directly comparable to its tables; [Hybrid] widens the same search to
     hash operators under the blended I/O+CPU model and must never change
-    {e results}, only plans.  {!explain_plans} exposes the chosen plans
+    {e results}, only plans.  {!explain_segments} exposes the chosen plans
     with per-operator estimates ({!Estimate}) and, under ANALYZE, measured
     runtime ({!Exec.Explain}). *)
 
@@ -51,25 +51,6 @@ val lower :
   Sql.Ast.query ->
   lowered
 
-(** Execute a lowered plan ({!Exec.Plan.run}), instrumented with the
-    {!Exec.Explain} observer when a session is supplied.  Exposed for
-    strategies that drive plans directly (nested iteration and
-    {!Batched_nest}). *)
-val run_plan :
-  ?session:Exec.Explain.session ->
-  Storage.Catalog.t ->
-  Exec.Plan.node ->
-  Relalg.Relation.t
-
-(** Type-check one physical plan ({!Analysis.Plan_check}, NQ110–NQ115);
-    [label] names it in the refusal.
-    @raise Planning_error on any Error-severity violation. *)
-val check_plan :
-  label:string ->
-  Storage.Catalog.t ->
-  Exec.Plan.node ->
-  unit
-
 (** Structurally verify a transformed program against the invariants the
     corrected algorithms guarantee (NQ900–NQ906: canonical definitions,
     resolvable references, compatible join types, GROUP BY keys covered by
@@ -79,80 +60,86 @@ val check_plan :
 val verify_program :
   Storage.Catalog.t -> Program.t -> Analysis.Diagnostics.t list
 
-(** Run a whole program: each temp is lowered against the catalog as the
-    earlier temps left it, executed and registered under its program name
-    (column names from [Program.output_column_names], order metadata from
-    the plan), then the main query runs.  Temps stay registered (the
-    paper's tables print their contents); remove them with {!drop_temps}.
-    [session] instruments every execution with the {!Exec.Explain}
-    observer.  [engine] is ignored: there is one executor
-    ({!Exec.Plan.engine}).  The program is not verified here: callers run
-    {!verify_program} first ([Core] refuses on any Error-severity
-    violation).  With [~check:true] every lowered physical plan is
-    type-checked ({!Analysis.Plan_check}, NQ110–NQ115) immediately before
-    it executes and refused with [Planning_error] on any violation. *)
+val drop_temps : Storage.Catalog.t -> Program.t -> unit
+
+(** What every strategy reaches the executor as: the segments
+    {!run_segments}, {!check_segments} and {!explain_segments} walk in one
+    loop. *)
+type segments =
+  | Plan of Exec.Plan.node
+      (** one ["main"] segment, lowered already: nested iteration's
+          ({!Exec.Sysr_iteration.lower}) or batched bindings'
+          ({!Batched_nest.lower}) plan *)
+  | Program of Program.t
+      (** a transformed program: each temp (["temp NAME"]) lowered against
+          the catalog as the earlier temps left it, executed and registered
+          under its program name (column names from
+          [Program.output_column_names], order metadata from the plan),
+          then ["main"] *)
+
+(** Run every segment and return the main plan's result.  A program's
+    temps stay registered (the paper's tables print their contents);
+    remove them with {!drop_temps}.  [force]/[mode] govern the lowering of
+    a program's segments; a [Plan] is already lowered.  [session]
+    instruments every execution with the {!Exec.Explain} observer.  A
+    program is not verified here: callers run {!verify_program} first
+    ([Core] refuses on any Error-severity violation). *)
+val run_segments :
+  ?force:join_choice ->
+  ?mode:mode ->
+  ?session:Exec.Explain.session ->
+  Storage.Catalog.t ->
+  segments ->
+  Relalg.Relation.t
+
+(** [run_segments] of [Program p].  [engine] is ignored: there is one
+    executor ({!Exec.Plan.engine}). *)
 val run_program :
   ?force:join_choice ->
   ?mode:mode ->
-  ?check:bool ->
   ?engine:Exec.Plan.engine ->
   ?session:Exec.Explain.session ->
   Storage.Catalog.t ->
   Program.t ->
   Relalg.Relation.t
 
-(** Type-check ({!Analysis.Plan_check}) the physical plans
-    [run_program ~check:true] runs: segments are lowered as {!run_program}
-    lowers them, and each temp is executed and registered so the next
-    segment plans against its result.  Stops after the first segment with
-    an Error-severity violation, where {!run_program} refuses.  Returns
-    each checked segment as (["temp NAME"] or ["main"], plan, its
-    diagnostics), in order; no diagnostics anywhere means the whole lowered
-    pipeline checks clean.  Temps are dropped before returning. *)
-val check_program :
+(** Type-check ({!Analysis.Plan_check}, NQ110–NQ115) the plans
+    {!run_segments} runs: segments are lowered as it lowers them, and each
+    temp is executed and registered so the next segment plans against its
+    result.  Stops after the first segment with an Error-severity
+    violation.  Returns each checked segment as (["temp NAME"] or
+    ["main"], plan, its diagnostics), in order; no diagnostics anywhere
+    means every plan checks clean.  Temps are dropped before returning. *)
+val check_segments :
   ?force:join_choice ->
   ?mode:mode ->
   Storage.Catalog.t ->
-  Program.t ->
+  segments ->
   (string * Exec.Plan.node * Analysis.Diagnostics.t list) list
-
-val drop_temps : Storage.Catalog.t -> Program.t -> unit
 
 type explained = {
   seg_label : string;  (** ["temp NAME"] or ["main"] *)
-  seg_plan : Exec.Plan.node;
   seg_text : string;  (** annotated operator tree, indent 1 *)
   seg_json : Json.t;  (** the same tree as one JSON object *)
+  seg_rows : int option;  (** rows the segment produced, under ANALYZE *)
 }
 (** One pipeline segment of an EXPLAIN \[ANALYZE\], annotated with
     {!Estimate} numbers and — under [~analyze:true] — runtime metrics. *)
 
-(** EXPLAIN \[ANALYZE\] every segment of a program, lowered as
-    {!run_program} lowers it.  Temp definitions are executed either way
-    (later segments plan against their results); [~analyze:true]
-    additionally instruments every execution — including the main query,
-    which otherwise never runs — and annotates each operator with actual
-    rows / [next] calls / wall-clock / page I/Os.  [trace] receives one
-    JSON line per operator event plus a [{"ev":"segment"}] marker per
-    segment.  Temps are dropped before returning. *)
-val explain_plans :
+(** EXPLAIN \[ANALYZE\] every segment, lowered as {!run_segments} lowers
+    it.  A program's temps are executed either way (later segments plan
+    against their results); [~analyze:true] additionally instruments every
+    execution — including the main plan, which otherwise never runs — and
+    annotates each operator with actual rows / [next] calls / wall-clock /
+    page I/Os; under ANALYZE a re-opened inner plan's actuals add up over
+    its loops.  [trace] receives one JSON line per operator event plus a
+    [{"ev":"segment"}] marker per segment.  Temps are dropped before
+    returning. *)
+val explain_segments :
   ?force:join_choice ->
   ?mode:mode ->
   ?analyze:bool ->
   ?trace:(string -> unit) ->
   Storage.Catalog.t ->
-  Program.t ->
+  segments ->
   explained list
-
-(** EXPLAIN \[ANALYZE\] of one plan as (text at indent 1, JSON): {!Estimate}
-    annotations, and under [~analyze:true] the actuals of [run session],
-    which must execute the plan under the session; [trace] gets a
-    [{"ev":"segment","name":label}] marker first. *)
-val explain_plan :
-  analyze:bool ->
-  ?trace:(string -> unit) ->
-  Storage.Catalog.t ->
-  label:string ->
-  run:(Exec.Explain.session -> unit) ->
-  Exec.Plan.node ->
-  string * Json.t

@@ -106,21 +106,11 @@ type result = {
 
 (* ---------------- comparator ------------------------------------------ *)
 
-(* NULL-aware multiset comparison: [Row.compare] orders NULL first and
-   equal to itself, so sorting both sides and comparing rowwise under
-   [Value.compare] is exact on NULLs (no three-valued leakage).
-
-   Multiplicities are compared exactly when the query fixes them (DISTINCT
-   dedups; GROUP BY / aggregates emit one row per group); a plain select
-   is compared as a set, because NEST-N-J's join-based merge multiplies
-   outer rows by matching inner duplicates — the documented §5.4 residue
-   (DESIGN.md), not a wrong answer under the paper's set reading.
-
-   Under ORDER BY both sides are presentation-sorted, so we additionally
-   require the candidate's delivered order to respect the sort keys. *)
-let multiplicities_fixed (q : Sql.Ast.query) =
-  q.Sql.Ast.distinct || q.Sql.Ast.group_by <> [] || Sql.Ast.select_has_agg q
-
+(* The comparison is [Analysis.Equiv_check.agree]'s, the one rule the
+   bounded equivalence search and [Core.compare_strategies] share:
+   NULL-aware, multiset where the query fixes multiplicities, set
+   otherwise.  Under ORDER BY both sides are presentation-sorted, so the
+   candidate's delivered order must also respect the sort keys. *)
 let sorted_under (q : Sql.Ast.query) (rel : Relation.t) =
   match q.Sql.Ast.order_by with
   | [] -> true
@@ -153,9 +143,7 @@ let sorted_under (q : Sql.Ast.query) (rel : Relation.t) =
           pairs (Relation.rows rel))
 
 let results_agree ~(q : Sql.Ast.query) ~reference ~got =
-  (if multiplicities_fixed q then Relation.equal_bag else Relation.equal_set)
-    reference got
-  && sorted_under q got
+  Analysis.Equiv_check.agree ~original:q reference got && sorted_under q got
 
 (* ---------------- running --------------------------------------------- *)
 
@@ -176,11 +164,6 @@ let run_reference (case : Repro.case) : (Relation.t, string) Stdlib.result =
       | rel -> Ok (Exec.Presentation.apply_order q rel)
       | exception Exec.Nested_iter.Runtime_error msg -> Error msg)
 
-(* Each candidate runs against its own freshly loaded database: a failed
-   program can leave temps behind, and pager/statistics state must not
-   leak between grid cells.  [check] additionally type-checks every
-   lowered physical plan (Analysis.Plan_check via Core) before it runs —
-   a violation surfaces as a Failed cell, never a silent wrong answer. *)
 (* For the index-axis cells: a B-tree on every column of every table (the
    most adversarial inventory — every probe/access-path opportunity is
    taken; duplicate column names within a table cannot occur in generated
@@ -199,7 +182,11 @@ let index_everything db =
             (Relalg.Schema.columns schema))
     (Storage.Catalog.table_names catalog)
 
-let run_candidate ?(check = false) (case : Repro.case) candidate :
+(* Each candidate runs against its own freshly loaded database: a failed
+   program can leave temps behind, and pager/statistics state must not
+   leak between grid cells.  The plans a cell runs are type-checked
+   statically, by [Core.check_query] (fuzz --check), not here. *)
+let run_candidate (case : Repro.case) candidate :
     (Relation.t, string) Stdlib.result =
   let db = Repro.build_db case in
   (match candidate with
@@ -224,12 +211,12 @@ let run_candidate ?(check = false) (case : Repro.case) candidate :
     | Indexed_auto { mode } ->
         Some mode
   in
-  match Core.run ~strategy ~check ?mode db case.sql with
+  match Core.run ~strategy ?mode db case.sql with
   | Ok e -> Ok e.Core.result
   | Error _ as e -> e
   | exception Exec.Nested_iter.Runtime_error msg -> Error ("runtime: " ^ msg)
 
-let run_case ?(candidates = all_candidates) ?check (case : Repro.case) :
+let run_case ?(candidates = all_candidates) (case : Repro.case) :
     result =
   match run_reference case with
   | Error _ as reference -> { reference; outcomes = [] }
@@ -244,7 +231,7 @@ let run_case ?(candidates = all_candidates) ?check (case : Repro.case) :
         List.map
           (fun candidate ->
             let verdict =
-              match run_candidate ?check case candidate with
+              match run_candidate case candidate with
               | Ok got ->
                   if results_agree ~q ~reference ~got then Agree
                   else Mismatch { expected = reference; got }

@@ -43,10 +43,9 @@ type result = {
   outcomes : outcome list;  (** empty when the reference itself failed *)
 }
 
-(** NULL-aware comparison: multiset when the query fixes multiplicities
-    (DISTINCT / GROUP BY / aggregates), set otherwise (§5.4 duplicate
-    residue, see DESIGN.md); under ORDER BY the candidate's delivered
-    order must respect the sort keys. *)
+(** {!Analysis.Equiv_check.agree} (NULL-aware; multiset when the query
+    fixes multiplicities, set otherwise), and under ORDER BY the
+    candidate's delivered order must respect the sort keys. *)
 val results_agree :
   q:Sql.Ast.query ->
   reference:Relalg.Relation.t ->
@@ -55,10 +54,10 @@ val results_agree :
 
 val run_reference : Repro.case -> (Relalg.Relation.t, string) Stdlib.result
 
-(** [check] additionally type-checks every lowered physical plan
-    ({!Analysis.Plan_check} via [Core.run ~check]) in every cell; a
-    violation becomes a [Failed] cell. *)
-val run_case : ?candidates:candidate list -> ?check:bool -> Repro.case -> result
+(** Every cell against the reference, each on a freshly loaded database.
+    The plans the cells run are type-checked statically
+    ([Core.check_query], [nestsql fuzz --check]), not here. *)
+val run_case : ?candidates:candidate list -> Repro.case -> result
 
 (** The outcomes that count as bugs (mismatches and failures). *)
 val discrepancies : result -> outcome list

@@ -240,7 +240,8 @@ let test_planner_output_checks_clean () =
                 []
                 (List.concat_map
                    (fun (_, _, diags) -> diags)
-                   (Optimizer.Planner.check_program (Core.catalog db) program))))
+                   (Optimizer.Planner.check_segments (Core.catalog db)
+                      (Optimizer.Planner.Program program)))))
     [
       Fixtures.count_bug_query;
       Fixtures.max_quan_query;
@@ -256,12 +257,12 @@ let test_planner_output_checks_clean () =
    registered, or, with [~empty], registered with no rows. *)
 let run_plans ?(empty = false) ~mode catalog (program : Optimizer.Program.t) =
   let module P = Optimizer.Planner in
-  let label l = P.mode_name mode ^ " " ^ l in
+  let label l = P.mode_name mode ^ " transformed " ^ l in
   let temps =
     List.map
       (fun ({ Optimizer.Program.name; def } : Optimizer.Program.temp) ->
         let { P.plan; out_sorted } = P.lower ~mode catalog def in
-        let result = P.run_plan catalog plan in
+        let result = P.run_segments catalog (P.Plan plan) in
         let schema =
           Relalg.Schema.of_columns ~rel:name
             (List.map2
@@ -278,11 +279,11 @@ let run_plans ?(empty = false) ~mode catalog (program : Optimizer.Program.t) =
   P.drop_temps catalog program;
   temps @ [ (label "main", Exec.Explain.render main) ]
 
-(* [nestsql check] type-checks exactly the plans a run lowers, in both
-   modes.  On Kiessling's data the hybrid TEMP#3 and main query join the
-   temps by hashing; against empty temps, as the checker once registered
-   them, the same segments lower to nested-loop joins — plans that never
-   run. *)
+(* [nestsql check] type-checks exactly the plans a run lowers: nested
+   iteration's, then batched bindings' and the program's in each mode.  On
+   Kiessling's data the hybrid TEMP#3 and main query join the temps by
+   hashing; against empty temps, as the checker once registered them, the
+   same segments lower to nested-loop joins — plans that never run. *)
 let test_check_plans_are_run_plans () =
   let db () = Fixtures.count_bug_db () in
   let checked =
@@ -292,12 +293,20 @@ let test_check_plans_are_run_plans () =
       .Core.ck_plans
   in
   let db = db () in
+  let catalog = Core.catalog db in
+  let q = Result.get_ok (Core.parse db Fixtures.count_bug_query) in
   let program = Result.get_ok (Core.transform db Fixtures.count_bug_query) in
   let modes = [ Optimizer.Planner.Paper1987; Optimizer.Planner.Hybrid ] in
   let run_plans ?empty () =
-    List.concat_map
-      (fun mode -> run_plans ?empty ~mode (Core.catalog db) program)
-      modes
+    ( "nested_iteration main",
+      Exec.Explain.render (Exec.Sysr_iteration.lower catalog q) )
+    :: List.concat_map
+         (fun mode ->
+           ( Optimizer.Planner.mode_name mode ^ " batched main",
+             Exec.Explain.render
+               (Optimizer.Batched_nest.lower ~mode catalog q) )
+           :: run_plans ?empty ~mode catalog program)
+         modes
   in
   let expected = run_plans () in
   Alcotest.(check (list (pair string string)))
@@ -352,7 +361,7 @@ let test_equiv_certifies_guarded_q2 () =
   | Error msg -> Alcotest.fail msg
   | Ok q -> (
       let r = Core.check_query db q in
-      Alcotest.(check bool) "no refusal" true (r.Core.ck_refused = None);
+      Alcotest.(check bool) "no refusal" true (r.Core.ck_refused = []);
       Alcotest.(check bool) "no error diagnostics" false
         (D.has_errors r.Core.ck_diags);
       Alcotest.(check bool) "certificate present" true
@@ -389,7 +398,8 @@ let test_check_query_refusal () =
   | Error msg -> Alcotest.fail msg
   | Ok q ->
       let r = Core.check_query db q in
-      Alcotest.(check bool) "refused" true (r.Core.ck_refused <> None);
+      Alcotest.(check bool) "refused" true
+        (List.mem_assoc Core.Via_transformed r.Core.ck_refused);
       Alcotest.(check bool) "no verdict on refusal" true
         (r.Core.ck_verdict = None)
 
@@ -410,9 +420,54 @@ let test_check_source_reports () =
             | _ -> false))
         reports
 
-(* --- the matrix under ~check: all 22 cells type-check ------------------ *)
+(* --- a refused rewrite still has its plans checked --------------------- *)
 
-let test_matrix_check_clean () =
+(* [>= ALL] over a column holding a NULL: NEST-G refuses (the COUNT form
+   needs both sides non-NULL), yet nested iteration and batched bindings
+   run it, so [check] type-checks their plans. *)
+let test_check_refused_rewrite_checks_plans () =
+  let db = Core.create_db () in
+  Core.define_table db "PARTS"
+    [ ("PNUM", Value.Tint); ("QOH", Value.Tint) ]
+    [ [ Value.Int 3; Value.Int 6 ]; [ Value.Int 10; Value.Int 1 ] ];
+  Core.define_table db "SUPPLY"
+    [ ("PNUM", Value.Tint); ("QUAN", Value.Tint) ]
+    [ [ Value.Int 3; Value.Int 4 ]; [ Value.Int 10; Value.Null ] ];
+  let q =
+    Result.get_ok
+      (Core.parse db
+         "SELECT PNUM FROM PARTS WHERE QOH >= ALL (SELECT QUAN FROM SUPPLY \
+          WHERE SUPPLY.PNUM = PARTS.PNUM)")
+  in
+  let r = Core.check_query db q in
+  Alcotest.(check (list string))
+    "the rewrite refused"
+    [ Core.via_name Core.Via_transformed ]
+    (List.map (fun (via, _) -> Core.via_name via) r.Core.ck_refused);
+  Alcotest.(check (list string))
+    "nested and batched plans checked"
+    [ "nested_iteration main"; "paper1987 batched main"; "hybrid batched main" ]
+    (List.map fst r.Core.ck_plans);
+  check_codes "clean" [] r.Core.ck_diags;
+  Alcotest.(check bool) "no verdict without a rewrite" true
+    (r.Core.ck_verdict = None);
+  Alcotest.(check bool) "--json keeps the refusal" true
+    (match Core.check_json [ r ] with
+    | Json.Obj fields -> (
+        match List.assoc "queries" fields with
+        | Json.List [ Json.Obj query ] -> List.mem_assoc "refused" query
+        | _ -> false)
+    | _ -> false)
+
+(* --- the matrix's 22 cells: every plan they run type-checks ------------ *)
+
+(* The cells run on Kiessling's data without a difference, and every plan
+   they run checks clean: the forced-join rewrite and batched cells in both
+   modes through [Planner.check_segments ~force], and the nested, Auto and
+   indexed cells through [Core.check_query] on the unindexed and the
+   fully indexed database. *)
+let test_matrix_plans_check_clean () =
+  let module P = Optimizer.Planner in
   let case =
     {
       Oracle.Repro.tables =
@@ -420,12 +475,56 @@ let test_matrix_check_clean () =
       sql = Fixtures.count_bug_query;
     }
   in
-  let result = Oracle.Matrix.run_case ~check:true case in
+  let result = Oracle.Matrix.run_case case in
   Alcotest.(check (list string))
-    "no mismatches or plan-check failures" []
+    "no mismatches or failures" []
     (Oracle.Matrix.describe result);
   Alcotest.(check int) "all 22 cells ran" 22
-    (List.length result.Oracle.Matrix.outcomes)
+    (List.length result.Oracle.Matrix.outcomes);
+  let forced =
+    List.concat_map
+      (fun mode ->
+        List.concat_map
+          (fun force ->
+            let db = Oracle.Repro.build_db case in
+            let catalog = Core.catalog db in
+            let q = Result.get_ok (Core.parse db case.sql) in
+            let batched =
+              P.check_segments ~force ~mode catalog
+                (P.Plan (Optimizer.Batched_nest.lower ~force ~mode catalog q))
+            in
+            if force = P.Auto then batched
+            else
+              P.check_segments ~force ~mode catalog
+                (P.Program (Result.get_ok (Core.transform db case.sql)))
+              @ batched)
+          [ P.Auto; P.Force_nl; P.Force_merge; P.Force_hash ])
+      [ P.Paper1987; P.Hybrid ]
+  in
+  (* 3 forced rewrites x (3 temps + main) + 4 batched, in each mode *)
+  Alcotest.(check int) "forced plans" 32 (List.length forced);
+  check_codes "forced plans clean" []
+    (List.concat_map (fun (_, _, diags) -> diags) forced);
+  List.iter
+    (fun indexed ->
+      let db = Oracle.Repro.build_db case in
+      if indexed then
+        List.iter
+          (fun (table, rel) ->
+            List.iter
+              (fun (c : Relalg.Schema.column) ->
+                Core.create_index db table ~column:c.name)
+              (Relalg.Schema.columns (Relation.schema rel)))
+          case.tables;
+      let r =
+        Core.check_query db (Result.get_ok (Core.parse db case.sql))
+      in
+      Alcotest.(check bool) "no rung refused" true (r.Core.ck_refused = []);
+      Alcotest.(check int) "nested, batched and program plans" 11
+        (List.length r.Core.ck_plans);
+      Alcotest.(check bool) "checked clean" false
+        (D.has_errors r.Core.ck_diags))
+    [ false; true ]
 
 let suites =
   [
@@ -463,9 +562,11 @@ let suites =
           test_check_query_refusal;
         Alcotest.test_case "check_source: report per query" `Quick
           test_check_source_reports;
-        Alcotest.test_case "matrix ~check: 22 cells clean" `Quick
-          test_matrix_check_clean;
+        Alcotest.test_case "matrix: every cell's plans check clean" `Quick
+          test_matrix_plans_check_clean;
         Alcotest.test_case "check type-checks the plans that run" `Quick
           test_check_plans_are_run_plans;
+        Alcotest.test_case "check: refused rewrite's plans checked" `Quick
+          test_check_refused_rewrite_checks_plans;
       ] );
   ]

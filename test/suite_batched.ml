@@ -122,7 +122,7 @@ let run_measured db sql =
   let q = Workload.Fixtures.parse_analyzed catalog sql in
   let plan = Batched.lower catalog q in
   let session = Exec.Explain.session (Storage.Catalog.pager catalog) in
-  let result = Planner.run_plan ~session catalog plan in
+  let result = Planner.run_segments ~session catalog (Planner.Plan plan) in
   let rec find_apply = function
     | Exec.Plan.Apply a -> a
     | n -> (

@@ -112,6 +112,84 @@ let test_io_accounting_isolated () =
   Alcotest.(check bool) "non-negative" true
     (e2.Core.io.Core.Pager.physical_reads >= 0)
 
+let int_table db name columns rows =
+  Core.define_table db name
+    (List.map (fun c -> (c, Value.Tint)) columns)
+    (List.map
+       (List.map (function Some n -> Value.Int n | None -> Value.Null))
+       rows)
+
+(* [x != ANY S] with NULLs on both sides: [0 < COUNT(... AND x != item)]
+   is True exactly when [x != ANY S] is, so NEST-G transforms it, and in
+   both modes Auto's transformed pick returns nested iteration's rows. *)
+let test_ne_any_nullable_transforms () =
+  let db = Core.create_db () in
+  int_table db "PARTS" [ "PNUM"; "QOH" ]
+    [
+      [ Some 3; Some 6 ]; [ Some 10; None ]; [ Some 8; Some 0 ];
+      [ Some 5; Some 2 ];
+    ];
+  int_table db "SUPPLY" [ "PNUM"; "QUAN" ]
+    [
+      [ Some 3; Some 4 ]; [ Some 3; None ]; [ Some 10; Some 1 ];
+      [ Some 8; None ]; [ Some 8; Some 0 ]; [ Some 5; Some 2 ];
+    ];
+  let sql =
+    "SELECT PNUM FROM PARTS WHERE QOH <> ANY (SELECT QUAN FROM SUPPLY WHERE \
+     SUPPLY.PNUM = PARTS.PNUM)"
+  in
+  let q = Result.get_ok (Core.parse db sql) in
+  let reference = Exec.Nested_iter.run (Core.catalog db) q in
+  Alcotest.(check (list int)) "reference: only PNUM 3" [ 3 ]
+    (List.map
+       (fun r -> match Relalg.Row.get r 0 with Value.Int n -> n | _ -> -1)
+       (Relation.rows reference));
+  List.iter
+    (fun mode ->
+      let e = Result.get_ok (Core.run ~mode db sql) in
+      Alcotest.(check string) "transformed" "transformed"
+        (Core.via_name e.Core.via);
+      Alcotest.(check bool) "agrees with nested iteration" true
+        (Oracle.Matrix.results_agree ~q ~reference ~got:e.Core.result))
+    [ Optimizer.Planner.Paper1987; Optimizer.Planner.Hybrid ]
+
+(* A DISTINCT result is listed sorted whichever strategy ran.  The hybrid
+   program dedups by hashing and keeps first-occurrence order (10, 3, 8);
+   Auto's transformed pick still lists the rows in nested iteration's
+   order. *)
+let test_distinct_listed_sorted () =
+  let db = Core.create_db () in
+  int_table db "SUPPLY" [ "PNUM"; "QUAN" ]
+    [
+      [ Some 10; Some 1 ]; [ Some 3; Some 2 ]; [ Some 8; Some 1 ];
+      [ Some 10; Some 2 ]; [ Some 3; Some 1 ];
+    ];
+  int_table db "PARTS" [ "PNUM"; "QOH" ]
+    [ [ Some 1; Some 1 ]; [ Some 2; Some 2 ] ];
+  let sql =
+    "SELECT DISTINCT PNUM FROM SUPPLY WHERE QUAN IN (SELECT QOH FROM PARTS)"
+  in
+  let catalog = Core.catalog db in
+  let program = Result.get_ok (Core.transform db sql) in
+  let hashed =
+    Optimizer.Planner.run_program ~mode:Optimizer.Planner.Hybrid catalog
+      program
+  in
+  Optimizer.Planner.drop_temps catalog program;
+  let rows rel = List.map Relalg.Row.to_list (Relation.rows rel) in
+  Alcotest.(check bool) "the hybrid plan's order is not sorted" false
+    (rows hashed = rows (Relation.distinct hashed));
+  let auto =
+    Result.get_ok (Core.run ~mode:Optimizer.Planner.Hybrid db sql)
+  in
+  let nested =
+    Result.get_ok (Core.run ~strategy:Core.Nested_iteration db sql)
+  in
+  Alcotest.(check string) "Auto transforms" "transformed"
+    (Core.via_name auto.Core.via);
+  Alcotest.(check bool) "same rows in the same order" true
+    (rows auto.Core.result = rows nested.Core.result)
+
 let suites =
   [
     ( "core.facade",
@@ -123,5 +201,9 @@ let suites =
         Alcotest.test_case "compare" `Quick test_compare_strategies;
         Alcotest.test_case "explain" `Quick test_explain_output;
         Alcotest.test_case "io accounting" `Quick test_io_accounting_isolated;
+        Alcotest.test_case "!= ANY over NULLs transforms" `Quick
+          test_ne_any_nullable_transforms;
+        Alcotest.test_case "DISTINCT listed sorted by every strategy" `Quick
+          test_distinct_listed_sorted;
       ] );
   ]

@@ -165,7 +165,7 @@ let test_golden_explain_shape () =
     String.concat "\n"
       (List.map
          (fun (s : Planner.explained) -> s.seg_text)
-         (Planner.explain_plans catalog program))
+         (Planner.explain_segments catalog (Planner.Program program)))
   in
   let has needle =
     let n = String.length needle in

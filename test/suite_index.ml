@@ -240,7 +240,7 @@ let run_nested catalog q =
               sp)
           a.preds
   in
-  (Exec.Sysr_iteration.present catalog q rel, opens)
+  (Exec.Presentation.present catalog q rel, opens)
 
 let prop_reopen_isolation =
   QCheck2.Test.make

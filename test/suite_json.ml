@@ -177,7 +177,8 @@ let test_surfaces_parse =
       all_parse !lines;
       (* EXPLAIN trees *)
       let program = Result.get_ok (Core.transform db sql) in
-      Optimizer.Planner.explain_plans ~analyze:true (Core.catalog db) program
+      Optimizer.Planner.explain_segments ~analyze:true (Core.catalog db)
+        (Optimizer.Planner.Program program)
       |> List.map (fun s -> Json.to_string s.Optimizer.Planner.seg_json)
       |> all_parse;
       (* lint reports: the query, and a syntax error quoting the literal *)

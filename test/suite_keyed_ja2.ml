@@ -115,9 +115,15 @@ let prop_keyed_matches_reference =
           | program ->
               let keyed = program.Program.notes <> [] in
               let agree mode =
-                let got =
-                  Fixtures.run_verified ~mode ~check:true catalog program
+                let checked =
+                  Planner.check_segments ~mode catalog (Planner.Program program)
                 in
+                if
+                  List.exists
+                    (fun (_, _, diags) -> Analysis.Diagnostics.has_errors diags)
+                    checked
+                then Alcotest.failf "seed %d: a plan failed its check" seed;
+                let got = Fixtures.run_verified ~mode catalog program in
                 Planner.drop_temps catalog program;
                 let got = Exec.Presentation.apply_order q got in
                 Oracle.Matrix.results_agree ~q ~reference ~got
@@ -294,7 +300,7 @@ let test_keyed_program_checks () =
     (List.length
        (List.concat_map
           (fun (_, _, diags) -> diags)
-          (Planner.check_program catalog program)));
+          (Planner.check_segments catalog (Planner.Program program))));
   let temps =
     List.map (fun { Program.name; def } -> (name, def)) program.Program.temps
   in

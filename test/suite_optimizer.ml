@@ -923,7 +923,7 @@ let test_explain_runs () =
   let program =
     Nest_g.transform ~fresh:(fun () -> Catalog.fresh_temp_name catalog) q
   in
-  let segments = Planner.explain_plans catalog program in
+  let segments = Planner.explain_segments catalog (Planner.Program program) in
   Alcotest.(check bool) "mentions temps" true
     (List.exists
        (fun (s : Planner.explained) ->
