@@ -647,10 +647,11 @@ let time_io catalog run =
      the timed region — without this, major slices land in random reps and
      the median wobbles by tens of percent. *)
   Gc.full_major ();
+  let words = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let result = run () in
   let wall = Unix.gettimeofday () -. t0 in
-  (result, wall, Pager.diff_since pager before)
+  (result, wall, Pager.diff_since pager before, Gc.minor_words () -. words)
 
 (* Warm-up + median-of-k timing.  Every sample runs on a {e fresh} catalog
    (cold pager, fresh temps — [run_program] registers temps under fixed
@@ -659,7 +660,12 @@ let time_io catalog run =
    The warm-up rep absorbs allocator and code-path warmup; the median over
    [reps] suppresses scheduler noise that a single-shot number is hostage
    to. *)
-type sample = { s_rows : int; s_wall : float; s_io : Pager.stats }
+type sample = {
+  s_rows : int;
+  s_wall : float;
+  s_io : Pager.stats;
+  s_words : float; (* minor-heap words the run allocated *)
+}
 
 let median_sample samples =
   let sorted =
@@ -682,19 +688,25 @@ let run_strategy ~warmup ~reps ~buffer_pages ~page_bytes ~n_parts
           let program = program catalog q in
           fun () -> Planner.run_program ~mode catalog program
     in
-    let result, wall, io = time_io catalog run in
-    { s_rows = Relation.cardinality result; s_wall = wall; s_io = io }
+    let result, wall, io, words = time_io catalog run in
+    {
+      s_rows = Relation.cardinality result;
+      s_wall = wall;
+      s_io = io;
+      s_words = words;
+    }
   in
   for _ = 1 to warmup do
     ignore (once ())
   done;
   median_sample (List.init reps (fun _ -> once ()))
 
-let strategy_json ~name { s_rows; s_wall; s_io = io } =
+let strategy_json ~name { s_rows; s_wall; s_io = io; s_words } =
   Json.Obj
     [
       ("name", Json.Str name);
       ("wall_s", Json.Float s_wall);
+      ("minor_words", Json.Float s_words);
       ("logical_reads", Json.Int io.Pager.logical_reads);
       ("physical_reads", Json.Int io.Pager.physical_reads);
       ("physical_writes", Json.Int io.Pager.physical_writes);
@@ -906,8 +918,13 @@ let run_skew ~warmup ~reps ~n_parts ~n_supply ~key_range text strategy =
     in
     Option.map
       (fun run ->
-        let result, wall, io = time_io catalog run in
-        { s_rows = Relation.cardinality result; s_wall = wall; s_io = io })
+        let result, wall, io, words = time_io catalog run in
+        {
+          s_rows = Relation.cardinality result;
+          s_wall = wall;
+          s_io = io;
+          s_words = words;
+        })
       run
   in
   match once () with
@@ -1069,13 +1086,18 @@ let json_index_crossover ~outers ~warmup ~reps () =
     let measure ~indexed strategy =
       let once () =
         let db = crossover_db ~indexed outer in
-        let e, wall, io =
+        let e, wall, io, words =
           time_io (Core.catalog db) (fun () ->
               match Core.run ~strategy db text with
               | Ok e -> e
               | Error msg -> failwith msg)
         in
-        ( { s_rows = Relation.cardinality e.Core.result; s_wall = wall; s_io = io },
+        ( {
+            s_rows = Relation.cardinality e.Core.result;
+            s_wall = wall;
+            s_io = io;
+            s_words = words;
+          },
           e.Core.decision )
       in
       for _ = 1 to warmup do
@@ -1383,17 +1405,21 @@ let compared_members =
     "estimates";
   ]
 
-(* [(path, value)] of every compared member, in document order; a path
-   reads like [.queries[0].strategies[2].rows]. *)
-let compared_values doc =
+(* Reported when they differ, never failed on: like timings, they move
+   with the code's CPU work, not its page I/O. *)
+let reported_members = [ "minor_words" ]
+
+(* [(path, value)] of every member named in [members], in document order;
+   a path reads like [.queries[0].strategies[2].rows]. *)
+let member_values members doc =
   let rec go path acc = function
-    | Json.Obj members ->
+    | Json.Obj fields ->
         List.fold_left
           (fun acc (name, v) ->
             let path = path ^ "." ^ name in
-            if List.mem name compared_members then (path, v) :: acc
+            if List.mem name members then (path, v) :: acc
             else go path acc v)
-          acc members
+          acc fields
     | Json.List items ->
         snd
           (List.fold_left
@@ -1405,16 +1431,27 @@ let compared_values doc =
 
 (* [--compare BASE NEW]: list every compared path whose value differs or
    is missing on one side; exit 1 when there is one (or a file does not
-   parse). *)
+   parse).  Reported members that differ are listed first, as notes. *)
 let compare_files base_path new_path =
   let load path =
     match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
-    | Ok doc -> compared_values doc
+    | Ok doc -> doc
     | Error e ->
         Fmt.epr "%s: %s@." path e;
         exit 1
   in
-  let base = load base_path and fresh = load new_path in
+  let base_doc = load base_path and fresh_doc = load new_path in
+  let reported = member_values reported_members fresh_doc in
+  List.iter
+    (fun (path, v) ->
+      match List.assoc_opt path reported with
+      | Some v' when v' <> v ->
+          Fmt.pr "note: %s: %s -> %s (reported, not compared)@." path
+            (Json.to_string v) (Json.to_string v')
+      | _ -> ())
+    (member_values reported_members base_doc);
+  let base = member_values compared_members base_doc
+  and fresh = member_values compared_members fresh_doc in
   let only_in values other name =
     List.filter_map
       (fun (path, v) ->

@@ -492,7 +492,8 @@ let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?trace db text :
      rewrite's cost-based choices (a keyed NEST-JA2 TEMP2) head its
      segments and its bounded-equivalence certificate closes them: the
      counterexample search at k=2 over {const₁, const₂, NULL}, in one line
-     (docs/LINT.md).  Under ANALYZE one plan's row count closes it. *)
+     (docs/LINT.md).  Under ANALYZE the main segment's row count closes
+     either. *)
   let explain force _ segments =
     let explained =
       Optimizer.Planner.explain_segments ~force ?mode ~analyze ?trace db.catalog
@@ -505,14 +506,19 @@ let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?trace db text :
              s.seg_label ^ ":\n" ^ s.seg_text)
            explained)
     in
-    match (segments, explained) with
-    | Optimizer.Planner.Program program, _ ->
+    let result =
+      match List.rev explained with
+      | { seg_rows = Some rows; _ } :: _ ->
+          Printf.sprintf "result: %d rows\n" rows
+      | _ -> ""
+    in
+    match segments with
+    | Optimizer.Planner.Program program ->
         String.concat "" (List.map (fun n -> n ^ "\n") program.notes)
         ^ body ^ "\n"
         ^ Analysis.Equiv_check.certificate (equivalence ~bound:2 db q program)
-    | Optimizer.Planner.Plan _, [ { seg_rows = Some rows; _ } ] ->
-        body ^ Printf.sprintf "result: %d rows\n" rows
-    | Optimizer.Planner.Plan _, _ -> body
+        ^ if result = "" then "" else "\n" ^ result
+    | Optimizer.Planner.Plan _ -> body ^ result
   in
   Result.map
     (fun (text, decision) ->

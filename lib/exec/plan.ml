@@ -430,25 +430,15 @@ let index_scan catalog scope ~table ~alias ~column ~lo ~hi :
         ~pred:(fun row -> Truth.of_bool (above row && below row))
         { (Iterator.scan heap) with schema }
     else
-      let next = Storage.Btree.range index ?lo ?hi () in
-      match (lo, hi) with
-      | Some (v, true), Some (v', true) when Value.equal v v' ->
-          (* an equality probe is one lookup: its matches are fetched
-             together, at the first pull *)
-          let fetched = ref false and pending = ref [] in
-          let next () =
-            if not !fetched then begin
-              fetched := true;
-              pending := Iterator.to_rows { schema; next }
-            end;
-            match !pending with
-            | [] -> None
-            | r :: rest ->
-                pending := rest;
-                Some r
-          in
-          { Iterator.schema; next }
-      | _ -> { Iterator.schema; next }
+      let next =
+        match (lo, hi) with
+        | Some (v, true), Some (v', true) when Value.equal v v' ->
+            (* an equality probe is one lookup: its matches are fetched
+               together, at the first pull *)
+            Storage.Btree.lookup index v
+        | _ -> Storage.Btree.range index ?lo ?hi ()
+      in
+      { Iterator.schema; next }
   in
   { schema; open_ }
 

@@ -7,7 +7,15 @@
     the pager counters; the bill is also captured per-tree in
     {!build_io}.  Probes descend root-to-leaf (O(height) page reads) and
     fetch data pages through the buffer pool, so indexed access paths
-    have honest measured cost. *)
+    have honest measured cost.
+
+    Probes search a per-page image rather than the stored rows: each
+    page is decoded once, the first time a probe reaches it, from its
+    contents ({!Pager.contents}, which requests nothing) into flat arrays
+    — INT and DATE keys unboxed, child page numbers, (data page, slot)
+    pairs.  The image only saves CPU: a probe requests each page it
+    searches through the pool as a walk over the rows would, in the same
+    order, so page I/O and LRU order do not depend on it. *)
 
 type t
 
@@ -20,9 +28,20 @@ val build : Pager.t -> Heap_file.t -> key_col:int -> t
 type bound = Relalg.Value.t * bool
 
 (** Data rows with keys in the given range, ascending; omitted bounds are
-    unbounded, NULL bounds match nothing. *)
+    unbounded, NULL bounds match nothing.  Opening requests the descent
+    to the start leaf, then the start leaf again as the cursor's first
+    page; each pull requests the leaves it enters and its row's data
+    page. *)
 val range :
   t -> ?lo:bound -> ?hi:bound -> unit -> unit -> Relalg.Row.t option
+
+(** [lookup t v] returns the rows of [range t ~lo:(v, true) ~hi:(v, true)
+    ()] with the same requests in the same order, but fetches the matches
+    together: the descent and the start leaf's two requests when called,
+    then at the first pull every match's data page, the leaves entered on
+    the way and the one holding the entry past the last match.  Later
+    pulls request nothing.  A NULL [v] matches nothing. *)
+val lookup : t -> Relalg.Value.t -> unit -> Relalg.Row.t option
 
 (** Estimated page reads of a range probe selecting [sel] of the keys,
     [matches] rows: one descent, the qualifying slice of the leaf level,

@@ -34,23 +34,16 @@ let pager t = t.pager
 
 let mem t name = List.mem_assoc name t.entries
 
-let register ?sorted_on t name heap =
-  if mem t name then invalid_arg ("Catalog.register: duplicate table " ^ name);
-  (* Statistics collection reads the stored pages; a real system amortizes
-     this (RUNSTATS), so it is excluded from the I/O counters. *)
-  let stats =
-    Pager.without_accounting t.pager (fun () ->
-        Stats.of_relation (Heap_file.to_relation heap))
-  in
-  t.entries <- (name, { name; heap; stats; indexes = []; sorted_on }) :: t.entries
-
 let register_relation ?sorted_on t name relation =
-  let renamed =
-    Relation.make
-      (Schema.rename_rel (Relation.schema relation) name)
-      (Relation.rows relation)
-  in
-  register ?sorted_on t name (Heap_file.of_relation t.pager renamed)
+  if mem t name then
+    invalid_arg ("Catalog.register_relation: duplicate table " ^ name);
+  let schema = Schema.rename_rel (Relation.schema relation) name in
+  let rows = Relation.rows relation in
+  let heap = Heap_file.of_relation t.pager (Relation.make schema rows) in
+  (* Statistics come from the rows in hand, not from the stored pages, so
+     collecting them requests nothing. *)
+  let stats = Stats.of_rows schema rows in
+  t.entries <- (name, { name; heap; stats; indexes = []; sorted_on }) :: t.entries
 
 let entry t name =
   match List.assoc_opt name t.entries with

@@ -8,12 +8,11 @@ val create : Pager.t -> t
 val pager : t -> Pager.t
 val mem : t -> string -> bool
 
-(** @raise Invalid_argument on duplicate names. [sorted_on] records column
-    positions the stored order follows (interesting orders for merge
-    joins). *)
-val register : ?sorted_on:int list -> t -> string -> Heap_file.t -> unit
-
-(** Registers an in-memory relation, retagging its provenance to [name]. *)
+(** Stores an in-memory relation as a heap file, retagging its provenance
+    to [name], with statistics gathered from its rows.  [sorted_on]
+    records column positions the stored order follows (interesting orders
+    for merge joins).
+    @raise Invalid_argument on duplicate names. *)
 val register_relation :
   ?sorted_on:int list -> t -> string -> Relalg.Relation.t -> unit
 

@@ -4,7 +4,8 @@
    classic catalog statistics [SEL 79] keeps: per column, the number of
    distinct values, the NULL count, and the min/max (for range-predicate
    interpolation).  Computed eagerly when a relation is registered —
-   relations are immutable once stored. *)
+   relations are immutable once stored — in one hashed pass over its rows,
+   no sort. *)
 
 module Value = Relalg.Value
 module Row = Relalg.Row
@@ -20,25 +21,57 @@ type column_stats = {
 
 type t = { tuples : int; columns : column_stats array }
 
-let column_of_values (values : Value.t list) : column_stats =
-  let non_null = List.filter (fun v -> not (Value.is_null v)) values in
-  let nulls = List.length values - List.length non_null in
-  let sorted = List.sort_uniq Value.compare non_null in
-  {
-    distinct = List.length sorted;
-    nulls;
-    min = (match sorted with [] -> None | v :: _ -> Some v);
-    max =
-      (match List.rev sorted with [] -> None | v :: _ -> Some v);
-  }
+module Value_tbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+(* One column's statistics, gathered in one pass: a hash set of the
+   non-NULL values (equal under [Value.compare], as sorting would
+   deduplicate them) and the running extremes, the first value seen of
+   each. *)
+type acc = {
+  seen : unit Value_tbl.t;
+  mutable nulls : int;
+  mutable lo : Value.t option;
+  mutable hi : Value.t option;
+}
+
+let add acc v =
+  if Value.is_null v then acc.nulls <- acc.nulls + 1
+  else begin
+    Value_tbl.replace acc.seen v ();
+    (match acc.lo with
+    | Some lo when Value.compare v lo >= 0 -> ()
+    | _ -> acc.lo <- Some v);
+    match acc.hi with
+    | Some hi when Value.compare v hi <= 0 -> ()
+    | _ -> acc.hi <- Some v
+  end
 
 let of_rows (schema : Schema.t) (rows : Row.t list) : t =
-  let arity = Schema.arity schema in
-  let columns =
-    Array.init arity (fun i ->
-        column_of_values (List.map (fun r -> Row.get r i) rows))
+  let accs =
+    Array.init (Schema.arity schema) (fun _ ->
+        { seen = Value_tbl.create 64; nulls = 0; lo = None; hi = None })
   in
-  { tuples = List.length rows; columns }
+  let tuples =
+    List.fold_left
+      (fun n row ->
+        Array.iteri (fun i acc -> add acc (Row.get row i)) accs;
+        n + 1)
+      0 rows
+  in
+  let column acc =
+    {
+      distinct = Value_tbl.length acc.seen;
+      nulls = acc.nulls;
+      min = acc.lo;
+      max = acc.hi;
+    }
+  in
+  { tuples; columns = Array.map column accs }
 
 let of_relation rel = of_rows (Relation.schema rel) (Relation.rows rel)
 

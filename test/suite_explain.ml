@@ -160,7 +160,7 @@ let test_golden_analyze_ja () =
          "      Scan TEMP#3  (cost=1.0 rows=3)  (actual: -)";
          "";
        ]
-    ^ certificate_3025)
+    ^ certificate_3025 ^ "\nresult: 2 rows\n")
     (scrub_times
        (Result.get_ok (Core.explain_query ~analyze:true db F.query_q2)))
 

@@ -531,6 +531,124 @@ let test_ladder_contract () =
       case.Oracle.Repro.sql
   done
 
+(* --- Where an equality probe's requests fall ------------------------- *)
+
+(* An equality IndexScan makes its descent's requests when opened and
+   fetches its matches at its first pull.  As the left input of a
+   sort-merge join whose right input sorts when opened, the sort falls
+   between the two.  In a 3-page pool the sorted run (three pages) is
+   resident after the sort, and the fetch evicts it before the join reads
+   its key-5 rows on the run's later pages: a fetch made at open would
+   leave them resident and read 2 pages fewer.  The figures are those of
+   the probe that decoded each page's rows. *)
+let test_probe_requests_around_a_sort () =
+  let db = Core.create_db ~buffer_pages:3 ~page_bytes:64 () in
+  Core.define_table db "SUPPLY"
+    [ ("PNUM", Value.Tint); ("QUAN", Value.Tint) ]
+    (List.init 120 (fun i ->
+         [ Value.Int ((i * 7 mod 12) + 1); Value.Int (i mod 9) ]));
+  Core.define_table db "PARTS"
+    [ ("PNUM", Value.Tint); ("QOH", Value.Tint) ]
+    (List.init 12 (fun i ->
+         [ Value.Int (if i < 8 then (i mod 4) + 1 else 5); Value.Int i ]));
+  Core.create_index db "SUPPLY" ~column:"PNUM";
+  let catalog = Core.catalog db in
+  let pnum = { Sql.Ast.table = Some "PARTS"; column = "PNUM" } in
+  let key = Some (Sql.Ast.Lit (Value.Int 5), true) in
+  let plan =
+    Plan.Join
+      {
+        method_ = Plan.Sort_merge;
+        kind = Plan.Inner;
+        cond = [ (pcol "PNUM", Sql.Ast.Eq, pnum) ];
+        residual = [];
+        left =
+          Plan.Index_scan
+            {
+              table = "SUPPLY";
+              alias = "SUPPLY";
+              column = "PNUM";
+              lo = key;
+              hi = key;
+            };
+        right = Plan.Sort ([ pnum ], Plan.Scan "PARTS");
+      }
+  in
+  let pager = Catalog.pager catalog in
+  let before = Storage.Pager.snapshot pager in
+  let session = Exec.Explain.session pager in
+  let rows = Plan.run ~observe:(Exec.Explain.observer session) catalog plan in
+  let io = Storage.Pager.diff_since pager before in
+  let text =
+    Str.global_replace (Str.regexp "time=[0-9.]+ms") "time=_"
+      (Exec.Explain.render ~metrics:(Exec.Explain.metrics session) plan)
+  in
+  Alcotest.(check int) "rows" 40 (Relation.cardinality rows);
+  Alcotest.(check string) "operator io"
+    "sort-merge inner join on SUPPLY.PNUM = PARTS.PNUM  (actual: rows=40 \
+     next=41 rows/call=1.0 time=_ io=0/0/0)\n\
+    \  IndexScan SUPPLY on PNUM = 5  (actual: rows=10 next=11 rows/call=0.9 \
+     time=_ io=21/19/0)\n\
+    \  Sort by PARTS.PNUM  (actual: rows=12 next=13 rows/call=0.9 time=_ \
+     io=6/4/6)\n\
+    \    Scan PARTS  (actual: rows=12 next=2 rows/call=6.0 batches=1 time=_ \
+     io=3/3/0)\n"
+    text;
+  Alcotest.(check string) "statement io"
+    "logical=30 physical_reads=26 physical_writes=6 total_io=32"
+    (Fmt.str "%a" Storage.Pager.pp_stats io)
+
+(* --- Allocation per binding of an indexed Apply ---------------------- *)
+
+(* The shape of nestbench crossover's P256 JA-count statement run as
+   nested iteration: 256 outer rows over keys 1-128, each binding one
+   equality probe of a B-tree on a 10k-row SUPPLY with 10% NULL keys,
+   its matches counted.  Words allocated per binding, planning included,
+   after two warm-up runs: about 139, against 278 when probes decoded each
+   page's rows and drained a cursor into a list. *)
+let test_indexed_apply_allocation () =
+  let db = Core.create_db ~buffer_pages:256 ~page_bytes:256 () in
+  Core.define_table db "SUPPLY"
+    [ ("PNUM", Value.Tint); ("QUAN", Value.Tint); ("SHIPDATE", Value.Tdate) ]
+    (List.init 10_000 (fun i ->
+         [
+           (if i mod 10 = 0 then Value.Null else Value.Int ((i mod 1000) + 1));
+           Value.Int (i mod 10);
+           Value.Date
+             {
+               year = 1975 + (i mod 10);
+               month = 1 + (i / 10 mod 12);
+               day = 1 + (i mod 28);
+             };
+         ]));
+  Core.define_table db "P256"
+    [ ("PNUM", Value.Tint); ("QOH", Value.Tint) ]
+    (List.init 256 (fun i ->
+         [ Value.Int ((i mod 128) + 1); Value.Int (i mod 5) ]));
+  Core.create_index db "SUPPLY" ~column:"PNUM";
+  let p =
+    Result.get_ok
+      (Core.prepare db
+         "SELECT PNUM FROM P256 WHERE QOH = (SELECT COUNT(QUAN) FROM SUPPLY \
+          WHERE SUPPLY.PNUM = P256.PNUM AND SHIPDATE < '2-1-75')")
+  in
+  let run () =
+    Result.get_ok (Core.run_prepared ~strategy:Core.Nested_iteration db p)
+  in
+  ignore (run ());
+  ignore (run ());
+  let runs = 5 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (run ())
+  done;
+  let per_binding =
+    (Gc.minor_words () -. before) /. float_of_int (runs * 256)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per binding" per_binding)
+    true (per_binding < 155.)
+
 let suites =
   [
     ( "index.properties",
@@ -545,6 +663,10 @@ let suites =
       [
         Alcotest.test_case "re-opened COUNT on empty probes" `Quick
           test_reopened_count_on_empty_probes;
+        Alcotest.test_case "an equality probe's requests around a sort"
+          `Quick test_probe_requests_around_a_sort;
+        Alcotest.test_case "words per binding of an indexed Apply" `Quick
+          test_indexed_apply_allocation;
       ] );
     ( "index.auto",
       [

@@ -478,34 +478,40 @@ let test_btree_range () =
   Alcotest.(check bool) "null bound matches nothing" true
     (collect ~lo:(Value.Null, true) () = [])
 
-(* An equality probe decodes one entry per binary-search step and per leaf
-   entry it walks, in place: repeated probes of a seven-level tree (ten
-   matches each, drained without keeping them, every page resident)
-   allocate only the cursor and one option per entry and matching row —
-   about 130 words, against over 600 when each decode built a list. *)
+(* Repeated probes of a seven-level tree (ten matches each, drained
+   without keeping them, every page resident) search the page image and
+   allocate only per probe and per match: [lookup] its state, the matches'
+   array and an option per row, 66 words; a [range] cursor its closure
+   and refs and an option per row, 56.  A probe that decoded each entry
+   from its row allocated about 130, over 600 when each decode built a
+   list. *)
 let test_btree_probe_allocation () =
   let pager = Pager.create ~buffer_pages:2048 ~page_bytes:48 () in
   let heap = kv_heap pager (List.init 1000 (fun i -> (i mod 100, i))) in
   let idx = Btree.build pager heap ~key_col:0 in
   Alcotest.(check bool) "multi-level" true (Btree.height idx >= 3);
-  let probe k =
-    let key = Some (Value.Int k, true) in
-    let next = Btree.range idx ?lo:key ?hi:key () in
-    let rec count n = match next () with Some _ -> count (n + 1) | None -> n in
-    count 0
+  let words_per_probe ~bound probe =
+    ignore (probe 0);
+    let probes = 1000 in
+    let before = Gc.minor_words () in
+    let matched = ref 0 in
+    for k = 1 to probes do
+      matched := !matched + probe (k mod 100)
+    done;
+    let per_probe = (Gc.minor_words () -. before) /. float_of_int probes in
+    Alcotest.(check int) "ten matches a probe" (10 * probes) !matched;
+    Alcotest.(check bool)
+      (Printf.sprintf "%.1f words per probe (bound %.0f)" per_probe bound)
+      true (per_probe < bound)
   in
-  ignore (probe 0);
-  let probes = 1000 in
-  let before = Gc.minor_words () in
-  let matched = ref 0 in
-  for k = 1 to probes do
-    matched := !matched + probe (k mod 100)
-  done;
-  let per_probe = (Gc.minor_words () -. before) /. float_of_int probes in
-  Alcotest.(check int) "ten matches a probe" (10 * probes) !matched;
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per probe" per_probe)
-    true (per_probe < 160.)
+  let count next =
+    let rec go n = match next () with Some _ -> go (n + 1) | None -> n in
+    go 0
+  in
+  words_per_probe ~bound:75. (fun k -> count (Btree.lookup idx (Value.Int k)));
+  words_per_probe ~bound:65. (fun k ->
+      let key = Some (Value.Int k, true) in
+      count (Btree.range idx ?lo:key ?hi:key ()))
 
 let test_btree_empty () =
   let pager = Pager.create ~buffer_pages:4 ~page_bytes:48 () in
@@ -516,6 +522,214 @@ let test_btree_empty () =
     (eq_rows idx (Value.Int 1) = []);
   let next = Btree.range idx () in
   Alcotest.(check bool) "range on empty" true (next () = None)
+
+(* --- B-tree probes against a row-decoding reference ------------------- *)
+
+(* The probe the image replaced, written out: each page decoded from its
+   rows as it is requested, the start leaf requested twice (its search,
+   then the walk's first page), a data page per match, the leaves the
+   walk enters and the entry past the range.  The tree's root is its
+   last page. *)
+let reference_probe pager idx ~data ?lo ?hi () =
+  let null = function Some (v, _) -> Value.is_null v | None -> false in
+  if null lo || null hi then []
+  else begin
+    let file = Btree.file_id idx and leaves = Btree.leaf_page_count idx in
+    let read p = Pager.read_page pager file p in
+    let int r i =
+      match Row.get r i with Value.Int n -> n | _ -> assert false
+    in
+    let below v rows =
+      Array.fold_left
+        (fun n r -> if Value.compare (Row.get r 0) v < 0 then n + 1 else n)
+        0 rows
+    in
+    let rec descend p v =
+      if p < leaves then p
+      else
+        let rows = read p in
+        descend (int rows.(max 0 (below v rows - 1)) 1) v
+    in
+    let past_lo k =
+      match lo with
+      | None -> true
+      | Some (v, incl) ->
+          let c = Value.compare k v in
+          if incl then c >= 0 else c > 0
+    in
+    let within_hi k =
+      match hi with
+      | None -> true
+      | Some (v, incl) ->
+          let c = Value.compare k v in
+          if incl then c <= 0 else c < 0
+    in
+    let rec walk p rows i acc =
+      if i >= Array.length rows then
+        if p + 1 < leaves then walk (p + 1) (read (p + 1)) 0 acc
+        else List.rev acc
+      else
+        let e = rows.(i) in
+        let k = Row.get e 0 in
+        if not (past_lo k) then walk p rows (i + 1) acc
+        else if within_hi k then
+          let row = (Pager.read_page pager data (int e 1)).(int e 2) in
+          walk p rows (i + 1) (row :: acc)
+        else List.rev acc
+    in
+    let start, slot =
+      match lo with
+      | None -> (0, 0)
+      | Some (v, _) ->
+          let leaf = descend (Btree.pages idx - 1) v in
+          (leaf, below v (read leaf))
+    in
+    walk start (read start) slot []
+  end
+
+type key_kind = Int_keys | Date_keys | Str_keys
+
+(* Key [x] of each kind, in the same order for every kind. *)
+let key_value kind x =
+  match kind with
+  | Int_keys -> Value.Int x
+  | Date_keys ->
+      Value.Date { year = 2000; month = 1 + (x / 28); day = 1 + (x mod 28) }
+  | Str_keys -> Value.Str (Printf.sprintf "k%04d" (x + 100))
+
+type probe = Eq of int | Range of (int * bool) option * (int * bool) option
+
+type btree_case = {
+  pool : int;
+  page_bytes : int;
+  kind : key_kind;
+  float_probes : bool; (* probe the INT keys with FLOAT values *)
+  keys : int option list; (* stored keys are even: [2x]; None is NULL *)
+  probes : probe list;
+}
+
+let btree_case_gen =
+  let open QCheck2.Gen in
+  let* pool = oneofl [ 2; 3; 8 ]
+  and* page_bytes = oneofl [ 48; 72; 120 ]
+  and* kind = oneofl [ Int_keys; Date_keys; Str_keys ]
+  and* float_probes = bool
+  and* span = int_range 0 20 in
+  (* probes reach below the minimum, between keys and past the maximum *)
+  let point = int_range (-3) ((2 * span) + 3) in
+  let side = opt (pair point bool) in
+  let* keys =
+    list_size (int_range 0 120) (opt ~ratio:0.85 (int_range 0 span))
+  and* probes =
+    list_size (int_range 1 12)
+      (frequency
+         [
+           (2, map (fun p -> Eq p) point);
+           (3, map2 (fun lo hi -> Range (lo, hi)) side side);
+         ])
+  in
+  return
+    { pool; page_bytes; kind; float_probes = float_probes && kind = Int_keys;
+      keys; probes }
+
+let print_btree_case c =
+  let side = function
+    | None -> "-"
+    | Some (p, incl) -> Printf.sprintf "%d%s" p (if incl then "]" else ")")
+  in
+  Printf.sprintf "pool=%d page_bytes=%d kind=%s float=%b keys=[%s] probes=[%s]"
+    c.pool c.page_bytes
+    (match c.kind with
+    | Int_keys -> "int"
+    | Date_keys -> "date"
+    | Str_keys -> "str")
+    c.float_probes
+    (String.concat ";"
+       (List.map
+          (function None -> "NULL" | Some x -> string_of_int (2 * x))
+          c.keys))
+    (String.concat ";"
+       (List.map
+          (function
+            | Eq p -> Printf.sprintf "=%d" p
+            | Range (lo, hi) -> Printf.sprintf "%s..%s" (side lo) (side hi))
+          c.probes))
+
+(* One pool, heap and tree per case; equal cases build equal worlds. *)
+let btree_world c =
+  let pager = Pager.create ~buffer_pages:c.pool ~page_bytes:c.page_bytes () in
+  let ty =
+    match c.kind with
+    | Int_keys -> Value.Tint
+    | Date_keys -> Value.Tdate
+    | Str_keys -> Value.Tstr
+  in
+  let schema = Schema.of_columns ~rel:"T" [ ("k", ty); ("v", Value.Tint) ] in
+  let heap =
+    Heap_file.of_relation pager
+      (Relation.make schema
+         (List.mapi
+            (fun i k ->
+              let key =
+                match k with
+                | None -> Value.Null
+                | Some x -> key_value c.kind (2 * x)
+              in
+              Row.of_list [ key; Value.Int i ])
+            c.keys))
+  in
+  let idx = Btree.build pager heap ~key_col:0 in
+  (pager, Heap_file.file_id heap, idx)
+
+let drain next =
+  let rec go acc =
+    match next () with Some r -> go (r :: acc) | None -> List.rev acc
+  in
+  go []
+
+(* Property: [lookup] (equality probes) and [range] (every probe, an
+   equality as a closed range) return the reference's rows, and after
+   every probe the three pools' counters agree: the image moves no
+   request. *)
+let prop_btree_matches_reference =
+  QCheck2.Test.make
+    ~name:"lookup and range = row-decoding reference (rows, I/O)"
+    ~count:300 ~print:print_btree_case btree_case_gen (fun c ->
+      (* a FLOAT probe equals an even key, or falls halfway between two *)
+      let value p =
+        if not c.float_probes then key_value c.kind p
+        else if p mod 2 = 0 then Value.Float (float_of_int p)
+        else Value.Float (float_of_int p -. 0.5)
+      in
+      let bound = Option.map (fun (p, incl) -> (value p, incl)) in
+      let pa, _, ia = btree_world c in
+      let pb, _, ib = btree_world c in
+      let pr, data, ir = btree_world c in
+      let counters p =
+        let s = Pager.stats p in
+        (s.Pager.logical_reads, s.physical_reads, s.physical_writes)
+      in
+      List.for_all
+        (fun probe ->
+          let lo, hi =
+            match probe with
+            | Eq p -> (Some (value p, true), Some (value p, true))
+            | Range (lo, hi) -> (bound lo, bound hi)
+          in
+          let a =
+            match probe with
+            | Eq p -> drain (Btree.lookup ia (value p))
+            | Range _ -> drain (Btree.range ia ?lo ?hi ())
+          in
+          let b = drain (Btree.range ib ?lo ?hi ()) in
+          let r = reference_probe pr ir ~data ?lo ?hi () in
+          if a <> r || b <> r then
+            QCheck2.Test.fail_reportf "rows: %d and %d against %d"
+              (List.length a) (List.length b) (List.length r)
+          else if counters pa <> counters pr || counters pb <> counters pr then
+            QCheck2.Test.fail_report "pager counters differ"
+          else true)
+        c.probes)
 
 (* --- Stats --------------------------------------------------------------- *)
 
@@ -604,6 +818,66 @@ let test_catalog_sorted_on () =
   Alcotest.(check bool) "sorted metadata" true
     (Catalog.sorted_on catalog "T" = Some [ 0 ])
 
+(* Property: the one-pass statistics agree with their sort-based
+   definition — distinct = the non-NULL values deduplicated by a sort
+   under [Value.compare], min and max its ends — over NULL-dense,
+   duplicate-heavy columns of each type, and over INT and FLOAT values
+   that compare equal (kept within 2^53, where they compare and hash
+   alike). *)
+let stats_column_gen =
+  let open QCheck2.Gen in
+  let* null_pct = int_range 0 90 and* span = int_range 1 12 in
+  let* ty =
+    oneofl [ Value.Tint; Value.Tfloat; Value.Tdate; Value.Tstr ]
+  and* mixed = bool in
+  let value x =
+    match ty with
+    | Value.Tint -> Value.Int x
+    | Value.Tfloat -> Value.Float (float_of_int x /. 2.)
+    | Value.Tdate ->
+        Value.Date
+          {
+            year = 1980 + (abs x mod 3);
+            month = 1 + (abs x mod 12);
+            day = 1 + abs x;
+          }
+    | Value.Tstr -> Value.Str (String.make (abs x mod 4) 'a' ^ string_of_int x)
+  in
+  let cell =
+    let* null = map (fun p -> p < null_pct) (int_range 0 99)
+    and* x = int_range (-span) span
+    and* as_float = bool in
+    return
+      (if null then Value.Null
+       else if mixed && ty = Value.Tint && as_float then
+         Value.Float (float_of_int x)
+       else value x)
+  in
+  let* column = list_size (int_range 0 60) cell in
+  return (ty, column)
+
+let prop_stats_match_sort =
+  QCheck2.Test.make ~name:"one-pass stats = sort-based stats" ~count:300
+    stats_column_gen (fun (ty, values) ->
+      let rel =
+        Relation.make
+          (Schema.of_columns ~rel:"T" [ ("c", ty) ])
+          (List.map (fun v -> Row.of_list [ v ]) values)
+      in
+      let got = Stats.column (Stats.of_relation rel) 0 in
+      let non_null = List.filter (fun v -> not (Value.is_null v)) values in
+      let sorted = List.sort_uniq Value.compare non_null in
+      let same a b =
+        match (a, b) with
+        | Some a, Some b -> Value.equal a b
+        | None, None -> true
+        | _ -> false
+      in
+      got.Stats.distinct = List.length sorted
+      && got.nulls = List.length values - List.length non_null
+      && same got.min (List.nth_opt sorted 0)
+      && same got.max (List.nth_opt (List.rev sorted) 0))
+
 (* Property: external sort equals in-memory sort, with and without dedup. *)
 let prop_sort_matches_list_sort =
   QCheck2.Test.make ~name:"external sort = List.sort" ~count:100
@@ -658,12 +932,14 @@ let suites =
         Alcotest.test_case "empty relation" `Quick test_btree_empty;
         Alcotest.test_case "probes decode entries in place" `Quick
           test_btree_probe_allocation;
+        QCheck_alcotest.to_alcotest prop_btree_matches_reference;
       ] );
     ( "storage.stats",
       [
         Alcotest.test_case "column stats" `Quick test_stats_columns;
         Alcotest.test_case "selectivity" `Quick test_stats_selectivity;
         Alcotest.test_case "collection is I/O-free" `Quick test_stats_io_free;
+        QCheck_alcotest.to_alcotest prop_stats_match_sort;
       ] );
     ( "storage.catalog",
       [
