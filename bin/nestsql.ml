@@ -327,10 +327,11 @@ let print_check_report i (r : Core.check_report) =
   | Some c -> Fmt.pr "  %s@." c
   | None -> ());
   match r.Core.ck_repro with
-  | Some repro ->
+  | Some (Ok repro) ->
       Fmt.pr "  counterexample (replay with `nestsql fuzz --replay`):@.";
       String.split_on_char '\n' (String.trim repro)
       |> List.iter (fun line -> Fmt.pr "    %s@." line)
+  | Some (Error why) -> Fmt.pr "  counterexample: %s@." why
   | None -> ()
 
 let check_cmd load_dir fixture tables buffer_pages page_bytes indexes json severity

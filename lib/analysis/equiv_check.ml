@@ -445,48 +445,15 @@ let check ?(bound = 2) ?(max_databases = 50_000) ?(max_rows = 100)
 
 (* ---------------- rendering -------------------------------------------- *)
 
-(* The oracle repro dialect (docs/ORACLE.md), reproduced here so the
-   analysis library stays independent of the oracle harness: typed header
-   behind "-- table", one "-- row" line per tuple, empty cell = NULL. *)
-let repro_type_name = function
-  | Value.Tint -> "int"
-  | Value.Tfloat -> "float"
-  | Value.Tstr -> "string"
-  | Value.Tdate -> "date"
-
-let repro_cell (v : Value.t) =
-  match v with
-  | Value.Null -> ""
-  | Value.Int i -> string_of_int i
-  | Value.Float f -> Printf.sprintf "%g" f
-  | Value.Date d -> Fmt.str "%a" Value.pp_date d
-  | Value.Str s -> s
-
 let witness_to_repro ?(description = "equivalence counterexample") ~original
-    (w : witness) : string =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf ("-- oracle repro: " ^ description ^ "\n");
-  List.iter
-    (fun (name, rel) ->
-      let header =
-        String.concat ","
-          (List.map
-             (fun (c : Schema.column) ->
-               c.name ^ ":" ^ repro_type_name c.ty)
-             (Schema.columns (Relation.schema rel)))
-      in
-      Buffer.add_string buf (Printf.sprintf "-- table %s (%s)\n" name header);
-      List.iter
-        (fun row ->
-          Buffer.add_string buf
-            ("-- row "
-            ^ String.concat "," (List.map repro_cell (Row.to_list row))
-            ^ "\n"))
-        (Relation.rows rel))
-    w.w_tables;
-  Buffer.add_string buf (String.trim (Sql.Pp.query_to_string original));
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+    (w : witness) =
+  match
+    Workload.Repro_format.to_string ~description
+      { tables = w.w_tables; sql = Sql.Pp.query_to_string original }
+  with
+  | text -> Ok text
+  | exception Workload.Csv_writer.Unwritable msg ->
+      Error ("the witness cannot be written as a repro: " ^ msg)
 
 let total_rows (w : witness) =
   List.fold_left (fun n (_, rel) -> n + Relation.cardinality rel) 0 w.w_tables

@@ -66,11 +66,16 @@ val check :
   Sql.Ast.query ->
   verdict
 
-(** Render a witness as a self-contained oracle-repro [.sql] file —
-    ["-- table"] / ["-- row"] data lines plus the original query — the
-    format [nestsql fuzz --replay] and {!Oracle.Repro.of_string} accept. *)
+(** Render a witness as a self-contained oracle-repro [.sql] file in
+    {!Workload.Repro_format} — ["-- table"] / ["-- row"] data lines plus
+    the original query — which [nestsql fuzz --replay] accepts.  [Error]
+    says why when the format cannot hold a witness value (a string with a
+    comma or newline): no repro is better than one that does not replay. *)
 val witness_to_repro :
-  ?description:string -> original:Sql.Ast.query -> witness -> string
+  ?description:string ->
+  original:Sql.Ast.query ->
+  witness ->
+  (string, string) result
 
 (** One-line summary for EXPLAIN output, e.g.
     ["equivalence: verified up to 2 rows/relation (1296 databases)"]. *)

@@ -2,9 +2,9 @@
 
    Works on *analyzed* queries (every column reference qualified).  Each
    nested block is classified with Kim's taxonomy independently of
-   [Optimizer.Classify] — correlation is derived from the
-   {!Correlation_graph} rather than [Ast.free_tables] — and cross-checked
-   against an injected oracle (NQ006).  On top of the classification, the
+   [Optimizer.Classify] — correlation comes from this pass's own walk
+   ([free_aliases]), not [Ast.free_tables] — and cross-checked against an
+   injected oracle (NQ006).  On top of the classification, the
    pass recognises the paper's three bug classes as susceptibility warnings:
 
    - NQ001: type-JA with a COUNT aggregate — Kim's NEST-JA loses zero-count
@@ -22,29 +22,52 @@
    multiplicity-sensitive-merge warning (NQ008) matching the planner's Safe
    semantics.
 
-   The classify oracle and the column statistics come in as callbacks so
-   this library depends only on [sql] — the optimizer and the catalog are
-   wired in by [Core]. *)
+   The classify oracle and the column statistics come in as callbacks: the
+   optimizer depends on this library, so [Core] wires them in. *)
 
 module Ast = Sql.Ast
 module Value = Relalg.Value
+module Truth = Relalg.Truth
 module D = Diagnostics
 
 (* ------------------------------------------------------------------ *)
 (* Kim classification, independently of Optimizer.Classify             *)
 (* ------------------------------------------------------------------ *)
 
-let rec count_blocks (q : Ast.query) =
-  List.fold_left (fun acc sub -> acc + count_blocks sub) 1 (Ast.subqueries q)
+(* The aliases a block references directly: SELECT items, aggregate
+   arguments, WHERE operands, GROUP BY and ORDER BY, not its subqueries.
+   Written here rather than taken from [Ast]'s free-variable walk, so that
+   NQ006 compares two implementations. *)
+let direct_aliases (q : Ast.query) =
+  let col (c : Ast.col_ref) = Option.to_list c.Ast.table in
+  let scalar = function Ast.Col c -> col c | Ast.Lit _ -> [] in
+  let item = function
+    | Ast.Sel_star -> []
+    | Ast.Sel_col c -> col c
+    | Ast.Sel_agg a -> Option.fold ~none:[] ~some:col (Ast.agg_arg a)
+  in
+  let pred = function
+    | Ast.Cmp (a, _, b) | Ast.Cmp_outer (a, _, b) -> scalar a @ scalar b
+    | Ast.Cmp_subq (a, _, _)
+    | Ast.In_subq (a, _)
+    | Ast.Not_in_subq (a, _)
+    | Ast.Quant (a, _, _, _) ->
+        scalar a
+    | Ast.Exists _ | Ast.Not_exists _ -> []
+  in
+  List.concat_map item q.Ast.select
+  @ List.concat_map pred q.Ast.where
+  @ List.concat_map col q.Ast.group_by
+  @ List.concat_map (fun (c, _) -> col c) q.Ast.order_by
 
-(* Block [id] (with [count_blocks] blocks in its subtree) is correlated iff
-   some block inside the subtree references an alias bound outside it.
-   Pre-order numbering makes the subtree a contiguous id range. *)
-let graph_correlated (g : Correlation_graph.t) ~id ~blocks =
-  let inside i = i >= id && i < id + blocks in
-  List.exists
-    (fun (e : Correlation_graph.edge) -> inside e.inner && not (inside e.outer))
-    g.Correlation_graph.edges
+(* The aliases [q]'s subtree references but does not bind.  Each level
+   drops the aliases its own FROM binds, so a block that rebinds an outer
+   alias shadows it.  A subquery is correlated iff this is non-empty. *)
+let rec free_aliases (q : Ast.query) =
+  let bound = List.map Ast.from_alias q.Ast.from in
+  List.filter
+    (fun a -> not (List.mem a bound))
+    (direct_aliases q @ List.concat_map free_aliases (Ast.subqueries q))
 
 let class_name ~aggregated ~correlated =
   match (aggregated, correlated) with
@@ -86,40 +109,19 @@ let direct_correlations ~env (sub : Ast.query) =
       | _ -> None)
     sub.Ast.where
 
-let eval_lit_cmp (a : Value.t) (op : Ast.cmp) (b : Value.t) : bool option =
-  if op = Ast.Eq_null then Some (Value.compare a b = 0)
-    (* null-safe: two-valued even on NULL operands *)
-  else if Value.is_null a || Value.is_null b then Some false
-    (* SQL: comparison with NULL is never TRUE, so the conjunct can never
-       be satisfied *)
-  else
-    match Value.type_of a, Value.type_of b with
-    | Some ta, Some tb
-      when Value.equal_ty ta tb
-           || List.for_all
-                (function Value.Tint | Value.Tfloat -> true | _ -> false)
-                [ ta; tb ] ->
-        let c = Value.compare a b in
-        Some
-          (match op with
-          | Ast.Eq -> c = 0
-          | Ast.Ne -> c <> 0
-          | Ast.Lt -> c < 0
-          | Ast.Le -> c <= 0
-          | Ast.Gt -> c > 0
-          | Ast.Ge -> c >= 0
-          | Ast.Eq_null -> assert false (* handled above *))
-    | _ -> None (* ill-typed: the analyzer reports that *)
+(* NULL compares with anything; an ill-typed pair is the analyzer's to
+   report. *)
+let comparable a b =
+  match (Value.type_of a, Value.type_of b) with
+  | Some ta, Some tb -> Value.comparable_ty ta tb
+  | _ -> true
 
 let check_constant_false ~emit ~span (p : Ast.predicate) =
   match p with
-  | Ast.Cmp (Ast.Lit a, op, Ast.Lit b) -> (
-      match eval_lit_cmp a op b with
-      | Some false ->
-          emit
-            (D.make "NQ005" span "predicate %a is never true" Sql.Pp.pp_predicate
-               p)
-      | _ -> ())
+  | Ast.Cmp (Ast.Lit a, op, Ast.Lit b)
+    when comparable a b && Exec.Eval.cmp_values op a b <> Truth.True ->
+      emit
+        (D.make "NQ005" span "predicate %a is never true" Sql.Pp.pp_predicate p)
   | Ast.Cmp (Ast.Col a, (Ast.Ne | Ast.Lt | Ast.Gt), Ast.Col b)
     when a = b ->
       emit
@@ -133,36 +135,23 @@ let check_constant_false ~emit ~span (p : Ast.predicate) =
 (* ------------------------------------------------------------------ *)
 
 let lint ?classify ?column_stats (q : Ast.query) : D.t list =
-  let graph = Correlation_graph.build q in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
-  let next_id = ref 0 in
   (* [env]: enclosing scopes' (alias, rel), innermost first, NOT including
-     the current block.  The walk assigns ids in the same pre-order as
-     [Correlation_graph.build]. *)
+     the current block. *)
   let rec walk ~env (q : Ast.query) =
-    let id = !next_id in
-    incr next_id;
     let span = q.Ast.span in
     let local_env =
       List.map (fun (f : Ast.from_item) -> (Ast.from_alias f, f.Ast.rel)) q.Ast.from
     in
-    (* NQ004: an alias is used iff the block references it directly or some
-       inner block correlates through it. *)
-    let used_tables =
-      List.filter_map (fun (c : Ast.col_ref) -> c.Ast.table)
-        (Ast.local_col_refs q)
+    (* NQ004: an alias is used iff the block references it directly or one
+       of its subqueries correlates through it. *)
+    let used =
+      direct_aliases q @ List.concat_map free_aliases (Ast.subqueries q)
     in
     List.iter
       (fun (alias, _) ->
-        let correlated_into =
-          List.exists
-            (fun (e : Correlation_graph.edge) ->
-              e.Correlation_graph.outer = id
-              && String.equal e.Correlation_graph.alias alias)
-            graph.Correlation_graph.edges
-        in
-        if (not (List.mem alias used_tables)) && not correlated_into then
+        if not (List.mem alias used) then
           emit
             (D.make "NQ004" span
                "FROM binds %s but no column reference uses it: the block \
@@ -181,12 +170,10 @@ let lint ?classify ?column_stats (q : Ast.query) : D.t list =
         | Ast.Exists sub
         | Ast.Not_exists sub
         | Ast.Quant (_, _, _, sub) ->
-            let sub_id = !next_id in
             let sub_span =
               if Ast.span_known sub.Ast.span then sub.Ast.span else span
             in
-            let blocks = count_blocks sub in
-            let correlated = graph_correlated graph ~id:sub_id ~blocks in
+            let correlated = free_aliases sub <> [] in
             let aggregated = Ast.select_has_agg sub in
             let own = class_name ~aggregated ~correlated in
             (* NQ006: cross-check against the optimizer's classifier. *)
@@ -257,15 +244,15 @@ let lint ?classify ?column_stats (q : Ast.query) : D.t list =
                 emit
                   (D.make "NQ007" sub_span
                      "x = ALL (Q) has no paper transformation (sec. 8 \
-                      covers the other quantifiers); evaluation falls back \
-                      to nested iteration")
+                      covers the other quantifiers); it runs by nested \
+                      iteration or batched bindings")
             | Ast.Not_in_subq _ ->
                 emit
                   (D.make "NQ007" sub_span
                      "NOT IN has no paper transformation; the planner \
                       rewrites it through a zero COUNT when the catalog \
-                      proves both sides non-null, else falls back to \
-                      nested iteration")
+                      proves both sides non-null, else it runs by nested \
+                      iteration or batched bindings")
             | _ -> ());
             (* NQ008: mirrors Nest_g's Safe-semantics refusal. *)
             if
@@ -281,7 +268,8 @@ let lint ?classify ?column_stats (q : Ast.query) : D.t list =
                    "correlated non-aggregate subquery under a \
                     duplicate-sensitive aggregate: merging it into a join \
                     (NEST-N-J) would change the aggregate's multiplicity, \
-                    so the planner keeps nested iteration (Safe semantics)");
+                    so the planner does not transform it and it runs by \
+                    nested iteration or batched bindings (Safe semantics)");
             walk ~env:env' sub)
       q.Ast.where
   in

@@ -33,33 +33,6 @@ type tcol = {
   t_nullable : nullability;
 }
 
-type tenv = {
-  lookup : string -> Schema.t option;
-  base_nullable : rel:string -> string -> bool;
-  sorted_on : string -> int list option;
-  has_index : string -> column:string -> bool;
-}
-
-let env_of_catalog catalog =
-  {
-    lookup = Catalog.lookup catalog;
-    base_nullable =
-      (fun ~rel col ->
-        match Catalog.column_stats catalog rel col with
-        | Some (_, cs) -> cs.Storage.Stats.nulls > 0
-        | None -> true);
-    sorted_on =
-      (fun name ->
-        match Catalog.sorted_on catalog name with
-        | sorted -> sorted
-        | exception Catalog.Unknown_table _ -> None);
-    has_index =
-      (fun name ~column ->
-        match Catalog.column_stats catalog name column with
-        | Some (key_col, _) -> Catalog.index_on catalog name ~key_col <> None
-        | None -> false);
-  }
-
 (* ---------------- resolution over typed schemas ----------------------- *)
 
 let pp_ref ppf (c : Ast.col_ref) = Sql.Pp.pp_col ppf c
@@ -84,18 +57,10 @@ let resolve (cols : tcol list) (c : Ast.col_ref) : (int, string) result =
 
 let nth cols i = List.nth cols i
 
-(* Numeric types cross-compare ([Value.compare] orders Int/Float
-   numerically); everything else must match exactly. *)
-let tys_compatible a b =
-  Value.equal_ty a b
-  ||
-  let numeric = function Value.Tint | Value.Tfloat -> true | _ -> false in
-  numeric a && numeric b
-
 (* ---------------- the inference pass ----------------------------------- *)
 
 type state = {
-  env : tenv;
+  catalog : Catalog.t;
   mutable diags : Diagnostics.t list;
   mutable bound : tcol list;
       (* the enclosing [Apply]s' rows: what a parameter resolves
@@ -164,7 +129,7 @@ let check_predicate st ~at cols (p : Ast.predicate) : int list =
       match (side a, side b) with
       | Ok (ta, ia), Ok (tb, ib) ->
           (match (ta, tb) with
-          | Some ta, Some tb when not (tys_compatible ta tb) ->
+          | Some ta, Some tb when not (Value.comparable_ty ta tb) ->
               emit st "NQ111" "%s: %a compares %s against %s" at
                 Sql.Pp.pp_predicate p (Value.type_name ta) (Value.type_name tb)
           | _ -> ());
@@ -201,7 +166,7 @@ let rec walk st (node : Plan.node) : info =
   let label = Plan.label node in
   match node with
   | Plan.Scan name -> (
-      match st.env.lookup name with
+      match Catalog.lookup st.catalog name with
       | None ->
           emit st "NQ110" "%s: unknown table %s" label name;
           no_info
@@ -214,19 +179,30 @@ let rec walk st (node : Plan.node) : info =
                   t_name = c.name;
                   t_ty = c.ty;
                   t_nullable =
-                    (if st.env.base_nullable ~rel:name c.name then Nullable
+                    (if Catalog.column_nullable st.catalog ~rel:name c.name
+                     then Nullable
                      else Non_null);
                 })
               (Schema.columns schema)
           in
-          { schema = Some cols; sorted = st.env.sorted_on name; padded = false })
+          {
+            schema = Some cols;
+            sorted = Catalog.sorted_on st.catalog name;
+            padded = false;
+          })
   | Plan.Index_scan { table; alias; column; lo; hi } -> (
-      match st.env.lookup table with
+      match Catalog.lookup st.catalog table with
       | None ->
           emit st "NQ110" "%s: unknown table %s" label table;
           no_info
       | Some schema ->
-          if not (st.env.has_index table ~column) then
+          let indexed =
+            match Catalog.column_stats st.catalog table column with
+            | Some (key_col, _) ->
+                Catalog.index_on st.catalog table ~key_col <> None
+            | None -> false
+          in
+          if not indexed then
             emit st "NQ115" "%s: no index on %s.%s" label table column;
           let key_pos = ref None in
           let cols =
@@ -244,7 +220,9 @@ let rec walk st (node : Plan.node) : info =
                        tree does not store them *)
                     (if Option.is_some !key_pos && !key_pos = Some i then
                        Non_null
-                     else if st.env.base_nullable ~rel:table c.name then
+                     else if
+                       Catalog.column_nullable st.catalog ~rel:table c.name
+                     then
                        Nullable
                      else Non_null);
                 })
@@ -261,7 +239,7 @@ let rec walk st (node : Plan.node) : info =
                   | Some (bound, _) ->
                       (match scalar_side st ~at:label [] bound with
                       | Ok (Some ty, _)
-                        when not (tys_compatible ty (nth cols p).t_ty) ->
+                        when not (Value.comparable_ty ty (nth cols p).t_ty) ->
                           emit st "NQ111" "%s: bound compares %s against %s"
                             label
                             (Value.type_name ty)
@@ -401,7 +379,7 @@ and walk_join st ~label method_ kind cond residual left right : info =
           (match (l, r) with
           | Ok li_, Ok ri_ ->
               let ta = (nth lcols li_).t_ty and tb = (nth rcols ri_).t_ty in
-              if not (tys_compatible ta tb) then
+              if not (Value.comparable_ty ta tb) then
                 emit st "NQ111" "%s: condition %a %s %a compares %s against %s"
                   label pp_ref lc (Ast.cmp_name op) pp_ref rc
                   (Value.type_name ta) (Value.type_name tb);
@@ -619,11 +597,7 @@ and walk_group st ~label ~sorted_variant { Plan.group_by; aggs; input } : info
 
 (* ---------------- entry points ----------------------------------------- *)
 
-let run env node =
-  let st = { env; diags = []; bound = [] } in
-  let info = walk st node in
-  (info.schema, Diagnostics.sort (List.rev st.diags))
-
-let check env node = snd (run env node)
-
-let check_catalog catalog node = check (env_of_catalog catalog) node
+let check_catalog catalog node =
+  let st = { catalog; diags = []; bound = [] } in
+  ignore (walk st node);
+  Diagnostics.sort (List.rev st.diags)

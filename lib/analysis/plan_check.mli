@@ -16,32 +16,7 @@
     and regressions in the lowering rules.  Violations carry
     [Sql.Ast.no_span] (plans have no source positions). *)
 
-(** Two-point nullability lattice: [Non_null] means no execution of the
-    plan can place SQL NULL in the column; [Nullable] is the top. *)
-type nullability = Non_null | Nullable
-
-type tcol = {
-  t_rel : string;  (** provenance alias *)
-  t_name : string;
-  t_ty : Relalg.Value.ty;
-  t_nullable : nullability;
-}
-
-type tenv = {
-  lookup : string -> Relalg.Schema.t option;  (** base/temp table schemas *)
-  base_nullable : rel:string -> string -> bool;
-      (** may the stored column contain NULL?  (catalog statistics; [true]
-          when unknown) *)
-  sorted_on : string -> int list option;
-      (** catalog order metadata: column positions the stored relation is
-          sorted on, when recorded *)
-  has_index : string -> column:string -> bool;
-}
-
-(** All violations, every node.  An empty list means the plan
-    type-checks. *)
-val check : tenv -> Exec.Plan.node -> Diagnostics.t list
-
-(** {!check} against a live catalog (schemas, statistics, order metadata,
-    indexes). *)
+(** All violations, every node, against a live catalog: its schemas,
+    nullability ({!Storage.Catalog.column_nullable}), order metadata and
+    indexes.  An empty list means the plan type-checks. *)
 val check_catalog : Storage.Catalog.t -> Exec.Plan.node -> Diagnostics.t list

@@ -21,12 +21,11 @@
    - NQ906: every temp must be referenced by a later definition or the
      main query.
 
-   Temp column naming mirrors the program layer's positional registration:
-   [Analyzer.output_schema] produces the same synthetic names
-   (COUNT_STAR / AGG_col) as [Program.item_output_name].  The verifier
-   deliberately takes the program as plain data ([(name, def) list] + main)
-   so this library does not depend on the optimizer — [Planner] calls it
-   through a thin wrapper. *)
+   Each temp registers under [Analyzer.output_schema], whose column names
+   ([Ast.item_output_name]) are the ones the program's references use.
+   The verifier deliberately takes the program as plain data
+   ([(name, def) list] + main) so this library does not depend on the
+   optimizer — [Planner] calls it through a thin wrapper. *)
 
 module Ast = Sql.Ast
 module Value = Relalg.Value

@@ -94,22 +94,12 @@ let parse db text =
 let classify db text =
   Result.map Optimizer.Classify.classify_query (parse db text)
 
-(* "May [col] of relation [rel] be NULL?", answered from exact catalog
-   statistics (relations are immutable once registered, so nulls = 0 is a
-   proof).  Feeds the soundness guards of the §8 COUNT-form rewrites and
-   the NOT IN extension; anything unresolvable stays conservatively
-   nullable. *)
-let column_nullable db ~rel col =
-  match Catalog.column_stats db.catalog rel col with
-  | Some (_, cs) -> cs.Storage.Stats.nulls > 0
-  | None -> true
-
 (* NEST-G over an already-analyzed query, its temps named from the
    catalog's counter; NEST-JA2 builds a keyed TEMP2 where
    [Estimate.keyed_temp2] accepts the probe against this catalog. *)
 let transform_query ?on_step db q =
   match
-    Optimizer.Nest_g.transform ~nullable:(column_nullable db)
+    Optimizer.Nest_g.transform ~nullable:(Catalog.column_nullable db.catalog)
       ~probe_keys:(fun kp ->
         Option.map Optimizer.Estimate.describe_keyed_temp2
           (Optimizer.Estimate.keyed_temp2 db.catalog kp))
@@ -475,7 +465,8 @@ let query db text : (Relation.t, string) result =
 
 (* The bounded counterexample search for [program] as a rewrite of [q]. *)
 let equivalence ~bound db (q : Sql.Ast.query) (program : Optimizer.Program.t) =
-  Analysis.Equiv_check.check ~bound ~nullable:(column_nullable db)
+  Analysis.Equiv_check.check ~bound
+    ~nullable:(Catalog.column_nullable db.catalog)
     ~lookup:(Catalog.lookup db.catalog)
     ~temps:
       (List.map
@@ -555,7 +546,8 @@ type check_report = {
   ck_diags : Analysis.Diagnostics.t list;
   ck_verdict : Analysis.Equiv_check.verdict option;
   ck_certificate : string option;
-  ck_repro : string option;  (* witness database as a replayable .sql *)
+  ck_repro : (string, string) result option;
+      (* witness database as a replayable .sql, or why it cannot be one *)
 }
 
 let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
@@ -654,7 +646,11 @@ let check_json reports =
                (fun m -> ("refused", Json.Str m))
                (List.assoc_opt Via_transformed r.ck_refused);
              Option.map (fun c -> ("certificate", Json.Str c)) r.ck_certificate;
-             Option.map (fun t -> ("repro", Json.Str t)) r.ck_repro;
+             Option.map
+               (function
+                 | Ok t -> ("repro", Json.Str t)
+                 | Error why -> ("repro_error", Json.Str why))
+               r.ck_repro;
            ])
   in
   Json.Obj

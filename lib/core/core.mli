@@ -236,8 +236,9 @@ type check_report = {
   ck_verdict : Analysis.Equiv_check.verdict option;
   ck_certificate : string option;
       (** one-line bounded-equivalence certificate *)
-  ck_repro : string option;
-      (** counterexample database as a replayable oracle repro [.sql] *)
+  ck_repro : (string, string) result option;
+      (** counterexample database as a replayable oracle repro [.sql], or
+          why the repro format cannot hold it *)
 }
 (** The semantic checker's report on one query: typed validation of every
     plan {!run} can run, lowered as it lowers them (a program's temps are
@@ -255,7 +256,8 @@ val check_source :
 
 (** The [nestsql check --json] document:
     [{"version":N,"queries":[{"sql","diagnostics","refused"?,
-    "certificate"?,"repro"?}]}], ["refused"] the rewrite's refusal. *)
+    "certificate"?,"repro"?,"repro_error"?}]}], ["refused"] the rewrite's
+    refusal, ["repro_error"] why a counterexample has no ["repro"]. *)
 val check_json : check_report list -> Json.t
 
 type comparison = {

@@ -63,8 +63,6 @@ let total_s m = m.build_s +. m.next_s
    measure of how much per-call overhead batching amortizes. *)
 let rows_per_call m = float_of_int m.rows /. float_of_int (max 1 m.next_calls)
 
-let total_io m = m.logical_reads + m.physical_reads + m.physical_writes
-
 (* I/O caused by this operator alone: inclusive counters minus the children's
    inclusive counters.  Never negative, because a child's page traffic only
    happens inside its parent's build or next phases. *)
@@ -75,7 +73,3 @@ let self_io m ~children =
   ( sub (fun m -> m.logical_reads),
     sub (fun m -> m.physical_reads),
     sub (fun m -> m.physical_writes) )
-
-let pp ppf m =
-  Fmt.pf ppf "rows=%d next=%d time=%.3fms io=%d/%d/%d" m.rows m.next_calls
-    (total_s m *. 1e3) m.logical_reads m.physical_reads m.physical_writes

@@ -42,12 +42,7 @@ val total_s : t -> float
     [Batch.max_rows] for batch operators). *)
 val rows_per_call : t -> float
 
-(** Inclusive logical + physical reads + writes. *)
-val total_io : t -> int
-
 (** [(logical, physical_reads, physical_writes)] caused by this operator
     alone: the inclusive counters minus the [children]'s inclusive counters,
     clamped at 0. *)
 val self_io : t -> children:t list -> int * int * int
-
-val pp : t Fmt.t

@@ -25,11 +25,6 @@ exception Unsupported of string
 
 type result = { relation : Relalg.Relation.t }
 
-(** The correlation columns a subquery would batch on (empty =
-    uncorrelated, evaluated once).
-    @raise Unsupported on a free ref outside a WHERE predicate. *)
-val correlation_keys : Sql.Ast.query -> Sql.Ast.col_ref list
-
 (** The batched plan of an analyzed query.  [force]/[mode] govern the
     planner lowering of every block's outer part.
     @raise Unsupported on unbatchable correlation at any level

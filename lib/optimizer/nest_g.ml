@@ -203,7 +203,7 @@ let rec transform_block ~fresh ~(scope : scope) ~semantics
             let agg_col =
               match sub.select with
               | [ item ] ->
-                  { table = Some name; column = Program.item_output_name item }
+                  { table = Some name; column = item_output_name item }
               | _ -> raise (Unsupported "type-A block must select one item")
             in
             {

@@ -41,11 +41,11 @@ let transform (q : query) (pred : predicate) ~temp_name :
     }
   in
   let temp_col (c : col_ref) =
-    { table = Some temp_name; column = Program.item_output_name (Sel_col c) }
+    { table = Some temp_name; column = item_output_name (Sel_col c) }
   in
   let agg_col =
     { table = Some temp_name;
-      column = Program.item_output_name (Sel_agg shape.agg) }
+      column = item_output_name (Sel_agg shape.agg) }
   in
   (* Step 2+3: nested predicate becomes a comparison against the temp's
      aggregate column; correlation predicates move to the outer block with

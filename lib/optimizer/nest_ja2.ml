@@ -173,7 +173,7 @@ let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
         }
       in
       let temp2_col (c : col_ref) =
-        { table = Some temp2_name; column = Program.item_output_name (Sel_col c) }
+        { table = Some temp2_name; column = item_output_name (Sel_col c) }
       in
       (* Outer join conditions: TEMP1 preserved on the left, so the stored
          orientation is [outer flip(op) inner]. *)
@@ -228,7 +228,7 @@ let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
   in
   (* ---- step 3: rewrite the original query ---- *)
   let temp3_col c = { table = Some temp3_name; column = c } in
-  let agg_out = Program.item_output_name (Sel_agg agg_item) in
+  let agg_out = item_output_name (Sel_agg agg_item) in
   let equality_joins =
     (* Null-safe [<=>], not [=]: TEMP3 groups by the outer join columns
        *including* a NULL group (NULL is an ordinary grouping value), and an

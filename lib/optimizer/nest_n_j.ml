@@ -104,7 +104,7 @@ let merge_predicate_dedup (q : query) (pred : predicate) ~temp_name :
   let def = { sub with distinct = true } in
   let join_col = inner_select_col sub in
   let temp_col =
-    { table = Some temp_name; column = Program.item_output_name (Sel_col join_col) }
+    { table = Some temp_name; column = item_output_name (Sel_col join_col) }
   in
   let join_pred = Cmp (x, op, Col temp_col) in
   let where =

@@ -468,7 +468,7 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
                 Some
                   {
                     Exec.Plan.fn = a;
-                    out_name = Program.item_output_name (Sel_agg a);
+                    out_name = item_output_name (Sel_agg a);
                   }
             | Sel_col _ -> None
             | Sel_star -> errf "SELECT * in a canonical query")
@@ -521,7 +521,7 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
         | Sel_agg a ->
             {
               table = Some "agg";
-              column = Program.item_output_name (Sel_agg a);
+              column = item_output_name (Sel_agg a);
             }
         | Sel_star -> errf "SELECT * in a canonical query")
       q.select

@@ -27,17 +27,6 @@ type t = {
   probes : key_probe list;
 }
 
-(* Output column name of a select item; must agree with
-   [Sql.Analyzer.output_schema] so that references built by the
-   transformation resolve against the registered temp's schema. *)
-let item_output_name = function
-  | Sel_col c -> c.column
-  | Sel_agg a -> (
-      match agg_arg a with
-      | None -> "COUNT_STAR"
-      | Some c -> agg_name a ^ "_" ^ c.column)
-  | Sel_star -> invalid_arg "Program.item_output_name: SELECT *"
-
 let output_column_names (q : query) = List.map item_output_name q.select
 
 (* A query is canonical when no predicate nests a query block. *)

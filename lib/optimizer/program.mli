@@ -26,11 +26,8 @@ type t = {
   probes : key_probe list;
 }
 
-(** Output column name of a select item; agrees with
-    [Sql.Analyzer.output_schema] so generated references resolve.
-    @raise Invalid_argument on [SELECT *]. *)
-val item_output_name : Sql.Ast.select_item -> string
-
+(** The column names a temp defined by the query registers under
+    ({!Sql.Ast.item_output_name}). *)
 val output_column_names : Sql.Ast.query -> string list
 
 (** No nested predicates anywhere in the block. *)

@@ -1,127 +1,12 @@
-(* Self-contained repro files: everything a discrepancy needs to be
-   replayed — the tables (inline, in the CSV dialect of [Workload.
-   Csv_loader]) and the query — in one .sql file whose data lines hide
-   behind "--" so the file still reads as SQL:
+(* The repro format ([Workload.Repro_format]) plus what replaying one
+   needs: reading the file and loading its tables into a fresh database. *)
 
-     -- oracle repro: <one-line description>
-     -- table PARTS (PNUM:int,QOH:int)
-     -- row 1,2
-     -- row ,0
-     SELECT PNUM FROM PARTS WHERE ...
-
-   An empty cell is NULL, exactly as in the CSV loader.  The shrinker
-   emits these; `nestsql fuzz --replay` and the regression suite read them
-   back. *)
-
-module Relation = Relalg.Relation
+include Workload.Repro_format
 module Schema = Relalg.Schema
-module Row = Relalg.Row
-
-type case = {
-  tables : (string * Relation.t) list;  (* registration order *)
-  sql : string;
-}
-
-exception Bad_repro of string
-
-let errf fmt = Fmt.kstr (fun s -> raise (Bad_repro s)) fmt
-
-(* ---------------- printing -------------------------------------------- *)
-
-let header_of rel =
-  String.concat ","
-    (List.map
-       (fun (c : Schema.column) ->
-         c.name ^ ":" ^ Workload.Csv_writer.type_name c.ty)
-       (Schema.columns (Relation.schema rel)))
-
-let to_string ?(description = "differential oracle discrepancy") case =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf ("-- oracle repro: " ^ description ^ "\n");
-  List.iter
-    (fun (name, rel) ->
-      Buffer.add_string buf
-        (Printf.sprintf "-- table %s (%s)\n" name (header_of rel));
-      List.iter
-        (fun row ->
-          Buffer.add_string buf
-            ("-- row "
-            ^ String.concat ","
-                (List.map Workload.Csv_writer.cell (Row.to_list row))
-            ^ "\n"))
-        (Relation.rows rel))
-    case.tables;
-  Buffer.add_string buf (String.trim case.sql);
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-(* ---------------- parsing --------------------------------------------- *)
-
-let strip_prefix p s =
-  let lp = String.length p in
-  if String.length s >= lp && String.sub s 0 lp = p then
-    Some (String.sub s lp (String.length s - lp))
-  else None
-
-let of_string text : case =
-  (* [tables] accumulates (name, header, rev rows); non-comment lines are
-     the SQL. *)
-  let tables = ref [] and sql = Buffer.create 128 in
-  (* "-- row" lines count as data only while directly under a "-- table"
-     line (possibly after other rows); any other line ends the table
-     block, so free-text comments that happen to start with "-- row" (or
-     follow the data) stay comments. *)
-  let in_table = ref false in
-  List.iter
-    (fun line ->
-      let trimmed = String.trim line in
-      match strip_prefix "-- table " trimmed with
-      | Some spec -> (
-          match String.index_opt spec '(' with
-          | Some i when String.length spec > 0 && spec.[String.length spec - 1] = ')' ->
-              let name = String.trim (String.sub spec 0 i) in
-              let header = String.sub spec (i + 1) (String.length spec - i - 2) in
-              if name = "" then errf "empty table name in %S" trimmed;
-              tables := (name, header, ref []) :: !tables;
-              in_table := true
-          | _ -> errf "bad table line %S (want -- table NAME (COL:TY,...))" trimmed)
-      | None -> (
-          match strip_prefix "-- row" trimmed with
-          | Some cells when !in_table ->
-              let _, _, rows = List.hd !tables in
-              (* keep the raw cell text; the CSV loader arbitrates arity
-                 (an empty cell is NULL) *)
-              rows := String.trim cells :: !rows
-          | _ ->
-              if strip_prefix "--" trimmed = None && trimmed <> "" then begin
-                in_table := false;
-                Buffer.add_string sql line;
-                Buffer.add_char sql '\n'
-              end
-              else if trimmed <> "" then in_table := false))
-    (String.split_on_char '\n' text);
-  let tables =
-    List.rev_map
-      (fun (name, header, rows) ->
-        match
-          Workload.Csv_loader.of_lines ~rel:name (header :: List.rev !rows)
-        with
-        | rel -> (name, rel)
-        | exception Workload.Csv_loader.Bad_csv msg ->
-            errf "table %s: %s" name msg)
-      !tables
-  in
-  let sql = String.trim (Buffer.contents sql) in
-  if sql = "" then errf "no SQL statement in repro";
-  { tables; sql }
 
 let load path =
   let text = In_channel.with_open_text path In_channel.input_all in
   of_string text
-
-let save ?description path case =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string ?description case))
 
 (* A fresh database loaded with the case's tables (tiny pool: the paged
    paths and external sorts spill even on shrunk inputs). *)
@@ -133,6 +18,6 @@ let build_db ?(buffer_pages = 8) ?(page_bytes = 128) case =
         (List.map
            (fun (c : Schema.column) -> (c.name, c.ty))
            (Schema.columns (Relation.schema rel)))
-        (List.map Row.to_list (Relation.rows rel)))
+        (List.map Relalg.Row.to_list (Relation.rows rel)))
     case.tables;
   db

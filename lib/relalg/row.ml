@@ -65,8 +65,5 @@ module Tbl = Hashtbl.Make (struct
   let hash = hash
 end)
 
-let byte_width (t : t) =
-  Array.fold_left (fun acc v -> acc + Value.byte_width v) 0 t
-
 let pp ppf (t : t) =
   Fmt.pf ppf "(%a)" Fmt.(array ~sep:(any ", ") Value.pp) t

@@ -35,5 +35,4 @@ val hash : t -> int
     rather than the structural [Stdlib.Hashtbl]. *)
 module Tbl : Hashtbl.S with type key = t
 
-val byte_width : t -> int
 val pp : t Fmt.t

@@ -28,6 +28,12 @@ let pp_ty ppf ty = Fmt.string ppf (type_name ty)
 
 let equal_ty (a : ty) (b : ty) = a = b
 
+(* [compare] orders Int and Float numerically; other types compare only
+   with themselves. *)
+let comparable_ty a b =
+  let numeric = function Tint | Tfloat -> true | Tstr | Tdate -> false in
+  equal_ty a b || (numeric a && numeric b)
+
 let type_of = function
   | Null -> None
   | Int _ -> Some Tint
@@ -110,20 +116,6 @@ let hash = function
   | Str s -> Hashtbl.hash s
   | Date d -> Hashtbl.hash (date_key d)
 
-(* SQL comparison: Unknown as soon as either side is NULL. *)
-let cmp_sql a b =
-  if is_null a || is_null b then None else Some (compare a b)
-
-let eq_sql a b =
-  match cmp_sql a b with
-  | None -> Truth.Unknown
-  | Some c -> Truth.of_bool (c = 0)
-
-let lt_sql a b =
-  match cmp_sql a b with
-  | None -> Truth.Unknown
-  | Some c -> Truth.of_bool (c < 0)
-
 (* Arithmetic used by SUM/AVG.  NULL is absorbing (callers filter NULLs out
    before aggregating, so this only matters for defensive uses). *)
 let add a b =
@@ -149,15 +141,6 @@ let pp ppf = function
   | Date d -> pp_date ppf d
 
 let to_string v = Fmt.str "%a" pp v
-
-(* Estimated width in bytes, used by the paged storage layer to decide how
-   many tuples fit on a page. *)
-let byte_width = function
-  | Null -> 1
-  | Int _ -> 8
-  | Float _ -> 8
-  | Str s -> 4 + String.length s
-  | Date _ -> 8
 
 (* Coerce a string literal to [ty] when it plausibly denotes a value of that
    type; the analyzer uses this so the paper's quoted date literals

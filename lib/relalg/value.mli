@@ -1,5 +1,6 @@
-(** Atomic values (with SQL NULL) and their two orderings: a total order for
-    sorting/grouping, and SQL three-valued comparisons for predicates. *)
+(** Atomic values (with SQL NULL) and their total order for
+    sorting/grouping.  SQL's three-valued comparison over that order is
+    [Exec.Eval.cmp_values]. *)
 
 type date = { year : int; month : int; day : int }
 
@@ -16,6 +17,10 @@ type ty = Tint | Tfloat | Tstr | Tdate
 val type_name : ty -> string
 val pp_ty : ty Fmt.t
 val equal_ty : ty -> ty -> bool
+
+(** Whether values of the two types compare: equal types, or Int against
+    Float (numerically). *)
+val comparable_ty : ty -> ty -> bool
 
 (** [type_of v] is [None] for NULL. *)
 val type_of : t -> ty option
@@ -41,11 +46,6 @@ val equal : t -> t -> bool
     alike, NULL hashes to a constant.  For hash-based operators. *)
 val hash : t -> int
 
-(** SQL comparisons: [Unknown] when either operand is NULL. *)
-val eq_sql : t -> t -> Truth.t
-
-val lt_sql : t -> t -> Truth.t
-
 (** Numeric addition for SUM/AVG; NULL is absorbing.
     @raise Invalid_argument on non-numeric operands. *)
 val add : t -> t -> t
@@ -53,9 +53,6 @@ val add : t -> t -> t
 val to_float : t -> float option
 val pp : t Fmt.t
 val to_string : t -> string
-
-(** Estimated storage width in bytes (paged storage sizing). *)
-val byte_width : t -> int
 
 (** Reinterpret a string literal at type [ty] (dates, numerics). *)
 val coerce_string_literal : string -> ty -> t option

@@ -139,11 +139,7 @@ let coerce_literal (other_ty : Value.ty option) (s : scalar) : scalar =
 let check_comparable scope a b =
   match scalar_type_opt scope a, scalar_type_opt scope b with
   | Some ta, Some tb ->
-      let numeric = function
-        | Value.Tint | Value.Tfloat -> true
-        | Value.Tstr | Value.Tdate -> false
-      in
-      if not (Value.equal_ty ta tb || (numeric ta && numeric tb)) then
+      if not (Value.comparable_ty ta tb) then
         errf "type mismatch: cannot compare %s with %s" (Value.type_name ta)
           (Value.type_name tb)
   | _ -> ()
@@ -356,25 +352,20 @@ let analyze ~lookup q =
 (* Output schema                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Schema of the rows an (analyzed) query produces, with provenance [rel].
-   Aggregate columns get synthetic names (AGG_<col> / COUNT_STAR); the
-   program layer renames temp-table columns positionally, so these names
-   only matter for debugging. *)
+(* Schema of the rows an (analyzed) query produces, with provenance [rel],
+   its columns named by [item_output_name]. *)
 let output_schema ~lookup ~rel (q : query) : Schema.t =
   let frame = make_frame { lookup; emit = None } ~span:q.span q.from in
   let scope = [ frame ] in
-  let column_of_item = function
-    | Sel_col c -> (c.column, snd (resolve_col scope c))
-    | Sel_agg a -> (
-        let name =
-          match agg_arg a with
-          | None -> "COUNT_STAR"
-          | Some c -> agg_name a ^ "_" ^ c.column
-        in
-        match a with
-        | Count_star | Count _ -> (name, Value.Tint)
-        | Avg _ -> (name, Value.Tfloat)
-        | Max c | Min c | Sum c -> (name, snd (resolve_col scope c)))
-    | Sel_star -> errf "output_schema: query not analyzed (SELECT *)"
+  let column_of_item item =
+    let ty =
+      match item with
+      | Sel_col c | Sel_agg (Max c | Min c | Sum c) ->
+          snd (resolve_col scope c)
+      | Sel_agg (Count_star | Count _) -> Value.Tint
+      | Sel_agg (Avg _) -> Value.Tfloat
+      | Sel_star -> errf "output_schema: query not analyzed (SELECT *)"
+    in
+    (item_output_name item, ty)
   in
   Schema.of_columns ~rel (List.map column_of_item q.select)

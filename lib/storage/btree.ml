@@ -12,8 +12,8 @@
    Construction streams the data heap through {!External_sort} — scan,
    sorted runs, (B-1)-way merge, leaf packing, then interior levels built
    bottom-up — and every page it touches is charged to the pager counters
-   (earlier the ISAM index hid this under [without_accounting], which made
-   indexed plans look free next to the transformations they compete with).
+   (an index built off the books makes indexed plans look free next to
+   the transformations they compete with).
    The bill is also captured in [build_io] so EXPLAIN can show it.
 
    Probes descend root-to-leaf with a binary search per interior page,

@@ -65,6 +65,11 @@ let column_stats t name column =
       | Some i -> Some (i, Stats.column e.stats i)
       | None | (exception Schema.Ambiguous _) -> None)
 
+let column_nullable t ~rel col =
+  match column_stats t rel col with
+  | Some (_, cs) -> cs.Stats.nulls > 0
+  | None -> true
+
 let create_index t name ~column =
   let e = entry t name in
   let key_col = Schema.find (Heap_file.schema e.heap) column in

@@ -32,6 +32,13 @@ val stats : t -> string -> Stats.t
     an absent or ambiguous column (never raises). *)
 val column_stats : t -> string -> string -> (int * Stats.column_stats) option
 
+(** May column [col] of [rel] hold NULL?  [false] only when its statistics
+    count no NULL (a registered relation never changes, so that is a
+    proof); an unknown relation or column is nullable.  The one
+    nullability rule behind the rewrites' soundness guards, the
+    equivalence search's domain and the plan checker. *)
+val column_nullable : t -> rel:string -> string -> bool
+
 (** Bulk-load a B-tree on [column] (idempotent); build page traffic is
     charged to the pager counters.
     @raise Schema.Not_found_column *)

@@ -125,16 +125,6 @@ let pp_stats ppf s =
   Fmt.pf ppf "logical=%d physical_reads=%d physical_writes=%d total_io=%d"
     s.logical_reads s.physical_reads s.physical_writes (total_io s)
 
-(* Run [f] without perturbing the I/O counters (catalog-internal work such
-   as statistics collection, which a real system would amortize). *)
-let without_accounting t f =
-  let saved = (t.stats.logical_reads, t.stats.physical_reads, t.stats.physical_writes) in
-  Fun.protect f ~finally:(fun () ->
-      let lr, pr, pw = saved in
-      t.stats.logical_reads <- lr;
-      t.stats.physical_reads <- pr;
-      t.stats.physical_writes <- pw)
-
 (* ---- files ---------------------------------------------------------- *)
 
 let find t id msg =

@@ -31,10 +31,6 @@ val diff_since : t -> int * int * int -> stats
 val total_io : stats -> int
 val pp_stats : stats Fmt.t
 
-(** Run [f] and restore the I/O counters afterwards (bookkeeping work that
-    should not show up in measurements). *)
-val without_accounting : t -> (unit -> 'a) -> 'a
-
 val create_file : t -> file_id
 
 (** A point in the sequence of file creations. *)

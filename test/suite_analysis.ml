@@ -346,7 +346,11 @@ let test_equiv_refutes_buggy_nest_ja () =
         (List.length (Relation.rows w.EQ.w_got));
       (* The rendered repro replays through the oracle reference and
          reproduces the expected side. *)
-      let repro = EQ.witness_to_repro ~original:q w in
+      let repro =
+        match EQ.witness_to_repro ~original:q w with
+        | Ok text -> text
+        | Error why -> Alcotest.fail why
+      in
       let case = Oracle.Repro.of_string repro in
       (match Oracle.Matrix.run_reference case with
       | Error msg -> Alcotest.fail ("oracle replay rejected witness: " ^ msg)
@@ -354,6 +358,43 @@ let test_equiv_refutes_buggy_nest_ja () =
           Alcotest.(check bool)
             "replay reproduces the witness expectation" true
             (Relation.equal_bag reference w.EQ.w_expected))
+
+(* A witness holding a string the repro dialect cannot write (a comma
+   splits the cell on replay) gives no repro, and says why.  Kim's NEST-JA
+   loses the S row with STATUS 0 and no shipments; the row must carry the
+   literal's CITY to be selected. *)
+let test_equiv_unwritable_witness () =
+  let catalog = F.kim_catalog () in
+  let q =
+    F.parse_analyzed catalog
+      "SELECT SNO FROM S WHERE CITY = 'Paris, TX' AND STATUS = (SELECT \
+       COUNT(QTY) FROM SP WHERE SP.SNO = S.SNO)"
+  in
+  let pred =
+    List.find (function Ast.Cmp_subq _ -> true | _ -> false) q.Ast.where
+  in
+  let temp, rewritten = Optimizer.Nest_ja.transform q pred ~temp_name:"TEMPS" in
+  let temps = [ (temp.Optimizer.Program.name, temp.Optimizer.Program.def) ] in
+  match
+    EQ.check ~lookup:(Catalog.lookup catalog) ~temps ~main:rewritten q
+  with
+  | EQ.Equivalent _ -> Alcotest.fail "buggy NEST-JA certified equivalent"
+  | EQ.Inconclusive why -> Alcotest.fail ("inconclusive: " ^ why)
+  | EQ.Not_equivalent w -> (
+      Alcotest.(check bool) "the witness holds the comma string" true
+        (List.exists
+           (fun (_, rel) ->
+             List.exists
+               (fun row ->
+                 List.mem (Value.Str "Paris, TX") (Relalg.Row.to_list row))
+               (Relation.rows rel))
+           w.EQ.w_tables);
+      match EQ.witness_to_repro ~original:q w with
+      | Ok text -> Alcotest.failf "wrote a repro that does not replay:\n%s" text
+      | Error why ->
+          Alcotest.(check bool) ("reason names the value: " ^ why) true
+            (Astring.String.is_infix ~affix:"\"Paris, TX\" contains a comma"
+               why))
 
 let test_equiv_certifies_guarded_q2 () =
   let db = Fixtures.count_bug_db () in
@@ -554,6 +595,8 @@ let suites =
           test_planner_output_checks_clean;
         Alcotest.test_case "equiv: refutes buggy NEST-JA on Q2" `Quick
           test_equiv_refutes_buggy_nest_ja;
+        Alcotest.test_case "equiv: no repro for an unwritable witness" `Quick
+          test_equiv_unwritable_witness;
         Alcotest.test_case "equiv: certifies guarded Q2" `Quick
           test_equiv_certifies_guarded_q2;
         Alcotest.test_case "equiv: certifies range guard" `Quick

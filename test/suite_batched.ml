@@ -180,7 +180,8 @@ let test_uncorrelated_records_no_batches () =
   Alcotest.(check int) "evaluated once" 1 evaluations;
   Alcotest.(check int) "both rows kept" 2 (Relation.cardinality result)
 
-(* correlation_keys is the static face of the same analysis. *)
+(* [Ast.correlation_keys] is the static face of the same analysis: the
+   keys a per-key Apply binds. *)
 let test_correlation_keys () =
   let db = Fixtures.count_bug_db () in
   let sub_of sql =
@@ -189,18 +190,21 @@ let test_correlation_keys () =
     | [ Sql.Ast.Cmp_subq (_, _, sub) ] -> sub
     | _ -> Alcotest.fail "expected one scalar-subquery predicate"
   in
-  let keys =
-    Batched.correlation_keys (sub_of Fixtures.count_bug_query)
+  let keys sub =
+    match Sql.Ast.correlation_keys sub with
+    | Ok keys -> keys
+    | Error _ -> Alcotest.fail "expected batchable correlation keys"
   in
+  let keys' = keys (sub_of Fixtures.count_bug_query) in
   Alcotest.(check (list string)) "batches on PARTS.PNUM" [ "PARTS.PNUM" ]
     (List.map
        (fun (c : Sql.Ast.col_ref) ->
          Option.value c.Sql.Ast.table ~default:"?" ^ "." ^ c.Sql.Ast.column)
-       keys);
+       keys');
   Alcotest.(check (list string)) "uncorrelated has none" []
     (List.map
        (fun (c : Sql.Ast.col_ref) -> c.Sql.Ast.column)
-       (Batched.correlation_keys
+       (keys
           (sub_of
              "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(QUAN) FROM \
               SUPPLY)")))
@@ -286,7 +290,7 @@ let test_free_refs_shadowing () =
 
 (* A free reference inside an aggregate argument is an [`Other] position.
    The analyzer already rejects that shape in this dialect (aggregate
-   arguments resolve against the local frame only), so correlation_keys'
+   arguments resolve against the local frame only), so the lowering's
    guard is exercised on the raw parsed AST — the defensive path for
    hand-built queries. *)
 let test_unbatchable_position_refuses () =
@@ -298,7 +302,8 @@ let test_unbatchable_position_refuses () =
   | [ (c, `Other) ] ->
       Alcotest.(check string) "column" "QOH" c.Sql.Ast.column
   | _ -> Alcotest.fail "expected one other-position free ref");
-  match Batched.correlation_keys sub with
+  let db = Fixtures.count_bug_db () in
+  match Batched.lower (Core.catalog db) (Sql.Parser.parse_exn sql) with
   | exception Batched.Unsupported msg ->
       Alcotest.(check bool) "message names the column" true
         (Astring.String.is_infix ~affix:"QOH" msg)

@@ -340,7 +340,9 @@ let prop_merge_equals_nl =
   QCheck2.Test.make ~name:"merge join = nested-loop join" ~count:100
     join_input_gen (fun (ls, rs) ->
       let left = rel_of "L" ls and right = rel_of "R" rs in
-      let theta l r = Value.eq_sql (Row.get l 0) (Row.get r 0) in
+      let theta l r =
+        Exec.Eval.cmp_values Sql.Ast.Eq (Row.get l 0) (Row.get r 0)
+      in
       let nl = nested_loops ~theta left right in
       let mj_rows = merge_join_result ls rs in
       let mj =
@@ -358,7 +360,9 @@ let prop_index_equals_nl =
       Catalog.create_index catalog "R" ~column:"k";
       let idx = Option.get (Catalog.index_on catalog "R" ~key_col:0) in
       let left = rel_of "L" ls in
-      let theta l r = Value.eq_sql (Row.get l 0) (Row.get r 0) in
+      let theta l r =
+        Exec.Eval.cmp_values Sql.Ast.Eq (Row.get l 0) (Row.get r 0)
+      in
       let nl = nested_loops ~theta left (rel_of "R" rs) in
       let ix =
         Exec.Iterator.index_nested_loop_join
@@ -373,7 +377,9 @@ let prop_hash_equals_nl =
   QCheck2.Test.make ~name:"hash join = nested-loop join (inner and outer)"
     ~count:100 join_input_gen (fun (ls, rs) ->
       let left = rel_of "L" ls and right = rel_of "R" rs in
-      let theta l r = Value.eq_sql (Row.get l 0) (Row.get r 0) in
+      let theta l r =
+        Exec.Eval.cmp_values Sql.Ast.Eq (Row.get l 0) (Row.get r 0)
+      in
       let agree outer =
         let nl = nested_loops ~outer_join:outer ~theta left right in
         let h =
@@ -467,7 +473,7 @@ let test_filter_distinct_project () =
   let filtered =
     Exec.Iterator.of_relation input
     |> Exec.Iterator.filter ~pred:(fun r ->
-           Value.lt_sql (Row.get r 1) (Value.Int 50))
+           Exec.Eval.cmp_values Sql.Ast.Lt (Row.get r 1) (Value.Int 50))
   in
   let projected =
     Exec.Iterator.of_rows

@@ -1,7 +1,7 @@
-(* The analysis library: diagnostics, correlation graph, the lint pass
-   (golden diagnostics for the paper's worked examples) and the rewrite
-   verifier (passes on every NEST-G/NEST-JA2 program, fails on Kim's buggy
-   NEST-JA output and on deliberately mutated programs). *)
+(* The analysis library: diagnostics, the lint pass (golden diagnostics
+   for the paper's worked examples, its own correlation walk) and the
+   rewrite verifier (passes on every NEST-G/NEST-JA2 program, fails on
+   Kim's buggy NEST-JA output and on deliberately mutated programs). *)
 
 module Ast = Sql.Ast
 module Relation = Relalg.Relation
@@ -10,7 +10,6 @@ module F = Workload.Fixtures
 module G = Workload.Gen
 module D = Analysis.Diagnostics
 module Lint = Analysis.Lint
-module Graph = Analysis.Correlation_graph
 
 let classify sub =
   Optimizer.Classify.name (Optimizer.Classify.classify_block sub)
@@ -206,28 +205,68 @@ let test_multiple_statements () =
       Alcotest.(check int) "span on line 2" 2 d.D.span.Ast.sp_start.Ast.line)
     diags
 
-(* --- correlation graph --------------------------------------------------- *)
+(* --- lint's correlation walk ---------------------------------------------- *)
 
-let test_correlation_graph () =
-  let catalog = F.parts_supply_catalog F.Count_bug in
-  let q = F.parse_analyzed catalog F.query_q2 in
-  let g = Graph.build q in
-  Alcotest.(check int) "two blocks" 2 (List.length g.Graph.nodes);
-  Alcotest.(check int) "one correlation edge" 1 (List.length g.Graph.edges);
-  let e = List.hd g.Graph.edges in
-  Alcotest.(check string) "edge alias" "PARTS" e.Graph.alias;
-  Alcotest.(check int) "edge inner" 1 e.Graph.inner;
-  Alcotest.(check int) "edge outer" 0 e.Graph.outer;
-  (match e.Graph.uses with
-  | [ u ] ->
-      Alcotest.(check string) "use column" "PNUM" u.Graph.column;
-      Alcotest.(check bool) "use op is =" true (u.Graph.op = Some Ast.Eq)
-  | _ -> Alcotest.fail "expected one use");
-  let inner = Graph.node g 1 in
-  Alcotest.(check int) "inner depth" 1 inner.Graph.depth;
-  Alcotest.(check bool) "inner correlated" true (Graph.is_correlated_block g 1);
-  Alcotest.(check bool) "outer not correlated" false
-    (Graph.is_correlated_block g 0)
+(* Lint's own class of every nested block, in source order: an oracle that
+   agrees with nothing makes NQ006 name it. *)
+let lint_classes catalog text =
+  List.filter_map
+    (fun (d : D.t) ->
+      if d.D.code <> "NQ006" then None
+      else
+        Scanf.sscanf_opt d.D.message "lint classifies this block as %s but"
+          Fun.id)
+    (Lint.lint ~classify:(fun _ -> "none") (F.parse_analyzed catalog text))
+
+let test_lint_correlation () =
+  let kim = F.kim_catalog () in
+  let case name text ~classes ~diags =
+    Alcotest.(check (list string)) (name ^ ": classes") classes
+      (lint_classes kim text);
+    check_codes (name ^ ": diagnostics") diags (lint kim text)
+  in
+  case "alias used only by a nested block"
+    "SELECT S.SNO FROM S, P WHERE S.SNO IN (SELECT SNO FROM SP WHERE \
+     SP.PNO = P.PNO)"
+    ~classes:[ "type-J" ] ~diags:[];
+  case "alias used only two levels down"
+    "SELECT S.SNO FROM S, P WHERE S.SNO IN (SELECT SNO FROM SP WHERE PNO IN \
+     (SELECT PNO FROM SP SP2 WHERE SP2.PNO = P.PNO))"
+    ~classes:[ "type-J"; "type-J" ] ~diags:[];
+  case "skip-level correlation"
+    "SELECT SNO FROM S WHERE SNO IN (SELECT SNO FROM SP WHERE PNO IN (SELECT \
+     PNO FROM P WHERE P.CITY = S.CITY))"
+    ~classes:[ "type-J"; "type-J" ] ~diags:[];
+  case "inner block rebinds S"
+    "SELECT SNO FROM S WHERE SNO IN (SELECT SNO FROM S WHERE S.CITY = \
+     'London')"
+    ~classes:[ "type-N" ] ~diags:[];
+  case "rebinding hides the outer alias from NQ004"
+    "SELECT S.SNO FROM S, P WHERE S.SNO IN (SELECT SNO FROM SP WHERE PNO IN \
+     (SELECT PNO FROM P WHERE P.CITY = 'London'))"
+    ~classes:[ "type-N"; "type-N" ] ~diags:[ "NQ004" ];
+  case "outer block with two relations"
+    "SELECT S.SNO FROM S, P WHERE S.CITY = P.CITY AND S.STATUS = (SELECT \
+     COUNT(QTY) FROM SP WHERE SP.PNO = P.PNO AND SP.SNO = S.SNO)"
+    ~classes:[ "type-JA" ] ~diags:[ "NQ001" ]
+
+(* NQ006 compares lint's walk with [Classify]'s [Ast.free_tables]: they
+   agree on 2,000 generated queries and on every corpus query. *)
+let test_classify_agrees_everywhere () =
+  let fires diags = List.exists (fun (d : D.t) -> d.D.code = "NQ006") diags in
+  let catalog = F.parts_supply_catalog F.Duplicates in
+  let rng = Random.State.make [| 42 |] in
+  let generated = List.init 2000 (fun _ -> Oracle.Gen.query rng) in
+  Alcotest.(check (list string)) "generated queries" []
+    (List.filter (fun text -> fires (lint catalog text)) generated);
+  Alcotest.(check (list string)) "corpus and regression repros" []
+    (List.filter_map
+       (fun (c : Suite_nested_io.case) ->
+         let db = c.Suite_nested_io.c_db ~buffer_pages:64 ~page_bytes:256 in
+         if fires (Core.lint_query db c.Suite_nested_io.c_sql) then
+           Some c.Suite_nested_io.c_name
+         else None)
+       (Suite_nested_io.corpus_cases () @ Suite_nested_io.regression_cases ()))
 
 (* --- rewrite verifier ---------------------------------------------------- *)
 
@@ -257,6 +296,46 @@ let test_verifier_rejects_kim_ja_neq () =
   let temps, main = nest_ja_program catalog F.query_q5 ~temp_name:"TEMP5" in
   check_codes "buggy NEST-JA(Q5) = NQ903" [ "NQ903" ]
     (verify catalog temps main)
+
+
+(* Why both checkers stay: the plan checker sees nothing wrong in the plans
+   of Kim's buggy NEST-JA programs, in either planner mode — each plan is
+   well typed; the bug is in what the program computes, which only the
+   verifier's rules catch. *)
+let test_plan_check_misses_kim_ja () =
+  List.iter
+    (fun (variant, text, temp_name, code) ->
+      let catalog = F.parts_supply_catalog variant in
+      let temps, main = nest_ja_program catalog text ~temp_name in
+      check_codes (temp_name ^ ": verifier") [ code ]
+        (verify catalog temps main);
+      let program =
+        {
+          Optimizer.Program.temps =
+            List.map (fun (name, def) -> { Optimizer.Program.name; def }) temps;
+          main;
+          notes = [];
+          probes = [];
+        }
+      in
+      List.iter
+        (fun mode ->
+          let segments =
+            Optimizer.Planner.check_segments ~mode catalog
+              (Optimizer.Planner.Program program)
+          in
+          Alcotest.(check (list string))
+            (temp_name ^ ": plans checked") [ "temp " ^ temp_name; "main" ]
+            (List.map (fun (label, _, _) -> label) segments);
+          List.iter
+            (fun (label, _, diags) ->
+              check_codes (temp_name ^ " " ^ label ^ ": plan checker") [] diags)
+            segments)
+        [ Optimizer.Planner.Paper1987; Optimizer.Planner.Hybrid ])
+    [
+      (F.Count_bug, F.query_q2, "TEMPP", "NQ904");
+      (F.Neq_bug, F.query_q5, "TEMP5", "NQ903");
+    ]
 
 let nest_g_program catalog text =
   let q = F.parse_analyzed catalog text in
@@ -433,7 +512,10 @@ let suites =
           test_analyzer_collects_all;
         Alcotest.test_case "multiple statements" `Quick
           test_multiple_statements;
-        Alcotest.test_case "correlation graph" `Quick test_correlation_graph;
+        Alcotest.test_case "correlation from lint's walk" `Quick
+          test_lint_correlation;
+        Alcotest.test_case "NQ006 silent on generated and corpus queries"
+          `Quick test_classify_agrees_everywhere;
       ] );
     ( "analysis.verifier",
       [
@@ -441,6 +523,8 @@ let suites =
           test_verifier_rejects_kim_ja_count;
         Alcotest.test_case "rejects Kim NEST-JA on Q5 (NQ903)" `Quick
           test_verifier_rejects_kim_ja_neq;
+        Alcotest.test_case "plan checker passes Kim NEST-JA plans" `Quick
+          test_plan_check_misses_kim_ja;
         Alcotest.test_case "passes NEST-JA2 programs" `Quick
           test_verifier_passes_ja2;
         Alcotest.test_case "mutations trip the right codes" `Quick

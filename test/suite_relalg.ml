@@ -52,14 +52,17 @@ let test_value_compare () =
   Alcotest.(check bool) "int = float" true (equal (Int 2) (Float 2.0));
   Alcotest.(check bool) "str order" true (compare (Str "a") (Str "b") < 0)
 
+(* SQL's three-valued comparison over [Value.compare] is the executor's
+   [Eval.cmp_values]. *)
 let test_value_sql_cmp () =
   let open Value in
-  check_truth "1 = 1" Truth.True (eq_sql (Int 1) (Int 1));
-  check_truth "1 = 2" Truth.False (eq_sql (Int 1) (Int 2));
-  check_truth "null = 1" Truth.Unknown (eq_sql Null (Int 1));
-  check_truth "null = null is unknown" Truth.Unknown (eq_sql Null Null);
-  check_truth "null < 1" Truth.Unknown (lt_sql Null (Int 1));
-  check_truth "1 < 2" Truth.True (lt_sql (Int 1) (Int 2))
+  let cmp = Exec.Eval.cmp_values in
+  check_truth "1 = 1" Truth.True (cmp Sql.Ast.Eq (Int 1) (Int 1));
+  check_truth "1 = 2" Truth.False (cmp Sql.Ast.Eq (Int 1) (Int 2));
+  check_truth "null = 1" Truth.Unknown (cmp Sql.Ast.Eq Null (Int 1));
+  check_truth "null = null is unknown" Truth.Unknown (cmp Sql.Ast.Eq Null Null);
+  check_truth "null < 1" Truth.Unknown (cmp Sql.Ast.Lt Null (Int 1));
+  check_truth "1 < 2" Truth.True (cmp Sql.Ast.Lt (Int 1) (Int 2))
 
 let test_dates () =
   let open Value in
@@ -116,11 +119,11 @@ let prop_compare_total_order =
           || Value.compare a c <= 0))
 
 let prop_sql_eq_consistent =
-  QCheck2.Test.make ~name:"value: eq_sql true iff compare=0 on non-nulls"
+  QCheck2.Test.make ~name:"value: SQL = true iff compare=0 on non-nulls"
     ~count:500
     QCheck2.Gen.(pair value_gen value_gen)
     (fun (a, b) ->
-      match Value.eq_sql a b with
+      match Exec.Eval.cmp_values Sql.Ast.Eq a b with
       | Truth.Unknown -> Value.is_null a || Value.is_null b
       | Truth.True -> Value.compare a b = 0
       | Truth.False -> Value.compare a b <> 0)

@@ -409,8 +409,8 @@ let test_index_null_keys_excluded () =
   Alcotest.(check int) "null keys not indexed" 1 (Btree.entry_count idx)
 
 let test_index_build_costs_io () =
-  (* Construction used to hide behind [without_accounting]; now the heap
-     scan, sort runs and tree pages are all charged and recorded. *)
+  (* Construction is charged: the heap scan, sort runs and tree pages all
+     show in the pager counters and in [build_io]. *)
   let pager = Pager.create ~buffer_pages:2 ~page_bytes:32 () in
   let heap = kv_heap pager (List.init 64 (fun i -> (i, i))) in
   Pager.reset_stats pager;
