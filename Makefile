@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke bench bench-json bench-smoke nestbench-smoke bench-verdicts bench-pairs loc doc clean
+.PHONY: all check test lint check-corpus fuzz-smoke serve-smoke mutants bench bench-json bench-smoke nestbench-smoke bench-verdicts bench-pairs loc doc clean
 
 all:
 	dune build
@@ -57,6 +57,14 @@ fuzz-smoke:
 serve-smoke:
 	dune build bin/nestsql.exe
 	sh scripts/serve_smoke.sh
+
+# Semantic mutation check (scripts/mutants.sh): each listed mutant applied
+# to a `git archive` copy of the tree, never to the working tree, then
+# `dune runtest` (and `make fuzz-smoke` where the list asks) must fail.
+# Prints killed or SURVIVED per mutant; exits non-zero on a survivor.
+# About 35 s per mutant, so not a CI step.  MUTANTS=NAME... runs a subset.
+mutants:
+	sh scripts/mutants.sh $(MUTANTS)
 
 bench:
 	dune exec bench/main.exe

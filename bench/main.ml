@@ -911,10 +911,7 @@ let run_skew ~warmup ~reps ~n_parts ~n_supply ~key_range text strategy =
               Some
                 (fun () ->
                   Planner.run_program ~mode:Planner.Hybrid catalog program)
-          | exception Nest_g.Unsupported _
-          | exception Ja_shape.Not_ja _
-          | exception Nest_n_j.Not_applicable _
-          | exception Extensions.Unsupported _ -> None)
+          | exception Program.Refused _ -> None)
     in
     Option.map
       (fun run ->

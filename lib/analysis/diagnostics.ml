@@ -65,8 +65,9 @@ let catalogue : (string * string * severity * string) list =
     ( "NQ101", "resolution-error", Error,
       "name resolution or typing failed (analyzer diagnostic)" );
     ( "NQ110", "plan-unresolved", Error,
-      "a physical plan node references a table or column its input does \
-       not provide, or carries a predicate the executor cannot compile" );
+      "a physical plan does not compile: a table, column or parameter does \
+       not resolve, or a predicate, value subquery or aggregate list is \
+       one the executor cannot compile" );
     ( "NQ111", "plan-type-mismatch", Error,
       "a physical plan predicate or join condition compares columns of \
        incompatible types" );
@@ -74,16 +75,10 @@ let catalogue : (string * string * severity * string) list =
       "null-provenance violation: COUNT above a preserving (left outer) \
        join counts a column padding can never make NULL, so empty groups \
        count 1 instead of 0 (sec. 5.2.1)" );
-    ( "NQ113", "plan-group-scoping", Error,
-      "a grouped plan operator's keys or aggregate arguments do not \
-       resolve in its input, or its aggregate output names collide" );
-    ( "NQ114", "plan-sort-contract", Error,
-      "an operator that requires sorted input (sorted GROUP BY, merge \
-       join) sits on input provably sorted on different columns" );
     ( "NQ115", "plan-operator-contract", Error,
-      "a physical operator's method contract is violated (merge/hash join \
-       without an equality condition, index join without an index or a \
-       base-table scan)" );
+      "a physical plan does not compile: an operator's method contract is \
+       broken (merge/hash join without an equality condition, index scan \
+       without its index, index join over anything but an index scan)" );
     ( "NQ120", "rewrite-not-equivalent", Error,
       "bounded counterexample search found a database on which the \
        transformed program disagrees with the original query" );

@@ -108,10 +108,7 @@ let transform_query ?on_step db q =
       q
   with
   | program -> Ok program
-  | exception Optimizer.Nest_g.Unsupported msg
-  | exception Optimizer.Ja_shape.Not_ja msg
-  | exception Optimizer.Nest_n_j.Not_applicable msg
-  | exception Optimizer.Extensions.Unsupported msg ->
+  | exception Optimizer.Program.Refused msg ->
       Error ("not transformable: " ^ msg)
 
 let transform ?on_step db text =
@@ -391,7 +388,9 @@ let verified db program =
    its segments — nested iteration's or batched bindings' one plan, or the
    verified program — handed to [handle] with the join choice and the
    rung.  Refusals come back as [Error]: the rewrite's, verification's,
-   [Batched_nest.Unsupported] and [Planning_error]. *)
+   [Batched_nest.Unsupported], [Planning_error] and a plan that does not
+   compile ([Plan_error]).  A run-time error is not the rung's: see
+   [statement]. *)
 let rung ?mode db (p : prepared) handle force via =
   try
     Result.map (handle force via)
@@ -412,12 +411,19 @@ let rung ?mode db (p : prepared) handle force via =
   | Optimizer.Batched_nest.Unsupported msg ->
       Error ("not transformable: batched: " ^ msg)
   | Optimizer.Planner.Planning_error msg -> Error msg
+  | Exec.Plan.Plan_error e -> Error (Exec.Plan.error_message e)
+
+(* A run-time error ends the statement: it is the statement's [Error], and
+   no later rung runs. *)
+let statement f =
+  try f () with Exec.Eval.Runtime_error msg -> Error ("runtime error: " ^ msg)
 
 (* Run, EXPLAIN or check under [strategy]: a forced one is one rung;
    [Auto] walks the ladder. *)
 let apply_strategy ?mode ?trace db p strategy handle =
   let rung = rung ?mode db p handle in
   let forced force via = Result.map (fun x -> (x, None)) (rung force via) in
+  statement @@ fun () ->
   match strategy with
   | Nested_iteration -> forced Optimizer.Planner.Auto Via_nested
   | Transformed force -> forced force Via_transformed
@@ -524,7 +530,9 @@ let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?trace db text :
           auto_header d ^ "\n" ^ text
           ^ Result.fold ~error:(Fun.const "")
               ~ok:(( ^ ) "transformed alternative:\n")
-              (rung ?mode db p explain Optimizer.Planner.Auto Via_transformed)
+              (statement (fun () ->
+                   rung ?mode db p explain Optimizer.Planner.Auto
+                     Via_transformed))
       | Some d -> auto_header d ^ "\n" ^ text)
     (apply_strategy ?mode ?trace db p strategy explain)
 
@@ -533,10 +541,10 @@ let explain_query ?(strategy = Auto) ?mode ?(analyze = false) ?trace db text :
 (* ------------------------------------------------------------------ *)
 
 (* One query through both checker passes.  Every plan a strategy runs is
-   type-checked (NQ110-NQ115) by walking [run]'s rungs with a checking
-   handler: nested iteration once, then batched bindings and the
-   transformed program in each planner mode (a program's temps are
-   executed, as a run executes them).  A rung that refuses is recorded as
+   type-checked (compiled, then walked for NQ111/NQ112) by walking [run]'s
+   rungs with a checking handler: nested iteration once, then batched
+   bindings and the transformed program in each planner mode (a program's
+   temps are executed, as a run executes them).  A rung that refuses is recorded as
    Auto's decision records it.  When the query transforms, the bounded
    counterexample search then runs on the rewrite (NQ120-NQ122). *)
 type check_report = {
@@ -574,7 +582,8 @@ let check_query ?(bound = 2) db (q : Sql.Ast.query) : check_report =
       (fun (checked, refused) (mode, via) ->
         match
           with_statement_files db (fun () ->
-              rung ?mode db p (check mode) Optimizer.Planner.Auto via)
+              statement (fun () ->
+                  rung ?mode db p (check mode) Optimizer.Planner.Auto via))
         with
         | Ok plans -> (checked @ plans, refused)
         | Error msg when List.mem (via, msg) refused -> (checked, refused)

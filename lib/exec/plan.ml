@@ -85,18 +85,43 @@ and apply = {
 (* [keys]: the subquery's free column references, its correlation. *)
 and subplan = { keys : col_ref list; inner : node }
 
-exception Plan_error of string
+(* Why a plan does not compile: a table, column or parameter it names does
+   not resolve, or it carries what the executor cannot compile (a nested
+   predicate outside an [Apply], a value subquery of several columns,
+   aggregates named alike); or an operator's method contract is broken (a
+   merge or hash join without an equality, an index scan without its
+   B-tree, an index join over anything but an index scan). *)
+type error = Unresolved of string | Contract of string
 
-let errf fmt = Fmt.kstr (fun s -> raise (Plan_error s)) fmt
+exception Plan_error of error
+
+let error_message (Unresolved msg | Contract msg) = msg
+
+let unresolved fmt = Fmt.kstr (fun s -> raise (Plan_error (Unresolved s))) fmt
+
+let contract fmt = Fmt.kstr (fun s -> raise (Plan_error (Contract s))) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Schema computation                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let find_col schema (c : col_ref) =
-  match c.table with
-  | Some rel -> Schema.find schema ~rel c.column
-  | None -> Schema.find schema c.column
+  match Schema.find_opt schema ?rel:c.table c.column with
+  | Some i -> i
+  | None -> unresolved "column %a not in the input schema" Sql.Pp.pp_col c
+  | exception Schema.Ambiguous _ ->
+      unresolved "column %a is ambiguous" Sql.Pp.pp_col c
+
+(* A stored table's schema and heap. *)
+let table_schema catalog name =
+  match Catalog.schema catalog name with
+  | s -> s
+  | exception Catalog.Unknown_table _ -> unresolved "unknown table %s" name
+
+let heap catalog name =
+  match Catalog.heap catalog name with
+  | h -> h
+  | exception Catalog.Unknown_table _ -> unresolved "unknown table %s" name
 
 let agg_output_type schema (a : agg) : Value.ty =
   match a with
@@ -105,11 +130,19 @@ let agg_output_type schema (a : agg) : Value.ty =
   | Max c | Min c | Sum c ->
       (Schema.column schema (find_col schema c)).ty
 
-(* Group columns, then one "agg" column per aggregate. *)
+(* Group columns, then one "agg" column per aggregate, each named apart:
+   colliding names would make every reference to them ambiguous. *)
 let group_agg_schema s ~group_by ~aggs =
   let group_cols =
     List.map (fun c -> Schema.column s (find_col s c)) group_by
   in
+  ignore
+    (List.fold_left
+       (fun seen { out_name; _ } ->
+         if List.mem out_name seen then
+           unresolved "duplicate aggregate output name %s" out_name;
+         out_name :: seen)
+       [] aggs);
   let agg_cols =
     List.map
       (fun { fn; out_name } ->
@@ -118,11 +151,33 @@ let group_agg_schema s ~group_by ~aggs =
   in
   Schema.make (group_cols @ agg_cols)
 
+(* A select list's aggregates, each computed once: the distinct ones in
+   first-occurrence order, each named by [name] from its 1-based position
+   among them; and the column each select item reads from the grouped
+   output. *)
+let select_aggs ~name (select : select_item list) =
+  let aggs =
+    List.fold_left
+      (fun acc item ->
+        match item with
+        | Sel_agg a when not (List.mem_assoc a acc) ->
+            acc @ [ (a, name (List.length acc + 1) a) ]
+        | Sel_agg _ | Sel_col _ | Sel_star -> acc)
+      [] select
+  in
+  ( List.map (fun (fn, out_name) -> { fn; out_name }) aggs,
+    List.map
+      (function
+        | Sel_col c -> c
+        | Sel_agg a -> { table = Some "agg"; column = List.assoc a aggs }
+        | Sel_star -> unresolved "SELECT * reached the executor")
+      select )
+
 let rec output_schema (catalog : Catalog.t) (node : node) : Schema.t =
   match node with
-  | Scan name -> Schema.rename_rel (Catalog.schema catalog name) name
+  | Scan name -> Schema.rename_rel (table_schema catalog name) name
   | Index_scan { table; alias; _ } ->
-      Schema.rename_rel (Catalog.schema catalog table) alias
+      Schema.rename_rel (table_schema catalog table) alias
   | Rename (alias, input) -> Schema.rename_rel (output_schema catalog input) alias
   | Filter (_, input) -> output_schema catalog input
   | Project (cols, input) ->
@@ -162,7 +217,7 @@ let slot scope (c : col_ref) =
 let bound_slot scope c =
   match slot scope c with
   | Some s -> s
-  | None -> errf "column %a is not bound" Sql.Pp.pp_col c
+  | None -> unresolved "column %a is not bound" Sql.Pp.pp_col c
 
 (* Inside a re-opened plan, a column [schema] lacks is a parameter (an
    ambiguous column is none: resolving it reports the ambiguity). *)
@@ -192,10 +247,10 @@ let compile_scalar scope schema = function
    predicates are planned as an [Apply]'s and never compile. *)
 let comparison = function
   | Cmp (a, op, b) -> (a, op, b)
-  | Cmp_outer _ -> errf "outer-join predicate must be a join condition"
+  | Cmp_outer _ -> unresolved "outer-join predicate must be a join condition"
   | Cmp_subq _ | In_subq _ | Not_in_subq _ | Exists _ | Not_exists _
   | Quant _ ->
-      errf "nested predicate reached the physical planner"
+      unresolved "nested predicate reached the physical plan"
 
 let compile_predicate scope schema (p : predicate) : Row.t -> Truth.t =
   let a, op, b = comparison p in
@@ -313,7 +368,7 @@ let equi_join_parts ~method_name scope (lschema : Schema.t)
     List.partition (fun (_, op, _) -> op = Eq || op = Eq_null) cond
   in
   if eq_cond = [] then
-    errf "%s join requires at least one equality condition" method_name;
+    contract "%s join requires at least one equality condition" method_name;
   let null_safe = List.map (fun (_, op, _) -> op = Eq_null) eq_cond in
   let left_key = List.map (fun (lc, _, _) -> find_col lschema lc) eq_cond in
   let right_key = List.map (fun (_, _, rc) -> find_col rschema rc) eq_cond in
@@ -380,18 +435,14 @@ let value_list ex sub =
    reading the relation, else the heap, kept to the bounds. *)
 let index_scan catalog scope ~table ~alias ~column ~lo ~hi :
     Iterator.t compiled =
-  let heap_schema = Catalog.schema catalog table in
-  let key_col =
-    match Schema.find_opt heap_schema column with
-    | Some i -> i
-    | None -> errf "index scan: no column %s in %s" column table
-  in
+  let heap_schema = table_schema catalog table in
+  let key_col = find_col heap_schema (col column) in
   let index =
     match Catalog.index_on catalog table ~key_col with
     | Some idx -> idx
-    | None -> errf "no index on %s.%s for the index scan" table column
+    | None -> contract "no index on %s.%s for the index scan" table column
   in
-  let heap = Catalog.heap catalog table in
+  let heap = heap catalog table in
   let stats = Option.map snd (Catalog.column_stats catalog table column) in
   let schema = Schema.rename_rel heap_schema alias in
   let per_binding = per_binding lo hi in
@@ -451,7 +502,7 @@ let index_nl_join ~child scope ~outer_join ~cond ~residual ~right
   (match (right, cond) with
   | Index_scan _, [] -> ()
   | _ ->
-      errf
+      contract
         "index join requires an index scan on the right and no join \
          condition");
   let frame = ref [||] in
@@ -484,7 +535,7 @@ let index_nl_join ~child scope ~outer_join ~cond ~residual ~right
 let nl_inner ~(child : scope -> node -> Iterator.t compiled) catalog scope
     right =
   let stored name alias =
-    let heap = Catalog.heap catalog name in
+    let heap = heap catalog name in
     ( (fun () -> heap),
       Schema.rename_rel (Storage.Heap_file.schema heap) alias )
   in
@@ -521,27 +572,24 @@ let sorted pager ?dedup ~key (i : Iterator.t compiled) : Iterator.t compiled =
 let runtime_error msg = raise (Eval.Runtime_error msg)
 
 (* One nested predicate, compiled: given [result], its subquery's result
-   rows for an input row, its truth over that row. *)
+   rows for an input row, its truth over that row.  A value subquery
+   yields one column. *)
 let nested_truth scope schema ~inner_schema (p : predicate) :
     (Row.t -> Row.t list) -> Row.t -> Truth.t =
   let operand a = compile_scalar scope schema a in
-  let single_column () =
-    if Schema.arity inner_schema <> 1 then
-      runtime_error "subquery must return a single column"
-  in
-  let column result row =
-    let rows = result row in
-    single_column ();
-    List.map (fun r -> Row.get r 0) rows
-  in
+  (match p with
+  | (Cmp_subq _ | In_subq _ | Not_in_subq _ | Quant _)
+    when Schema.arity inner_schema <> 1 ->
+      unresolved "value subquery yields %d columns, not one"
+        (Schema.arity inner_schema)
+  | _ -> ());
+  let column result row = List.map (fun r -> Row.get r 0) (result row) in
   match p with
   | Cmp_subq (a, op, _) -> (
       let x = operand a in
       fun result row ->
         let x = x row in
-        let rows = result row in
-        single_column ();
-        match rows with
+        match result row with
         | [] -> Eval.cmp_values op x Value.Null
         | [ r ] -> Eval.cmp_values op x (Row.get r 0)
         | _ :: _ :: _ ->
@@ -561,7 +609,7 @@ let nested_truth scope schema ~inner_schema (p : predicate) :
   | Quant (a, op, qf, _) ->
       let x = operand a in
       fun result row -> Eval.quant_values op qf (x row) (column result row)
-  | Cmp _ | Cmp_outer _ -> assert false
+  | Cmp _ | Cmp_outer _ -> unresolved "a comparison carries a subquery plan"
 
 (* Per key: each distinct key tuple of [rows] evaluated once, in key order
    (NULL first), under the first row that carries it; NULL keys share one
@@ -606,12 +654,10 @@ let apply ~child ex catalog scope (a : apply) (outer : Iterator.t compiled) :
   let inner_scope = (schema, frame) :: scope in
   let pred (p, sp) : Row.t list -> Row.t -> Truth.t =
     match (sp, p) with
-    | None, Cmp _ ->
+    | None, (Cmp _ | Cmp_outer _) ->
         let truth = compile_predicate scope schema p in
         fun _ -> truth
-    | None, _ ->
-        fun _ _ ->
-          runtime_error "outer-join predicate is not valid in a source query"
+    | None, _ -> unresolved "nested predicate without a subplan"
     | Some sp, _ -> (
         let inner = child inner_scope sp.inner in
         let rerun row =
@@ -632,8 +678,6 @@ let apply ~child ex catalog scope (a : apply) (outer : Iterator.t compiled) :
               | Some heap -> heap
               | None ->
                   let rows = Iterator.to_rows (inner.open_ ()) in
-                  if Schema.arity inner.schema <> 1 then
-                    runtime_error "subquery must return a single column";
                   let heap =
                     Storage.Heap_file.of_relation (Catalog.pager catalog)
                       (Relalg.Relation.make inner.schema rows)
@@ -833,7 +877,7 @@ and compile_vec ?observe ?(rowwise = false) ex scope (catalog : Catalog.t)
     when produces_rows i ->
       rows ()
   | Scan name ->
-      let heap = Catalog.heap catalog name in
+      let heap = heap catalog name in
       let schema = Schema.rename_rel (Storage.Heap_file.schema heap) name in
       let open_ () =
         Vec.with_schema (Vec.scan ~eager:(not rowwise) heap) schema
@@ -899,6 +943,13 @@ and compile_vec ?observe ?(rowwise = false) ex scope (catalog : Catalog.t)
   | Index_scan _ | Distinct _ | Sort _ | Group_agg _ | Apply _
   | Join { method_ = Index_nl | Sort_merge; _ } ->
       rows ()
+
+(* The compile step alone: every schema, column, parameter slot, join
+   method and B-tree resolved, no operator opened, nothing read. *)
+let check catalog node =
+  match compile_vec { lists = [] } [] catalog node with
+  | _ -> Ok ()
+  | exception Plan_error e -> Error e
 
 (* Compile, run to completion, then delete the value lists nested
    iteration materialized. *)

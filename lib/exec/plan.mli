@@ -104,10 +104,54 @@ and subplan = {
           re-read per row, an uncorrelated EXISTS re-runs *)
 }
 
-exception Plan_error of string
+(** Why a plan does not compile.  [Unresolved]: a table, column or
+    parameter it names does not resolve, or it carries what the executor
+    cannot compile — a nested predicate outside an [Apply] or one without
+    its subplan, an outer-join predicate outside a join condition, a value
+    subquery of several columns, a grouped node whose aggregates are named
+    alike.  [Contract]: an operator's method contract is broken — a
+    merge or hash join without an equality condition, an index scan
+    without its B-tree, an index join whose right side is not an index
+    scan or that has a join condition. *)
+type error = Unresolved of string | Contract of string
 
-(** Schema the node produces.  @raise Plan_error / Catalog.Unknown_table *)
+exception Plan_error of error
+
+val error_message : error -> string
+
+(** Position of a column reference in a schema, qualified or not.
+    @raise Plan_error ([Unresolved]) when it is missing or ambiguous. *)
+val find_col : Relalg.Schema.t -> Sql.Ast.col_ref -> int
+
+(** Where compilation reads a column of a row of [schema] inside plans
+    re-opened under [scope] (enclosing rows' schemas, innermost first):
+    [None] for a column of the row itself, [Some (x, i)] for a parameter
+    — position [i] of the innermost enclosing schema that has it, tagged
+    [x]. *)
+val param :
+  (Relalg.Schema.t * 'a) list ->
+  Relalg.Schema.t ->
+  Sql.Ast.col_ref ->
+  ('a * int) option
+
+(** A select list's aggregates, each computed once — the distinct ones in
+    first-occurrence order, each named by [name] from its 1-based position
+    among them and itself — and the column each select item reads from
+    the grouped output (an aggregate's is [agg.NAME]).
+    @raise Plan_error on [SELECT *]. *)
+val select_aggs :
+  name:(int -> Sql.Ast.agg -> string) ->
+  Sql.Ast.select_item list ->
+  agg_item list * Sql.Ast.col_ref list
+
+(** Schema the node produces.  @raise Plan_error *)
 val output_schema : Storage.Catalog.t -> node -> Relalg.Schema.t
+
+(** [run]'s compile step alone: every table, column, parameter slot, join
+    method and B-tree of the plan resolved against the catalog, with no
+    operator opened and nothing read.  [Error] is the first failure, the
+    one [run] would raise. *)
+val check : Storage.Catalog.t -> node -> (unit, error) result
 
 (** The former engine switch, kept so callers that name an engine still
     compile: every plan runs on the one executor, whichever is named. *)
@@ -141,7 +185,7 @@ type observer = {
     not).  [observe] wraps every operator each time it is opened, so once
     per loop of a plan an [Apply] re-opens; compiling happens before, and
     outside, every observed open.
-    @raise Plan_error on malformed plans.
+    @raise Plan_error where {!check} fails, before any operator opens.
     @raise Eval.Runtime_error where nested iteration would. *)
 val run : ?observe:observer -> Storage.Catalog.t -> node -> Relalg.Relation.t
 

@@ -89,22 +89,8 @@ let probes catalog ~outer_aliases (q : query) =
    global group without GROUP BY), projection in select order, hash
    dedup — all in memory.  Batched bindings shares it. *)
 let select_list (q : query) (input : Plan.node) : Plan.node =
-  let aggs =
-    List.fold_left
-      (fun acc item ->
-        match item with
-        | Sel_agg a when not (List.mem_assoc a acc) ->
-            acc @ [ (a, Printf.sprintf "agg%d" (List.length acc + 1)) ]
-        | _ -> acc)
-      [] q.select
-  in
-  let cols =
-    List.map
-      (function
-        | Sel_col c -> c
-        | Sel_agg a -> { table = Some "agg"; column = List.assoc a aggs }
-        | Sel_star -> raise (Plan.Plan_error "SELECT * reached the executor"))
-      q.select
+  let aggs, cols =
+    Plan.select_aggs ~name:(fun i _ -> Printf.sprintf "agg%d" i) q.select
   in
   let grouped =
     if aggs = [] && q.group_by = [] then input
@@ -112,7 +98,7 @@ let select_list (q : query) (input : Plan.node) : Plan.node =
       Plan.Hash_group_agg
         {
           group_by = q.group_by;
-          aggs = List.map (fun (fn, out_name) -> { Plan.fn; out_name }) aggs;
+          aggs;
           input;
         }
   in
@@ -145,7 +131,7 @@ let rec lower_block catalog ~scope (q : query) : Plan.node =
   in
   let frames =
     match q.from with
-    | [] -> raise (Plan.Plan_error "a block needs a FROM clause")
+    | [] -> raise (Plan.Plan_error (Unresolved "a block needs a FROM clause"))
     | first :: rest ->
         List.fold_left join (snd (access first)) rest
   in

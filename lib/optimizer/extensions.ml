@@ -37,7 +37,7 @@
      is exact only when [x] and the item can never be NULL: a NULL item
      makes ALL Unknown but drops out of the violation count.  When
      [nullable] cannot prove that, or the alias would be captured, the
-     rewrite raises [Unsupported] and callers fall back to nested
+     rewrite refuses ([Program.Refused]) and callers fall back to nested
      iteration: a refusal, never a wrong answer.  [paper:true]
      reproduces the published rules verbatim instead (the paper itself
      concedes its ANY/ALL rules are "logically (but not necessarily
@@ -53,14 +53,11 @@
 
 open Sql.Ast
 
-exception Unsupported of string
-
 let single_item (sub : query) =
   match sub.select with
   | [ Sel_col c ] -> c
   | _ ->
-      raise
-        (Unsupported "ANY/ALL subquery must select a single plain column")
+      Program.refuse "ANY/ALL subquery must select a single plain column"
 
 (* Table aliases bound anywhere in [q]'s FROM tree.  Used for the capture
    check: a scalar inlined into [q]'s WHERE clause must not mention any of
@@ -91,15 +88,13 @@ let local_env (q : query) = List.map (fun f -> (from_alias f, f.rel)) q.from
 let check_capture (x : scalar) (sub : query) : unit =
   match x with
   | Col { table = Some a; _ } when List.mem a (bound_aliases sub) ->
-      raise
-        (Unsupported
-           "the left side's table alias is bound inside the subquery; \
-            inlining it would capture the wrong binding")
+      Program.refuse
+        "the left side's table alias is bound inside the subquery; \
+            inlining it would capture the wrong binding"
   | Col { table = None; _ } ->
-      raise
-        (Unsupported
-           "unqualified left side: cannot prove the inlined comparison \
-            would not be captured by the subquery's FROM clause")
+      Program.refuse
+        "unqualified left side: cannot prove the inlined comparison \
+            would not be captured by the subquery's FROM clause"
   | Col _ | Lit _ -> ()
 
 (* Shared guard for every rewrite that inlines [x op item] into [sub]'s
@@ -110,15 +105,13 @@ let check_capture (x : scalar) (sub : query) : unit =
 let check_count_form ~nullable ~scope (x : scalar) (sub : query)
     (item : col_ref) : unit =
   if scalar_nullable ~nullable ~env:scope x then
-    raise
-      (Unsupported
-         "the left side of the quantified comparison may be NULL; the \
-          COUNT form would silently accept what SQL rejects");
+    Program.refuse
+      "the left side of the quantified comparison may be NULL; the \
+          COUNT form would silently accept what SQL rejects";
   if col_nullable ~nullable ~env:(local_env sub @ scope) item then
-    raise
-      (Unsupported
-         "the subquery item may be NULL; the COUNT form would drop NULL \
-          items that SQL's quantifier semantics must see");
+    Program.refuse
+      "the subquery item may be NULL; the COUNT form would drop NULL \
+          items that SQL's quantifier semantics must see";
   check_capture x sub
 
 (* [x op ANY Q] <=> 0 < COUNT of satisfying items; [x op ALL Q] <=> 0 =
@@ -181,9 +174,9 @@ let rewrite_predicate ?(paper = false) ?(nullable = default_nullable)
         quant_to_count x op All sub
       end
   | Quant (_, Eq, All, _) ->
-      raise (Unsupported "x = ALL (...) has no §8 transformation")
+      Program.refuse "x = ALL (...) has no §8 transformation"
   | Quant (_, Eq_null, _, _) ->
-      raise (Unsupported "<=> has no quantified transformation")
+      Program.refuse "<=> has no quantified transformation"
   | Cmp _ | Cmp_outer _ | Cmp_subq _ | In_subq _ | Not_in_subq _ -> p
 
 (* Apply the rewrites at every nesting level, bottom-up, threading the

@@ -6,11 +6,9 @@
     use a COUNT form guarded against alias capture.  It is exact for
     [!= ANY] with NULLs anywhere (in WHERE position); for range-[ALL] it
     also requires the [nullable] callback to prove neither comparison
-    operand can be NULL, refusing ([Unsupported]) otherwise.  [paper:true] reproduces the published
+    operand can be NULL, refusing ([Program.Refused]) otherwise.  [paper:true] reproduces the published
     rules verbatim for the ablation suites.  The full soundness analysis
     is in the implementation header and DESIGN.md. *)
-
-exception Unsupported of string
 
 (** [nullable ~rel col] answers "may column [col] of relation [rel] be
     NULL?".  The default answers [true] for everything (conservative:
@@ -18,7 +16,7 @@ exception Unsupported of string
 val default_nullable : rel:string -> string -> bool
 
 (** Guard shared by every COUNT-form rewrite that inlines [x op item] into
-    a subquery: raises {!Unsupported} unless [x] and [item] are provably
+    a subquery: raises {!Program.Refused} unless [x] and [item] are provably
     non-NULL under [nullable] (resolved through [scope], an alias →
     relation map for the enclosing blocks) and [x]'s alias is not bound
     inside the subquery. *)
@@ -32,7 +30,7 @@ val check_count_form :
 
 (** Rewrite one predicate (identity on non-quantified predicates).
     [scope] maps enclosing aliases to relations for the guards.
-    @raise Unsupported for [= ALL] and [<=> ANY/ALL] (no transformation),
+    @raise Program.Refused for [= ALL] and [<=> ANY/ALL] (no transformation),
     and for guarded forms whose soundness cannot be proven. *)
 val rewrite_predicate :
   ?paper:bool ->

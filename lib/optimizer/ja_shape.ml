@@ -12,7 +12,7 @@
    themselves be join predicates when deeper blocks have been merged in by
    NEST-G).  Correlations are normalized to [inner op outer].
 
-   Shapes the paper does not define are rejected with [Not_ja]:
+   Shapes the paper does not define are refused ([Program.Refused]):
    correlations against two different outer relations, predicates that
    reference only outer columns from inside the inner block (hoisting them
    would change COUNT-over-empty-group semantics), and aggregates whose
@@ -20,9 +20,7 @@
 
 open Sql.Ast
 
-exception Not_ja of string
-
-let errf fmt = Fmt.kstr (fun s -> raise (Not_ja s)) fmt
+let errf = Program.refuse
 
 type correlation = { inner : col_ref; op : cmp; outer : col_ref }
 

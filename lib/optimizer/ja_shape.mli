@@ -3,8 +3,6 @@
     whose WHERE clause splits into correlation predicates (against one outer
     relation) and local predicates. *)
 
-exception Not_ja of string
-
 (** A correlation predicate, normalized to [inner op outer]. *)
 type correlation = {
   inner : Sql.Ast.col_ref;
@@ -25,7 +23,7 @@ type t = {
 (** Table aliases a scalar references (at most one). *)
 val scalar_tables : Sql.Ast.scalar -> string list
 
-(** @raise Not_ja on any shape the paper's algorithms do not define
+(** @raise Program.Refused on any shape the paper's algorithms do not define
     (several outer relations, outer-only predicates inside the inner block,
     aggregate over an outer column, remaining nested predicates, ...). *)
 val extract : Sql.Ast.predicate -> t

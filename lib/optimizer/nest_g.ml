@@ -26,8 +26,6 @@
 
 open Sql.Ast
 
-exception Unsupported of string
-
 (* Kim's Lemma 1 (and therefore NEST-N-J) ignores result *multiplicity*:
    turning IN into a join duplicates rows when several inner tuples match.
    Under a plain SELECT, or under MAX/MIN, this is invisible; under
@@ -54,7 +52,7 @@ let not_in_to_count ~nullable ~scope (x : scalar) (sub : query) : predicate =
   let item =
     match sub.select with
     | [ Sel_col c ] -> c
-    | _ -> raise (Unsupported "NOT IN subquery must select one plain column")
+    | _ -> Program.refuse "NOT IN subquery must select one plain column"
   in
   Extensions.check_count_form ~nullable ~scope x sub item;
   Cmp_subq
@@ -164,12 +162,11 @@ let rec transform_block ~fresh ~(scope : scope) ~semantics
                      temp.Program.name);
                 merged
             | (In_subq _ | Cmp_subq _) when semantics = Safe && duplicate_sensitive q ->
-                raise
-                  (Unsupported
-                     "correlated subquery below a duplicate-sensitive \
-                      aggregate: NEST-N-J would change the aggregate's \
-                      multiplicity (known limitation of the paper's \
-                      algorithms; use ~semantics:Paper to force it)")
+                Program.refuse
+                  "correlated subquery below a duplicate-sensitive \
+                   aggregate: NEST-N-J would change the aggregate's \
+                   multiplicity (known limitation of the paper's \
+                   algorithms; use ~semantics:Paper to force it)"
             | _ ->
                 let inner_class =
                   match Classify.classify_predicate pred' with
@@ -189,9 +186,7 @@ let rec transform_block ~fresh ~(scope : scope) ~semantics
               match pred' with
               | Cmp_subq (x, op, sub) -> (x, op, sub)
               | _ ->
-                  raise
-                    (Unsupported
-                       "type-A predicate must be a scalar comparison")
+                  Program.refuse "type-A predicate must be a scalar comparison"
             in
             let name = fresh () in
             acc := !acc @ [ { Program.name; def = sub } ];
@@ -204,7 +199,7 @@ let rec transform_block ~fresh ~(scope : scope) ~semantics
               match sub.select with
               | [ item ] ->
                   { table = Some name; column = item_output_name item }
-              | _ -> raise (Unsupported "type-A block must select one item")
+              | _ -> Program.refuse "type-A block must select one item"
             in
             {
               q with
@@ -243,8 +238,7 @@ let rec transform_block ~fresh ~(scope : scope) ~semantics
    canonical program.  [nullable] feeds the soundness guards of the §8
    COUNT forms and the NOT IN extension (default: everything may be NULL,
    so those rewrites refuse).  [probe_keys] is NEST-JA2's keyed-TEMP2
-   decision (default: never, the paper's program).  @raise Unsupported /
-   Ja_shape.Not_ja / Nest_n_j.Not_applicable / Extensions.Unsupported on
+   decision (default: never, the paper's program).  @raise Program.Refused on
    shapes outside the paper's algorithms. *)
 let transform ?(semantics = Safe)
     ?(nullable = Extensions.default_nullable)

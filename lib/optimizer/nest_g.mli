@@ -4,8 +4,6 @@
     Type-A blocks become one-row temps; type-N/J merge via NEST-N-J;
     type-JA goes through NEST-JA2. *)
 
-exception Unsupported of string
-
 (** How to treat the multiplicity unsoundness NEST-N-J inherits from Kim's
     Lemma 1 when an IN-block is merged below a COUNT/SUM/AVG aggregate:
     [Safe] (default) dedup-merges the uncorrelated case through a DISTINCT
@@ -24,8 +22,7 @@ type semantics = Safe | Paper
     passed to every {!Nest_ja2.transform} (default: never; the program is
     then the paper's); the notes and probes of the keyed TEMP2s it
     accepts are collected in the program's [notes] and [probes].
-    @raise Unsupported, [Ja_shape.Not_ja], [Nest_n_j.Not_applicable] or
-    [Extensions.Unsupported] on shapes outside the paper's algorithms. *)
+    @raise Program.Refused on shapes outside the paper's algorithms. *)
 val transform :
   ?semantics:semantics ->
   ?nullable:(rel:string -> string -> bool) ->

@@ -17,7 +17,7 @@
 open Sql.Ast
 
 (* [transform q pred ~temp_name] returns the temp definition and the
-   canonical rewritten query.  @raise Ja_shape.Not_ja on shape mismatch. *)
+   canonical rewritten query.  @raise Program.Refused on shape mismatch. *)
 let transform (q : query) (pred : predicate) ~temp_name :
     Program.temp * query =
   let shape = Ja_shape.extract pred in

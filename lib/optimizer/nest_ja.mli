@@ -7,7 +7,7 @@
     algorithm. *)
 
 (** Returns the temp definition and the canonical rewritten query.
-    @raise Ja_shape.Not_ja on shape mismatch. *)
+    @raise Program.Refused on shape mismatch. *)
 val transform :
   Sql.Ast.query ->
   Sql.Ast.predicate ->

@@ -58,7 +58,7 @@ let simple_preds_on (q : query) ~alias ~except =
    consulted.  TEMP1 is restricted by [q]'s simple predicates only when [q]
    binds the alias — an enclosing block's restrictions are not visible here,
    and the restriction is an optimization, never needed for correctness.
-   @raise Ja_shape.Not_ja when [pred] does not have the type-JA shape. *)
+   @raise Program.Refused when [pred] does not have the type-JA shape. *)
 (* [project_outer:false] skips step 1's DISTINCT projection and joins the
    raw outer relation instead — the intermediate (still broken) §5.4 variant
    whose COUNT is inflated by duplicate outer join-column values.  Kept only
@@ -83,12 +83,9 @@ let transform (q : query) (pred : predicate) ~(fresh : unit -> string)
         match rel_of_alias outer_alias with
         | Some rel -> (false, rel)
         | None ->
-            raise
-              (Ja_shape.Not_ja
-                 (Printf.sprintf
-                    "correlated relation %s is not bound by any enclosing \
-                     block"
-                    outer_alias)))
+            Program.refuse
+              "correlated relation %s is not bound by any enclosing block"
+              outer_alias)
   in
   let outer_cols = Ja_shape.outer_columns shape in
   (* ---- step 1: TEMP1 ---- *)

@@ -36,7 +36,7 @@ type result = {
     every correlation is [=], the inner FROM is one relation and
     [project_outer] holds.
 
-    @raise Ja_shape.Not_ja when [pred] is not type-JA shaped. *)
+    @raise Program.Refused when [pred] is not type-JA shaped. *)
 val transform :
   Sql.Ast.query ->
   Sql.Ast.predicate ->

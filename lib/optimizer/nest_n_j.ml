@@ -21,9 +21,7 @@
 
 open Sql.Ast
 
-exception Not_applicable of string
-
-let errf fmt = Fmt.kstr (fun s -> raise (Not_applicable s)) fmt
+let errf = Program.refuse
 
 (* The column produced by the inner block, used as the join target. *)
 let inner_select_col (sub : query) : col_ref =

@@ -6,12 +6,10 @@
     Known limitation (Kim's Lemma 1, inherited by the paper): the join may
     change result {e multiplicity}; see DESIGN.md and [Nest_g.semantics]. *)
 
-exception Not_applicable of string
-
 (** Merge one nested predicate ([x IN sub] or [x op sub], [sub]
     non-aggregated and GROUP-BY-free).  [pred] must be physically a member
     of [q.where].
-    @raise Not_applicable otherwise (aggregated block, NOT IN, ...). *)
+    @raise Program.Refused otherwise (aggregated block, NOT IN, ...). *)
 val merge_predicate : Sql.Ast.query -> Sql.Ast.predicate -> Sql.Ast.query
 
 (** Merge every transformable top-level nested predicate. *)
@@ -21,7 +19,7 @@ val merge_all : Sql.Ast.query -> Sql.Ast.query
     by an equality join against a DISTINCT temp table (the INGRES
     projection idiom of §5.4.1).  Returns the rewritten query and the temp
     to materialize first.
-    @raise Not_applicable for correlated or aggregated blocks. *)
+    @raise Program.Refused for correlated or aggregated blocks. *)
 val merge_predicate_dedup :
   Sql.Ast.query ->
   Sql.Ast.predicate ->

@@ -458,22 +458,12 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
     | ps -> { state with node = Exec.Plan.Filter (ps, state.node) }
   in
   (* GROUP BY / aggregates *)
-  let has_agg = select_has_agg q in
+  let aggs, out_cols =
+    Exec.Plan.select_aggs ~name:(fun _ a -> item_output_name (Sel_agg a))
+      q.select
+  in
   let state =
-    if has_agg || q.group_by <> [] then begin
-      let aggs =
-        List.filter_map
-          (function
-            | Sel_agg a ->
-                Some
-                  {
-                    Exec.Plan.fn = a;
-                    out_name = item_output_name (Sel_agg a);
-                  }
-            | Sel_col _ -> None
-            | Sel_star -> errf "SELECT * in a canonical query")
-          q.select
-      in
+    if aggs <> [] || q.group_by <> [] then begin
       let sorted_ok = q.group_by <> [] && state.sorted = Some q.group_by in
       (* Hybrid mode: when the input has no useful order, hash aggregation
          skips the external sort entirely — taken when the group table fits
@@ -514,18 +504,6 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
     else state
   in
   (* Final projection, in select order. *)
-  let out_cols =
-    List.map
-      (function
-        | Sel_col c -> c
-        | Sel_agg a ->
-            {
-              table = Some "agg";
-              column = item_output_name (Sel_agg a);
-            }
-        | Sel_star -> errf "SELECT * in a canonical query")
-      q.select
-  in
   let node = Exec.Plan.Project (out_cols, state.node) in
   (* Hybrid mode: hash dedup when the distinct result fits the pool; it
      keeps first-occurrence order instead of producing a sorted result. *)
@@ -640,8 +618,9 @@ let run_program ?force ?mode ?engine:(_ : Exec.Plan.engine option) ?session
   run_segments ?force ?mode ?session catalog (Program p)
 
 (* Type-check the plans [run_segments] runs: each segment's plan is
-   checked, and each temp's is run so that the next segment lowers against
-   its result.  Stops after the first segment with an Error-severity
+   compiled as the run compiles it and, when it compiles, walked by the
+   plan checker; each temp's is run so that the next segment lowers
+   against its result.  Stops after the first segment with an Error-severity
    violation.  Returns each checked segment as (label, plan, diagnostics);
    temps are dropped before returning. *)
 let check_segments ?force ?mode catalog segments =

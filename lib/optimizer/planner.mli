@@ -103,8 +103,10 @@ val run_program :
   Program.t ->
   Relalg.Relation.t
 
-(** Type-check ({!Analysis.Plan_check}, NQ110–NQ115) the plans
-    {!run_segments} runs: segments are lowered as it lowers them, and each
+(** Type-check ({!Analysis.Plan_check}) the plans {!run_segments} runs:
+    each is compiled as the run compiles it, one NQ110 or NQ115 when it
+    does not compile, and a plan that compiles is checked for NQ111 and
+    NQ112.  Segments are lowered as {!run_segments} lowers them, and each
     temp is executed and registered so the next segment plans against its
     result.  Stops after the first segment with an Error-severity
     violation.  Returns each checked segment as (["temp NAME"] or

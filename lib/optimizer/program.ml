@@ -27,6 +27,13 @@ type t = {
   probes : key_probe list;
 }
 
+(* A rewrite's refusal: the shape lies outside the transformation
+   algorithms (or outside what they handle soundly), and the statement
+   runs untransformed. *)
+exception Refused of string
+
+let refuse fmt = Fmt.kstr (fun s -> raise (Refused s)) fmt
+
 let output_column_names (q : query) = List.map item_output_name q.select
 
 (* A query is canonical when no predicate nests a query block. *)

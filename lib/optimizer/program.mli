@@ -26,6 +26,14 @@ type t = {
   probes : key_probe list;
 }
 
+(** A rewrite's refusal, raised by every transformation algorithm (NEST-G,
+    NEST-N-J, NEST-JA, NEST-JA2, the §8 extensions) on a shape outside
+    what it handles soundly; callers run the statement untransformed. *)
+exception Refused of string
+
+(** Raise {!Refused} with a formatted message. *)
+val refuse : ('a, Format.formatter, unit, 'b) format4 -> 'a
+
 (** The column names a temp defined by the query registers under
     ({!Sql.Ast.item_output_name}). *)
 val output_column_names : Sql.Ast.query -> string list

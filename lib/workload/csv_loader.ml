@@ -1,7 +1,9 @@
 (* Minimal CSV loading for the CLI: header line "NAME:TYPE,NAME:TYPE,...",
-   types in {int, float, string, date}; values comma-separated, no quoting
-   (values containing commas are out of scope for the demos this serves).
-   Empty cells load as NULL. *)
+   types in {int, float, string, date}; values comma-separated (values
+   containing commas are out of scope for the demos this serves), each
+   trimmed of surrounding blanks.  Empty cells load as NULL.  A string cell
+   wrapped in double quotes is read exactly, inner quotes doubled: the
+   empty string, or a string with leading or trailing blanks. *)
 
 module Value = Relalg.Value
 module Relation = Relalg.Relation
@@ -25,9 +27,33 @@ let parse_header line =
       | _ -> errf "bad header field %S (want NAME:TYPE)" field)
     (String.split_on_char ',' line)
 
+(* The text between a quoted cell's quotes, each doubled quote read as
+   one. *)
+let unquote text =
+  let b = Buffer.create (String.length text) and last = String.length text - 1 in
+  let rec go i =
+    if i < last then
+      if text.[i] <> '"' then begin
+        Buffer.add_char b text.[i];
+        go (i + 1)
+      end
+      else if i + 1 < last && text.[i + 1] = '"' then begin
+        Buffer.add_char b '"';
+        go (i + 2)
+      end
+      else errf "bad quoted cell %s" text
+  in
+  go 1;
+  Buffer.contents b
+
 let parse_cell ty (text : string) : Value.t =
   let text = String.trim text in
+  let n = String.length text in
   if text = "" then Value.Null
+  else if n >= 2 && text.[0] = '"' && text.[n - 1] = '"' then
+    match ty with
+    | Value.Tstr -> Value.Str (unquote text)
+    | Value.Tint | Value.Tfloat | Value.Tdate -> errf "quoted cell %s" text
   else
     match ty with
     | Value.Tint -> (
@@ -44,23 +70,25 @@ let parse_cell ty (text : string) : Value.t =
         | Some d -> Value.Date d
         | None -> errf "bad date %S" text)
 
+(* Every row line is a row: a blank one is a one-column row holding NULL. *)
+let of_rows ~rel header rows =
+  let columns = parse_header header in
+  let parse_row lineno line =
+    let cells = String.split_on_char ',' line in
+    if List.length cells <> List.length columns then
+      errf "line %d: %d cells for %d columns" lineno (List.length cells)
+        (List.length columns);
+    List.map2 (fun (_, ty) cell -> parse_cell ty cell) columns cells
+  in
+  Relation.of_values ~rel columns
+    (List.mapi (fun i line -> parse_row (i + 2) line) rows)
+
+(* A file's lines: blank lines are skipped. *)
 let of_lines ~rel lines =
   match lines with
   | [] -> errf "empty input"
   | header :: rows ->
-      let columns = parse_header header in
-      let parse_row lineno line =
-        let cells = String.split_on_char ',' line in
-        if List.length cells <> List.length columns then
-          errf "line %d: %d cells for %d columns" lineno (List.length cells)
-            (List.length columns);
-        List.map2 (fun (_, ty) cell -> parse_cell ty cell) columns cells
-      in
-      let rows =
-        List.filteri (fun _ line -> String.trim line <> "") rows
-        |> List.mapi (fun i line -> parse_row (i + 2) line)
-      in
-      Relation.of_values ~rel columns rows
+      of_rows ~rel header (List.filter (fun line -> String.trim line <> "") rows)
 
 let load_file ~rel path =
   let ic = open_in path in

@@ -1,8 +1,11 @@
 (* CSV output, mirroring [Csv_loader]'s dialect: a typed header line
    "NAME:TYPE,..." followed by one line per row; NULLs as empty cells.
-   Values are written in the loader's accepted formats (ISO dates, plain
-   numbers, raw strings — commas inside strings are rejected since the
-   dialect has no quoting). *)
+   Values are written so that they read back exactly: ISO dates, integers,
+   floats with as many digits as they need (at most 17), and strings raw
+   unless the loader would read them otherwise — empty, with leading or
+   trailing blanks, or opening with a double quote — which are quoted,
+   inner quotes doubled.  A string with a comma or a newline is refused,
+   since cells are split on commas and rows on newlines. *)
 
 module Value = Relalg.Value
 module Schema = Relalg.Schema
@@ -20,13 +23,22 @@ let cell (v : Value.t) : string =
   match v with
   | Value.Null -> ""
   | Value.Int i -> string_of_int i
-  | Value.Float f -> Printf.sprintf "%g" f
+  | Value.Float f -> (
+      let exact digits =
+        let s = Printf.sprintf "%.*g" digits f in
+        if Float.equal (float_of_string s) f then Some s else None
+      in
+      match List.find_map exact [ 15; 16 ] with
+      | Some s -> s
+      | None -> Printf.sprintf "%.17g" f)
   | Value.Date d -> Fmt.str "%a" Value.pp_date d
   | Value.Str s ->
       if String.contains s ',' || String.contains s '\n' then
         raise
           (Unwritable
              (Printf.sprintf "string value %S contains a comma/newline" s))
+      else if s = "" || String.trim s <> s || s.[0] = '"' then
+        "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
       else s
 
 let to_lines (rel : Relation.t) : string list =
@@ -41,7 +53,15 @@ let to_lines (rel : Relation.t) : string list =
        (fun row -> String.concat "," (List.map cell (Relalg.Row.to_list row)))
        (Relation.rows rel)
 
+(* A file's blank line is skipped on load, so a one-column table's NULL
+   row cannot be saved. *)
 let save_file path rel =
+  let lines = to_lines rel in
+  if List.mem "" lines then
+    raise
+      (Unwritable
+         "a NULL in a one-column table is a blank line, which the loader \
+          skips");
   let oc = open_out path in
   Fun.protect
     (fun () ->
@@ -49,7 +69,7 @@ let save_file path rel =
         (fun line ->
           output_string oc line;
           output_char oc '\n')
-        (to_lines rel))
+        lines)
     ~finally:(fun () -> close_out oc)
 
 (* ---------------- whole-catalog persistence ---------------------------- *)

@@ -9,9 +9,11 @@
      -- row ,0
      SELECT PNUM FROM PARTS WHERE ...
 
-   An empty cell is NULL, exactly as in the CSV loader.  The oracle's
-   shrinker and the equivalence search write these; `nestsql fuzz
-   --replay`, `nestsql check` and the regression suite read them back. *)
+   An empty cell is NULL, exactly as in the CSV loader, and every "-- row"
+   line is a row: a blank one is a one-column row holding NULL.  The
+   oracle's shrinker and the equivalence search write these; `nestsql
+   fuzz --replay`, `nestsql check` and the regression suite read them
+   back. *)
 
 module Relation = Relalg.Relation
 
@@ -27,7 +29,8 @@ let errf fmt = Fmt.kstr (fun s -> raise (Bad_repro s)) fmt
 (* ---------------- printing -------------------------------------------- *)
 
 (* Raises [Csv_writer.Unwritable] on a value the dialect cannot hold (a
-   string with a comma or newline): such a file would not replay. *)
+   string with a comma or newline): such a file would not replay.  Every
+   other relation reads back equal ([of_string]). *)
 let to_string ?(description = "differential oracle discrepancy") case =
   let buf = Buffer.create 256 in
   Buffer.add_string buf ("-- oracle repro: " ^ description ^ "\n");
@@ -94,7 +97,7 @@ let of_string text : case =
   let tables =
     List.rev_map
       (fun (name, header, rows) ->
-        match Csv_loader.of_lines ~rel:name (header :: List.rev !rows) with
+        match Csv_loader.of_rows ~rel:name header (List.rev !rows) with
         | rel -> (name, rel)
         | exception Csv_loader.Bad_csv msg -> errf "table %s: %s" name msg)
       !tables

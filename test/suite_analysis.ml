@@ -95,9 +95,28 @@ let count_bug_catalog () = F.parts_supply_catalog F.Count_bug
 
 let plan_diags plan = PC.check_catalog (count_bug_catalog ()) plan
 
+(* A plan the executor cannot compile draws exactly one diagnostic, coded
+   by the compiler's verdict and carrying its message; [Plan.run] raises
+   that verdict. *)
+let check_compile_failure msg code plan =
+  let catalog = count_bug_catalog () in
+  match Plan.check catalog plan with
+  | Ok () -> Alcotest.failf "%s: the plan compiles" msg
+  | Error e ->
+      Alcotest.(check (list (pair string string)))
+        msg
+        [ (code, Plan.error_message e) ]
+        (List.map
+           (fun (d : D.t) -> (d.D.code, d.D.message))
+           (PC.check_catalog catalog plan));
+      Alcotest.(check bool)
+        (msg ^ ": run raises the same error") true
+        (match Plan.run catalog plan with
+        | _ -> false
+        | exception Plan.Plan_error e' -> e' = e)
+
 let test_plan_unknown_table () =
-  check_codes "NQ110 unknown table" [ "NQ110" ]
-    (PC.check_catalog (count_bug_catalog ()) (Plan.Scan "NOPE"))
+  check_compile_failure "NQ110 unknown table" "NQ110" (Plan.Scan "NOPE")
 
 let test_plan_unknown_column () =
   let plan =
@@ -105,7 +124,7 @@ let test_plan_unknown_column () =
       ( [ Ast.Cmp (Ast.Col (col "NOCOL"), Ast.Eq, Ast.Lit (Value.Int 1)) ],
         Plan.Scan "PARTS" )
   in
-  check_codes "NQ110 unresolved column" [ "NQ110" ] (plan_diags plan)
+  check_compile_failure "NQ110 unresolved column" "NQ110" plan
 
 let test_plan_type_mismatch () =
   (* PNUM is int, SHIPDATE is date: the join condition cannot type. *)
@@ -187,25 +206,7 @@ let test_plan_group_scoping () =
         input = Plan.Scan "PARTS";
       }
   in
-  check_codes "NQ113 unresolved group key" [ "NQ113" ] (plan_diags plan)
-
-let test_plan_merge_sort_contract () =
-  (* Merge join whose left input is provably sorted on the wrong column. *)
-  let plan =
-    Plan.Join
-      {
-        method_ = Plan.Sort_merge;
-        kind = Plan.Inner;
-        cond = [ (col ~table:"PARTS" "PNUM", Ast.Eq,
-                  col ~table:"SUPPLY" "PNUM") ];
-        residual = [];
-        left = Plan.Sort ([ col ~table:"PARTS" "QOH" ], Plan.Scan "PARTS");
-        right = Plan.Sort ([ col ~table:"SUPPLY" "PNUM" ],
-                           Plan.Scan "SUPPLY");
-      }
-  in
-  check_codes "NQ114 merge join input sorted on wrong columns" [ "NQ114" ]
-    (plan_diags plan)
+  check_compile_failure "NQ110 unresolved group key" "NQ110" plan
 
 let test_plan_hash_join_without_equality () =
   let plan =
@@ -220,8 +221,51 @@ let test_plan_hash_join_without_equality () =
         right = Plan.Scan "SUPPLY";
       }
   in
-  check_codes "NQ115 hash join without equality" [ "NQ115" ]
-    (plan_diags plan)
+  check_compile_failure "NQ115 hash join without equality" "NQ115" plan
+
+(* The contract compilation states beyond resolution: a value subquery
+   yields one column, a nested predicate carries its subplan, a grouped
+   node names its aggregates apart, an index scan has its B-tree.  Each
+   fails before any operator opens, so checking reads no page. *)
+let test_plan_compile_contract () =
+  let parts_qoh = Ast.Col (col ~table:"PARTS" "QOH") in
+  let supply = Plan.Scan "SUPPLY" in
+  let sub = { Ast.distinct = false; select = []; from = []; where = [];
+              group_by = []; order_by = []; span = Ast.no_span } in
+  let apply pred sp =
+    Plan.Apply { mode = Plan.Per_row; preds = [ (pred, sp) ];
+                 outer = Plan.Scan "PARTS" }
+  in
+  check_compile_failure "multi-column value subquery" "NQ110"
+    (apply (Ast.In_subq (parts_qoh, sub)) (Some { Plan.keys = []; inner = supply }));
+  check_compile_failure "nested predicate without its subplan" "NQ110"
+    (apply (Ast.Exists sub) None);
+  check_compile_failure "aggregates named alike" "NQ110"
+    (Plan.Hash_group_agg
+       {
+         group_by = [];
+         aggs =
+           [ { Plan.fn = Ast.Count_star; out_name = "N" };
+             { Plan.fn = Ast.Max (col "QUAN"); out_name = "N" } ];
+         input = supply;
+       });
+  let probe = Some (Ast.Lit (Value.Int 3), true) in
+  check_compile_failure "index scan without its B-tree" "NQ115"
+    (Plan.Index_scan
+       { table = "SUPPLY"; alias = "SUPPLY"; column = "PNUM"; lo = probe;
+         hi = probe });
+  let catalog = count_bug_catalog () in
+  let pager = Catalog.pager catalog in
+  let before = Storage.Pager.snapshot pager in
+  Alcotest.(check bool) "a sort under a nested-loop join compiles" true
+    (Plan.check catalog
+       (Plan.Join
+          { method_ = Plan.Nested_loop; kind = Plan.Inner; cond = [];
+            residual = []; left = supply;
+            right = Plan.Sort ([ col "QOH" ], Plan.Scan "PARTS") })
+    = Ok ());
+  Alcotest.(check int) "checking requests no page" 0
+    (Storage.Pager.diff_since pager before).Storage.Pager.logical_reads
 
 (* --- plan validation: everything the planner emits checks clean -------- *)
 
@@ -587,10 +631,10 @@ let suites =
         Alcotest.test_case "plan: COUNT of padded column ok" `Quick
           test_plan_count_padded_column_ok;
         Alcotest.test_case "plan: group scoping" `Quick test_plan_group_scoping;
-        Alcotest.test_case "plan: merge sort contract" `Quick
-          test_plan_merge_sort_contract;
         Alcotest.test_case "plan: hash join equality contract" `Quick
           test_plan_hash_join_without_equality;
+        Alcotest.test_case "plan: compile contract, one diagnostic" `Quick
+          test_plan_compile_contract;
         Alcotest.test_case "planner output checks clean" `Quick
           test_planner_output_checks_clean;
         Alcotest.test_case "equiv: refutes buggy NEST-JA on Q2" `Quick

@@ -404,7 +404,8 @@ let test_forced_joins_and_engines_agree () =
     [ Planner.Auto; Planner.Force_nl; Planner.Force_merge; Planner.Force_hash ]
 
 (* A multi-row scalar subquery is a runtime error in nested iteration;
-   batched must raise the identical error, not return an arbitrary row. *)
+   batched must fail with the identical error, not return an arbitrary
+   row, and through [Core] that error is the statement's [Error]. *)
 let test_runtime_error_parity () =
   let db = Core.create_db ~buffer_pages:8 ~page_bytes:256 () in
   Core.define_table db "PARTS"
@@ -426,11 +427,14 @@ let test_runtime_error_parity () =
     raised (fun () -> Exec.Nested_iter.run (Core.catalog db) (parse_on db sql))
   in
   let batched =
-    raised (fun () ->
-        Core.run ~strategy:(Core.Batched Planner.Auto) db sql)
+    match Core.run ~strategy:(Core.Batched Planner.Auto) db sql with
+    | Error msg -> Some msg
+    | Ok _ -> None
   in
   Alcotest.(check bool) "reference raises" true (reference <> None);
-  Alcotest.(check (option string)) "same runtime error" reference batched
+  Alcotest.(check (option string)) "same runtime error"
+    (Option.map (( ^ ) "runtime error: ") reference)
+    batched
 
 (* ------------------------------------------------------------------ *)
 (* The ladder: rewrite refuses, batched answers                        *)

@@ -190,6 +190,52 @@ let test_distinct_listed_sorted () =
   Alcotest.(check bool) "same rows in the same order" true
     (rows auto.Core.result = rows nested.Core.result)
 
+(* Executor failures reach the caller as an [Error], never as an
+   exception: a run-time error under nested iteration or batched bindings
+   is the statement's, and a repeated aggregate plans under every
+   strategy, as nested iteration answers it. *)
+let test_executor_failures_are_errors () =
+  let strategies =
+    Core.
+      [
+        Auto;
+        Nested_iteration;
+        Batched Optimizer.Planner.Auto;
+        Transformed Optimizer.Planner.Auto;
+      ]
+  in
+  let db = Fixtures.count_bug_db () in
+  let runtime = "SELECT PNUM FROM PARTS WHERE QOH = (SELECT QUAN FROM SUPPLY)" in
+  List.iter
+    (fun strategy ->
+      (match Core.run ~strategy db runtime with
+      | Ok _ -> ()
+      | Error msg ->
+          Alcotest.(check string) "the runtime error"
+            "runtime error: scalar subquery returned more than one row" msg);
+      ignore (Core.explain_query ~strategy ~analyze:true db runtime))
+    strategies;
+  Alcotest.(check bool) "nested iteration fails the statement" true
+    (Result.is_error (Core.run ~strategy:Core.Nested_iteration db runtime));
+  List.iter
+    (fun sql ->
+      let nested =
+        Result.get_ok (Core.run ~strategy:Core.Nested_iteration db sql)
+      in
+      List.iter
+        (fun strategy ->
+          match Core.run ~strategy db sql with
+          | Error msg -> Alcotest.failf "%s: %s" sql msg
+          | Ok e ->
+              Alcotest.(check bool) ("same rows: " ^ sql) true
+                (Relation.equal_bag nested.Core.result e.Core.result))
+        strategies)
+    [
+      "SELECT COUNT(QUAN), COUNT(QUAN) FROM SUPPLY";
+      "SELECT PNUM, MAX(QUAN), MAX(QUAN) FROM SUPPLY GROUP BY PNUM";
+    ];
+  ignore (Core.check_source db runtime)
+
 let suites =
   [
     ( "core.facade",
@@ -205,5 +251,7 @@ let suites =
           test_ne_any_nullable_transforms;
         Alcotest.test_case "DISTINCT listed sorted by every strategy" `Quick
           test_distinct_listed_sorted;
+        Alcotest.test_case "executor failures are errors" `Quick
+          test_executor_failures_are_errors;
       ] );
   ]

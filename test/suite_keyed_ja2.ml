@@ -108,9 +108,7 @@ let prop_keyed_matches_reference =
               ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
               q
           with
-          | exception
-              ( Nest_g.Unsupported _ | Ja_shape.Not_ja _
-              | Nest_n_j.Not_applicable _ | Extensions.Unsupported _ ) ->
+          | exception Program.Refused _ ->
               not eligible
           | program ->
               let keyed = program.Program.notes <> [] in

@@ -482,7 +482,7 @@ let prop_transforms_verify =
       in
       match nest_g_program catalog text with
       | program -> Optimizer.Planner.verify_program catalog program = []
-      | exception Optimizer.Nest_g.Unsupported _ -> true)
+      | exception Optimizer.Program.Refused _ -> true)
 
 let qtest = QCheck_alcotest.to_alcotest
 

@@ -128,7 +128,7 @@ let test_nest_nj_rejects_agg () =
         (try
            ignore (Nest_n_j.merge_predicate q pred);
            false
-         with Nest_n_j.Not_applicable _ -> true)
+         with Program.Refused _ -> true)
   | _ -> Alcotest.fail "shape"
 
 (* --- Kim's NEST-JA: the bugs, reproduced -------------------------------- *)
@@ -432,7 +432,7 @@ let test_extension_eq_all_unsupported () =
     (try
        ignore (Extensions.rewrite_query q);
        false
-     with Extensions.Unsupported _ -> true)
+     with Program.Refused _ -> true)
 
 (* --- NEST-G end to end ---------------------------------------------------- *)
 
@@ -514,7 +514,7 @@ let test_nest_g_safe_vs_paper_semantics () =
     (try
        ignore (Nest_g.transform ~fresh:(fresh_counter ()) q);
        false
-     with Nest_g.Unsupported _ -> true);
+     with Program.Refused _ -> true);
   (* Paper: runs, but the count is inflated (2 matches x 2 members = 4),
      so part 3 (QOH 2) is lost; nested iteration keeps it. *)
   let program =
@@ -551,7 +551,7 @@ let test_nest_g_not_in_unsupported () =
     (try
        ignore (Nest_g.transform ~fresh:(fresh_counter ()) q);
        false
-     with Extensions.Unsupported _ -> true);
+     with Program.Refused _ -> true);
   let program =
     Nest_g.transform ~nullable:(fun ~rel:_ _ -> false)
       ~fresh:(fresh_counter ()) q

@@ -416,6 +416,50 @@ let test_server_errors () =
     (Astring.String.is_infix ~affix:"NQ001" (P.to_string j));
   Server.close_session server s
 
+(* A statement that fails at run time, under any strategy, and the
+   repeated-aggregate statements the planner once crashed on, through the
+   wire: each answers (the failure as [ok: false]) and the session's next
+   request is answered. *)
+let runtime_error_sql = "SELECT PNUM FROM PARTS WHERE QOH = (SELECT QUAN FROM SUPPLY)"
+
+let repeated_aggregate_sql =
+  [
+    "SELECT COUNT(QUAN), COUNT(QUAN) FROM SUPPLY";
+    "SELECT PNUM, MAX(QUAN), MAX(QUAN) FROM SUPPLY GROUP BY PNUM";
+  ]
+
+let test_server_statement_errors () =
+  let server = Server.create (count_bug_db ()) in
+  let s = Server.open_session server in
+  let strategies = [ "auto"; "nested"; "batched"; "transformed" ] in
+  List.iter
+    (fun strategy ->
+      let extra = Printf.sprintf {|, "strategy": %S|} strategy in
+      List.iter
+        (fun op ->
+          let line =
+            Printf.sprintf {|{"op": %S, "sql": %s%s}|} op
+              (P.to_string (P.Str runtime_error_sql))
+              extra
+          in
+          let j, disposition = send server s line in
+          Alcotest.(check bool) ("stays open: " ^ line) true (disposition = `Continue);
+          if not (is_ok j) then begin
+            let msg = str_member "error" j in
+            if not (Astring.String.is_infix ~affix:"more than one row" msg) then
+              Alcotest.failf "error %S is not the runtime error" msg
+          end;
+          ignore (send_ok server s {|{"op": "stats"}|}))
+        [ "query"; "explain" ];
+      List.iter
+        (fun sql -> ignore (send_ok server s (query_line ~extra sql)))
+        repeated_aggregate_sql)
+    strategies;
+  let j, _ = send server s (query_line ~extra:{|, "strategy": "nested"|} runtime_error_sql) in
+  Alcotest.(check bool) "nested iteration fails the statement" false (is_ok j);
+  ignore (send_ok server s (query_line q2));
+  Server.close_session server s
+
 (* ------------------------------------------------------------------ *)
 (* Concurrency over a real Unix socket                                 *)
 (* ------------------------------------------------------------------ *)
@@ -536,6 +580,31 @@ let test_cli_bad_flags () =
       ("run -d kim -t bad", "bad --table spec bad");
       ("run -d kim -t X=/nonexistent.csv", "/nonexistent.csv");
     ];
+  (* a run-time error is the statement's error: exit 1, no uncaught
+     exception *)
+  List.iter
+    (fun strategy ->
+      let code, message =
+        run_cli
+          (Printf.sprintf "run -d count-bug -s %s %s" strategy
+             (Filename.quote runtime_error_sql))
+      in
+      Alcotest.(check int) ("runtime error exits 1: " ^ strategy) 1 code;
+      if not (Astring.String.is_infix ~affix:"runtime error: scalar subquery" message)
+      then Alcotest.failf "stderr %S does not name the runtime error" message)
+    [ "nested"; "batched" ];
+  List.iter
+    (fun sql ->
+      List.iter
+        (fun strategy ->
+          let code, _ =
+            run_cli
+              (Printf.sprintf "run -d count-bug -s %s %s" strategy
+                 (Filename.quote sql))
+          in
+          Alcotest.(check int) ("answers: " ^ strategy ^ " " ^ sql) 0 code)
+        [ "auto"; "nested"; "batched"; "transformed" ])
+    repeated_aggregate_sql;
   (* the well-formed values still work *)
   let code, _ =
     run_cli "run -d kim --mode hybrid --strategy batched \"SELECT SNAME FROM S\""
@@ -630,6 +699,8 @@ let suites =
         Alcotest.test_case "eviction under capacity 1" `Quick
           test_server_eviction_under_tiny_capacity;
         Alcotest.test_case "protocol errors" `Quick test_server_errors;
+        Alcotest.test_case "statement errors answer; the session goes on"
+          `Quick test_server_statement_errors;
       ] );
     ( "server.concurrent",
       [

@@ -353,9 +353,7 @@ let trial_program seed =
       ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
       q
   with
-  | exception Optimizer.Nest_g.Unsupported _
-  | exception Optimizer.Ja_shape.Not_ja _
-  | exception Optimizer.Nest_n_j.Not_applicable _ ->
+  | exception Optimizer.Program.Refused _ ->
       true (* not transformable: nothing to compare *)
   | program -> (
       let reference () =

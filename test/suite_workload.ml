@@ -94,6 +94,80 @@ let test_csv_writer_rejects_commas () =
        false
      with Workload.Csv_writer.Unwritable _ -> true)
 
+(* The repro dialect holds every value but a string with a comma or a
+   newline: NULL apart from '', blanks kept, floats exact, a one-column
+   NULL row kept. *)
+module RF = Workload.Repro_format
+
+let gen_case =
+  let open QCheck2.Gen in
+  let gen_ty = oneofl Value.[ Tint; Tfloat; Tstr; Tdate ] in
+  let gen_value ty =
+    let some =
+      match ty with
+      | Value.Tint -> map (fun i -> Value.Int i) int
+      | Value.Tfloat ->
+          map
+            (fun f -> Value.Float f)
+            (oneof [ float; oneofl [ 1234567.0; 0.1; -0.0; 1e-300; nan ] ])
+      | Value.Tstr ->
+          map
+            (fun s -> Value.Str s)
+            (string_size ~gen:(oneofl [ ' '; '\t'; '"'; 'a'; 'b'; '-'; '\'' ])
+               (int_range 0 4))
+      | Value.Tdate ->
+          map3
+            (fun year month day -> Value.Date { Value.year; month; day })
+            (int_range 1000 2999) (int_range 1 12) (int_range 1 28)
+    in
+    frequency [ (1, pure Value.Null); (4, some) ]
+  in
+  let gen_table i =
+    let* tys = list_size (int_range 1 3) gen_ty in
+    let columns = List.mapi (fun j ty -> (Printf.sprintf "C%d" j, ty)) tys in
+    let name = Printf.sprintf "T%d" i in
+    let+ rows =
+      list_size (int_range 0 4) (flatten_l (List.map gen_value tys))
+    in
+    (name, Relation.of_values ~rel:name columns rows)
+  in
+  let* n = int_range 1 2 in
+  let+ tables = flatten_l (List.init n gen_table) in
+  { RF.tables; sql = "SELECT C0 FROM T0" }
+
+let print_case c = try RF.to_string c with Workload.Csv_writer.Unwritable m -> m
+
+let prop_repro_round_trip =
+  QCheck2.Test.make ~name:"repro dialect: of_string (to_string c) = c"
+    ~count:500 ~print:print_case gen_case (fun c ->
+      compare (RF.of_string (RF.to_string c)) c = 0)
+
+let test_repro_hard_values () =
+  let one ty v =
+    { RF.tables = [ ("T", Relation.of_values ~rel:"T" [ ("A", ty) ] [ [ v ] ]) ];
+      sql = "SELECT A FROM T" }
+  in
+  List.iter
+    (fun (what, ty, v) ->
+      let c = one ty v in
+      Alcotest.(check bool) what true (compare (RF.of_string (RF.to_string c)) c = 0))
+    Value.
+      [
+        ("one-column NULL", Tstr, Null);
+        ("empty string", Tstr, Str "");
+        ("blanks kept", Tstr, Str " a ");
+        ("quotes kept", Tstr, Str "\"x\"");
+        ("float digits", Tfloat, Float 1234567.0);
+        ("float 0.1", Tfloat, Float 0.1);
+      ];
+  Alcotest.(check bool) "a file refuses a one-column NULL row" true
+    (match
+       Workload.Csv_writer.save_file Filename.null
+         (Relation.of_values ~rel:"T" [ ("A", Value.Tint) ] [ [ Value.Null ] ])
+     with
+    | () -> false
+    | exception Workload.Csv_writer.Unwritable _ -> true)
+
 let test_save_load_dir () =
   let dir = Filename.temp_file "nestopt" "" in
   Sys.remove dir;
@@ -175,6 +249,9 @@ let suites =
         Alcotest.test_case "writer rejects commas" `Quick
           test_csv_writer_rejects_commas;
         Alcotest.test_case "save/load directory" `Quick test_save_load_dir;
+        Alcotest.test_case "repro dialect: hard values" `Quick
+          test_repro_hard_values;
+        QCheck_alcotest.to_alcotest prop_repro_round_trip;
       ] );
     ( "workload.gen",
       [
