@@ -246,14 +246,18 @@ let sweep_queries =
 
 (* The perf grid's queries: the sweep's, plus the paper's Q5 (MAX under
    a '<' correlation) with its outer block cut to PNUM <= 3, as nestbench's
-   JA-max-lt cuts it — the one grid cell whose TEMP2 is a nested-loop
-   join. *)
+   JA-max-lt cuts it — the grid cells whose TEMP2 is a nested-loop join:
+   over the whole of SUPPLY, and over SUPPLY restricted to QUAN <= 2 (the
+   nestbench statement itself), a filtered nested-loop inner. *)
 let grid_queries =
   sweep_queries
   @ [
       ( "type-JA-lt",
         "SELECT PNUM FROM PARTS WHERE PNUM <= 3 AND QOH = (SELECT MAX(QUAN) \
          FROM SUPPLY WHERE SUPPLY.PNUM < PARTS.PNUM)" );
+      ( "type-JA-max-lt",
+        "SELECT PNUM FROM PARTS WHERE PNUM <= 3 AND QOH = (SELECT MAX(QUAN) \
+         FROM SUPPLY WHERE SUPPLY.PNUM < PARTS.PNUM AND QUAN <= 2)" );
     ]
 
 let measure_io catalog run =
