@@ -270,9 +270,13 @@ let fixture_pragma src =
       else None)
     (String.split_on_char '\n' src)
 
+(* A query file, or "-" for stdin; a file that cannot be read ends the
+   command with one line naming it. *)
 let read_source = function
   | "-" -> In_channel.input_all stdin
-  | path -> In_channel.with_open_text path In_channel.input_all
+  | path -> (
+      try In_channel.with_open_text path In_channel.input_all
+      with Sys_error msg -> die ("cannot read query file " ^ msg))
 
 (* --severity: the exit-1 gate.  "error" (the default) fails only on
    error-severity diagnostics; "warning" also fails on warnings, so CI can

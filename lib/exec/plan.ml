@@ -527,11 +527,13 @@ let index_nl_join ~child scope ~outer_join ~cond ~residual ~right
   }
 
 (* A nested-loop join's inner: it must be stored so it can be re-scanned.
-   Scans use the stored heap; other subtrees are compiled by [child] as
-   rows and materialized at each open (their pages written and the writes
-   counted); a re-open (under an [Apply]) first deletes the previous
-   open's heap, whose rescans are over.  Returns the heap to open and the
-   inner's schema. *)
+   Scans use the stored heap (the planner leaves a restricted table that
+   fits the pool as a bare scan, its restriction in the join's residual);
+   other subtrees, a [Filter] over a scan included, are compiled by
+   [child] as rows and materialized at each open (their pages written and
+   the writes counted); a re-open (under an [Apply]) first deletes the
+   previous open's heap, whose rescans are over.  Returns the heap to open
+   and the inner's schema. *)
 let nl_inner ~(child : scope -> node -> Iterator.t compiled) catalog scope
     right =
   let stored name alias =

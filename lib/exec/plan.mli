@@ -178,8 +178,10 @@ type observer = {
     pager), then delete the value lists an [Apply] materialized.
     A [Sort] or [Distinct] re-opened under an [Apply] deletes its previous
     open's sorted run, a nested-loop join its previous materialized inner.
-    A nested-loop join's inner is the stored table, or the inner subtree
-    materialized at each open.
+    A nested-loop join's inner is the stored table of a [Scan] or
+    [Rename (Scan)], rescanned in place (a restriction the planner moved
+    into the join's [residual] is tested per pair), or any other inner
+    subtree, a [Filter] included, materialized at each open.
     Sort-merge joins require plan-inserted [Sort]s (or born-sorted inputs);
     [Group_agg] requires input sorted on [group_by] ([Hash_group_agg] does
     not).  [observe] wraps every operator each time it is opened, so once

@@ -9,12 +9,16 @@
    optimizer); Auto's pricers and NEST-JA2's keyed-TEMP2 rule below price
    whole strategies with them.
 
-   The formulas are shared; two inputs are not.  For a filtered
-   nested-loop inner, the planner prices each rescan at the base
-   relation's pages, while [analyze] prices it at the filter output's
-   pages, which is what [Plan.nested_loop_join] materializes and rescans.
-   For a left-outer join, [analyze] floors the rows at the outer
-   cardinality and the planner does not.
+   The formulas are shared; two inputs are not.  For a nested-loop inner
+   materialized from a filter (under Paper1987, or a table the pool cannot
+   hold), the planner prices each rescan at the base relation's pages,
+   while [analyze] prices it at the filter output's pages, which is what
+   [Plan.nl_inner] writes and rescans.  (Under Hybrid a restricted table
+   that fits the pool is rescanned where it is stored, its restriction a
+   join residual; both price that at the table's pages, and [analyze]
+   scales the join's rows by the residual's right-side restrictions as the
+   filter's selectivity would.)  For a left-outer join, [analyze] floors
+   the rows at the outer cardinality and the planner does not.
 
    Cost is cumulative: the estimated page I/Os to produce the operator's
    full output once, children included (sorts pay materialize + merge
@@ -150,6 +154,28 @@ let rec base_rel = function
         (base_rel input)
   | _ -> None
 
+(* The stored relation a join's right side reads, an index scan's
+   included. *)
+let stored_rel = function
+  | Exec.Plan.Index_scan { table; alias; _ } -> Some (from ~alias table)
+  | node -> base_rel node
+
+(* A join's residual predicates that read no column of its left side:
+   right-side restrictions (against literals or parameters). *)
+let restrictions catalog left residual =
+  let lschema = Exec.Plan.output_schema catalog left in
+  let on_left = function
+    | Col (c : col_ref) -> (
+        match Schema.find_opt lschema ?rel:c.table c.column with
+        | Some _ | (exception Schema.Ambiguous _) -> true
+        | None -> false)
+    | Lit _ -> false
+  in
+  List.filter
+    (function
+      | Cmp (a, _, b) -> not (on_left a || on_left b) | _ -> false)
+    residual
+
 (* FROM items in scope, innermost first, by alias. *)
 type scope = (string * from_item) list
 
@@ -234,20 +260,29 @@ let analyze catalog (root : Exec.Plan.node) : (Exec.Plan.node * t) list =
           (* one streamed pass; no page I/O for the table *)
           let i = go input in
           { rows = i.rows; pages = i.pages; cost = i.cost }
-      | Exec.Plan.Join { method_; kind; cond; left; right; _ } ->
+      | Exec.Plan.Join { method_; kind; cond; residual; left; right } ->
           let l = go left in
           let r = go right in
           let eq =
             List.filter (fun (_, op, _) -> op = Eq || op = Eq_null) cond
           in
           let rrel = base_rel right in
+          (* The residual's right-side restrictions cut the right side as
+             the [Filter] they stand for would have. *)
+          let right_rows =
+            match restrictions catalog left residual with
+            | [] -> r.rows
+            | fs ->
+                Float.max 1.
+                  (r.rows *. filter_selectivity catalog (stored_rel right) fs)
+          in
           let rows =
-            join_rows catalog rrel ~left_rows:l.rows ~right_rows:r.rows
+            join_rows catalog rrel ~left_rows:l.rows ~right_rows
               (List.map (fun (_, _, rc) -> rc) eq)
           in
           let rows =
             match kind with
-            | _ when cond = [] -> l.rows *. r.rows (* a cross product *)
+            | _ when cond = [] -> l.rows *. right_rows (* a cross product *)
             | Exec.Plan.Left_outer -> Float.max rows l.rows
             | Exec.Plan.Inner -> rows
           in

@@ -171,4 +171,12 @@ mutant group_sort_key lib/optimizer/planner.ml test \
                 ( { table = Some first.rel; column = first.name } :: q.group_by,
                   state.node )'
 
+# --- the stored nested-loop inner (Hybrid) --------------------------------
+
+# The restricted table is rescanned in place but its restriction is
+# dropped, not moved into the join's residual.
+mutant stored_inner_drops_restriction lib/optimizer/planner.ml test,fuzz \
+'            (stored, fs)' \
+'            (stored, List.filter (fun _ -> false) fs)'
+
 exit "$failed"

@@ -741,6 +741,83 @@ let test_planner_uses_index () =
   Alcotest.(check bool) "index plan matches reference" true
     (Relation.equal_bag reference result)
 
+(* Under Hybrid a restricted stored inner that fits the pool is rescanned
+   where it is stored, the restriction a residual on the join; Paper1987
+   and an inner the pool cannot hold keep the written [Filter] inner.
+   Every plan answers as nested iteration does. *)
+let test_planner_stored_nl_inner () =
+  let parts =
+    Relation.of_values ~rel:"PARTS"
+      [ ("PNUM", Value.Tint); ("QOH", Value.Tint) ]
+      (List.init 6 (fun i -> [ Value.Int (i + 1); Value.Int (i mod 3) ]))
+  in
+  let supply =
+    Relation.of_values ~rel:"SUPPLY"
+      [ ("PNUM", Value.Tint); ("QUAN", Value.Tint) ]
+      (List.init 40 (fun i ->
+           [ Value.Int ((i * 7 mod 6) + 1);
+             (if i mod 9 = 0 then Value.Null else Value.Int (i mod 5)) ]))
+  in
+  let text =
+    "SELECT PARTS.PNUM, S.QUAN FROM PARTS, SUPPLY S WHERE PARTS.PNUM > \
+     S.PNUM AND S.QUAN <= 2"
+  in
+  let lower ~mode ~buffer_pages =
+    let catalog =
+      Workload.Gen.catalog_of ~buffer_pages ~page_bytes:64
+        [ ("PARTS", parts); ("SUPPLY", supply) ]
+    in
+    Alcotest.(check bool) "SUPPLY outgrows an 8-page pool" true
+      (Catalog.pages catalog "SUPPLY" > 7);
+    let q = parse catalog text in
+    let plan = (Planner.lower ~mode catalog q).Planner.plan in
+    let reference = Exec.Nested_iter.run catalog q in
+    if not (Relation.equal_bag reference (Exec.Plan.run catalog plan)) then
+      Alcotest.failf "%s, %d pages: rows differ from nested iteration"
+        (Planner.mode_name mode) buffer_pages;
+    let rec join = function
+      | Exec.Plan.Join { method_ = Exec.Plan.Nested_loop; right; residual; _ }
+        ->
+          Some (right, residual)
+      | n -> List.find_map join (Exec.Plan.children n)
+    in
+    match join plan with
+    | Some j -> j
+    | None -> Alcotest.fail "expected a nested-loop join"
+  in
+  let stored = Exec.Plan.Rename ("S", Exec.Plan.Scan "SUPPLY") in
+  (match lower ~mode:Planner.Hybrid ~buffer_pages:256 with
+  | right, [ _ ] when right = stored -> ()
+  | _ -> Alcotest.fail "hybrid, fitting pool: stored inner with a residual");
+  List.iter
+    (fun (mode, buffer_pages) ->
+      match lower ~mode ~buffer_pages with
+      | Exec.Plan.Filter ([ _ ], right), [] when right = stored -> ()
+      | _ ->
+          Alcotest.failf "%s, %d pages: the filtered inner unchanged"
+            (Planner.mode_name mode) buffer_pages)
+    [ (Planner.Paper1987, 256); (Planner.Hybrid, 8) ]
+
+(* A sorted GROUP BY whose input's first column is no group key: the sort
+   is on the keys alone, or a group comes out split. *)
+let test_planner_sorted_group_by_nonleading_key () =
+  let catalog = F.parts_supply_catalog F.Count_bug in
+  let q = parse catalog "SELECT QUAN, COUNT(PNUM) FROM SUPPLY GROUP BY QUAN" in
+  let plan = (Planner.lower ~mode:Planner.Paper1987 catalog q).Planner.plan in
+  let rec sorted_group = function
+    | Exec.Plan.Group_agg { input = Exec.Plan.Sort _; _ } -> true
+    | n -> List.exists sorted_group (Exec.Plan.children n)
+  in
+  Alcotest.(check bool) "grouped over a sort" true (sorted_group plan);
+  let rows =
+    List.map
+      (fun r -> List.map (Fmt.str "%a" Value.pp) (Row.to_list r))
+      (Relation.rows (Exec.Plan.run catalog plan))
+  in
+  Alcotest.(check (list (list string))) "one row per QUAN"
+    [ [ "1"; "1" ]; [ "2"; "2" ]; [ "4"; "1" ]; [ "5"; "1" ] ]
+    (List.sort compare rows)
+
 let test_restriction_after_outer_join_is_wrong () =
   (* §5.2: "the condition which applies to only one relation must be applied
      before the join is performed.  Otherwise the join would not contain the
@@ -1014,6 +1091,10 @@ let suites =
         Alcotest.test_case "distinct / group by" `Quick
           test_planner_distinct_group_by;
         Alcotest.test_case "index access path" `Quick test_planner_uses_index;
+        Alcotest.test_case "stored nested-loop inner (hybrid)" `Quick
+          test_planner_stored_nl_inner;
+        Alcotest.test_case "sorted GROUP BY on a non-leading column" `Quick
+          test_planner_sorted_group_by_nonleading_key;
         Alcotest.test_case "restriction ordering (§5.2 warning)" `Quick
           test_restriction_after_outer_join_is_wrong;
         Alcotest.test_case "flat queries match reference" `Quick

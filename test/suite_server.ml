@@ -580,6 +580,14 @@ let test_cli_bad_flags () =
       ("run -d kim -t bad", "bad --table spec bad");
       ("run -d kim -t X=/nonexistent.csv", "/nonexistent.csv");
     ];
+  (* check and lint read a query file: SQL text in its place is a missing
+     file, named on one line *)
+  List.iter
+    (fun cmd ->
+      check_rejects
+        (cmd ^ " -d count-bug \"SELECT PNUM FROM PARTS\"")
+        "cannot read query file SELECT PNUM FROM PARTS: No such file")
+    [ "check"; "lint" ];
   (* a run-time error is the statement's error: exit 1, no uncaught
      exception *)
   List.iter

@@ -1448,9 +1448,11 @@ let test_analyze_metrics () =
    outer block cut to PNUM <= 3, so TEMP2 is a nested-loop join), over a
    small PARTS/SUPPLY in hybrid mode, under Auto, in a pool that
    holds everything and in an 8-page pool where LRU eviction decides the
-   physical reads.  SUPPLY's 700 rows span several batches and pages, so
-   the golden pins each operator's rows, next calls, batches and page I/O;
-   wall-clock is masked. *)
+   physical reads.  Q5's join rescans the stored SUPPLY with its QUAN
+   restriction as a residual in the first pool, and writes and rescans the
+   filtered SUPPLY in the second, which cannot hold it.  SUPPLY's 700 rows
+   span several batches and pages, so the golden pins each operator's rows,
+   next calls, batches and page I/O; wall-clock is masked. *)
 let fit_db ~buffer_pages =
   let db = Core.create_db ~buffer_pages ~page_bytes:256 () in
   Core.define_table db "PARTS"
@@ -1479,6 +1481,35 @@ let fit_queries =
     "SELECT PNUM FROM PARTS WHERE PNUM <= 3 AND QOH = (SELECT MAX(QUAN) FROM \
      SUPPLY WHERE SUPPLY.PNUM < PARTS.PNUM AND QUAN <= 2)";
   ]
+
+(* Q5 in the pool that holds SUPPLY writes its temps and nothing else:
+   its nested-loop join rescans the stored table. *)
+let test_q5_writes_only_temps () =
+  let db = fit_db ~buffer_pages:256 in
+  let catalog = Core.catalog db in
+  let q =
+    match Core.parse db (List.nth fit_queries 2) with
+    | Ok q -> q
+    | Error e -> Alcotest.fail e
+  in
+  let program =
+    Optimizer.Nest_g.transform
+      ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
+      q
+  in
+  let pager = Catalog.pager catalog in
+  let before = Pager.snapshot pager in
+  ignore (Planner.run_program ~mode:Planner.Hybrid catalog program);
+  let io = Pager.diff_since pager before in
+  let temp_pages =
+    List.fold_left
+      (fun n (t : Optimizer.Program.temp) -> n + Catalog.pages catalog t.name)
+      0 program.temps
+  in
+  Planner.drop_temps catalog program;
+  Alcotest.(check int) "two one-page temps" 2 temp_pages;
+  Alcotest.(check int) "writes = the temps' pages" temp_pages
+    io.Pager.physical_writes
 
 let test_explain_analyze_vectorized_golden () =
   let mask = Str.global_replace (Str.regexp "time=[0-9.]+ms") "time=*" in
@@ -1576,6 +1607,8 @@ let suites =
           test_analyze_metrics;
         Alcotest.test_case "EXPLAIN ANALYZE of fit shapes, vectorized" `Quick
           test_explain_analyze_vectorized_golden;
+        Alcotest.test_case "Q5 writes only its temps" `Quick
+          test_q5_writes_only_temps;
         Alcotest.test_case "Core.run engines agree" `Quick
           test_core_run_engines_agree;
       ] );
