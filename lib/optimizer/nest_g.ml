@@ -34,8 +34,10 @@ open Sql.Ast
    aggregate against a DISTINCT temp table (the projection idiom the paper
    itself borrows from INGRES in §5.4.1), and refuses the *correlated* case
    (whose general fix — magic sets / Dayal-style decorrelation — postdates
-   the paper).  [Paper] mode reproduces the published algorithm verbatim,
-   bug included. *)
+   the paper).  [Safe] also refuses to merge [x op (SELECT col ...)] over a
+   non-aggregate block: SQL fails the statement when the block returns
+   several rows, and the join would answer one row per match.  [Paper]
+   mode reproduces the published algorithm verbatim, bugs included. *)
 type semantics = Safe | Paper
 
 type scope = (string * string) list (* alias -> relation, enclosing blocks *)
@@ -161,6 +163,15 @@ let rec transform_block ~fresh ~(scope : scope) ~semantics
                       duplicate-sensitive aggregate via DISTINCT temp %s"
                      temp.Program.name);
                 merged
+            | Cmp_subq _ when semantics = Safe ->
+                (* [x op (SELECT col ...)] is an error when the block
+                   returns several rows; the merged join would instead
+                   answer one row per match. *)
+                Program.refuse
+                  "scalar comparison with a subquery that is not an \
+                   aggregate: SQL fails it when the block returns several \
+                   rows, the NEST-N-J join would not (use ~semantics:Paper \
+                   to force the merge)"
             | (In_subq _ | Cmp_subq _) when semantics = Safe && duplicate_sensitive q ->
                 Program.refuse
                   "correlated subquery below a duplicate-sensitive \

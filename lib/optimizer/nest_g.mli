@@ -7,8 +7,11 @@
 (** How to treat the multiplicity unsoundness NEST-N-J inherits from Kim's
     Lemma 1 when an IN-block is merged below a COUNT/SUM/AVG aggregate:
     [Safe] (default) dedup-merges the uncorrelated case through a DISTINCT
-    temp and refuses the correlated case; [Paper] reproduces the published
-    algorithm verbatim, wrong answers included. *)
+    temp and refuses the correlated case, and refuses to merge a scalar
+    comparison [x op (SELECT col ...)] whose block is not an aggregate (SQL
+    fails it when the block returns several rows; the join would answer
+    one row per match); [Paper] reproduces the published algorithm
+    verbatim, wrong answers included. *)
 type semantics = Safe | Paper
 
 (** Transform a nested query of arbitrary depth into a canonical program.
