@@ -721,7 +721,8 @@ let strategy_json ~name { s_rows; s_wall; s_io = io; s_words } =
    sized so the hybrid
    planner's hash paths are eligible at every scale; nested iteration is
    skipped at the largest scales where its quadratic page traffic dominates
-   the whole run. *)
+   the whole run.  Each cell also returns the hybrid program's page writes
+   when the pool holds SUPPLY, [None] otherwise. *)
 let json_grid ~scales ~warmup ~reps () =
   let buffer_pages = 1024 and page_bytes = 256 in
   let n_parts = 100 in
@@ -749,9 +750,17 @@ let json_grid ~scales ~warmup ~reps () =
               ]
           in
           let hybrid_speedup = paper.s_wall /. hybrid.s_wall in
+          let fits =
+            Catalog.pages
+              (G.scaled_catalog ~buffer_pages ~page_bytes ~seed:42 ~n_parts
+                 ~supply_per_part ())
+              "SUPPLY"
+            <= buffer_pages - 1
+          in
           ( kind,
             supply_rows,
             hybrid_speedup,
+            (if fits then Some hybrid.s_io.Pager.physical_writes else None),
             Json.Obj
               [
                 ("query", Json.Str kind);
@@ -1277,7 +1286,7 @@ let json_bench ~smoke () =
            per-cell "rewrite_refused" and "batched_speedup_vs_nested";
            timing is median-of-k with warm-up ("timing" object). *)
         ("schema_version", Json.Int 7);
-        ("queries", Json.List (List.map (fun (_, _, _, j) -> j) grid));
+        ("queries", Json.List (List.map (fun (_, _, _, _, j) -> j) grid));
         ( "batched_comparison",
           Json.List (List.map (fun (_, _, _, _, _, j) -> j) skew) );
         ( "index_crossover",
@@ -1310,7 +1319,7 @@ let json_bench ~smoke () =
   output_char oc '\n';
   close_out oc;
   List.iter
-    (fun (kind, rows, hybrid_speedup, _) ->
+    (fun (kind, rows, hybrid_speedup, _, _) ->
       Fmt.pr "%-8s %6d supply rows: hybrid %.2fx vs paper@." kind rows
         hybrid_speedup)
     grid;
@@ -1388,6 +1397,20 @@ let json_bench ~smoke () =
         exit 1
       end)
     [ (Core.Via_nested, "§7 indexed"); (Core.Via_transformed, "transformed") ];
+  (* In a pool that holds SUPPLY, Hybrid pipelines each single-use temp
+     into its reader and every join it plans reads a stored table or a
+     hash table: the program writes nothing. *)
+  List.iter
+    (fun (kind, rows, _, writes, _) ->
+      match writes with
+      | Some w when w > 0 ->
+          Fmt.epr
+            "grid cell %s at %d supply rows: transformed_hybrid writes %d \
+             pages in a pool that holds SUPPLY@."
+            kind rows w;
+          exit 1
+      | _ -> ())
+    grid;
   match validate_v7 text with
   | [] -> Fmt.pr "schema v7 check: ok@."
   | missing ->

@@ -264,10 +264,12 @@ let prepare db text =
    can probe a B-tree, Auto's candidates are priced in page I/O with
    Estimate's one vocabulary: indexed nested iteration, the statement's own
    transformed program (bounded below by what it must read: the keyed TEMP2
-   probes it records included), and batched execution.  Pricing forces the
-   program, which a transformed run then reuses; nothing is materialized.
-   [None] when no probe applies: Auto then walks its ladder unpriced. *)
-let price db (p : prepared) : candidates option =
+   probes it records included; a temp [mode] pipelines writes nothing), and
+   batched execution.  Pricing forces the program, which a transformed run
+   then reuses; nothing is materialized.  [None] when no probe applies:
+   Auto then walks its ladder unpriced. *)
+let price ?(mode = Optimizer.Planner.Paper1987) db (p : prepared) :
+    candidates option =
   Option.map
     (fun est_nested ->
       {
@@ -275,7 +277,10 @@ let price db (p : prepared) : candidates option =
         est_transformed =
           Result.to_option
             (Result.map
-               (Optimizer.Estimate.transformed_bound db.catalog p.query)
+               (fun program ->
+                 Optimizer.Estimate.transformed_bound
+                   ~pipelined:(Optimizer.Planner.pipelined mode program)
+                   db.catalog p.query program)
                (Lazy.force p.program));
         est_batched = Optimizer.Estimate.batched_cost db.catalog p.query;
       })
@@ -352,8 +357,8 @@ let auto_event d =
    it refuses, batched execution when [Estimate.prefer_batched] says so;
    nested iteration last.  [attempt] tries a rung; an [Error] moves on.
    [trace] receives the decision as one "auto" event. *)
-let decide ?trace db (p : prepared) attempt =
-  let candidates = price db p in
+let decide ?mode ?trace db (p : prepared) attempt =
+  let candidates = price ?mode db p in
   let next = function
     | Via_transformed
       when Optimizer.Estimate.prefer_batched db.catalog p.query ->
@@ -428,7 +433,7 @@ let apply_strategy ?mode ?trace db p strategy handle =
   | Nested_iteration -> forced Optimizer.Planner.Auto Via_nested
   | Transformed force -> forced force Via_transformed
   | Batched force -> forced force Via_batched
-  | Auto -> decide ?trace db p (rung Optimizer.Planner.Auto)
+  | Auto -> decide ?mode ?trace db p (rung Optimizer.Planner.Auto)
 
 let run_prepared ?(strategy = Auto) ?mode ?trace db (p : prepared) :
     (execution, string) result =

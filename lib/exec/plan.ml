@@ -122,6 +122,8 @@ let heap catalog name =
   match Catalog.heap catalog name with
   | h -> h
   | exception Catalog.Unknown_table _ -> unresolved "unknown table %s" name
+  | exception Catalog.Not_stored _ ->
+      unresolved "table %s is estimated, not stored" name
 
 let agg_output_type schema (a : agg) : Value.ty =
   match a with

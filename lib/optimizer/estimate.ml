@@ -574,11 +574,12 @@ let rec referenced_rels (q : query) : string list =
    least once — except the inner relation of a keyed TEMP2, which its keys
    probe instead (the program's [probes]), each probe paying what one
    nested-iteration probe pays — and each of the program's temps writes at
-   least one page.  So a keyed TEMP2 costs at least the probes nested
+   least one page, but a temp [pipelined] names, which is streamed into its
+   reader instead.  So a keyed TEMP2 costs at least the probes nested
    iteration makes, plus its temps.  NEST-N-J's index nested-loop joins and
    index scans can read less than a full relation; they are not bounded by
    it.  Unknown relations contribute nothing. *)
-let transformed_bound catalog (q : query) (program : Program.t) =
+let transformed_bound ~pipelined catalog (q : query) (program : Program.t) =
   let keyed rel =
     List.filter_map
       (fun (kp : Program.key_probe) ->
@@ -596,5 +597,9 @@ let transformed_bound catalog (q : query) (program : Program.t) =
           | exception Catalog.Unknown_table _ -> 0.)
       | probed ->
           List.fold_left (fun acc k -> acc +. (k.kt_keys *. k.kt_probe)) 0. probed)
-    (float_of_int (List.length program.temps))
+    (float_of_int
+       (List.length
+          (List.filter
+             (fun (t : Program.temp) -> not (pipelined t.name))
+             program.temps)))
     (List.sort_uniq String.compare (referenced_rels q))

@@ -144,7 +144,13 @@ val describe_keyed_temp2 : keyed_temp2 -> string
     but the inner relation of each keyed TEMP2 in [program.probes], whose
     keys cost {!keyed_temp2}'s keys × one probe ([kt_probe]) — the probes
     nested iteration makes — and each of the program's temps writes at
-    least one page.  NEST-N-J's index nested-loop joins and index scans can
-    read less than a full relation and are not bounded by it. *)
+    least one page, except a temp [pipelined] names (one the planner
+    streams into its reader instead of writing, {!Planner.pipelined}).
+    NEST-N-J's index nested-loop joins and index scans can read less than
+    a full relation and are not bounded by it. *)
 val transformed_bound :
-  Storage.Catalog.t -> Sql.Ast.query -> Program.t -> float
+  pipelined:(string -> bool) ->
+  Storage.Catalog.t ->
+  Sql.Ast.query ->
+  Program.t ->
+  float

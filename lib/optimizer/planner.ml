@@ -120,12 +120,16 @@ let indexable_filter catalog (f : from_item) (p : predicate) =
    probe is estimated cheaper than the full scan, the access path becomes
    an [Index_scan] (the remaining filters stay above it).  A range against
    a parameter always does: the scan decides per binding, so its rows come
-   in no known order. *)
-let base_state catalog (f : from_item) (filters : predicate list) : state =
+   in no known order.  A temp [inlined] maps to its plan is read as that
+   plan, streamed; the catalog holds its estimates, and no index. *)
+let base_state ~inlined catalog (f : from_item) (filters : predicate list) :
+    state =
   let alias = from_alias f in
   let scan =
-    if String.equal alias f.rel then Exec.Plan.Scan f.rel
-    else Exec.Plan.Rename (alias, Exec.Plan.Scan f.rel)
+    match List.assoc_opt f.rel inlined with
+    | Some plan -> Exec.Plan.Rename (alias, plan)
+    | None when String.equal alias f.rel -> Exec.Plan.Scan f.rel
+    | None -> Exec.Plan.Rename (alias, Exec.Plan.Scan f.rel)
   in
   let schema = Exec.Plan.output_schema catalog scan in
   let rows = float_of_int (Catalog.tuples catalog f.rel) in
@@ -206,11 +210,11 @@ let orient_cond ~alias = function
       else errf "condition does not touch the joined table"
   | _ -> errf "join condition must compare two columns"
 
-let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
-    (right_f : from_item) (conds : predicate list) (filters : predicate list) :
-    state =
+let join_step ~inlined catalog ~(force : join_choice) ~(mode : mode)
+    (left : state) (right_f : from_item) (conds : predicate list)
+    (filters : predicate list) : state =
   let alias = from_alias right_f in
-  let right = base_state catalog right_f filters in
+  let right = base_state ~inlined catalog right_f filters in
   let outer_join = List.exists (function Cmp_outer _ -> true | _ -> false) conds in
   (if outer_join then
      (* Generated outer joins always preserve the accumulated left side. *)
@@ -231,13 +235,39 @@ let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
     List.filter (fun (_, op, _) -> op = Eq || op = Eq_null) oriented
   in
   let b = Storage.Pager.buffer_pages (Catalog.pager catalog) in
-  (* Cost estimates for the two methods. *)
+  (* Hybrid: a restricted stored inner that fits the pool is rescanned
+     where it is stored, its restriction tested as a residual on each
+     pair, as the index path does; a [Filter] inner would be written and
+     re-read instead.  Same rows for an outer join too: a left row is
+     padded iff no inner row passes the conditions and the restriction. *)
+  let stored_inner =
+    match (mode, right.node) with
+    | ( Hybrid,
+        Exec.Plan.Filter
+          ( fs,
+            ((Exec.Plan.Scan _ | Exec.Plan.Rename (_, Exec.Plan.Scan _)) as
+             stored) ) )
+      when right.est_pages <= float_of_int (b - 1) ->
+        Some (stored, fs)
+    | _ -> None
+  in
+  (* Cost estimates for the two methods.  Any other inner that is not a
+     stored table (a pipelined temp, a restriction the pool cannot hold)
+     is written once by [Plan.nl_inner]: Hybrid charges that write, so a
+     pipelined temp is joined by a method that writes nothing where one
+     applies; Paper1987 keeps the paper's formula, which does not. *)
   let nl_cost =
     let rescan =
       if right.est_pages <= float_of_int (b - 1) then right.est_pages
       else left.est_rows *. right.est_pages
     in
-    left.est_pages +. rescan
+    let inner_write =
+      match right.node with
+      | _ when mode = Paper1987 || stored_inner <> None -> 0.
+      | Exec.Plan.Scan _ | Exec.Plan.Rename (_, Exec.Plan.Scan _) -> 0.
+      | _ -> right.est_pages
+    in
+    left.est_pages +. rescan +. inner_write
   in
   let left_key = List.map (fun (l, _, _) -> l) eq_conds in
   let right_key = List.map (fun (_, _, r) -> r) eq_conds in
@@ -375,22 +405,8 @@ let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
           },
         Some left_key )
     else
-      (* Hybrid: a restricted stored inner that fits the pool is rescanned
-         where it is stored, its restriction tested as a residual on each
-         pair, as the index path does; a [Filter] inner would be written
-         and re-read instead.  Same rows for an outer join too: a left row
-         is padded iff no inner row passes the conditions and the
-         restriction.  [nl_cost] prices this form. *)
       let right_node, residual =
-        match (mode, right.node) with
-        | ( Hybrid,
-            Exec.Plan.Filter
-              ( fs,
-                ((Exec.Plan.Scan _ | Exec.Plan.Rename (_, Exec.Plan.Scan _)) as
-                 stored) ) )
-          when right.est_pages <= float_of_int (b - 1) ->
-            (stored, fs)
-        | _ -> (right.node, [])
+        Option.value stored_inner ~default:(right.node, [])
       in
       ( Exec.Plan.Join
           {
@@ -418,8 +434,9 @@ let join_step catalog ~(force : join_choice) ~(mode : mode) (left : state)
 
 type lowered = { plan : Exec.Plan.node; out_sorted : int list option }
 
-let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
-    : lowered =
+(* [inlined]: the temps read as their plans (see [walk]). *)
+let lower_query ~inlined ~force ~mode (catalog : Catalog.t) (q : query) :
+    lowered =
   if q.from = [] then errf "query with empty FROM";
   if List.exists predicate_has_subquery q.where then
     errf "query still contains nested predicates (transform it first)";
@@ -455,7 +472,8 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
       q.where
   in
   let state0 =
-    base_state catalog first (filters_of (from_alias first) @ constant_preds)
+    base_state ~inlined catalog first
+      (filters_of (from_alias first) @ constant_preds)
   in
   let state, leftover =
     List.fold_left
@@ -464,7 +482,8 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
         let mine, others =
           connecting_conds ~locals conds ~left_tables:st.tables ~alias
         in
-        (join_step catalog ~force ~mode st f mine (filters_of alias), others))
+        ( join_step ~inlined catalog ~force ~mode st f mine (filters_of alias),
+          others ))
       (state0, join_conds) rest
   in
   (* Conditions never picked up (e.g. referencing one table twice through a
@@ -560,24 +579,78 @@ let lower ?(force = Auto) ?(mode = Paper1987) (catalog : Catalog.t) (q : query)
   in
   { plan = node; out_sorted }
 
+let lower ?(force = Auto) ?(mode = Paper1987) catalog q =
+  lower_query ~inlined:[] ~force ~mode catalog q
+
 (* ------------------------------------------------------------------ *)
 (* Program execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Register an executed temp result under its name with the program's
-   column names and order metadata. *)
-let register_temp_result catalog name def out_sorted result =
+(* A temp's schema: the program's column names over the types of the
+   plan's (or result's) columns. *)
+let temp_schema name def (result : Schema.t) =
   let names = Program.output_column_names def in
-  let cols = Schema.columns (Relation.schema result) in
+  let cols = Schema.columns result in
   if List.length names <> List.length cols then
     errf "temp %s: %d column names for %d columns" name (List.length names)
       (List.length cols);
-  let schema =
-    Schema.of_columns ~rel:name
-      (List.map2 (fun n (c : Schema.column) -> (n, c.ty)) names cols)
-  in
+  Schema.of_columns ~rel:name
+    (List.map2 (fun n (c : Schema.column) -> (n, c.ty)) names cols)
+
+(* Register an executed temp result under its name with the program's
+   column names and order metadata. *)
+let register_temp_result catalog name def out_sorted result =
+  let schema = temp_schema name def (Relation.schema result) in
   let renamed = Relation.make schema (Relation.rows result) in
   Catalog.register_relation ?sorted_on:out_sorted catalog name renamed
+
+(* Register a temp that is not run as the estimate its reader is planned
+   against: rows from [Estimate.root] of its plan, a DISTINCT or GROUP BY
+   temp's capped by the product of its keys' distinct counts, and pages
+   for those rows; each column's distinct count, minimum and maximum from
+   the column it reads (an aggregate other than MAX or MIN reads none),
+   the count capped by the rows; every column nullable; the order the
+   plan's output arrives in. *)
+let register_estimate catalog name (def : query) { plan; out_sorted } =
+  let source (c : col_ref) =
+    Option.bind
+      (List.find_opt
+         (fun f ->
+           Option.fold ~none:true ~some:(String.equal (from_alias f)) c.table)
+         def.from)
+      (fun (f : from_item) ->
+        Option.map snd (Catalog.column_stats catalog f.rel c.column))
+  in
+  let item_source = function
+    | Sel_col c | Sel_agg (Max c | Min c) -> source c
+    | Sel_agg _ | Sel_star -> None
+  in
+  let keys =
+    if def.distinct then List.map item_source def.select
+    else List.map source def.group_by
+  in
+  let rows = (Estimate.root catalog plan).rows in
+  let rows =
+    if keys = [] || List.mem None keys then rows
+    else
+      List.fold_left
+        (fun acc k ->
+          acc *. float_of_int (max 1 (Option.get k).Storage.Stats.distinct))
+        1. keys
+      |> Float.min rows
+  in
+  let tuples = int_of_float (Float.ceil rows) in
+  let column item : Storage.Stats.column_stats =
+    match item_source item with
+    | Some cs -> { cs with distinct = min cs.distinct tuples; nulls = 1 }
+    | None -> { distinct = tuples; nulls = 1; min = None; max = None }
+  in
+  let schema =
+    temp_schema name def (Exec.Plan.output_schema catalog plan)
+  in
+  Catalog.register_estimate ?sorted_on:out_sorted catalog name schema
+    (Storage.Stats.make ~tuples (List.map column def.select))
+    ~pages:(int_of_float (Estimate.est_pages catalog ~rows schema))
 
 (* Execute a lowered plan, instrumented when a session is supplied. *)
 let run_plan ?session catalog plan : Relation.t =
@@ -599,23 +672,51 @@ let drop_temps catalog (p : Program.t) =
 
 type segments = Plan of Exec.Plan.node | Program of Program.t
 
+(* Under [Hybrid], a temp exactly one FROM item reads is pipelined into
+   that reader's segment, labelled as [walk] labels it; every other temp
+   is materialized. *)
+let pipelined_into mode (p : Program.t) name =
+  match (mode, Program.readers p name) with
+  | Hybrid, [ reader ] ->
+      Some (Option.fold ~none:"main" ~some:(( ^ ) "temp ") reader)
+  | _ -> None
+
+let pipelined mode p name = Option.is_some (pipelined_into mode p name)
+
 (* The one segment loop, for every strategy.  Nested iteration and batched
    bindings are one plan, handed to [main] as ("main", plan).  A program's
-   temps are lowered against the catalog as the earlier temps left it and
-   handed to [temp] as ("temp NAME", plan); what [temp] returns is
-   registered as the temp's result.  Then the main query's plan goes to
-   [main], whose answer is the loop's.  Created temps stay registered. *)
-let walk ?(force = Auto) ?(mode = Paper1987) catalog segments ~temp ~main =
+   temps are lowered against the catalog as the earlier temps left it.  A
+   materialized temp is handed to [temp] as ("temp NAME", plan), and what
+   [temp] returns is registered as the temp's result.  A pipelined temp
+   runs nothing: its reader reads its plan in place, under a [Rename] to
+   its name, and is planned against its estimate ([register_estimate]);
+   [pipe] is told ("temp NAME", reader).  Then the main query's plan goes
+   to [main], whose answer is the loop's.  Materialized temps stay
+   registered; estimates are dropped. *)
+let walk ?(force = Auto) ?(mode = Paper1987) ?(pipe = fun _ _ -> ()) catalog
+    segments ~temp ~main =
   match segments with
   | Plan plan -> main "main" plan
   | Program (p : Program.t) ->
+      let inlined = ref [] in
+      let lower q = lower_query ~inlined:!inlined ~force ~mode catalog q in
+      Fun.protect ~finally:(fun () ->
+          List.iter (fun (name, _) -> Catalog.drop catalog name) !inlined)
+      @@ fun () ->
       List.iter
         (fun ({ Program.name; def } : Program.temp) ->
-          let { plan; out_sorted } = lower ~force ~mode catalog def in
-          register_temp_result catalog name def out_sorted
-            (temp ("temp " ^ name) plan))
+          let lowered = lower def in
+          let label = "temp " ^ name in
+          match pipelined_into mode p name with
+          | Some reader ->
+              register_estimate catalog name def lowered;
+              inlined := (name, lowered.plan) :: !inlined;
+              pipe label reader
+          | None ->
+              register_temp_result catalog name def lowered.out_sorted
+                (temp label lowered.plan))
         p.temps;
-      main "main" (lower ~force ~mode catalog p.main).plan
+      main "main" (lower p.main).plan
 
 let drop_segment_temps catalog = function
   | Plan _ -> ()
@@ -702,10 +803,20 @@ let explain_segments ?force ?mode ?(analyze = false) ?trace catalog
       :: !explained;
     result
   in
+  let pipe label reader =
+    explained :=
+      {
+        seg_label = label;
+        seg_text = "  pipelined into " ^ reader ^ "\n";
+        seg_json = Json.Obj [ ("pipelined_into", Json.Str reader) ];
+        seg_rows = None;
+      }
+      :: !explained
+  in
   Fun.protect
     ~finally:(fun () -> drop_segment_temps catalog segments)
     (fun () ->
-      walk ?force ?mode catalog segments
+      walk ?force ?mode ~pipe catalog segments
         ~temp:(fun label plan ->
           match explain label plan with
           | Some result -> result

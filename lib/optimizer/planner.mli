@@ -72,14 +72,26 @@ type segments =
           ({!Batched_nest.lower}) plan *)
   | Program of Program.t
       (** a transformed program: each temp (["temp NAME"]) lowered against
-          the catalog as the earlier temps left it, executed and registered
-          under its program name (column names from
-          [Program.output_column_names], order metadata from the plan),
-          then ["main"] *)
+          the catalog as the earlier temps left it, then ["main"].  A
+          materialized temp is executed and registered under its program
+          name (column names from [Program.output_column_names], order
+          metadata from the plan).  A {!pipelined} temp is not executed:
+          its one reader lowers the FROM item that reads it to
+          [Rename (NAME, plan)], the temp's plan streamed in place, planned
+          against the temp's estimated statistics (rows and pages from
+          {!Estimate.root} of the plan, per-column distinct counts from the
+          columns it reads, every column nullable, the plan's order),
+          registered with {!Storage.Catalog.register_estimate} while the
+          program is walked. *)
+
+(** Whether [mode] pipelines temp [name] of the program: under [Hybrid],
+    a temp exactly one FROM item reads ({!Program.readers}); under
+    [Paper1987] every temp is materialized. *)
+val pipelined : mode -> Program.t -> string -> bool
 
 (** Run every segment and return the main plan's result.  A program's
-    temps stay registered (the paper's tables print their contents);
-    remove them with {!drop_temps}.  [force]/[mode] govern the lowering of
+    materialized temps stay registered (the paper's tables print their
+    contents); remove them with {!drop_temps}.  [force]/[mode] govern the lowering of
     a program's segments; a [Plan] is already lowered.  [session]
     instruments every execution with the {!Exec.Explain} observer.  A
     program is not verified here: callers run {!verify_program} first
@@ -107,8 +119,9 @@ val run_program :
     each is compiled as the run compiles it, one NQ110 or NQ115 when it
     does not compile, and a plan that compiles is checked for NQ111 and
     NQ112.  Segments are lowered as {!run_segments} lowers them, and each
-    temp is executed and registered so the next segment plans against its
-    result.  Stops after the first segment with an Error-severity
+    materialized temp is executed and registered so the next segment plans
+    against its result; a pipelined temp is checked inside its reader's
+    plan and runs nothing.  Stops after the first segment with an Error-severity
     violation.  Returns each checked segment as (["temp NAME"] or
     ["main"], plan, its diagnostics), in order; no diagnostics anywhere
     means every plan checks clean.  Temps are dropped before returning. *)
@@ -129,8 +142,10 @@ type explained = {
     {!Estimate} numbers and — under [~analyze:true] — runtime metrics. *)
 
 (** EXPLAIN \[ANALYZE\] every segment, lowered as {!run_segments} lowers
-    it.  A program's temps are executed either way (later segments plan
-    against their results); [~analyze:true] additionally instruments every
+    it.  A program's materialized temps are executed either way (later
+    segments plan against their results); a pipelined temp's segment reads
+    [pipelined into READER] (JSON [{"pipelined_into": READER}]), its plan
+    shown and run inside the reader's; [~analyze:true] additionally instruments every
     execution — including the main plan, which otherwise never runs — and
     annotates each operator with actual rows / [next] calls / wall-clock /
     page I/Os; under ANALYZE a re-opened inner plan's actuals add up over

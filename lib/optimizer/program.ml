@@ -36,6 +36,19 @@ let refuse fmt = Fmt.kstr (fun s -> raise (Refused s)) fmt
 
 let output_column_names (q : query) = List.map item_output_name q.select
 
+(* One entry per FROM item, at any depth, of a later temp or of the main
+   query that reads temp [name]. *)
+let readers t name =
+  let rec reads (q : query) =
+    List.length (List.filter (fun (f : from_item) -> f.rel = name) q.from)
+    + List.fold_left (fun n sub -> n + reads sub) 0 (subqueries q)
+  in
+  List.concat_map
+    (fun { name = reader; def } ->
+      List.init (reads def) (fun _ -> Some reader))
+    t.temps
+  @ List.init (reads t.main) (fun _ -> None)
+
 (* A query is canonical when no predicate nests a query block. *)
 let is_canonical (q : query) =
   not (List.exists predicate_has_subquery q.where)

@@ -38,6 +38,11 @@ val refuse : ('a, Format.formatter, unit, 'b) format4 -> 'a
     ({!Sql.Ast.item_output_name}). *)
 val output_column_names : Sql.Ast.query -> string list
 
+(** The FROM items that read temp [name], at any depth, one entry each:
+    [Some t] for a FROM item of temp [t]'s definition, [None] for one of
+    the main query. *)
+val readers : t -> string -> string option list
+
 (** No nested predicates anywhere in the block. *)
 val is_canonical : Sql.Ast.query -> bool
 

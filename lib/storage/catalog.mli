@@ -1,8 +1,14 @@
-(** Named relations backed by heap files, with order metadata and stats. *)
+(** Named relations backed by heap files, with order metadata and stats;
+    and relations only estimated, with a schema and statistics but no rows
+    (a transformed program's temp streamed into its reader). *)
 
 type t
 
 exception Unknown_table of string
+
+(** Raised by {!heap}, {!relation} and {!create_index} for an estimated
+    relation ({!register_estimate}). *)
+exception Not_stored of string
 
 val create : Pager.t -> t
 val pager : t -> Pager.t
@@ -15,6 +21,19 @@ val mem : t -> string -> bool
     @raise Invalid_argument on duplicate names. *)
 val register_relation :
   ?sorted_on:int list -> t -> string -> Relalg.Relation.t -> unit
+
+(** A relation that is planned against but not stored: [schema] (retagged
+    to [name]), [stats] and [pages] stand for rows no heap holds, and
+    [sorted_on] for the order they would arrive in.  {!drop} removes it.
+    @raise Invalid_argument on duplicate names. *)
+val register_estimate :
+  ?sorted_on:int list ->
+  t ->
+  string ->
+  Relalg.Schema.t ->
+  Stats.t ->
+  pages:int ->
+  unit
 
 (** All of the following raise {!Unknown_table} for missing names. *)
 

@@ -75,6 +75,8 @@ let of_rows (schema : Schema.t) (rows : Row.t list) : t =
 
 let of_relation rel = of_rows (Relation.schema rel) (Relation.rows rel)
 
+let make ~tuples columns = { tuples; columns = Array.of_list columns }
+
 let tuples t = t.tuples
 
 let column t i = t.columns.(i)

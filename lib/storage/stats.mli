@@ -12,6 +12,10 @@ type t
 
 val of_rows : Relalg.Schema.t -> Relalg.Row.t list -> t
 val of_relation : Relalg.Relation.t -> t
+
+(** Statistics given rather than gathered: [tuples] rows and one entry per
+    column, in schema order (an estimate for a relation not stored). *)
+val make : tuples:int -> column_stats list -> t
 val tuples : t -> int
 val column : t -> int -> column_stats
 

@@ -176,7 +176,22 @@ mutant group_sort_key lib/optimizer/planner.ml test \
 # The restricted table is rescanned in place but its restriction is
 # dropped, not moved into the join's residual.
 mutant stored_inner_drops_restriction lib/optimizer/planner.ml test,fuzz \
-'            (stored, fs)' \
-'            (stored, List.filter (fun _ -> false) fs)'
+'        Some (stored, fs)' \
+'        Some (stored, List.filter (fun _ -> false) fs)'
+
+# --- pipelined temps (Hybrid) ---------------------------------------------
+
+# A temp two FROM items read (a keyed TEMP2's TEMP1) is pipelined too:
+# each reader re-runs its plan, so the rows stay right and only the plans
+# and the page I/O show it.
+mutant pipeline_multi_reader lib/optimizer/planner.ml test,fuzz \
+'  | Hybrid, [ reader ] ->' \
+'  | Hybrid, reader :: _ ->'
+
+# A pipelined temp's plan is read in place without the [Rename] to the
+# temp's name, so its reader sees the source tables' column names.
+mutant pipeline_drops_rename lib/optimizer/planner.ml test,fuzz \
+'    | Some plan -> Exec.Plan.Rename (alias, plan)' \
+'    | Some plan -> plan'
 
 exit "$failed"

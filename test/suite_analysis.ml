@@ -296,12 +296,36 @@ let test_planner_output_checks_clean () =
 
 (* --- check type-checks the plans that run ------------------------------- *)
 
-(* The plans a run of [program] lowers in [mode], rendered, each temp
-   lowered against the catalog as the earlier temps left it — run and
-   registered, or, with [~empty], registered with no rows. *)
-let run_plans ?(empty = false) ~mode catalog (program : Optimizer.Program.t) =
+(* The plans a run of [program] lowers in [mode], rendered.  Under
+   Paper1987 each temp is lowered against the catalog as the earlier temps
+   left it — run and registered, or, with [~empty], registered with no
+   rows.  Under Hybrid every temp of these programs is read once, so the
+   run lowers one main plan with each temp's plan inlined into its reader:
+   the tree EXPLAIN prints, its estimates cut (or, with [~empty], the
+   Paper1987 way, against empty temps: plans no run lowers). *)
+let run_plans ?(empty = false) ~mode catalog (program : Optimizer.Program.t)
+    =
   let module P = Optimizer.Planner in
   let label l = P.mode_name mode ^ " transformed " ^ l in
+  if mode = P.Hybrid && not empty then
+    let main =
+      List.find
+        (fun (s : P.explained) -> s.seg_label = "main")
+        (P.explain_segments ~mode catalog (P.Program program))
+    in
+    let bare line =
+      match Astring.String.cut ~sep:"  (cost=" line with
+      | Some (op, _) -> op
+      | None -> line
+    in
+    [
+      ( label "main",
+        String.concat "\n"
+          (List.map
+             (fun line -> bare (Astring.String.with_range ~first:2 line))
+             (String.split_on_char '\n' main.seg_text)) );
+    ]
+  else
   let temps =
     List.map
       (fun ({ Optimizer.Program.name; def } : Optimizer.Program.temp) ->
@@ -325,9 +349,10 @@ let run_plans ?(empty = false) ~mode catalog (program : Optimizer.Program.t) =
 
 (* [nestsql check] type-checks exactly the plans a run lowers: nested
    iteration's, then batched bindings' and the program's in each mode.  On
-   Kiessling's data the hybrid TEMP#3 and main query join the temps by
-   hashing; against empty temps, as the checker once registered them, the
-   same segments lower to nested-loop joins — plans that never run. *)
+   Kiessling's data the Paper1987 temps are run and registered, and the
+   Hybrid temps pipelined into one main plan; against empty temps, as the
+   checker once registered them, the segments lower to other plans —
+   plans that never run. *)
 let test_check_plans_are_run_plans () =
   let db () = Fixtures.count_bug_db () in
   let checked =
@@ -586,8 +611,10 @@ let test_matrix_plans_check_clean () =
           [ P.Auto; P.Force_nl; P.Force_merge; P.Force_hash ])
       [ P.Paper1987; P.Hybrid ]
   in
-  (* 3 forced rewrites x (3 temps + main) + 4 batched, in each mode *)
-  Alcotest.(check int) "forced plans" 32 (List.length forced);
+  (* 4 batched in each mode, and 3 forced rewrites: 3 temps + main under
+     Paper1987; main alone under Hybrid, whose temps are each read once and
+     so pipelined into it *)
+  Alcotest.(check int) "forced plans" 23 (List.length forced);
   check_codes "forced plans clean" []
     (List.concat_map (fun (_, _, diags) -> diags) forced);
   List.iter
@@ -605,7 +632,9 @@ let test_matrix_plans_check_clean () =
         Core.check_query db (Result.get_ok (Core.parse db case.sql))
       in
       Alcotest.(check bool) "no rung refused" true (r.Core.ck_refused = []);
-      Alcotest.(check int) "nested, batched and program plans" 11
+      (* nested; batched in each mode; the program's 3 temps + main
+         under Paper1987 and its main alone under Hybrid *)
+      Alcotest.(check int) "nested, batched and program plans" 8
         (List.length r.Core.ck_plans);
       Alcotest.(check bool) "checked clean" false
         (D.has_errors r.Core.ck_diags))

@@ -369,7 +369,10 @@ let test_priced_program_transformed_once () =
   | Some { Core.candidates = Some c; _ } ->
       Alcotest.(check (option (float 0.)))
         "estimate of the transformed rung"
-        (Some (Estimate.transformed_bound catalog p.Core.query program))
+        (Some
+           (Estimate.transformed_bound
+              ~pipelined:(Planner.pipelined Planner.Paper1987 program)
+              catalog p.Core.query program))
         c.Core.est_transformed
   | _ -> Alcotest.fail "no priced decision");
   ignore (run ());

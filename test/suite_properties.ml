@@ -227,6 +227,125 @@ let prop_restricted_nl_inner =
                [ 3; 8; 256 ]))
         [ ("MAX(QUAN)", Fun.id); ("COUNT(SHIPDATE)", fold_restricted_temp2) ])
 
+(* Hybrid pipelines each temp that one FROM item reads into that reader.
+   The four shapes the fit workload transforms (JA-count, JA-max-lt, NOT
+   EXISTS, >= ALL) and a keyed NEST-JA2 program, whose TEMP1 both TEMP2
+   and TEMP3 read, run under Hybrid in pools of 3, 8, 256 and 2048 pages
+   and give nested iteration's rows (a rewrite refused over NULL-bearing
+   data is skipped).  In the 2048-page pool, which holds everything, each
+   single-use temp's segment reads "pipelined into" and its plan sits in
+   its reader's under [Rename as NAME]; a temp read twice keeps its own
+   plan, and the run writes exactly the pages of the temps it keeps. *)
+let prop_pipelined_temps =
+  let module P = Optimizer.Planner in
+  let module Program = Optimizer.Program in
+  let infix affix s = Astring.String.is_infix ~affix s in
+  QCheck2.Test.make
+    ~name:"pipelined temps, pools 3/8/256/2048, hybrid = nested iteration"
+    ~count:40 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let key_range = G.int_in rng 1 5 in
+      let null_pct = G.pick rng [ 0; 0; 30 ] in
+      let tables =
+        [
+          ("PARTS", G.parts ~null_pct rng ~n:(G.int_in rng 1 10) ~key_range);
+          ("SUPPLY", G.supply ~null_pct rng ~n:(G.int_in rng 0 30) ~key_range);
+        ]
+      in
+      let date = G.pick rng [ "1-1-76"; "1-1-79"; "1-1-83" ] in
+      let corr = "SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < '" ^ date ^ "'" in
+      let cases =
+        [
+          ( None,
+            "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) FROM \
+             SUPPLY WHERE " ^ corr ^ ")" );
+          ( None,
+            Printf.sprintf
+              "SELECT PNUM FROM PARTS WHERE PNUM <= 3 AND QOH = (SELECT \
+               MAX(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM < PARTS.PNUM AND QUAN \
+               <= %d)"
+              (G.int_in rng 0 9) );
+          ( None,
+            "SELECT PNUM FROM PARTS WHERE NOT EXISTS (SELECT PNUM FROM SUPPLY \
+             WHERE " ^ corr ^ ")" );
+          ( None,
+            "SELECT PNUM FROM PARTS WHERE QOH >= ALL (SELECT QUAN FROM SUPPLY \
+             WHERE " ^ corr ^ ")" );
+          ( Some (fun (_ : Program.key_probe) -> Some "forced"),
+            "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(*) FROM SUPPLY \
+             WHERE " ^ corr ^ ")" );
+        ]
+      in
+      let agrees ~buffer_pages (probe_keys, text) =
+        let catalog = G.catalog_of ~buffer_pages tables in
+        Catalog.create_index catalog "SUPPLY" ~column:"PNUM";
+        let q = F.parse_analyzed catalog text in
+        match
+          Optimizer.Nest_g.transform ?probe_keys
+            ~nullable:(Catalog.column_nullable catalog)
+            ~fresh:(fun () -> Catalog.fresh_temp_name catalog)
+            q
+        with
+        | exception Program.Refused _ -> true
+        | program ->
+            let fail fmt =
+              QCheck2.Test.fail_reportf
+                ("%d pages: %s@.%s@." ^^ fmt) buffer_pages text
+                (Program.to_string program)
+            in
+            let single_use (t : Program.temp) =
+              List.length (Program.readers program t.name) = 1
+            in
+            let pager = Catalog.pager catalog in
+            let before = Storage.Pager.snapshot pager in
+            let got = P.run_program ~mode:P.Hybrid catalog program in
+            let writes =
+              (Storage.Pager.diff_since pager before).physical_writes
+            in
+            let kept_pages =
+              List.fold_left
+                (fun n (t : Program.temp) ->
+                  if single_use t then n else n + Catalog.pages catalog t.name)
+                0 program.temps
+            in
+            P.drop_temps catalog program;
+            let inlined () =
+              let segments =
+                P.explain_segments ~mode:P.Hybrid catalog (P.Program program)
+              in
+              let text_of label =
+                (List.find (fun (e : P.explained) -> e.seg_label = label)
+                   segments)
+                  .seg_text
+              in
+              List.for_all
+                (fun (t : Program.temp) ->
+                  let own = text_of ("temp " ^ t.name) in
+                  if single_use t then
+                    (infix "pipelined into" own
+                    && List.exists
+                         (fun (e : P.explained) ->
+                           infix ("Rename as " ^ t.name) e.seg_text)
+                         segments)
+                    || fail "%s is not inlined" t.name
+                  else
+                    (not (infix "pipelined into" own))
+                    || fail "%s, read twice, is pipelined" t.name)
+                program.temps
+            in
+            (Relation.equal_bag (Exec.Nested_iter.run catalog q) got
+            || fail "rows differ")
+            && (probe_keys = None
+               || List.exists (fun t -> not (single_use t)) program.temps
+               || fail "no temp read twice")
+            && (buffer_pages < 2048 || inlined ())
+            && (buffer_pages < 2048 || writes = kept_pages
+               || fail "%d pages written, %d kept" writes kept_pages)
+      in
+      List.for_all
+        (fun buffer_pages -> List.for_all (agrees ~buffer_pages) cases)
+        [ 3; 8; 256; 2048 ])
+
 (* Pretty-printer fixpoint: parse (pp (parse text)) = parse text for every
    generated query shape. *)
 let prop_pp_parse_fixpoint =
@@ -277,6 +396,7 @@ let suites =
           prop_join_methods_agree;
           prop_planner_flat;
           prop_restricted_nl_inner;
+          prop_pipelined_temps;
           prop_pp_parse_fixpoint;
           prop_cost_model;
         ] );

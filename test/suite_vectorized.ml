@@ -1482,7 +1482,8 @@ let fit_queries =
      SUPPLY WHERE SUPPLY.PNUM < PARTS.PNUM AND QUAN <= 2)";
   ]
 
-(* Q5 in the pool that holds SUPPLY writes its temps and nothing else:
+(* Q5 in the pool that holds SUPPLY writes no page: each of its temps is
+   read once, so each is pipelined into its reader instead of written, and
    its nested-loop join rescans the stored table. *)
 let test_q5_writes_only_temps () =
   let db = fit_db ~buffer_pages:256 in
@@ -1501,15 +1502,104 @@ let test_q5_writes_only_temps () =
   let before = Pager.snapshot pager in
   ignore (Planner.run_program ~mode:Planner.Hybrid catalog program);
   let io = Pager.diff_since pager before in
-  let temp_pages =
-    List.fold_left
-      (fun n (t : Optimizer.Program.temp) -> n + Catalog.pages catalog t.name)
-      0 program.temps
+  Alcotest.(check (list string)) "no temp stored" []
+    (List.filter_map
+       (fun (t : Optimizer.Program.temp) ->
+         if Catalog.mem catalog t.name then Some t.name else None)
+       program.temps);
+  Alcotest.(check int) "two temps, both pipelined" 2
+    (List.length
+       (List.filter
+          (fun (t : Optimizer.Program.temp) ->
+            Planner.pipelined Planner.Hybrid program t.name)
+          program.temps));
+  Alcotest.(check int) "no page written" 0 io.Pager.physical_writes
+
+let fit_program db sql =
+  match Core.parse db sql with
+  | Ok q ->
+      Optimizer.Nest_g.transform
+        ~fresh:(fun () -> Catalog.fresh_temp_name (Core.catalog db))
+        q
+  | Error e -> Alcotest.fail e
+
+(* Plain EXPLAIN and the plan check of Q2 under Hybrid run nothing: each
+   of its three temps is read once, so each temp's segment reads
+   "pipelined into READER" (JSON {"pipelined_into": READER}), main's plan
+   holds all three, and no page is written.  An estimate is not a table:
+   a [Scan] of one does not compile. *)
+let test_pipelined_explain_and_check_write_nothing () =
+  let db = fit_db ~buffer_pages:256 in
+  let catalog = Core.catalog db in
+  let sql = List.nth fit_queries 1 in
+  let program = Planner.Program (fit_program db sql) in
+  let pager = Catalog.pager catalog in
+  let before = Pager.snapshot pager in
+  let explained = Planner.explain_segments ~mode:Planner.Hybrid catalog program in
+  let checked = Planner.check_segments ~mode:Planner.Hybrid catalog program in
+  let text =
+    Core.explain_query ~strategy:(Core.Transformed Planner.Auto)
+      ~mode:Planner.Hybrid db sql
   in
-  Planner.drop_temps catalog program;
-  Alcotest.(check int) "two one-page temps" 2 temp_pages;
-  Alcotest.(check int) "writes = the temps' pages" temp_pages
-    io.Pager.physical_writes
+  Alcotest.(check int) "no page written" 0
+    (Pager.diff_since pager before).Pager.physical_writes;
+  Alcotest.(check (list (pair string string)))
+    "temp segments"
+    [
+      ("temp TEMP#1", {|{"pipelined_into":"temp TEMP#3"}|});
+      ("temp TEMP#2", {|{"pipelined_into":"temp TEMP#3"}|});
+      ("temp TEMP#3", {|{"pipelined_into":"main"}|});
+    ]
+    (List.filter_map
+       (fun (e : Planner.explained) ->
+         if e.seg_label = "main" then None
+         else Some (e.seg_label, Json.to_string e.seg_json))
+       explained);
+  let main =
+    (List.find (fun (e : Planner.explained) -> e.seg_label = "main") explained)
+      .seg_text
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " inlined into main") true
+        (Astring.String.is_infix ~affix:("Rename as " ^ name) main))
+    [ "TEMP#1"; "TEMP#2"; "TEMP#3" ];
+  Alcotest.(check bool) "CLI text marks the temps" true
+    (match text with
+    | Ok t -> Astring.String.is_infix ~affix:"  pipelined into main\n" t
+    | Error e -> Alcotest.fail e);
+  Alcotest.(check (list string)) "main alone is checked" [ "main" ]
+    (List.map (fun (label, _, _) -> label) checked);
+  Alcotest.(check int) "and checks clean" 0
+    (List.length (List.concat_map (fun (_, _, d) -> d) checked));
+  Catalog.register_estimate catalog "ESTIMATED" (Catalog.schema catalog "PARTS")
+    (Catalog.stats catalog "PARTS") ~pages:1;
+  Alcotest.(check bool) "a Scan of an estimate does not compile" true
+    (Result.is_error (Plan.check catalog (Plan.Scan "ESTIMATED")))
+
+(* A pipelined temp that ends up as a nested-loop inner is written once,
+   by the join, in as many pages as Paper1987 stores it in: Q2 with every
+   join forced to a nested loop writes TEMP#2 (TEMP#3's inner) and TEMP#3
+   (main's inner) and streams TEMP#1, the left side of TEMP#3's join. *)
+let test_pipelined_nl_inner_written_once () =
+  let run mode =
+    let db = fit_db ~buffer_pages:256 in
+    let catalog = Core.catalog db in
+    let program = fit_program db (List.nth fit_queries 1) in
+    let pager = Catalog.pager catalog in
+    let before = Pager.snapshot pager in
+    let rows =
+      Planner.run_program ~force:Planner.Force_nl ~mode catalog program
+    in
+    let writes = (Pager.diff_since pager before).Pager.physical_writes in
+    let pages name = if Catalog.mem catalog name then Catalog.pages catalog name else 0 in
+    (rows, writes, pages "TEMP#2" + pages "TEMP#3")
+  in
+  let paper_rows, _, stored = run Planner.Paper1987 in
+  let rows, writes, kept = run Planner.Hybrid in
+  Alcotest.(check int) "no temp kept" 0 kept;
+  Alcotest.(check int) "the two inners' pages, once each" stored writes;
+  Alcotest.(check bool) "same rows" true (Relation.equal_bag paper_rows rows)
 
 let test_explain_analyze_vectorized_golden () =
   let mask = Str.global_replace (Str.regexp "time=[0-9.]+ms") "time=*" in
@@ -1609,6 +1699,10 @@ let suites =
           test_explain_analyze_vectorized_golden;
         Alcotest.test_case "Q5 writes only its temps" `Quick
           test_q5_writes_only_temps;
+        Alcotest.test_case "pipelined temps: EXPLAIN and check write nothing"
+          `Quick test_pipelined_explain_and_check_write_nothing;
+        Alcotest.test_case "pipelined temp as nested-loop inner: written once"
+          `Quick test_pipelined_nl_inner_written_once;
         Alcotest.test_case "Core.run engines agree" `Quick
           test_core_run_engines_agree;
       ] );
