@@ -229,7 +229,8 @@ type check_report = {
   ck_plans : (string * Exec.Plan.node) list;
       (** every plan type-checked, in order, labelled
           ["nested_iteration main"], then per mode ["MODE batched main"],
-          ["MODE transformed temp NAME"] and ["MODE transformed main"] *)
+          ["MODE transformed temp NAME"] (each temp the mode materializes)
+          and ["MODE transformed main"] *)
   ck_diags : Analysis.Diagnostics.t list;
       (** plan-validation (NQ110–NQ115, each message prefixed with its
           plan's label) and equivalence (NQ120–NQ122) diagnostics, sorted *)
@@ -241,8 +242,9 @@ type check_report = {
           why the repro format cannot hold it *)
 }
 (** The semantic checker's report on one query: typed validation of every
-    plan {!run} can run, lowered as it lowers them (a program's temps are
-    executed) — nested iteration, then batched bindings and the
+    plan {!run} can run, lowered as it lowers them (a program's
+    materialized temps are executed, a pipelined one is checked inside its
+    reader's plan) — nested iteration, then batched bindings and the
     transformed program in both planner modes — plus, when the query
     transforms, the bounded counterexample search for the rewrite. *)
 
