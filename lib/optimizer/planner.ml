@@ -579,8 +579,8 @@ let lower_query ~inlined ~force ~mode (catalog : Catalog.t) (q : query) :
   in
   { plan = node; out_sorted }
 
-let lower ?(force = Auto) ?(mode = Paper1987) catalog q =
-  lower_query ~inlined:[] ~force ~mode catalog q
+let lower ?(force = Auto) ?(mode = Paper1987) ?(inlined = []) catalog q =
+  lower_query ~inlined ~force ~mode catalog q
 
 (* ------------------------------------------------------------------ *)
 (* Program execution                                                   *)

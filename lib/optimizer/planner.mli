@@ -42,14 +42,29 @@ type lowered = {
       (** output column positions the result is sorted on, if known *)
 }
 
-(** Lower a canonical (subquery-free) query to a physical plan.
+(** Lower a canonical (subquery-free) query to a physical plan.  A FROM
+    item over a table [inlined] names is read as the plan it maps to,
+    under a [Rename] to its alias, instead of as a stored table; the
+    catalog must hold that table's estimate ({!register_estimate}).
     @raise Planning_error on nested predicates or malformed shapes. *)
 val lower :
   ?force:join_choice ->
   ?mode:mode ->
+  ?inlined:(string * Exec.Plan.node) list ->
   Storage.Catalog.t ->
   Sql.Ast.query ->
   lowered
+
+(** [register_estimate catalog name def lowered] registers temp [name],
+    defined by [def] and lowered to [lowered], as the estimate a reader
+    that streams it is planned against: rows and pages from
+    {!Estimate.root} of the plan (a DISTINCT or GROUP BY temp's rows capped
+    by its keys' distinct counts), each column's statistics from the
+    column it reads with the distinct count capped by the rows, every
+    column nullable, the plan's order.  No heap: a [Scan] of it does not
+    compile.  {!Storage.Catalog.drop} removes it. *)
+val register_estimate :
+  Storage.Catalog.t -> string -> Sql.Ast.query -> lowered -> unit
 
 (** Structurally verify a transformed program against the invariants the
     corrected algorithms guarantee (NQ900–NQ906: canonical definitions,

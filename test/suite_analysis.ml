@@ -296,63 +296,63 @@ let test_planner_output_checks_clean () =
 
 (* --- check type-checks the plans that run ------------------------------- *)
 
-(* The plans a run of [program] lowers in [mode], rendered.  Under
-   Paper1987 each temp is lowered against the catalog as the earlier temps
-   left it — run and registered, or, with [~empty], registered with no
-   rows.  Under Hybrid every temp of these programs is read once, so the
-   run lowers one main plan with each temp's plan inlined into its reader:
-   the tree EXPLAIN prints, its estimates cut (or, with [~empty], the
-   Paper1987 way, against empty temps: plans no run lowers). *)
-let run_plans ?(empty = false) ~mode catalog (program : Optimizer.Program.t)
-    =
+(* The plans a run of [program] lowers in [mode], rendered, each temp
+   lowered against the catalog as the earlier temps left it.  A temp run
+   first is run and registered, or, with [~empty], registered with no rows.
+   Under Hybrid a temp one FROM item reads runs nothing: its reader streams
+   its plan, planned against its estimate, or, with [~empty], against an
+   estimate of no rows. *)
+let run_plans ?(empty = false) ~mode catalog (program : Optimizer.Program.t) =
   let module P = Optimizer.Planner in
   let label l = P.mode_name mode ^ " transformed " ^ l in
-  if mode = P.Hybrid && not empty then
-    let main =
-      List.find
-        (fun (s : P.explained) -> s.seg_label = "main")
-        (P.explain_segments ~mode catalog (P.Program program))
-    in
-    let bare line =
-      match Astring.String.cut ~sep:"  (cost=" line with
-      | Some (op, _) -> op
-      | None -> line
-    in
-    [
-      ( label "main",
-        String.concat "\n"
-          (List.map
-             (fun line -> bare (Astring.String.with_range ~first:2 line))
-             (String.split_on_char '\n' main.seg_text)) );
-    ]
-  else
+  let inlined = ref [] in
   let temps =
-    List.map
+    List.filter_map
       (fun ({ Optimizer.Program.name; def } : Optimizer.Program.temp) ->
-        let { P.plan; out_sorted } = P.lower ~mode catalog def in
-        let result = P.run_segments catalog (P.Plan plan) in
-        let schema =
+        let ({ P.plan; out_sorted } as lowered) =
+          P.lower ~mode ~inlined:!inlined catalog def
+        in
+        let schema (cols : Relalg.Schema.t) =
           Relalg.Schema.of_columns ~rel:name
             (List.map2
                (fun n (c : Relalg.Schema.column) -> (n, c.ty))
                (Optimizer.Program.output_column_names def)
-               (Relalg.Schema.columns (Relation.schema result)))
+               (Relalg.Schema.columns cols))
         in
-        Catalog.register_relation ?sorted_on:out_sorted catalog name
-          (Relation.make schema (if empty then [] else Relation.rows result));
-        (label ("temp " ^ name), Exec.Explain.render plan))
+        match (mode, Optimizer.Program.readers program name) with
+        | P.Hybrid, [ _ ] ->
+            (if not empty then P.register_estimate catalog name def lowered
+             else
+               let schema = schema (Exec.Plan.output_schema catalog plan) in
+               Catalog.register_estimate ?sorted_on:out_sorted catalog name
+                 schema
+                 (Storage.Stats.of_relation (Relation.make schema []))
+                 ~pages:0);
+            inlined := (name, plan) :: !inlined;
+            None
+        | _ ->
+            let result = P.run_segments catalog (P.Plan plan) in
+            Catalog.register_relation ?sorted_on:out_sorted catalog name
+              (Relation.make
+                 (schema (Relation.schema result))
+                 (if empty then [] else Relation.rows result));
+            Some (label ("temp " ^ name), Exec.Explain.render plan))
       program.Optimizer.Program.temps
   in
-  let main = (P.lower ~mode catalog program.Optimizer.Program.main).P.plan in
+  let main =
+    (P.lower ~mode ~inlined:!inlined catalog program.Optimizer.Program.main)
+      .P.plan
+  in
   P.drop_temps catalog program;
   temps @ [ (label "main", Exec.Explain.render main) ]
 
 (* [nestsql check] type-checks exactly the plans a run lowers: nested
    iteration's, then batched bindings' and the program's in each mode.  On
-   Kiessling's data the Paper1987 temps are run and registered, and the
-   Hybrid temps pipelined into one main plan; against empty temps, as the
-   checker once registered them, the segments lower to other plans —
-   plans that never run. *)
+   Kiessling's data the Paper1987 temps are run and registered, and each
+   Hybrid temp is read once, so streamed into one main plan.  Against empty
+   temps, as the checker once registered them, the same segments lower to
+   other plans, plans that never run: the Hybrid main joins the streamed
+   temps by nested loops where the run hashes them. *)
 let test_check_plans_are_run_plans () =
   let db () = Fixtures.count_bug_db () in
   let checked =
@@ -381,8 +381,18 @@ let test_check_plans_are_run_plans () =
   Alcotest.(check (list (pair string string)))
     "checked plans = run plans" expected
     (List.map (fun (label, plan) -> (label, Exec.Explain.render plan)) checked);
-  Alcotest.(check bool) "empty temps lower differently" true
-    (run_plans ~empty:true () <> expected)
+  Alcotest.(check (list string))
+    "Hybrid runs one main plan" [ "hybrid transformed main" ]
+    (List.filter
+       (fun l -> Astring.String.is_prefix ~affix:"hybrid transformed" l)
+       (List.map fst expected));
+  let empty = run_plans ~empty:true () in
+  Alcotest.(check (list string))
+    "empty temps lower the same segments" (List.map fst expected)
+    (List.map fst empty);
+  Alcotest.(check bool) "empty temps lower the Hybrid main differently" true
+    (List.assoc "hybrid transformed main" empty
+    <> List.assoc "hybrid transformed main" expected)
 
 (* --- bounded counterexample search ------------------------------------- *)
 
